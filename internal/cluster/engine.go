@@ -254,122 +254,23 @@ func (e *Engine) Run(jobs []online.Job) (*Report, error) { //lint:allow ctxflow 
 // next batch fires and returns the context's error (wrapped, so
 // errors.Is(err, context.Canceled) holds). The partial report is
 // discarded — replays are cheap and deterministic, rerun to completion
-// instead.
+// instead. It is a Session fed the whole stream at once.
 func (e *Engine) RunContext(ctx context.Context, jobs []online.Job) (*Report, error) {
-	infos := make(map[int]jobInfo, len(jobs))
-	for i := range jobs {
-		j := &jobs[i]
-		if err := j.Task.Validate(); err != nil {
-			return nil, err
-		}
-		if j.Release < 0 {
-			return nil, fmt.Errorf("cluster: job %d has negative release date", j.Task.ID)
-		}
-		if _, dup := infos[j.Task.ID]; dup {
-			return nil, fmt.Errorf("cluster: duplicate job ID %d in the stream", j.Task.ID)
-		}
-		pmin, _ := j.Task.MinTime()
-		infos[j.Task.ID] = jobInfo{release: j.Release, pmin: pmin, weight: j.Task.Weight}
+	s := e.NewSession(ctx)
+	if err := s.Feed(jobs...); err != nil {
+		return nil, err
 	}
-
-	busyAbs := make([]listsched.Busy, len(e.cfg.Reservations))
-	for i, r := range e.cfg.Reservations {
-		busyAbs[i] = listsched.Busy{Procs: e.blocked[i], Start: r.Start, End: r.End}
-	}
-
-	report := &Report{Schedule: schedule.New(e.cfg.M), Blocked: e.blocked}
-	acc := newMetricsAccumulator(e.cfg.M)
-	var race *raceState
-	if e.cfg.Racing.Enabled() {
-		race = newRaceState(len(e.cfg.Portfolio), e.cfg.Racing)
-		if e.cfg.Metrics != nil {
-			// Touch the racing counters so scrapers see them at zero from
-			// the first batch, even before any cutoff fires.
-			e.cfg.Metrics.Counter("bicrit_portfolio_cutoff_hits_total",
-				"Batches where the racing cutoff fired and cancelled at least one member.").Add(0)
-			for _, a := range e.cfg.Portfolio {
-				e.cfg.Metrics.Counter("bicrit_portfolio_cancelled_total",
-					"Portfolio members cut off by the racing early cutoff.",
-					obs.L("algorithm", a.Name)).Add(0)
-			}
-		}
-	}
-	var fstate *faultState
-	if len(e.cfg.Outages) > 0 {
-		fstate = newFaultState(e.cfg.Replan, e.cfg.MaxRetries)
-	}
-	if len(jobs) == 0 {
-		report.Metrics = acc.snapshot()
-		return report, nil
-	}
-
-	sorted := make([]online.Job, len(jobs))
-	copy(sorted, jobs)
-	sort.SliceStable(sorted, func(a, b int) bool {
-		if sorted[a].Release != sorted[b].Release {
-			return sorted[a].Release < sorted[b].Release
-		}
-		return sorted[a].Task.ID < sorted[b].Task.ID
-	})
-
-	now := 0.0
-	next := 0
-	var pending []online.Job
-	batchIndex := 0
-	for next < len(sorted) || len(pending) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: replay aborted: %w", err)
-		}
-		for next < len(sorted) && sorted[next].Release <= now+moldable.Eps {
-			pending = append(pending, sorted[next])
-			next++
-		}
-		if len(pending) == 0 {
-			now = sorted[next].Release
-			continue
-		}
-		fire := e.cfg.Policy.NextFire(now, pending)
-		if fire > now+moldable.Eps {
-			if next < len(sorted) && sorted[next].Release < fire {
-				// An arrival lands before the fire time: admit it and ask
-				// the policy again with the larger backlog.
-				now = sorted[next].Release
-				continue
-			}
-			if !math.IsInf(fire, 1) {
-				now = fire
-				continue
-			}
-			// fire is +Inf and (by the check above) the stream is
-			// exhausted: the policy would wait forever, flush the backlog
-			// now.
-		}
-
-		br, advance, resub, err := e.runBatch(ctx, batchIndex, now, pending, busyAbs, infos, acc, report, fstate, race)
-		if err != nil {
-			return nil, err
-		}
-		report.Batches = append(report.Batches, br)
-		if e.cfg.OnBatch != nil {
-			e.cfg.OnBatch(br)
-		}
-		now += advance
-		// Killed jobs rejoin the queue immediately: their release dates are
-		// their kill instants, all at or before the new now.
-		pending = append(pending[:0], resub...)
-		batchIndex++
-	}
-	report.Metrics = acc.snapshot()
-	return report, nil
+	return s.Finish()
 }
 
-// runBatch schedules, places and executes one batch firing at the absolute
-// time now, committing its realized trace into the report. It returns the
-// batch report, how far the batch advances the clock (its realized
-// makespan, or the last kill instant if an outage cut the batch short) and
-// the killed jobs to re-enqueue.
-func (e *Engine) runBatch(ctx context.Context, index int, now float64, pending []online.Job, busyAbs []listsched.Busy,
-	infos map[int]jobInfo, acc *metricsAccumulator, report *Report, fstate *faultState, race *raceState) (BatchReport, float64, []online.Job, error) {
+// runBatch schedules, places and executes one batch of the pending jobs
+// firing at the session's clock, committing its realized trace into the
+// report. It returns the batch report, how far the batch advances the
+// clock (its realized makespan, or the last kill instant if an outage cut
+// the batch short) and the killed jobs to re-enqueue.
+func (s *Session) runBatch() (BatchReport, float64, []online.Job, error) {
+	e, ctx, index, now, pending := s.e, s.ctx, s.batchIndex, s.now, s.pending
+	busyAbs, infos, acc, report, fstate := s.busyAbs, s.infos, s.acc, s.report, s.fstate
 	tasks := make([]moldable.Task, len(pending))
 	ids := make([]int, len(pending))
 	for i := range pending {
@@ -380,7 +281,7 @@ func (e *Engine) runBatch(ctx context.Context, index int, now float64, pending [
 	inst := moldable.NewInstance(e.cfg.M, tasks)
 
 	planStart := time.Now() //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
-	cands, scheds, win, err := runPortfolio(ctx, inst, e.cfg.Portfolio, e.cfg.Objective, e.cfg.Sequential, e.cfg.Metrics, e.cfg.Racing, race)
+	cands, scheds, win, err := runPortfolio(ctx, inst, e.cfg.Portfolio, e.cfg.Objective, e.cfg.Sequential, s.metrics, e.cfg.Racing, s.race)
 	if err != nil {
 		return BatchReport{}, 0, nil, fmt.Errorf("cluster: batch %d: %w", index, err)
 	}
@@ -412,8 +313,8 @@ func (e *Engine) runBatch(ctx context.Context, index int, now float64, pending [
 		}
 		planned = placed
 	}
-	if e.cfg.Metrics != nil {
-		e.cfg.Metrics.Histogram("bicrit_batch_schedule_seconds",
+	if s.metrics != nil {
+		s.metrics.Histogram("bicrit_batch_schedule_seconds",
 			"Wall-clock time planning one batch: portfolio run, scoring and reservation placement.",
 			obs.TimeBuckets()).Observe(time.Since(planStart).Seconds()) //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
 	}

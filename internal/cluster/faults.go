@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"bicriteria/internal/moldable"
@@ -128,6 +129,14 @@ type faultState struct {
 	// with at least one kill (to detect recoveries on completion).
 	retries    map[int]int
 	killedEver map[int]bool
+}
+
+// clone copies the bookkeeping for a session fork.
+func (fs *faultState) clone() *faultState {
+	c := *fs
+	c.retries = maps.Clone(fs.retries)
+	c.killedEver = maps.Clone(fs.killedEver)
+	return &c
 }
 
 func newFaultState(replan ReplanPolicy, maxRetries int) *faultState {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"bicriteria/internal/stats"
@@ -98,6 +100,16 @@ type metricsAccumulator struct {
 
 func newMetricsAccumulator(m int) *metricsAccumulator {
 	return &metricsAccumulator{m: m, wins: make(map[string]int)}
+}
+
+// clone deep-copies the accumulator for a session fork: snapshot sorts the
+// samples in place, so a fork must not share them.
+func (acc *metricsAccumulator) clone() *metricsAccumulator {
+	c := *acc
+	c.stretches = slices.Clone(acc.stretches)
+	c.bslds = slices.Clone(acc.bslds)
+	c.wins = maps.Clone(acc.wins)
+	return &c
 }
 
 // observeJob folds one realized job completion into the accumulator.

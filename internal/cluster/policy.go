@@ -17,7 +17,9 @@ type BatchPolicy interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// NextFire returns the earliest time at which the pending jobs may be
-	// batched, given that the machine is idle since now.
+	// batched, given that the machine is idle since now. It must be a pure
+	// function of its arguments: a Session resumed after AdvanceTo may ask
+	// again at the same instant.
 	NextFire(now float64, pending []online.Job) float64
 }
 

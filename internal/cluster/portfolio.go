@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -167,6 +168,7 @@ const (
 type raceState struct {
 	wins   []float64
 	rng    *rand.Rand
+	src    *countingSource
 	bandit bool
 }
 
@@ -176,7 +178,47 @@ func newRaceState(n int, r Racing) *raceState {
 	if seed == 0 {
 		seed = 1
 	}
-	return &raceState{wins: make([]float64, n), rng: rand.New(rand.NewSource(seed)), bandit: r.Bandit}
+	src := newCountingSource(seed)
+	return &raceState{wins: make([]float64, n), rng: rand.New(src), src: src, bandit: r.Bandit}
+}
+
+// clone copies the bandit for a session fork. A *rand.Rand cannot be
+// copied, so the fork rebuilds its source from the seed and replays the
+// draws taken so far: its next draw is the one the original would take.
+func (st *raceState) clone() *raceState {
+	src := newCountingSource(st.src.seed)
+	for src.draws < st.src.draws {
+		src.Uint64()
+	}
+	return &raceState{wins: slices.Clone(st.wins), rng: rand.New(src), src: src, bandit: st.bandit}
+}
+
+// countingSource is the bandit's seeded source, counting its draws. Int63
+// and Uint64 each advance the underlying generator by one step, so the
+// count alone fixes the stream position.
+type countingSource struct {
+	src   rand.Source64
+	seed  int64
+	draws uint64
+}
+
+func newCountingSource(seed int64) *countingSource {
+	return &countingSource{src: rand.NewSource(seed).(rand.Source64), seed: seed}
+}
+
+func (c *countingSource) Int63() int64 {
+	c.draws++
+	return c.src.Int63()
+}
+
+func (c *countingSource) Uint64() uint64 {
+	c.draws++
+	return c.src.Uint64()
+}
+
+func (c *countingSource) Seed(seed int64) {
+	c.src.Seed(seed)
+	c.seed, c.draws = seed, 0
 }
 
 // launchOrder returns the member indices in launch order: portfolio order

@@ -152,6 +152,10 @@ func less(a, b *Event) bool {
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
+	// byJob indexes events by job: built by the first Timeline and kept
+	// up to date by every later event, so a timeline costs O(that job's
+	// events) instead of a scan.
+	byJob map[int][]int
 }
 
 // NewRecorder returns an empty recorder.
@@ -163,12 +167,21 @@ func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.events = r.events[:0]
+	r.byJob = nil
 }
 
 // Add records one event verbatim.
 func (r *Recorder) Add(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.add(ev)
+}
+
+// add records one event; the caller holds mu.
+func (r *Recorder) add(ev Event) {
+	if r.byJob != nil {
+		r.byJob[ev.Job] = append(r.byJob[ev.Job], len(r.events))
+	}
 	r.events = append(r.events, ev)
 }
 
@@ -201,22 +214,30 @@ func (r *Recorder) OnBatch(clusterIdx int, br cluster.BatchReport) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, id := range br.Jobs {
-		r.events = append(r.events, Event{
+		r.add(Event{
 			Kind: KindBatched, Job: id, Time: br.FireTime, Cluster: clusterIdx,
 			Batch: br.Index, Winner: br.Winner, LowerBound: br.LowerBound,
 			CutOff: br.CutOff,
 		})
 	}
 	for _, p := range br.Placements {
-		r.events = append(r.events,
-			Event{Kind: KindPlanned, Job: p.TaskID, Time: br.FireTime, Cluster: clusterIdx, Batch: br.Index, Allotment: p.Procs},
-			Event{Kind: KindStarted, Job: p.TaskID, Time: p.Start, Cluster: clusterIdx, Batch: br.Index, Allotment: p.Procs, End: p.End},
-			Event{Kind: KindDone, Job: p.TaskID, Time: p.End, Cluster: clusterIdx, Batch: br.Index},
-		)
+		r.add(Event{Kind: KindPlanned, Job: p.TaskID, Time: br.FireTime, Cluster: clusterIdx, Batch: br.Index, Allotment: p.Procs})
+		r.add(Event{Kind: KindStarted, Job: p.TaskID, Time: p.Start, Cluster: clusterIdx, Batch: br.Index, Allotment: p.Procs, End: p.End})
+		r.add(Event{Kind: KindDone, Job: p.TaskID, Time: p.End, Cluster: clusterIdx, Batch: br.Index})
 	}
 	for _, k := range br.KillEvents {
-		r.events = append(r.events, Event{Kind: KindKilled, Job: k.TaskID, Time: k.Time, Cluster: clusterIdx, Batch: k.Batch})
+		r.add(Event{Kind: KindKilled, Job: k.TaskID, Time: k.Time, Cluster: clusterIdx, Batch: k.Batch})
 	}
+}
+
+// RecordDecision records one routing decision of a grid report: the
+// job's submission — the router keeps release dates, so a first routing
+// carries it — and the routed or migrated event.
+func (r *Recorder) RecordDecision(d grid.Decision) {
+	if !d.Migrated {
+		r.Submitted(d.JobID, d.Release)
+	}
+	r.OnDecision(d)
 }
 
 // Events returns every recorded event in total order (a copy).
@@ -250,15 +271,16 @@ func (r *Recorder) Jobs() []int {
 // by a later batched event is a resubmission at the kill instant, the
 // last kill of a job that never re-batches is its loss. Returns nil for
 // a job the recorder never saw.
-func (r *Recorder) Timeline(job int) []Event {
-	r.mu.Lock()
-	var evs []Event
-	for i := range r.events {
-		if r.events[i].Job == job {
-			evs = append(evs, r.events[i])
-		}
+func (r *Recorder) Timeline(job int) []Event { return r.TimelineWith(job, nil) }
+
+// TimelineWith is Timeline over the events of r and tail together (a nil
+// tail adds none): the serve layer records the final events of its
+// trusted replay once and the provisional tail of each refresh apart.
+func (r *Recorder) TimelineWith(job int, tail *Recorder) []Event {
+	evs := r.appendJob(nil, job)
+	if tail != nil {
+		evs = tail.appendJob(evs, job)
 	}
-	r.mu.Unlock()
 	if evs == nil {
 		return nil
 	}
@@ -285,21 +307,33 @@ func (r *Recorder) Timeline(job int) []Event {
 	return out
 }
 
-// FromGridReport rebuilds a recorder from a finished grid report — the
-// path of the serve layer, whose replays repeat and cannot stream
-// observers. Submissions are synthesized from the non-migrated routing
-// decisions (the router preserves release dates), batches come from the
-// per-shard reports.
+// appendJob appends the job's events, in recording order, to evs.
+func (r *Recorder) appendJob(evs []Event, job int) []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.byJob == nil {
+		r.byJob = make(map[int][]int)
+		for i := range r.events {
+			r.byJob[r.events[i].Job] = append(r.byJob[r.events[i].Job], i)
+		}
+	}
+	for _, i := range r.byJob[job] {
+		evs = append(evs, r.events[i])
+	}
+	return evs
+}
+
+// FromGridReport rebuilds a recorder from a finished grid report, for
+// callers holding a report rather than an observer stream. Submissions
+// are synthesized from the non-migrated routing decisions (see
+// RecordDecision), batches come from the per-shard reports.
 func FromGridReport(rep *grid.Report) *Recorder {
 	r := NewRecorder()
 	if rep == nil {
 		return r
 	}
 	for _, d := range rep.Decisions {
-		if !d.Migrated {
-			r.Submitted(d.JobID, d.Release)
-		}
-		r.OnDecision(d)
+		r.RecordDecision(d)
 	}
 	for c, crep := range rep.Clusters {
 		if crep == nil {

@@ -24,11 +24,7 @@ package grid
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"sort"
-	"sync"
-	"time"
 
 	"bicriteria/internal/cluster"
 	"bicriteria/internal/faults"
@@ -70,11 +66,10 @@ type Config struct {
 	// Routing picks the cluster of every job; nil means LeastBacklog().
 	Routing RoutingPolicy
 	// QueueDepth is retained for configuration compatibility and is
-	// validated but no longer shapes the replay: since routing became one
-	// shared pure pass (a requirement of shard-outage migration, which
-	// can retract an earlier decision), every shard's sub-stream is fully
-	// materialized before the engines run, so there is no router-to-shard
-	// handoff left to bound. Zero means DefaultQueueDepth.
+	// validated but no longer shapes the replay: routing is one shared
+	// sequential pass that hands every shard session its jobs directly, so
+	// there is no router-to-shard queue left to bound. Zero means
+	// DefaultQueueDepth.
 	QueueDepth int
 	// AdmitBacklog closes a cluster to new admissions while its estimated
 	// per-processor backlog (in time units) exceeds the limit; jobs are
@@ -193,11 +188,6 @@ func New(cfg Config) (*Federation, error) {
 	return f, nil
 }
 
-// resettable lets stateful built-in policies (round-robin) restart their
-// cycle at the beginning of every Run, so two Runs of one Federation are
-// identical.
-type resettable interface{ reset() }
-
 // Run routes the job stream across the shards and replays every shard
 // through its engine — concurrently unless Config.Sequential — then
 // aggregates the grid metrics. The report is bit-identical between the
@@ -210,124 +200,12 @@ func (f *Federation) Run(jobs []online.Job) (*Report, error) { //lint:allow ctxf
 // shard engine's replay loop, so cancelling it aborts the whole grid run
 // between batches — concurrent shards each observe the cancellation,
 // return promptly, and the WaitGroup join cannot deadlock. The returned
-// error wraps the context's (errors.Is(err, context.Canceled) holds).
+// error wraps the context's (errors.Is(err, context.Canceled) holds). It
+// is a Session fed the whole stream at once.
 func (f *Federation) RunContext(ctx context.Context, jobs []online.Job) (*Report, error) {
-	seen := make(map[int]bool, len(jobs))
-	for i := range jobs {
-		j := &jobs[i]
-		if err := j.Task.Validate(); err != nil {
-			return nil, err
-		}
-		if j.Release < 0 {
-			return nil, fmt.Errorf("grid: job %d has negative release date", j.Task.ID)
-		}
-		if seen[j.Task.ID] {
-			return nil, fmt.Errorf("grid: duplicate job ID %d in the stream", j.Task.ID)
-		}
-		seen[j.Task.ID] = true
-	}
-	sorted := make([]online.Job, len(jobs))
-	copy(sorted, jobs)
-	sort.SliceStable(sorted, func(a, b int) bool {
-		if sorted[a].Release != sorted[b].Release {
-			return sorted[a].Release < sorted[b].Release
-		}
-		return sorted[a].Task.ID < sorted[b].Task.ID
-	})
-
-	if p, ok := f.cfg.Routing.(resettable); ok {
-		p.reset()
-	}
-	rt := newRouter(f.cfg.Clusters, f.cfg.Routing, f.cfg.AdmitBacklog, f.cfg.Faults)
-
-	// Routing is one pure sequential pass shared by both execution paths
-	// (it interleaves shard-outage drains with arrivals in time order);
-	// only the shard replays differ in concurrency.
-	routeStart := time.Now() //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
-	decisions, routed, err := rt.routeStream(sorted, f.cfg.OnDecision)
-	if err != nil {
+	s := f.NewSession(ctx)
+	if err := s.Feed(jobs...); err != nil {
 		return nil, err
 	}
-	if f.cfg.Metrics != nil {
-		f.cfg.Metrics.Histogram("bicrit_grid_route_stream_seconds",
-			"Wall-clock time of the grid's routing pass over one full job stream.",
-			obs.TimeBuckets()).Observe(time.Since(routeStart).Seconds()) //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
-	}
-	report := &Report{
-		Policy:    f.cfg.Routing.Name(),
-		Decisions: decisions,
-		Clusters:  make([]*cluster.Report, len(f.engines)),
-	}
-	shards := shardStreams(len(f.engines), decisions, routed)
-	if f.cfg.Sequential {
-		err = f.runSequential(ctx, shards, report.Clusters)
-	} else {
-		err = f.runConcurrent(ctx, shards, report.Clusters)
-	}
-	if err != nil {
-		return nil, err
-	}
-	report.Metrics = aggregate(f.cfg.Clusters, sorted, report.Clusters, rt)
-	return report, nil
-}
-
-// shardStreams resolves the final sub-stream of every shard from the
-// decision list: each job's last decision wins, because an earlier routing
-// to a shard that later went dark was retracted by the migration decision
-// that drained it.
-func shardStreams(n int, decisions []Decision, routed []online.Job) [][]online.Job {
-	last := make(map[int]int, len(routed))
-	for k, d := range decisions {
-		last[d.JobID] = k
-	}
-	shards := make([][]online.Job, n)
-	for k, d := range decisions {
-		if last[d.JobID] != k {
-			continue
-		}
-		shards[d.Cluster] = append(shards[d.Cluster], routed[k])
-	}
-	return shards
-}
-
-// runSequential is the goroutine-free path: replay the shards one after
-// the other.
-func (f *Federation) runSequential(ctx context.Context, shards [][]online.Job, out []*cluster.Report) error {
-	for i, eng := range f.engines {
-		rep, err := eng.RunContext(ctx, shards[i])
-		if err != nil {
-			return fmt.Errorf("grid: cluster %d: %w", i, err)
-		}
-		out[i] = rep
-	}
-	return nil
-}
-
-// runConcurrent is the goroutine path: one goroutine per shard replays
-// its complete sub-stream in parallel (an engine needs its whole
-// sub-stream before it can batch, and routing materialized the
-// sub-streams already, so there is nothing left to stream through
-// queues).
-func (f *Federation) runConcurrent(ctx context.Context, shards [][]online.Job, out []*cluster.Report) error {
-	errs := make([]error, len(f.engines))
-	var wg sync.WaitGroup
-	for i := range f.engines {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rep, err := f.engines[i].RunContext(ctx, shards[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("grid: cluster %d: %w", i, err)
-				return
-			}
-			out[i] = rep
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.Finish()
 }

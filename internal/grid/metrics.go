@@ -1,8 +1,10 @@
 package grid
 
 import (
+	"math"
+	"sort"
+
 	"bicriteria/internal/cluster"
-	"bicriteria/internal/online"
 	"bicriteria/internal/stats"
 )
 
@@ -87,22 +89,39 @@ type Metrics struct {
 	PerCluster []ClusterSummary `json:"PerCluster"`
 }
 
-// aggregate folds the per-shard reports into the grid metrics. Samples are
-// collected in shard order, then assignment order, so the result is a
-// deterministic function of the reports.
-func aggregate(specs []ClusterSpec, jobs []online.Job, reports []*cluster.Report, rt *router) Metrics {
-	type jobInfo struct {
-		release float64
-		pmin    float64
-	}
-	infos := make(map[int]jobInfo, len(jobs))
-	for i := range jobs {
-		pmin, _ := jobs[i].Task.MinTime()
-		infos[jobs[i].Task.ID] = jobInfo{release: jobs[i].Release, pmin: pmin}
-	}
+// samples holds the grid-wide per-job stretch and bounded-slowdown samples
+// in sorted order. The slices are never written in place — a fold merges
+// into new ones — so a session fork shares them.
+type samples struct{ stretches, bslds []float64 }
 
+// mergeSorted sorts more and merges it into the sorted slice, in the order
+// sort.Float64s gives the union (NaNs first). The result is new unless one
+// side is empty.
+func mergeSorted(sorted, more []float64) []float64 {
+	sort.Float64s(more)
+	if len(sorted) == 0 {
+		return more
+	}
+	if len(more) == 0 {
+		return sorted
+	}
+	out := make([]float64, 0, len(sorted)+len(more))
+	for len(sorted) > 0 && len(more) > 0 {
+		if a, b := more[0], sorted[0]; a < b || (math.IsNaN(a) && !math.IsNaN(b)) {
+			out, more = append(out, a), more[1:]
+		} else {
+			out, sorted = append(out, b), sorted[1:]
+		}
+	}
+	return append(append(out, sorted...), more...)
+}
+
+// aggregate folds the per-shard reports into the grid metrics, given the
+// grid-wide per-job stretch and bounded-slowdown samples in sorted order
+// (see samples). Their summaries depend only on the sample multiset, so the
+// result is a deterministic function of the reports.
+func aggregate(specs []ClusterSpec, reports []*cluster.Report, rt *router, smp samples) Metrics {
 	m := Metrics{Clusters: len(reports), PerCluster: make([]ClusterSummary, len(reports))}
-	var stretches, bslds []float64
 	busy, procs := 0.0, 0
 	for i, rep := range reports {
 		cm := rep.Metrics
@@ -139,19 +158,11 @@ func aggregate(specs []ClusterSpec, jobs []online.Job, reports []*cluster.Report
 		}
 		busy += cm.Utilization * cm.Makespan * float64(specs[i].M)
 		procs += specs[i].M
-		for _, a := range rep.Schedule.Assignments {
-			info := infos[a.TaskID]
-			flow := a.End() - info.release
-			if info.pmin > 0 {
-				stretches = append(stretches, flow/info.pmin)
-			}
-			bslds = append(bslds, cluster.BoundedSlowdown(flow, info.pmin))
-		}
 	}
-	stretch := stats.TailSummary(stretches)
+	stretch := stats.TailOfSorted(smp.stretches)
 	m.MeanStretch = stretch.Mean
 	m.StretchP50, m.StretchP95, m.StretchP99 = stretch.P50, stretch.P95, stretch.P99
-	bsld := stats.TailSummary(bslds)
+	bsld := stats.TailOfSorted(smp.bslds)
 	m.MeanBoundedSlowdown = bsld.Mean
 	m.BoundedSlowdownP50, m.BoundedSlowdownP95, m.BoundedSlowdownP99 = bsld.P50, bsld.P95, bsld.P99
 	if m.Makespan > 0 && procs > 0 {

@@ -60,13 +60,39 @@ type JobView struct {
 // then task ID) with the candidate clusters currently open for admission;
 // it must return the Index of one candidate. Implementations must be
 // deterministic functions of their inputs and internal state for grid
-// replays to be bit-identical.
+// replays to be bit-identical. Internal state of a policy other than the
+// built-ins is shared by every session of a federation, so concurrent runs
+// and session forks are exact only for stateless ones.
 type RoutingPolicy interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// Route picks a cluster for the job among the candidates (never
 	// empty). The returned value must be the Index field of one candidate.
 	Route(job JobView, candidates []ClusterView) int
+}
+
+// statefulPolicy is implemented by the built-in policies that carry state
+// between decisions (round-robin's cursor): every session routes with its
+// own copy, fresh when the session starts and copied when it forks.
+type statefulPolicy interface {
+	fresh() RoutingPolicy
+	clone() RoutingPolicy
+}
+
+// freshPolicy returns the policy a new session routes with.
+func freshPolicy(p RoutingPolicy) RoutingPolicy {
+	if sp, ok := p.(statefulPolicy); ok {
+		return sp.fresh()
+	}
+	return p
+}
+
+// forkPolicy returns the policy a session fork routes with.
+func forkPolicy(p RoutingPolicy) RoutingPolicy {
+	if sp, ok := p.(statefulPolicy); ok {
+		return sp.clone()
+	}
+	return p
 }
 
 // ParsePolicy converts a CLI string into a routing policy.
@@ -97,8 +123,9 @@ func RoundRobin() RoutingPolicy { return &roundRobin{last: -1} }
 
 func (p *roundRobin) Name() string { return "round-robin" }
 
-// reset restarts the cycle so two Runs of one Federation are identical.
-func (p *roundRobin) reset() { p.last = -1 }
+func (p *roundRobin) fresh() RoutingPolicy { return RoundRobin() }
+
+func (p *roundRobin) clone() RoutingPolicy { return &roundRobin{last: p.last} }
 
 func (p *roundRobin) Route(job JobView, candidates []ClusterView) int {
 	best := candidates[0].Index

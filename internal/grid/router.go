@@ -2,7 +2,7 @@ package grid
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 
 	"bicriteria/internal/faults"
@@ -72,7 +72,8 @@ type ShardVerdict struct {
 // a cluster per job, maintaining the per-cluster views (virtual backlog
 // clocks and lower-bound state) and enforcing admission control. Both the
 // sequential and the concurrent grid paths drive the same router, which is
-// why their decision streams are bit-identical.
+// why their decision streams are bit-identical. A session owns one router
+// and a fork clones it.
 type router struct {
 	policy RoutingPolicy
 	// admitBacklog closes a cluster to new admissions while its estimated
@@ -93,23 +94,24 @@ type router struct {
 	// Shard-outage state, populated only when the fault plan has shard
 	// outages (all nil otherwise, leaving the fault-free path untouched):
 	// events is the merged outage list sorted by (Start, Cluster),
-	// eventIdx the next unprocessed one, downWins[c] cluster c's own
-	// outage windows for the admission check, inflight[c] the jobs
-	// virtually queued or running on c (candidates for draining), and
-	// migrated[c] the count of jobs drained away from c.
-	events   []faults.ShardOutage
-	eventIdx int
-	downWins [][]faults.ShardOutage
-	inflight [][]vjob
-	migrated []int
+	// eventIdx the next unprocessed one, byCluster[c] the indices of
+	// cluster c's events and nextEvent[c] its first unprocessed one,
+	// downWins[c] c's own outage windows for the admission check,
+	// inflight[c] the jobs c's next outage will drain, and migrated[c]
+	// the count of jobs drained away from c.
+	events    []faults.ShardOutage
+	eventIdx  int
+	byCluster [][]int
+	nextEvent []int
+	downWins  [][]faults.ShardOutage
+	inflight  [][]vjob
+	migrated  []int
 }
 
-// vjob is one job in a shard's virtual queue: the router's estimate of
-// when the shard will have finished it, and the minimum work the job
-// charged to the shard's view (rolled back if the job is drained away).
+// vjob is one job a shard's next outage will drain, with the minimum work
+// it charged to the shard's view (rolled back when it is drained away).
 type vjob struct {
 	job  online.Job
-	end  float64
 	work float64
 }
 
@@ -137,11 +139,45 @@ func newRouter(specs []ClusterSpec, policy RoutingPolicy, admitBacklog float64, 
 		})
 		r.downWins = make([][]faults.ShardOutage, len(specs))
 		r.inflight = make([][]vjob, len(specs))
+		r.byCluster = make([][]int, len(specs))
+		r.nextEvent = make([]int, len(specs))
 		for c := range specs {
 			r.downWins[c] = plan.ShardWindows(c)
 		}
+		for k, o := range r.events {
+			r.byCluster[o.Cluster] = append(r.byCluster[o.Cluster], k)
+		}
 	}
 	return r
+}
+
+// clone copies the router for a session fork; the fault plan's static
+// tables are shared.
+func (r *router) clone() *router {
+	c := *r
+	c.policy = forkPolicy(r.policy)
+	c.views = slices.Clone(r.views)
+	c.ready = slices.Clone(r.ready)
+	c.peak = slices.Clone(r.peak)
+	c.rejected = slices.Clone(r.rejected)
+	c.migrated = slices.Clone(r.migrated)
+	c.candidates = make([]ClusterView, 0, len(r.views))
+	c.nextEvent = slices.Clone(r.nextEvent)
+	if r.inflight != nil {
+		c.inflight = make([][]vjob, len(r.inflight))
+		for i, v := range r.inflight {
+			c.inflight[i] = slices.Clone(v)
+		}
+	}
+	return &c
+}
+
+// nextOutage returns cluster c's first unprocessed shard outage.
+func (r *router) nextOutage(c int) (faults.ShardOutage, bool) {
+	if k := r.nextEvent[c]; k < len(r.byCluster[c]) {
+		return r.events[r.byCluster[c][k]], true
+	}
+	return faults.ShardOutage{}, false
 }
 
 // downAt reports whether cluster c is inside one of its shard outage
@@ -175,16 +211,15 @@ func (r *router) popEventBefore(t float64) (faults.ShardOutage, []online.Job, bo
 	o := r.events[r.eventIdx]
 	r.eventIdx++
 	c := o.Cluster
+	r.nextEvent[c]++
 	r.ready[c] = o.End
 	var drained []online.Job
 	for _, v := range r.inflight[c] {
-		if v.end > o.Start+eps {
-			j := v.job
-			j.Release = o.Start
-			drained = append(drained, j)
-			r.views[c].Jobs--
-			r.views[c].TotalMinWork -= v.work
-		}
+		j := v.job
+		j.Release = o.Start
+		drained = append(drained, j)
+		r.views[c].Jobs--
+		r.views[c].TotalMinWork -= v.work
 	}
 	if r.views[c].TotalMinWork < 0 {
 		r.views[c].TotalMinWork = 0 // float drift guard
@@ -239,8 +274,11 @@ func (r *router) jobView(j online.Job) JobView {
 
 // route decides the cluster of one job and updates the router state. Jobs
 // must be presented in non-decreasing release order; migrated marks a
-// resubmission drained off a dead shard.
-func (r *router) route(j online.Job, migrated bool) (Decision, error) {
+// resubmission drained off a dead shard. stays reports whether the job
+// remains on the chosen shard: a job whose virtual end passes the shard's
+// next outage start will be drained off it at that start, which the static
+// plan already tells — so the shard's engine must never see it.
+func (r *router) route(j online.Job, migrated bool) (d Decision, stays bool, err error) {
 	// Drain the virtual backlog clocks down to the current time.
 	for c := range r.views {
 		backlog := r.ready[c] - j.Release
@@ -287,7 +325,7 @@ func (r *router) route(j online.Job, migrated bool) (Decision, error) {
 	job := r.jobView(j)
 	chosen := r.policy.Route(job, r.candidates)
 	if chosen < 0 || chosen >= len(r.views) {
-		return Decision{}, fmt.Errorf("grid: policy %s routed job %d to cluster %d of %d", r.policy.Name(), job.ID, chosen, len(r.views))
+		return Decision{}, false, fmt.Errorf("grid: policy %s routed job %d to cluster %d of %d", r.policy.Name(), job.ID, chosen, len(r.views))
 	}
 	ok := false
 	for _, c := range r.candidates {
@@ -297,7 +335,7 @@ func (r *router) route(j online.Job, migrated bool) (Decision, error) {
 		}
 	}
 	if !ok {
-		return Decision{}, fmt.Errorf("grid: policy %s routed job %d to cluster %d, which is closed for admission", r.policy.Name(), job.ID, chosen)
+		return Decision{}, false, fmt.Errorf("grid: policy %s routed job %d to cluster %d, which is closed for admission", r.policy.Name(), job.ID, chosen)
 	}
 
 	// Tally admission closures now that the destination is known: a shard
@@ -325,7 +363,7 @@ func (r *router) route(j online.Job, migrated bool) (Decision, error) {
 		verdicts[c] = ShardVerdict{Cluster: c, Backlog: r.views[c].Backlog, State: state}
 	}
 
-	d := Decision{JobID: job.ID, Release: j.Release, Cluster: chosen, Backlog: r.views[chosen].Backlog, Migrated: migrated, Verdicts: verdicts}
+	d = Decision{JobID: job.ID, Release: j.Release, Cluster: chosen, Backlog: r.views[chosen].Backlog, Migrated: migrated, Verdicts: verdicts}
 	v := &r.views[chosen]
 	v.Jobs++
 	v.TotalMinWork += job.MinWork[chosen]
@@ -334,60 +372,10 @@ func (r *router) route(j online.Job, migrated bool) (Decision, error) {
 	}
 	r.ready[chosen] += job.MinWork[chosen] / float64(v.M)
 	if r.inflight != nil {
-		r.inflight[chosen] = append(r.inflight[chosen], vjob{job: j, end: r.ready[chosen], work: job.MinWork[chosen]})
-	}
-	return d, nil
-}
-
-// routeStream routes the whole sorted arrival stream, interleaving shard
-// outage events in global time order: before each arrival (and once the
-// stream ends) every outage that has begun drains its shard's virtually
-// unfinished jobs back through the policy as migrations. It returns the
-// decisions in order and, aligned with them, the routed jobs (a migrated
-// job reappears with its release reset to the outage instant). Both the
-// sequential and the concurrent grid paths consume this one pure pass,
-// which is why their reports are bit-identical.
-func (r *router) routeStream(sorted []online.Job, onDecision func(Decision)) ([]Decision, []online.Job, error) {
-	decisions := make([]Decision, 0, len(sorted))
-	routed := make([]online.Job, 0, len(sorted))
-	emit := func(d Decision, j online.Job) {
-		decisions = append(decisions, d)
-		routed = append(routed, j)
-		if onDecision != nil {
-			onDecision(d)
+		if o, ok := r.nextOutage(chosen); ok && r.ready[chosen] > o.Start+eps {
+			r.inflight[chosen] = append(r.inflight[chosen], vjob{job: j, work: job.MinWork[chosen]})
+			return d, false, nil
 		}
 	}
-	handle := func(j online.Job, migrated bool) error {
-		d, err := r.route(j, migrated)
-		if err != nil {
-			return err
-		}
-		emit(d, j)
-		return nil
-	}
-	drainDue := func(t float64) error {
-		for {
-			_, drained, ok := r.popEventBefore(t)
-			if !ok {
-				return nil
-			}
-			for _, dj := range drained {
-				if err := handle(dj, true); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for _, j := range sorted {
-		if err := drainDue(j.Release); err != nil {
-			return nil, nil, err
-		}
-		if err := handle(j, false); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := drainDue(math.Inf(1)); err != nil {
-		return nil, nil, err
-	}
-	return decisions, routed, nil
+	return d, true, nil
 }

@@ -7,7 +7,9 @@
 package online
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"bicriteria/internal/moldable"
@@ -18,6 +20,73 @@ import (
 type Job struct {
 	Task    moldable.Task
 	Release float64
+}
+
+// compareJobs orders jobs by release date, then task ID: the deterministic
+// stream order in which the cluster engine admits and the grid router
+// routes a stream.
+func compareJobs(a, b Job) int {
+	return cmp.Or(cmp.Compare(a.Release, b.Release), cmp.Compare(a.Task.ID, b.Task.ID))
+}
+
+// SortedCopy returns the jobs in stream order (release date, then task ID),
+// leaving the input untouched.
+func SortedCopy(jobs []Job) []Job {
+	sorted := slices.Clone(jobs)
+	slices.SortFunc(sorted, compareJobs)
+	return sorted
+}
+
+// Enroll validates jobs joining a resumable replay and records them in
+// table, keyed by task ID with the entry fact computes. Each job must be a
+// valid task released at or after both 0 and boundary, with an ID neither
+// in the table nor repeated in the call. On the first bad job nothing is
+// recorded, and the error, prefixed with who (e.g. "cluster"), names it.
+func Enroll[V any](who string, jobs []Job, boundary float64, table map[int]V, fact func(*Job) V) error {
+	for i := range jobs {
+		j := &jobs[i]
+		err := j.Task.Validate()
+		switch {
+		case err != nil:
+		case j.Release < 0:
+			err = fmt.Errorf("%s: job %d has negative release date", who, j.Task.ID)
+		case !(j.Release >= boundary):
+			err = fmt.Errorf("%s: job %d released at %g, before the replay's boundary %g", who, j.Task.ID, j.Release, boundary)
+		default:
+			if _, dup := table[j.Task.ID]; dup {
+				err = fmt.Errorf("%s: duplicate job ID %d in the stream", who, j.Task.ID)
+			}
+		}
+		if err != nil {
+			for _, done := range jobs[:i] {
+				delete(table, done.Task.ID)
+			}
+			return err
+		}
+		table[j.Task.ID] = fact(j)
+	}
+	return nil
+}
+
+// MergeSorted merges two slices already in stream order. Neither input is
+// written: the result is a new slice, or one of the inputs when the other
+// is empty.
+func MergeSorted(a, b []Job) []Job {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]Job, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if compareJobs(b[0], a[0]) < 0 {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // OfflineScheduler is any algorithm that schedules an off-line instance

@@ -334,9 +334,8 @@ func flightReport(b *testing.B) *grid.Report {
 }
 
 // benchFlightRecord times rebuilding a 500-job flight recorder from a
-// finished grid report and sorting its events into total order — the
-// serve layer's per-refresh observability cost (FromGridReport runs
-// after every refresh and drain).
+// finished grid report and sorting its events into total order — what
+// bicrit explain pays when it replays a scenario.
 func benchFlightRecord(b *testing.B) {
 	rep := flightReport(b)
 	b.ReportAllocs()

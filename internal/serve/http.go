@@ -326,23 +326,24 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown job %d", id)})
 		return
 	}
+	// The recorders and their boundary are read as one: a refresh appends
+	// to the trusted recorder under the same lock.
 	s.liveMu.RLock()
-	rec, at := s.flightRec, s.flightAt
+	at := s.flightAt
+	timeline := s.flightRec.TimelineWith(id, s.flightTail)
 	s.liveMu.RUnlock()
 	resp := TimelineResponse{Job: id, Events: []flight.Event{}}
 	if math.IsInf(at, 1) {
 		resp.Final = true
-	} else if rec != nil && !math.IsInf(at, -1) {
+	} else if !math.IsInf(at, -1) {
 		trusted := at
 		resp.TrustedTo = &trusted
 	}
-	if rec != nil {
-		for _, ev := range rec.Timeline(id) {
-			// The same prefix rule apply uses: an event at the margin of the
-			// capture time could still change and stays provisional.
-			if resp.Final || ev.Time < at-eps {
-				resp.Events = append(resp.Events, ev)
-			}
+	for _, ev := range timeline {
+		// The registry's prefix rule: an event at the margin of the capture
+		// time could still change and stays provisional.
+		if resp.Final || ev.Time < at-eps {
+			resp.Events = append(resp.Events, ev)
 		}
 	}
 	if len(resp.Events) == 0 {

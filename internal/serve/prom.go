@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -9,6 +10,18 @@ import (
 	"bicriteria/internal/obs"
 	"bicriteria/internal/stats"
 )
+
+// registerServiceMetrics registers the series the background loops feed,
+// so a scrape shows them from the start.
+func (s *Server) registerServiceMetrics() {
+	s.refreshSeconds = s.obs.Histogram("bicrit_serve_refresh_seconds",
+		"Wall-clock time of one live-state refresh: feed the new arrivals, advance the trusted session, fold, finish a fork.",
+		obs.TimeBuckets())
+	s.refreshFed = s.obs.Counter("bicrit_serve_refresh_fed_jobs_total",
+		"Jobs fed to the trusted session by refreshes: each accepted job once.")
+	s.snapshotSeconds = s.obs.Histogram("bicrit_serve_snapshot_seconds",
+		"Wall-clock time of one snapshot write.", obs.TimeBuckets())
+}
 
 // syncProm mirrors the server's live state into the obs registry right
 // before a scrape. The timing histograms (portfolio, batch planning,
@@ -27,6 +40,12 @@ func (s *Server) syncProm() {
 	r.Gauge("bicrit_serve_speedup", "Virtual time units per wall-clock second.").Set(s.cfg.Speedup)
 	r.Gauge("bicrit_serve_uptime_seconds", "Wall-clock age of the process.").
 		Set(s.pacer.wall().Sub(s.started).Seconds())
+	s.liveMu.RLock()
+	trustedTo := s.trustedTo
+	s.liveMu.RUnlock()
+	r.Gauge("bicrit_serve_refresh_lag_seconds",
+		"Virtual time between the pacer's now and the trusted boundary of the live state (0 once drained).").
+		Set(math.Max(0, s.Now()-trustedTo))
 
 	c := s.CountersSnapshot()
 	r.Counter("bicrit_serve_submitted_total", "Jobs admitted, snapshot-restored jobs included.").

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +30,10 @@ var promNames = []string{
 	"bicrit_serve_queue_depth",
 	"bicrit_serve_stretch",
 	"bicrit_serve_wait_virtual_seconds",
+	"bicrit_serve_refresh_seconds",
+	"bicrit_serve_refresh_fed_jobs_total",
+	"bicrit_serve_refresh_lag_seconds",
+	"bicrit_serve_snapshot_seconds",
 }
 
 // TestPromMetricsValidAndStable is the golden contract of the scrape
@@ -119,6 +124,11 @@ func TestPromMetricsDeterministicBytes(t *testing.T) {
 		if _, err := s.Submit(seqTask(i, 2)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The queue collectors drain asynchronously; a scrape racing them
+	// reports a different queue depth.
+	for s.collected() < 3 {
+		runtime.Gosched()
 	}
 	scrape := func() []byte {
 		rec := httptest.NewRecorder()

@@ -12,9 +12,10 @@ import (
 
 // JobState is the lifecycle position of a submitted job. States only move
 // forward: queued → batched → scheduled → running → (resubmitted →) done.
-// The serve layer derives them from prefix replays of the accumulated
-// stream (see Server.refresh), so every non-final state a client observes
-// is exactly what the deterministic replay of the stream so far implies.
+// The serve layer derives them from the trusted prefix of the replay of
+// the accumulated stream (see Server.refresh), so every non-final state a
+// client observes is exactly what the deterministic replay of the stream
+// so far implies.
 // A job killed by a fault-plan outage shows resubmitted — once killed, the
 // visible state stays resubmitted through the retry's own batching and
 // execution, until the retry completes.
@@ -106,8 +107,8 @@ type JobStatus struct {
 }
 
 // registry tracks every admitted job's status under one lock. States only
-// upgrade: a prefix replay can never move a job backwards, and the final
-// drain replay fixes everything at done.
+// upgrade: a trusted prefix can never move a job backwards, and the drain
+// fixes everything at done.
 type registry struct {
 	mu   sync.RWMutex
 	jobs map[int]*JobStatus
@@ -176,6 +177,16 @@ func (r *registry) upgrade(j *JobStatus, st JobState) {
 		r.counts[st]++
 		j.State = st
 	}
+}
+
+// batched reports whether a trusted batch has taken the job in: only
+// markBatched moves a job past queued, and every later mark concerns a
+// batched job.
+func (r *registry) batched(id int) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	j, ok := r.jobs[id]
+	return ok && j.State >= StateBatched
 }
 
 // setRouting records the meta-scheduler's cluster choice.

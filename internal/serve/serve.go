@@ -18,17 +18,29 @@
 //   - A job registry tracks every admitted job through
 //     queued → batched → scheduled → running → done, with per-job stretch
 //     and bounded slowdown on completion.
-//   - A periodic refresher derives those live states by replaying the
-//     accumulated stream through the deterministic grid federation and
-//     trusting exactly the prefix that can no longer change: batches fired
-//     before the current virtual time are final, because every later
-//     submission carries a later release date.
+//   - A periodic refresher derives those live states from one trusted
+//     grid.Session. Every later submission carries a later release date,
+//     so batches fired before the current virtual time are final (the
+//     prefix argument of grid.Session and cluster.Session). Each tick
+//     feeds only the jobs collected since the last one, advances the
+//     session to the virtual now, folds the newly committed routing
+//     decisions and batches — plus the placements and kills of earlier
+//     batches the clock has now passed — into the registry, and appends
+//     their events to the flight recorder; a fork of the session, run to
+//     completion, yields the provisional tail: the /metrics grid block and
+//     the timelines' not-yet-final events.
 //   - Periodic JSON snapshots checkpoint the accepted stream and the
 //     virtual clock; a restarted server restores them and resumes where
 //     the old process stopped.
-//   - Graceful drain stops admissions, flushes the submission queues, runs
-//     the full deterministic replay and emits the final grid report — by
+//   - Graceful drain stops admissions, flushes the submission queues,
+//     finishes the trusted session and emits the final grid report — by
 //     construction identical to an offline grid run of the same stream.
+//
+// A refresh thus costs O(new arrivals) replay work plus O(in-flight tail)
+// for the fork. What still grows with the whole stream: the fork's copies
+// of the per-job tables and metric samples (memory copies, not replay),
+// snapshot writes, the SLO evaluation over the completed jobs, the
+// /metrics distribution histograms and the grid aggregate's percentiles.
 //
 // The HTTP surface is in http.go: POST /jobs (single and bulk),
 // GET /jobs/{id}, GET /metrics, GET /healthz, POST /drain.
@@ -36,13 +48,13 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"math"
 	"sync"
 	"time"
 
+	"bicriteria/internal/cluster"
 	"bicriteria/internal/flight"
 	"bicriteria/internal/grid"
 	"bicriteria/internal/logx"
@@ -69,9 +81,9 @@ const (
 type Config struct {
 	// Grid configures the federation behind the service exactly like an
 	// offline grid replay: cluster shards, routing policy, dispatch queue
-	// depth, router-level admission steering. OnDecision must be nil (the
-	// service replays the stream repeatedly; it is forced to nil).
-	// A single-cluster service is a grid with one shard.
+	// depth, router-level admission steering. OnDecision and OnBatch are
+	// forced to nil: the service feeds its own registry and flight
+	// recorder. A single-cluster service is a grid with one shard.
 	Grid grid.Config
 	// Speedup is the number of virtual time units per wall-clock second.
 	// Zero means 1 (real time); tests use large values to compress load.
@@ -190,7 +202,6 @@ type FinalReport struct {
 // Server is a live scheduler service around a grid federation.
 type Server struct {
 	cfg        Config
-	fed        *grid.Federation
 	totalProcs int
 	pacer      *pacer
 	reg        *registry
@@ -209,22 +220,33 @@ type Server struct {
 	shards      []chan online.Job
 	collectorWG sync.WaitGroup
 
-	// runMu serializes federation replays: the refresher and the drain
-	// must not run the same engines concurrently.
+	// runMu serializes the refresher and the drain, the users of the
+	// trusted session and of everything folded from it below.
 	runMu sync.Mutex
+	// sess is the trusted replay of the accepted stream: fed up to
+	// stream[:streamFed], advanced to the virtual time of the last
+	// refresh.
+	sess      *grid.Session
+	streamFed int
+	folded    folded
 
 	// liveMu guards the latest refresh digest served by /metrics.
 	liveMu      sync.RWMutex
 	live        *grid.Metrics
 	liveAt      float64
+	trustedTo   float64
 	refreshErr  error
 	snapshotErr error
-	// flightRec is the flight recorder rebuilt from the latest replay
-	// report; flightAt is the virtual time its prefix is trusted up to
-	// (+Inf after the drain's final replay). GET /jobs/{id}/timeline
-	// serves the events at or before flightAt.
-	flightRec *flight.Recorder
-	flightAt  float64
+	// flightRec collects the flight events of everything sess has
+	// committed, flightTail the provisional events of the latest refresh's
+	// fork; flightAt is the virtual time the prefix is trusted up to (-Inf
+	// before the first refresh, +Inf after the drain). GET
+	// /jobs/{id}/timeline serves the events of both before flightAt's
+	// margin. flightRec is written under liveMu too, so a timeline never
+	// sees an event its boundary does not cover yet.
+	flightRec  *flight.Recorder
+	flightTail *flight.Recorder
+	flightAt   float64
 	// sloSum is the latest SLO evaluation (nil while no SLO is configured
 	// or no refresh has run); GET /alerts serves it.
 	sloSum *slo.Summary
@@ -233,8 +255,12 @@ type Server struct {
 	// probes can spot a wedged snapshot loop.
 	lastSnapshot time.Time
 
-	// obs is the Prometheus-style registry behind GET /metrics.prom.
-	obs *obs.Registry
+	// obs is the Prometheus-style registry behind GET /metrics.prom, and
+	// the series below the refresher and the snapshot writer feed.
+	obs             *obs.Registry
+	refreshSeconds  *obs.Histogram
+	refreshFed      *obs.Counter
+	snapshotSeconds *obs.Histogram
 
 	// logger is cfg.Logger, defaulted to a discard logger.
 	logger *slog.Logger
@@ -243,12 +269,6 @@ type Server struct {
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	loopWG   sync.WaitGroup
-
-	// loopCtx is cancelled together with stopCh: the refresher threads it
-	// into the federation replay, so an in-flight refresh aborts between
-	// batches instead of making a drain wait for a full replay.
-	loopCtx    context.Context
-	loopCancel context.CancelFunc
 
 	drainOnce sync.Once
 	final     *FinalReport
@@ -290,8 +310,8 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.SnapshotInterval == 0 {
 		cfg.SnapshotInterval = DefaultSnapshotInterval
 	}
-	// The service replays the stream repeatedly; a decision or batch
-	// callback would fire once per replay, not once per job.
+	// The service records decisions and batches itself, from the trusted
+	// session's committed report.
 	cfg.Grid.OnDecision = nil
 	cfg.Grid.OnBatch = nil
 	if cfg.Metrics == nil {
@@ -319,18 +339,21 @@ func NewServer(cfg Config) (*Server, error) {
 		total += spec.M
 	}
 
-	loopCtx, loopCancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		fed:        fed,
 		totalProcs: total,
 		reg:        newRegistry(),
-		obs:        cfg.Metrics,
-		logger:     cfg.Logger,
-		stopCh:     make(chan struct{}),
-		loopCtx:    loopCtx,
-		loopCancel: loopCancel,
+		// The session lives as long as the server: the drain finishes it,
+		// nothing cancels it.
+		sess:      fed.NewSession(context.Background()),
+		folded:    newFolded(len(cfg.Grid.Clusters)),
+		flightRec: flight.NewRecorder(),
+		flightAt:  math.Inf(-1),
+		obs:       cfg.Metrics,
+		logger:    cfg.Logger,
+		stopCh:    make(chan struct{}),
 	}
+	s.registerServiceMetrics()
 	offset := 0.0
 	if cfg.SnapshotPath != "" {
 		restored, err := s.restoreSnapshot(cfg.SnapshotPath)
@@ -504,12 +527,6 @@ func (s *Server) refreshLoop(every time.Duration) {
 			return
 		case <-t.C:
 			err := s.refresh()
-			if errors.Is(err, context.Canceled) {
-				// Our own shutdown cancelled the replay mid-flight (the
-				// drain path cancels loopCtx): not a refresh failure, and
-				// it must not linger in /healthz after a clean drain.
-				return
-			}
 			s.liveMu.Lock()
 			s.refreshErr = err
 			s.liveMu.Unlock()
@@ -517,70 +534,68 @@ func (s *Server) refreshLoop(every time.Duration) {
 	}
 }
 
-// refresh replays the accumulated stream through the federation and
-// updates the registry with every state the replay has already fixed.
-//
-// The prefix argument: the virtual time vnow is captured before the stream
-// is copied, and every job admitted later carries a release date after
-// vnow. A batch that fired at or before vnow therefore contains exactly
-// the jobs a full-stream replay would give it — later arrivals cannot
-// join it, and batching policies only consult the pending backlog — so
-// its routing, membership and realized execution are final. States beyond
-// vnow (a scheduled start in the future) are provisional and never
-// downgraded.
+// refresh brings the live state up to the virtual time vnow of its
+// capture: it feeds the trusted session the jobs collected since the last
+// refresh and advances it to vnow — every batch that fires is final, by
+// the prefix argument of grid.Session, since every later submission is
+// released at or after vnow — then folds what the session committed into
+// the registry and the flight recorder. A fork of the session, finished,
+// supplies the provisional rest: the /metrics grid block and the
+// timelines' tail. States beyond vnow (a scheduled start in the future)
+// are provisional and never downgraded.
 func (s *Server) refresh() error {
+	start := time.Now()
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	jobs, vnow := s.capture()
-	if len(jobs) == 0 {
+	jobs, vnow := s.capture(s.streamFed)
+	if err := s.sess.Feed(jobs...); err != nil {
+		return err
+	}
+	s.streamFed += len(jobs)
+	s.refreshFed.Add(float64(len(jobs)))
+	if s.streamFed == 0 {
 		s.liveMu.Lock()
 		s.liveAt = vnow
 		s.liveMu.Unlock()
 		return nil
 	}
-	rep, err := s.fed.RunContext(s.loopCtx, jobs)
+	if err := s.sess.AdvanceTo(vnow); err != nil {
+		return err
+	}
+	prov, err := s.sess.Fork().Finish()
 	if err != nil {
 		return err
 	}
-	s.apply(rep, vnow, false)
-	s.observe(rep, vnow, false)
-	s.liveMu.Lock()
-	s.live = &rep.Metrics
-	if !math.IsInf(vnow, -1) {
-		s.liveAt = vnow
-	}
-	s.liveMu.Unlock()
-	s.logger.Debug("refresh complete", "jobs", len(jobs), "virtual_now", vnow)
+	s.publish(s.sess.Committed(), prov, vnow)
+	s.refreshSeconds.Observe(time.Since(start).Seconds())
+	s.logger.Debug("refresh complete", "jobs", s.streamFed, "fed", len(jobs), "virtual_now", vnow)
 	return nil
 }
 
-// capture snapshots the accepted stream together with the virtual time of
-// the capture. The virtual time is read first, under the admission mutex;
-// the copy is then delayed until the queue collectors have caught up with
-// every admission stamped before it, so the prefix rules of apply never
-// finalize a batch whose true membership is still sitting in a shard
-// queue. Collectors only ever hold the mutex to append, so the catch-up
-// wait is microseconds; if it ever exceeds its bound, the capture returns
-// a -Inf virtual time, which makes the refresh a safe no-op.
-func (s *Server) capture() ([]online.Job, float64) {
+// capture copies the accepted stream from index from on, together with
+// the virtual time of the capture. The virtual time is read first, under
+// the admission mutex; the copy is then delayed until the queue collectors
+// have caught up with every admission stamped before it, so a refresh
+// never advances past a job still sitting in a shard queue. Collectors
+// only ever hold the mutex to append, so the catch-up wait is
+// microseconds; if it ever exceeds its bound, the capture returns a -Inf
+// virtual time, at which the refresh trusts nothing new.
+func (s *Server) capture(from int) ([]online.Job, float64) {
 	s.mu.Lock()
 	vnow := s.pacer.now()
 	admitted := s.counters.Submitted
 	s.mu.Unlock()
 	for i := 0; ; i++ {
 		s.mu.Lock()
-		if len(s.stream) >= admitted {
-			jobs := append([]online.Job(nil), s.stream...)
+		if len(s.stream) >= admitted || i >= 200 {
+			jobs := append([]online.Job(nil), s.stream[from:]...)
 			s.mu.Unlock()
+			if i >= 200 {
+				vnow = math.Inf(-1)
+			}
 			return jobs, vnow
 		}
 		s.mu.Unlock()
-		if i >= 200 {
-			s.mu.Lock()
-			jobs := append([]online.Job(nil), s.stream...)
-			s.mu.Unlock()
-			return jobs, math.Inf(-1)
-		}
 		time.Sleep(100 * time.Microsecond)
 	}
 }
@@ -588,76 +603,55 @@ func (s *Server) capture() ([]online.Job, float64) {
 // eps is the shared floating-point tolerance of the scheduling library.
 const eps = moldable.Eps
 
-// apply folds a replay report into the registry. When final is true the
-// whole report is trusted (the drain's full replay); otherwise only the
-// prefix strictly fixed before vnow is: the engines admit arrivals within
-// eps of a fire time, so a batch (or routing decision) at vnow's margin
-// could still gain a concurrent submission and is left provisional.
-func (s *Server) apply(rep *grid.Report, vnow float64, final bool) {
-	for _, d := range rep.Decisions {
-		if final || d.Release < vnow-eps {
-			s.reg.setRouting(d.JobID, d.Cluster)
-		}
-	}
-	for _, crep := range rep.Clusters {
-		fired := make(map[int]bool)
-		for bi, b := range crep.Batches {
-			if !final && b.FireTime >= vnow-eps {
-				continue
-			}
-			for _, id := range b.Jobs {
-				fired[id] = true
-				s.reg.markBatched(id, bi)
-			}
-		}
-		for _, a := range crep.Schedule.Assignments {
-			if !fired[a.TaskID] {
-				continue
-			}
-			end := a.End()
-			switch {
-			case final || end <= vnow:
-				s.reg.markDone(a.TaskID, a.Start, end)
-			case a.Start <= vnow:
-				s.reg.markRunning(a.TaskID, a.Start, end)
-			default:
-				s.reg.markScheduled(a.TaskID, a.Start, end)
-			}
-		}
-		// Kills are final once realized inside the trusted prefix: the
-		// batch they interrupted fired before vnow (kills happen after
-		// their batch fires), and a batch's kills are a deterministic
-		// function of the batch and the fault plan.
-		if len(crep.Kills) > 0 {
-			counts := make(map[int]int)
-			for _, k := range crep.Kills {
-				if final || k.Time < vnow-eps {
-					counts[k.TaskID]++
-				}
-			}
-			for id, n := range counts {
-				//lint:allow maprange each job id writes only its own registry entry; the updates commute
-				s.reg.markResubmitted(id, n)
-			}
-		}
-	}
+// placement is one job's realized execution window.
+type placement struct {
+	id         int
+	start, end float64
 }
 
-// observe folds a replay report into the observability surfaces beyond
-// the registry: the flight recorder behind GET /jobs/{id}/timeline and,
-// when an SLO is configured, the alert summary behind GET /alerts. The
-// recorder is rebuilt from the report (the federation cannot stream
-// observers — it replays the stream repeatedly); the trusted prefix is
-// vnow, or +Inf after the drain's final replay.
-func (s *Server) observe(rep *grid.Report, vnow float64, final bool) {
-	rec := flight.FromGridReport(rep)
-	at := vnow
-	if final {
-		at = math.Inf(1)
+// folded is how far the trusted session's committed report has been
+// folded into the registry and the flight recorder.
+type folded struct {
+	// decisions counts the decisions recorded in the flight recorder;
+	// routed counts those applied to the registry, which trusts a
+	// decision only before vnow's margin.
+	decisions, routed int
+	// batches[c] and placed[c] count shard c's folded batches and
+	// schedule assignments.
+	batches, placed []int
+	// open holds the folded placements whose end vnow has not passed,
+	// kills the folded kills not yet before vnow's margin, and killed
+	// each job's kills that are.
+	open   []placement
+	kills  []cluster.KillEvent
+	killed map[int]int
+}
+
+func newFolded(shards int) folded {
+	return folded{batches: make([]int, shards), placed: make([]int, shards), killed: make(map[int]int)}
+}
+
+// publish folds a committed report into the live state and serves it:
+// tr is the trusted session's committed report and prov the provisional
+// report of a fork finished from it — or, at the drain, tr is the final
+// report and prov nil, and everything is a fact. A -Inf vnow (a lagging
+// capture) trusts nothing new.
+func (s *Server) publish(tr, prov *grid.Report, vnow float64) {
+	live, at := tr.Metrics, math.Inf(1)
+	var tail *flight.Recorder
+	if prov != nil {
+		live, at, tail = prov.Metrics, vnow, tailRecorder(tr, prov)
 	}
-	var sum *slo.Summary
+	s.liveMu.Lock()
+	if !math.IsInf(vnow, -1) {
+		s.fold(tr, prov, vnow)
+		s.liveAt, s.trustedTo = vnow, at
+	}
+	s.flightTail, s.flightAt = tail, at
+	s.live = &live
+	s.liveMu.Unlock()
 	if s.cfg.SLO != nil {
-		sum = slo.Evaluate(*s.cfg.SLO, s.reg.sloOutcomes())
+		sum := slo.Evaluate(*s.cfg.SLO, s.reg.sloOutcomes())
 		sum.Publish(s.obs)
 		for _, a := range sum.Alerts {
 			if a.State == slo.StateFiring {
@@ -665,30 +659,124 @@ func (s *Server) observe(rep *grid.Report, vnow float64, final bool) {
 					"alert", a.Name, "value", a.Value, "threshold", a.Threshold)
 			}
 		}
-	}
-	s.liveMu.Lock()
-	s.flightRec = rec
-	s.flightAt = at
-	if sum != nil {
+		s.liveMu.Lock()
 		s.sloSum = sum
+		s.liveMu.Unlock()
 	}
-	s.liveMu.Unlock()
 }
 
-// stopLoops stops the refresher and the snapshot writer, cancelling any
-// in-flight refresh replay so the wait is short.
+// fold applies what the trusted session committed since the last fold,
+// and what vnow has passed since, to the registry and the flight recorder
+// (see publish for tr and prov). The registry keeps the prefix rules of a
+// full replay at vnow: a routing decision is trusted once released before
+// vnow's margin (the engines admit arrivals within eps of a fire time),
+// every committed batch is — the session fires none inside the margin —
+// and a placement shows scheduled, running or done by where vnow stands;
+// a kill counts once before the margin. The caller holds liveMu, so a
+// timeline never sees an event its boundary does not cover yet.
+func (s *Server) fold(tr, prov *grid.Report, vnow float64) {
+	final := prov == nil
+	f := &s.folded
+	for _, d := range tr.Decisions[f.decisions:] {
+		s.flightRec.RecordDecision(d)
+	}
+	f.decisions = len(tr.Decisions)
+	for ; f.routed < len(tr.Decisions); f.routed++ {
+		d := tr.Decisions[f.routed]
+		if !final && !(d.Release < vnow-eps) {
+			break // decisions come in release order
+		}
+		s.reg.setRouting(d.JobID, d.Cluster)
+	}
+	for c, crep := range tr.Clusters {
+		for _, b := range crep.Batches[f.batches[c]:] {
+			s.flightRec.OnBatch(c, b)
+			for _, id := range b.Jobs {
+				s.reg.markBatched(id, b.Index)
+			}
+			// A batch's realized trace follows its placements in the
+			// schedule; the assignment's own end is the one a replay
+			// reports.
+			for _, a := range crep.Schedule.Assignments[f.placed[c] : f.placed[c]+len(b.Placements)] {
+				f.open = append(f.open, placement{id: a.TaskID, start: a.Start, end: a.End()})
+			}
+			f.placed[c] += len(b.Placements)
+			f.kills = append(f.kills, b.KillEvents...)
+		}
+		f.batches[c] = len(crep.Batches)
+	}
+	open := f.open[:0]
+	for _, p := range f.open {
+		if !s.mark(p, vnow, final) {
+			open = append(open, p)
+		}
+	}
+	f.open = open
+	kills := f.kills[:0]
+	for _, k := range f.kills {
+		if !final && !(k.Time < vnow-eps) {
+			kills = append(kills, k)
+			continue
+		}
+		f.killed[k.TaskID]++
+		s.reg.markResubmitted(k.TaskID, f.killed[k.TaskID])
+	}
+	f.kills = kills
+	if final {
+		return
+	}
+	// A job a committed batch took in and an outage killed reruns in a
+	// batch only the fork has fired yet: its provisional placement shows.
+	for c, crep := range prov.Clusters {
+		for _, a := range crep.Schedule.Assignments[f.placed[c]:] {
+			if s.reg.batched(a.TaskID) {
+				s.mark(placement{id: a.TaskID, start: a.Start, end: a.End()}, vnow, false)
+			}
+		}
+	}
+}
+
+// mark applies a placement to the registry as vnow sees it and reports
+// whether the job is done.
+func (s *Server) mark(p placement, vnow float64, final bool) bool {
+	switch {
+	case final || p.end <= vnow:
+		s.reg.markDone(p.id, p.start, p.end)
+		return true
+	case p.start <= vnow:
+		s.reg.markRunning(p.id, p.start, p.end)
+	default:
+		s.reg.markScheduled(p.id, p.start, p.end)
+	}
+	return false
+}
+
+// tailRecorder records the provisional events of a fork's report: its
+// decisions and batches beyond the trusted session's committed report.
+func tailRecorder(tr, prov *grid.Report) *flight.Recorder {
+	rec := flight.NewRecorder()
+	for _, d := range prov.Decisions[len(tr.Decisions):] {
+		rec.RecordDecision(d)
+	}
+	for c, crep := range prov.Clusters {
+		for _, b := range crep.Batches[len(tr.Clusters[c].Batches):] {
+			rec.OnBatch(c, b)
+		}
+	}
+	return rec
+}
+
+// stopLoops stops the refresher and the snapshot writer, waiting for an
+// in-flight refresh (a fold of one tick's arrivals) to finish.
 func (s *Server) stopLoops() {
-	s.stopOnce.Do(func() {
-		close(s.stopCh)
-		s.loopCancel()
-	})
+	s.stopOnce.Do(func() { close(s.stopCh) })
 	s.loopWG.Wait()
 }
 
 // Drain gracefully stops the service: admissions close (further submits
 // are rejected with "draining"), the background loops stop, the
-// submission queues flush, the full stream replays through the federation
-// one final time, every job is finalized in the registry, a final
+// submission queues flush, the trusted session takes the rest of the
+// stream and finishes, every job is finalized in the registry, a final
 // snapshot is written when snapshots are configured, and the grid report
 // comes back. Drain is idempotent; later calls return the same report.
 func (s *Server) Drain() (*FinalReport, error) {
@@ -707,24 +795,25 @@ func (s *Server) Drain() (*FinalReport, error) {
 		defer s.runMu.Unlock()
 		vnow := s.pacer.now()
 		s.mu.Lock()
-		jobs := append([]online.Job(nil), s.stream...)
+		rest := append([]online.Job(nil), s.stream[s.streamFed:]...)
+		jobs := len(s.stream)
 		s.mu.Unlock()
-		rep, err := s.fed.Run(jobs)
+		err := s.sess.Feed(rest...)
+		var rep *grid.Report
+		if err == nil {
+			rep, err = s.sess.Finish()
+		}
 		if err != nil {
 			s.drainErr = err
 			s.logger.Error("drain replay failed", "error", err)
 			return
 		}
-		s.apply(rep, vnow, true)
-		s.observe(rep, vnow, true)
-		s.liveMu.Lock()
-		s.live = &rep.Metrics
-		s.liveAt = vnow
-		s.liveMu.Unlock()
+		s.streamFed = jobs
+		s.publish(rep, nil, vnow)
 		s.liveMu.Lock()
 		s.final = &FinalReport{
 			Policy:     rep.Policy,
-			Jobs:       len(jobs),
+			Jobs:       jobs,
 			VirtualNow: vnow,
 			Metrics:    rep.Metrics,
 			Grid:       rep,
@@ -738,7 +827,7 @@ func (s *Server) Drain() (*FinalReport, error) {
 				s.logger.Error("final snapshot failed", "error", err)
 			}
 		}
-		s.logger.Info("drain complete", "jobs", len(jobs), "virtual_now", vnow)
+		s.logger.Info("drain complete", "jobs", jobs, "virtual_now", vnow)
 	})
 	return s.final, s.drainErr
 }

@@ -3,12 +3,14 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
 
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/online"
+	"bicriteria/internal/validate"
 )
 
 // snapshotFile is the on-disk checkpoint of a running service: the
@@ -41,10 +43,11 @@ const snapshotVersion = 1
 // writeSnapshot checkpoints the current state to cfg.SnapshotPath,
 // atomically (write to a temp file in the same directory, then rename).
 func (s *Server) writeSnapshot() error {
+	start := time.Now()
 	// capture waits for the queue collectors to catch up with every
 	// admission, so the checkpoint never misses a job still in flight
 	// between the front door and the stream.
-	jobs, _ := s.capture()
+	jobs, _ := s.capture(0)
 	s.mu.Lock()
 	snap := snapshotFile{
 		Version:    snapshotVersion,
@@ -91,6 +94,7 @@ func (s *Server) writeSnapshot() error {
 	s.liveMu.Lock()
 	s.lastSnapshot = s.pacer.wall()
 	s.liveMu.Unlock()
+	s.snapshotSeconds.Observe(time.Since(start).Seconds())
 	s.logger.Debug("snapshot written", "path", s.cfg.SnapshotPath, "jobs", len(jobs))
 	return nil
 }
@@ -114,6 +118,11 @@ func (s *Server) restoreSnapshot(path string) (float64, error) {
 	}
 	if snap.Version != snapshotVersion {
 		return 0, fmt.Errorf("serve: unsupported snapshot version %d (want %d)", snap.Version, snapshotVersion)
+	}
+	// The pacer resumes from the clock: a negative one would stamp
+	// negative releases, which no replay accepts.
+	if snap.VirtualNow < 0 || math.IsNaN(snap.VirtualNow) || math.IsInf(snap.VirtualNow, 0) {
+		return 0, validate.Errorf("snapshot.virtual_now", "%s: virtual clock must be non-negative and finite, got %g", path, snap.VirtualNow)
 	}
 	for i, sj := range snap.Jobs {
 		task := moldable.Task{ID: sj.ID, Name: sj.Name, Weight: sj.Weight, Times: sj.Times}
