@@ -343,7 +343,7 @@ func (s *Session) runBatch() (BatchReport, float64, []online.Job, error) {
 			End:    now + tr.End,
 			Procs:  len(tr.Procs),
 		})
-		info := infos[tr.TaskID]
+		info, _ := infos.Get(tr.TaskID)
 		acc.observeJob(info.release, now+tr.End, info.pmin, info.weight)
 		if fstate != nil && fstate.killedEver[tr.TaskID] {
 			acc.recovered++

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
@@ -37,7 +36,7 @@ import (
 // a stream in pieces, with AdvanceTo calls between them, therefore finishes
 // with a report identical to RunContext's over the concatenated stream.
 //
-// A Session is not safe for concurrent use; Fork makes an independent copy.
+// A Session is not safe for concurrent use; Fork makes a copy to finish.
 type Session struct {
 	e   *Engine
 	ctx context.Context
@@ -59,7 +58,7 @@ type Session struct {
 	batchIndex int
 	// infos caches every fed job's metric inputs; its keys are the IDs fed
 	// so far.
-	infos   map[int]jobInfo
+	infos   online.Table[jobInfo]
 	busyAbs []listsched.Busy
 	acc     *metricsAccumulator
 	report  *Report
@@ -86,7 +85,7 @@ func (e *Engine) NewSession(ctx context.Context) *Session {
 		ctx:     ctx,
 		onBatch: e.cfg.OnBatch,
 		metrics: e.cfg.Metrics,
-		infos:   make(map[int]jobInfo),
+		infos:   online.NewTable[jobInfo](),
 		busyAbs: busyAbs,
 		acc:     newMetricsAccumulator(e.cfg.M),
 		report:  &Report{Schedule: schedule.New(e.cfg.M), Blocked: e.blocked},
@@ -119,14 +118,14 @@ func (s *Session) Feed(jobs ...online.Job) error {
 	if s.err != nil {
 		return s.err
 	}
-	err := online.Enroll("cluster", jobs, s.boundary, s.infos, func(j *online.Job) jobInfo {
+	err := s.infos.Enroll("cluster", jobs, s.boundary, func(j *online.Job) jobInfo {
 		pmin, _ := j.Task.MinTime()
 		return jobInfo{release: j.Release, pmin: pmin, weight: j.Task.Weight}
 	})
 	if err != nil {
 		return err
 	}
-	s.queue = online.MergeSorted(s.queue, online.SortedCopy(jobs))
+	s.queue = online.MergeFunc(s.queue, online.SortedCopy(jobs), online.CompareJobs)
 	return nil
 }
 
@@ -165,17 +164,20 @@ func (s *Session) Finish() (*Report, error) {
 	return s.report, nil
 }
 
-// Fork returns an independent copy of the session: feeding, advancing or
-// finishing either side leaves the other untouched. The committed report
-// is shared with clipped capacity, so neither side's appends show through
-// to the other; the loop state, the per-job tables and the metric samples
-// are copied. A fork records nothing: no OnBatch callbacks, no registry
-// metrics — only the session it was forked from reports its batches.
+// Fork returns a copy of the session: feeding, advancing or finishing the
+// fork leaves the session untouched. The committed report is shared with
+// clipped capacity, so neither side's appends show through to the other;
+// the loop state, the fault and racing state and the metric samples are
+// copied. The fork reads the fed jobs' table in place (see online.Table),
+// so it is for finishing — a grid fork feeds it what it routes on the
+// way — and the session must not be fed again until the fork is done
+// with. A fork records nothing: no OnBatch callbacks, no registry metrics
+// — only the session it was forked from reports its batches.
 func (s *Session) Fork() *Session {
 	f := *s
 	f.onBatch, f.metrics = nil, nil
 	f.pending = slices.Clone(s.pending)
-	f.infos = maps.Clone(s.infos)
+	f.infos = s.infos.Fork()
 	f.acc = s.acc.clone()
 	f.report = s.report.committed()
 	if s.fstate != nil {

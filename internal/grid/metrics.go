@@ -1,9 +1,6 @@
 package grid
 
 import (
-	"math"
-	"sort"
-
 	"bicriteria/internal/cluster"
 	"bicriteria/internal/stats"
 )
@@ -93,28 +90,6 @@ type Metrics struct {
 // in sorted order. The slices are never written in place — a fold merges
 // into new ones — so a session fork shares them.
 type samples struct{ stretches, bslds []float64 }
-
-// mergeSorted sorts more and merges it into the sorted slice, in the order
-// sort.Float64s gives the union (NaNs first). The result is new unless one
-// side is empty.
-func mergeSorted(sorted, more []float64) []float64 {
-	sort.Float64s(more)
-	if len(sorted) == 0 {
-		return more
-	}
-	if len(more) == 0 {
-		return sorted
-	}
-	out := make([]float64, 0, len(sorted)+len(more))
-	for len(sorted) > 0 && len(more) > 0 {
-		if a, b := more[0], sorted[0]; a < b || (math.IsNaN(a) && !math.IsNaN(b)) {
-			out, more = append(out, a), more[1:]
-		} else {
-			out, sorted = append(out, b), sorted[1:]
-		}
-	}
-	return append(append(out, sorted...), more...)
-}
 
 // aggregate folds the per-shard reports into the grid metrics, given the
 // grid-wide per-job stretch and bounded-slowdown samples in sorted order

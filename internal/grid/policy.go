@@ -73,22 +73,14 @@ type RoutingPolicy interface {
 
 // statefulPolicy is implemented by the built-in policies that carry state
 // between decisions (round-robin's cursor): every session routes with its
-// own copy, fresh when the session starts and copied when it forks.
+// own copy — of the configured policy, which no session changes, when it
+// starts, and of its parent's when it forks.
 type statefulPolicy interface {
-	fresh() RoutingPolicy
 	clone() RoutingPolicy
 }
 
-// freshPolicy returns the policy a new session routes with.
-func freshPolicy(p RoutingPolicy) RoutingPolicy {
-	if sp, ok := p.(statefulPolicy); ok {
-		return sp.fresh()
-	}
-	return p
-}
-
-// forkPolicy returns the policy a session fork routes with.
-func forkPolicy(p RoutingPolicy) RoutingPolicy {
+// clonePolicy returns a copy of a stateful policy, or p itself.
+func clonePolicy(p RoutingPolicy) RoutingPolicy {
 	if sp, ok := p.(statefulPolicy); ok {
 		return sp.clone()
 	}
@@ -122,8 +114,6 @@ type roundRobin struct {
 func RoundRobin() RoutingPolicy { return &roundRobin{last: -1} }
 
 func (p *roundRobin) Name() string { return "round-robin" }
-
-func (p *roundRobin) fresh() RoutingPolicy { return RoundRobin() }
 
 func (p *roundRobin) clone() RoutingPolicy { return &roundRobin{last: p.last} }
 

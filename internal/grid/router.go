@@ -155,7 +155,7 @@ func newRouter(specs []ClusterSpec, policy RoutingPolicy, admitBacklog float64, 
 // tables are shared.
 func (r *router) clone() *router {
 	c := *r
-	c.policy = forkPolicy(r.policy)
+	c.policy = clonePolicy(r.policy)
 	c.views = slices.Clone(r.views)
 	c.ready = slices.Clone(r.ready)
 	c.peak = slices.Clone(r.peak)

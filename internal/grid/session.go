@@ -1,12 +1,13 @@
 package grid
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -33,8 +34,8 @@ import (
 //
 // RunContext is NewSession, Feed of the whole stream, Finish, so a session
 // fed in pieces finishes with the report RunContext gives the concatenated
-// stream. A Session is not safe for concurrent use; Fork makes an
-// independent copy.
+// stream. A Session is not safe for concurrent use; Fork makes a copy to
+// finish.
 type Session struct {
 	f   *Federation
 	ctx context.Context
@@ -51,7 +52,7 @@ type Session struct {
 	queue []online.Job
 	// infos holds every fed job's grid release and fastest time, for the
 	// aggregate's samples; its keys are the IDs fed so far.
-	infos     map[int]jobInfo
+	infos     online.Table[jobInfo]
 	rt        *router
 	decisions []Decision
 	shards    []*cluster.Session
@@ -82,8 +83,8 @@ func (f *Federation) NewSession(ctx context.Context) *Session {
 		ctx:        ctx,
 		onDecision: f.cfg.OnDecision,
 		metrics:    f.cfg.Metrics,
-		infos:      make(map[int]jobInfo),
-		rt:         newRouter(f.cfg.Clusters, freshPolicy(f.cfg.Routing), f.cfg.AdmitBacklog, f.cfg.Faults),
+		infos:      online.NewTable[jobInfo](),
+		rt:         newRouter(f.cfg.Clusters, clonePolicy(f.cfg.Routing), f.cfg.AdmitBacklog, f.cfg.Faults),
 		decisions:  []Decision{},
 		shards:     make([]*cluster.Session, len(f.engines)),
 		folded:     make([]int, len(f.engines)),
@@ -101,14 +102,14 @@ func (s *Session) Feed(jobs ...online.Job) error {
 	if s.err != nil {
 		return s.err
 	}
-	err := online.Enroll("grid", jobs, s.boundary, s.infos, func(j *online.Job) jobInfo {
+	err := s.infos.Enroll("grid", jobs, s.boundary, func(j *online.Job) jobInfo {
 		pmin, _ := j.Task.MinTime()
 		return jobInfo{release: j.Release, pmin: pmin}
 	})
 	if err != nil {
 		return err
 	}
-	s.queue = online.MergeSorted(s.queue, online.SortedCopy(jobs))
+	s.queue = online.MergeFunc(s.queue, online.SortedCopy(jobs), online.CompareJobs)
 	return nil
 }
 
@@ -169,13 +170,15 @@ func (s *Session) Finish() (*Report, error) {
 	}, nil
 }
 
-// Fork returns an independent copy of the session, shard sessions
-// included (see cluster.Session.Fork). A fork records nothing: no
-// OnDecision or OnBatch callbacks, no registry metrics.
+// Fork returns a copy of the session to finish, shard sessions included:
+// as in cluster.Session.Fork, it reads the fed jobs' tables in place, so
+// the session must not be fed again until the fork is done with. A fork
+// records nothing: no OnDecision or OnBatch callbacks, no registry
+// metrics.
 func (s *Session) Fork() *Session {
 	f := *s
 	f.onDecision, f.metrics = nil, nil
-	f.infos = maps.Clone(s.infos)
+	f.infos = s.infos.Fork()
 	f.rt = s.rt.clone()
 	f.decisions = clip(s.decisions)
 	f.shards = make([]*cluster.Session, len(s.shards))
@@ -306,7 +309,7 @@ func (s *Session) fold(report func(c int) *cluster.Report) {
 	for c := range s.shards {
 		as := report(c).Schedule.Assignments
 		for _, a := range as[s.folded[c]:] {
-			info := s.infos[a.TaskID]
+			info, _ := s.infos.Get(a.TaskID)
 			flow := a.End() - info.release
 			if info.pmin > 0 {
 				stretches = append(stretches, flow/info.pmin)
@@ -315,5 +318,11 @@ func (s *Session) fold(report func(c int) *cluster.Report) {
 		}
 		s.folded[c] = len(as)
 	}
-	s.smp = samples{mergeSorted(s.smp.stretches, stretches), mergeSorted(s.smp.bslds, bslds)}
+	// Sorted as sort.Float64s sorts the union: NaNs first.
+	sort.Float64s(stretches)
+	sort.Float64s(bslds)
+	s.smp = samples{
+		online.MergeFunc(s.smp.stretches, stretches, cmp.Compare[float64]),
+		online.MergeFunc(s.smp.bslds, bslds, cmp.Compare[float64]),
+	}
 }

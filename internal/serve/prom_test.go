@@ -127,7 +127,7 @@ func TestPromMetricsDeterministicBytes(t *testing.T) {
 	}
 	// The queue collectors drain asynchronously; a scrape racing them
 	// reports a different queue depth.
-	for s.collected() < 3 {
+	for s.streamLen() < 3 {
 		runtime.Gosched()
 	}
 	scrape := func() []byte {

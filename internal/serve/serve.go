@@ -38,9 +38,9 @@
 //
 // A refresh thus costs O(new arrivals) replay work plus O(in-flight tail)
 // for the fork. What still grows with the whole stream: the fork's copies
-// of the per-job tables and metric samples (memory copies, not replay),
-// snapshot writes, the SLO evaluation over the completed jobs, the
-// /metrics distribution histograms and the grid aggregate's percentiles.
+// of the metric samples (memory copies, not replay), snapshot writes, the
+// SLO evaluation over the completed jobs, the /metrics distribution
+// histograms and the grid aggregate's percentiles.
 //
 // The HTTP surface is in http.go: POST /jobs (single and bulk),
 // GET /jobs/{id}, GET /metrics, GET /healthz, POST /drain.
@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -207,15 +208,20 @@ type Server struct {
 	reg        *registry
 
 	// mu guards the admission state: the token bucket, the virtual
-	// backlog clock, the counters, the draining flag and the accepted
-	// stream. Admission is a short serialized section; the expensive work
-	// (replays) happens outside it.
+	// backlog clock, the counters, the draining flag, the accepted stream
+	// and the per-shard queue counts. Admission is a short serialized
+	// section; the expensive work (replays) happens outside it.
 	mu       sync.Mutex
 	bucket   *tokenBucket
 	ready    float64
 	counters Counters
 	draining bool
 	stream   []online.Job
+	// sent[k] counts the jobs Submit put on queue shard k, collected[k]
+	// those its collector has appended to the stream. A shard queue is
+	// FIFO, so once collected[k] reaches a past value of sent[k], every job
+	// sent to shard k before that value was read is in the stream.
+	sent, collected []int
 
 	shards      []chan online.Job
 	collectorWG sync.WaitGroup
@@ -373,10 +379,13 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 
 	s.shards = make([]chan online.Job, cfg.QueueShards)
+	s.sent = make([]int, cfg.QueueShards)
+	s.collected = make([]int, cfg.QueueShards)
+	hook := testHookCollect
 	for i := range s.shards {
 		s.shards[i] = make(chan online.Job, cfg.QueueDepth)
 		s.collectorWG.Add(1)
-		go s.collect(s.shards[i])
+		go s.collect(i, hook)
 	}
 	if cfg.RefreshInterval > 0 {
 		s.loopWG.Add(1)
@@ -450,9 +459,10 @@ func (s *Server) Submit(task moldable.Task) (Accepted, error) {
 			return Accepted{}, &Rejection{Reason: "backlog", RetryAfter: retry}
 		}
 	}
-	shard := s.shards[shardOf(task.ID, len(s.shards))]
+	k := shardOf(task.ID, len(s.shards))
 	select {
-	case shard <- online.Job{Task: task, Release: vnow}:
+	case s.shards[k] <- online.Job{Task: task, Release: vnow}:
+		s.sent[k]++
 	default:
 		s.counters.RejectedQueue++
 		// A full shard clears as fast as the collector drains it, which is
@@ -479,12 +489,21 @@ func shardOf(id, shards int) int {
 	return int(h % uint64(shards))
 }
 
-// collect drains one queue shard into the accepted stream.
-func (s *Server) collect(ch chan online.Job) {
+// testHookCollect, when set as NewServer runs, is called by the server's
+// queue collectors between taking a job off shard k and appending it to
+// the stream: tests hold a collector back with it.
+var testHookCollect func(k int)
+
+// collect drains queue shard k into the accepted stream.
+func (s *Server) collect(k int, hook func(int)) {
 	defer s.collectorWG.Done()
-	for j := range ch {
+	for j := range s.shards[k] {
+		if hook != nil {
+			hook(k)
+		}
 		s.mu.Lock()
 		s.stream = append(s.stream, j)
+		s.collected[k]++
 		s.mu.Unlock()
 	}
 }
@@ -574,23 +593,30 @@ func (s *Server) refresh() error {
 
 // capture copies the accepted stream from index from on, together with
 // the virtual time of the capture. The virtual time is read first, under
-// the admission mutex; the copy is then delayed until the queue collectors
-// have caught up with every admission stamped before it, so a refresh
-// never advances past a job still sitting in a shard queue. Collectors
-// only ever hold the mutex to append, so the catch-up wait is
-// microseconds; if it ever exceeds its bound, the capture returns a -Inf
-// virtual time, at which the refresh trusts nothing new.
+// the admission mutex, with every shard's sent count; the copy is then
+// delayed until each shard's collector has caught up with its count, so
+// every job admitted — and stamped — before the read is in the copy and a
+// refresh never advances past a job still sitting in a shard queue. (A
+// total count would not do: a job admitted after the read and collected
+// off another shard can stand in for one still queued.) Collectors only
+// ever hold the mutex to append, so the catch-up wait is microseconds; if
+// it ever exceeds its bound, the capture returns a -Inf virtual time, at
+// which the refresh trusts nothing new.
 func (s *Server) capture(from int) ([]online.Job, float64) {
 	s.mu.Lock()
 	vnow := s.pacer.now()
-	admitted := s.counters.Submitted
+	sent := slices.Clone(s.sent)
 	s.mu.Unlock()
 	for i := 0; ; i++ {
 		s.mu.Lock()
-		if len(s.stream) >= admitted || i >= 200 {
+		caughtUp := true
+		for k, n := range sent {
+			caughtUp = caughtUp && s.collected[k] >= n
+		}
+		if caughtUp || i >= 200 {
 			jobs := append([]online.Job(nil), s.stream[from:]...)
 			s.mu.Unlock()
-			if i >= 200 {
+			if !caughtUp {
 				vnow = math.Inf(-1)
 			}
 			return jobs, vnow

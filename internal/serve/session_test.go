@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -201,7 +202,7 @@ func TestRefreshMatchesFullReplay(t *testing.T) {
 		}
 		// Let the queue collectors catch up without sleeping, so the
 		// capture never has to wait.
-		for s.collected() < len(accepted) {
+		for s.streamLen() < len(accepted) {
 			runtime.Gosched()
 		}
 		vnow := s.Now()
@@ -245,8 +246,102 @@ func TestRefreshMatchesFullReplay(t *testing.T) {
 	}
 }
 
-// collected returns the length of the accepted stream.
-func (s *Server) collected() int {
+// TestRefreshWaitsForEveryQueueShard is the regression test of the
+// capture's catch-up check. A refresh reads the virtual clock while job A
+// is still held by its shard's collector; job B, admitted after the read,
+// is collected off the other shard meanwhile. Counting B in place of A
+// would advance the session past A's release, and every later refresh
+// and the drain would refuse A. The refresh must trust nothing new
+// instead, and the next refresh and the drain must take A.
+func TestRefreshWaitsForEveryQueueShard(t *testing.T) {
+	a, b := 0, 1
+	for shardOf(a, 2) != 0 {
+		a++
+	}
+	for shardOf(b, 2) != 1 {
+		b++
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	var hold sync.Once
+	testHookCollect = func(k int) {
+		if k == 0 {
+			hold.Do(func() {
+				close(held)
+				<-release
+			})
+		}
+	}
+	defer func() { testHookCollect = nil }() // NewServer took its copy
+	// The clock closes read the first time it is read after arming, which
+	// here is the refresh's capture of the virtual now.
+	var armMu sync.Mutex
+	var read chan struct{}
+	s, clock := newTestServer(t, func(c *Config) {
+		c.QueueShards = 2
+		inner := c.Clock
+		c.Clock = func() time.Time {
+			armMu.Lock()
+			if read != nil {
+				close(read)
+				read = nil
+			}
+			armMu.Unlock()
+			return inner()
+		}
+	})
+
+	accA, err := s.Submit(seqTask(a, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	clock.advance(10 * time.Second)
+	armMu.Lock()
+	read = make(chan struct{})
+	captured := read
+	armMu.Unlock()
+	done := make(chan error)
+	go func() { done <- s.refresh() }()
+	<-captured
+	accB, err := s.Submit(seqTask(b, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.streamLen() < 1 {
+		runtime.Gosched()
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	for s.streamLen() < 2 {
+		runtime.Gosched()
+	}
+	if err := s.refresh(); err != nil {
+		t.Fatalf("the refresh after the held job was collected: %v", err)
+	}
+	final, err := s.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := grid.New(gridConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.RunContext(context.Background(), []online.Job{
+		{Task: seqTask(a, 3), Release: accA.Release},
+		{Task: seqTask(b, 3), Release: accB.Release},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(final.Grid, want) {
+		t.Fatal("the drain report differs from the offline replay of both jobs")
+	}
+}
+
+// streamLen returns the length of the accepted stream.
+func (s *Server) streamLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.stream)

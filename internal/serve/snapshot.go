@@ -57,8 +57,8 @@ func (s *Server) writeSnapshot() error {
 	}
 	s.mu.Unlock()
 	// An admission may land between the capture and the counters read:
-	// pin Submitted to the jobs actually checkpointed, or a restored
-	// server would wait forever for stream entries that never existed.
+	// pin Submitted to the jobs actually checkpointed, so a restored
+	// server's count matches its stream.
 	snap.Counters.Submitted = len(jobs)
 	for i, j := range jobs {
 		snap.Jobs[i] = snapshotJob{
@@ -146,9 +146,8 @@ func (s *Server) restoreSnapshot(path string) (float64, error) {
 		s.ready += minWork(task) / float64(s.totalProcs)
 	}
 	s.counters = snap.Counters
-	// The restored stream IS the submitted history: pin the counter to it
-	// (a hand-edited snapshot must not leave capture() waiting for stream
-	// entries that never existed).
+	// The restored stream IS the submitted history: pin the counter to it,
+	// whatever a hand-edited snapshot claims.
 	s.counters.Submitted = len(snap.Jobs)
 	s.counters.Restored = len(snap.Jobs)
 	s.logger.Info("snapshot restored", "path", path, "jobs", len(snap.Jobs), "virtual_now", snap.VirtualNow)
