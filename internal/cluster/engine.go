@@ -281,7 +281,8 @@ func (s *Session) runBatch() (BatchReport, float64, []online.Job, error) {
 	inst := moldable.NewInstance(e.cfg.M, tasks)
 
 	planStart := time.Now() //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
-	cands, scheds, win, err := runPortfolio(ctx, inst, e.cfg.Portfolio, e.cfg.Objective, e.cfg.Sequential, s.metrics, e.cfg.Racing, s.race)
+	cmaxLB := lowerbound.Makespan(inst)
+	cands, scheds, win, err := runPortfolio(ctx, inst, cmaxLB, e.cfg.Portfolio, e.cfg.Objective, e.cfg.Sequential, s.metrics, e.cfg.Racing, s.race)
 	if err != nil {
 		return BatchReport{}, 0, nil, fmt.Errorf("cluster: batch %d: %w", index, err)
 	}
@@ -407,7 +408,7 @@ func (s *Session) runBatch() (BatchReport, float64, []online.Job, error) {
 		Delayed:          simRes.Delayed,
 		Killed:           killedIDs,
 		KillEvents:       killEvents,
-		LowerBound:       lowerbound.Makespan(inst),
+		LowerBound:       cmaxLB,
 		Placements:       placements,
 		Cumulative:       acc.snapshot(),
 	}, advance, resub, nil

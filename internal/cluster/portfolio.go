@@ -356,10 +356,13 @@ func (r Racing) qualifies(obj Objective, c *Candidate, lb batchBounds) bool {
 // the members run concurrently or not — racing only affects wall-clock and
 // who gets cancelled.
 //
+// cmaxLB is the batch's makespan lower bound (lowerbound.Makespan), which
+// the caller computes once for the batch report as well.
+//
 // A non-nil registry receives each member's wall-clock latency under its
 // name, plus the racing win/cancel/cutoff counters and the race latency
 // histogram when racing is enabled.
-func runPortfolio(ctx context.Context, inst *moldable.Instance, algos []Algorithm, obj Objective, sequential bool, reg *obs.Registry, race Racing, state *raceState) ([]Candidate, []*schedule.Schedule, int, error) {
+func runPortfolio(ctx context.Context, inst *moldable.Instance, cmaxLB float64, algos []Algorithm, obj Objective, sequential bool, reg *obs.Registry, race Racing, state *raceState) ([]Candidate, []*schedule.Schedule, int, error) {
 	start := time.Now() //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
 	cands := make([]Candidate, len(algos))
 	scheds := make([]*schedule.Schedule, len(algos))
@@ -367,7 +370,7 @@ func runPortfolio(ctx context.Context, inst *moldable.Instance, algos []Algorith
 
 	lb := batchBounds{}
 	if obj.Kind == ObjectiveCombined || (racing && obj.Kind == ObjectiveMakespan) {
-		lb.cmax = lowerbound.Makespan(inst)
+		lb.cmax = cmaxLB
 	}
 	if obj.Kind == ObjectiveCombined || (racing && obj.Kind == ObjectiveWeightedCompletion) {
 		lb.minsum = lowerbound.MinsumSquashedArea(inst)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"bicriteria/internal/lowerbound"
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/online"
 	"bicriteria/internal/schedule"
@@ -231,7 +232,8 @@ func TestWinnerSelectionSkipsFailedCandidates(t *testing.T) {
 		{failing, DEMTAlgorithm(nil)},
 		{DEMTAlgorithm(nil), failing},
 	} {
-		cands, _, win, err := runPortfolio(context.Background(), moldable.NewInstance(2, []moldable.Task{{ID: 1, Weight: 1, Times: []float64{6, 4}}}),
+		inst := moldable.NewInstance(2, []moldable.Task{{ID: 1, Weight: 1, Times: []float64{6, 4}}})
+		cands, _, win, err := runPortfolio(context.Background(), inst, lowerbound.Makespan(inst),
 			order, Objective{Kind: ObjectiveCombined, Alpha: 0.5}, true, nil, Racing{}, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"bicriteria/internal/listsched"
@@ -72,22 +74,19 @@ func batchOrderItems(inst *moldable.Instance, batches []Batch, batchOrder []int)
 			batchOrder[i] = i
 		}
 	}
-	var items []listsched.Item
+	items := make([]listsched.Item, 0, len(inst.Tasks))
 	for _, b := range batchOrder {
-		batch := &batches[b]
-		var local []listsched.Item
-		for _, it := range batch.selection {
+		start := len(items)
+		for _, it := range batches[b].selection {
 			for k, idx := range it.taskIdxs {
-				t := &inst.Tasks[idx]
-				local = append(local, listsched.Item{
-					TaskID:   t.ID,
+				items = append(items, listsched.Item{
+					TaskID:   inst.Tasks[idx].ID,
 					NProcs:   it.alloc,
 					Duration: it.durations[k],
 				})
 			}
 		}
-		sort.SliceStable(local, func(a, b int) bool { return local[a].Duration > local[b].Duration })
-		items = append(items, local...)
+		slices.SortStableFunc(items[start:], func(a, b listsched.Item) int { return cmp.Compare(b.Duration, a.Duration) })
 	}
 	return items
 }

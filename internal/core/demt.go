@@ -17,10 +17,12 @@
 //     the batch order, optionally trying a few shuffled orders and keeping
 //     the best schedule found.
 //
-// Termination note: the paper's pseudo-code stops after batch K; when the
-// processor budget (rather than the batch length) prevents some tasks from
-// being selected by then, this implementation keeps adding doubling batches
-// until every task is placed (see DESIGN.md, design choice 4).
+// Termination note: the paper's pseudo-code stops after batch K. When the
+// m-processor budget, rather than the batch length, keeps some tasks out of
+// every batch up to K, this implementation keeps adding batches past K —
+// each twice as long as the one before and starting where it ends — until
+// every task is placed. A run that would need more than 4096 extra batches
+// fails instead of looping.
 package core
 
 import (
@@ -112,10 +114,13 @@ type Options struct {
 	// dual-approximation algorithm.
 	CmaxEstimate float64
 	// Timing, when set, receives the wall-clock seconds spent in each
-	// internal phase of a run: "knapsack" (batch construction) and
-	// "compact" (the compaction pass). Wall-clock timings are
-	// observational only — they must never feed back into scheduling
-	// decisions, which would break deterministic replays.
+	// internal phase of a successful run, in order: "validate" (the
+	// instance check), "dualapprox" (step 1: the two-shelf dual
+	// approximation, or only the makespan lower bound when CmaxEstimate
+	// is given), "knapsack" (batch construction) and "compact" (the
+	// compaction pass); together they cover the whole run. Wall-clock
+	// timings are observational only — they must never feed back into
+	// scheduling decisions, which would break deterministic replays.
 	Timing func(phase string, seconds float64)
 }
 
@@ -228,23 +233,29 @@ func ScheduleContext(ctx context.Context, inst *moldable.Instance, opts *Options
 const maxExtraBatches = 4096
 
 func run(ctx context.Context, inst *moldable.Instance, opts Options) (*Result, error) {
-	if err := inst.Validate(); err != nil {
+	if err := opts.phase("validate", inst.Validate); err != nil {
 		return nil, err
 	}
 
 	res := &Result{}
 
 	// Step 1: approximate optimal makespan.
-	if opts.CmaxEstimate > 0 {
-		res.CmaxEstimate = opts.CmaxEstimate
-		res.MakespanLowerBound = dualapprox.MakespanLowerBound(inst)
-	} else {
+	err := opts.phase("dualapprox", func() error {
+		if opts.CmaxEstimate > 0 {
+			res.CmaxEstimate = opts.CmaxEstimate
+			res.MakespanLowerBound = dualapprox.MakespanLowerBound(inst)
+			return nil
+		}
 		da, err := dualapprox.TwoShelf(inst)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res.CmaxEstimate = da.Estimate
 		res.MakespanLowerBound = da.LowerBound
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Step 2: batch geometry.
@@ -264,56 +275,65 @@ func run(ctx context.Context, inst *moldable.Instance, opts Options) (*Result, e
 	}
 
 	// Step 3: batch construction.
-	stepStart := time.Now() //lint:allow nowallclock wall-clock feeds the Timing observability hook only, never a scheduling decision
-	remaining := make(map[int]bool, inst.N())
-	for i := range inst.Tasks {
-		remaining[i] = true
-	}
-	raw := schedule.New(inst.M)
-	for j := 0; len(remaining) > 0; j++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: batch construction aborted: %w", err)
+	err = opts.phase("knapsack", func() error {
+		remaining := make([]bool, inst.N()) // by index into inst.Tasks
+		for i := range remaining {
+			remaining[i] = true
 		}
-		if j > res.K+1+maxExtraBatches {
-			return nil, fmt.Errorf("core: batch construction did not terminate after %d batches", j)
+		left := len(remaining)
+		raw := schedule.New(inst.M)
+		for j := 0; left > 0; j++ {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("core: batch construction aborted: %w", err)
+			}
+			if j > res.K+1+maxExtraBatches {
+				return fmt.Errorf("core: batch construction did not terminate after %d batches", j)
+			}
+			length := batchLength(j)
+			batch := buildBatch(inst, remaining, j, batchStart(j), length, opts.Selection)
+			if batch == nil {
+				continue
+			}
+			for _, it := range batch.selection {
+				for _, idx := range it.taskIdxs {
+					remaining[idx] = false
+					left--
+				}
+			}
+			appendBatchAssignments(inst, raw, batch)
+			res.Batches = append(res.Batches, *batch)
 		}
-		length := batchLength(j)
-		batch := buildBatch(inst, remaining, j, batchStart(j), length, opts.Selection)
-		if batch == nil {
-			continue
-		}
-		for _, id := range batch.TaskIDs {
-			delete(remaining, taskIndex(inst, id))
-		}
-		appendBatchAssignments(inst, raw, batch)
-		res.Batches = append(res.Batches, *batch)
-	}
-	res.Raw = raw
-	if opts.Timing != nil {
-		opts.Timing("knapsack", time.Since(stepStart).Seconds()) //lint:allow nowallclock wall-clock feeds the Timing observability hook only, never a scheduling decision
-	}
-
-	// Step 4: compaction.
-	stepStart = time.Now() //lint:allow nowallclock wall-clock feeds the Timing observability hook only, never a scheduling decision
-	final, tried, err := compact(ctx, inst, res, opts)
+		res.Raw = raw
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if opts.Timing != nil {
-		opts.Timing("compact", time.Since(stepStart).Seconds()) //lint:allow nowallclock wall-clock feeds the Timing observability hook only, never a scheduling decision
+
+	// Step 4: compaction.
+	err = opts.phase("compact", func() error {
+		final, tried, err := compact(ctx, inst, res, opts)
+		res.Schedule, res.ShufflesTried = final, tried
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.Schedule = final
-	res.ShufflesTried = tried
 	return res, nil
 }
 
-func taskIndex(inst *moldable.Instance, id int) int {
-	for i := range inst.Tasks {
-		if inst.Tasks[i].ID == id {
-			return i
-		}
+// phase runs one step of a run and, when it succeeds, reports its
+// wall-clock time to the Timing hook under the given name.
+func (o Options) phase(name string, step func() error) error {
+	if o.Timing == nil {
+		return step()
 	}
-	return -1
+	start := time.Now() //lint:allow nowallclock wall-clock feeds the Timing observability hook only, never a scheduling decision
+	if err := step(); err != nil {
+		return err
+	}
+	o.Timing(name, time.Since(start).Seconds()) //lint:allow nowallclock wall-clock feeds the Timing observability hook only, never a scheduling decision
+	return nil
 }
 
 // batchItem is a knapsack candidate: either a single task or a merged group
@@ -328,18 +348,14 @@ type batchItem struct {
 
 // buildBatch selects the content of batch j. It returns nil when no
 // remaining task fits in the batch length.
-func buildBatch(inst *moldable.Instance, remaining map[int]bool, j int, start, length float64, selection SelectionMode) *Batch {
+func buildBatch(inst *moldable.Instance, remaining []bool, j int, start, length float64, selection SelectionMode) *Batch {
 	var smallSeq []int // indices of tasks mergeable on one processor
 	var items []batchItem
 
-	// Deterministic iteration order over the remaining set.
-	idxs := make([]int, 0, len(remaining))
-	for i := range remaining {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-
-	for _, i := range idxs {
+	for i, left := range remaining {
+		if !left {
+			continue
+		}
 		t := &inst.Tasks[i]
 		alloc, ok := t.MinAllocFitting(length)
 		if !ok {

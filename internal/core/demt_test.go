@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -194,6 +195,33 @@ func TestExplicitCmaxEstimate(t *testing.T) {
 	}
 	if err := res.Schedule.Validate(inst, nil); err != nil {
 		t.Fatalf("invalid schedule: %v", err)
+	}
+}
+
+// TestTimingReportsEveryPhaseInOrder checks that the Timing hook covers a
+// run: the four phases, once each, in execution order, with or without a
+// preset CmaxEstimate, and nothing for a run that fails validation.
+func TestTimingReportsEveryPhaseInOrder(t *testing.T) {
+	for _, cmax := range []float64{0, 20} {
+		var phases []string
+		opts := &Options{CmaxEstimate: cmax, Timing: func(phase string, seconds float64) {
+			if seconds < 0 {
+				t.Errorf("phase %s: negative time %g", phase, seconds)
+			}
+			phases = append(phases, phase)
+		}}
+		if _, err := Schedule(testInstance(), opts); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"validate", "dualapprox", "knapsack", "compact"}
+		if !slices.Equal(phases, want) {
+			t.Fatalf("CmaxEstimate %g: phases %v, want %v", cmax, phases, want)
+		}
+	}
+	var phases []string
+	opts := &Options{Timing: func(phase string, _ float64) { phases = append(phases, phase) }}
+	if _, err := Schedule(&moldable.Instance{M: 0}, opts); err == nil || len(phases) != 0 {
+		t.Fatalf("invalid instance: err %v, phases %v; want an error and no phase", err, phases)
 	}
 }
 

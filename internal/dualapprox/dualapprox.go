@@ -15,11 +15,21 @@
 //     algorithm (Mounié, Rapine, Trystram, SPAA'99). The construction is
 //     used to produce the approximate optimal makespan C*max that anchors
 //     the DEMT batch sizes.
+//
+// Cost. Each call first builds a fit table in O(nm): a task whose times
+// never increase with k and whose work k*p(k) never drops more than Eps
+// below an earlier allocation's answers "smallest allocation meeting a
+// deadline" by binary search, any other task by the O(m) scan. A step of either bisection then costs O(n log m) for
+// such tasks. TwoShelf runs its O(nm) knapsack only at a step whose per-task
+// (small?, c1, c2) signature differs from those of the last feasible and
+// the last infeasible step, and builds the schedule once, at the final
+// deadline.
 package dualapprox
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"bicriteria/internal/knapsack"
@@ -39,6 +49,11 @@ import (
 // Because the minimal work W_i(lambda) is non-increasing in lambda, both
 // conditions are monotone and the bound is found by bisection.
 func MakespanLowerBound(inst *moldable.Instance) float64 {
+	return newFitTable(inst).lowerBound()
+}
+
+func (ft fitTable) lowerBound() float64 {
+	inst := ft.inst
 	// Any feasible deadline is at least the longest fully-parallel task and
 	// at least the total minimal work divided by the machine size, so the
 	// bisection can start from the larger of the two.
@@ -56,12 +71,12 @@ func MakespanLowerBound(inst *moldable.Instance) float64 {
 	if hi < lo {
 		hi = lo
 	}
-	if feasibleConditions(inst, lo) {
+	if ft.feasibleConditions(lo) {
 		return lo
 	}
 	for iter := 0; iter < 100 && hi-lo > 1e-9*(1+hi); iter++ {
 		mid := (lo + hi) / 2
-		if feasibleConditions(inst, mid) {
+		if ft.feasibleConditions(mid) {
 			hi = mid
 		} else {
 			lo = mid
@@ -72,16 +87,16 @@ func MakespanLowerBound(inst *moldable.Instance) float64 {
 
 // feasibleConditions checks the two necessary conditions for deadline
 // lambda.
-func feasibleConditions(inst *moldable.Instance, lambda float64) bool {
+func (ft fitTable) feasibleConditions(lambda float64) bool {
 	totalWork := 0.0
-	for i := range inst.Tasks {
-		_, w, ok := inst.Tasks[i].MinWorkFitting(lambda)
+	for i := range ft.sorted {
+		w, ok := ft.minWork(i, lambda)
 		if !ok {
 			return false
 		}
 		totalWork += w
 	}
-	return totalWork <= float64(inst.M)*lambda+moldable.Eps
+	return totalWork <= float64(ft.inst.M)*lambda+moldable.Eps
 }
 
 // Allotment returns, for every task (in instance order), the canonical
@@ -89,16 +104,7 @@ func feasibleConditions(inst *moldable.Instance, lambda float64) bool {
 // processing time fits within the deadline; tasks that cannot fit fall back
 // to their fastest allocation.
 func Allotment(inst *moldable.Instance, deadline float64) []int {
-	allot := make([]int, len(inst.Tasks))
-	for i := range inst.Tasks {
-		if k, ok := inst.Tasks[i].MinAllocFitting(deadline); ok {
-			allot[i] = k
-		} else {
-			_, k := inst.Tasks[i].MinTime()
-			allot[i] = k
-		}
-	}
-	return allot
+	return newFitTable(inst).allotment(deadline)
 }
 
 // Result is the outcome of the two-shelf dual approximation.
@@ -124,32 +130,40 @@ type Result struct {
 // TwoShelf runs the dual-approximation construction: a bisection over the
 // deadline lambda, keeping the smallest lambda for which the two-shelf
 // structure (plus the small-task filler) yields a feasible schedule, and
-// returns that schedule together with the certified lower bound.
+// returns that schedule together with the certified lower bound. The
+// bisection only decides feasibility; the schedule is built once, at the
+// final lambda.
 func TwoShelf(inst *moldable.Instance) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	lb := MakespanLowerBound(inst)
+	ft := newFitTable(inst)
+	lb := ft.lowerBound()
 	lo, hi := lb, upperBound(inst)
 
-	best, bestLambda := buildTwoShelf(inst, hi), hi
-	if best == nil {
+	sv := newShelfSolver(ft)
+	var best *schedule.Schedule
+	found, bestLambda := sv.feasible(hi), hi
+	if !found {
 		// The construction cannot fail at the stacked upper bound, but keep
 		// a defensive fallback through the list scheduler.
 		var err error
-		best, err = listFallback(inst, hi)
+		best, err = listFallback(ft, hi)
 		if err != nil {
 			return nil, err
 		}
 	}
 	for iter := 0; iter < 60 && hi-lo > 1e-6*(1+hi); iter++ {
 		mid := (lo + hi) / 2
-		if s := buildTwoShelf(inst, mid); s != nil {
-			best, bestLambda = s, mid
+		if sv.feasible(mid) {
+			found, bestLambda = true, mid
 			hi = mid
 		} else {
 			lo = mid
 		}
+	}
+	if found {
+		best = sv.build(bestLambda)
 	}
 
 	res := &Result{
@@ -157,7 +171,7 @@ func TwoShelf(inst *moldable.Instance) (*Result, error) {
 		LowerBound: lb,
 		Schedule:   best,
 		Estimate:   best.Makespan(),
-		Allotment:  Allotment(inst, bestLambda),
+		Allotment:  ft.allotment(bestLambda),
 	}
 	classifyShelves(inst, bestLambda, res)
 	return res, nil
@@ -186,8 +200,9 @@ func upperBound(inst *moldable.Instance) float64 {
 
 // listFallback schedules every task with its deadline allotment through the
 // Graham list scheduler (largest processing time first).
-func listFallback(inst *moldable.Instance, deadline float64) (*schedule.Schedule, error) {
-	allot := Allotment(inst, deadline)
+func listFallback(ft fitTable, deadline float64) (*schedule.Schedule, error) {
+	inst := ft.inst
+	allot := ft.allotment(deadline)
 	items := make([]listsched.Item, len(inst.Tasks))
 	for i := range inst.Tasks {
 		items[i] = listsched.Item{
@@ -200,49 +215,97 @@ func listFallback(inst *moldable.Instance, deadline float64) (*schedule.Schedule
 	return listsched.Graham(inst.M, items)
 }
 
-// buildTwoShelf attempts the two-shelf construction for deadline lambda and
-// returns nil when the structure is infeasible at that deadline.
-func buildTwoShelf(inst *moldable.Instance, lambda float64) *schedule.Schedule {
-	m := inst.M
-	type entry struct {
-		idx    int // index in inst.Tasks
-		c1, c2 int // allocations for the long and short shelf (c2 = 0: none)
-	}
-	var shelfTasks []entry
-	var smallSeq []int // indices of tasks with p(1) <= lambda/2
+// shelfSolver decides the two-shelf construction at the deadlines of one
+// bisection and builds its schedule at the last feasible one.
+//
+// Whether the construction succeeds depends on the deadline lambda only
+// through each task's signature: a small sequential task (p(1) <= lambda/2)
+// or a shelf task with allocations c1 meeting lambda and c2 meeting
+// lambda/2. A deadline whose signature equals that of the last feasible or
+// the last infeasible deadline solved reuses the verdict without running
+// the knapsack.
+type shelfSolver struct {
+	ft fitTable
+	// sig is the signature at the deadline being decided, one entry per
+	// task: 0 for a small sequential task, c1*(m+1)+c2 for a shelf task
+	// (c2 = 0 when no allocation meets lambda/2).
+	sig []int
+	// yes and no are the signatures of the last feasible and the last
+	// infeasible deadline solved (nil before the first); part is yes's
+	// partition after the repair pass, one entry per shelf task in
+	// instance order, true for the long shelf.
+	yes, no []int
+	part    []bool
+	// The knapsack's inputs, reused from solve to solve.
+	cost1, cost2 []int
+	work1, work2 []float64
+}
 
-	for i := range inst.Tasks {
-		t := &inst.Tasks[i]
-		if t.SeqTime() <= lambda/2+moldable.Eps {
-			smallSeq = append(smallSeq, i)
+func newShelfSolver(ft fitTable) *shelfSolver {
+	return &shelfSolver{ft: ft, sig: make([]int, len(ft.sorted))}
+}
+
+// feasible reports whether the construction succeeds at deadline lambda.
+func (s *shelfSolver) feasible(lambda float64) bool {
+	if !s.signature(lambda) {
+		return false // the deadline is below some task's fastest time
+	}
+	if s.yes != nil && slices.Equal(s.sig, s.yes) {
+		return true
+	}
+	if s.no != nil && slices.Equal(s.sig, s.no) {
+		return false
+	}
+	part := s.solve()
+	if part == nil {
+		s.no = append(s.no[:0], s.sig...)
+		return false
+	}
+	s.yes, s.part = append(s.yes[:0], s.sig...), part
+	return true
+}
+
+// signature fills s.sig for deadline lambda. It returns false when some
+// shelf task has no allocation meeting lambda.
+func (s *shelfSolver) signature(lambda float64) bool {
+	tasks, stride := s.ft.inst.Tasks, s.ft.inst.M+1
+	for i := range tasks {
+		if tasks[i].SeqTime() <= lambda/2+moldable.Eps {
+			s.sig[i] = 0
 			continue
 		}
-		c1, ok := t.MinAllocFitting(lambda)
+		c1, ok := s.ft.minAlloc(i, lambda)
 		if !ok {
-			return nil // the deadline is below this task's fastest time
+			return false
 		}
-		c2, ok2 := t.MinAllocFitting(lambda / 2)
-		if !ok2 {
-			c2 = 0
+		c2, _ := s.ft.minAlloc(i, lambda/2)
+		s.sig[i] = c1*stride + c2
+	}
+	return true
+}
+
+// solve runs the knapsack partition and the repair pass on s.sig and
+// returns the partition, or nil when the structure is infeasible.
+func (s *shelfSolver) solve() []bool {
+	inst := s.ft.inst
+	m, stride := inst.M, inst.M+1
+	s.cost1, s.cost2, s.work1, s.work2 = s.cost1[:0], s.cost2[:0], s.work1[:0], s.work2[:0]
+	for i, sg := range s.sig {
+		if sg == 0 {
+			continue
 		}
-		shelfTasks = append(shelfTasks, entry{idx: i, c1: c1, c2: c2})
+		t := &inst.Tasks[i]
+		c1, c2 := sg/stride, sg%stride
+		w2 := math.Inf(1)
+		if c2 > 0 {
+			w2 = t.Work(c2)
+		}
+		s.cost1, s.cost2 = append(s.cost1, c1), append(s.cost2, c2)
+		s.work1, s.work2 = append(s.work1, t.Work(c1)), append(s.work2, w2)
 	}
 
 	// Knapsack partition: minimize total work, shelf-1 processor budget m.
-	cost1 := make([]int, len(shelfTasks))
-	work1 := make([]float64, len(shelfTasks))
-	work2 := make([]float64, len(shelfTasks))
-	for j, e := range shelfTasks {
-		t := &inst.Tasks[e.idx]
-		cost1[j] = e.c1
-		work1[j] = t.Work(e.c1)
-		if e.c2 > 0 {
-			work2[j] = t.Work(e.c2)
-		} else {
-			work2[j] = math.Inf(1)
-		}
-	}
-	onShelf1, _, err := knapsack.MinCostPartition(cost1, work1, work2, m)
+	onShelf1, _, err := knapsack.MinCostPartition(s.cost1, s.work1, s.work2, m)
 	if err != nil {
 		return nil
 	}
@@ -250,25 +313,21 @@ func buildTwoShelf(inst *moldable.Instance, lambda float64) *schedule.Schedule {
 	// Repair pass: the short shelf also has only m processors. Move the
 	// cheapest shelf-2 tasks back to shelf 1 while its budget allows.
 	shelf1Procs, shelf2Procs := 0, 0
-	for j, e := range shelfTasks {
-		if onShelf1[j] {
-			shelf1Procs += e.c1
+	for j, on := range onShelf1 {
+		if on {
+			shelf1Procs += s.cost1[j]
 		} else {
-			shelf2Procs += e.c2
+			shelf2Procs += s.cost2[j]
 		}
 	}
 	for shelf2Procs > m {
 		bestJ := -1
 		bestDelta := math.Inf(1)
-		for j, e := range shelfTasks {
-			if onShelf1[j] {
+		for j, on := range onShelf1 {
+			if on || shelf1Procs+s.cost1[j] > m {
 				continue
 			}
-			if shelf1Procs+e.c1 > m {
-				continue
-			}
-			delta := work1[j] - work2[j]
-			if delta < bestDelta {
+			if delta := s.work1[j] - s.work2[j]; delta < bestDelta {
 				bestDelta = delta
 				bestJ = j
 			}
@@ -277,39 +336,57 @@ func buildTwoShelf(inst *moldable.Instance, lambda float64) *schedule.Schedule {
 			return nil
 		}
 		onShelf1[bestJ] = true
-		shelf1Procs += shelfTasks[bestJ].c1
-		shelf2Procs -= shelfTasks[bestJ].c2
+		shelf1Procs += s.cost1[bestJ]
+		shelf2Procs -= s.cost2[bestJ]
 	}
+	return onShelf1
+}
 
-	// Build the schedule: long shelf at time 0, short shelf at time lambda.
+// build lays out the schedule at lambda, which must be the last deadline
+// feasible returned true for: feasible replaces yes and part only when it
+// returns true, so they still hold that deadline's signature and partition.
+func (s *shelfSolver) build(lambda float64) *schedule.Schedule {
+	inst := s.ft.inst
+	m, stride := inst.M, inst.M+1
 	sched := schedule.New(m)
+	var smallSeq []int // indices of tasks with p(1) <= lambda/2
+
+	// Long shelf at time 0, short shelf at time lambda. end1 and end2
+	// track, per processor, the busy prefix [0, end1) and the second busy
+	// block [lambda, end2) so small tasks can fill the holes.
 	nextProcShelf1, nextProcShelf2 := 0, 0
-	// procBusy tracks, per processor, the busy prefix [0, end1) and the
-	// second busy block [lambda, end2) so small tasks can fill the holes.
 	end1 := make([]float64, m)
 	end2 := make([]float64, m)
 	for p := range end2 {
 		end2[p] = lambda
 	}
-	for j, e := range shelfTasks {
-		t := &inst.Tasks[e.idx]
-		if onShelf1[j] {
-			procs := procRange(nextProcShelf1, e.c1)
-			nextProcShelf1 += e.c1
-			d := t.Time(e.c1)
+	j := 0
+	for i, sg := range s.yes {
+		if sg == 0 {
+			smallSeq = append(smallSeq, i)
+			continue
+		}
+		t := &inst.Tasks[i]
+		if s.part[j] {
+			c1 := sg / stride
+			procs := procRange(nextProcShelf1, c1)
+			nextProcShelf1 += c1
+			d := t.Time(c1)
 			for _, p := range procs {
 				end1[p] = d
 			}
-			sched.Add(schedule.Assignment{TaskID: t.ID, Start: 0, NProcs: e.c1, Procs: procs, Duration: d})
+			sched.Add(schedule.Assignment{TaskID: t.ID, Start: 0, NProcs: c1, Procs: procs, Duration: d})
 		} else {
-			procs := procRange(nextProcShelf2, e.c2)
-			nextProcShelf2 += e.c2
-			d := t.Time(e.c2)
+			c2 := sg % stride
+			procs := procRange(nextProcShelf2, c2)
+			nextProcShelf2 += c2
+			d := t.Time(c2)
 			for _, p := range procs {
 				end2[p] = lambda + d
 			}
-			sched.Add(schedule.Assignment{TaskID: t.ID, Start: lambda, NProcs: e.c2, Procs: procs, Duration: d})
+			sched.Add(schedule.Assignment{TaskID: t.ID, Start: lambda, NProcs: c2, Procs: procs, Duration: d})
 		}
+		j++
 	}
 
 	// Place the small sequential tasks: first into the holes between the
@@ -359,9 +436,13 @@ func procRange(from, count int) []int {
 // classifyShelves fills the Shelf1/Shelf2/Small fields of the result from
 // the final schedule geometry.
 func classifyShelves(inst *moldable.Instance, lambda float64, res *Result) {
+	byID := make(map[int]*moldable.Task, len(inst.Tasks))
+	for i := range inst.Tasks {
+		byID[inst.Tasks[i].ID] = &inst.Tasks[i]
+	}
 	for i := range res.Schedule.Assignments {
 		a := &res.Schedule.Assignments[i]
-		t := inst.Task(a.TaskID)
+		t := byID[a.TaskID]
 		switch {
 		case t != nil && t.SeqTime() <= lambda/2+moldable.Eps && a.NProcs == 1:
 			res.Small = append(res.Small, a.TaskID)

@@ -29,11 +29,11 @@ func TestMakespanLowerBoundBasicProperties(t *testing.T) {
 		t.Fatalf("lower bound %g below the area bound %g", lb, inst.TotalMinWork()/float64(inst.M))
 	}
 	// The two necessary conditions must hold at the bound.
-	if !feasibleConditions(inst, lb+1e-9) {
+	if !newFitTable(inst).feasibleConditions(lb + 1e-9) {
 		t.Fatalf("conditions must hold at the bound")
 	}
 	// ... and fail just below it when the bound is not degenerate.
-	if lb > inst.MaxMinTime()+1e-6 && feasibleConditions(inst, lb*0.999) {
+	if lb > inst.MaxMinTime()+1e-6 && newFitTable(inst).feasibleConditions(lb*0.999) {
 		t.Fatalf("conditions should fail just below the bound")
 	}
 }

@@ -1,0 +1,389 @@
+package dualapprox
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"bicriteria/internal/knapsack"
+	"bicriteria/internal/listsched"
+	"bicriteria/internal/moldable"
+	"bicriteria/internal/schedule"
+	"bicriteria/internal/workload"
+)
+
+// randomFitTask draws a task of at most m allocations from one of the
+// shapes the fit table must get right: monotone, perfectly moldable (work
+// ties up to rounding), equal times, work dips just inside and just outside
+// Eps, non-monotone times, and rigid.
+func randomFitTask(r *rand.Rand, id, m int) moldable.Task {
+	k := 1 + r.Intn(m)
+	seq := 0.5 + 20*r.Float64()
+	times := make([]float64, k)
+	switch r.Intn(7) {
+	case 0: // monotone: each step speeds up by (c/(c+1))^a, a in [0, 1)
+		times[0] = seq
+		for c := 1; c < k; c++ {
+			times[c] = times[c-1] * math.Pow(float64(c)/float64(c+1), r.Float64())
+		}
+	case 1:
+		return moldable.PerfectlyMoldable(id, 1, seq, k)
+	case 2: // equal times: work grows linearly
+		for c := range times {
+			times[c] = seq
+		}
+	case 3, 4: // a work dip at one allocation, within Eps (case 3) or past it
+		for c := range times {
+			times[c] = seq / float64(c+1)
+		}
+		if k > 1 {
+			c := 1 + r.Intn(k-1)
+			dip := moldable.Eps * (0.2 + 0.6*r.Float64())
+			if r.Intn(2) == 0 {
+				dip = moldable.Eps * (1.5 + 10*r.Float64())
+			}
+			times[c] = (seq - dip) / float64(c+1)
+		}
+	case 5: // non-monotone times
+		for c := range times {
+			times[c] = 0.1 + seq*r.Float64()
+		}
+	default:
+		return moldable.Rigid(id, 1, k, seq)
+	}
+	return moldable.Task{ID: id, Weight: 1, Times: times}
+}
+
+// TestFitTableMatchesTaskScan checks the fit table's two queries against
+// Task.MinAllocFitting and Task.MinWorkFitting on deadlines at, around and
+// between every task's processing times.
+func TestFitTableMatchesTaskScan(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	qualified, scanned := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		m := []int{1, 2, 5, 16, 200}[trial%5]
+		tasks := make([]moldable.Task, 1+r.Intn(12))
+		for i := range tasks {
+			tasks[i] = randomFitTask(r, i, m)
+		}
+		inst := moldable.NewInstance(m, tasks)
+		ft := newFitTable(inst)
+		for i := range inst.Tasks {
+			task := &inst.Tasks[i]
+			if ft.sorted[i] {
+				qualified++
+			} else {
+				scanned++
+			}
+			deadlines := []float64{0, 1e-12, math.Inf(1), 1e9}
+			for _, p := range task.Times {
+				deadlines = append(deadlines, p, p-moldable.Eps, p-2*moldable.Eps, p+moldable.Eps/2, p*(1+1e-3), p*(1-1e-3))
+			}
+			for _, d := range deadlines {
+				wantK, wantOK := task.MinAllocFitting(d)
+				if k, ok := ft.minAlloc(i, d); k != wantK || ok != wantOK {
+					t.Fatalf("task %v, d=%v: minAlloc = %d,%v, scan %d,%v", task.Times, d, k, ok, wantK, wantOK)
+				}
+				_, wantW, wantOK := task.MinWorkFitting(d)
+				if w, ok := ft.minWork(i, d); w != wantW || ok != wantOK {
+					t.Fatalf("task %v, d=%v: minWork = %v,%v, scan %v,%v", task.Times, d, w, ok, wantW, wantOK)
+				}
+			}
+		}
+	}
+	if qualified == 0 || scanned == 0 {
+		t.Fatalf("the draw must exercise both paths: %d qualified, %d scanned", qualified, scanned)
+	}
+}
+
+// TestTwoShelfMatchesReference runs TwoShelf and the bisection as it stood
+// before the fit table, the signature memo and the single final build, and
+// requires deep-equal results on every workload family, a mix with rigid
+// and non-monotone tasks, and machine sizes from 1 to 200.
+func TestTwoShelfMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	type named struct {
+		name string
+		inst *moldable.Instance
+	}
+	var cases []named
+	for _, m := range []int{1, 3, 32, 200} {
+		for _, kind := range workload.Kinds() {
+			for _, n := range []int{1, 7, 40} {
+				inst, err := workload.Generate(workload.Config{Kind: kind, M: m, N: n, Seed: int64(31*m + n)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cases = append(cases, named{fmt.Sprintf("%v/m=%d/n=%d", kind, m, n), inst})
+			}
+		}
+		tasks := make([]moldable.Task, 25)
+		for i := range tasks {
+			tasks[i] = randomFitTask(r, 3*i+1, m)
+		}
+		cases = append(cases, named{fmt.Sprintf("shapes/m=%d", m), moldable.NewInstance(m, tasks)})
+		if m == 1 {
+			continue
+		}
+		// Between m and 2m tasks that gain nothing from parallelism, with
+		// close processing times: below the deadline twice their time they
+		// are shelf tasks that no allocation fits on the short shelf, too
+		// many for the long one, so the knapsack fails over a range of
+		// signatures and infeasible verdicts get reused.
+		tasks = make([]moldable.Task, m+1+r.Intn(m-1))
+		for i := range tasks {
+			if i%5 == 4 {
+				tasks[i] = randomFitTask(r, i, m)
+				continue
+			}
+			times := make([]float64, 1+r.Intn(m))
+			p := 1 + 0.3*r.Float64()
+			for c := range times {
+				times[c] = p
+			}
+			tasks[i] = moldable.Task{ID: i, Weight: 1, Times: times}
+		}
+		cases = append(cases, named{fmt.Sprintf("crowded/m=%d", m), moldable.NewInstance(m, tasks)})
+	}
+	for _, c := range cases {
+		want, wantErr := referenceTwoShelf(c.inst)
+		got, err := TwoShelf(c.inst)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s: error %v, reference %v", c.name, err, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: results differ\ngot  %+v\nwant %+v", c.name, got, want)
+		}
+		if lb := MakespanLowerBound(c.inst); lb != referenceLowerBound(c.inst) {
+			t.Fatalf("%s: lower bound %v, reference %v", c.name, lb, referenceLowerBound(c.inst))
+		}
+	}
+}
+
+// The reference implementation: every query scans the task's times, and
+// every feasible step of the bisection builds its schedule.
+
+func referenceLowerBound(inst *moldable.Instance) float64 {
+	lo := inst.MaxMinTime()
+	if area := inst.TotalMinWork() / float64(inst.M); area > lo {
+		lo = area
+	}
+	hi := 0.0
+	for i := range inst.Tasks {
+		p, _ := inst.Tasks[i].MinTime()
+		hi += p
+	}
+	if hi < lo {
+		hi = lo
+	}
+	feasible := func(lambda float64) bool {
+		totalWork := 0.0
+		for i := range inst.Tasks {
+			_, w, ok := inst.Tasks[i].MinWorkFitting(lambda)
+			if !ok {
+				return false
+			}
+			totalWork += w
+		}
+		return totalWork <= float64(inst.M)*lambda+moldable.Eps
+	}
+	if feasible(lo) {
+		return lo
+	}
+	for iter := 0; iter < 100 && hi-lo > 1e-9*(1+hi); iter++ {
+		mid := (lo + hi) / 2
+		if feasible(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+func referenceAllotment(inst *moldable.Instance, deadline float64) []int {
+	allot := make([]int, len(inst.Tasks))
+	for i := range inst.Tasks {
+		if k, ok := inst.Tasks[i].MinAllocFitting(deadline); ok {
+			allot[i] = k
+		} else {
+			_, k := inst.Tasks[i].MinTime()
+			allot[i] = k
+		}
+	}
+	return allot
+}
+
+func referenceTwoShelf(inst *moldable.Instance) (*Result, error) {
+	if err := inst.Validate(); err != nil {
+		return nil, err
+	}
+	lb := referenceLowerBound(inst)
+	lo, hi := lb, upperBound(inst)
+	best, bestLambda := referenceBuild(inst, hi), hi
+	if best == nil {
+		allot := referenceAllotment(inst, hi)
+		items := make([]listsched.Item, len(inst.Tasks))
+		for i := range inst.Tasks {
+			items[i] = listsched.Item{TaskID: inst.Tasks[i].ID, NProcs: allot[i], Duration: inst.Tasks[i].Time(allot[i])}
+		}
+		sort.SliceStable(items, func(a, b int) bool { return items[a].Duration > items[b].Duration })
+		var err error
+		if best, err = listsched.Graham(inst.M, items); err != nil {
+			return nil, err
+		}
+	}
+	for iter := 0; iter < 60 && hi-lo > 1e-6*(1+hi); iter++ {
+		mid := (lo + hi) / 2
+		if s := referenceBuild(inst, mid); s != nil {
+			best, bestLambda = s, mid
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	res := &Result{
+		Lambda:     bestLambda,
+		LowerBound: lb,
+		Schedule:   best,
+		Estimate:   best.Makespan(),
+		Allotment:  referenceAllotment(inst, bestLambda),
+	}
+	for i := range res.Schedule.Assignments {
+		a := &res.Schedule.Assignments[i]
+		task := inst.Task(a.TaskID)
+		switch {
+		case task != nil && task.SeqTime() <= bestLambda/2+moldable.Eps && a.NProcs == 1:
+			res.Small = append(res.Small, a.TaskID)
+		case a.Start < bestLambda-moldable.Eps:
+			res.Shelf1 = append(res.Shelf1, a.TaskID)
+		default:
+			res.Shelf2 = append(res.Shelf2, a.TaskID)
+		}
+	}
+	sort.Ints(res.Shelf1)
+	sort.Ints(res.Shelf2)
+	sort.Ints(res.Small)
+	return res, nil
+}
+
+func referenceBuild(inst *moldable.Instance, lambda float64) *schedule.Schedule {
+	m := inst.M
+	type entry struct{ idx, c1, c2 int }
+	var shelfTasks []entry
+	var smallSeq []int
+	for i := range inst.Tasks {
+		task := &inst.Tasks[i]
+		if task.SeqTime() <= lambda/2+moldable.Eps {
+			smallSeq = append(smallSeq, i)
+			continue
+		}
+		c1, ok := task.MinAllocFitting(lambda)
+		if !ok {
+			return nil
+		}
+		c2, ok2 := task.MinAllocFitting(lambda / 2)
+		if !ok2 {
+			c2 = 0
+		}
+		shelfTasks = append(shelfTasks, entry{i, c1, c2})
+	}
+	cost1 := make([]int, len(shelfTasks))
+	work1 := make([]float64, len(shelfTasks))
+	work2 := make([]float64, len(shelfTasks))
+	for j, e := range shelfTasks {
+		task := &inst.Tasks[e.idx]
+		cost1[j] = e.c1
+		work1[j] = task.Work(e.c1)
+		work2[j] = math.Inf(1)
+		if e.c2 > 0 {
+			work2[j] = task.Work(e.c2)
+		}
+	}
+	onShelf1, _, err := knapsack.MinCostPartition(cost1, work1, work2, m)
+	if err != nil {
+		return nil
+	}
+	shelf1Procs, shelf2Procs := 0, 0
+	for j, e := range shelfTasks {
+		if onShelf1[j] {
+			shelf1Procs += e.c1
+		} else {
+			shelf2Procs += e.c2
+		}
+	}
+	for shelf2Procs > m {
+		bestJ, bestDelta := -1, math.Inf(1)
+		for j, e := range shelfTasks {
+			if onShelf1[j] || shelf1Procs+e.c1 > m {
+				continue
+			}
+			if delta := work1[j] - work2[j]; delta < bestDelta {
+				bestDelta, bestJ = delta, j
+			}
+		}
+		if bestJ < 0 {
+			return nil
+		}
+		onShelf1[bestJ] = true
+		shelf1Procs += shelfTasks[bestJ].c1
+		shelf2Procs -= shelfTasks[bestJ].c2
+	}
+	sched := schedule.New(m)
+	next1, next2 := 0, 0
+	end1, end2 := make([]float64, m), make([]float64, m)
+	for p := range end2 {
+		end2[p] = lambda
+	}
+	for j, e := range shelfTasks {
+		task := &inst.Tasks[e.idx]
+		if onShelf1[j] {
+			procs := procRange(next1, e.c1)
+			next1 += e.c1
+			d := task.Time(e.c1)
+			for _, p := range procs {
+				end1[p] = d
+			}
+			sched.Add(schedule.Assignment{TaskID: task.ID, Start: 0, NProcs: e.c1, Procs: procs, Duration: d})
+		} else {
+			procs := procRange(next2, e.c2)
+			next2 += e.c2
+			d := task.Time(e.c2)
+			for _, p := range procs {
+				end2[p] = lambda + d
+			}
+			sched.Add(schedule.Assignment{TaskID: task.ID, Start: lambda, NProcs: e.c2, Procs: procs, Duration: d})
+		}
+	}
+	sort.Slice(smallSeq, func(a, b int) bool {
+		return inst.Tasks[smallSeq[a]].SeqTime() > inst.Tasks[smallSeq[b]].SeqTime()
+	})
+	for _, idx := range smallSeq {
+		task := &inst.Tasks[idx]
+		d := task.SeqTime()
+		bestProc, bestSlack := -1, math.Inf(1)
+		for p := 0; p < m; p++ {
+			slack := lambda - end1[p]
+			if d <= slack+moldable.Eps && slack < bestSlack {
+				bestSlack, bestProc = slack, p
+			}
+		}
+		if bestProc >= 0 {
+			sched.Add(schedule.Assignment{TaskID: task.ID, Start: end1[bestProc], NProcs: 1, Procs: []int{bestProc}, Duration: d})
+			end1[bestProc] += d
+			continue
+		}
+		bestProc = 0
+		for p := 1; p < m; p++ {
+			if end2[p] < end2[bestProc] {
+				bestProc = p
+			}
+		}
+		sched.Add(schedule.Assignment{TaskID: task.ID, Start: end2[bestProc], NProcs: 1, Procs: []int{bestProc}, Duration: d})
+		end2[bestProc] += d
+	}
+	return sched
+}

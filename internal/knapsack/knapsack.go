@@ -3,6 +3,10 @@
 // weight of the selected tasks under the m-processor budget) and by the
 // dual-approximation two-shelf construction (minimize the work moved to the
 // second shelf under the first-shelf processor budget).
+//
+// Both dynamic programs run in O(n * capacity) time. Each call allocates
+// one flat n * (capacity+1) table of decisions for the reconstruction and
+// one or two value rows of capacity+1 entries, whatever n is.
 package knapsack
 
 import (
@@ -50,19 +54,20 @@ func MaxValue(items []Item, capacity int) (*Result, error) {
 	}
 	n := len(items)
 	// best[j] = max value achievable with capacity j considering the first i
-	// items; take[i][j] records whether item i is taken at capacity j.
-	best := make([]float64, capacity+1)
-	take := make([][]bool, n)
+	// items; take[i*width+j] records whether item i is taken at capacity j.
+	width := capacity + 1
+	best := make([]float64, width)
+	take := make([]bool, n*width)
 	for i := 0; i < n; i++ {
-		take[i] = make([]bool, capacity+1)
 		it := items[i]
 		if it.Cost > capacity {
 			continue
 		}
+		row := take[i*width : (i+1)*width]
 		for j := capacity; j >= it.Cost; j-- {
 			if cand := best[j-it.Cost] + it.Value; cand > best[j]+1e-12 {
 				best[j] = cand
-				take[i][j] = true
+				row[j] = true
 			}
 		}
 	}
@@ -70,7 +75,7 @@ func MaxValue(items []Item, capacity int) (*Result, error) {
 	// Reconstruct the selection from the last item backwards.
 	j := capacity
 	for i := n - 1; i >= 0; i-- {
-		if j >= 0 && take[i][j] {
+		if j >= 0 && take[i*width+j] {
 			res.Selected = append(res.Selected, i)
 			res.TotalCost += items[i].Cost
 			j -= items[i].Cost
@@ -102,30 +107,32 @@ func MinCostPartition(cost1 []int, work1, work2 []float64, budget int) (shelf1 [
 		return nil, 0, fmt.Errorf("knapsack: negative budget %d", budget)
 	}
 	const inf = math.MaxFloat64 / 4
-	// dp[j] = minimal total work using at most j shelf-1 processors.
-	dp := make([]float64, budget+1)
-	choice := make([][]bool, n) // choice[i][j]: item i on shelf 1 when budget j
+	// dp[j] = minimal total work using at most j shelf-1 processors; next is
+	// the row being filled, swapped in after every item.
+	width := budget + 1
+	dp := make([]float64, width)
+	next := make([]float64, width)
+	choice := make([]bool, n*width) // choice[i*width+j]: item i on shelf 1 when budget j
 	for i := 0; i < n; i++ {
-		choice[i] = make([]bool, budget+1)
-		next := make([]float64, budget+1)
-		for j := 0; j <= budget; j++ {
+		c, w1, w2 := cost1[i], work1[i], work2[i]
+		row := choice[i*width : (i+1)*width]
+		shelf2 := !math.IsInf(w2, 1)
+		for j := range next {
 			bestVal := inf
-			onShelf1 := false
 			// Option shelf 2 (only when finite work2).
-			if !math.IsInf(work2[i], 1) {
-				bestVal = dp[j] + work2[i]
+			if shelf2 {
+				bestVal = dp[j] + w2
 			}
 			// Option shelf 1.
-			if cost1[i] <= j {
-				if cand := dp[j-cost1[i]] + work1[i]; cand < bestVal {
+			if c <= j {
+				if cand := dp[j-c] + w1; cand < bestVal {
 					bestVal = cand
-					onShelf1 = true
+					row[j] = true
 				}
 			}
 			next[j] = bestVal
-			choice[i][j] = onShelf1
 		}
-		dp = next
+		dp, next = next, dp
 	}
 	if dp[budget] >= inf {
 		return nil, 0, fmt.Errorf("knapsack: no feasible two-shelf partition within budget %d", budget)
@@ -133,7 +140,7 @@ func MinCostPartition(cost1 []int, work1, work2 []float64, budget int) (shelf1 [
 	shelf1 = make([]bool, n)
 	j := budget
 	for i := n - 1; i >= 0; i-- {
-		shelf1[i] = choice[i][j]
+		shelf1[i] = choice[i*width+j]
 		if shelf1[i] {
 			j -= cost1[i]
 		}

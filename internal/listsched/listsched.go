@@ -76,16 +76,31 @@ func GrahamContext(ctx context.Context, m int, items []Item) (*schedule.Schedule
 	if len(items) == 0 {
 		return sched, nil
 	}
+	sched.Assignments = make([]schedule.Assignment, 0, len(items))
 
 	freeAt := make([]float64, m)
 	done := make([]bool, len(items))
 	remaining := len(items)
+	// first is the first unplaced item; idle is the buffer every event's
+	// free-processor list is built in; procs backs every assignment's
+	// processor list, each a capacity-clipped window of it.
+	first := 0
+	idle := make([]int, 0, m)
+	totalProcs := 0
+	for _, it := range items {
+		totalProcs += it.NProcs
+	}
+	procs := make([]int, totalProcs)
 
-	// Start at the earliest release date.
-	t := math.Inf(1)
+	// Start at the earliest release date; past the last one, no item can
+	// be waiting for its release.
+	t, lastRelease := math.Inf(1), math.Inf(-1)
 	for _, it := range items {
 		if it.Release < t {
 			t = it.Release
+		}
+		if it.Release > lastRelease {
+			lastRelease = it.Release
 		}
 	}
 
@@ -94,26 +109,29 @@ func GrahamContext(ctx context.Context, m int, items []Item) (*schedule.Schedule
 			return nil, fmt.Errorf("listsched: list loop aborted: %w", err)
 		}
 		// Collect processors free at time t.
-		free := free(freeAt, t)
+		free := idleAt(idle, freeAt, t)
 		// Start as many tasks as possible, scanning the list in priority
-		// order; restart the scan after each placement because the free set
-		// shrank but an earlier (larger) task can never become startable by
-		// a later placement, so a single pass is enough.
-		for i, it := range items {
+		// order; an earlier (larger) task can never become startable by a
+		// later placement, so a single pass is enough, and it ends as soon
+		// as no processor is left.
+		for i := first; i < len(items) && len(free) > 0; i++ {
+			it := items[i]
 			if done[i] || it.Release > t+moldable.Eps {
 				continue
 			}
 			if it.NProcs <= len(free) {
-				procs := append([]int(nil), free[:it.NProcs]...)
+				p := procs[:it.NProcs:it.NProcs]
+				procs = procs[it.NProcs:]
+				copy(p, free)
 				free = free[it.NProcs:]
-				for _, p := range procs {
-					freeAt[p] = t + it.Duration
+				for _, q := range p {
+					freeAt[q] = t + it.Duration
 				}
 				sched.Add(schedule.Assignment{
 					TaskID:   it.TaskID,
 					Start:    t,
 					NProcs:   it.NProcs,
-					Procs:    procs,
+					Procs:    p,
 					Duration: it.Duration,
 				})
 				done[i] = true
@@ -123,6 +141,9 @@ func GrahamContext(ctx context.Context, m int, items []Item) (*schedule.Schedule
 		if remaining == 0 {
 			break
 		}
+		for done[first] {
+			first++
+		}
 		// Advance to the next event: a processor becoming free or a release
 		// date of an unscheduled task.
 		next := math.Inf(1)
@@ -131,9 +152,12 @@ func GrahamContext(ctx context.Context, m int, items []Item) (*schedule.Schedule
 				next = f
 			}
 		}
-		for i, it := range items {
-			if !done[i] && it.Release > t+moldable.Eps && it.Release < next {
-				next = it.Release
+		if lastRelease > t+moldable.Eps {
+			for i := first; i < len(items); i++ {
+				it := items[i]
+				if !done[i] && it.Release > t+moldable.Eps && it.Release < next {
+					next = it.Release
+				}
 			}
 		}
 		if math.IsInf(next, 1) {
@@ -144,16 +168,16 @@ func GrahamContext(ctx context.Context, m int, items []Item) (*schedule.Schedule
 	return sched, nil
 }
 
-// free returns the indices of processors idle at time t, in increasing
-// order.
-func free(freeAt []float64, t float64) []int {
-	out := make([]int, 0, len(freeAt))
+// idleAt appends to dst[:0] the indices of processors idle at time t, in
+// increasing order.
+func idleAt(dst []int, freeAt []float64, t float64) []int {
+	dst = dst[:0]
 	for p, f := range freeAt {
 		if f <= t+moldable.Eps {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }
 
 // interval is a busy period on a processor.

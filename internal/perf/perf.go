@@ -5,10 +5,11 @@
 // trajectories, and the terminal dashboard renderer behind bicrit top.
 //
 // The suite (Suite) drives the same code the runtime layers execute —
-// DEMT's knapsack and compaction phases via core.Options.Timing, each
-// portfolio algorithm on a standard batch, single-batch planning, the
-// cluster and grid replays at 1/4/8 shards, the serve layer's bulk HTTP
-// ingest and scenario compilation — under the standard testing harness,
+// DEMT's dual-approximation, knapsack and compaction phases via
+// core.Options.Timing, each portfolio algorithm on a standard batch,
+// single-batch planning, the cluster and grid replays at 1/4/8 shards,
+// the serve layer's bulk HTTP ingest and scenario compilation — under
+// the standard testing harness,
 // so ns/op, allocs/op and B/op are comparable to go test -bench output.
 //
 // Trajectories are compared benchmark-by-benchmark (Compare) and gated

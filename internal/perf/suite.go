@@ -28,6 +28,7 @@ import (
 func Suite() []Benchmark {
 	suite := []Benchmark{
 		{Name: "DEMT/schedule", F: benchDEMTSchedule},
+		{Name: "DEMT/dualapprox", F: func(b *testing.B) { benchDEMTPhase(b, "dualapprox") }},
 		{Name: "DEMT/knapsack", F: func(b *testing.B) { benchDEMTPhase(b, "knapsack") }},
 		{Name: "DEMT/compact", F: func(b *testing.B) { benchDEMTPhase(b, "compact") }},
 	}
@@ -76,8 +77,8 @@ func benchDEMTSchedule(b *testing.B) {
 	}
 }
 
-// benchDEMTPhase times one internal DEMT phase ("knapsack" or "compact")
-// through the core.Options.Timing hook: the loop runs full schedules, the
+// benchDEMTPhase times one internal DEMT phase ("dualapprox", "knapsack"
+// or "compact") through the core.Options.Timing hook: the loop runs full schedules, the
 // reported ns/op is the accumulated phase time per schedule. allocs/op
 // and B/op still cover the whole run — the harness cannot attribute
 // allocations to a phase.

@@ -75,10 +75,11 @@ func (s *Schedule) Makespan() float64 {
 // WeightedCompletion returns the weighted minsum criterion sum(w_i * C_i)
 // for the instance the schedule was built for.
 func (s *Schedule) WeightedCompletion(inst *moldable.Instance) float64 {
+	tasks := tasksByID(inst)
 	total := 0.0
 	for i := range s.Assignments {
 		a := &s.Assignments[i]
-		t := inst.Task(a.TaskID)
+		t := tasks[a.TaskID]
 		if t == nil {
 			continue
 		}
@@ -99,10 +100,11 @@ func (s *Schedule) SumCompletion() float64 {
 // MaxStretch returns the maximum over tasks of C_i / p_i(min): how much a
 // task is slowed down compared to running alone fully parallel.
 func (s *Schedule) MaxStretch(inst *moldable.Instance) float64 {
+	tasks := tasksByID(inst)
 	worst := 0.0
 	for i := range s.Assignments {
 		a := &s.Assignments[i]
-		t := inst.Task(a.TaskID)
+		t := tasks[a.TaskID]
 		if t == nil {
 			continue
 		}
@@ -115,6 +117,18 @@ func (s *Schedule) MaxStretch(inst *moldable.Instance) float64 {
 		}
 	}
 	return worst
+}
+
+// tasksByID indexes the instance's tasks by ID, keeping the first of
+// duplicated IDs as Instance.Task does.
+func tasksByID(inst *moldable.Instance) map[int]*moldable.Task {
+	tasks := make(map[int]*moldable.Task, len(inst.Tasks))
+	for i := range inst.Tasks {
+		if _, dup := tasks[inst.Tasks[i].ID]; !dup {
+			tasks[inst.Tasks[i].ID] = &inst.Tasks[i]
+		}
+	}
+	return tasks
 }
 
 // TotalWork returns the sum over assignments of NProcs * Duration.
