@@ -1,7 +1,8 @@
 package bicriteria
 
 // Benchmark harness regenerating every figure of the paper's evaluation
-// (section 4) plus the ablation studies listed in DESIGN.md.
+// (section 4) plus the ablation studies of internal/experiment (batch
+// selection, compaction, lower bounds).
 //
 // By default the benchmarks run a scaled-down version of the paper's
 // setting (smaller machine, fewer task counts, fewer runs, and the fast
@@ -141,7 +142,7 @@ func BenchmarkFigure7SchedulerTime(b *testing.B) {
 }
 
 // BenchmarkAblationSelection compares the paper's knapsack batch selection
-// with a greedy weight-density selection (ablation A1 of DESIGN.md).
+// with a greedy weight-density selection (ablation A1).
 func BenchmarkAblationSelection(b *testing.B) {
 	for _, mode := range []core.SelectionMode{core.SelectionKnapsack, core.SelectionGreedy} {
 		b.Run(mode.String(), func(b *testing.B) {

@@ -19,7 +19,6 @@ import (
 	"bicriteria/internal/lowerbound"
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/obs"
-	"bicriteria/internal/online"
 	"bicriteria/internal/reservation"
 	"bicriteria/internal/scenario"
 	"bicriteria/internal/schedule"
@@ -590,31 +589,7 @@ func FormatExperiment(res *ExperimentResult) string { return experiment.FormatTa
 // ---------------------------------------------------------------------------
 
 // OnlineJob is a moldable task with a release date.
-type OnlineJob = online.Job
-
-// OnlineResult is the outcome of an on-line batch run.
-type OnlineResult = online.Result
-
-// OfflineScheduler adapts any off-line algorithm for the on-line batch
-// framework.
-type OfflineScheduler = online.OfflineScheduler
-
-// ScheduleOnline runs the on-line batch framework of section 2.2 of the
-// paper with the given off-line scheduler.
-func ScheduleOnline(m int, jobs []OnlineJob, offline OfflineScheduler) (*OnlineResult, error) {
-	return online.Schedule(m, jobs, offline)
-}
-
-// DEMTOffline wraps the DEMT scheduler into an OfflineScheduler.
-func DEMTOffline(opts *DEMTOptions) OfflineScheduler {
-	return func(inst *Instance) (*Schedule, error) {
-		res, err := core.Schedule(inst, opts)
-		if err != nil {
-			return nil, err
-		}
-		return res.Schedule, nil
-	}
-}
+type OnlineJob = cluster.Job
 
 // ClusterConfig drives the event-driven cluster engine (machine size,
 // algorithm portfolio, objective, batching policy, reservations,
@@ -672,14 +647,14 @@ const (
 // NewClusterEngine validates the configuration and builds an engine.
 func NewClusterEngine(cfg ClusterConfig) (*ClusterEngine, error) { return cluster.New(cfg) }
 
-// RunCluster builds an engine and replays the job stream through it.
-func RunCluster(cfg ClusterConfig, jobs []OnlineJob) (*ClusterReport, error) { //lint:allow ctxflow legacy context-free wrapper; the *Context variant is the cancellable entry point
-	return RunClusterContext(context.Background(), cfg, jobs) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
-}
-
-// RunClusterContext is RunCluster with cancellation: the context is
-// checked between batches, so cancelling it aborts the replay promptly
-// (errors.Is(err, ctx.Err()) holds on the returned error).
+// RunClusterContext builds an engine and replays the job stream through
+// it. The context is checked between batches, so cancelling it aborts the
+// replay promptly (errors.Is(err, ctx.Err()) holds on the returned error).
+//
+// With Config{M: m, Portfolio: []ClusterAlgorithm{ClusterDEMTAlgorithm(opts)},
+// Policy: BatchOnIdle()} and no Perturb, this is the on-line batch
+// framework of section 2.2 of the paper: jobs released while a batch runs
+// wait for the next batch, and each batch is scheduled off-line by DEMT.
 func RunClusterContext(ctx context.Context, cfg ClusterConfig, jobs []OnlineJob) (*ClusterReport, error) {
 	eng, err := cluster.New(cfg)
 	if err != nil {
@@ -797,8 +772,8 @@ func Simulate(inst *Instance, sched *Schedule, opts *SimulationOptions) (*Simula
 // perturbation.
 type GridClusterSpec = grid.ClusterSpec
 
-// GridConfig drives a grid federation (shards, routing policy, bounded
-// dispatch queues, admission control).
+// GridConfig drives a grid federation (shards, routing policy, admission
+// control).
 type GridConfig = grid.Config
 
 // GridFederation runs N independent cluster engines as concurrent shards
@@ -827,13 +802,8 @@ type GridRoutingPolicy = grid.RoutingPolicy
 // every shard engine.
 func NewGrid(cfg GridConfig) (*GridFederation, error) { return grid.New(cfg) }
 
-// RunGrid builds a federation and replays the job stream through it.
-func RunGrid(cfg GridConfig, jobs []OnlineJob) (*GridReport, error) { //lint:allow ctxflow legacy context-free wrapper; the *Context variant is the cancellable entry point
-	return RunGridContext(context.Background(), cfg, jobs) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
-}
-
-// RunGridContext is RunGrid with cancellation: the context threads into
-// every shard engine's batch loop, so cancelling it aborts the whole
+// RunGridContext builds a federation and replays the job stream through
+// it. The context threads into every shard engine's batch loop, so cancelling it aborts the whole
 // federation run without deadlock, even on the concurrent path.
 func RunGridContext(ctx context.Context, cfg GridConfig, jobs []OnlineJob) (*GridReport, error) {
 	f, err := grid.New(cfg)

@@ -2,6 +2,7 @@ package bicriteria
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -110,14 +111,18 @@ func TestFacadeOnline(t *testing.T) {
 		{Task: NewPerfectlyMoldableTask(1, 2, 8, 4), Release: 1},
 		{Task: NewSequentialTask(2, 3, 1), Release: 5},
 	}
-	res, err := ScheduleOnline(4, jobs, DEMTOffline(nil))
+	res, err := RunClusterContext(context.Background(), ClusterConfig{
+		M:         4,
+		Portfolio: []ClusterAlgorithm{ClusterDEMTAlgorithm(nil)},
+		Policy:    BatchOnIdle(),
+	}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Batches) < 2 {
 		t.Fatalf("expected at least 2 batches")
 	}
-	if res.Makespan <= 0 {
+	if res.Metrics.Makespan <= 0 {
 		t.Fatalf("missing makespan")
 	}
 }

@@ -118,7 +118,8 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// runAblation dispatches one of the ablation studies of DESIGN.md.
+// runAblation dispatches one of the ablation studies of internal/experiment
+// (selection, compaction or bound).
 func runAblation(out io.Writer, kind string, cfg experiment.AblationConfig) error {
 	var (
 		rows  []experiment.AblationRow

@@ -55,7 +55,6 @@ func run(args []string, out io.Writer) error {
 	runtimeShape := fs.Float64("runtime-shape", 0, "shape of the runtime scaling law (0 = default)")
 	routingFlag := fs.String("routing", "least-backlog", "routing policy: round-robin, least-backlog, lower-bound or moldability")
 	admit := fs.Float64("admit", 0, "admission control: close a cluster above this estimated per-processor backlog (0 = unlimited)")
-	queue := fs.Int("queue", 0, "dispatch queue depth per shard (retained for compatibility; routing now precomputes sub-streams)")
 	policyFlag := fs.String("batch", "idle", "per-shard batching policy: idle, interval or adaptive")
 	interval := fs.Float64("interval", 25, "period of the interval batching policy")
 	workFactor := fs.Float64("work-factor", 4, "adaptive batching: fire once backlog work >= work-factor * m")
@@ -113,7 +112,7 @@ func run(args []string, out io.Writer) error {
 			Policy: *policyFlag, Interval: *interval, WorkFactor: *workFactor, MaxDelay: *maxDelay,
 		},
 		Objective:  bicriteria.ScenarioObjective{Kind: *objectiveFlag, Alpha: *alpha},
-		Routing:    bicriteria.ScenarioRouting{Policy: *routingFlag, AdmitBacklog: *admit, QueueDepth: *queue},
+		Routing:    bicriteria.ScenarioRouting{Policy: *routingFlag, AdmitBacklog: *admit},
 		Noise:      *noise,
 		Sequential: *sequential,
 	}

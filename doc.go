@@ -5,11 +5,13 @@
 // dual-approximation makespan machinery, list-scheduling engines, the
 // baseline algorithms of the paper's evaluation, the LP-relaxation lower
 // bound on the weighted sum of completion times, the synthetic workload
-// generators, an experiment harness reproducing the paper's figures, an
-// on-line batch framework, a discrete-event cluster simulator and an
-// event-driven cluster engine that batches an arrival stream under
-// pluggable policies and schedules every batch with a concurrent algorithm
-// portfolio.
+// generators, an experiment harness reproducing the paper's figures, a
+// discrete-event cluster simulator and an event-driven cluster engine that
+// batches an arrival stream under pluggable policies and schedules every
+// batch with a concurrent algorithm portfolio. RunClusterContext with the
+// BatchOnIdle policy and DEMT as the only portfolio member is the paper's
+// on-line batch framework (section 2.2): jobs released while a batch runs
+// wait for the next batch, and each batch is scheduled off-line by DEMT.
 //
 // The portfolio can also race (the ClusterRacing config and the "racing"
 // scenario block): members launch under one cancellable context that
@@ -30,8 +32,8 @@
 // cluster engines with heterogeneous sizes, reservations and noise seeds
 // run as concurrent shards behind a meta-scheduler that routes one arrival
 // stream under pluggable policies (round-robin, least-backlog,
-// lower-bound-aware, moldability-aware) with bounded dispatch queues and
-// per-cluster admission control. Grid replays are deterministic: a
+// lower-bound-aware, moldability-aware) with per-cluster admission
+// control. Grid replays are deterministic: a
 // concurrent run is bit-identical to a sequential one. See examples/grid
 // for a complete program.
 //

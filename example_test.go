@@ -1,6 +1,7 @@
 package bicriteria_test
 
 import (
+	"context"
 	"fmt"
 
 	"bicriteria"
@@ -84,21 +85,27 @@ func ExampleGenerateWorkload() {
 	// monotonic: true
 }
 
-// ExampleScheduleOnline runs the on-line batch framework on two jobs whose
-// second submission arrives while the first batch is running.
-func ExampleScheduleOnline() {
+// ExampleRunClusterContext runs the on-line batch framework of section 2.2
+// of the paper (a batch-on-idle cluster engine whose only portfolio member
+// is DEMT) on two jobs whose second submission arrives while the first
+// batch is running.
+func ExampleRunClusterContext() {
 	jobs := []bicriteria.OnlineJob{
 		{Task: bicriteria.NewSequentialTask(0, 1, 4), Release: 0},
 		{Task: bicriteria.NewSequentialTask(1, 1, 2), Release: 1},
 	}
-	res, err := bicriteria.ScheduleOnline(2, jobs, bicriteria.DEMTOffline(nil))
+	res, err := bicriteria.RunClusterContext(context.Background(), bicriteria.ClusterConfig{
+		M:         2,
+		Portfolio: []bicriteria.ClusterAlgorithm{bicriteria.ClusterDEMTAlgorithm(nil)},
+		Policy:    bicriteria.BatchOnIdle(),
+	}, jobs)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
 	fmt.Println("batches:", len(res.Batches))
-	fmt.Printf("second batch starts at %.0f\n", res.Batches[1].Start)
-	fmt.Printf("makespan %.0f\n", res.Makespan)
+	fmt.Printf("second batch starts at %.0f\n", res.Batches[1].FireTime)
+	fmt.Printf("makespan %.0f\n", res.Metrics.Makespan)
 	// Output:
 	// batches: 2
 	// second batch starts at 4

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -101,7 +102,7 @@ func main() {
 			cfg.Faults = plan
 			windows = len(plan.Nodes) + len(plan.Shards)
 		}
-		report, err := bicriteria.RunGrid(cfg, stream)
+		report, err := bicriteria.RunGridContext(context.Background(), cfg, stream)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -72,7 +73,7 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "routing policy\tmakespan\tmean stretch\tp95 stretch\tutil\tjobs per cluster")
 	for _, policy := range policies {
-		report, err := bicriteria.RunGrid(bicriteria.GridConfig{
+		report, err := bicriteria.RunGridContext(context.Background(), bicriteria.GridConfig{
 			Clusters:     specs(),
 			Routing:      policy,
 			AdmitBacklog: 8,

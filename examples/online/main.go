@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -47,7 +48,13 @@ func main() {
 		jobs[i] = bicriteria.OnlineJob{Task: inst.Tasks[i], Release: release}
 	}
 
-	res, err := bicriteria.ScheduleOnline(processors, jobs, bicriteria.DEMTOffline(nil))
+	// A batch-on-idle cluster engine whose only portfolio member is DEMT,
+	// with exact execution, is the batch framework of section 2.2.
+	res, err := bicriteria.RunClusterContext(context.Background(), bicriteria.ClusterConfig{
+		M:         processors,
+		Portfolio: []bicriteria.ClusterAlgorithm{bicriteria.ClusterDEMTAlgorithm(nil)},
+		Policy:    bicriteria.BatchOnIdle(),
+	}, jobs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,11 +62,11 @@ func main() {
 	fmt.Printf("On-line batch scheduling of %d jobs on %d CPUs with DEMT per batch\n\n", jobCount, processors)
 	for _, b := range res.Batches {
 		fmt.Printf("  batch %d: starts at %6.2f, %2d jobs, makespan %6.2f\n",
-			b.Index, b.Start, len(b.TaskIDs), b.Makespan)
+			b.Index, b.FireTime, len(b.Jobs), b.PlannedMakespan)
 	}
-	fmt.Printf("\n  on-line makespan      : %.2f\n", res.Makespan)
-	fmt.Printf("  maximum flow time     : %.2f\n", res.MaxFlow)
-	fmt.Printf("  weighted completion   : %.0f\n", res.WeightedCompletion)
+	fmt.Printf("\n  on-line makespan      : %.2f\n", res.Metrics.Makespan)
+	fmt.Printf("  maximum flow time     : %.2f\n", res.Metrics.MaxFlow)
+	fmt.Printf("  weighted completion   : %.0f\n", res.Metrics.WeightedCompletion)
 
 	// Clairvoyant comparison: if all jobs had been known (and available) at
 	// time 0, a single off-line DEMT run would achieve:

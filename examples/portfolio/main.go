@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -72,7 +73,7 @@ func main() {
 	for _, r := range runs {
 		cfg := base
 		cfg.Portfolio = r.portfolio
-		report, err := bicriteria.RunCluster(cfg, stream)
+		report, err := bicriteria.RunClusterContext(context.Background(), cfg, stream)
 		if err != nil {
 			log.Fatalf("%s: %v", r.name, err)
 		}

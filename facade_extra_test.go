@@ -2,6 +2,7 @@ package bicriteria
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -80,7 +81,11 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 	for i, task := range tasks {
 		jobs[i] = OnlineJob{Task: task, Release: releases[task.ID]}
 	}
-	onlineRes, err := ScheduleOnline(12, jobs, DEMTOffline(nil))
+	onlineRes, err := RunClusterContext(context.Background(), ClusterConfig{
+		M:         12,
+		Portfolio: []ClusterAlgorithm{ClusterDEMTAlgorithm(nil)},
+		Policy:    BatchOnIdle(),
+	}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +133,8 @@ func TestFacadeClusterConfigValidation(t *testing.T) {
 			if _, err := NewClusterEngine(tc.cfg); err == nil {
 				t.Fatalf("NewClusterEngine accepted %s", tc.name)
 			}
-			if _, err := RunCluster(tc.cfg, nil); err == nil {
-				t.Fatalf("RunCluster accepted %s", tc.name)
+			if _, err := RunClusterContext(context.Background(), tc.cfg, nil); err == nil {
+				t.Fatalf("RunClusterContext accepted %s", tc.name)
 			}
 		})
 	}
@@ -191,18 +196,18 @@ func TestFacadeClusterDeterministicReplay(t *testing.T) {
 			}
 			seqCfg := base
 			seqCfg.Sequential = true
-			seq, err := RunCluster(seqCfg, jobs)
+			seq, err := RunClusterContext(context.Background(), seqCfg, jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := RunCluster(base, jobs)
+			par, err := RunClusterContext(context.Background(), base, jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(seq, par) {
 				t.Fatal("parallel facade replay differs from sequential replay")
 			}
-			again, err := RunCluster(base, jobs)
+			again, err := RunClusterContext(context.Background(), base, jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,14 +250,14 @@ func TestFacadeGrid(t *testing.T) {
 			Routing:      policy,
 			AdmitBacklog: 30,
 		}
-		par, err := RunGrid(cfg, jobs)
+		par, err := RunGridContext(context.Background(), cfg, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seqCfg := cfg
 		seqCfg.Routing, _ = ParseGridRoutingPolicy(name)
 		seqCfg.Sequential = true
-		seq, err := RunGrid(seqCfg, jobs)
+		seq, err := RunGridContext(context.Background(), seqCfg, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}

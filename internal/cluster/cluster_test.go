@@ -1,15 +1,20 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
+	"bicriteria/internal/baselines"
 	"bicriteria/internal/core"
 	"bicriteria/internal/faults"
 	"bicriteria/internal/moldable"
-	"bicriteria/internal/online"
 	"bicriteria/internal/reservation"
 	"bicriteria/internal/schedule"
 	"bicriteria/internal/workload"
@@ -27,7 +32,7 @@ func noise(t testing.TB, frac float64, seed int64) func(int, float64) float64 {
 }
 
 // stream generates a deterministic bursty Poisson job stream.
-func stream(t testing.TB, m, n int, seed int64, burst int) []online.Job {
+func stream(t testing.TB, m, n int, seed int64, burst int) []Job {
 	t.Helper()
 	arrivals, err := workload.GenerateArrivals(workload.ArrivalConfig{
 		Workload:  workload.Config{Kind: workload.Mixed, M: m, N: n, Seed: seed},
@@ -118,58 +123,183 @@ func TestPortfolioReplayDeterministicParallelVsSequential(t *testing.T) {
 	}
 }
 
-func TestBatchOnIdleMatchesOnlineFramework(t *testing.T) {
-	const m = 24
-	jobs := stream(t, m, 60, 3, 1)
+// referenceBatch is one batch of referenceBatchLoop: its start time and
+// its jobs' IDs, sorted.
+type referenceBatch struct {
+	start float64
+	jobs  []int
+}
 
-	onlineRes, err := online.Schedule(m, jobs, func(inst *moldable.Instance) (*schedule.Schedule, error) {
-		r, err := core.Schedule(inst, nil)
+// referenceBatchLoop is the on-line batch framework of section 2.2 of the
+// paper written out directly, as the library's stand-alone on-line
+// scheduler once implemented it: every job released by now forms the next
+// batch, alg plans the batch off-line, and the batch runs to completion
+// before the next one starts; with nothing pending, the loop idles to the
+// next release. It returns the batches, the schedule with absolute starts,
+// and the metrics recomputed from that schedule (makespan, max flow, mean
+// stretch over each job's fastest time, weighted completion).
+func referenceBatchLoop(t *testing.T, m int, jobs []Job, alg Algorithm) ([]referenceBatch, *schedule.Schedule, Metrics) {
+	t.Helper()
+	pending := slices.Clone(jobs)
+	sort.SliceStable(pending, func(a, b int) bool { return pending[a].Release < pending[b].Release })
+	out := schedule.New(m)
+	var batches []referenceBatch
+	for now, next := 0.0, 0; next < len(pending); {
+		now = math.Max(now, pending[next].Release)
+		var tasks []moldable.Task
+		for next < len(pending) && pending[next].Release <= now+moldable.Eps {
+			tasks = append(tasks, pending[next].Task)
+			next++
+		}
+		inst := moldable.NewInstance(m, tasks)
+		sub, err := alg.Run(context.Background(), inst)
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		return r.Schedule, nil
-	})
+		if err := sub.Validate(inst, nil); err != nil {
+			t.Fatalf("reference batch %d: %v", len(batches), err)
+		}
+		b := referenceBatch{start: now}
+		for _, a := range sub.Assignments {
+			a.Start += now
+			out.Add(a)
+			b.jobs = append(b.jobs, a.TaskID)
+		}
+		sort.Ints(b.jobs)
+		batches = append(batches, b)
+		now += sub.Makespan()
+	}
+
+	byID := make(map[int]Job, len(jobs))
+	for _, j := range jobs {
+		byID[j.Task.ID] = j
+	}
+	met := Metrics{Makespan: out.Makespan()}
+	for _, a := range out.Assignments {
+		j := byID[a.TaskID]
+		flow := a.End() - j.Release
+		met.MaxFlow = math.Max(met.MaxFlow, flow)
+		met.WeightedCompletion += j.Task.Weight * a.End()
+		pmin, _ := j.Task.MinTime()
+		met.MeanStretch += flow / pmin / float64(len(jobs))
+	}
+	return batches, out, met
+}
+
+// checkBatchOnIdle runs jobs through a batch-on-idle engine with alg as its
+// only member and exact execution, and requires the reference loop's
+// batches, completion times and metrics, a schedule that respects every
+// release date, and batches that never overlap.
+func checkBatchOnIdle(t *testing.T, m int, jobs []Job, alg Algorithm) *Report {
+	t.Helper()
+	wantBatches, wantSched, want := referenceBatchLoop(t, m, jobs, alg)
+	eng, err := New(Config{M: m, Portfolio: []Algorithm{alg}, Policy: BatchOnIdle()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := eng.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	eng, err := New(Config{M: m, Portfolio: []Algorithm{DEMTAlgorithm(nil)}, Policy: BatchOnIdle()})
-	if err != nil {
-		t.Fatal(err)
+	if len(report.Batches) != len(wantBatches) {
+		t.Fatalf("%s: engine built %d batches, the reference %d", alg.Name, len(report.Batches), len(wantBatches))
 	}
-	report, err := eng.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(report.Batches) != len(onlineRes.Batches) {
-		t.Fatalf("engine built %d batches, online framework %d", len(report.Batches), len(onlineRes.Batches))
-	}
-	for i := range report.Batches {
-		if !reflect.DeepEqual(report.Batches[i].Jobs, onlineRes.Batches[i].TaskIDs) {
-			t.Fatalf("batch %d composition differs: %v vs %v", i, report.Batches[i].Jobs, onlineRes.Batches[i].TaskIDs)
+	for i, br := range report.Batches {
+		if !reflect.DeepEqual(br.Jobs, wantBatches[i].jobs) {
+			t.Fatalf("%s: batch %d composition differs: %v vs %v", alg.Name, i, br.Jobs, wantBatches[i].jobs)
 		}
-		if math.Abs(report.Batches[i].FireTime-onlineRes.Batches[i].Start) > 1e-9 {
-			t.Fatalf("batch %d fired at %g, online framework at %g", i, report.Batches[i].FireTime, onlineRes.Batches[i].Start)
+		if math.Abs(br.FireTime-wantBatches[i].start) > 1e-9 {
+			t.Fatalf("%s: batch %d fired at %g, the reference at %g", alg.Name, i, br.FireTime, wantBatches[i].start)
+		}
+		if prev := i - 1; prev >= 0 && br.FireTime < report.Batches[prev].FireTime+report.Batches[prev].RealizedMakespan-1e-9 {
+			t.Fatalf("%s: batch %d starts before batch %d finishes", alg.Name, i, prev)
 		}
 	}
-	for _, a := range onlineRes.Schedule.Assignments {
+	for _, a := range wantSched.Assignments {
 		got := report.Schedule.Assignment(a.TaskID)
 		if got == nil {
-			t.Fatalf("task %d missing from the engine trace", a.TaskID)
+			t.Fatalf("%s: task %d missing from the engine trace", alg.Name, a.TaskID)
 		}
 		if math.Abs(got.End()-a.End()) > 1e-9 {
-			t.Fatalf("task %d completes at %g in the engine, %g in the online framework", a.TaskID, got.End(), a.End())
+			t.Fatalf("%s: task %d completes at %g in the engine, %g in the reference", alg.Name, a.TaskID, got.End(), a.End())
 		}
 	}
-	if math.Abs(report.Metrics.MaxFlow-onlineRes.MaxFlow) > 1e-9 {
-		t.Fatalf("max flow %g vs online %g", report.Metrics.MaxFlow, onlineRes.MaxFlow)
+	got := report.Metrics
+	for _, c := range []struct {
+		name      string
+		got, want float64
+		tol       float64
+	}{
+		{"makespan", got.Makespan, want.Makespan, 1e-9},
+		{"max flow", got.MaxFlow, want.MaxFlow, 1e-9},
+		{"mean stretch", got.MeanStretch, want.MeanStretch, 1e-9},
+		{"weighted completion", got.WeightedCompletion, want.WeightedCompletion, 1e-6},
+	} {
+		if math.Abs(c.got-c.want) > c.tol {
+			t.Fatalf("%s: %s %g, the reference %g", alg.Name, c.name, c.got, c.want)
+		}
 	}
-	if math.Abs(report.Metrics.MeanStretch-onlineRes.MeanStretch) > 1e-9 {
-		t.Fatalf("mean stretch %g vs online %g", report.Metrics.MeanStretch, onlineRes.MeanStretch)
+
+	tasks := make([]moldable.Task, len(jobs))
+	releases := make(map[int]float64, len(jobs))
+	for i, j := range jobs {
+		tasks[i] = j.Task
+		releases[j.Task.ID] = j.Release
 	}
-	if math.Abs(report.Metrics.WeightedCompletion-onlineRes.WeightedCompletion) > 1e-6 {
-		t.Fatalf("weighted completion %g vs online %g", report.Metrics.WeightedCompletion, onlineRes.WeightedCompletion)
+	if err := report.Schedule.Validate(moldable.NewInstance(m, tasks), &schedule.ValidateOptions{ReleaseDates: releases}); err != nil {
+		t.Fatalf("%s: invalid on-line schedule: %v", alg.Name, err)
+	}
+	return report
+}
+
+// TestBatchOnIdleMatchesOnlineFramework checks that a batch-on-idle engine
+// with a one-member portfolio is the paper's on-line batch framework:
+// DEMT and a baseline member, on a generated stream, a hand-written one
+// whose jobs arrive during a batch, and one with an idle gap.
+func TestBatchOnIdleMatchesOnlineFramework(t *testing.T) {
+	midBatch := []Job{
+		{Task: moldable.Task{ID: 0, Weight: 2, Times: []float64{6, 3.5, 2.6, 2.2}}, Release: 0},
+		{Task: moldable.Sequential(1, 1, 2), Release: 0},
+		{Task: moldable.Task{ID: 2, Weight: 3, Times: []float64{8, 4.5, 3.2, 2.5}}, Release: 1.5},
+		{Task: moldable.Sequential(3, 4, 1), Release: 7},
+		{Task: moldable.Task{ID: 4, Weight: 1, Times: []float64{4, 2.5}}, Release: 7.2},
+	}
+	idleGap := []Job{
+		{Task: moldable.Sequential(0, 1, 1), Release: 0},
+		{Task: moldable.Sequential(1, 1, 1), Release: 100},
+	}
+	for _, alg := range []Algorithm{DEMTAlgorithm(nil), {Name: "seq-lpt", Run: baselines.SequentialContext}} {
+		checkBatchOnIdle(t, 24, stream(t, 24, 60, 3, 1), alg)
+
+		report := checkBatchOnIdle(t, 4, midBatch, alg)
+		if len(report.Batches) < 2 || slices.Contains(report.Batches[0].Jobs, 2) {
+			t.Fatalf("%s: job 2, released during batch 0, joined it: %v", alg.Name, report.Batches)
+		}
+
+		report = checkBatchOnIdle(t, 2, idleGap, alg)
+		if len(report.Batches) != 2 || report.Batches[1].FireTime != 100 {
+			t.Fatalf("%s: the second batch must wait for the release at 100: %+v", alg.Name, report.Batches)
+		}
+	}
+}
+
+// TestPropertyBatchOnIdleValidForRandomJobSets runs seeded random job sets
+// with bursts of equal release dates through checkBatchOnIdle.
+func TestPropertyBatchOnIdleValidForRandomJobSets(t *testing.T) {
+	demt := DEMTAlgorithm(&core.Options{Shuffles: 2})
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		m := 4 + r.Intn(12)
+		inst, err := workload.Generate(workload.Config{Kind: workload.Mixed, M: m, N: 5 + r.Intn(15), Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := make([]Job, inst.N())
+		for i := range inst.Tasks {
+			jobs[i] = Job{Task: inst.Tasks[i], Release: float64(r.Intn(5)) * 3}
+		}
+		checkBatchOnIdle(t, m, jobs, demt)
 	}
 }
 
@@ -238,12 +368,12 @@ func TestAdaptiveBacklogFiresOnWorkOrDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Below the work target the policy waits until the oldest job ages out.
-	small := []online.Job{{Task: moldable.Sequential(0, 1, 2), Release: 7}}
+	small := []Job{{Task: moldable.Sequential(0, 1, 2), Release: 7}}
 	if fire := policy.NextFire(8, small); fire != 57 {
 		t.Fatalf("under-threshold backlog should fire at release+maxDelay=57, got %g", fire)
 	}
 	// Above the work target it fires immediately.
-	big := []online.Job{
+	big := []Job{
 		{Task: moldable.Sequential(0, 1, 60), Release: 7},
 		{Task: moldable.Sequential(1, 1, 60), Release: 8},
 	}
@@ -294,14 +424,26 @@ func TestEngineInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run([]online.Job{
+	if _, err := eng.Run([]Job{
 		{Task: moldable.Sequential(1, 1, 1), Release: 0},
 		{Task: moldable.Sequential(1, 1, 2), Release: 1},
 	}); err == nil {
 		t.Fatal("duplicate job IDs accepted")
 	}
-	if _, err := eng.Run([]online.Job{{Task: moldable.Sequential(1, 1, 1), Release: -1}}); err == nil {
+	if _, err := eng.Run([]Job{{Task: moldable.Sequential(1, 1, 1), Release: -1}}); err == nil {
 		t.Fatal("negative release accepted")
+	}
+	if _, err := eng.Run([]Job{{Task: moldable.Task{ID: 1, Weight: 1}, Release: 0}}); err == nil {
+		t.Fatal("task without processing times accepted")
+	}
+	failing, err := New(Config{M: 8, Portfolio: []Algorithm{{Name: "failing", Run: func(context.Context, *moldable.Instance) (*schedule.Schedule, error) {
+		return nil, errors.New("synthetic failure")
+	}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := failing.Run([]Job{{Task: moldable.Sequential(1, 1, 1), Release: 0}}); err == nil {
+		t.Fatal("a portfolio whose only member fails produced a report")
 	}
 	report, err := eng.Run(nil)
 	if err != nil {
@@ -523,7 +665,7 @@ func TestFaultsParallelVsSequentialBitIdentical(t *testing.T) {
 func TestFaultsCheckpointCreditsFinishedWork(t *testing.T) {
 	// One long sequential job, killed once at t=6 of 10: the checkpoint
 	// replan resubmits 40% of the work, the restart replan all of it.
-	job := []online.Job{{Task: moldable.Task{ID: 1, Weight: 1, Times: []float64{10}}, Release: 0}}
+	job := []Job{{Task: moldable.Task{ID: 1, Weight: 1, Times: []float64{10}}, Release: 0}}
 	outage := []faults.Window{{Procs: []int{0}, Start: 6, End: 7}}
 	run := func(replan ReplanPolicy) *Report {
 		eng, err := New(Config{M: 1, Outages: outage, Replan: replan})
@@ -570,7 +712,7 @@ func TestFaultsMaxRetriesGivesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.Run([]online.Job{{Task: moldable.Task{ID: 9, Weight: 1, Times: []float64{10}}, Release: 0}})
+	rep, err := eng.Run([]Job{{Task: moldable.Task{ID: 9, Weight: 1, Times: []float64{10}}, Release: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

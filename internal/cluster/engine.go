@@ -33,7 +33,6 @@ import (
 	"bicriteria/internal/lowerbound"
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/obs"
-	"bicriteria/internal/online"
 	"bicriteria/internal/reservation"
 	"bicriteria/internal/schedule"
 	"bicriteria/internal/sim"
@@ -245,7 +244,7 @@ type jobInfo struct {
 }
 
 // Run replays the job stream through the engine.
-func (e *Engine) Run(jobs []online.Job) (*Report, error) { //lint:allow ctxflow legacy context-free wrapper; the *Context variant is the cancellable entry point
+func (e *Engine) Run(jobs []Job) (*Report, error) { //lint:allow ctxflow legacy context-free wrapper; the *Context variant is the cancellable entry point
 	return e.RunContext(context.Background(), jobs) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
 }
 
@@ -255,7 +254,7 @@ func (e *Engine) Run(jobs []online.Job) (*Report, error) { //lint:allow ctxflow 
 // errors.Is(err, context.Canceled) holds). The partial report is
 // discarded — replays are cheap and deterministic, rerun to completion
 // instead. It is a Session fed the whole stream at once.
-func (e *Engine) RunContext(ctx context.Context, jobs []online.Job) (*Report, error) {
+func (e *Engine) RunContext(ctx context.Context, jobs []Job) (*Report, error) {
 	s := e.NewSession(ctx)
 	if err := s.Feed(jobs...); err != nil {
 		return nil, err
@@ -268,7 +267,7 @@ func (e *Engine) RunContext(ctx context.Context, jobs []online.Job) (*Report, er
 // report. It returns the batch report, how far the batch advances the
 // clock (its realized makespan, or the last kill instant if an outage cut
 // the batch short) and the killed jobs to re-enqueue.
-func (s *Session) runBatch() (BatchReport, float64, []online.Job, error) {
+func (s *Session) runBatch() (BatchReport, float64, []Job, error) {
 	e, ctx, index, now, pending := s.e, s.ctx, s.batchIndex, s.now, s.pending
 	busyAbs, infos, acc, report, fstate := s.busyAbs, s.infos, s.acc, s.report, s.fstate
 	tasks := make([]moldable.Task, len(pending))
@@ -357,7 +356,7 @@ func (s *Session) runBatch() (BatchReport, float64, []online.Job, error) {
 	acc.observeBatch(cands[win].Name, busyTime, simRes.Delayed)
 
 	advance := simRes.Makespan
-	var resub []online.Job
+	var resub []Job
 	var killedIDs []int
 	var killEvents []KillEvent
 	if len(simRes.Killed) > 0 {
@@ -388,7 +387,7 @@ func (s *Session) runBatch() (BatchReport, float64, []online.Job, error) {
 			if k.Duration > 0 {
 				frac = (k.KilledAt - k.Start) / k.Duration
 			}
-			resub = append(resub, online.Job{
+			resub = append(resub, Job{
 				Task:    fstate.replan.resubmit(byID[k.TaskID], frac),
 				Release: now + k.KilledAt,
 			})
@@ -508,10 +507,10 @@ func relativeBlocked(busyAbs []listsched.Busy, now float64) []sim.BlockedWindow 
 }
 
 // JobsFromArrivals adapts a generated arrival stream to the engine's input.
-func JobsFromArrivals(arrivals []workload.Arrival) []online.Job {
-	jobs := make([]online.Job, len(arrivals))
+func JobsFromArrivals(arrivals []workload.Arrival) []Job {
+	jobs := make([]Job, len(arrivals))
 	for i, a := range arrivals {
-		jobs[i] = online.Job{Task: a.Task, Release: a.Submit}
+		jobs[i] = Job{Task: a.Task, Release: a.Submit}
 	}
 	return jobs
 }

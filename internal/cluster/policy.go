@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-
-	"bicriteria/internal/online"
 )
 
 // BatchPolicy decides when the engine fires the next batch. Whenever the
@@ -20,11 +18,11 @@ type BatchPolicy interface {
 	// batched, given that the machine is idle since now. It must be a pure
 	// function of its arguments: a Session resumed after AdvanceTo may ask
 	// again at the same instant.
-	NextFire(now float64, pending []online.Job) float64
+	NextFire(now float64, pending []Job) float64
 }
 
 // batchOnIdle fires as soon as the machine is idle and a job is pending:
-// the batch framework of section 2.2 of the paper (and internal/online).
+// the batch framework of section 2.2 of the paper.
 type batchOnIdle struct{}
 
 // BatchOnIdle returns the paper's batch-on-idle policy.
@@ -32,7 +30,7 @@ func BatchOnIdle() BatchPolicy { return batchOnIdle{} }
 
 func (batchOnIdle) Name() string { return "batch-on-idle" }
 
-func (batchOnIdle) NextFire(now float64, pending []online.Job) float64 { return now }
+func (batchOnIdle) NextFire(now float64, pending []Job) float64 { return now }
 
 // fixedInterval fires only on multiples of a fixed period, like a cron-run
 // batch scheduler: arrivals accumulate until the next tick after the
@@ -51,7 +49,7 @@ func FixedInterval(period float64) (BatchPolicy, error) {
 
 func (p fixedInterval) Name() string { return fmt.Sprintf("fixed-interval(%g)", p.period) }
 
-func (p fixedInterval) NextFire(now float64, pending []online.Job) float64 {
+func (p fixedInterval) NextFire(now float64, pending []Job) float64 {
 	ticks := math.Ceil(now / p.period)
 	if t := ticks * p.period; t >= now {
 		return t
@@ -85,7 +83,7 @@ func (p adaptiveBacklog) Name() string {
 	return fmt.Sprintf("adaptive-backlog(work=%g, delay=%g)", p.workTarget, p.maxDelay)
 }
 
-func (p adaptiveBacklog) NextFire(now float64, pending []online.Job) float64 {
+func (p adaptiveBacklog) NextFire(now float64, pending []Job) float64 {
 	backlog := 0.0
 	oldest := math.Inf(1)
 	for i := range pending {

@@ -12,7 +12,6 @@ import (
 
 	"bicriteria/internal/lowerbound"
 	"bicriteria/internal/moldable"
-	"bicriteria/internal/online"
 	"bicriteria/internal/schedule"
 )
 
@@ -102,8 +101,8 @@ func TestRacingCutoffOneMatchesNonRacing(t *testing.T) {
 }
 
 // singleJob is a one-job stream for the straggler tests.
-func singleJob() []online.Job {
-	return []online.Job{{Task: moldable.Task{ID: 1, Weight: 1, Times: []float64{8, 5}}}}
+func singleJob() []Job {
+	return []Job{{Task: moldable.Task{ID: 1, Weight: 1, Times: []float64{8, 5}}}}
 }
 
 // TestRacingCancelsStragglers checks the race actually kills a straggler:

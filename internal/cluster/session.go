@@ -10,7 +10,6 @@ import (
 	"bicriteria/internal/listsched"
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/obs"
-	"bicriteria/internal/online"
 	"bicriteria/internal/schedule"
 )
 
@@ -51,14 +50,14 @@ type Session struct {
 	// queue holds the fed jobs not yet admitted, sorted by (release, ID).
 	// It is never written in place (Feed merges into a new slice), so a
 	// fork shares it.
-	queue []online.Job
+	queue []Job
 	// pending is the admitted backlog of the next batch.
-	pending    []online.Job
+	pending    []Job
 	now        float64
 	batchIndex int
 	// infos caches every fed job's metric inputs; its keys are the IDs fed
 	// so far.
-	infos   online.Table[jobInfo]
+	infos   Table[jobInfo]
 	busyAbs []listsched.Busy
 	acc     *metricsAccumulator
 	report  *Report
@@ -85,7 +84,7 @@ func (e *Engine) NewSession(ctx context.Context) *Session {
 		ctx:     ctx,
 		onBatch: e.cfg.OnBatch,
 		metrics: e.cfg.Metrics,
-		infos:   online.NewTable[jobInfo](),
+		infos:   NewTable[jobInfo](),
 		busyAbs: busyAbs,
 		acc:     newMetricsAccumulator(e.cfg.M),
 		report:  &Report{Schedule: schedule.New(e.cfg.M), Blocked: e.blocked},
@@ -114,18 +113,18 @@ func (e *Engine) NewSession(ctx context.Context) *Session {
 // be released at or after the session's boundary — an earlier job would
 // belong to a batch that has already fired. A malformed, early or
 // duplicate job rejects the whole call and changes nothing.
-func (s *Session) Feed(jobs ...online.Job) error {
+func (s *Session) Feed(jobs ...Job) error {
 	if s.err != nil {
 		return s.err
 	}
-	err := s.infos.Enroll("cluster", jobs, s.boundary, func(j *online.Job) jobInfo {
+	err := s.infos.Enroll("cluster", jobs, s.boundary, func(j *Job) jobInfo {
 		pmin, _ := j.Task.MinTime()
 		return jobInfo{release: j.Release, pmin: pmin, weight: j.Task.Weight}
 	})
 	if err != nil {
 		return err
 	}
-	s.queue = online.MergeFunc(s.queue, online.SortedCopy(jobs), online.CompareJobs)
+	s.queue = MergeFunc(s.queue, SortedCopy(jobs), CompareJobs)
 	return nil
 }
 
@@ -168,7 +167,7 @@ func (s *Session) Finish() (*Report, error) {
 // fork leaves the session untouched. The committed report is shared with
 // clipped capacity, so neither side's appends show through to the other;
 // the loop state, the fault and racing state and the metric samples are
-// copied. The fork reads the fed jobs' table in place (see online.Table),
+// copied. The fork reads the fed jobs' table in place (see Table),
 // so it is for finishing — a grid fork feeds it what it routes on the
 // way — and the session must not be fed again until the fork is done
 // with. A fork records nothing: no OnBatch callbacks, no registry metrics

@@ -11,14 +11,13 @@ import (
 
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/obs"
-	"bicriteria/internal/online"
 	"bicriteria/internal/reservation"
 )
 
 // randomCuts draws k increasing cut times inside the stream's release span,
 // some of them exactly on a release date (the tie the prefix rule is
 // about).
-func randomCuts(rng *rand.Rand, jobs []online.Job, k int) []float64 {
+func randomCuts(rng *rand.Rand, jobs []Job, k int) []float64 {
 	last := jobs[len(jobs)-1].Release
 	cuts := make([]float64, k)
 	for i := range cuts {
@@ -35,8 +34,8 @@ func randomCuts(rng *rand.Rand, jobs []online.Job, k int) []float64 {
 // piecesBefore splits a stream at the cuts: piece i holds the jobs
 // released before cuts[i] and at or after cuts[i-1]; the last piece holds
 // the rest. Each piece is shuffled, like the serve collectors deliver it.
-func piecesBefore(rng *rand.Rand, jobs []online.Job, cuts []float64) [][]online.Job {
-	pieces := make([][]online.Job, len(cuts)+1)
+func piecesBefore(rng *rand.Rand, jobs []Job, cuts []float64) [][]Job {
+	pieces := make([][]Job, len(cuts)+1)
 	for _, j := range jobs {
 		k := sort.Search(len(cuts), func(i int) bool { return j.Release < cuts[i] })
 		pieces[k] = append(pieces[k], j)
@@ -98,10 +97,10 @@ func TestSessionOracle(t *testing.T) {
 }
 
 // checkPieces runs one oracle trial.
-func checkPieces(t *testing.T, eng *Engine, jobs []online.Job, cuts []float64, rng *rand.Rand) {
+func checkPieces(t *testing.T, eng *Engine, jobs []Job, cuts []float64, rng *rand.Rand) {
 	t.Helper()
 	ctx := context.Background()
-	offline := func(jobs []online.Job) *Report {
+	offline := func(jobs []Job) *Report {
 		rep, err := eng.RunContext(ctx, jobs)
 		if err != nil {
 			t.Fatal(err)
@@ -152,8 +151,8 @@ func checkPieces(t *testing.T, eng *Engine, jobs []online.Job, cuts []float64, r
 // machine makes batch boundaries exact.
 func TestSessionStopsAtEveryUndecidedStep(t *testing.T) {
 	const eps = 1e-9 // moldable.Eps
-	seq := func(id int, release, duration float64) online.Job {
-		return online.Job{Task: moldable.Sequential(id, 1, duration), Release: release}
+	seq := func(id int, release, duration float64) Job {
+		return Job{Task: moldable.Sequential(id, 1, duration), Release: release}
 	}
 	adaptive, err := AdaptiveBacklog(10, 5)
 	if err != nil {
@@ -162,39 +161,39 @@ func TestSessionStopsAtEveryUndecidedStep(t *testing.T) {
 	cases := []struct {
 		name   string
 		policy BatchPolicy
-		before []online.Job
+		before []Job
 		cut    float64
-		after  []online.Job
+		after  []Job
 	}{{
 		// Batch 0 ends exactly eps/2 before the cut with job 1 waiting: a
 		// job released eps/3 after the cut still joins batch 1.
 		name:   "batch ends inside the margin",
-		before: []online.Job{seq(0, 0, 10), seq(1, 1, 1)},
+		before: []Job{seq(0, 0, 10), seq(1, 1, 1)},
 		cut:    10 + eps/2,
-		after:  []online.Job{seq(2, 10+eps*0.8, 1)},
+		after:  []Job{seq(2, 10+eps*0.8, 1)},
 	}, {
 		// The only known arrival is inside the margin: the clock must not
 		// jump to it.
 		name:   "arrival inside the margin",
-		before: []online.Job{seq(0, 5, 1)},
+		before: []Job{seq(0, 5, 1)},
 		cut:    5 + eps/2,
-		after:  []online.Job{seq(1, 5+eps*0.8, 1)},
+		after:  []Job{seq(1, 5+eps*0.8, 1)},
 	}, {
 		// The policy waits until 5, but an arrival after the cut pushes the
 		// backlog over the work target at 4 and fires there.
 		name:   "policy wait crosses the cut",
 		policy: adaptive,
-		before: []online.Job{seq(0, 0, 2)},
+		before: []Job{seq(0, 0, 2)},
 		cut:    3,
-		after:  []online.Job{seq(1, 4, 9)},
+		after:  []Job{seq(1, 4, 9)},
 	}, {
 		// A known arrival after the cut lands before the fire time; a later
 		// feed may still precede it.
 		name:   "known arrival after the cut",
 		policy: adaptive,
-		before: []online.Job{seq(0, 0, 2), seq(1, 4.5, 1)},
+		before: []Job{seq(0, 0, 2), seq(1, 4.5, 1)},
 		cut:    3,
-		after:  []online.Job{seq(2, 4, 9)},
+		after:  []Job{seq(2, 4, 9)},
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -216,7 +215,7 @@ func TestSessionStopsAtEveryUndecidedStep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := eng.Run(append(append([]online.Job(nil), tc.before...), tc.after...))
+			want, err := eng.Run(append(append([]Job(nil), tc.before...), tc.after...))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +255,7 @@ func TestSessionFeedContract(t *testing.T) {
 	early.Release = cut / 2
 	bad := jobs[8]
 	bad.Task.Times = nil
-	for name, call := range map[string][]online.Job{
+	for name, call := range map[string][]Job{
 		"before the boundary": {jobs[6], early},
 		"duplicate across":    {jobs[6], jobs[0]},
 		"duplicate inside":    {jobs[6], jobs[6]},

@@ -12,9 +12,9 @@ import (
 	"bicriteria/internal/workload"
 )
 
-// AblationConfig drives the ablation studies of DESIGN.md (A1-A3): they
-// compare variants of one design choice of the DEMT algorithm on a fixed
-// workload setting.
+// AblationConfig drives the ablation studies A1-A3 (batch selection,
+// compaction, lower bound): they compare variants of one design choice of
+// the DEMT algorithm on a fixed workload setting.
 type AblationConfig struct {
 	// Workload selects the workload family (default Cirne).
 	Workload workload.Kind

@@ -131,9 +131,8 @@ func (r *Result) SeriesFor(alg Algorithm) *Series {
 }
 
 // MaxRatio returns the largest mean ratio reached by an algorithm across
-// the sweep, for the given criterion ("minsum" or "cmax"). It is used by
-// tests and by EXPERIMENTS.md generation to compare against the paper's
-// qualitative claims.
+// the sweep, for the given criterion ("minsum" or "cmax"). Tests use it to
+// compare against the paper's qualitative claims.
 func (r *Result) MaxRatio(alg Algorithm, criterion string) (float64, error) {
 	s := r.SeriesFor(alg)
 	if s == nil {

@@ -9,13 +9,12 @@ import (
 	"time"
 
 	"bicriteria/internal/cluster"
-	"bicriteria/internal/online"
 	"bicriteria/internal/workload"
 )
 
 // cancelJobs builds a stream long enough that every shard commits several
 // batches.
-func cancelJobs(t *testing.T, n int) []online.Job {
+func cancelJobs(t *testing.T, n int) []cluster.Job {
 	t.Helper()
 	arrivals, err := workload.GenerateArrivals(workload.ArrivalConfig{
 		Workload: workload.Config{Kind: workload.Mixed, M: 16, N: n, Seed: 11},

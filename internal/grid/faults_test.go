@@ -7,7 +7,6 @@ import (
 	"bicriteria/internal/cluster"
 	"bicriteria/internal/faults"
 	"bicriteria/internal/moldable"
-	"bicriteria/internal/online"
 )
 
 // testPlan generates a hostile plan for the 8-shard grid: node crashes on
@@ -39,12 +38,12 @@ func TestGridShardOutageMigratesQueuedJobs(t *testing.T) {
 	// piling up deep virtual queues; shard 0 goes dark at t=1, so its
 	// virtually unfinished jobs must drain to shard 1. A few late
 	// arrivals check that the dead shard stays closed.
-	var jobs []online.Job
+	var jobs []cluster.Job
 	for i := 0; i < 20; i++ {
-		jobs = append(jobs, online.Job{Task: moldable.Sequential(i, 1, 10), Release: 0})
+		jobs = append(jobs, cluster.Job{Task: moldable.Sequential(i, 1, 10), Release: 0})
 	}
 	for i := 20; i < 24; i++ {
-		jobs = append(jobs, online.Job{Task: moldable.Sequential(i, 1, 2), Release: 2})
+		jobs = append(jobs, cluster.Job{Task: moldable.Sequential(i, 1, 2), Release: 2})
 	}
 	plan := &faults.Plan{Shards: []faults.ShardOutage{{Cluster: 0, Start: 1, End: 200}}}
 	fed, err := New(Config{Clusters: specs, Routing: RoundRobin(), Faults: plan, Sequential: true})

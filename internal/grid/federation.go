@@ -10,10 +10,10 @@
 // round-robin, least-backlog, lower-bound-aware (the cluster whose DEMT
 // makespan lower bound grows least) or moldability-aware (jobs go to the
 // smallest cluster fitting their useful parallelism). Admission control
-// closes a cluster while its estimated backlog exceeds a limit, and the
-// concurrent path hands decisions to the shards through bounded dispatch
-// queues; the shards collect their sub-streams concurrently and replay
-// them through their engines in parallel.
+// closes a cluster while its estimated backlog exceeds a limit. Routing is
+// one sequential pass that hands every shard session its jobs directly;
+// the shards then replay their sub-streams through their engines in
+// parallel.
 //
 // Replays are deterministic: routing decisions are a pure function of the
 // stream and the policy, every cluster engine is deterministic, and the
@@ -29,7 +29,6 @@ import (
 	"bicriteria/internal/cluster"
 	"bicriteria/internal/faults"
 	"bicriteria/internal/obs"
-	"bicriteria/internal/online"
 	"bicriteria/internal/reservation"
 	"bicriteria/internal/validate"
 )
@@ -55,22 +54,12 @@ type ClusterSpec struct {
 	Racing cluster.Racing
 }
 
-// DefaultQueueDepth is the per-shard dispatch queue capacity used when
-// Config.QueueDepth is zero.
-const DefaultQueueDepth = 64
-
 // Config drives a grid federation.
 type Config struct {
 	// Clusters lists the shards. At least one is required.
 	Clusters []ClusterSpec
 	// Routing picks the cluster of every job; nil means LeastBacklog().
 	Routing RoutingPolicy
-	// QueueDepth is retained for configuration compatibility and is
-	// validated but no longer shapes the replay: routing is one shared
-	// sequential pass that hands every shard session its jobs directly, so
-	// there is no router-to-shard queue left to bound. Zero means
-	// DefaultQueueDepth.
-	QueueDepth int
 	// AdmitBacklog closes a cluster to new admissions while its estimated
 	// per-processor backlog (in time units) exceeds the limit; jobs are
 	// steered to open clusters instead. Zero disables admission control.
@@ -139,12 +128,6 @@ func New(cfg Config) (*Federation, error) {
 	if len(cfg.Clusters) == 0 {
 		return nil, validate.Errorf("clusters", "federation needs at least one cluster")
 	}
-	if cfg.QueueDepth < 0 {
-		return nil, validate.Errorf("queue_depth", "negative queue depth %d", cfg.QueueDepth)
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
 	if cfg.AdmitBacklog < 0 || math.IsNaN(cfg.AdmitBacklog) || math.IsInf(cfg.AdmitBacklog, 0) {
 		return nil, validate.Errorf("admit_backlog", "admission backlog limit must be non-negative and finite, got %g", cfg.AdmitBacklog)
 	}
@@ -192,7 +175,7 @@ func New(cfg Config) (*Federation, error) {
 // through its engine — concurrently unless Config.Sequential — then
 // aggregates the grid metrics. The report is bit-identical between the
 // sequential and the concurrent path.
-func (f *Federation) Run(jobs []online.Job) (*Report, error) { //lint:allow ctxflow legacy context-free wrapper; the *Context variant is the cancellable entry point
+func (f *Federation) Run(jobs []cluster.Job) (*Report, error) { //lint:allow ctxflow legacy context-free wrapper; the *Context variant is the cancellable entry point
 	return f.RunContext(context.Background(), jobs) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
 }
 
@@ -202,7 +185,7 @@ func (f *Federation) Run(jobs []online.Job) (*Report, error) { //lint:allow ctxf
 // return promptly, and the WaitGroup join cannot deadlock. The returned
 // error wraps the context's (errors.Is(err, context.Canceled) holds). It
 // is a Session fed the whole stream at once.
-func (f *Federation) RunContext(ctx context.Context, jobs []online.Job) (*Report, error) {
+func (f *Federation) RunContext(ctx context.Context, jobs []cluster.Job) (*Report, error) {
 	s := f.NewSession(ctx)
 	if err := s.Feed(jobs...); err != nil {
 		return nil, err

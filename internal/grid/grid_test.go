@@ -8,14 +8,13 @@ import (
 
 	"bicriteria/internal/cluster"
 	"bicriteria/internal/moldable"
-	"bicriteria/internal/online"
 	"bicriteria/internal/reservation"
 	"bicriteria/internal/workload"
 )
 
 // stream generates a deterministic bursty job stream with tasks wide enough
 // for the largest test clusters.
-func stream(t testing.TB, n int, seed int64) []online.Job {
+func stream(t testing.TB, n int, seed int64) []cluster.Job {
 	t.Helper()
 	arrivals, err := workload.GenerateArrivals(workload.ArrivalConfig{
 		Workload:  workload.Config{Kind: workload.Mixed, M: 32, N: n, Seed: seed},
@@ -195,9 +194,9 @@ func TestRoundRobinCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jobs []online.Job
+	var jobs []cluster.Job
 	for i := 0; i < 9; i++ {
-		jobs = append(jobs, online.Job{Task: moldable.Sequential(i, 1, 2), Release: 0})
+		jobs = append(jobs, cluster.Job{Task: moldable.Sequential(i, 1, 2), Release: 0})
 	}
 	rep, err := f.Run(jobs)
 	if err != nil {
@@ -298,9 +297,9 @@ func TestGridAdmissionControlStillRoutesEveryJob(t *testing.T) {
 	// would pile them all on cluster 0 (its bound stops growing once the
 	// critical path dominates), so any job on cluster 1 proves the
 	// admission limit steered the stream.
-	var jobs []online.Job
+	var jobs []cluster.Job
 	for i := 0; i < 16; i++ {
-		jobs = append(jobs, online.Job{Task: moldable.Sequential(i, 1, 10), Release: 0})
+		jobs = append(jobs, cluster.Job{Task: moldable.Sequential(i, 1, 10), Release: 0})
 	}
 	specs := []ClusterSpec{{M: 8}, {M: 8}}
 
@@ -408,9 +407,6 @@ func TestGridValidation(t *testing.T) {
 	if _, err := New(Config{Clusters: []ClusterSpec{{M: 0}}}); err == nil {
 		t.Fatal("zero-processor cluster accepted")
 	}
-	if _, err := New(Config{Clusters: []ClusterSpec{{M: 8}}, QueueDepth: -1}); err == nil {
-		t.Fatal("negative queue depth accepted")
-	}
 	if _, err := New(Config{Clusters: []ClusterSpec{{M: 8}}, AdmitBacklog: -1}); err == nil {
 		t.Fatal("negative admission limit accepted")
 	}
@@ -422,13 +418,13 @@ func TestGridValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Run([]online.Job{
+	if _, err := f.Run([]cluster.Job{
 		{Task: moldable.Sequential(1, 1, 1), Release: 0},
 		{Task: moldable.Sequential(1, 1, 2), Release: 3},
 	}); err == nil {
 		t.Fatal("duplicate job IDs accepted")
 	}
-	if _, err := f.Run([]online.Job{{Task: moldable.Sequential(1, 1, 1), Release: -2}}); err == nil {
+	if _, err := f.Run([]cluster.Job{{Task: moldable.Sequential(1, 1, 1), Release: -2}}); err == nil {
 		t.Fatal("negative release accepted")
 	}
 	rep, err := f.Run(nil)

@@ -5,9 +5,9 @@ import (
 	"slices"
 	"sort"
 
+	"bicriteria/internal/cluster"
 	"bicriteria/internal/faults"
 	"bicriteria/internal/moldable"
-	"bicriteria/internal/online"
 )
 
 // eps is the shared floating-point tolerance of the scheduling library.
@@ -111,7 +111,7 @@ type router struct {
 // vjob is one job a shard's next outage will drain, with the minimum work
 // it charged to the shard's view (rolled back when it is drained away).
 type vjob struct {
-	job  online.Job
+	job  cluster.Job
 	work float64
 }
 
@@ -204,7 +204,7 @@ func (r *router) downAt(c int, t float64) bool {
 // o.End. (MaxMinTime intentionally stays: it is a high-water mark of what
 // the shard was asked to run, not a backlog quantity.) Returns false when
 // no event is due.
-func (r *router) popEventBefore(t float64) (faults.ShardOutage, []online.Job, bool) {
+func (r *router) popEventBefore(t float64) (faults.ShardOutage, []cluster.Job, bool) {
 	if r.eventIdx >= len(r.events) || r.events[r.eventIdx].Start > t {
 		return faults.ShardOutage{}, nil, false
 	}
@@ -213,7 +213,7 @@ func (r *router) popEventBefore(t float64) (faults.ShardOutage, []online.Job, bo
 	c := o.Cluster
 	r.nextEvent[c]++
 	r.ready[c] = o.End
-	var drained []online.Job
+	var drained []cluster.Job
 	for _, v := range r.inflight[c] {
 		j := v.job
 		j.Release = o.Start
@@ -232,7 +232,7 @@ func (r *router) popEventBefore(t float64) (faults.ShardOutage, []online.Job, bo
 // jobView computes the per-cluster quantities of one job. Time vectors may
 // be longer than a cluster's machine, in which case only the allocations
 // the cluster can offer count (NewInstance truncates the same way).
-func (r *router) jobView(j online.Job) JobView {
+func (r *router) jobView(j cluster.Job) JobView {
 	v := JobView{
 		ID:      j.Task.ID,
 		Release: j.Release,
@@ -278,7 +278,7 @@ func (r *router) jobView(j online.Job) JobView {
 // remains on the chosen shard: a job whose virtual end passes the shard's
 // next outage start will be drained off it at that start, which the static
 // plan already tells — so the shard's engine must never see it.
-func (r *router) route(j online.Job, migrated bool) (d Decision, stays bool, err error) {
+func (r *router) route(j cluster.Job, migrated bool) (d Decision, stays bool, err error) {
 	// Drain the virtual backlog clocks down to the current time.
 	for c := range r.views {
 		backlog := r.ready[c] - j.Release

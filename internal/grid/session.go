@@ -13,7 +13,6 @@ import (
 
 	"bicriteria/internal/cluster"
 	"bicriteria/internal/obs"
-	"bicriteria/internal/online"
 )
 
 // Session is a resumable grid replay: the router's state and one
@@ -49,10 +48,10 @@ type Session struct {
 	boundary float64
 	// queue holds the fed jobs not yet routed, in stream order; never
 	// written in place, so a fork shares it.
-	queue []online.Job
+	queue []cluster.Job
 	// infos holds every fed job's grid release and fastest time, for the
 	// aggregate's samples; its keys are the IDs fed so far.
-	infos     online.Table[jobInfo]
+	infos     cluster.Table[jobInfo]
 	rt        *router
 	decisions []Decision
 	shards    []*cluster.Session
@@ -83,7 +82,7 @@ func (f *Federation) NewSession(ctx context.Context) *Session {
 		ctx:        ctx,
 		onDecision: f.cfg.OnDecision,
 		metrics:    f.cfg.Metrics,
-		infos:      online.NewTable[jobInfo](),
+		infos:      cluster.NewTable[jobInfo](),
 		rt:         newRouter(f.cfg.Clusters, clonePolicy(f.cfg.Routing), f.cfg.AdmitBacklog, f.cfg.Faults),
 		decisions:  []Decision{},
 		shards:     make([]*cluster.Session, len(f.engines)),
@@ -98,18 +97,18 @@ func (f *Federation) NewSession(ctx context.Context) *Session {
 // Feed adds jobs to the stream, in any order; each must be released at or
 // after the session's boundary. A malformed, early or duplicate job
 // rejects the whole call and changes nothing.
-func (s *Session) Feed(jobs ...online.Job) error {
+func (s *Session) Feed(jobs ...cluster.Job) error {
 	if s.err != nil {
 		return s.err
 	}
-	err := s.infos.Enroll("grid", jobs, s.boundary, func(j *online.Job) jobInfo {
+	err := s.infos.Enroll("grid", jobs, s.boundary, func(j *cluster.Job) jobInfo {
 		pmin, _ := j.Task.MinTime()
 		return jobInfo{release: j.Release, pmin: pmin}
 	})
 	if err != nil {
 		return err
 	}
-	s.queue = online.MergeFunc(s.queue, online.SortedCopy(jobs), online.CompareJobs)
+	s.queue = cluster.MergeFunc(s.queue, cluster.SortedCopy(jobs), cluster.CompareJobs)
 	return nil
 }
 
@@ -214,8 +213,8 @@ func clip[T any](s []T) []T { return s[:len(s):len(s)] }
 // stays on. With final set it then processes every remaining outage.
 func (s *Session) route(limit float64, final bool) error {
 	start := time.Now() //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
-	feeds := make([][]online.Job, len(s.shards))
-	handle := func(j online.Job, migrated bool) error {
+	feeds := make([][]cluster.Job, len(s.shards))
+	handle := func(j cluster.Job, migrated bool) error {
 		d, stays, err := s.rt.route(j, migrated)
 		if err != nil {
 			return err
@@ -322,7 +321,7 @@ func (s *Session) fold(report func(c int) *cluster.Report) {
 	sort.Float64s(stretches)
 	sort.Float64s(bslds)
 	s.smp = samples{
-		online.MergeFunc(s.smp.stretches, stretches, cmp.Compare[float64]),
-		online.MergeFunc(s.smp.bslds, bslds, cmp.Compare[float64]),
+		cluster.MergeFunc(s.smp.stretches, stretches, cmp.Compare[float64]),
+		cluster.MergeFunc(s.smp.bslds, bslds, cmp.Compare[float64]),
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"bicriteria/internal/cluster"
 	"bicriteria/internal/faults"
 	"bicriteria/internal/moldable"
-	"bicriteria/internal/online"
 	"bicriteria/internal/reservation"
 )
 
@@ -80,7 +79,7 @@ func TestSessionOracle(t *testing.T) {
 
 // randomCuts draws k increasing cut times inside the stream's release span,
 // half of them exactly on a release date.
-func randomCuts(rng *rand.Rand, jobs []online.Job, k int) []float64 {
+func randomCuts(rng *rand.Rand, jobs []cluster.Job, k int) []float64 {
 	last := jobs[len(jobs)-1].Release
 	cuts := make([]float64, k)
 	for i := range cuts {
@@ -95,17 +94,17 @@ func randomCuts(rng *rand.Rand, jobs []online.Job, k int) []float64 {
 }
 
 // checkPieces runs one oracle trial and returns the finished report.
-func checkPieces(t *testing.T, f *Federation, jobs []online.Job, cuts []float64, rng *rand.Rand) *Report {
+func checkPieces(t *testing.T, f *Federation, jobs []cluster.Job, cuts []float64, rng *rand.Rand) *Report {
 	t.Helper()
 	ctx := context.Background()
-	offline := func(jobs []online.Job) *Report {
+	offline := func(jobs []cluster.Job) *Report {
 		rep, err := f.RunContext(ctx, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	pieces := make([][]online.Job, len(cuts)+1)
+	pieces := make([][]cluster.Job, len(cuts)+1)
 	for _, j := range jobs {
 		k := sort.Search(len(cuts), func(i int) bool { return j.Release < cuts[i] })
 		pieces[k] = append(pieces[k], j)
@@ -156,9 +155,9 @@ func checkPieces(t *testing.T, f *Federation, jobs []online.Job, cuts []float64,
 // drained at 3, after the cut, so shard 0's first batch must hold job 0
 // alone.
 func TestSessionNeverFeedsADrainedJob(t *testing.T) {
-	var jobs []online.Job
+	var jobs []cluster.Job
 	for i := 0; i < 10; i++ {
-		jobs = append(jobs, online.Job{Task: moldable.Sequential(i, 1, 10), Release: 0})
+		jobs = append(jobs, cluster.Job{Task: moldable.Sequential(i, 1, 10), Release: 0})
 	}
 	plan := &faults.Plan{Shards: []faults.ShardOutage{{Cluster: 0, Start: 3, End: 50}}}
 	f, err := New(Config{Clusters: []ClusterSpec{{M: 4}, {M: 4}}, Routing: RoundRobin(), Faults: plan})

@@ -9,7 +9,7 @@ import (
 // Instance is a complete scheduling problem: m identical processors and a
 // set of independent moldable tasks, all available at time 0 (the off-line
 // model of the paper; release dates for the on-line extension live in
-// package online).
+// cluster.Job).
 type Instance struct {
 	// M is the number of identical processors of the cluster.
 	M int

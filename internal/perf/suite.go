@@ -13,7 +13,6 @@ import (
 	"bicriteria/internal/flight"
 	"bicriteria/internal/grid"
 	"bicriteria/internal/moldable"
-	"bicriteria/internal/online"
 	"bicriteria/internal/reservation"
 	"bicriteria/internal/scenario"
 	"bicriteria/internal/serve"
@@ -120,9 +119,9 @@ func benchPortfolioAlgorithm(b *testing.B, algo cluster.Algorithm) {
 // whole run is one portfolio race plus one commit.
 func benchBatchPlan(b *testing.B) {
 	inst := batchInstance(b)
-	jobs := make([]online.Job, len(inst.Tasks))
+	jobs := make([]cluster.Job, len(inst.Tasks))
 	for i, t := range inst.Tasks {
-		jobs[i] = online.Job{Task: t}
+		jobs[i] = cluster.Job{Task: t}
 	}
 	eng, err := cluster.New(cluster.Config{
 		M:         64,
@@ -152,11 +151,11 @@ func benchBatchPlan(b *testing.B) {
 func benchPortfolioRace(b *testing.B) {
 	inst := batchInstance(b)
 	const batches = 6
-	jobs := make([]online.Job, 0, batches*len(inst.Tasks))
+	jobs := make([]cluster.Job, 0, batches*len(inst.Tasks))
 	for k := 0; k < batches; k++ {
 		for _, t := range inst.Tasks {
 			t.ID = len(jobs)
-			jobs = append(jobs, online.Job{Task: t, Release: float64(k) * 1e6})
+			jobs = append(jobs, cluster.Job{Task: t, Release: float64(k) * 1e6})
 		}
 	}
 	eng, err := cluster.New(cluster.Config{

@@ -14,7 +14,6 @@ import (
 	"bicriteria/internal/flight"
 	"bicriteria/internal/grid"
 	"bicriteria/internal/obs"
-	"bicriteria/internal/online"
 	"bicriteria/internal/reservation"
 	"bicriteria/internal/serve"
 	"bicriteria/internal/slo"
@@ -380,7 +379,7 @@ func (c Cluster) reservations() []reservation.Reservation {
 }
 
 // buildJobs loads or generates the job stream.
-func buildJobs(s Scenario) ([]online.Job, error) {
+func buildJobs(s Scenario) ([]cluster.Job, error) {
 	switch {
 	case s.Arrivals.Trace != "":
 		f, err := os.Open(s.Arrivals.Trace)
@@ -394,9 +393,9 @@ func buildJobs(s Scenario) ([]online.Job, error) {
 		}
 		tasks := trace.ToTasks(records, s.MaxMachines(), nil)
 		releases := trace.Releases(records)
-		jobs := make([]online.Job, len(tasks))
+		jobs := make([]cluster.Job, len(tasks))
 		for i, t := range tasks {
-			jobs[i] = online.Job{Task: t, Release: releases[t.ID]}
+			jobs[i] = cluster.Job{Task: t, Release: releases[t.ID]}
 		}
 		return jobs, nil
 	case s.Arrivals.File != "":
@@ -444,7 +443,7 @@ func buildJobs(s Scenario) ([]online.Job, error) {
 // estimated from the stream exactly like the legacy CLIs
 // (faults.SuggestHorizon over the total processors); ServeConfig passes
 // nil jobs and therefore requires an explicit horizon.
-func buildFaults(s Scenario, jobs []online.Job) (*faults.Plan, error) {
+func buildFaults(s Scenario, jobs []cluster.Job) (*faults.Plan, error) {
 	if !s.Faults.Active() {
 		return nil, nil
 	}
@@ -570,7 +569,6 @@ func gridConfig(s Scenario, plan *faults.Plan, reg *obs.Registry) (grid.Config, 
 	cfg := grid.Config{
 		Clusters:     specs,
 		Routing:      routing,
-		QueueDepth:   s.Routing.QueueDepth,
 		AdmitBacklog: s.Routing.AdmitBacklog,
 		Sequential:   s.Sequential,
 		Metrics:      reg,
@@ -642,7 +640,7 @@ func LogObserver(l *slog.Logger) Observer {
 }
 
 // seedFlight resets the recorder and records the stream's submissions.
-func seedFlight(rec *flight.Recorder, jobs []online.Job) {
+func seedFlight(rec *flight.Recorder, jobs []cluster.Job) {
 	rec.Reset()
 	for i := range jobs {
 		rec.Submitted(jobs[i].Task.ID, jobs[i].Release)
@@ -652,7 +650,7 @@ func seedFlight(rec *flight.Recorder, jobs []online.Job) {
 // sloOutcomes builds the SLO engine's input from the replayed stream and
 // the realized report: one outcome per submitted job, marked done (with
 // its cluster and execution bounds) when the realized schedule ran it.
-func sloOutcomes(jobs []online.Job, rep *Report) []slo.JobOutcome {
+func sloOutcomes(jobs []cluster.Job, rep *Report) []slo.JobOutcome {
 	type placed struct {
 		cluster    int
 		start, end float64
@@ -684,7 +682,7 @@ func sloOutcomes(jobs []online.Job, rep *Report) []slo.JobOutcome {
 
 // evaluateSLO attaches the SLO axis to the report and publishes it into
 // the runner's registry when the scenario declares an SLO block.
-func evaluateSLO(s Scenario, jobs []online.Job, rep *Report, reg *obs.Registry) {
+func evaluateSLO(s Scenario, jobs []cluster.Job, rep *Report, reg *obs.Registry) {
 	if s.SLO == nil {
 		return
 	}
@@ -697,7 +695,7 @@ func evaluateSLO(s Scenario, jobs []online.Job, rep *Report, reg *obs.Registry) 
 type clusterRunner struct {
 	scn    Scenario
 	cfg    cluster.Config
-	jobs   []online.Job
+	jobs   []cluster.Job
 	plan   *faults.Plan
 	reg    *obs.Registry
 	watch  Observer
@@ -769,7 +767,7 @@ func (r *clusterRunner) Run(ctx context.Context) (*Report, error) {
 type gridRunner struct {
 	scn    Scenario
 	cfg    grid.Config
-	jobs   []online.Job
+	jobs   []cluster.Job
 	plan   *faults.Plan
 	reg    *obs.Registry
 	watch  Observer

@@ -157,9 +157,6 @@ type Routing struct {
 	// AdmitBacklog closes a shard to new admissions above this estimated
 	// per-processor backlog; zero disables admission control.
 	AdmitBacklog float64 `json:"admit_backlog,omitempty"`
-	// QueueDepth is retained for configuration compatibility with
-	// grid.Config.QueueDepth; zero means the default.
-	QueueDepth int `json:"queue_depth,omitempty"`
 }
 
 // Faults configures deterministic fault injection and the replanning of
@@ -693,9 +690,6 @@ func (s Scenario) validatePolicies() error {
 	}
 	if !finiteNonNegative(s.Routing.AdmitBacklog) {
 		return validate.Errorf("routing.admit_backlog", "admission backlog limit must be non-negative and finite, got %g", s.Routing.AdmitBacklog)
-	}
-	if s.Routing.QueueDepth < 0 {
-		return validate.Errorf("routing.queue_depth", "negative queue depth %d", s.Routing.QueueDepth)
 	}
 	if math.IsNaN(s.Noise) || s.Noise < 0 || s.Noise >= 1 {
 		return validate.Errorf("noise", "noise fraction must lie in [0, 1), got %g", s.Noise)

@@ -14,9 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"bicriteria/internal/cluster"
 	"bicriteria/internal/grid"
 	"bicriteria/internal/moldable"
-	"bicriteria/internal/online"
 	"bicriteria/internal/workload"
 )
 
@@ -184,9 +184,9 @@ func TestEndToEndServiceMatchesOfflineReplay(t *testing.T) {
 
 	// The offline replay of the identical stream: same tasks, the release
 	// stamps the server handed back at submission time.
-	var jobs []online.Job
+	var jobs []cluster.Job
 	for id, release := range releases {
-		jobs = append(jobs, online.Job{Task: tasksByID[id], Release: release})
+		jobs = append(jobs, cluster.Job{Task: tasksByID[id], Release: release})
 	}
 	offline, err := grid.New(e2eGridConfig())
 	if err != nil {

@@ -61,7 +61,6 @@ import (
 	"bicriteria/internal/logx"
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/obs"
-	"bicriteria/internal/online"
 	"bicriteria/internal/slo"
 	"bicriteria/internal/validate"
 )
@@ -216,14 +215,14 @@ type Server struct {
 	ready    float64
 	counters Counters
 	draining bool
-	stream   []online.Job
+	stream   []cluster.Job
 	// sent[k] counts the jobs Submit put on queue shard k, collected[k]
 	// those its collector has appended to the stream. A shard queue is
 	// FIFO, so once collected[k] reaches a past value of sent[k], every job
 	// sent to shard k before that value was read is in the stream.
 	sent, collected []int
 
-	shards      []chan online.Job
+	shards      []chan cluster.Job
 	collectorWG sync.WaitGroup
 
 	// runMu serializes the refresher and the drain, the users of the
@@ -378,12 +377,12 @@ func NewServer(cfg Config) (*Server, error) {
 		s.bucket = newTokenBucket(cfg.SubmitRate, burst, s.started)
 	}
 
-	s.shards = make([]chan online.Job, cfg.QueueShards)
+	s.shards = make([]chan cluster.Job, cfg.QueueShards)
 	s.sent = make([]int, cfg.QueueShards)
 	s.collected = make([]int, cfg.QueueShards)
 	hook := testHookCollect
 	for i := range s.shards {
-		s.shards[i] = make(chan online.Job, cfg.QueueDepth)
+		s.shards[i] = make(chan cluster.Job, cfg.QueueDepth)
 		s.collectorWG.Add(1)
 		go s.collect(i, hook)
 	}
@@ -461,7 +460,7 @@ func (s *Server) Submit(task moldable.Task) (Accepted, error) {
 	}
 	k := shardOf(task.ID, len(s.shards))
 	select {
-	case s.shards[k] <- online.Job{Task: task, Release: vnow}:
+	case s.shards[k] <- cluster.Job{Task: task, Release: vnow}:
 		s.sent[k]++
 	default:
 		s.counters.RejectedQueue++
@@ -602,7 +601,7 @@ func (s *Server) refresh() error {
 // ever hold the mutex to append, so the catch-up wait is microseconds; if
 // it ever exceeds its bound, the capture returns a -Inf virtual time, at
 // which the refresh trusts nothing new.
-func (s *Server) capture(from int) ([]online.Job, float64) {
+func (s *Server) capture(from int) ([]cluster.Job, float64) {
 	s.mu.Lock()
 	vnow := s.pacer.now()
 	sent := slices.Clone(s.sent)
@@ -614,7 +613,7 @@ func (s *Server) capture(from int) ([]online.Job, float64) {
 			caughtUp = caughtUp && s.collected[k] >= n
 		}
 		if caughtUp || i >= 200 {
-			jobs := append([]online.Job(nil), s.stream[from:]...)
+			jobs := append([]cluster.Job(nil), s.stream[from:]...)
 			s.mu.Unlock()
 			if !caughtUp {
 				vnow = math.Inf(-1)
@@ -821,7 +820,7 @@ func (s *Server) Drain() (*FinalReport, error) {
 		defer s.runMu.Unlock()
 		vnow := s.pacer.now()
 		s.mu.Lock()
-		rest := append([]online.Job(nil), s.stream[s.streamFed:]...)
+		rest := append([]cluster.Job(nil), s.stream[s.streamFed:]...)
 		jobs := len(s.stream)
 		s.mu.Unlock()
 		err := s.sess.Feed(rest...)

@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"bicriteria/internal/cluster"
 	"bicriteria/internal/grid"
 	"bicriteria/internal/moldable"
-	"bicriteria/internal/online"
 )
 
 // fakeClock is a manually advanced wall clock shared with a server.
@@ -262,14 +262,14 @@ func TestDrainMatchesOfflineReplay(t *testing.T) {
 		c.Grid = cfg
 		c.Speedup = 50
 	})
-	var jobs []online.Job
+	var jobs []cluster.Job
 	for i := 0; i < 40; i++ {
 		task := moldable.PerfectlyMoldable(i, 1+float64(i%3), 20+float64(i%7), 1+i%6)
 		acc, err := s.Submit(task)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, online.Job{Task: task, Release: acc.Release})
+		jobs = append(jobs, cluster.Job{Task: task, Release: acc.Release})
 		clock.advance(time.Duration(i%5) * 100 * time.Millisecond)
 	}
 	rep, err := s.Drain()
@@ -331,14 +331,14 @@ func TestSnapshotRestoreResumesService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jobs []online.Job
+	var jobs []cluster.Job
 	for i := 0; i < 10; i++ {
 		task := seqTask(i, 5+float64(i))
 		acc, err := a.Submit(task)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, online.Job{Task: task, Release: acc.Release})
+		jobs = append(jobs, cluster.Job{Task: task, Release: acc.Release})
 		clockA.advance(200 * time.Millisecond)
 	}
 	vnowA := a.Now()
@@ -369,7 +369,7 @@ func TestSnapshotRestoreResumesService(t *testing.T) {
 	if acc.Release < vnowA {
 		t.Fatalf("post-restore release %g rewound before %g", acc.Release, vnowA)
 	}
-	jobs = append(jobs, online.Job{Task: task, Release: acc.Release})
+	jobs = append(jobs, cluster.Job{Task: task, Release: acc.Release})
 
 	rep, err := b.Drain()
 	if err != nil {

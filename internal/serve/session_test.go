@@ -22,7 +22,6 @@ import (
 	"bicriteria/internal/flight"
 	"bicriteria/internal/grid"
 	"bicriteria/internal/obs"
-	"bicriteria/internal/online"
 	"bicriteria/internal/validate"
 	"bicriteria/internal/workload"
 )
@@ -139,7 +138,7 @@ func TestRefreshMatchesFullReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	refReg := newRegistry()
-	var accepted []online.Job
+	var accepted []cluster.Job
 	handler := s.Handler()
 	timeline := func(id int) []byte {
 		rec := httptest.NewRecorder()
@@ -189,7 +188,7 @@ func TestRefreshMatchesFullReplay(t *testing.T) {
 			}
 			pmin, _ := a.Task.MinTime()
 			refReg.add(a.Task.ID, a.Task.Name, a.Task.Weight, acc.Release, pmin)
-			accepted = append(accepted, online.Job{Task: a.Task, Release: acc.Release})
+			accepted = append(accepted, cluster.Job{Task: a.Task, Release: acc.Release})
 		}
 		// Refresh at the last release, half an eps after it — inside the
 		// margin, where a routing is made but not yet trusted — or well
@@ -328,7 +327,7 @@ func TestRefreshWaitsForEveryQueueShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.RunContext(context.Background(), []online.Job{
+	want, err := ref.RunContext(context.Background(), []cluster.Job{
 		{Task: seqTask(a, 3), Release: accA.Release},
 		{Task: seqTask(b, 3), Release: accB.Release},
 	})

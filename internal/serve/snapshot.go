@@ -8,8 +8,8 @@ import (
 	"path/filepath"
 	"time"
 
+	"bicriteria/internal/cluster"
 	"bicriteria/internal/moldable"
-	"bicriteria/internal/online"
 	"bicriteria/internal/validate"
 )
 
@@ -136,7 +136,7 @@ func (s *Server) restoreSnapshot(path string) (float64, error) {
 			return 0, fmt.Errorf("serve: snapshot has duplicate job ID %d", task.ID)
 		}
 		pmin, _ := task.MinTime()
-		s.stream = append(s.stream, online.Job{Task: task, Release: sj.Release})
+		s.stream = append(s.stream, cluster.Job{Task: task, Release: sj.Release})
 		s.reg.add(task.ID, task.Name, task.Weight, sj.Release, pmin)
 		// Recharge the front-door backlog clock exactly as the original
 		// admissions did.

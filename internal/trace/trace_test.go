@@ -2,14 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"bicriteria/internal/cluster"
 	"bicriteria/internal/core"
 	"bicriteria/internal/moldable"
-	"bicriteria/internal/online"
 	"bicriteria/internal/schedule"
 )
 
@@ -146,8 +147,8 @@ func TestReleases(t *testing.T) {
 	}
 }
 
-// TestEndToEndTraceDrivenScheduling replays a trace through the on-line
-// batch framework and exports the result back to SWF.
+// TestEndToEndTraceDrivenScheduling replays a trace through a batch-on-idle
+// cluster engine (the on-line batch framework) and exports the result back to SWF.
 func TestEndToEndTraceDrivenScheduling(t *testing.T) {
 	records := []Record{
 		{JobID: 0, Submit: 0, Run: 6, Procs: 4, Status: 1},
@@ -158,17 +159,19 @@ func TestEndToEndTraceDrivenScheduling(t *testing.T) {
 	const m = 8
 	tasks := ToTasks(records, m, nil)
 	releases := Releases(records)
-	jobs := make([]online.Job, len(tasks))
+	jobs := make([]cluster.Job, len(tasks))
 	for i, task := range tasks {
-		jobs[i] = online.Job{Task: task, Release: releases[task.ID]}
+		jobs[i] = cluster.Job{Task: task, Release: releases[task.ID]}
 	}
-	res, err := online.Schedule(m, jobs, func(inst *moldable.Instance) (*schedule.Schedule, error) {
-		out, err := core.Schedule(inst, &core.Options{Shuffles: 2})
-		if err != nil {
-			return nil, err
-		}
-		return out.Schedule, nil
+	eng, err := cluster.New(cluster.Config{
+		M:         m,
+		Portfolio: []cluster.Algorithm{cluster.DEMTAlgorithm(&core.Options{Shuffles: 2})},
+		Policy:    cluster.BatchOnIdle(),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 // This file implements the Cirne–Berman style moldable-job model used for
 // Figure 6 of the paper.
 //
-// Substitution note (see DESIGN.md): the original model of Cirne & Berman
+// Substitution note: the original model of Cirne & Berman
 // ("A model for moldable supercomputer jobs", IPDPS 2001) is fitted on a
 // user survey we do not have. We reproduce its structure: the sequential
 // time is drawn from the paper's uniform(1,10) model (as stated in §4.1),
