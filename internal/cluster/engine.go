@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -518,9 +517,12 @@ func JobsFromArrivals(arrivals []workload.Arrival) []Job {
 // UniformNoise builds a deterministic runtime perturbation: every task's
 // realized duration is its planned duration scaled by a uniform factor in
 // [1-frac, 1+frac], drawn from a stream keyed by (seed, taskID) so the
-// result does not depend on simulation order. A frac of 0 returns nil
-// (exact execution); a frac outside [0, 1) is rejected, since any other
-// factor range could produce non-positive durations.
+// result does not depend on simulation order. The draw is the first
+// Float64 of rand.New(rand.NewSource(seed ^ (taskID+1)·0x9E3779B9)),
+// bit for bit, but evaluated in O(1) per call from the source's seeding
+// formula instead of by seeding a generator (see firstFloat64). A frac of
+// 0 returns nil (exact execution); a frac outside [0, 1) is rejected,
+// since any other factor range could produce non-positive durations.
 func UniformNoise(frac float64, seed int64) (func(taskID int, planned float64) float64, error) {
 	if frac == 0 {
 		return nil, nil
@@ -529,7 +531,6 @@ func UniformNoise(frac float64, seed int64) (func(taskID int, planned float64) f
 		return nil, fmt.Errorf("cluster: noise fraction must lie in [0, 1), got %g", frac)
 	}
 	return func(taskID int, planned float64) float64 {
-		r := rand.New(rand.NewSource(seed ^ (int64(taskID)+1)*0x9E3779B9))
-		return planned * (1 - frac + 2*frac*r.Float64())
+		return planned * (1 - frac + 2*frac*firstFloat64(seed^(int64(taskID)+1)*0x9E3779B9))
 	}, nil
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"maps"
+	"math"
 	"slices"
 	"sort"
 
@@ -87,8 +88,8 @@ type metricsAccumulator struct {
 	makespan    float64
 	weightedC   float64
 	maxFlow     float64
-	stretches   []float64
-	bslds       []float64
+	stretches   sample
+	bslds       sample
 	busy        float64
 	delayed     int
 	killed      int
@@ -96,6 +97,8 @@ type metricsAccumulator struct {
 	lost        int
 	recovered   int
 	wins        map[string]int
+	// scratch is the merge buffer of sample.sort, reused across snapshots.
+	scratch []float64
 }
 
 func newMetricsAccumulator(m int) *metricsAccumulator {
@@ -103,13 +106,48 @@ func newMetricsAccumulator(m int) *metricsAccumulator {
 }
 
 // clone deep-copies the accumulator for a session fork: snapshot sorts the
-// samples in place, so a fork must not share them.
+// samples in place, so a fork must not share them (nor the scratch buffer).
 func (acc *metricsAccumulator) clone() *metricsAccumulator {
 	c := *acc
-	c.stretches = slices.Clone(acc.stretches)
-	c.bslds = slices.Clone(acc.bslds)
+	c.stretches.vals = slices.Clone(acc.stretches.vals)
+	c.bslds.vals = slices.Clone(acc.bslds.vals)
 	c.wins = maps.Clone(acc.wins)
+	c.scratch = nil
 	return &c
+}
+
+// sample is a list of observations kept in sort.Float64s order (NaNs
+// first) across snapshots: vals[:sorted] is in order, the rest arrived
+// since the last sort.
+type sample struct {
+	vals   []float64
+	sorted int
+}
+
+// sort puts vals in order in O(new·log new + len(vals)): it sorts the
+// values added since the last call and merges them, from the back, into
+// the sorted prefix, with scratch (returned, possibly grown) holding the
+// new values during the merge. Equal values are interchangeable, so the
+// result is the slice sort.Float64s would leave.
+func (s *sample) sort(scratch []float64) []float64 {
+	fresh := s.vals[s.sorted:]
+	sort.Float64s(fresh)
+	scratch = append(scratch[:0], fresh...)
+	i, j := s.sorted-1, len(scratch)-1
+	for k := len(s.vals) - 1; j >= 0; k-- {
+		if i >= 0 && floatLess(scratch[j], s.vals[i]) {
+			s.vals[k], i = s.vals[i], i-1
+		} else {
+			s.vals[k], j = scratch[j], j-1
+		}
+	}
+	s.sorted = len(s.vals)
+	return scratch
+}
+
+// floatLess is the order of sort.Float64s: NaNs first, then by value.
+func floatLess(a, b float64) bool {
+	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
 }
 
 // observeJob folds one realized job completion into the accumulator.
@@ -124,9 +162,9 @@ func (acc *metricsAccumulator) observeJob(release, completion, pmin, weight floa
 		acc.maxFlow = flow
 	}
 	if pmin > 0 {
-		acc.stretches = append(acc.stretches, flow/pmin)
+		acc.stretches.vals = append(acc.stretches.vals, flow/pmin)
 	}
-	acc.bslds = append(acc.bslds, BoundedSlowdown(flow, pmin))
+	acc.bslds.vals = append(acc.bslds.vals, BoundedSlowdown(flow, pmin))
 }
 
 // observeBatch folds one committed batch into the accumulator.
@@ -156,15 +194,15 @@ func (acc *metricsAccumulator) snapshot() Metrics {
 	for k, v := range acc.wins {
 		m.Wins[k] = v
 	}
-	// The samples are kept sorted in place across snapshots: snapshot runs
-	// once per batch, and re-sorting an almost-sorted slice is much
-	// cheaper than copying and sorting from scratch every time.
-	sort.Float64s(acc.stretches)
-	stretch := stats.TailOfSorted(acc.stretches)
+	// snapshot runs once per batch, so it sorts only the batch's new
+	// samples and merges them into the sorted rest in one pass, instead of
+	// sorting the whole sample again.
+	acc.scratch = acc.stretches.sort(acc.scratch)
+	stretch := stats.TailOfSorted(acc.stretches.vals)
 	m.MeanStretch = stretch.Mean
 	m.StretchP50, m.StretchP95, m.StretchP99 = stretch.P50, stretch.P95, stretch.P99
-	sort.Float64s(acc.bslds)
-	bsld := stats.TailOfSorted(acc.bslds)
+	acc.scratch = acc.bslds.sort(acc.scratch)
+	bsld := stats.TailOfSorted(acc.bslds.vals)
 	m.MeanBoundedSlowdown = bsld.Mean
 	m.BoundedSlowdownP50, m.BoundedSlowdownP95, m.BoundedSlowdownP99 = bsld.P50, bsld.P95, bsld.P99
 	if acc.makespan > 0 && acc.m > 0 {

@@ -340,8 +340,13 @@ func LogBuckets(lo, hi float64, buckets int) []float64 {
 }
 
 // TimeBuckets is the standard latency bucket shape of the hot-path
-// timing histograms: 1µs to 10s in 28 log-spaced buckets.
-func TimeBuckets() []float64 { return LogBuckets(1e-6, 10, 28) }
+// timing histograms: 1µs to 10s in 28 log-spaced buckets. Every call
+// returns the same slice, computed once, because the hot path asks for it
+// on every observation: callers must not modify it (Registry.Histogram
+// copies the bounds when it creates a family).
+func TimeBuckets() []float64 { return timeBuckets }
+
+var timeBuckets = LogBuckets(1e-6, 10, 28)
 
 // PhaseTimer returns a phase-labeled timing callback over one histogram
 // family: calling the function observes seconds under {label: phase}.

@@ -5,9 +5,10 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"bicriteria/internal/moldable"
 )
@@ -75,15 +76,13 @@ func (s *Schedule) Makespan() float64 {
 // WeightedCompletion returns the weighted minsum criterion sum(w_i * C_i)
 // for the instance the schedule was built for.
 func (s *Schedule) WeightedCompletion(inst *moldable.Instance) float64 {
-	tasks := tasksByID(inst)
+	idx := indexTasks(inst)
 	total := 0.0
 	for i := range s.Assignments {
 		a := &s.Assignments[i]
-		t := tasks[a.TaskID]
-		if t == nil {
-			continue
+		if pos := idx.find(a.TaskID); pos >= 0 {
+			total += inst.Tasks[pos].Weight * a.End()
 		}
-		total += t.Weight * a.End()
 	}
 	return total
 }
@@ -100,15 +99,15 @@ func (s *Schedule) SumCompletion() float64 {
 // MaxStretch returns the maximum over tasks of C_i / p_i(min): how much a
 // task is slowed down compared to running alone fully parallel.
 func (s *Schedule) MaxStretch(inst *moldable.Instance) float64 {
-	tasks := tasksByID(inst)
+	idx := indexTasks(inst)
 	worst := 0.0
 	for i := range s.Assignments {
 		a := &s.Assignments[i]
-		t := tasks[a.TaskID]
-		if t == nil {
+		pos := idx.find(a.TaskID)
+		if pos < 0 {
 			continue
 		}
-		pmin, _ := t.MinTime()
+		pmin, _ := inst.Tasks[pos].MinTime()
 		if pmin <= 0 {
 			continue
 		}
@@ -119,16 +118,32 @@ func (s *Schedule) MaxStretch(inst *moldable.Instance) float64 {
 	return worst
 }
 
-// tasksByID indexes the instance's tasks by ID, keeping the first of
-// duplicated IDs as Instance.Task does.
-func tasksByID(inst *moldable.Instance) map[int]*moldable.Task {
-	tasks := make(map[int]*moldable.Task, len(inst.Tasks))
+// taskIndex finds an instance's tasks by ID: every task's ID and position
+// in inst.Tasks, sorted by ID, then position.
+type taskIndex []taskPos
+
+type taskPos struct{ id, pos int }
+
+// indexTasks indexes the instance's tasks in O(n log n).
+func indexTasks(inst *moldable.Instance) taskIndex {
+	idx := make(taskIndex, len(inst.Tasks))
 	for i := range inst.Tasks {
-		if _, dup := tasks[inst.Tasks[i].ID]; !dup {
-			tasks[inst.Tasks[i].ID] = &inst.Tasks[i]
-		}
+		idx[i] = taskPos{inst.Tasks[i].ID, i}
 	}
-	return tasks
+	slices.SortFunc(idx, func(a, b taskPos) int {
+		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.pos, b.pos))
+	})
+	return idx
+}
+
+// find returns the position of the task with the given ID, the first of
+// duplicated IDs as Instance.Task does, or -1 when absent.
+func (idx taskIndex) find(id int) int {
+	j, ok := slices.BinarySearchFunc(idx, id, func(e taskPos, id int) int { return cmp.Compare(e.id, id) })
+	if !ok {
+		return -1
+	}
+	return idx[j].pos
 }
 
 // TotalWork returns the sum over assignments of NProcs * Duration.
@@ -187,6 +202,11 @@ type ValidateOptions struct {
 //   - explicit processor indices are in range, unique within a task, and no
 //     processor executes two tasks at the same time;
 //   - at every instant at most M processors are busy.
+//
+// For n tasks and A assignments listing P processors in all, it costs
+// O((n + A)·log n) to find the tasks in an index built once, O(M + P) for
+// one stamp and one bucket of spans per processor, and a sort of the 2A
+// start/end events and of each processor's spans; it uses no maps.
 func (s *Schedule) Validate(inst *moldable.Instance, opts *ValidateOptions) error {
 	if opts == nil {
 		opts = &ValidateOptions{}
@@ -194,15 +214,20 @@ func (s *Schedule) Validate(inst *moldable.Instance, opts *ValidateOptions) erro
 	if s.M != inst.M {
 		return fmt.Errorf("schedule: machine size mismatch (schedule %d, instance %d)", s.M, inst.M)
 	}
-	seen := make(map[int]int)
+	idx := indexTasks(inst)
+	// seen counts the assignments of each task, by its position in
+	// inst.Tasks; stamp[p] is i+1 once assignment i has listed processor p.
+	seen := make([]int, len(inst.Tasks))
+	var stamp []int
 	for i := range s.Assignments {
 		a := &s.Assignments[i]
-		t := inst.Task(a.TaskID)
-		if t == nil {
+		pos := idx.find(a.TaskID)
+		if pos < 0 {
 			return fmt.Errorf("schedule: assignment %d references unknown task %d", i, a.TaskID)
 		}
-		seen[a.TaskID]++
-		if seen[a.TaskID] > 1 {
+		t := &inst.Tasks[pos]
+		seen[pos]++
+		if seen[pos] > 1 {
 			return fmt.Errorf("schedule: task %d scheduled more than once", a.TaskID)
 		}
 		if a.NProcs < 1 || a.NProcs > t.MaxProcs() {
@@ -227,21 +252,25 @@ func (s *Schedule) Validate(inst *moldable.Instance, opts *ValidateOptions) erro
 			if len(a.Procs) != a.NProcs {
 				return fmt.Errorf("schedule: task %d lists %d processors but NProcs=%d", a.TaskID, len(a.Procs), a.NProcs)
 			}
-			dup := make(map[int]bool, len(a.Procs))
+			if stamp == nil {
+				stamp = make([]int, s.M) // s.M >= NProcs >= 1 here
+			}
 			for _, p := range a.Procs {
 				if p < 0 || p >= s.M {
 					return fmt.Errorf("schedule: task %d uses processor %d outside [0,%d)", a.TaskID, p, s.M)
 				}
-				if dup[p] {
+				if stamp[p] == i+1 {
 					return fmt.Errorf("schedule: task %d uses processor %d twice", a.TaskID, p)
 				}
-				dup[p] = true
+				stamp[p] = i + 1
 			}
 		}
 	}
 	if !opts.AllowMissingTasks {
+		// The first unscheduled ID in instance order sits at the position
+		// of its first task, where seen counts it.
 		for i := range inst.Tasks {
-			if seen[inst.Tasks[i].ID] == 0 {
+			if seen[i] == 0 && idx.find(inst.Tasks[i].ID) == i {
 				return fmt.Errorf("schedule: task %d is not scheduled", inst.Tasks[i].ID)
 			}
 		}
@@ -249,7 +278,24 @@ func (s *Schedule) Validate(inst *moldable.Instance, opts *ValidateOptions) erro
 	if err := s.checkCapacity(); err != nil {
 		return err
 	}
+	if stamp == nil {
+		return nil // no assignment lists its processors
+	}
 	return s.checkProcessorOverlaps()
+}
+
+// lessFirst is the three-way form of a < b for slices.SortFunc, which
+// runs the same pdqsort as sort.Slice and only asks whether the result is
+// negative: sorting with it leaves the exact order sort.Slice with a < b
+// would, ties and NaNs included, without sort.Slice's allocations.
+func lessFirst(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
 }
 
 // checkCapacity sweeps start/end events and verifies that the number of
@@ -264,11 +310,11 @@ func (s *Schedule) checkCapacity() error {
 		a := &s.Assignments[i]
 		events = append(events, event{a.Start, a.NProcs}, event{a.End(), -a.NProcs})
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if math.Abs(events[i].t-events[j].t) <= moldable.Eps {
-			return events[i].delta < events[j].delta // process releases first
+	slices.SortFunc(events, func(a, b event) int {
+		if math.Abs(a.t-b.t) <= moldable.Eps {
+			return cmp.Compare(a.delta, b.delta) // process releases first
 		}
-		return events[i].t < events[j].t
+		return lessFirst(a.t, b.t)
 	})
 	busy := 0
 	for _, e := range events {
@@ -282,35 +328,44 @@ func (s *Schedule) checkCapacity() error {
 
 // checkProcessorOverlaps verifies, for assignments carrying explicit
 // processor sets, that no processor runs two tasks simultaneously.
+// Validate has checked every listed processor lies in [0, M), so the
+// spans go in one slice bucketed by processor, each bucket in assignment
+// order.
 func (s *Schedule) checkProcessorOverlaps() error {
 	type span struct {
 		start, end float64
 		task       int
 	}
-	perProc := make(map[int][]span)
+	// end[p] is first the end of processor p's bucket; filling the buckets
+	// backwards leaves it at the bucket's start.
+	end := make([]int, s.M+1)
 	for i := range s.Assignments {
-		a := &s.Assignments[i]
-		if a.Procs == nil {
-			continue
+		for _, p := range s.Assignments[i].Procs {
+			end[p]++
 		}
+	}
+	total := 0
+	for p := range end {
+		total += end[p]
+		end[p] = total
+	}
+	spans := make([]span, total)
+	for i := len(s.Assignments) - 1; i >= 0; i-- {
+		a := &s.Assignments[i]
 		for _, p := range a.Procs {
-			perProc[p] = append(perProc[p], span{a.Start, a.End(), a.TaskID})
+			end[p]--
+			spans[end[p]] = span{a.Start, a.End(), a.TaskID}
 		}
 	}
 	// Check processors in ascending order so a schedule with several
 	// overlaps always reports the same one.
-	procs := make([]int, 0, len(perProc))
-	for p := range perProc {
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	for _, p := range procs {
-		spans := perProc[p]
-		sort.Slice(spans, func(i, j int) bool { return spans[i].start < spans[j].start })
-		for i := 1; i < len(spans); i++ {
-			if spans[i].start < spans[i-1].end-1e-6 {
+	for p := 0; p < s.M; p++ {
+		bucket := spans[end[p]:end[p+1]]
+		slices.SortFunc(bucket, func(a, b span) int { return lessFirst(a.start, b.start) })
+		for i := 1; i < len(bucket); i++ {
+			if bucket[i].start < bucket[i-1].end-1e-6 {
 				return fmt.Errorf("schedule: processor %d runs tasks %d and %d simultaneously (overlap at %g)",
-					p, spans[i-1].task, spans[i].task, spans[i].start)
+					p, bucket[i-1].task, bucket[i].task, bucket[i].start)
 			}
 		}
 	}

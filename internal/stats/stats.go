@@ -113,9 +113,9 @@ func TailSummary(values []float64) Tail {
 
 // TailOfSorted is TailSummary for a sample the caller keeps sorted: no
 // copy, no sort. Accumulators that snapshot repeatedly (once per batch)
-// should sort their sample in place and call this — re-sorting an
-// almost-sorted slice is far cheaper than copying and sorting from
-// scratch on every snapshot.
+// should keep their sample in sort.Float64s order by sorting only each
+// snapshot's new values and merging them in, then call this: re-sorting
+// the whole sample every time is not cheap even when it is almost sorted.
 func TailOfSorted(sorted []float64) Tail {
 	if len(sorted) == 0 {
 		return Tail{}
