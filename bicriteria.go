@@ -944,16 +944,6 @@ func GenerateFaultsForJobs(cfg FaultsConfig, jobs []OnlineJob) (*FaultsPlan, err
 	return faults.Generate(cfg)
 }
 
-// ParseClusterReplan builds a replan policy from its CLI name ("restart"
-// or "checkpoint") and checkpoint credit (0 = full credit).
-func ParseClusterReplan(kind string, credit float64) (ClusterReplanPolicy, error) {
-	k, err := cluster.ParseReplanKind(kind)
-	if err != nil {
-		return ClusterReplanPolicy{}, err
-	}
-	return ClusterReplanPolicy{Kind: k, Credit: credit}, nil
-}
-
 // ClusterReplanPolicy decides what a killed job looks like when it rejoins
 // the queue: restart from scratch, or checkpoint-credit the finished work.
 type ClusterReplanPolicy = cluster.ReplanPolicy
@@ -966,10 +956,6 @@ const (
 	ClusterReplanRestart    = cluster.ReplanRestart
 	ClusterReplanCheckpoint = cluster.ReplanCheckpoint
 )
-
-// ParseClusterReplanKind converts "restart" or "checkpoint" into a replan
-// kind.
-func ParseClusterReplanKind(s string) (ClusterReplanKind, error) { return cluster.ParseReplanKind(s) }
 
 // ClusterKillEvent records one job killed by an outage during a run.
 type ClusterKillEvent = cluster.KillEvent

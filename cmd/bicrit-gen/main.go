@@ -10,13 +10,13 @@
 //
 //   - Arrival-stream mode (-arrivals): generate an on-line job stream —
 //     tasks plus renewal-process submission times, optionally bursty and
-//     heavy-tailed — and save it so the same stream can feed the replay
-//     CLIs (bicrit-grid and friends) and the live load generator.
+//     heavy-tailed — and save it so the same stream can feed a scenario's
+//     arrivals.file (bicrit run) and the live load generator.
 //
 //     bicrit-gen -arrivals stream.json -m 64 -n 300 -rate 6 -burst 8 -arrival lognormal
 //
 //   - Load-generator mode (-target): replay an arrival stream (generated,
-//     or loaded with -in) against a running bicrit-serve instance over
+//     or loaded with -in) against a running bicrit serve instance over
 //     HTTP, pacing submissions by the stream's inter-arrival gaps scaled
 //     by -speedup (0 submits as fast as possible), chunking with -bulk,
 //     honoring 429 Retry-After back-pressure, and optionally draining the
@@ -40,9 +40,9 @@
 // Earlier versions had no fault sub-seed at all: downstream CLIs reused
 // the raw workload seed for the fault generator, correlating the failure
 // stream with the task stream the salts exist to decorrelate. The
-// -faults sidecar (and the scenario compiler) use the derived sub-seed;
-// the legacy replay CLIs keep their raw-seed default for golden-output
-// compatibility, and -fault-seed pins an explicit value everywhere.
+// -faults sidecar (and the scenario compiler) use the derived sub-seed,
+// and -fault-seed (a scenario's faults.seed) pins an explicit value
+// everywhere.
 //
 //	bicrit-gen -arrivals stream.json -m 64 -n 300 -rate 6 \
 //	    -faults plan.json -fault-mtbf 25 -fault-repair 5
@@ -92,7 +92,7 @@ func run(args []string, out io.Writer) error {
 	faultCorrSize := fs.Int("fault-corr-size", 0, "fault plan: nodes per correlated failure group (0 = quarter of the machine)")
 	shardMTBF := fs.Float64("shard-mtbf", 0, "fault plan: mean time between whole-machine outages (0 = none)")
 	shardRepair := fs.Float64("shard-repair", 0, "fault plan: mean whole-machine outage duration (0 = shard-mtbf/10)")
-	target := fs.String("target", "", "load-generator mode: base URL of a running bicrit-serve instance")
+	target := fs.String("target", "", "load-generator mode: base URL of a running bicrit serve instance")
 	inPath := fs.String("in", "", "load-generator mode: replay this arrival file instead of generating")
 	speedup := fs.Float64("speedup", 0, "load generator: virtual time units per wall second for pacing (0 = submit as fast as possible); match the server's -speedup")
 	bulk := fs.Int("bulk", 1, "load generator: jobs per POST /jobs request")

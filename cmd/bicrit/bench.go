@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"bicriteria/cmd/internal/cliutil"
 	"bicriteria/internal/perf"
 )
 
@@ -84,7 +83,7 @@ func benchCmd(args []string, out io.Writer) error {
 				results[i].Name, results[i].NsPerOp, results[i].AllocsPerOp, results[i].BytesPerOp)
 		}
 		current = perf.NewTrajectory(results, currentCommit(), time.Now())
-		if err := cliutil.WriteFile(*outPath, func(w io.Writer) error {
+		if err := writeFile(*outPath, func(w io.Writer) error {
 			return perf.WriteTrajectory(w, current)
 		}); err != nil {
 			return err

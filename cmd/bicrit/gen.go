@@ -8,12 +8,11 @@ import (
 	"strings"
 
 	"bicriteria"
-	"bicriteria/cmd/internal/cliutil"
 )
 
-// genCmd writes a scenario file from flags: the migration path from the
-// legacy per-binary flag sets to one declarative spec. The single -seed
-// flag deterministically derives every sub-stream: the task stream uses
+// genCmd writes a scenario file from flags, so a replay or a service can
+// be set up from the command line without hand-writing JSON. The single
+// -seed flag deterministically derives every sub-stream: the task stream uses
 // the seed itself, arrival instants seed^ArrivalSeedSalt, runtime tails
 // seed^RuntimeSeedSalt, and the fault plan seed^ScenarioFaultSeedSalt
 // (left implicit in the file — the compiler derives it — unless
@@ -177,5 +176,24 @@ func describeSizes(sizes []int) string {
 	return "clusters " + strings.Join(parts, ",")
 }
 
-// parseSizes parses the -clusters flag into processor counts.
-func parseSizes(s string) ([]int, error) { return cliutil.ParseSizes(s) }
+// parseSizes parses a comma-separated -clusters flag into processor
+// counts.
+func parseSizes(s string) ([]int, error) {
+	parts := strings.Split(s, ",")
+	sizes := make([]int, 0, len(parts))
+	for _, p := range parts {
+		p = strings.TrimSpace(p)
+		if p == "" {
+			continue
+		}
+		m, err := strconv.Atoi(p)
+		if err != nil || m < 1 {
+			return nil, fmt.Errorf("bad cluster size %q (want a positive processor count)", p)
+		}
+		sizes = append(sizes, m)
+	}
+	if len(sizes) == 0 {
+		return nil, fmt.Errorf("-clusters lists no cluster sizes")
+	}
+	return sizes, nil
+}

@@ -6,8 +6,9 @@
 //
 //   - run: replay a scenario offline through its compiled engine (the
 //     cluster engine for single topology, the grid federation for grid)
-//     and print the standard report. Byte-identical to what the legacy
-//     bicrit-cluster / bicrit-grid shims print for the equivalent flags.
+//     and print the standard report; -json and -csv export a grid run.
+//     The report, JSON and CSV bytes are pinned by the goldens under
+//     testdata/.
 //
 //     bicrit run -v scenario.json
 //     bicrit run -json report.json -csv clusters.csv scenario.json
@@ -23,14 +24,16 @@
 //
 //   - serve: run the scenario as a live scheduler service (the serve
 //     layer's HTTP API), using the scenario's optional "service" section
-//     for pacing, rate limiting and snapshots.
+//     for pacing, rate limiting and snapshots. A service whose snapshot
+//     file exists restores it on start and says how many jobs it restored.
 //
 //     bicrit serve -addr :8080 scenario.json
 //
-//   - gen: write a scenario file from flags — the migration path from
-//     the legacy flag soup to scenario files.
+//   - gen: write a scenario file from flags, so a replay or a service
+//     needs no hand-written JSON.
 //
 //     bicrit gen -topology grid -clusters 64,32,16 -n 300 -rate 6 -o scenario.json
+//     bicrit gen -clusters 64 -trace jobs.swf -batch interval -interval 50 -o swf.json
 //
 //   - bench: run the perf observatory's benchmark suite over every
 //     instrumented hot path and record a versioned BENCH trajectory;

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -23,22 +26,59 @@ func writeScenario(t *testing.T, s bicriteria.Scenario) string {
 	return path
 }
 
-// legacyGolden reads a golden file pinned by one of the legacy CLIs.
-func legacyGolden(t *testing.T, cli, name string) []byte {
+// update rewrites the golden files: go test ./cmd/bicrit -update
+var update = flag.Bool("update", false, "rewrite the golden files with the current output")
+
+// checkGolden compares got with testdata/<name>, or rewrites the golden
+// under -update. The goldens pin the report, JSON and CSV bytes of a
+// replay (every replay is deterministic), so drift in either the shape or
+// the numbers is a test failure, not a silent change.
+func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("..", cli, "testdata", name))
-	if err != nil {
-		t.Fatalf("missing legacy golden (run go test ./cmd/... -update): %v", err)
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	return data
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with: go test ./cmd/bicrit -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output drifted from %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
 }
 
-// TestRunMatchesClusterGolden pins the acceptance contract: `bicrit run`
-// on the scenario equivalent of the bicrit-cluster golden flags
-// reproduces the legacy report bytes exactly.
+// checkGridGoldens replays a grid scenario with the JSON and CSV exports
+// and checks all three artifacts against testdata/<prefix>{,.json,.csv}.golden.
+func checkGridGoldens(t *testing.T, prefix string, s bicriteria.Scenario) {
+	t.Helper()
+	path := writeScenario(t, s)
+	dir := t.TempDir()
+	jsonPath := filepath.Join(dir, "report.json")
+	csvPath := filepath.Join(dir, "clusters.csv")
+	var buf bytes.Buffer
+	if err := runCmd([]string{"-json", jsonPath, "-csv", csvPath, path}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, prefix+".golden", buf.Bytes())
+	for _, export := range []struct{ path, golden string }{
+		{jsonPath, prefix + ".json.golden"},
+		{csvPath, prefix + ".csv.golden"},
+	} {
+		got, err := os.ReadFile(export.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, export.golden, got)
+	}
+}
+
+// TestRunMatchesClusterGolden pins a single-topology replay with a
+// reservation, adaptive batching and the combined objective, verbose.
 func TestRunMatchesClusterGolden(t *testing.T) {
-	// Equivalent of: -m 32 -n 60 -rate 3 -seed 5 -noise 0.2
-	//   -policy adaptive -objective combined -reserve 8:10:30 -v
 	path := writeScenario(t, bicriteria.Scenario{
 		Seed:     5,
 		Topology: bicriteria.TopologySingle,
@@ -56,17 +96,13 @@ func TestRunMatchesClusterGolden(t *testing.T) {
 	if err := runCmd([]string{"-v", path}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	want := legacyGolden(t, "bicrit-cluster", "report.golden")
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("bicrit run drifted from the legacy cluster golden\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
-	}
+	checkGolden(t, "cluster_report.golden", buf.Bytes())
 }
 
-// TestRunMatchesClusterFaultsGolden does the same for the faulted
-// cluster golden (explicit fault seed, like the shim translation).
+// TestRunMatchesClusterFaultsGolden pins a faulted single-topology
+// replay with checkpoint replans. The fault seed is the raw stream seed,
+// set explicitly (a bare section would derive ScenarioFaultSeed(seed)).
 func TestRunMatchesClusterFaultsGolden(t *testing.T) {
-	// Equivalent of: -m 16 -n 80 -rate 8 -seed 3 -fault-mtbf 10
-	//   -fault-repair 4 -replan checkpoint -v
 	path := writeScenario(t, bicriteria.Scenario{
 		Seed:     3,
 		Topology: bicriteria.TopologySingle,
@@ -74,7 +110,7 @@ func TestRunMatchesClusterFaultsGolden(t *testing.T) {
 		Workload: bicriteria.ScenarioWorkload{Kind: "mixed", Jobs: 80},
 		Arrivals: bicriteria.ScenarioArrivals{Rate: 8},
 		Faults: &bicriteria.ScenarioFaults{
-			Seed:   3, // the legacy default: fault seed = stream seed
+			Seed:   3,
 			MTBF:   10,
 			Repair: 4,
 			Replan: "checkpoint",
@@ -84,18 +120,17 @@ func TestRunMatchesClusterFaultsGolden(t *testing.T) {
 	if err := runCmd([]string{"-v", path}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	want := legacyGolden(t, "bicrit-cluster", "report_faults.golden")
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("bicrit run drifted from the legacy faulted cluster golden\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
+	out := buf.Bytes()
+	if !bytes.Contains(out, []byte("fault injection")) || !bytes.Contains(out, []byte("kills")) {
+		t.Fatalf("faulted report lacks the fault metrics section:\n%s", out)
 	}
+	checkGolden(t, "cluster_report_faults.golden", out)
 }
 
-// TestRunMatchesGridGoldens pins the grid equivalence for all three
-// artifacts: text report, JSON export and CSV export.
+// TestRunMatchesGridGoldens pins a noisy grid replay under least-backlog
+// routing with admission control: text report, JSON and CSV exports.
 func TestRunMatchesGridGoldens(t *testing.T) {
-	// Equivalent of: -clusters 16,8,8 -n 60 -rate 5 -seed 2 -noise 0.2
-	//   -admit 30 -routing least-backlog -json ... -csv ...
-	path := writeScenario(t, bicriteria.Scenario{
+	checkGridGoldens(t, "grid_report", bicriteria.Scenario{
 		Seed:     2,
 		Topology: bicriteria.TopologyGrid,
 		Clusters: []bicriteria.ScenarioCluster{{Machines: 16}, {Machines: 8}, {Machines: 8}},
@@ -104,29 +139,131 @@ func TestRunMatchesGridGoldens(t *testing.T) {
 		Routing:  bicriteria.ScenarioRouting{Policy: "least-backlog", AdmitBacklog: 30},
 		Noise:    0.2,
 	})
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "report.json")
-	csvPath := filepath.Join(dir, "clusters.csv")
+}
+
+// TestRunMatchesGridFaultsGoldens pins a grid losing nodes and whole
+// shards: the fault columns of the report, JSON and CSV. The fault seed
+// is the raw stream seed, set explicitly.
+func TestRunMatchesGridFaultsGoldens(t *testing.T) {
+	checkGridGoldens(t, "grid_report_faults", bicriteria.Scenario{
+		Seed:     2,
+		Topology: bicriteria.TopologyGrid,
+		Clusters: []bicriteria.ScenarioCluster{{Machines: 16}, {Machines: 8}, {Machines: 8}},
+		Workload: bicriteria.ScenarioWorkload{Kind: "mixed", Jobs: 100},
+		Arrivals: bicriteria.ScenarioArrivals{Rate: 8, Interarrival: "exponential"},
+		Faults: &bicriteria.ScenarioFaults{
+			Seed:        2,
+			MTBF:        15,
+			Repair:      5,
+			ShardMTBF:   60,
+			ShardRepair: 15,
+		},
+	})
+}
+
+// TestGoldenCSVFaultColumns pins the column contract: fault metrics
+// columns appear exactly when a fault plan is active.
+func TestGoldenCSVFaultColumns(t *testing.T) {
+	plain, err := os.ReadFile(filepath.Join("testdata", "grid_report.csv.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted, err := os.ReadFile(filepath.Join("testdata", "grid_report_faults.csv.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(plain, []byte("killed")) {
+		t.Fatal("zero-fault CSV contains fault columns")
+	}
+	for _, col := range []string{"killed", "resubmitted", "migrated", "recovered", "lost"} {
+		if !bytes.Contains(faulted, []byte(col)) {
+			t.Fatalf("faulted CSV lacks the %s column", col)
+		}
+	}
+}
+
+// TestRunDeterministicAcrossModes pins that the concurrent replay prints
+// the same verbose report as the goroutine-free one (-sequential), for
+// the single topology and the grid.
+func TestRunDeterministicAcrossModes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    bicriteria.Scenario
+	}{
+		{"single", bicriteria.Scenario{
+			Seed:     1,
+			Topology: bicriteria.TopologySingle,
+			Clusters: []bicriteria.ScenarioCluster{{
+				Machines:     16,
+				Reservations: []bicriteria.ScenarioReservation{{Procs: 4, Start: 5, End: 20}},
+			}},
+			Workload:  bicriteria.ScenarioWorkload{Jobs: 40},
+			Arrivals:  bicriteria.ScenarioArrivals{Rate: 4, Burst: 5},
+			Objective: bicriteria.ScenarioObjective{Kind: "combined", Alpha: 0.4},
+			Noise:     0.25,
+		}},
+		{"grid", bicriteria.Scenario{
+			Seed:     1,
+			Topology: bicriteria.TopologyGrid,
+			Clusters: []bicriteria.ScenarioCluster{{Machines: 16}, {Machines: 8}, {Machines: 8}},
+			Workload: bicriteria.ScenarioWorkload{Jobs: 40},
+			Arrivals: bicriteria.ScenarioArrivals{Rate: 5, Burst: 4},
+			Routing:  bicriteria.ScenarioRouting{Policy: "least-backlog", AdmitBacklog: 30},
+			Noise:    0.2,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := writeScenario(t, tc.s)
+			var concurrent, sequential bytes.Buffer
+			if err := runCmd([]string{"-v", path}, &concurrent); err != nil {
+				t.Fatal(err)
+			}
+			if err := runCmd([]string{"-v", "-sequential", path}, &sequential); err != nil {
+				t.Fatal(err)
+			}
+			if concurrent.String() != sequential.String() {
+				t.Fatalf("concurrent and sequential replays differ:\n--- concurrent ---\n%s--- sequential ---\n%s",
+					concurrent.String(), sequential.String())
+			}
+		})
+	}
+}
+
+// TestRunSWFTraceReplay replays an SWF trace named by arrivals.trace end
+// to end.
+func TestRunSWFTraceReplay(t *testing.T) {
+	records := []bicriteria.TraceRecord{
+		{JobID: 1, Submit: 0, Run: 10, Procs: 4, ReqProcs: 4, ReqTime: 12, Status: 1},
+		{JobID: 2, Submit: 2, Run: 6, Procs: 2, ReqProcs: 2, ReqTime: 8, Status: 1},
+		{JobID: 3, Submit: 15, Run: 4, Procs: 8, ReqProcs: 8, ReqTime: 5, Status: 1},
+	}
+	swf := filepath.Join(t.TempDir(), "jobs.swf")
+	if err := writeFile(swf, func(w io.Writer) error { return bicriteria.WriteTrace(w, records) }); err != nil {
+		t.Fatal(err)
+	}
+	path := writeScenario(t, bicriteria.Scenario{
+		Topology: bicriteria.TopologySingle,
+		Clusters: []bicriteria.ScenarioCluster{{Machines: 16}},
+		Arrivals: bicriteria.ScenarioArrivals{Trace: swf},
+	})
 	var buf bytes.Buffer
-	if err := runCmd([]string{"-json", jsonPath, "-csv", csvPath, path}, &buf); err != nil {
+	if err := runCmd([]string{path}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if want := legacyGolden(t, "bicrit-grid", "report.golden"); !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("text report drifted from the legacy grid golden\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
+	if !strings.Contains(buf.String(), "replayed 3 jobs") {
+		t.Fatalf("trace replay output missing job count:\n%s", buf.String())
 	}
-	gotJSON, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
+}
+
+func TestParseSizes(t *testing.T) {
+	sizes, err := parseSizes("64, 32,16")
+	if err != nil || fmt.Sprint(sizes) != "[64 32 16]" {
+		t.Fatalf("parseSizes = %v, %v", sizes, err)
 	}
-	if want := legacyGolden(t, "bicrit-grid", "report.json.golden"); !bytes.Equal(gotJSON, want) {
-		t.Fatal("JSON export drifted from the legacy grid golden")
-	}
-	gotCSV, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := legacyGolden(t, "bicrit-grid", "report.csv.golden"); !bytes.Equal(gotCSV, want) {
-		t.Fatal("CSV export drifted from the legacy grid golden")
+	for _, bad := range []string{",", "", "16,zero", "-4"} {
+		if _, err := parseSizes(bad); err == nil {
+			t.Fatalf("size list %q accepted", bad)
+		}
 	}
 }
 
@@ -199,8 +336,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 
 // TestServeCmdSmokes boots `bicrit serve` on an ephemeral port from a
 // scenario file with a service section, submits a job over HTTP and
-// drains.
+// drains. The drain writes a final snapshot, so a second boot of the same
+// file restores the job, says so, and drains it again.
 func TestServeCmdSmokes(t *testing.T) {
+	snapshot := filepath.Join(t.TempDir(), "snapshot.json")
 	path := writeScenario(t, bicriteria.Scenario{
 		Name:     "serve-smoke",
 		Seed:     1,
@@ -208,47 +347,62 @@ func TestServeCmdSmokes(t *testing.T) {
 		Clusters: []bicriteria.ScenarioCluster{{Machines: 8}, {Machines: 4}},
 		Workload: bicriteria.ScenarioWorkload{Jobs: 1},
 		Arrivals: bicriteria.ScenarioArrivals{Rate: 1},
-		Service:  &bicriteria.ScenarioService{Speedup: 1000},
+		Service:  &bicriteria.ScenarioService{Speedup: 1000, SnapshotPath: snapshot},
 	})
-	bound := make(chan string, 1)
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	var buf safeBuffer
-	go func() {
-		done <- serveCmd([]string{"-addr", "127.0.0.1:0", path}, &buf, bound, stop)
-	}()
-	var addr string
-	select {
-	case addr = <-bound:
-	case err := <-done:
-		t.Fatalf("server exited early: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("server never bound")
-	}
-	base := "http://" + addr
-	resp, err := http.Post(base+"/jobs", "application/json",
-		strings.NewReader(`{"id": 1, "weight": 2, "times": [30, 18]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit returned %d", resp.StatusCode)
-	}
-	close(stop)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("drain never finished")
-	}
-	got := buf.String()
-	for _, want := range []string{`scenario "serve-smoke"`, "draining...", "final report: 1 jobs"} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("missing %q in output:\n%s", want, got)
-		}
+	for _, boot := range []struct {
+		name   string
+		submit bool
+		want   []string
+	}{
+		{"fresh", true, []string{`scenario "serve-smoke"`, "draining...", "final report: 1 jobs", "grid makespan", "cluster 1"}},
+		{"restart", false, []string{"restored 1 jobs from snapshot " + snapshot, "draining...", "final report: 1 jobs"}},
+	} {
+		t.Run(boot.name, func(t *testing.T) {
+			bound := make(chan string, 1)
+			stop := make(chan struct{})
+			done := make(chan error, 1)
+			var buf safeBuffer
+			go func() {
+				done <- serveCmd([]string{"-addr", "127.0.0.1:0", path}, &buf, bound, stop)
+			}()
+			var addr string
+			select {
+			case addr = <-bound:
+			case err := <-done:
+				t.Fatalf("server exited early: %v", err)
+			case <-time.After(10 * time.Second):
+				t.Fatal("server never bound")
+			}
+			if boot.submit {
+				resp, err := http.Post("http://"+addr+"/jobs", "application/json",
+					strings.NewReader(`{"id": 1, "weight": 2, "times": [30, 18]}`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("submit returned %d", resp.StatusCode)
+				}
+			}
+			close(stop)
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("drain never finished")
+			}
+			got := buf.String()
+			for _, want := range boot.want {
+				if !strings.Contains(got, want) {
+					t.Fatalf("missing %q in output:\n%s", want, got)
+				}
+			}
+			if boot.submit && strings.Contains(got, "restored") {
+				t.Fatalf("fresh boot claims a restore:\n%s", got)
+			}
+		})
 	}
 }
 
@@ -273,11 +427,12 @@ func (b *safeBuffer) String() string {
 
 // TestGenFaultedServiceNeedsHorizon pins the review fix: a scenario with
 // both fault and service sections is only written when it can actually
-// be served, which needs an explicit fault horizon.
+// be served, which needs an explicit fault horizon, and the served
+// configuration carries the generated cluster sizes and router admission.
 func TestGenFaultedServiceNeedsHorizon(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "scn.json")
-	base := []string{"-clusters", "16,8", "-n", "40", "-rate", "5",
+	base := []string{"-clusters", "16,8", "-n", "40", "-rate", "5", "-admit", "30",
 		"-fault-mtbf", "20", "-speedup", "60", "-o", path}
 	if err := genCmd(base, &bytes.Buffer{}); err == nil {
 		t.Fatal("faulted service scenario without a horizon accepted")
@@ -290,7 +445,14 @@ func TestGenFaultedServiceNeedsHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bicriteria.ScenarioServeConfig(scn); err != nil {
+	cfg, err := bicriteria.ScenarioServeConfig(scn)
+	if err != nil {
 		t.Fatalf("generated scenario is not servable: %v", err)
+	}
+	if len(cfg.Grid.Clusters) != 2 || cfg.Grid.Clusters[0].M != 16 || cfg.Grid.Clusters[1].M != 8 {
+		t.Fatalf("bad cluster specs: %+v", cfg.Grid.Clusters)
+	}
+	if cfg.Grid.AdmitBacklog != 30 {
+		t.Fatalf("router admit backlog %g, want 30", cfg.Grid.AdmitBacklog)
 	}
 }

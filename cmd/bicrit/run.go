@@ -8,7 +8,6 @@ import (
 	"os"
 
 	"bicriteria"
-	"bicriteria/cmd/internal/cliutil"
 )
 
 // runCmd compiles and replays one scenario file, printing the standard
@@ -73,8 +72,8 @@ func runCmd(args []string, out io.Writer) error {
 	}
 	var observer bicriteria.ScenarioObserver
 	if *verbose {
-		// The verbose stream matches the legacy CLIs: batch lines for the
-		// single topology, routing decisions for the grid.
+		// The verbose stream is batch lines for the single topology and
+		// routing decisions for the grid.
 		if runner.Topology() == bicriteria.TopologySingle {
 			observer.Batch = func(_ int, br bicriteria.ClusterBatchReport) {
 				fmt.Fprint(out, bicriteria.FormatScenarioBatchLine(br))
@@ -106,13 +105,13 @@ func runCmd(args []string, out io.Writer) error {
 	}
 	logger.Info("run complete", "jobs", runner.Info().Jobs)
 	if recorder != nil {
-		if err := cliutil.WriteFile(*flightPath, recorder.WriteJSONL); err != nil {
+		if err := writeFile(*flightPath, recorder.WriteJSONL); err != nil {
 			return err
 		}
 	}
 	if sink != nil {
 		bicriteria.RecordScenarioDrain(sink, rep)
-		if err := cliutil.WriteFile(traceSpec.Path, func(w io.Writer) error {
+		if err := writeFile(traceSpec.Path, func(w io.Writer) error {
 			return sink.Write(w, traceSpec.Format)
 		}); err != nil {
 			return err
@@ -122,18 +121,31 @@ func runCmd(args []string, out io.Writer) error {
 		return err
 	}
 	if *jsonPath != "" {
-		if err := cliutil.WriteFile(*jsonPath, func(w io.Writer) error {
+		if err := writeFile(*jsonPath, func(w io.Writer) error {
 			return bicriteria.WriteScenarioReportJSON(w, rep)
 		}); err != nil {
 			return err
 		}
 	}
 	if *csvPath != "" {
-		if err := cliutil.WriteFile(*csvPath, func(w io.Writer) error {
+		if err := writeFile(*csvPath, func(w io.Writer) error {
 			return bicriteria.WriteScenarioReportCSV(w, runner.Info(), rep)
 		}); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writeFile creates path and streams the render into it.
+func writeFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = render(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -74,6 +74,9 @@ func serveCmd(args []string, out io.Writer, bound chan<- string, stop <-chan str
 	}
 	fmt.Fprintf(out, "bicrit serve: scenario %q listening on %s (%d clusters)\n",
 		name, ln.Addr(), len(cfg.Grid.Clusters))
+	if restored := server.CountersSnapshot().Restored; restored > 0 {
+		fmt.Fprintf(out, "restored %d jobs from snapshot %s\n", restored, cfg.SnapshotPath)
+	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

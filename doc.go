@@ -46,7 +46,7 @@
 // tracking queued through done states, periodic snapshots with
 // restore-on-restart, and a graceful drain whose final report is
 // identical to an offline replay of the same submission stream. See
-// cmd/bicrit-serve and examples/serve.
+// bicrit serve and examples/serve.
 //
 // The faults layer (internal/faults, exported as the Faults* identifiers)
 // injects deterministic failures through the whole stack: a seeded
@@ -70,11 +70,11 @@
 // routing, kill and migration events through an Observer, and return one
 // unified Report. Scenarios round-trip through versioned JSON
 // (Save/LoadScenario, unknown fields rejected), the cmd/bicrit CLI
-// consumes scenario files directly (run | serve | gen), and the legacy
-// CLIs are thin flag-to-Scenario shims whose outputs the golden tests pin
-// byte for byte. Configuration errors everywhere are *ValidationError
-// values naming the offending field path ("clusters[2].machines"), raised
-// eagerly — before any goroutine spawns. See examples/scenario.
+// consumes scenario files directly (run | serve | gen), and its golden
+// tests pin the report bytes. Configuration errors everywhere are
+// *ValidationError values naming the offending field path
+// ("clusters[2].machines"), raised eagerly — before any goroutine spawns.
+// See examples/scenario.
 //
 // The observability layer (internal/obs, exported as the Metrics*,
 // Prom* and Trace* identifiers) instruments all of the above without

@@ -231,12 +231,12 @@ func ServeConfig(s Scenario) (serve.Config, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Spec resolution: zero-means-default, matching the legacy CLI defaults
-// so flag shims are behaviour-preserving.
+// Spec resolution: a zero knob means its default, so a scenario file
+// names only what it changes.
 // ---------------------------------------------------------------------------
 
-// Default knob values of the batching policies (the legacy CLI flag
-// defaults).
+// Default knob values of the batching policies and the combined
+// objective.
 const (
 	DefaultInterval   = 25
 	DefaultWorkFactor = 4
@@ -350,10 +350,9 @@ func (s Scenario) replanPolicy() (cluster.ReplanPolicy, error) {
 	return cluster.ReplanPolicy{Kind: kind, Credit: s.Faults.CheckpointCredit}, nil
 }
 
-// perturb builds the runtime-noise function of cluster index i,
-// reproducing the exact legacy seed derivations: the single topology
-// perturbs with the raw seed (bicrit-cluster), the grid decorrelates the
-// shards with seed ^ (i+1)*0x9E3779B9 (bicrit-grid).
+// perturb builds the runtime-noise function of cluster index i: the
+// single topology perturbs with the raw seed, the grid decorrelates the
+// shards with seed ^ (i+1)*0x9E3779B9. cmd/bicrit's goldens pin both.
 func (s Scenario) perturb(i int) (func(taskID int, planned float64) float64, error) {
 	seed := s.Seed
 	if s.Topology == TopologyGrid {
@@ -440,9 +439,9 @@ func buildJobs(s Scenario) ([]cluster.Job, error) {
 
 // buildFaults generates the deterministic fault plan of the scenario, or
 // nil without an active faults section. The horizon, when unset, is
-// estimated from the stream exactly like the legacy CLIs
-// (faults.SuggestHorizon over the total processors); ServeConfig passes
-// nil jobs and therefore requires an explicit horizon.
+// estimated from the stream (faults.SuggestHorizon over the total
+// processors); ServeConfig passes nil jobs and therefore requires an
+// explicit horizon.
 func buildFaults(s Scenario, jobs []cluster.Job) (*faults.Plan, error) {
 	if !s.Faults.Active() {
 		return nil, nil
@@ -751,8 +750,8 @@ func (r *clusterRunner) Run(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The legacy CLI cross-checks the realized trace against the
-	// reservations after every run; keep that safety net.
+	// Cross-check the realized trace against the reservations after
+	// every run: a safety net under the engine's placement.
 	if len(cfg.Reservations) > 0 {
 		if err := reservation.ValidateAgainstReservations(rep.Schedule, cfg.Reservations, rep.Blocked); err != nil {
 			return nil, fmt.Errorf("realized trace violates a reservation: %w", err)

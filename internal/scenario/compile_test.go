@@ -13,7 +13,8 @@ import (
 )
 
 // TestCompileMatrix compiles and runs every topology × batch policy ×
-// faults combination and checks the report shape matches the topology.
+// faults combination, plus every routing policy and heavy-tailed arrival
+// law on the grid, and checks the report shape matches the topology.
 func TestCompileMatrix(t *testing.T) {
 	topologies := []struct {
 		name     string
@@ -32,58 +33,84 @@ func TestCompileMatrix(t *testing.T) {
 		{"node-faults", &Faults{MTBF: 12, Repair: 4}},
 		{"shard-faults", &Faults{MTBF: 15, ShardMTBF: 60, Replan: "checkpoint"}},
 	}
+	type row struct {
+		name string
+		s    Scenario
+	}
+	var rows []row
 	for _, topo := range topologies {
 		for _, policy := range policies {
 			for _, fs := range faultSections {
-				t.Run(topo.name+"/"+policy+"/"+fs.name, func(t *testing.T) {
-					t.Parallel()
-					s := Scenario{
-						Version:  Version,
-						Seed:     3,
-						Topology: topo.topology,
-						Clusters: topo.clusters,
-						Workload: Workload{Kind: "mixed", Jobs: 30},
-						Arrivals: Arrivals{Rate: 5},
-						Batch:    Batch{Policy: policy},
-						Faults:   fs.faults,
-					}
-					r, err := Compile(s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if r.Topology() != topo.topology {
-						t.Fatalf("runner topology %q, want %q", r.Topology(), topo.topology)
-					}
-					info := r.Info()
-					if info.Jobs != 30 {
-						t.Fatalf("info jobs %d, want 30", info.Jobs)
-					}
-					if (info.Plan != nil) != (fs.faults != nil) {
-						t.Fatalf("plan presence %v does not match faults section %v", info.Plan != nil, fs.faults != nil)
-					}
-					rep, err := r.Run(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if rep.Topology != topo.topology || rep.Jobs != 30 {
-						t.Fatalf("report header %q/%d", rep.Topology, rep.Jobs)
-					}
-					switch topo.topology {
-					case TopologySingle:
-						if rep.Cluster == nil || rep.Grid != nil {
-							t.Fatal("single report must carry exactly the cluster half")
-						}
-					case TopologyGrid:
-						if rep.Grid == nil || rep.Cluster != nil {
-							t.Fatal("grid report must carry exactly the grid half")
-						}
-					}
-					if rep.Makespan() <= 0 || rep.Utilization() <= 0 {
-						t.Fatalf("degenerate metrics: makespan %g, utilization %g", rep.Makespan(), rep.Utilization())
-					}
-				})
+				rows = append(rows, row{topo.name + "/" + policy + "/" + fs.name, Scenario{
+					Version:  Version,
+					Seed:     3,
+					Topology: topo.topology,
+					Clusters: topo.clusters,
+					Workload: Workload{Kind: "mixed", Jobs: 30},
+					Arrivals: Arrivals{Rate: 5},
+					Batch:    Batch{Policy: policy},
+					Faults:   fs.faults,
+				}})
 			}
 		}
+	}
+	gridClusters := topologies[1].clusters
+	for _, routing := range []string{"round-robin", "least-backlog", "lower-bound", "moldability"} {
+		rows = append(rows, row{"grid/routing/" + routing, Scenario{
+			Version: Version, Seed: 3, Topology: TopologyGrid, Clusters: gridClusters,
+			Workload: Workload{Kind: "mixed", Jobs: 30},
+			Arrivals: Arrivals{Rate: 4},
+			Routing:  Routing{Policy: routing},
+			Noise:    0.2,
+		}})
+	}
+	for _, law := range []string{"lognormal", "weibull"} {
+		rows = append(rows, row{"grid/arrival/" + law, Scenario{
+			Version: Version, Seed: 3, Topology: TopologyGrid, Clusters: gridClusters,
+			Workload: Workload{Kind: "mixed", Jobs: 30},
+			Arrivals: Arrivals{Rate: 4, Interarrival: law, RuntimeTail: "lognormal"},
+			Routing:  Routing{Policy: "round-robin"},
+		}})
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			s := r.s
+			run, err := Compile(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run.Topology() != s.Topology {
+				t.Fatalf("runner topology %q, want %q", run.Topology(), s.Topology)
+			}
+			info := run.Info()
+			if info.Jobs != 30 {
+				t.Fatalf("info jobs %d, want 30", info.Jobs)
+			}
+			if (info.Plan != nil) != (s.Faults != nil) {
+				t.Fatalf("plan presence %v does not match faults section %v", info.Plan != nil, s.Faults != nil)
+			}
+			rep, err := run.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Topology != s.Topology || rep.Jobs != 30 {
+				t.Fatalf("report header %q/%d", rep.Topology, rep.Jobs)
+			}
+			switch s.Topology {
+			case TopologySingle:
+				if rep.Cluster == nil || rep.Grid != nil {
+					t.Fatal("single report must carry exactly the cluster half")
+				}
+			case TopologyGrid:
+				if rep.Grid == nil || rep.Cluster != nil {
+					t.Fatal("grid report must carry exactly the grid half")
+				}
+			}
+			if rep.Makespan() <= 0 || rep.Utilization() <= 0 {
+				t.Fatalf("degenerate metrics: makespan %g, utilization %g", rep.Makespan(), rep.Utilization())
+			}
+		})
 	}
 }
 

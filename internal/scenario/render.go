@@ -15,11 +15,11 @@ import (
 	"bicriteria/internal/slo"
 )
 
-// This file renders scenario reports in the exact byte format the legacy
-// CLIs (bicrit-cluster, bicrit-grid, bicrit-serve) printed, so the flag
-// shims and `bicrit run` reproduce the pinned golden files unchanged.
+// This file renders scenario reports in a stable byte format: cmd/bicrit's
+// goldens pin the text report, the verbose lines and the grid's JSON and
+// CSV exports byte for byte.
 
-// FormatBatchLine renders one committed batch as the legacy verbose line.
+// FormatBatchLine renders one committed batch as the verbose line.
 func FormatBatchLine(br cluster.BatchReport) string {
 	killed := ""
 	if len(br.Killed) > 0 {
@@ -30,8 +30,7 @@ func FormatBatchLine(br cluster.BatchReport) string {
 		100*br.Cumulative.Utilization, killed)
 }
 
-// FormatDecisionLine renders one routing decision as the legacy verbose
-// line.
+// FormatDecisionLine renders one routing decision as the verbose line.
 func FormatDecisionLine(d grid.Decision) string {
 	migrated := ""
 	if d.Migrated {
@@ -41,9 +40,9 @@ func FormatDecisionLine(d grid.Decision) string {
 		d.JobID, d.Release, d.Cluster, d.Backlog, migrated)
 }
 
-// WriteReport renders the unified report as the legacy text report of the
+// WriteReport renders the unified report as the text report of the
 // matching topology, followed by the SLO section when the scenario carried
-// an SLO block (absent otherwise, keeping the legacy bytes intact).
+// an SLO block (absent otherwise, keeping the pinned bytes intact).
 func WriteReport(w io.Writer, info Info, rep *Report) error {
 	var err error
 	switch {
@@ -159,20 +158,18 @@ func writeGridText(w io.Writer, info Info, report *grid.Report) error {
 	return nil
 }
 
-// jsonReport is the stable JSON shape of a grid run (the exact legacy
-// bicrit-grid export).
+// jsonReport is the stable JSON shape of a grid run.
 type jsonReport struct {
 	Policy    string          `json:"policy"`
 	Metrics   grid.Metrics    `json:"metrics"`
 	Decisions []grid.Decision `json:"decisions"`
 	// SLO appears exactly when the scenario carried an SLO block, so the
-	// legacy export bytes are untouched without one.
+	// pinned export bytes are untouched without one.
 	SLO *slo.Summary `json:"slo,omitempty"`
 }
 
 // WriteReportJSON exports the grid half of the report as the stable JSON
-// shape. Single-topology reports have no JSON export (the legacy
-// bicrit-cluster never had one).
+// shape. Single-topology reports have no JSON export.
 func WriteReportJSON(w io.Writer, rep *Report) error {
 	if rep.Grid == nil {
 		return fmt.Errorf("scenario: JSON export needs a grid report")
@@ -189,7 +186,7 @@ func WriteReportJSON(w io.Writer, rep *Report) error {
 
 // WriteReportCSV exports the per-cluster summary table as CSV, with the
 // fault columns appearing exactly when the compiled scenario carries a
-// fault plan (Info.Plan non-nil) — the legacy column contract.
+// fault plan (Info.Plan non-nil).
 func WriteReportCSV(w io.Writer, info Info, rep *Report) error {
 	if rep.Grid == nil {
 		return fmt.Errorf("scenario: CSV export needs a grid report")
@@ -232,8 +229,7 @@ func WriteReportCSV(w io.Writer, info Info, rep *Report) error {
 	return cw.Error()
 }
 
-// WriteFinalReport renders a drained service's final report as the legacy
-// bicrit-serve text.
+// WriteFinalReport renders a drained service's final report as text.
 func WriteFinalReport(w io.Writer, rep *serve.FinalReport) {
 	met := rep.Metrics
 	fmt.Fprintf(w, "final report: %d jobs drained at virtual time %.2f (policy %s)\n",

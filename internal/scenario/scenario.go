@@ -17,9 +17,8 @@
 // through the right engine (cancellation threads into the batch loops),
 // an Observer streams batch, routing, kill and migration events as they
 // happen, and the unified Report is a superset of the cluster and grid
-// reports. The legacy CLIs (bicrit-cluster, bicrit-grid, bicrit-serve)
-// are thin shims translating their flags into a Scenario; cmd/bicrit
-// consumes scenario files directly.
+// reports. cmd/bicrit consumes scenario files directly, and its goldens
+// pin the report bytes.
 package scenario
 
 import (
@@ -37,8 +36,8 @@ const Version = 1
 // seed: when Faults.Seed is zero, the plan is generated with
 // Seed ^ FaultSeedSalt, decorrelating the failure streams from the task
 // stream the same way workload.ArrivalSeedSalt decorrelates the arrival
-// instants. (The legacy CLIs reused the raw seed; their shims pass it
-// explicitly to stay behaviour-preserving.)
+// instants. A scenario that wants the raw seed for its fault plan sets
+// Faults.Seed to it explicitly; cmd/bicrit's faulted goldens do.
 const FaultSeedSalt int64 = 0x5851F42D4C957F2D
 
 // RaceSeedSalt derives the racing-bandit sub-seed the same way: when
