@@ -182,50 +182,77 @@ func TestGoldenCSVFaultColumns(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicAcrossModes pins that the concurrent replay prints
-// the same verbose report as the goroutine-free one (-sequential), for
-// the single topology and the grid.
+// checkConcurrentMatchesSequential pins that the concurrent replay of s
+// prints the same verbose report as the goroutine-free one (-sequential).
+func checkConcurrentMatchesSequential(t *testing.T, s bicriteria.Scenario) {
+	t.Helper()
+	path := writeScenario(t, s)
+	var concurrent, sequential bytes.Buffer
+	if err := runCmd([]string{"-v", path}, &concurrent); err != nil {
+		t.Fatal(err)
+	}
+	if err := runCmd([]string{"-v", "-sequential", path}, &sequential); err != nil {
+		t.Fatal(err)
+	}
+	if concurrent.String() != sequential.String() {
+		t.Fatalf("concurrent and sequential replays differ:\n--- concurrent ---\n%s--- sequential ---\n%s",
+			concurrent.String(), sequential.String())
+	}
+}
+
+// TestRunDeterministicAcrossModes replays a bursty single-topology stream
+// with a reservation under the combined objective in both modes.
 func TestRunDeterministicAcrossModes(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		s    bicriteria.Scenario
-	}{
-		{"single", bicriteria.Scenario{
-			Seed:     1,
+	checkConcurrentMatchesSequential(t, bicriteria.Scenario{
+		Seed:     1,
+		Topology: bicriteria.TopologySingle,
+		Clusters: []bicriteria.ScenarioCluster{{
+			Machines:     16,
+			Reservations: []bicriteria.ScenarioReservation{{Procs: 4, Start: 5, End: 20}},
+		}},
+		Workload:  bicriteria.ScenarioWorkload{Jobs: 40},
+		Arrivals:  bicriteria.ScenarioArrivals{Rate: 4, Burst: 5},
+		Objective: bicriteria.ScenarioObjective{Kind: "combined", Alpha: 0.4},
+		Noise:     0.25,
+	})
+}
+
+// TestRunGridDeterministicAcrossModes replays a bursty grid stream under
+// least-backlog routing with admission control in both modes.
+func TestRunGridDeterministicAcrossModes(t *testing.T) {
+	checkConcurrentMatchesSequential(t, bicriteria.Scenario{
+		Seed:     1,
+		Topology: bicriteria.TopologyGrid,
+		Clusters: []bicriteria.ScenarioCluster{{Machines: 16}, {Machines: 8}, {Machines: 8}},
+		Workload: bicriteria.ScenarioWorkload{Jobs: 40},
+		Arrivals: bicriteria.ScenarioArrivals{Rate: 5, Burst: 4},
+		Routing:  bicriteria.ScenarioRouting{Policy: "least-backlog", AdmitBacklog: 30},
+		Noise:    0.2,
+	})
+}
+
+// TestRunAllBatchPolicies replays a noisy single-topology stream under
+// every batching policy and checks the report carries every metric line.
+func TestRunAllBatchPolicies(t *testing.T) {
+	for _, policy := range []string{"idle", "interval", "adaptive"} {
+		path := writeScenario(t, bicriteria.Scenario{
 			Topology: bicriteria.TopologySingle,
-			Clusters: []bicriteria.ScenarioCluster{{
-				Machines:     16,
-				Reservations: []bicriteria.ScenarioReservation{{Procs: 4, Start: 5, End: 20}},
-			}},
-			Workload:  bicriteria.ScenarioWorkload{Jobs: 40},
-			Arrivals:  bicriteria.ScenarioArrivals{Rate: 4, Burst: 5},
-			Objective: bicriteria.ScenarioObjective{Kind: "combined", Alpha: 0.4},
-			Noise:     0.25,
-		}},
-		{"grid", bicriteria.Scenario{
-			Seed:     1,
-			Topology: bicriteria.TopologyGrid,
-			Clusters: []bicriteria.ScenarioCluster{{Machines: 16}, {Machines: 8}, {Machines: 8}},
-			Workload: bicriteria.ScenarioWorkload{Jobs: 40},
-			Arrivals: bicriteria.ScenarioArrivals{Rate: 5, Burst: 4},
-			Routing:  bicriteria.ScenarioRouting{Policy: "least-backlog", AdmitBacklog: 30},
+			Clusters: []bicriteria.ScenarioCluster{{Machines: 16}},
+			Workload: bicriteria.ScenarioWorkload{Kind: "mixed", Jobs: 30},
+			Arrivals: bicriteria.ScenarioArrivals{Rate: 3},
+			Batch:    bicriteria.ScenarioBatch{Policy: policy},
 			Noise:    0.2,
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := writeScenario(t, tc.s)
-			var concurrent, sequential bytes.Buffer
-			if err := runCmd([]string{"-v", path}, &concurrent); err != nil {
-				t.Fatal(err)
-			}
-			if err := runCmd([]string{"-v", "-sequential", path}, &sequential); err != nil {
-				t.Fatal(err)
-			}
-			if concurrent.String() != sequential.String() {
-				t.Fatalf("concurrent and sequential replays differ:\n--- concurrent ---\n%s--- sequential ---\n%s",
-					concurrent.String(), sequential.String())
-			}
 		})
+		var buf bytes.Buffer
+		if err := runCmd([]string{path}, &buf); err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		out := buf.String()
+		for _, want := range []string{"realized makespan", "max flow", "mean stretch", "utilization", "portfolio wins:"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("%s: missing %q in output:\n%s", policy, want, out)
+			}
+		}
 	}
 }
 

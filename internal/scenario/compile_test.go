@@ -12,66 +12,16 @@ import (
 	"bicriteria/internal/grid"
 )
 
-// TestCompileMatrix compiles and runs every topology × batch policy ×
-// faults combination, plus every routing policy and heavy-tailed arrival
-// law on the grid, and checks the report shape matches the topology.
-func TestCompileMatrix(t *testing.T) {
-	topologies := []struct {
-		name     string
-		topology Topology
-		clusters []Cluster
-	}{
-		{"single", TopologySingle, []Cluster{{Machines: 16}}},
-		{"grid", TopologyGrid, []Cluster{{Machines: 16}, {Machines: 8}}},
-	}
-	policies := []string{"idle", "interval", "adaptive"}
-	faultSections := []struct {
-		name   string
-		faults *Faults
-	}{
-		{"no-faults", nil},
-		{"node-faults", &Faults{MTBF: 12, Repair: 4}},
-		{"shard-faults", &Faults{MTBF: 15, ShardMTBF: 60, Replan: "checkpoint"}},
-	}
-	type row struct {
-		name string
-		s    Scenario
-	}
-	var rows []row
-	for _, topo := range topologies {
-		for _, policy := range policies {
-			for _, fs := range faultSections {
-				rows = append(rows, row{topo.name + "/" + policy + "/" + fs.name, Scenario{
-					Version:  Version,
-					Seed:     3,
-					Topology: topo.topology,
-					Clusters: topo.clusters,
-					Workload: Workload{Kind: "mixed", Jobs: 30},
-					Arrivals: Arrivals{Rate: 5},
-					Batch:    Batch{Policy: policy},
-					Faults:   fs.faults,
-				}})
-			}
-		}
-	}
-	gridClusters := topologies[1].clusters
-	for _, routing := range []string{"round-robin", "least-backlog", "lower-bound", "moldability"} {
-		rows = append(rows, row{"grid/routing/" + routing, Scenario{
-			Version: Version, Seed: 3, Topology: TopologyGrid, Clusters: gridClusters,
-			Workload: Workload{Kind: "mixed", Jobs: 30},
-			Arrivals: Arrivals{Rate: 4},
-			Routing:  Routing{Policy: routing},
-			Noise:    0.2,
-		}})
-	}
-	for _, law := range []string{"lognormal", "weibull"} {
-		rows = append(rows, row{"grid/arrival/" + law, Scenario{
-			Version: Version, Seed: 3, Topology: TopologyGrid, Clusters: gridClusters,
-			Workload: Workload{Kind: "mixed", Jobs: 30},
-			Arrivals: Arrivals{Rate: 4, Interarrival: law, RuntimeTail: "lognormal"},
-			Routing:  Routing{Policy: "round-robin"},
-		}})
-	}
+// compileRow is one named scenario of a compile-and-run table.
+type compileRow struct {
+	name string
+	s    Scenario
+}
+
+// runCompileRows compiles and runs every row as a parallel subtest and
+// checks the report shape matches the topology. Every row has 30 jobs.
+func runCompileRows(t *testing.T, rows []compileRow) {
+	t.Helper()
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			t.Parallel()
@@ -112,6 +62,80 @@ func TestCompileMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// compileGrid is the two-shard grid of the compile tables.
+var compileGrid = []Cluster{{Machines: 16}, {Machines: 8}}
+
+// TestCompileMatrix compiles and runs every topology × batch policy ×
+// faults combination and checks the report shape matches the topology.
+func TestCompileMatrix(t *testing.T) {
+	topologies := []struct {
+		name     string
+		topology Topology
+		clusters []Cluster
+	}{
+		{"single", TopologySingle, []Cluster{{Machines: 16}}},
+		{"grid", TopologyGrid, compileGrid},
+	}
+	policies := []string{"idle", "interval", "adaptive"}
+	faultSections := []struct {
+		name   string
+		faults *Faults
+	}{
+		{"no-faults", nil},
+		{"node-faults", &Faults{MTBF: 12, Repair: 4}},
+		{"shard-faults", &Faults{MTBF: 15, ShardMTBF: 60, Replan: "checkpoint"}},
+	}
+	var rows []compileRow
+	for _, topo := range topologies {
+		for _, policy := range policies {
+			for _, fs := range faultSections {
+				rows = append(rows, compileRow{topo.name + "/" + policy + "/" + fs.name, Scenario{
+					Version:  Version,
+					Seed:     3,
+					Topology: topo.topology,
+					Clusters: topo.clusters,
+					Workload: Workload{Kind: "mixed", Jobs: 30},
+					Arrivals: Arrivals{Rate: 5},
+					Batch:    Batch{Policy: policy},
+					Faults:   fs.faults,
+				}})
+			}
+		}
+	}
+	runCompileRows(t, rows)
+}
+
+// TestCompileRoutingPolicies compiles and runs a noisy grid stream under
+// every routing policy.
+func TestCompileRoutingPolicies(t *testing.T) {
+	var rows []compileRow
+	for _, routing := range []string{"round-robin", "least-backlog", "lower-bound", "moldability"} {
+		rows = append(rows, compileRow{routing, Scenario{
+			Version: Version, Seed: 3, Topology: TopologyGrid, Clusters: compileGrid,
+			Workload: Workload{Kind: "mixed", Jobs: 30},
+			Arrivals: Arrivals{Rate: 4},
+			Routing:  Routing{Policy: routing},
+			Noise:    0.2,
+		}})
+	}
+	runCompileRows(t, rows)
+}
+
+// TestCompileHeavyTailedArrivals compiles and runs a grid stream under
+// both heavy-tailed interarrival laws with lognormal runtimes.
+func TestCompileHeavyTailedArrivals(t *testing.T) {
+	var rows []compileRow
+	for _, law := range []string{"lognormal", "weibull"} {
+		rows = append(rows, compileRow{law, Scenario{
+			Version: Version, Seed: 3, Topology: TopologyGrid, Clusters: compileGrid,
+			Workload: Workload{Kind: "mixed", Jobs: 30},
+			Arrivals: Arrivals{Rate: 4, Interarrival: law, RuntimeTail: "lognormal"},
+			Routing:  Routing{Policy: "round-robin"},
+		}})
+	}
+	runCompileRows(t, rows)
 }
 
 // TestCompileRejects pins that Compile validates eagerly: every bad spec
