@@ -64,7 +64,7 @@ func runFigure(b *testing.B, figure int) {
 	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = experiment.Run(cfg)
+		res, err = experiment.Run(b.Context(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func BenchmarkFigure7SchedulerTime(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					inst := insts[i%runs]
-					if _, err := core.Schedule(inst, nil); err != nil {
+					if _, err := core.ScheduleContext(b.Context(), inst, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -153,7 +153,7 @@ func BenchmarkAblationSelection(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := core.Schedule(inst, &core.Options{Selection: mode})
+				res, err := core.ScheduleContext(b.Context(), inst, &core.Options{Selection: mode})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -184,7 +184,7 @@ func BenchmarkAblationCompaction(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := core.Schedule(inst, &core.Options{Compaction: mode})
+				res, err := core.ScheduleContext(b.Context(), inst, &core.Options{Compaction: mode})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -265,7 +265,7 @@ func BenchmarkClusterReplay(b *testing.B) {
 	b.ResetTimer()
 	var report *cluster.Report
 	for i := 0; i < b.N; i++ {
-		report, err = eng.Run(jobs)
+		report, err = eng.RunContext(b.Context(), jobs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func BenchmarkDEMTSchedule(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Schedule(inst, nil); err != nil {
+		if _, err := core.ScheduleContext(b.Context(), inst, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -387,7 +387,7 @@ func BenchmarkGridReplay(b *testing.B) {
 			b.ResetTimer()
 			var report *grid.Report
 			for i := 0; i < b.N; i++ {
-				report, err = fed.Run(jobs)
+				report, err = fed.RunContext(b.Context(), jobs)
 				if err != nil {
 					b.Fatal(err)
 				}

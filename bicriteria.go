@@ -305,8 +305,7 @@ const (
 func NewFlightRecorder() *FlightRecorder { return flight.NewRecorder() }
 
 // FlightFromGridReport rebuilds a flight recorder from a finished grid
-// report — the path the live service uses, since a service cannot stream
-// observers (it replays its stream repeatedly).
+// report, for callers holding a report rather than an observer stream.
 func FlightFromGridReport(rep *GridReport) *FlightRecorder { return flight.FromGridReport(rep) }
 
 // WriteFlightTimeline renders one job's timeline as the human-readable
@@ -446,9 +445,10 @@ type DEMTOptions = core.Options
 type DEMTResult = core.Result
 
 // DEMT runs the bi-criteria batch algorithm of the paper on the instance.
-// A nil options pointer uses the paper's defaults.
-func DEMT(inst *Instance, opts *DEMTOptions) (*DEMTResult, error) {
-	return core.Schedule(inst, opts)
+// A nil options pointer uses the paper's defaults. Cancelling the context
+// aborts the run with the context's error.
+func DEMT(ctx context.Context, inst *Instance, opts *DEMTOptions) (*DEMTResult, error) {
+	return core.ScheduleContext(ctx, inst, opts)
 }
 
 // Compaction modes for DEMTOptions.Compaction.
@@ -471,11 +471,15 @@ const (
 
 // Gang schedules every task on all the processors it can use, sorted by
 // decreasing weight over execution time.
-func Gang(inst *Instance) (*Schedule, error) { return baselines.Gang(inst) }
+func Gang(ctx context.Context, inst *Instance) (*Schedule, error) {
+	return baselines.GangContext(ctx, inst)
+}
 
 // SequentialLPT schedules every task on a single processor with the
 // largest-processing-time-first list algorithm.
-func SequentialLPT(inst *Instance) (*Schedule, error) { return baselines.Sequential(inst) }
+func SequentialLPT(ctx context.Context, inst *Instance) (*Schedule, error) {
+	return baselines.SequentialContext(ctx, inst)
+}
 
 // ListOrder selects the priority order of the list-scheduling baseline.
 type ListOrder = baselines.ListOrder
@@ -489,8 +493,8 @@ const (
 
 // ListScheduling computes the dual-approximation allotment and runs the
 // Graham list algorithm with the requested order.
-func ListScheduling(inst *Instance, order ListOrder) (*Schedule, error) {
-	return baselines.ListGraham(inst, order)
+func ListScheduling(ctx context.Context, inst *Instance, order ListOrder) (*Schedule, error) {
+	return baselines.ListGrahamContext(ctx, inst, order)
 }
 
 // ---------------------------------------------------------------------------
@@ -577,8 +581,8 @@ type ExperimentAlgorithm = experiment.Algorithm
 
 // RunExperiment executes an experiment (see internal/experiment for the
 // aggregation rules, which follow section 4.2 of the paper).
-func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) { //lint:allow ctxflow offline experiment harness; not a replay entry point, runs to completion by design
-	return experiment.Run(cfg)
+func RunExperiment(ctx context.Context, cfg ExperimentConfig) (*ExperimentResult, error) {
+	return experiment.Run(ctx, cfg)
 }
 
 // FormatExperiment renders an experiment result as text tables.
@@ -923,25 +927,11 @@ func SuggestFaultHorizon(maxRelease, totalMinWork float64, procs int) float64 {
 // GenerateFaultsForJobs generates the fault plan of a job stream: when
 // cfg.Horizon is zero it is estimated with SuggestFaultHorizon from the
 // stream's last release and total minimum work over the total processors
-// of cfg.Clusters. This is the one helper both CLIs use, so a given
-// (seed, stream, cluster sizes) names the same disaster everywhere.
+// of cfg.Clusters. Compiling a faulted scenario without a horizon makes
+// the same estimate, so a given (seed, stream, cluster sizes) names the
+// same disaster in bicrit-gen's -faults file and in a scenario replay.
 func GenerateFaultsForJobs(cfg FaultsConfig, jobs []OnlineJob) (*FaultsPlan, error) {
-	if cfg.Horizon == 0 {
-		maxRelease, work := 0.0, 0.0
-		for i := range jobs {
-			if jobs[i].Release > maxRelease {
-				maxRelease = jobs[i].Release
-			}
-			w, _ := jobs[i].Task.MinWork()
-			work += w
-		}
-		procs := 0
-		for _, m := range cfg.Clusters {
-			procs += m
-		}
-		cfg.Horizon = faults.SuggestHorizon(maxRelease, work, procs)
-	}
-	return faults.Generate(cfg)
+	return scenario.FaultPlan(cfg, jobs)
 }
 
 // ClusterReplanPolicy decides what a killed job looks like when it rejoins
@@ -977,8 +967,8 @@ type ReservationResult = reservation.Result
 // ScheduleWithReservations runs DEMT and places the resulting plan around
 // the reserved windows (no job uses a reserved processor while it is
 // blocked).
-func ScheduleWithReservations(inst *Instance, reservations []Reservation, opts *ReservationOptions) (*ReservationResult, error) {
-	return reservation.Schedule(inst, reservations, opts)
+func ScheduleWithReservations(ctx context.Context, inst *Instance, reservations []Reservation, opts *ReservationOptions) (*ReservationResult, error) {
+	return reservation.Schedule(ctx, inst, reservations, opts)
 }
 
 // ValidateReservations checks that a schedule never uses a reserved

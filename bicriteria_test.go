@@ -18,7 +18,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := DEMT(inst, &DEMTOptions{Shuffles: 4, Seed: 2})
+	res, err := DEMT(t.Context(), inst, &DEMTOptions{Shuffles: 4, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +45,20 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("LP bound should dominate the fast bound (it takes the max)")
 	}
 
-	for name, run := range map[string]func(*Instance) (*Schedule, error){
+	for name, run := range map[string]func(context.Context, *Instance) (*Schedule, error){
 		"gang":       Gang,
 		"sequential": SequentialLPT,
-		"list-shelf": func(i *Instance) (*Schedule, error) { return ListScheduling(i, ListShelfOrder) },
-		"list-saf":   func(i *Instance) (*Schedule, error) { return ListScheduling(i, ListSmallestAreaFirst) },
-		"list-wlpt":  func(i *Instance) (*Schedule, error) { return ListScheduling(i, ListWeightedLPT) },
+		"list-shelf": func(ctx context.Context, i *Instance) (*Schedule, error) {
+			return ListScheduling(ctx, i, ListShelfOrder)
+		},
+		"list-saf": func(ctx context.Context, i *Instance) (*Schedule, error) {
+			return ListScheduling(ctx, i, ListSmallestAreaFirst)
+		},
+		"list-wlpt": func(ctx context.Context, i *Instance) (*Schedule, error) {
+			return ListScheduling(ctx, i, ListWeightedLPT)
+		},
 	} {
-		s, err := run(inst)
+		s, err := run(t.Context(), inst)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -128,7 +134,7 @@ func TestFacadeOnline(t *testing.T) {
 }
 
 func TestFacadeExperiment(t *testing.T) {
-	res, err := RunExperiment(ExperimentConfig{
+	res, err := RunExperiment(t.Context(), ExperimentConfig{
 		Workload:   WorkloadMixed,
 		M:          12,
 		TaskCounts: []int{6, 12},

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -50,12 +51,13 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	ctx := context.Background()
 	if *ablation != "" {
 		kind, err := workload.ParseKind(*kindFlag)
 		if err != nil {
 			return err
 		}
-		return runAblation(out, *ablation, experiment.AblationConfig{
+		return runAblation(ctx, out, *ablation, experiment.AblationConfig{
 			Workload: kind, M: *m, N: *ablationN, Runs: *runs, Seed: *seed,
 		})
 	}
@@ -94,7 +96,7 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "Running experiment: workload=%s m=%d runs=%d tasks=%v lp-bound=%v\n\n",
 		cfg.Workload, cfg.M, cfg.Runs, cfg.TaskCounts, cfg.UseLPBound)
-	res, err := experiment.Run(cfg)
+	res, err := experiment.Run(ctx, cfg)
 	if err != nil {
 		return err
 	}
@@ -120,7 +122,7 @@ func run(args []string, out io.Writer) error {
 
 // runAblation dispatches one of the ablation studies of internal/experiment
 // (selection, compaction or bound).
-func runAblation(out io.Writer, kind string, cfg experiment.AblationConfig) error {
+func runAblation(ctx context.Context, out io.Writer, kind string, cfg experiment.AblationConfig) error {
 	var (
 		rows  []experiment.AblationRow
 		title string
@@ -129,13 +131,13 @@ func runAblation(out io.Writer, kind string, cfg experiment.AblationConfig) erro
 	switch kind {
 	case "selection":
 		title = "Ablation A1: knapsack vs greedy batch selection"
-		rows, err = experiment.RunSelectionAblation(cfg)
+		rows, err = experiment.RunSelectionAblation(ctx, cfg)
 	case "compaction":
 		title = "Ablation A2: compaction modes"
-		rows, err = experiment.RunCompactionAblation(cfg)
+		rows, err = experiment.RunCompactionAblation(ctx, cfg)
 	case "bound":
 		title = "Ablation A3: minsum lower bounds"
-		rows, err = experiment.RunBoundAblation(cfg)
+		rows, err = experiment.RunBoundAblation(ctx, cfg)
 	default:
 		return fmt.Errorf("unknown ablation %q (want selection, compaction or bound)", kind)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -46,25 +47,26 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	ctx := context.Background()
 	var sched *bicriteria.Schedule
 	switch *algo {
 	case "demt":
-		res, err := bicriteria.DEMT(inst, &bicriteria.DEMTOptions{Shuffles: *shuffles, Seed: *seed})
+		res, err := bicriteria.DEMT(ctx, inst, &bicriteria.DEMTOptions{Shuffles: *shuffles, Seed: *seed})
 		if err != nil {
 			return err
 		}
 		sched = res.Schedule
 		fmt.Fprintf(out, "DEMT: C*max estimate %.3f, %d batches, K=%d\n", res.CmaxEstimate, len(res.Batches), res.K)
 	case "gang":
-		sched, err = bicriteria.Gang(inst)
+		sched, err = bicriteria.Gang(ctx, inst)
 	case "sequential":
-		sched, err = bicriteria.SequentialLPT(inst)
+		sched, err = bicriteria.SequentialLPT(ctx, inst)
 	case "list":
-		sched, err = bicriteria.ListScheduling(inst, bicriteria.ListShelfOrder)
+		sched, err = bicriteria.ListScheduling(ctx, inst, bicriteria.ListShelfOrder)
 	case "lptf":
-		sched, err = bicriteria.ListScheduling(inst, bicriteria.ListWeightedLPT)
+		sched, err = bicriteria.ListScheduling(ctx, inst, bicriteria.ListWeightedLPT)
 	case "saf":
-		sched, err = bicriteria.ListScheduling(inst, bicriteria.ListSmallestAreaFirst)
+		sched, err = bicriteria.ListScheduling(ctx, inst, bicriteria.ListSmallestAreaFirst)
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}

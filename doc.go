@@ -166,7 +166,7 @@
 //	inst, _ := bicriteria.GenerateWorkload(bicriteria.WorkloadConfig{
 //		Kind: bicriteria.WorkloadCirne, M: 200, N: 100, Seed: 1,
 //	})
-//	res, _ := bicriteria.DEMT(inst, nil)
+//	res, _ := bicriteria.DEMT(ctx, inst, nil)
 //	fmt.Println(res.Schedule.Makespan(), res.Schedule.WeightedCompletion(inst))
 //
 // See the examples/ directory and README.md for complete programs.

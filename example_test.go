@@ -16,7 +16,7 @@ func ExampleDEMT() {
 		bicriteria.NewSequentialTask(1, 1, 2),
 		bicriteria.NewPerfectlyMoldableTask(2, 3, 4, 2),
 	})
-	res, err := bicriteria.DEMT(inst, nil)
+	res, err := bicriteria.DEMT(context.Background(), inst, nil)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -48,7 +48,7 @@ func ExampleGang() {
 		bicriteria.NewPerfectlyMoldableTask(0, 1, 6, 2), // p(2)=3, ratio 1/3
 		bicriteria.NewPerfectlyMoldableTask(1, 4, 4, 2), // p(2)=2, ratio 2
 	})
-	s, err := bicriteria.Gang(inst)
+	s, err := bicriteria.Gang(context.Background(), inst)
 	if err != nil {
 		fmt.Println(err)
 		return

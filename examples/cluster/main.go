@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -39,26 +40,27 @@ func main() {
 		name string
 		run  func() (*bicriteria.Schedule, error)
 	}
+	ctx := context.Background()
 	var demtResult *bicriteria.DEMTResult
 	algorithms := []entry{
 		{"DEMT (bi-criteria)", func() (*bicriteria.Schedule, error) {
-			res, err := bicriteria.DEMT(inst, nil)
+			res, err := bicriteria.DEMT(ctx, inst, nil)
 			if err != nil {
 				return nil, err
 			}
 			demtResult = res
 			return res.Schedule, nil
 		}},
-		{"Gang", func() (*bicriteria.Schedule, error) { return bicriteria.Gang(inst) }},
-		{"Sequential LPT", func() (*bicriteria.Schedule, error) { return bicriteria.SequentialLPT(inst) }},
+		{"Gang", func() (*bicriteria.Schedule, error) { return bicriteria.Gang(ctx, inst) }},
+		{"Sequential LPT", func() (*bicriteria.Schedule, error) { return bicriteria.SequentialLPT(ctx, inst) }},
 		{"List (shelf order)", func() (*bicriteria.Schedule, error) {
-			return bicriteria.ListScheduling(inst, bicriteria.ListShelfOrder)
+			return bicriteria.ListScheduling(ctx, inst, bicriteria.ListShelfOrder)
 		}},
 		{"List (weighted LPT)", func() (*bicriteria.Schedule, error) {
-			return bicriteria.ListScheduling(inst, bicriteria.ListWeightedLPT)
+			return bicriteria.ListScheduling(ctx, inst, bicriteria.ListWeightedLPT)
 		}},
 		{"List (smallest area)", func() (*bicriteria.Schedule, error) {
-			return bicriteria.ListScheduling(inst, bicriteria.ListSmallestAreaFirst)
+			return bicriteria.ListScheduling(ctx, inst, bicriteria.ListSmallestAreaFirst)
 		}},
 	}
 

@@ -50,7 +50,8 @@ func main() {
 
 	// A batch-on-idle cluster engine whose only portfolio member is DEMT,
 	// with exact execution, is the batch framework of section 2.2.
-	res, err := bicriteria.RunClusterContext(context.Background(), bicriteria.ClusterConfig{
+	ctx := context.Background()
+	res, err := bicriteria.RunClusterContext(ctx, bicriteria.ClusterConfig{
 		M:         processors,
 		Portfolio: []bicriteria.ClusterAlgorithm{bicriteria.ClusterDEMTAlgorithm(nil)},
 		Policy:    bicriteria.BatchOnIdle(),
@@ -70,7 +71,7 @@ func main() {
 
 	// Clairvoyant comparison: if all jobs had been known (and available) at
 	// time 0, a single off-line DEMT run would achieve:
-	offline, err := bicriteria.DEMT(inst, nil)
+	offline, err := bicriteria.DEMT(ctx, inst, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

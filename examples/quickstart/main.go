@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 	}
 
 	// Run the paper's algorithm with its default options.
-	res, err := bicriteria.DEMT(inst, nil)
+	res, err := bicriteria.DEMT(context.Background(), inst, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

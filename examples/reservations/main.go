@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -35,7 +36,7 @@ func main() {
 		{Name: "advance-reservation", Procs: 16, Start: 10, End: 14},
 	}
 
-	res, err := bicriteria.ScheduleWithReservations(inst, reservations, nil)
+	res, err := bicriteria.ScheduleWithReservations(context.Background(), inst, reservations, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

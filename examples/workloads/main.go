@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -33,7 +34,7 @@ func main() {
 	}
 
 	for _, kind := range kinds {
-		res, err := bicriteria.RunExperiment(bicriteria.ExperimentConfig{
+		res, err := bicriteria.RunExperiment(context.Background(), bicriteria.ExperimentConfig{
 			Workload:   kind,
 			M:          processors,
 			TaskCounts: []int{tasks},

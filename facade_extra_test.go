@@ -3,6 +3,8 @@ package bicriteria
 import (
 	"bytes"
 	"context"
+	"errors"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,7 +21,7 @@ func TestFacadeReservations(t *testing.T) {
 		{Name: "maintenance", Procs: 4, Start: 0, End: 5},
 		{Name: "other", Procs: 6, Start: 8, End: 12},
 	}
-	res, err := ScheduleWithReservations(inst, reservations, nil)
+	res, err := ScheduleWithReservations(t.Context(), inst, reservations, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func TestFacadeReservations(t *testing.T) {
 		t.Fatalf("reserved schedule cannot finish earlier than the unreserved plan")
 	}
 	// Reserving the whole machine must fail.
-	if _, err := ScheduleWithReservations(inst, []Reservation{{Procs: 16, Start: 0, End: 100}}, nil); err == nil {
+	if _, err := ScheduleWithReservations(t.Context(), inst, []Reservation{{Procs: 16, Start: 0, End: 100}}, nil); err == nil {
 		t.Fatalf("full-machine reservation must fail")
 	}
 }
@@ -46,7 +48,7 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DEMT(inst, nil)
+	res, err := DEMT(t.Context(), inst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,5 +275,92 @@ func TestFacadeGrid(t *testing.T) {
 	}
 	if _, err := NewGrid(GridConfig{}); err == nil {
 		t.Fatal("empty grid accepted")
+	}
+}
+
+// TestGenerateFaultsForJobsMatchesCompile pins the one horizon estimate: a
+// faulted scenario without a horizon compiles to the plan
+// GenerateFaultsForJobs builds for the same stream, seed and cluster sizes.
+func TestGenerateFaultsForJobsMatchesCompile(t *testing.T) {
+	arrivals, err := GenerateArrivals(ArrivalConfig{
+		Workload: WorkloadConfig{Kind: WorkloadMixed, M: 16, N: 60, Seed: 3},
+		Rate:     4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "arrivals.json")
+	if err := SaveArrivals(path, 16, arrivals); err != nil {
+		t.Fatal(err)
+	}
+	const seed = 5
+	runner, err := Compile(Scenario{
+		Seed:     seed,
+		Clusters: []ScenarioCluster{{Machines: 16}, {Machines: 8}},
+		Arrivals: ScenarioArrivals{File: path},
+		Faults:   &ScenarioFaults{MTBF: 30, Repair: 4, ShardMTBF: 90, ShardRepair: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := GenerateFaultsForJobs(FaultsConfig{
+		Seed:            ScenarioFaultSeed(seed),
+		Clusters:        []int{16, 8},
+		MTBF:            30,
+		RepairMean:      4,
+		ShardMTBF:       90,
+		ShardRepairMean: 9,
+	}, ArrivalJobs(arrivals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runner.Info().Plan
+	if len(got.Nodes) == 0 || len(got.Shards) == 0 {
+		t.Fatalf("plan has %d node and %d shard outages; want both kinds", len(got.Nodes), len(got.Shards))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("compiled plan differs from GenerateFaultsForJobs:\n%+v\nvs\n%+v", got, want)
+	}
+}
+
+// TestFacadeEntryPointsHonourCancellation calls every off-line compute
+// entry point with an already-cancelled context: each must return an error
+// that wraps context.Canceled.
+func TestFacadeEntryPointsHonourCancellation(t *testing.T) {
+	inst, err := GenerateWorkload(WorkloadConfig{Kind: WorkloadMixed, M: 16, N: 20, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	for name, call := range map[string]func() error{
+		"DEMT": func() error {
+			_, err := DEMT(ctx, inst, nil)
+			return err
+		},
+		"Gang": func() error {
+			_, err := Gang(ctx, inst)
+			return err
+		},
+		"SequentialLPT": func() error {
+			_, err := SequentialLPT(ctx, inst)
+			return err
+		},
+		"ListScheduling": func() error {
+			_, err := ListScheduling(ctx, inst, ListSmallestAreaFirst)
+			return err
+		},
+		"ScheduleWithReservations": func() error {
+			_, err := ScheduleWithReservations(ctx, inst, []Reservation{{Procs: 4, Start: 0, End: 5}}, nil)
+			return err
+		},
+		"RunExperiment": func() error {
+			_, err := RunExperiment(ctx, ExperimentConfig{Workload: WorkloadMixed, M: 12, TaskCounts: []int{6}, Runs: 1})
+			return err
+		},
+	} {
+		if err := call(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: got %v, want an error wrapping context.Canceled", name, err)
+		}
 	}
 }

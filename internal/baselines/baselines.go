@@ -24,17 +24,12 @@ import (
 	"bicriteria/internal/schedule"
 )
 
-// Gang schedules every task on all the processors it can use (its full
-// allocation), one task after the other, sorted by decreasing ratio of
-// weight over execution time (Smith's rule on the gang execution times).
-func Gang(inst *moldable.Instance) (*schedule.Schedule, error) {
-	return GangContext(context.Background(), inst) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
-}
-
-// GangContext is Gang with cancellation: the context is checked at every
-// task placement so a racing portfolio can abort a straggling member. A
-// cancellation returns the context's error (errors.Is(err, ctx.Err())
-// holds).
+// GangContext schedules every task on all the processors it can use (its
+// full allocation), one task after the other, sorted by decreasing ratio
+// of weight over execution time (Smith's rule on the gang execution
+// times). The context is checked at every task placement so a racing
+// portfolio can abort a straggling member; a cancellation returns the
+// context's error (errors.Is(err, ctx.Err()) holds).
 func GangContext(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -74,14 +69,9 @@ func GangContext(ctx context.Context, inst *moldable.Instance) (*schedule.Schedu
 	return sched, nil
 }
 
-// Sequential schedules every task on a single processor with the classical
-// largest-processing-time-first list algorithm.
-func Sequential(inst *moldable.Instance) (*schedule.Schedule, error) {
-	return SequentialContext(context.Background(), inst) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
-}
-
-// SequentialContext is Sequential with cancellation, checked inside the
-// underlying list loop.
+// SequentialContext schedules every task on a single processor with the
+// classical largest-processing-time-first list algorithm. The context is
+// checked inside the list loop.
 func SequentialContext(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -125,14 +115,9 @@ func (o ListOrder) String() string {
 	}
 }
 
-// ListGraham computes the dual-approximation allotment and runs the Graham
-// list algorithm with the requested order.
-func ListGraham(inst *moldable.Instance, order ListOrder) (*schedule.Schedule, error) {
-	return ListGrahamContext(context.Background(), inst, order) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
-}
-
-// ListGrahamContext is ListGraham with cancellation, checked inside the
-// underlying list loop.
+// ListGrahamContext computes the dual-approximation allotment and runs the
+// Graham list algorithm with the requested order. The context is checked
+// inside the list loop.
 func ListGrahamContext(ctx context.Context, inst *moldable.Instance, order ListOrder) (*schedule.Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -144,15 +129,9 @@ func ListGrahamContext(ctx context.Context, inst *moldable.Instance, order ListO
 	return ListGrahamWithAllotmentContext(ctx, inst, res, order)
 }
 
-// ListGrahamWithAllotment is ListGraham with a pre-computed
-// dual-approximation result (so the three variants can share one allotment
-// computation, as the experiment harness does).
-func ListGrahamWithAllotment(inst *moldable.Instance, res *dualapprox.Result, order ListOrder) (*schedule.Schedule, error) {
-	return ListGrahamWithAllotmentContext(context.Background(), inst, res, order) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
-}
-
-// ListGrahamWithAllotmentContext is ListGrahamWithAllotment with
-// cancellation, checked inside the underlying list loop.
+// ListGrahamWithAllotmentContext is ListGrahamContext with a pre-computed
+// dual-approximation result (so the three variants can share one
+// allotment computation, as the experiment harness does).
 func ListGrahamWithAllotmentContext(ctx context.Context, inst *moldable.Instance, res *dualapprox.Result, order ListOrder) (*schedule.Schedule, error) {
 	if len(res.Allotment) != inst.N() {
 		return nil, fmt.Errorf("baselines: allotment has %d entries for %d tasks", len(res.Allotment), inst.N())

@@ -22,7 +22,7 @@ func testInstance() *moldable.Instance {
 
 func TestGangStructure(t *testing.T) {
 	inst := testInstance()
-	s, err := Gang(inst)
+	s, err := GangContext(t.Context(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestGangOptimalForPerfectlyMoldable(t *testing.T) {
 		tasks[i] = moldable.PerfectlyMoldable(i, 1, float64(4+2*i), 8)
 	}
 	inst := moldable.NewInstance(8, tasks)
-	g, err := Gang(inst)
+	g, err := GangContext(t.Context(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Sequential(inst)
+	seq, err := SequentialContext(t.Context(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestGangOptimalForPerfectlyMoldable(t *testing.T) {
 
 func TestSequentialStructure(t *testing.T) {
 	inst := testInstance()
-	s, err := Sequential(inst)
+	s, err := SequentialContext(t.Context(), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestListGrahamVariantsValidAndBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, order := range []ListOrder{ShelfOrder, WeightedLPT, SmallestAreaFirst} {
-		s, err := ListGrahamWithAllotment(inst, res, order)
+		s, err := ListGrahamWithAllotmentContext(t.Context(), inst, res, order)
 		if err != nil {
 			t.Fatalf("%v: %v", order, err)
 		}
@@ -130,7 +130,7 @@ func TestListGrahamVariantsValidAndBounded(t *testing.T) {
 		}
 	}
 	// The standalone entry point computes the allotment itself.
-	s, err := ListGraham(inst, SmallestAreaFirst)
+	s, err := ListGrahamContext(t.Context(), inst, SmallestAreaFirst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,23 +145,23 @@ func TestListGrahamUnknownOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ListGrahamWithAllotment(inst, res, ListOrder(42)); err == nil {
+	if _, err := ListGrahamWithAllotmentContext(t.Context(), inst, res, ListOrder(42)); err == nil {
 		t.Fatalf("unknown order must fail")
 	}
-	if _, err := ListGrahamWithAllotment(inst, &dualapprox.Result{}, ShelfOrder); err == nil {
+	if _, err := ListGrahamWithAllotmentContext(t.Context(), inst, &dualapprox.Result{}, ShelfOrder); err == nil {
 		t.Fatalf("mismatched allotment must fail")
 	}
 }
 
 func TestBaselinesRejectInvalidInstances(t *testing.T) {
 	bad := &moldable.Instance{M: 0}
-	if _, err := Gang(bad); err == nil {
+	if _, err := GangContext(t.Context(), bad); err == nil {
 		t.Fatalf("Gang must validate the instance")
 	}
-	if _, err := Sequential(bad); err == nil {
+	if _, err := SequentialContext(t.Context(), bad); err == nil {
 		t.Fatalf("Sequential must validate the instance")
 	}
-	if _, err := ListGraham(bad, ShelfOrder); err == nil {
+	if _, err := ListGrahamContext(t.Context(), bad, ShelfOrder); err == nil {
 		t.Fatalf("ListGraham must validate the instance")
 	}
 }
@@ -183,11 +183,11 @@ func TestPropertyAllBaselinesProduceValidSchedules(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g, err := Gang(inst)
+		g, err := GangContext(t.Context(), inst)
 		if err != nil || g.Validate(inst, nil) != nil {
 			return false
 		}
-		seq, err := Sequential(inst)
+		seq, err := SequentialContext(t.Context(), inst)
 		if err != nil || seq.Validate(inst, nil) != nil {
 			return false
 		}
@@ -196,7 +196,7 @@ func TestPropertyAllBaselinesProduceValidSchedules(t *testing.T) {
 			return false
 		}
 		for _, order := range []ListOrder{ShelfOrder, WeightedLPT, SmallestAreaFirst} {
-			s, err := ListGrahamWithAllotment(inst, res, order)
+			s, err := ListGrahamWithAllotmentContext(t.Context(), inst, res, order)
 			if err != nil || s.Validate(inst, nil) != nil {
 				return false
 			}

@@ -102,7 +102,7 @@ func TestPortfolioReplayDeterministicParallelVsSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := eng.Run(jobs)
+		rep, err := eng.RunContext(t.Context(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestReservationsNeverViolatedDuringReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := eng.Run(jobs)
+	report, err := eng.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestFixedIntervalFiresOnTicks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := eng.Run(jobs)
+	report, err := eng.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,16 +424,16 @@ func TestEngineInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run([]Job{
+	if _, err := eng.RunContext(t.Context(), []Job{
 		{Task: moldable.Sequential(1, 1, 1), Release: 0},
 		{Task: moldable.Sequential(1, 1, 2), Release: 1},
 	}); err == nil {
 		t.Fatal("duplicate job IDs accepted")
 	}
-	if _, err := eng.Run([]Job{{Task: moldable.Sequential(1, 1, 1), Release: -1}}); err == nil {
+	if _, err := eng.RunContext(t.Context(), []Job{{Task: moldable.Sequential(1, 1, 1), Release: -1}}); err == nil {
 		t.Fatal("negative release accepted")
 	}
-	if _, err := eng.Run([]Job{{Task: moldable.Task{ID: 1, Weight: 1}, Release: 0}}); err == nil {
+	if _, err := eng.RunContext(t.Context(), []Job{{Task: moldable.Task{ID: 1, Weight: 1}, Release: 0}}); err == nil {
 		t.Fatal("task without processing times accepted")
 	}
 	failing, err := New(Config{M: 8, Portfolio: []Algorithm{{Name: "failing", Run: func(context.Context, *moldable.Instance) (*schedule.Schedule, error) {
@@ -442,10 +442,10 @@ func TestEngineInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := failing.Run([]Job{{Task: moldable.Sequential(1, 1, 1), Release: 0}}); err == nil {
+	if _, err := failing.RunContext(t.Context(), []Job{{Task: moldable.Sequential(1, 1, 1), Release: 0}}); err == nil {
 		t.Fatal("a portfolio whose only member fails produced a report")
 	}
-	report, err := eng.Run(nil)
+	report, err := eng.RunContext(t.Context(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestObjectiveSelectsWinner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		report, err := eng.Run(jobs)
+		report, err := eng.RunContext(t.Context(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,7 +492,7 @@ func TestMetricsPercentilesAndBoundedSlowdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := eng.Run(jobs)
+	report, err := eng.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestFaultsEveryKilledJobEventuallyRescheduled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.Run(jobs)
+	rep, err := eng.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +607,7 @@ func TestFaultsZeroPlanBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repPlain, err := plain.Run(jobs)
+	repPlain, err := plain.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +619,7 @@ func TestFaultsZeroPlanBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repEmpty, err := eng.Run(jobs)
+	repEmpty, err := eng.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +646,7 @@ func TestFaultsParallelVsSequentialBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := eng.Run(jobs)
+		rep, err := eng.RunContext(t.Context(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -672,7 +672,7 @@ func TestFaultsCheckpointCreditsFinishedWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := eng.Run(job)
+		rep, err := eng.RunContext(t.Context(), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -712,7 +712,7 @@ func TestFaultsMaxRetriesGivesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.Run([]Job{{Task: moldable.Task{ID: 9, Weight: 1, Times: []float64{10}}, Release: 0}})
+	rep, err := eng.RunContext(t.Context(), []Job{{Task: moldable.Task{ID: 9, Weight: 1, Times: []float64{10}}, Release: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -228,7 +228,7 @@ func New(cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	blocked, err := assignReservationProcs(cfg.M, cfg.Reservations)
+	blocked, err := reservation.AssignProcs(cfg.M, cfg.Reservations)
 	if err != nil {
 		return nil, err
 	}
@@ -240,11 +240,6 @@ type jobInfo struct {
 	release float64
 	pmin    float64
 	weight  float64
-}
-
-// Run replays the job stream through the engine.
-func (e *Engine) Run(jobs []Job) (*Report, error) { //lint:allow ctxflow legacy context-free wrapper; the *Context variant is the cancellable entry point
-	return e.RunContext(context.Background(), jobs) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
 }
 
 // RunContext replays the job stream through the engine, checking the
@@ -410,41 +405,6 @@ func (s *Session) runBatch() (BatchReport, float64, []Job, error) {
 		Placements:       placements,
 		Cumulative:       acc.snapshot(),
 	}, advance, resub, nil
-}
-
-// assignReservationProcs picks concrete processors for every reservation,
-// highest indices first (so job packing keeps using the low indices), while
-// keeping temporally overlapping reservations on disjoint processors.
-func assignReservationProcs(m int, reservations []reservation.Reservation) ([][]int, error) {
-	blocked := make([][]int, len(reservations))
-	for i, r := range reservations {
-		taken := make(map[int]bool)
-		for j := 0; j < i; j++ {
-			o := reservations[j]
-			if r.Start < o.End-moldable.Eps && o.Start < r.End-moldable.Eps {
-				for _, p := range blocked[j] {
-					taken[p] = true
-				}
-			}
-		}
-		procs := make([]int, 0, r.Procs)
-		for p := m - 1; p >= 0 && len(procs) < r.Procs; p-- {
-			if !taken[p] {
-				procs = append(procs, p)
-			}
-		}
-		if len(procs) < r.Procs {
-			return nil, fmt.Errorf("cluster: reservations overlapping %q need more than the machine's %d processors", r.String(), m)
-		}
-		blocked[i] = procs
-	}
-	// At least one processor must stay free at every instant, otherwise
-	// the batch in flight during the reservation peak could never place
-	// its jobs.
-	if m-reservation.PeakReserved(reservations) < 1 {
-		return nil, fmt.Errorf("cluster: reservations block the whole %d-processor machine at their peak", m)
-	}
-	return blocked, nil
 }
 
 // relativeBusy shifts the absolute reservation windows into batch-relative

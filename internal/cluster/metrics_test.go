@@ -77,7 +77,7 @@ func TestCumulativeMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := JobsFromArrivals(arrivals)
-	full, err := eng.Run(jobs)
+	full, err := eng.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestRacingDeterministicParallelVsSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := eng.Run(jobs)
+		rep, err := eng.RunContext(t.Context(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestRacingCutoffOneMatchesNonRacing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := eng.Run(jobs)
+		rep, err := eng.RunContext(t.Context(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestRacingCancelsStragglers(t *testing.T) {
 	var rep *Report
 	go func() {
 		defer close(done)
-		rep, err = eng.Run(singleJob())
+		rep, err = eng.RunContext(t.Context(), singleJob())
 	}()
 	select {
 	case <-done:

@@ -215,7 +215,7 @@ func TestSessionStopsAtEveryUndecidedStep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := eng.Run(append(append([]Job(nil), tc.before...), tc.after...))
+			want, err := eng.RunContext(t.Context(), append(append([]Job(nil), tc.before...), tc.after...))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +273,7 @@ func TestSessionFeedContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Run(jobs)
+	want, err := eng.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,37 +192,12 @@ type Result struct {
 	ShufflesTried int
 }
 
-// Scheduler is a reusable DEMT scheduler with fixed options.
-type Scheduler struct {
-	opts Options
-}
-
-// New creates a Scheduler. A nil options pointer gives the paper's
-// defaults.
-func New(opts *Options) *Scheduler { return &Scheduler{opts: opts.withDefaults()} }
-
-// Schedule runs the DEMT algorithm on the instance.
-func (s *Scheduler) Schedule(inst *moldable.Instance) (*Result, error) {
-	return run(context.Background(), inst, s.opts) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
-}
-
-// ScheduleContext runs the DEMT algorithm on the instance, checking the
-// context at the algorithm's phase boundaries (every knapsack batch, every
-// compaction shuffle) so a racing portfolio can cancel a straggling run.
-func (s *Scheduler) ScheduleContext(ctx context.Context, inst *moldable.Instance) (*Result, error) {
-	return run(ctx, inst, s.opts)
-}
-
-// Schedule runs the DEMT algorithm with the given options (nil for the
-// paper's defaults).
-func Schedule(inst *moldable.Instance, opts *Options) (*Result, error) {
-	return run(context.Background(), inst, opts.withDefaults()) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
-}
-
-// ScheduleContext is Schedule with cancellation: the context is checked
-// at every batch of the knapsack construction loop and at every shuffle
-// of the compaction pass. A cancellation aborts the run promptly and
-// returns the context's error (errors.Is(err, ctx.Err()) holds).
+// ScheduleContext runs the DEMT algorithm with the given options (nil for
+// the paper's defaults). The context is checked at every batch of the
+// knapsack construction loop and at every shuffle of the compaction pass,
+// so a racing portfolio can cancel a straggling run: a cancellation aborts
+// the run promptly and returns the context's error (errors.Is(err,
+// ctx.Err()) holds).
 func ScheduleContext(ctx context.Context, inst *moldable.Instance, opts *Options) (*Result, error) {
 	return run(ctx, inst, opts.withDefaults())
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -25,7 +26,7 @@ func testInstance() *moldable.Instance {
 
 func TestScheduleBasicProperties(t *testing.T) {
 	inst := testInstance()
-	res, err := Schedule(inst, nil)
+	res, err := ScheduleContext(t.Context(), inst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestScheduleBasicProperties(t *testing.T) {
 
 func TestBatchesStructure(t *testing.T) {
 	inst := testInstance()
-	res, err := Schedule(inst, nil)
+	res, err := ScheduleContext(t.Context(), inst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestMergedGroupsAreSmallSequentialTasks(t *testing.T) {
 		tasks = append(tasks, moldable.Sequential(i, float64(i%4+1), 0.4))
 	}
 	inst := moldable.NewInstance(4, tasks)
-	res, err := Schedule(inst, nil)
+	res, err := ScheduleContext(t.Context(), inst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestCompactionModes(t *testing.T) {
 	inst := testInstance()
 	var prevMinsum float64
 	for i, mode := range []CompactionMode{CompactionNone, CompactionEarliestStart, CompactionList, CompactionListShuffle} {
-		res, err := Schedule(inst, &Options{Compaction: mode, Seed: 3})
+		res, err := ScheduleContext(t.Context(), inst, &Options{Compaction: mode, Seed: 3})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -152,7 +153,7 @@ func TestCompactionModes(t *testing.T) {
 		if i > 0 && minsum > prevMinsum+1e-6 && mode != CompactionEarliestStart {
 			// The list-based modes should not be worse than no compaction.
 			if mode == CompactionList || mode == CompactionListShuffle {
-				if noCompact, _ := Schedule(inst, &Options{Compaction: CompactionNone}); minsum > noCompact.Schedule.WeightedCompletion(inst)+1e-6 {
+				if noCompact, _ := ScheduleContext(t.Context(), inst, &Options{Compaction: CompactionNone}); minsum > noCompact.Schedule.WeightedCompletion(inst)+1e-6 {
 					t.Fatalf("%v: compaction made the minsum worse", mode)
 				}
 			}
@@ -163,11 +164,11 @@ func TestCompactionModes(t *testing.T) {
 
 func TestSelectionModes(t *testing.T) {
 	inst := testInstance()
-	kn, err := Schedule(inst, &Options{Selection: SelectionKnapsack})
+	kn, err := ScheduleContext(t.Context(), inst, &Options{Selection: SelectionKnapsack})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := Schedule(inst, &Options{Selection: SelectionGreedy})
+	gr, err := ScheduleContext(t.Context(), inst, &Options{Selection: SelectionGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestSelectionModes(t *testing.T) {
 
 func TestExplicitCmaxEstimate(t *testing.T) {
 	inst := testInstance()
-	res, err := Schedule(inst, &Options{CmaxEstimate: 20})
+	res, err := ScheduleContext(t.Context(), inst, &Options{CmaxEstimate: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestTimingReportsEveryPhaseInOrder(t *testing.T) {
 			}
 			phases = append(phases, phase)
 		}}
-		if _, err := Schedule(testInstance(), opts); err != nil {
+		if _, err := ScheduleContext(t.Context(), testInstance(), opts); err != nil {
 			t.Fatal(err)
 		}
 		want := []string{"validate", "dualapprox", "knapsack", "compact"}
@@ -220,35 +221,40 @@ func TestTimingReportsEveryPhaseInOrder(t *testing.T) {
 	}
 	var phases []string
 	opts := &Options{Timing: func(phase string, _ float64) { phases = append(phases, phase) }}
-	if _, err := Schedule(&moldable.Instance{M: 0}, opts); err == nil || len(phases) != 0 {
+	if _, err := ScheduleContext(t.Context(), &moldable.Instance{M: 0}, opts); err == nil || len(phases) != 0 {
 		t.Fatalf("invalid instance: err %v, phases %v; want an error and no phase", err, phases)
 	}
 }
 
+// TestSchedulerReuse runs one Options value across several instances: every
+// run is valid and none changes the caller's options.
 func TestSchedulerReuse(t *testing.T) {
-	s := New(&Options{Shuffles: 2, Seed: 7})
+	opts := &Options{Shuffles: 2, Seed: 7}
 	for seed := int64(0); seed < 3; seed++ {
 		inst, err := workload.Generate(workload.Config{Kind: workload.Mixed, M: 16, N: 20, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Schedule(inst)
+		res, err := ScheduleContext(t.Context(), inst, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := res.Schedule.Validate(inst, nil); err != nil {
 			t.Fatalf("invalid schedule: %v", err)
 		}
+		if !reflect.DeepEqual(*opts, Options{Shuffles: 2, Seed: 7}) {
+			t.Fatalf("run changed the options: %+v", *opts)
+		}
 	}
 }
 
 func TestDeterministicForFixedSeed(t *testing.T) {
 	inst := testInstance()
-	a, err := Schedule(inst, &Options{Seed: 5})
+	a, err := ScheduleContext(t.Context(), inst, &Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Schedule(inst, &Options{Seed: 5})
+	b, err := ScheduleContext(t.Context(), inst, &Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +265,7 @@ func TestDeterministicForFixedSeed(t *testing.T) {
 }
 
 func TestRejectsInvalidInstance(t *testing.T) {
-	if _, err := Schedule(&moldable.Instance{M: 0}, nil); err == nil {
+	if _, err := ScheduleContext(t.Context(), &moldable.Instance{M: 0}, nil); err == nil {
 		t.Fatalf("invalid instance must fail")
 	}
 }
@@ -279,7 +285,7 @@ func TestEnumStrings(t *testing.T) {
 
 func TestSingleTaskAndSingleProcessor(t *testing.T) {
 	inst := moldable.NewInstance(1, []moldable.Task{moldable.Sequential(0, 1, 2.5)})
-	res, err := Schedule(inst, nil)
+	res, err := ScheduleContext(t.Context(), inst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +309,7 @@ func TestPropertyValidSchedulesAndReasonableRatios(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Schedule(inst, &Options{Shuffles: 3, Seed: seed})
+		res, err := ScheduleContext(t.Context(), inst, &Options{Shuffles: 3, Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -42,7 +42,7 @@ func TestPropertyDEMTSchedulesValidAndAboveLowerBound(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
 		inst := randomMonotoneInstance(r)
-		res, err := Schedule(inst, &Options{Seed: int64(trial)})
+		res, err := ScheduleContext(t.Context(), inst, &Options{Seed: int64(trial)})
 		if err != nil {
 			t.Fatalf("trial %d (m=%d, n=%d): %v", trial, inst.M, len(inst.Tasks), err)
 		}
@@ -63,7 +63,7 @@ func TestPropertyDEMTRespectsPerProcessorExclusivity(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		inst := randomMonotoneInstance(r)
-		res, err := Schedule(inst, &Options{Seed: int64(trial)})
+		res, err := ScheduleContext(t.Context(), inst, &Options{Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -145,8 +145,11 @@ func TwoShelf(inst *moldable.Instance) (*Result, error) {
 	var best *schedule.Schedule
 	found, bestLambda := sv.feasible(hi), hi
 	if !found {
-		// The construction cannot fail at the stacked upper bound, but keep
-		// a defensive fallback through the list scheduler.
+		// The construction can fail even at the stacked upper bound: every
+		// task that is not small and sequential must sit on one of two
+		// m-processor shelves, so three rigid tasks that each need the whole
+		// machine fit at no deadline. The list scheduler then builds the
+		// schedule with the allotment at hi.
 		var err error
 		best, err = listFallback(ft, hi)
 		if err != nil {
@@ -175,17 +178,6 @@ func TwoShelf(inst *moldable.Instance) (*Result, error) {
 	}
 	classifyShelves(inst, bestLambda, res)
 	return res, nil
-}
-
-// Estimate is a convenience wrapper returning the approximate optimal
-// makespan (the makespan of the dual-approximation schedule) and the
-// certified lower bound.
-func Estimate(inst *moldable.Instance) (cmax, lowerBound float64, err error) {
-	res, err := TwoShelf(inst)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.Estimate, res.LowerBound, nil
 }
 
 // upperBound stacks every task sequentially with its fastest allocation.

@@ -119,14 +119,39 @@ func TestTwoShelfRejectsInvalidInstance(t *testing.T) {
 	}
 }
 
-func TestEstimateWrapper(t *testing.T) {
-	inst := smallInstance()
-	cmax, lb, err := Estimate(inst)
+func TestTwoShelfEstimateAboveLowerBound(t *testing.T) {
+	res, err := TwoShelf(smallInstance())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmax < lb {
-		t.Fatalf("estimate %g below lower bound %g", cmax, lb)
+	if res.Estimate < res.LowerBound {
+		t.Fatalf("estimate %g below lower bound %g", res.Estimate, res.LowerBound)
+	}
+	if res.Estimate != res.Schedule.Makespan() {
+		t.Fatalf("estimate %g is not the schedule's makespan %g", res.Estimate, res.Schedule.Makespan())
+	}
+}
+
+// TestTwoShelfListFallback pins the case the two-shelf structure cannot
+// hold at any deadline: three rigid tasks that each need the whole machine.
+// The list fallback builds the stacked schedule at the upper bound.
+func TestTwoShelfListFallback(t *testing.T) {
+	inst := moldable.NewInstance(8, []moldable.Task{
+		moldable.Rigid(0, 1, 8, 1), moldable.Rigid(1, 1, 8, 1), moldable.Rigid(2, 1, 8, 1),
+	})
+	sv := newShelfSolver(newFitTable(inst))
+	if hi := upperBound(inst); sv.feasible(hi) {
+		t.Fatalf("two-shelf construction feasible at the upper bound %g", hi)
+	}
+	res, err := TwoShelf(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Schedule.Validate(inst, nil); err != nil {
+		t.Fatalf("invalid schedule: %v", err)
+	}
+	if res.Estimate != 3 || res.Lambda != 3 {
+		t.Fatalf("estimate %g at lambda %g, want the stacked 3 at 3", res.Estimate, res.Lambda)
 	}
 }
 

@@ -137,7 +137,7 @@ func TestHeuristicsNeverBeatOptimum(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		demt, err := core.Schedule(inst, nil)
+		demt, err := core.ScheduleContext(t.Context(), inst, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,14 +148,14 @@ func TestHeuristicsNeverBeatOptimum(t *testing.T) {
 			t.Fatalf("seed %d: DEMT minsum beats the proven optimum", seed)
 		}
 
-		gang, err := baselines.Gang(inst)
+		gang, err := baselines.GangContext(t.Context(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gang.Makespan() < optCmax.Value-1e-6 {
 			t.Fatalf("seed %d: Gang makespan beats the proven optimum", seed)
 		}
-		seq, err := baselines.Sequential(inst)
+		seq, err := baselines.SequentialContext(t.Context(), inst)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -57,13 +58,14 @@ type AblationRow struct {
 }
 
 // RunSelectionAblation compares the knapsack batch selection of the paper
-// with the greedy weight-density selection (ablation A1).
-func RunSelectionAblation(cfg AblationConfig) ([]AblationRow, error) {
+// with the greedy weight-density selection (ablation A1). The context is
+// passed to every DEMT run.
+func RunSelectionAblation(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
 	variants := []core.SelectionMode{core.SelectionKnapsack, core.SelectionGreedy}
 	rows := make([]AblationRow, 0, len(variants))
 	for _, mode := range variants {
-		row, err := runDEMTVariant(cfg, fmt.Sprintf("selection=%s", mode), &core.Options{Selection: mode})
+		row, err := runDEMTVariant(ctx, cfg, fmt.Sprintf("selection=%s", mode), &core.Options{Selection: mode})
 		if err != nil {
 			return nil, err
 		}
@@ -72,15 +74,16 @@ func RunSelectionAblation(cfg AblationConfig) ([]AblationRow, error) {
 	return rows, nil
 }
 
-// RunCompactionAblation compares the compaction modes (ablation A2).
-func RunCompactionAblation(cfg AblationConfig) ([]AblationRow, error) {
+// RunCompactionAblation compares the compaction modes (ablation A2). The
+// context is passed to every DEMT run.
+func RunCompactionAblation(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
 	variants := []core.CompactionMode{
 		core.CompactionNone, core.CompactionEarliestStart, core.CompactionList, core.CompactionListShuffle,
 	}
 	rows := make([]AblationRow, 0, len(variants))
 	for _, mode := range variants {
-		row, err := runDEMTVariant(cfg, fmt.Sprintf("compaction=%s", mode), &core.Options{Compaction: mode})
+		row, err := runDEMTVariant(ctx, cfg, fmt.Sprintf("compaction=%s", mode), &core.Options{Compaction: mode})
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +93,7 @@ func RunCompactionAblation(cfg AblationConfig) ([]AblationRow, error) {
 }
 
 // runDEMTVariant evaluates one DEMT configuration across the ablation runs.
-func runDEMTVariant(cfg AblationConfig, name string, opts *core.Options) (AblationRow, error) {
+func runDEMTVariant(ctx context.Context, cfg AblationConfig, name string, opts *core.Options) (AblationRow, error) {
 	row := AblationRow{Variant: name}
 	var minsum, cmax stats.RatioAggregator
 	var total time.Duration
@@ -100,7 +103,7 @@ func runDEMTVariant(cfg AblationConfig, name string, opts *core.Options) (Ablati
 			return row, err
 		}
 		start := time.Now()
-		res, err := core.Schedule(inst, opts)
+		res, err := core.ScheduleContext(ctx, inst, opts)
 		if err != nil {
 			return row, err
 		}
@@ -123,13 +126,16 @@ func runDEMTVariant(cfg AblationConfig, name string, opts *core.Options) (Ablati
 
 // RunBoundAblation compares the squashed-area and LP-relaxation minsum
 // lower bounds (ablation A3): average bound value (higher is tighter) and
-// average computation time.
-func RunBoundAblation(cfg AblationConfig) ([]AblationRow, error) {
+// average computation time. The context is checked before every instance.
+func RunBoundAblation(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
 	rows := []AblationRow{{Variant: "bound=squashed-area"}, {Variant: "bound=lp-relaxation"}, {Variant: "bound=max(both)"}}
 	var squashedSum, lpSum, maxSum float64
 	var squashedTime, lpTime time.Duration
 	for run := 0; run < cfg.Runs; run++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("experiment: bound ablation aborted: %w", err)
+		}
 		inst, err := workload.Generate(workload.Config{Kind: cfg.Workload, M: cfg.M, N: cfg.N, Seed: instanceSeed(cfg.Seed, cfg.N, run)})
 		if err != nil {
 			return nil, err

@@ -12,7 +12,7 @@ func ablationTestConfig() AblationConfig {
 }
 
 func TestRunSelectionAblation(t *testing.T) {
-	rows, err := RunSelectionAblation(ablationTestConfig())
+	rows, err := RunSelectionAblation(t.Context(), ablationTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestRunSelectionAblation(t *testing.T) {
 }
 
 func TestRunCompactionAblation(t *testing.T) {
-	rows, err := RunCompactionAblation(ablationTestConfig())
+	rows, err := RunCompactionAblation(t.Context(), ablationTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRunCompactionAblation(t *testing.T) {
 }
 
 func TestRunBoundAblation(t *testing.T) {
-	rows, err := RunBoundAblation(ablationTestConfig())
+	rows, err := RunBoundAblation(t.Context(), ablationTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

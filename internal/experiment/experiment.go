@@ -10,6 +10,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -132,8 +133,10 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Run executes the experiment.
-func Run(cfg Config) (*Result, error) {
+// Run executes the experiment. The context is passed to every algorithm
+// run, so a cancellation aborts the experiment with the context's error
+// (errors.Is(err, ctx.Err()) holds).
+func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Runs < 1 {
 		return nil, fmt.Errorf("experiment: Runs must be >= 1")
@@ -181,7 +184,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 
 			for _, alg := range cfg.Algorithms {
-				sched, elapsed, err := runAlgorithm(alg, inst, da, cfg.DEMT)
+				sched, elapsed, err := runAlgorithm(ctx, alg, inst, da, cfg.DEMT)
 				if err != nil {
 					return nil, fmt.Errorf("experiment: %s on %s n=%d run=%d: %w", alg, cfg.Workload, n, run, err)
 				}
@@ -223,7 +226,7 @@ func instanceSeed(base int64, n, run int) int64 {
 // runAlgorithm dispatches one algorithm on one instance, reusing the shared
 // dual-approximation result for the list baselines, and reports its
 // wall-clock time.
-func runAlgorithm(alg Algorithm, inst *moldable.Instance, da *dualapprox.Result, demtOpts *core.Options) (*schedule.Schedule, time.Duration, error) {
+func runAlgorithm(ctx context.Context, alg Algorithm, inst *moldable.Instance, da *dualapprox.Result, demtOpts *core.Options) (*schedule.Schedule, time.Duration, error) {
 	start := time.Now()
 	var (
 		sched *schedule.Schedule
@@ -239,20 +242,20 @@ func runAlgorithm(alg Algorithm, inst *moldable.Instance, da *dualapprox.Result,
 			opts = *demtOpts
 		}
 		opts.CmaxEstimate = da.Estimate
-		res, err = core.Schedule(inst, &opts)
+		res, err = core.ScheduleContext(ctx, inst, &opts)
 		if err == nil {
 			sched = res.Schedule
 		}
 	case AlgGang:
-		sched, err = baselines.Gang(inst)
+		sched, err = baselines.GangContext(ctx, inst)
 	case AlgSequential:
-		sched, err = baselines.Sequential(inst)
+		sched, err = baselines.SequentialContext(ctx, inst)
 	case AlgListShelf:
-		sched, err = baselines.ListGrahamWithAllotment(inst, da, baselines.ShelfOrder)
+		sched, err = baselines.ListGrahamWithAllotmentContext(ctx, inst, da, baselines.ShelfOrder)
 	case AlgListWeightedLPT:
-		sched, err = baselines.ListGrahamWithAllotment(inst, da, baselines.WeightedLPT)
+		sched, err = baselines.ListGrahamWithAllotmentContext(ctx, inst, da, baselines.WeightedLPT)
 	case AlgListSAF:
-		sched, err = baselines.ListGrahamWithAllotment(inst, da, baselines.SmallestAreaFirst)
+		sched, err = baselines.ListGrahamWithAllotmentContext(ctx, inst, da, baselines.SmallestAreaFirst)
 	default:
 		return nil, 0, fmt.Errorf("unknown algorithm %q", alg)
 	}

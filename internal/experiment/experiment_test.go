@@ -21,7 +21,7 @@ func smallConfig(kind workload.Kind) Config {
 }
 
 func TestRunAllAlgorithmsSmall(t *testing.T) {
-	res, err := Run(smallConfig(workload.HighlyParallel))
+	res, err := Run(t.Context(), smallConfig(workload.HighlyParallel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRunWithLPBound(t *testing.T) {
 	cfg.TaskCounts = []int{6}
 	cfg.Runs = 2
 	cfg.Algorithms = []Algorithm{AlgDEMT, AlgListSAF}
-	res, err := Run(cfg)
+	res, err := Run(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestRunWithLPBound(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	cfg := smallConfig(workload.Cirne)
 	cfg.Algorithms = []Algorithm{AlgDEMT}
-	a, err := Run(cfg)
+	a, err := Run(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +93,12 @@ func TestRunDeterministic(t *testing.T) {
 func TestRunRejectsBadConfig(t *testing.T) {
 	cfg := smallConfig(workload.Mixed)
 	cfg.Runs = -1
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(t.Context(), cfg); err == nil {
 		t.Fatalf("negative runs must fail")
 	}
 	cfg = smallConfig(workload.Mixed)
 	cfg.Algorithms = []Algorithm{"nonsense"}
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(t.Context(), cfg); err == nil {
 		t.Fatalf("unknown algorithm must fail")
 	}
 }
@@ -146,7 +146,7 @@ func TestFigureConfig(t *testing.T) {
 func TestFormatTableAndCSV(t *testing.T) {
 	cfg := smallConfig(workload.WeaklyParallel)
 	cfg.Algorithms = []Algorithm{AlgDEMT, AlgGang}
-	res, err := Run(cfg)
+	res, err := Run(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestFormatTableAndCSV(t *testing.T) {
 func TestSeriesForAndMaxRatio(t *testing.T) {
 	cfg := smallConfig(workload.HighlyParallel)
 	cfg.Algorithms = []Algorithm{AlgDEMT}
-	res, err := Run(cfg)
+	res, err := Run(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,13 +205,13 @@ func TestQualitativeShapesSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping the shape test in -short mode")
 	}
-	weak, err := Run(Config{
+	weak, err := Run(t.Context(), Config{
 		Workload: workload.WeaklyParallel, M: 32, TaskCounts: []int{20, 40}, Runs: 4, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := Run(Config{
+	high, err := Run(t.Context(), Config{
 		Workload: workload.HighlyParallel, M: 32, TaskCounts: []int{20, 40}, Runs: 4, Seed: 7,
 	})
 	if err != nil {

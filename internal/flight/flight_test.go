@@ -169,7 +169,7 @@ func TestReadJSONLErrors(t *testing.T) {
 	}
 }
 
-// TestFromGridReport pins the serve-layer rebuild path: submissions come
+// TestFromGridReport pins the rebuild from a finished report: submissions come
 // from non-migrated decisions, batches (with winner, lower bound and
 // placements) from the per-shard reports.
 func TestFromGridReport(t *testing.T) {

@@ -3,7 +3,6 @@ package grid
 import (
 	"context"
 	"errors"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -85,31 +84,5 @@ func TestRunContextCancelBeforeRun(t *testing.T) {
 		if _, err := f.RunContext(ctx, jobs); !errors.Is(err, context.Canceled) {
 			t.Fatalf("sequential=%v: want context.Canceled, got %v", sequential, err)
 		}
-	}
-}
-
-// TestRunContextBackgroundUnchanged pins that threading the context
-// through the engines did not change a completed run: Run and RunContext
-// with a background context produce identical reports.
-func TestRunContextBackgroundUnchanged(t *testing.T) {
-	jobs := cancelJobs(t, 40)
-	build := func() *Federation {
-		f, err := New(Config{Clusters: []ClusterSpec{{M: 16}, {M: 8}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	plain, err := build().Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, err := build().RunContext(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Metrics, ctxed.Metrics) ||
-		len(plain.Decisions) != len(ctxed.Decisions) {
-		t.Fatalf("RunContext(Background) drifted from Run:\n%+v\nvs\n%+v", plain.Metrics, ctxed.Metrics)
 	}
 }

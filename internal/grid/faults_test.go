@@ -50,7 +50,7 @@ func TestGridShardOutageMigratesQueuedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := fed.Run(jobs)
+	rep, err := fed.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestGridFaultedZeroPlanBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := fed.Run(jobs)
+		rep, err := fed.RunContext(t.Context(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestGridFaultedNoJobLostOrDuplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := fed.Run(jobs)
+	rep, err := fed.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,15 +171,10 @@ func New(cfg Config) (*Federation, error) {
 	return f, nil
 }
 
-// Run routes the job stream across the shards and replays every shard
-// through its engine — concurrently unless Config.Sequential — then
+// RunContext routes the job stream across the shards and replays every
+// shard through its engine — concurrently unless Config.Sequential — then
 // aggregates the grid metrics. The report is bit-identical between the
-// sequential and the concurrent path.
-func (f *Federation) Run(jobs []cluster.Job) (*Report, error) { //lint:allow ctxflow legacy context-free wrapper; the *Context variant is the cancellable entry point
-	return f.RunContext(context.Background(), jobs) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
-}
-
-// RunContext is Run with cancellation: the context is threaded into every
+// sequential and the concurrent path. The context is threaded into every
 // shard engine's replay loop, so cancelling it aborts the whole grid run
 // between batches — concurrent shards each observe the cancellation,
 // return promptly, and the WaitGroup join cannot deadlock. The returned

@@ -65,7 +65,7 @@ func TestGridDeterminismParallelVsSequentialAllPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := f.Run(jobs)
+			rep, err := f.RunContext(t.Context(), jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,11 +95,11 @@ func TestGridFederationReusableAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := f.Run(jobs)
+	first, err := f.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := f.Run(jobs)
+	second, err := f.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestGridNoJobLostOrDuplicated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := f.Run(jobs)
+		rep, err := f.RunContext(t.Context(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestGridHeterogeneousClusterSafety(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := f.Run(jobs)
+		rep, err := f.RunContext(t.Context(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestRoundRobinCycles(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		jobs = append(jobs, cluster.Job{Task: moldable.Sequential(i, 1, 2), Release: 0})
 	}
-	rep, err := f.Run(jobs)
+	rep, err := f.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestGridAdmissionControlStillRoutesEveryJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := unlimited.Run(jobs)
+	rep, err := unlimited.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestGridAdmissionControlStillRoutesEveryJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err = limited.Run(jobs)
+	rep, err = limited.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestGridAdmissionControlStillRoutesEveryJob(t *testing.T) {
 		t.Fatalf("cluster 0 peak backlog %g never exceeded the admission limit 2",
 			rep.Metrics.PerCluster[0].PeakBacklog)
 	}
-	unlimitedRep, err := unlimited.Run(jobs)
+	unlimitedRep, err := unlimited.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestGridMetricsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := f.Run(jobs)
+	rep, err := f.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,16 +418,16 @@ func TestGridValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Run([]cluster.Job{
+	if _, err := f.RunContext(t.Context(), []cluster.Job{
 		{Task: moldable.Sequential(1, 1, 1), Release: 0},
 		{Task: moldable.Sequential(1, 1, 2), Release: 3},
 	}); err == nil {
 		t.Fatal("duplicate job IDs accepted")
 	}
-	if _, err := f.Run([]cluster.Job{{Task: moldable.Sequential(1, 1, 1), Release: -2}}); err == nil {
+	if _, err := f.RunContext(t.Context(), []cluster.Job{{Task: moldable.Sequential(1, 1, 1), Release: -2}}); err == nil {
 		t.Fatal("negative release accepted")
 	}
-	rep, err := f.Run(nil)
+	rep, err := f.RunContext(t.Context(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestGridOnDecisionStreamsInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := f.Run(jobs)
+	rep, err := f.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func TestSessionNeverFeedsADrainedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := f.Run(jobs)
+	want, err := f.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestGridDeterminismStress(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := fed.Run(jobs)
+				rep, err := fed.RunContext(t.Context(), jobs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -56,7 +56,7 @@ func TestGridDeterminismStress(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r, err := probe.Run(jobs)
+				r, err := probe.RunContext(t.Context(), jobs)
 				if err != nil {
 					t.Fatal(err)
 				}

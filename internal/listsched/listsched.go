@@ -61,7 +61,7 @@ func validateItems(m int, items []Item) error {
 // Graham runs the event-driven list algorithm on m processors and returns a
 // schedule with explicit processor assignments.
 func Graham(m int, items []Item) (*schedule.Schedule, error) {
-	return GrahamContext(context.Background(), m, items) //lint:allow ctxflow legacy wrapper supplies the root context for callers without one
+	return GrahamContext(context.Background(), m, items) //lint:allow ctxflow dualapprox.TwoShelf's list fallback has no context to pass; TwoShelf runs to completion by design
 }
 
 // GrahamContext is Graham with cancellation: the context is checked at

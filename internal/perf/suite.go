@@ -2,7 +2,6 @@ package perf
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -66,11 +65,11 @@ func batchInstance(b *testing.B) *moldable.Instance {
 // benchDEMTSchedule times one full DEMT run — dual approximation,
 // knapsack batch construction and compaction — on the standard batch.
 func benchDEMTSchedule(b *testing.B) {
-	inst := batchInstance(b)
+	inst, ctx := batchInstance(b), b.Context()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Schedule(inst, nil); err != nil {
+		if _, err := core.ScheduleContext(ctx, inst, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,7 +81,7 @@ func benchDEMTSchedule(b *testing.B) {
 // and B/op still cover the whole run — the harness cannot attribute
 // allocations to a phase.
 func benchDEMTPhase(b *testing.B, phase string) {
-	inst := batchInstance(b)
+	inst, ctx := batchInstance(b), b.Context()
 	var secs float64
 	opts := &core.Options{Timing: func(ph string, s float64) {
 		if ph == phase {
@@ -92,7 +91,7 @@ func benchDEMTPhase(b *testing.B, phase string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Schedule(inst, opts); err != nil {
+		if _, err := core.ScheduleContext(ctx, inst, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,8 +102,7 @@ func benchDEMTPhase(b *testing.B, phase string) {
 // standard batch — the per-algorithm latency the
 // bicrit_portfolio_algorithm_seconds histogram watches live.
 func benchPortfolioAlgorithm(b *testing.B, algo cluster.Algorithm) {
-	inst := batchInstance(b)
-	ctx := context.Background()
+	inst, ctx := batchInstance(b), b.Context()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -133,7 +131,7 @@ func benchBatchPlan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(jobs); err != nil {
+		if _, err := eng.RunContext(b.Context(), jobs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +167,7 @@ func benchPortfolioRace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(jobs); err != nil {
+		if _, err := eng.RunContext(b.Context(), jobs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,15 +207,15 @@ func benchClusterReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(jobs); err != nil {
+		if _, err := eng.RunContext(b.Context(), jobs); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // benchGridReplay times the grid federation replaying one fixed 500-job
-// burst-heavy stream across `clusters` shards — the routeStream hot path
-// at 1/4/8 shards. The 4-shard variant is the historical
+// burst-heavy stream across `clusters` shards — routing plus the shard
+// sessions' batch loops at 1/4/8 shards. The 4-shard variant is the historical
 // GridReplay/clusters=4 configuration.
 func benchGridReplay(b *testing.B, clusters int) {
 	const perCluster = 32
@@ -248,7 +246,7 @@ func benchGridReplay(b *testing.B, clusters int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fed.Run(jobs); err != nil {
+		if _, err := fed.RunContext(b.Context(), jobs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -326,7 +324,7 @@ func flightReport(b *testing.B) *grid.Report {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep, err := fed.Run(jobs)
+	rep, err := fed.RunContext(b.Context(), jobs)
 	if err != nil {
 		b.Fatal(err)
 	}

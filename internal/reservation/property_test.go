@@ -2,6 +2,7 @@ package reservation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bicriteria/internal/core"
@@ -29,7 +30,8 @@ func randomMonotoneTasks(r *rand.Rand, m, n int) []moldable.Task {
 // reservation invariant: across randomized instances and randomized
 // reservation sets, the reservation-aware scheduler produces a feasible
 // schedule that never touches a reserved processor inside its window —
-// reservations are inviolable, jobs flow around them.
+// reservations are inviolable, jobs flow around them — and reservations
+// that overlap in time hold disjoint processors.
 func TestPropertyReservationsNeverPreempted(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
@@ -52,7 +54,7 @@ func TestPropertyReservationsNeverPreempted(t *testing.T) {
 			})
 		}
 
-		res, err := Schedule(inst, reservations, &Options{DEMT: &core.Options{Shuffles: 1, Seed: int64(trial)}})
+		res, err := Schedule(t.Context(), inst, reservations, &Options{DEMT: &core.Options{Shuffles: 1, Seed: int64(trial)}})
 		if err != nil {
 			t.Fatalf("trial %d (m=%d, %d reservations): %v", trial, m, len(reservations), err)
 		}
@@ -61,6 +63,22 @@ func TestPropertyReservationsNeverPreempted(t *testing.T) {
 		}
 		if err := ValidateAgainstReservations(res.Schedule, reservations, res.Blocked); err != nil {
 			t.Fatalf("trial %d: a job preempts a reservation: %v", trial, err)
+		}
+		// Temporally overlapping reservations must block disjoint
+		// processors, or fewer processors are held than were reserved.
+		for i, a := range reservations {
+			for j := i + 1; j < len(reservations); j++ {
+				b := reservations[j]
+				if a.Start >= b.End-1e-9 || b.Start >= a.End-1e-9 {
+					continue
+				}
+				for _, p := range res.Blocked[i] {
+					if slices.Contains(res.Blocked[j], p) {
+						t.Fatalf("trial %d: overlapping reservations %d and %d both block processor %d (%v, %v)",
+							trial, i, j, p, res.Blocked[i], res.Blocked[j])
+					}
+				}
+			}
 		}
 		// Independent overlap re-check against the blocked processors, so
 		// the property does not rest solely on the library's validator.

@@ -12,6 +12,7 @@
 package reservation
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -22,8 +23,7 @@ import (
 )
 
 // Reservation blocks a number of processors during a time window. Concrete
-// processor indices are chosen by the scheduler (highest indices first, so
-// that job packing keeps using the low indices).
+// processor indices are chosen by AssignProcs.
 type Reservation struct {
 	// Name is an optional label (shown by String()).
 	Name string
@@ -75,8 +75,9 @@ type Result struct {
 }
 
 // Schedule plans the instance around the reservations. The returned
-// schedule never uses a reserved processor during its reserved window.
-func Schedule(inst *moldable.Instance, reservations []Reservation, opts *Options) (*Result, error) {
+// schedule never uses a reserved processor during its reserved window. The
+// context is passed to the DEMT run (core.ScheduleContext).
+func Schedule(ctx context.Context, inst *moldable.Instance, reservations []Reservation, opts *Options) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -85,32 +86,23 @@ func Schedule(inst *moldable.Instance, reservations []Reservation, opts *Options
 			return nil, err
 		}
 	}
-	// Peak simultaneous reservation must leave at least one processor for
-	// the jobs, otherwise the largest jobs may never fit.
-	if peak := PeakReserved(reservations); peak >= inst.M {
-		return nil, fmt.Errorf("reservation: %d processors reserved simultaneously on a %d-processor machine leaves nothing for the jobs", peak, inst.M)
+	blocked, err := AssignProcs(inst.M, reservations)
+	if err != nil {
+		return nil, err
 	}
 
 	var demtOpts *core.Options
 	if opts != nil {
 		demtOpts = opts.DEMT
 	}
-	demtRes, err := core.Schedule(inst, demtOpts)
+	demtRes, err := core.ScheduleContext(ctx, inst, demtOpts)
 	if err != nil {
 		return nil, err
 	}
 
-	// Assign concrete processors to the reservations: highest indices
-	// first so the jobs keep packing from index 0.
-	blocked := make([][]int, len(reservations))
 	busy := make([]listsched.Busy, len(reservations))
 	for i, r := range reservations {
-		procs := make([]int, r.Procs)
-		for k := 0; k < r.Procs; k++ {
-			procs[k] = inst.M - 1 - k
-		}
-		blocked[i] = procs
-		busy[i] = listsched.Busy{Procs: procs, Start: r.Start, End: r.End}
+		busy[i] = listsched.Busy{Procs: blocked[i], Start: r.Start, End: r.End}
 	}
 
 	// Re-place the DEMT schedule around the reservations: keep the batch
@@ -123,6 +115,40 @@ func Schedule(inst *moldable.Instance, reservations []Reservation, opts *Options
 		return nil, err
 	}
 	return &Result{Schedule: placed, Blocked: blocked, DEMT: demtRes}, nil
+}
+
+// AssignProcs picks concrete processors for every reservation on an
+// m-processor machine, highest indices first (so job packing keeps using
+// the low indices), while keeping temporally overlapping reservations on
+// disjoint processors. It fails when the reservations leave no processor
+// free at their peak: the jobs in flight then could never be placed.
+func AssignProcs(m int, reservations []Reservation) ([][]int, error) {
+	blocked := make([][]int, len(reservations))
+	for i, r := range reservations {
+		taken := make(map[int]bool)
+		for j := 0; j < i; j++ {
+			o := reservations[j]
+			if r.Start < o.End-moldable.Eps && o.Start < r.End-moldable.Eps {
+				for _, p := range blocked[j] {
+					taken[p] = true
+				}
+			}
+		}
+		procs := make([]int, 0, r.Procs)
+		for p := m - 1; p >= 0 && len(procs) < r.Procs; p-- {
+			if !taken[p] {
+				procs = append(procs, p)
+			}
+		}
+		if len(procs) < r.Procs {
+			return nil, fmt.Errorf("reservation: reservations overlapping %q need more than the machine's %d processors", r.String(), m)
+		}
+		blocked[i] = procs
+	}
+	if m-PeakReserved(reservations) < 1 {
+		return nil, fmt.Errorf("reservation: reservations block the whole %d-processor machine at their peak", m)
+	}
+	return blocked, nil
 }
 
 // PeakReserved returns the maximum number of simultaneously reserved

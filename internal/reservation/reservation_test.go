@@ -1,6 +1,7 @@
 package reservation
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -50,7 +51,7 @@ func TestScheduleAroundReservations(t *testing.T) {
 		{Name: "maintenance", Procs: 2, Start: 0, End: 4},
 		{Name: "other-user", Procs: 3, Start: 6, End: 9},
 	}
-	res, err := Schedule(inst, reservations, nil)
+	res, err := Schedule(t.Context(), inst, reservations, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +75,45 @@ func TestScheduleAroundReservations(t *testing.T) {
 	}
 }
 
+// TestScheduleOverlappingReservationsBlockDisjointProcessors is the
+// regression test for two reservations over the same window: each must
+// hold its own processors, so six are blocked on [0, 50), not three, and
+// no job runs on any of them inside the window.
+func TestScheduleOverlappingReservationsBlockDisjointProcessors(t *testing.T) {
+	inst, err := workload.Generate(workload.Config{Kind: workload.Mixed, M: 8, N: 12, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reservations := []Reservation{
+		{Name: "a", Procs: 3, Start: 0, End: 50},
+		{Name: "b", Procs: 3, Start: 0, End: 50},
+	}
+	res, err := Schedule(t.Context(), inst, reservations, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{{7, 6, 5}, {4, 3, 2}}
+	if !reflect.DeepEqual(res.Blocked, want) {
+		t.Fatalf("blocked sets %v, want %v", res.Blocked, want)
+	}
+	if err := res.Schedule.Validate(inst, nil); err != nil {
+		t.Fatalf("invalid schedule: %v", err)
+	}
+	for _, a := range res.Schedule.Assignments {
+		if a.Start >= 50-1e-9 {
+			continue
+		}
+		for _, p := range a.Procs {
+			if p >= 2 {
+				t.Fatalf("task %d runs on reserved processor %d during [0, 50)", a.TaskID, p)
+			}
+		}
+	}
+}
+
 func TestScheduleWithoutReservationsMatchesPlainPlacement(t *testing.T) {
 	inst := testInstance()
-	res, err := Schedule(inst, nil, &Options{DEMT: &core.Options{Shuffles: 2, Seed: 3}})
+	res, err := Schedule(t.Context(), inst, nil, &Options{DEMT: &core.Options{Shuffles: 2, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +124,14 @@ func TestScheduleWithoutReservationsMatchesPlainPlacement(t *testing.T) {
 
 func TestScheduleRejectsBadInput(t *testing.T) {
 	inst := testInstance()
-	if _, err := Schedule(&moldable.Instance{M: 0}, nil, nil); err == nil {
+	if _, err := Schedule(t.Context(), &moldable.Instance{M: 0}, nil, nil); err == nil {
 		t.Fatalf("invalid instance must fail")
 	}
-	if _, err := Schedule(inst, []Reservation{{Procs: 0, Start: 0, End: 1}}, nil); err == nil {
+	if _, err := Schedule(t.Context(), inst, []Reservation{{Procs: 0, Start: 0, End: 1}}, nil); err == nil {
 		t.Fatalf("invalid reservation must fail")
 	}
 	// Reserving the whole machine leaves nothing for the jobs.
-	if _, err := Schedule(inst, []Reservation{{Procs: 6, Start: 0, End: 100}}, nil); err == nil {
+	if _, err := Schedule(t.Context(), inst, []Reservation{{Procs: 6, Start: 0, End: 100}}, nil); err == nil {
 		t.Fatalf("full-machine reservation must fail")
 	}
 	// Two overlapping reservations covering the machine together.
@@ -102,7 +139,7 @@ func TestScheduleRejectsBadInput(t *testing.T) {
 		{Procs: 3, Start: 0, End: 10},
 		{Procs: 3, Start: 5, End: 15},
 	}
-	if _, err := Schedule(inst, full, nil); err == nil {
+	if _, err := Schedule(t.Context(), inst, full, nil); err == nil {
 		t.Fatalf("reservations covering the whole machine must fail")
 	}
 }
@@ -110,7 +147,7 @@ func TestScheduleRejectsBadInput(t *testing.T) {
 func TestValidateAgainstReservationsDetectsViolations(t *testing.T) {
 	inst := testInstance()
 	reservations := []Reservation{{Procs: 2, Start: 0, End: 5}}
-	res, err := Schedule(inst, reservations, nil)
+	res, err := Schedule(t.Context(), inst, reservations, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +200,7 @@ func TestPropertyReservedSchedulesAlwaysRespectReservations(t *testing.T) {
 			{Procs: procs, Start: 2, End: 2 + length},
 			{Procs: 2, Start: 2 + length + 1, End: 2 + length + 4},
 		}
-		res, err := Schedule(inst, reservations, &Options{DEMT: &core.Options{Shuffles: 1}})
+		res, err := Schedule(t.Context(), inst, reservations, &Options{DEMT: &core.Options{Shuffles: 1}})
 		if err != nil {
 			return false
 		}

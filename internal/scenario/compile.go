@@ -439,9 +439,8 @@ func buildJobs(s Scenario) ([]cluster.Job, error) {
 
 // buildFaults generates the deterministic fault plan of the scenario, or
 // nil without an active faults section. The horizon, when unset, is
-// estimated from the stream (faults.SuggestHorizon over the total
-// processors); ServeConfig passes nil jobs and therefore requires an
-// explicit horizon.
+// estimated from the stream (FaultPlan); ServeConfig passes nil jobs and
+// therefore requires an explicit horizon.
 func buildFaults(s Scenario, jobs []cluster.Job) (*faults.Plan, error) {
 	if !s.Faults.Active() {
 		return nil, nil
@@ -459,10 +458,21 @@ func buildFaults(s Scenario, jobs []cluster.Job) (*faults.Plan, error) {
 		ShardMTBF:       s.Faults.ShardMTBF,
 		ShardRepairMean: s.Faults.ShardRepair,
 	}
+	if cfg.Horizon == 0 && jobs == nil {
+		return nil, validate.Errorf("faults.horizon", "a service scenario needs an explicit fault horizon (no finite stream to estimate one from)")
+	}
+	plan, err := FaultPlan(cfg, jobs)
+	if err != nil {
+		return nil, validate.Prefix("faults", err)
+	}
+	return plan, nil
+}
+
+// FaultPlan generates the fault plan of a job stream. A zero cfg.Horizon
+// is estimated with faults.SuggestHorizon from the stream's last release
+// and total minimum work over the total processors of cfg.Clusters.
+func FaultPlan(cfg faults.Config, jobs []cluster.Job) (*faults.Plan, error) {
 	if cfg.Horizon == 0 {
-		if jobs == nil {
-			return nil, validate.Errorf("faults.horizon", "a service scenario needs an explicit fault horizon (no finite stream to estimate one from)")
-		}
 		maxRelease, work := 0.0, 0.0
 		for i := range jobs {
 			if jobs[i].Release > maxRelease {
@@ -477,11 +487,7 @@ func buildFaults(s Scenario, jobs []cluster.Job) (*faults.Plan, error) {
 		}
 		cfg.Horizon = faults.SuggestHorizon(maxRelease, work, procs)
 	}
-	plan, err := faults.Generate(cfg)
-	if err != nil {
-		return nil, validate.Prefix("faults", err)
-	}
-	return plan, nil
+	return faults.Generate(cfg)
 }
 
 // coreOptions builds the DEMT options of a shard's portfolio, hooking

@@ -192,7 +192,7 @@ func TestEndToEndServiceMatchesOfflineReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offRep, err := offline.Run(jobs)
+	offRep, err := offline.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -283,7 +283,7 @@ func TestDrainMatchesOfflineReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offRep, err := offline.Run(jobs)
+	offRep, err := offline.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestSnapshotRestoreResumesService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offRep, err := offline.Run(jobs)
+	offRep, err := offline.RunContext(t.Context(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func TestPropertySimulatedDEMTSchedulesMatchPlanExactly(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := core.Schedule(inst, &core.Options{Shuffles: 2})
+		res, err := core.ScheduleContext(t.Context(), inst, &core.Options{Shuffles: 2})
 		if err != nil {
 			return false
 		}
