@@ -3,6 +3,9 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -47,6 +50,34 @@ func renderTrace(t *testing.T, s Scenario, format string) ([]byte, *Report) {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), rep
+}
+
+// update rewrites the trace goldens: go test ./internal/scenario -update
+var update = flag.Bool("update", false, "rewrite the trace golden files with the current output")
+
+// TestTraceGolden pins the trace bytes of the faulted traceScenario, which
+// has every event kind, in both formats against
+// testdata/trace.{jsonl,chrome}.golden.
+func TestTraceGolden(t *testing.T) {
+	for _, format := range []string{obs.FormatJSONL, obs.FormatChrome} {
+		t.Run(format, func(t *testing.T) {
+			got, _ := renderTrace(t, traceScenario(false), format)
+			path := filepath.Join("testdata", "trace."+format+".golden")
+			if *update {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden file (regenerate with: go test ./internal/scenario -update): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s trace drifted from %s (%d vs %d bytes)", format, path, len(got), len(want))
+			}
+		})
+	}
 }
 
 // TestTraceByteIdenticalAcrossReplayModes pins the determinism contract
