@@ -109,7 +109,7 @@ var (
 )
 
 // ScenarioTrace is the optional trace section of a scenario: where and
-// in which format the runner's event stream is written.
+// in which format the run's event trace is written.
 type ScenarioTrace = scenario.TraceSpec
 
 // NewScenario builds and validates a scenario from functional options.
@@ -119,8 +119,9 @@ func NewScenario(opts ...ScenarioOption) (Scenario, error) { return scenario.New
 // drives the right engine with cancellation, Observe streams events.
 type ScenarioRunner = scenario.Runner
 
-// ScenarioObserver streams a run's events (batches, routing decisions,
-// kills, migrations) as they happen.
+// ScenarioObserver streams a run's events as they happen: committed
+// batches (with the kills each suffered) and routing decisions (with the
+// migrations among them).
 type ScenarioObserver = scenario.Observer
 
 // ScenarioReport is the unified outcome of a scenario run: a superset of
@@ -193,12 +194,21 @@ func WriteScenarioReportCSV(w io.Writer, info ScenarioInfo, rep *ScenarioReport)
 	return scenario.WriteReportCSV(w, info, rep)
 }
 
+// WriteScenarioTrace renders the event trace of a finished run — every
+// batch, routing decision, kill, migration and the closing drain, stamped
+// with simulated time — as "jsonl" (one event per line) or "chrome"
+// (Chrome trace-event JSON, one track per cluster, viewable in perfetto);
+// an empty format means chrome. Seeded replays render byte-identically.
+func WriteScenarioTrace(w io.Writer, format string, rep *ScenarioReport) error {
+	return scenario.WriteTrace(w, format, rep)
+}
+
 // WriteServeFinalReport renders a drained service's final report as the
 // standard text.
 func WriteServeFinalReport(w io.Writer, rep *ServeFinalReport) { scenario.WriteFinalReport(w, rep) }
 
 // ---------------------------------------------------------------------------
-// Observability: metrics registry, trace sink, pprof
+// Observability: metrics registry, pprof
 // ---------------------------------------------------------------------------
 
 // MetricsRegistry is the dependency-free metrics registry of the
@@ -223,36 +233,8 @@ func ParsePrometheusText(r io.Reader) ([]PromFamily, error) { return obs.ParseTe
 // PromFamily is one parsed metric family of a Prometheus exposition.
 type PromFamily = obs.Family
 
-// TraceSink collects structured trace events from a (possibly
-// concurrent) replay and renders them deterministically as JSONL or
-// Chrome trace-event JSON (perfetto-viewable). Events carry simulated
-// time only, so seeded replays render byte-identically.
-type TraceSink = obs.Sink
-
-// NewTraceSink builds an empty trace sink.
-func NewTraceSink() *TraceSink { return obs.NewSink() }
-
-// TraceEvent is one structured replay event (batch, routing decision,
-// kill, migration or drain) stamped with simulated time.
-type TraceEvent = obs.Event
-
-// Trace output formats of TraceSink.Write.
-const (
-	TraceFormatChrome = obs.FormatChrome
-	TraceFormatJSONL  = obs.FormatJSONL
-)
-
-// ScenarioTraceObserver returns an observer recording every event of a
-// run into the sink; combine with RecordScenarioDrain after the run to
-// close the trace.
-func ScenarioTraceObserver(sink *TraceSink) ScenarioObserver { return scenario.TraceObserver(sink) }
-
-// RecordScenarioDrain appends the run-level summary event (the full
-// horizon of the replay) to a trace.
-func RecordScenarioDrain(sink *TraceSink, rep *ScenarioReport) { scenario.RecordDrain(sink, rep) }
-
 // MergeScenarioObservers chains two observers: each event invokes a's
-// callback then b's. Use it to stack a trace sink under your own
+// callback then b's. Use it to stack ScenarioLogObserver under your own
 // observer.
 func MergeScenarioObservers(a, b ScenarioObserver) ScenarioObserver {
 	return scenario.MergeObservers(a, b)
@@ -269,44 +251,18 @@ func ServeDebugHandler() http.Handler { return serve.DebugHandler() }
 
 // FlightRecorder materializes per-job timelines
 // (submitted → routed → batched → planned → started → killed/resubmitted
-// → done) from a run's event stream, with per-shard routing verdicts, the
+// → done) from a run's report, with per-shard routing verdicts, the
 // winning portfolio algorithm, the chosen allotment and the batch lower
 // bound on every event. Events sort under a total order, so concurrent
 // and sequential replays render byte-identical timelines. Attach one to a
-// compiled scenario with ScenarioRunner.Flight, or rebuild one from a
-// finished grid report with FlightFromGridReport.
+// compiled scenario with ScenarioRunner.Flight; each run refills it.
 type FlightRecorder = flight.Recorder
 
 // FlightEvent is one recorded stage of a job's flight.
 type FlightEvent = flight.Event
 
-// FlightKind names a flight stage.
-type FlightKind = flight.Kind
-
-// FlightVerdict is the routing policy's verdict on one shard for one
-// decision (chosen, open, over-backlog or outage, with its backlog).
-type FlightVerdict = flight.Verdict
-
-// Flight stages in lifecycle order.
-const (
-	FlightSubmitted   = flight.KindSubmitted
-	FlightRouted      = flight.KindRouted
-	FlightMigrated    = flight.KindMigrated
-	FlightBatched     = flight.KindBatched
-	FlightPlanned     = flight.KindPlanned
-	FlightStarted     = flight.KindStarted
-	FlightKilled      = flight.KindKilled
-	FlightResubmitted = flight.KindResubmitted
-	FlightLost        = flight.KindLost
-	FlightDone        = flight.KindDone
-)
-
 // NewFlightRecorder builds an empty flight recorder.
 func NewFlightRecorder() *FlightRecorder { return flight.NewRecorder() }
-
-// FlightFromGridReport rebuilds a flight recorder from a finished grid
-// report, for callers holding a report rather than an observer stream.
-func FlightFromGridReport(rep *GridReport) *FlightRecorder { return flight.FromGridReport(rep) }
 
 // WriteFlightTimeline renders one job's timeline as the human-readable
 // text `bicrit explain` prints.

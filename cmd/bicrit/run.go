@@ -58,10 +58,10 @@ func runCmd(args []string, out io.Writer) error {
 			scn.Racing.Bandit = *bandit
 		}
 	})
-	// The -trace flag overrides the scenario's trace section.
-	traceSpec := scn.Trace
+	// The -trace flag overrides the scenario's trace section, before
+	// Compile so a bad -trace-format fails before the replay.
 	if *tracePath != "" {
-		traceSpec = &bicriteria.ScenarioTrace{Path: *tracePath, Format: *traceFormat}
+		scn.Trace = &bicriteria.ScenarioTrace{Path: *tracePath, Format: *traceFormat}
 	} else if *traceFormat != "" {
 		return fmt.Errorf("-trace-format needs -trace (or a trace section in the scenario)")
 	}
@@ -84,11 +84,6 @@ func runCmd(args []string, out io.Writer) error {
 			}
 		}
 	}
-	var sink *bicriteria.TraceSink
-	if traceSpec != nil {
-		sink = bicriteria.NewTraceSink()
-		observer = bicriteria.MergeScenarioObservers(observer, bicriteria.ScenarioTraceObserver(sink))
-	}
 	if *logLevel != "" {
 		observer = bicriteria.MergeScenarioObservers(observer, bicriteria.ScenarioLogObserver(logger))
 	}
@@ -109,10 +104,9 @@ func runCmd(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	if sink != nil {
-		bicriteria.RecordScenarioDrain(sink, rep)
-		if err := writeFile(traceSpec.Path, func(w io.Writer) error {
-			return sink.Write(w, traceSpec.Format)
+	if spec := scn.Trace; spec != nil {
+		if err := writeFile(spec.Path, func(w io.Writer) error {
+			return bicriteria.WriteScenarioTrace(w, spec.Format, rep)
 		}); err != nil {
 			return err
 		}

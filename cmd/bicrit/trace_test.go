@@ -79,7 +79,7 @@ func TestRunTraceSpecSection(t *testing.T) {
 		Clusters: []bicriteria.ScenarioCluster{{Machines: 16}},
 		Workload: bicriteria.ScenarioWorkload{Kind: "mixed", Jobs: 25},
 		Arrivals: bicriteria.ScenarioArrivals{Rate: 5},
-		Trace:    &bicriteria.ScenarioTrace{Path: out, Format: bicriteria.TraceFormatJSONL},
+		Trace:    &bicriteria.ScenarioTrace{Path: out, Format: "jsonl"},
 	})
 	var buf bytes.Buffer
 	if err := runCmd([]string{scn}, &buf); err != nil {
@@ -120,6 +120,25 @@ func TestRunTraceFormatNeedsTrace(t *testing.T) {
 	err := runCmd([]string{"-trace-format", "jsonl", scn}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "-trace") {
 		t.Fatalf("err = %v, want a -trace-format usage error", err)
+	}
+}
+
+// TestRunTraceFormatCheckedBeforeReplay pins that a bad -trace-format
+// fails at Compile with the trace.format field error, before the replay
+// runs and before the trace file is created.
+func TestRunTraceFormatCheckedBeforeReplay(t *testing.T) {
+	scn := traceTestScenario(t)
+	out := filepath.Join(t.TempDir(), "out")
+	var buf bytes.Buffer
+	err := runCmd([]string{"-trace", out, "-trace-format", "xml", scn}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "trace.format") {
+		t.Fatalf("err = %v, want the trace.format field error", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("the scenario was replayed before the format was rejected:\n%s", buf.String())
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a rejected trace format left %s behind (stat err %v)", out, err)
 	}
 }
 

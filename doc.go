@@ -66,9 +66,11 @@
 // (single cluster or grid), batch and routing policies, objectives,
 // faults, replanning and service pacing — that Compile turns into a
 // Runner for whichever engine the topology needs. Runners accept a
-// context (cancellation threads into every batch loop), stream batch,
-// routing, kill and migration events through an Observer, and return one
-// unified Report. Scenarios round-trip through versioned JSON
+// context (cancellation threads into every batch loop), stream batch
+// and routing events through an Observer, and return one unified
+// Report — the run's one event log, which the text, JSON and CSV reports,
+// the event trace and the flight recorder are all rendered from.
+// Scenarios round-trip through versioned JSON
 // (Save/LoadScenario, unknown fields rejected), the cmd/bicrit CLI
 // consumes scenario files directly (run | serve | gen), and its golden
 // tests pin the report bytes. Configuration errors everywhere are
@@ -76,29 +78,28 @@
 // ("clusters[2].machines"), raised eagerly — before any goroutine spawns.
 // See examples/scenario.
 //
-// The observability layer (internal/obs, exported as the Metrics*,
-// Prom* and Trace* identifiers) instruments all of the above without
-// adding a dependency: a Prometheus text-format registry (counters,
-// gauges, histograms sharing internal/stats' log-spaced bucket
-// geometry) that the cluster engine, the grid federation and the serve
-// layer publish wall-clock timings into (per-algorithm portfolio
-// latency, DEMT phase times, batch planning, stream routing), served on
-// GET /metrics.prom next to the JSON /metrics and pinned valid by a
-// format-parsing golden test; a trace sink fed by the scenario Observer
-// that records every batch, routing decision, kill, migration and drain
-// as structured events stamped with simulated time and renders them as
-// JSONL or Chrome trace-event JSON (one track per cluster, viewable in
-// perfetto) — byte-identical across concurrent and sequential seeded
-// replays; and net/http/pprof behind the CLIs' -debug-addr flag, off
-// the public API port. Wall-clock measurements flow only into metrics,
-// never into scheduling decisions or traces, so the bit-identical
-// replay discipline is untouched. bicrit run -trace out.json (or a
-// trace block in the scenario spec) activates tracing; bicrit
-// -version, GET /version and the bicrit_build_info gauge report
-// buildinfo.Version.
+// The observability layer (internal/obs, exported as the Metrics* and
+// Prom* identifiers) instruments all of the above without adding a
+// dependency: a Prometheus text-format registry (counters, gauges,
+// histograms sharing internal/stats' log-spaced bucket geometry) that
+// the cluster engine, the grid federation and the serve layer publish
+// wall-clock timings into (per-algorithm portfolio latency, DEMT phase
+// times, batch planning, stream routing), served on GET /metrics.prom
+// next to the JSON /metrics and pinned valid by a format-parsing golden
+// test; and net/http/pprof behind the CLIs' -debug-addr flag, off the
+// public API port. Event traces are rendered from a finished run's
+// report by WriteScenarioTrace: every batch, routing decision, kill,
+// migration and drain as structured events stamped with simulated time,
+// as JSONL or Chrome trace-event JSON (one track per cluster, viewable
+// in perfetto) — byte-identical across concurrent and sequential seeded
+// replays. Wall-clock measurements flow only into metrics, never into
+// scheduling decisions or traces, so the bit-identical replay
+// discipline is untouched. bicrit run -trace out.json (or a trace block
+// in the scenario spec) writes a trace; bicrit -version, GET /version
+// and the bicrit_build_info gauge report buildinfo.Version.
 //
-// The flight recorder (internal/flight, exported as the Flight*
-// identifiers) turns the same event stream into per-job explanations:
+// The flight recorder (internal/flight, exported as FlightRecorder)
+// turns the same report into per-job explanations:
 // one timeline per job — submitted, routed, batched, planned, started,
 // killed/resubmitted, done — carrying the "why" of every stage (the
 // per-shard routing verdicts, the winning portfolio algorithm, the

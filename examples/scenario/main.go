@@ -53,7 +53,11 @@ func main() {
 					shard, len(br.Jobs), br.Winner)
 			}
 		},
-		Migration: func(d bicriteria.GridDecision) { migrations++ },
+		Decision: func(d bicriteria.GridDecision) {
+			if d.Migrated {
+				migrations++
+			}
+		},
 	})
 
 	// Run takes a context: cancel it and the replay aborts between

@@ -15,6 +15,9 @@
 package flight
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -118,8 +121,9 @@ type Event struct {
 }
 
 // less is the total order of the recorder: time, then job, then the kind
-// rank, then every remaining field. Two distinct events never compare
-// equal under it, so sorting is deterministic whatever the arrival order.
+// rank, then every remaining field (tiebreak). Two events that encode
+// differently never compare equal under it, so sorting is deterministic
+// whatever the arrival order.
 func less(a, b *Event) bool {
 	if a.Time != b.Time {
 		return a.Time < b.Time
@@ -142,7 +146,42 @@ func less(a, b *Event) bool {
 	if a.End != b.End {
 		return a.End < b.End
 	}
-	return a.Winner < b.Winner
+	if a.Winner != b.Winner {
+		return a.Winner < b.Winner
+	}
+	return tiebreak(a, b) < 0
+}
+
+// tiebreak compares the fields less has not looked at yet. A recorded run
+// never reaches it with two different events, so it orders no recorded
+// timeline; a hand-written or corrupted trace can.
+func tiebreak(a, b *Event) int {
+	return cmp.Or(
+		cmp.Compare(a.Kind, b.Kind), // kinds of equal rank: unknown ones
+		compareFloat(a.Time, b.Time),
+		compareFloat(a.End, b.End),
+		compareFloat(a.Backlog, b.Backlog),
+		compareFloat(a.LowerBound, b.LowerBound),
+		slices.Compare(a.CutOff, b.CutOff),
+		slices.CompareFunc(a.Verdicts, b.Verdicts, func(x, y Verdict) int {
+			return cmp.Or(cmp.Compare(x.Cluster, y.Cluster), compareFloat(x.Backlog, y.Backlog), cmp.Compare(x.State, y.State))
+		}),
+	)
+}
+
+// compareFloat orders by value, then -0 before +0: the two zeros are equal
+// but encode differently.
+func compareFloat(a, b float64) int {
+	if c := cmp.Compare(a, b); c != 0 {
+		return c
+	}
+	switch sa, sb := math.Signbit(a), math.Signbit(b); {
+	case sa == sb:
+		return 0
+	case sa:
+		return -1
+	}
+	return 1
 }
 
 // Recorder accumulates flight events. It is safe for concurrent use: the

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -106,7 +107,7 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 // scenario file.
 func IsTrace(data []byte) bool {
 	line := data
-	if i := strings.IndexByte(string(data), '\n'); i >= 0 {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
 		line = data[:i]
 	}
 	var h header

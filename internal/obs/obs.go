@@ -1,6 +1,5 @@
-// Package obs is the shared observability layer of the library: a
-// dependency-free Prometheus-style metrics registry and a deterministic
-// structured-event trace sink, wired through every runtime layer
+// Package obs is the metrics layer of the library: a dependency-free
+// Prometheus-style metrics registry wired through every runtime layer
 // (cluster, grid, serve) and the scenario runner.
 //
 // The registry holds counters, gauges and histograms under stable,
@@ -13,13 +12,8 @@
 // the matching format validator, used by the golden tests and usable
 // against any scrape body.
 //
-// The trace sink (Sink) records the scheduling events of a replay —
-// batches, routing decisions, kills, migrations, drains — stamped with
-// simulated time, and renders them as JSONL (one event per line) or as
-// Chrome trace-event JSON viewable in perfetto, one track per cluster
-// shard. Sinks sort events under a total deterministic order before
-// rendering, so a concurrent replay emits bytes identical to a
-// sequential one.
+// A replay's event trace is rendered by internal/scenario from the
+// finished report.
 package obs
 
 import (

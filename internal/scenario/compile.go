@@ -28,19 +28,12 @@ import (
 // concurrently with each other.
 type Observer struct {
 	// Batch receives every committed batch, tagged with its cluster index
-	// (0 for the single topology).
+	// (0 for the single topology). The batch's KillEvents are the jobs an
+	// outage killed in it.
 	Batch func(cluster int, br cluster.BatchReport)
 	// Decision receives every routing decision of a grid run in stream
-	// order.
+	// order; Migrated marks the ones that moved a job off a dark shard.
 	Decision func(d grid.Decision)
-	// Kill receives every job killed by an outage: the cluster it died on
-	// and the full kill record (task, batch, absolute start and kill
-	// times).
-	Kill func(cluster int, kill cluster.KillEvent)
-	// Migration receives the routing decisions that moved a job off a
-	// dark shard (a subset of Decision's stream, for callers that only
-	// care about migrations).
-	Migration func(d grid.Decision)
 }
 
 // Report is the unified outcome of a scenario run: a superset of the
@@ -95,6 +88,24 @@ func (r *Report) MeanStretch() float64 {
 	return r.Cluster.Metrics.MeanStretch
 }
 
+// decisions returns the routing decisions of the run in stream order
+// (none for the single topology).
+func (r *Report) decisions() []grid.Decision {
+	if r.Grid != nil {
+		return r.Grid.Decisions
+	}
+	return nil
+}
+
+// clusters returns the cluster reports of the run by cluster index (the
+// single topology's one cluster is index 0).
+func (r *Report) clusters() []*cluster.Report {
+	if r.Grid != nil {
+		return r.Grid.Clusters
+	}
+	return []*cluster.Report{r.Cluster}
+}
+
 // Info describes what a scenario compiled to: the resolved facts the
 // report renderers need (policy names, plan sizes) without re-deriving
 // them from the spec.
@@ -130,10 +141,10 @@ type Runner interface {
 	Info() Info
 	// Observe installs the event callbacks of subsequent Runs.
 	Observe(Observer)
-	// Flight registers a flight recorder: every subsequent Run resets it,
-	// seeds it with the stream's submission events and streams every
-	// decision, batch and kill into it (alongside any Observer installed
-	// via Observe). Pass nil to detach.
+	// Flight registers a flight recorder: every subsequent successful Run
+	// resets it and fills it from the finished report — the stream's
+	// submissions, then every decision, batch and kill. Pass nil to
+	// detach.
 	Flight(*flight.Recorder)
 	// Metrics returns the runner's observability registry: the wall-clock
 	// timing histograms of the compiled engine (portfolio latency per
@@ -594,31 +605,36 @@ func gridConfig(s Scenario, plan *faults.Plan, reg *obs.Registry) (grid.Config, 
 // Runners
 // ---------------------------------------------------------------------------
 
-// mergeFlight chains a flight recorder behind an observer: the caller's
-// callbacks run first, then the recorder consumes the same event. Kill
-// events need no extra hook — the recorder derives them from each batch
-// report's KillEvents.
-func mergeFlight(w Observer, rec *flight.Recorder) Observer {
-	base := w
-	w.Batch = func(c int, br cluster.BatchReport) {
-		if base.Batch != nil {
-			base.Batch(c, br)
-		}
-		rec.OnBatch(c, br)
+// MergeObservers chains two observers: each callback of the result
+// invokes a's then b's corresponding callback when set. Used to stack the
+// log observer under a caller's own observer without either knowing about
+// the other.
+func MergeObservers(a, b Observer) Observer {
+	return Observer{
+		Batch: func(c int, br cluster.BatchReport) {
+			if a.Batch != nil {
+				a.Batch(c, br)
+			}
+			if b.Batch != nil {
+				b.Batch(c, br)
+			}
+		},
+		Decision: func(d grid.Decision) {
+			if a.Decision != nil {
+				a.Decision(d)
+			}
+			if b.Decision != nil {
+				b.Decision(d)
+			}
+		},
 	}
-	w.Decision = func(d grid.Decision) {
-		if base.Decision != nil {
-			base.Decision(d)
-		}
-		rec.OnDecision(d)
-	}
-	return w
 }
 
 // LogObserver is the scenario runner's half of the structured-logging
 // surface: one record per committed batch (the replan summary rides the
-// batch record through Replanned), per kill and per migration. With the
-// discard logger this is free; the CLIs wire it behind -log-level.
+// batch record through Replanned), followed by one per job killed in it,
+// and one per migration. With the discard logger this is free; the CLIs
+// wire it behind -log-level.
 func LogObserver(l *slog.Logger) Observer {
 	return Observer{
 		Batch: func(c int, br cluster.BatchReport) {
@@ -631,24 +647,36 @@ func LogObserver(l *slog.Logger) Observer {
 				"planned_makespan", br.PlannedMakespan,
 				"realized_makespan", br.RealizedMakespan,
 				"killed", len(br.Killed))
+			for _, k := range br.KillEvents {
+				l.Warn("job killed",
+					"cluster", c, "job", k.TaskID, "batch", k.Batch,
+					"started", k.Start, "killed_at", k.Time)
+			}
 		},
-		Kill: func(c int, k cluster.KillEvent) {
-			l.Warn("job killed",
-				"cluster", c, "job", k.TaskID, "batch", k.Batch,
-				"started", k.Start, "killed_at", k.Time)
-		},
-		Migration: func(d grid.Decision) {
-			l.Info("job migrated",
-				"job", d.JobID, "to_cluster", d.Cluster, "t", d.Release)
+		Decision: func(d grid.Decision) {
+			if d.Migrated {
+				l.Info("job migrated",
+					"job", d.JobID, "to_cluster", d.Cluster, "t", d.Release)
+			}
 		},
 	}
 }
 
-// seedFlight resets the recorder and records the stream's submissions.
-func seedFlight(rec *flight.Recorder, jobs []cluster.Job) {
+// recordFlight refills the recorder from a finished run: the stream's
+// submissions, then every routing decision and committed batch of the
+// report.
+func recordFlight(rec *flight.Recorder, jobs []cluster.Job, rep *Report) {
 	rec.Reset()
 	for i := range jobs {
 		rec.Submitted(jobs[i].Task.ID, jobs[i].Release)
+	}
+	for _, d := range rep.decisions() {
+		rec.OnDecision(d)
+	}
+	for c, crep := range rep.clusters() {
+		for _, br := range crep.Batches {
+			rec.OnBatch(c, br)
+		}
 	}
 }
 
@@ -661,15 +689,9 @@ func sloOutcomes(jobs []cluster.Job, rep *Report) []slo.JobOutcome {
 		start, end float64
 	}
 	place := make(map[int]placed, len(jobs))
-	if rep.Cluster != nil {
-		for _, a := range rep.Cluster.Schedule.Assignments {
-			place[a.TaskID] = placed{0, a.Start, a.End()}
-		}
-	} else if rep.Grid != nil {
-		for c, crep := range rep.Grid.Clusters {
-			for _, a := range crep.Schedule.Assignments {
-				place[a.TaskID] = placed{c, a.Start, a.End()}
-			}
+	for c, crep := range rep.clusters() {
+		for _, a := range crep.Schedule.Assignments {
+			place[a.TaskID] = placed{c, a.Start, a.End()}
 		}
 	}
 	out := make([]slo.JobOutcome, 0, len(jobs))
@@ -731,22 +753,8 @@ func (r *clusterRunner) Info() Info {
 
 func (r *clusterRunner) Run(ctx context.Context) (*Report, error) {
 	cfg := r.cfg
-	watched := r.watch
-	if r.flight != nil {
-		seedFlight(r.flight, r.jobs)
-		watched = mergeFlight(watched, r.flight)
-	}
-	if watch := watched; watch.Batch != nil || watch.Kill != nil {
-		cfg.OnBatch = func(br cluster.BatchReport) {
-			if watch.Batch != nil {
-				watch.Batch(0, br)
-			}
-			if watch.Kill != nil {
-				for _, k := range br.KillEvents {
-					watch.Kill(0, k)
-				}
-			}
-		}
+	if batch := r.watch.Batch; batch != nil {
+		cfg.OnBatch = func(br cluster.BatchReport) { batch(0, br) }
 	}
 	eng, err := cluster.New(cfg)
 	if err != nil {
@@ -765,6 +773,9 @@ func (r *clusterRunner) Run(ctx context.Context) (*Report, error) {
 	}
 	report := &Report{Topology: TopologySingle, Jobs: len(r.jobs), Cluster: rep}
 	evaluateSLO(r.scn, r.jobs, report, r.reg)
+	if r.flight != nil {
+		recordFlight(r.flight, r.jobs, report)
+	}
 	return report, nil
 }
 
@@ -802,35 +813,14 @@ func (r *gridRunner) Info() Info {
 
 func (r *gridRunner) Run(ctx context.Context) (*Report, error) {
 	cfg := r.cfg
-	watch := r.watch
-	if r.flight != nil {
-		seedFlight(r.flight, r.jobs)
-		watch = mergeFlight(watch, r.flight)
-	}
-	if watch.Decision != nil || watch.Migration != nil {
-		cfg.OnDecision = func(d grid.Decision) {
-			if watch.Decision != nil {
-				watch.Decision(d)
-			}
-			if watch.Migration != nil && d.Migrated {
-				watch.Migration(d)
-			}
-		}
-	}
-	if watch.Batch != nil || watch.Kill != nil {
+	cfg.OnDecision = r.watch.Decision
+	if batch := r.watch.Batch; batch != nil {
 		// Shards report concurrently; serialize the observer.
 		var mu sync.Mutex
 		cfg.OnBatch = func(shard int, br cluster.BatchReport) {
 			mu.Lock()
 			defer mu.Unlock()
-			if watch.Batch != nil {
-				watch.Batch(shard, br)
-			}
-			if watch.Kill != nil {
-				for _, k := range br.KillEvents {
-					watch.Kill(shard, k)
-				}
-			}
+			batch(shard, br)
 		}
 	}
 	fed, err := grid.New(cfg)
@@ -843,5 +833,8 @@ func (r *gridRunner) Run(ctx context.Context) (*Report, error) {
 	}
 	report := &Report{Topology: TopologyGrid, Jobs: len(r.jobs), Grid: rep}
 	evaluateSLO(r.scn, r.jobs, report, r.reg)
+	if r.flight != nil {
+		recordFlight(r.flight, r.jobs, report)
+	}
 	return report, nil
 }

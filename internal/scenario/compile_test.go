@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"log/slog"
 	"reflect"
 	"sync"
 	"testing"
@@ -229,25 +232,19 @@ func TestObserverStreamsEvents(t *testing.T) {
 		t.Fatalf("observed %d decisions, report has %d", decisions, len(rep.Grid.Decisions))
 	}
 
-	// Kills: a heavily faulted single-cluster scenario must stream them.
-	fs := Scenario{
-		Version:  Version,
-		Seed:     3,
-		Topology: TopologySingle,
-		Clusters: []Cluster{{Machines: 16}},
-		Workload: Workload{Kind: "mixed", Jobs: 60},
-		Arrivals: Arrivals{Rate: 8},
-		Faults:   &Faults{MTBF: 8, Repair: 3},
-	}
-	fr, err := Compile(fs)
+	// Kills: a heavily faulted single-cluster scenario must stream them
+	// with their batches.
+	fr, err := Compile(faultedSingleScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
 	kills := 0
-	fr.Observe(Observer{Kill: func(c int, k cluster.KillEvent) {
-		kills++
-		if k.Time < k.Start {
-			t.Errorf("kill of task %d precedes its start: %v < %v", k.TaskID, k.Time, k.Start)
+	fr.Observe(Observer{Batch: func(c int, br cluster.BatchReport) {
+		for _, k := range br.KillEvents {
+			kills++
+			if k.Time < k.Start {
+				t.Errorf("kill of task %d precedes its start: %v < %v", k.TaskID, k.Time, k.Start)
+			}
 		}
 	}})
 	frep, err := fr.Run(context.Background())
@@ -259,6 +256,93 @@ func TestObserverStreamsEvents(t *testing.T) {
 	}
 	if kills == 0 {
 		t.Fatal("fault scenario produced no kills; the observer path is untested")
+	}
+}
+
+// TestLogObserver pins the records the log observer writes on a faulted
+// grid run: one "batch committed" per batch of the report, each followed
+// directly by one "job killed" per kill of that batch, and one "job
+// migrated" per migrated decision, in the report's decision order.
+func TestLogObserver(t *testing.T) {
+	r, err := Compile(traceScenario(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	r.Observe(LogObserver(slog.New(slog.NewJSONHandler(&buf, nil))))
+	rep, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type record struct {
+		Msg       string  `json:"msg"`
+		Cluster   int     `json:"cluster"`
+		Batch     int     `json:"batch"`
+		Job       int     `json:"job"`
+		Killed    int     `json:"killed"`
+		ToCluster int     `json:"to_cluster"`
+		T         float64 `json:"t"`
+	}
+	var records []record
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var rec record
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, rec)
+	}
+
+	batches, kills := 0, 0
+	var migrated []grid.Decision
+	for i := 0; i < len(records); i++ {
+		switch rec := records[i]; rec.Msg {
+		case "batch committed":
+			batches++
+			br := rep.Grid.Clusters[rec.Cluster].Batches[rec.Batch]
+			if rec.Killed != len(br.KillEvents) {
+				t.Fatalf("batch %d/%d logs killed=%d, the report has %d kills", rec.Cluster, rec.Batch, rec.Killed, len(br.KillEvents))
+			}
+			for _, k := range br.KillEvents {
+				i++
+				if i == len(records) {
+					t.Fatalf("the log ends before the kill of job %d in batch %d/%d", k.TaskID, rec.Cluster, rec.Batch)
+				}
+				got := records[i]
+				if got.Msg != "job killed" || got.Cluster != rec.Cluster || got.Batch != k.Batch || got.Job != k.TaskID {
+					t.Fatalf("record %d after batch %d/%d = %+v, want the kill of job %d", i, rec.Cluster, rec.Batch, got, k.TaskID)
+				}
+				kills++
+			}
+		case "job killed":
+			t.Fatalf("record %d is a kill that does not follow its batch: %+v", i, rec)
+		case "job migrated":
+			migrated = append(migrated, grid.Decision{JobID: rec.Job, Cluster: rec.ToCluster, Release: rec.T})
+		default:
+			t.Fatalf("unexpected record %+v", rec)
+		}
+	}
+
+	wantBatches, wantKills := 0, 0
+	for _, crep := range rep.Grid.Clusters {
+		wantBatches += len(crep.Batches)
+		wantKills += len(crep.Kills)
+	}
+	var wantMigrated []grid.Decision
+	for _, d := range rep.Grid.Decisions {
+		if d.Migrated {
+			wantMigrated = append(wantMigrated, grid.Decision{JobID: d.JobID, Cluster: d.Cluster, Release: d.Release})
+		}
+	}
+	if batches != wantBatches || kills != wantKills {
+		t.Fatalf("logged %d batches and %d kills, the report has %d and %d", batches, kills, wantBatches, wantKills)
+	}
+	if kills == 0 || len(wantMigrated) == 0 {
+		t.Fatalf("the run has %d kills and %d migrations; the log path is untested", kills, len(wantMigrated))
+	}
+	if !reflect.DeepEqual(migrated, wantMigrated) {
+		t.Fatalf("logged migrations %+v, the report's migrated decisions are %+v", migrated, wantMigrated)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"bicriteria/internal/flight"
-	"bicriteria/internal/obs"
 )
 
 // racingStressScenario is an 8-shard heterogeneous grid with noise,
@@ -44,20 +43,17 @@ func TestRacingDeterminismStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink := obs.NewSink()
-		r.Observe(TraceObserver(sink))
 		rec := flight.NewRecorder()
 		r.Flight(rec)
 		rep, err := r.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		RecordDrain(sink, rep)
 		var repBuf, traceBuf, flightBuf bytes.Buffer
 		if err := WriteReportJSON(&repBuf, rep); err != nil {
 			t.Fatal(err)
 		}
-		if err := sink.WriteJSONL(&traceBuf); err != nil {
+		if err := WriteTrace(&traceBuf, traceJSONL, rep); err != nil {
 			t.Fatal(err)
 		}
 		for _, id := range rec.Jobs() {

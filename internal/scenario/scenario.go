@@ -15,10 +15,15 @@
 //
 // Compile turns a Scenario into a Runner: Run(ctx) replays the stream
 // through the right engine (cancellation threads into the batch loops),
-// an Observer streams batch, routing, kill and migration events as they
-// happen, and the unified Report is a superset of the cluster and grid
-// reports. cmd/bicrit consumes scenario files directly, and its goldens
-// pin the report bytes.
+// an Observer streams batch and routing events as they happen, and the
+// unified Report is a superset of the cluster and grid reports.
+//
+// The finished Report is the run's one event log. Every output is a
+// renderer over it: the text report and the grid's JSON and CSV exports
+// (render.go), the event trace in JSONL or Chrome format (trace.go), and
+// the flight recorder a Runner fills after each run. cmd/bicrit consumes
+// scenario files directly; its goldens pin the report bytes and
+// testdata/trace.*.golden pins the trace bytes.
 package scenario
 
 import (
@@ -223,11 +228,11 @@ type Service struct {
 	SnapshotSeconds float64 `json:"snapshot_seconds,omitempty"`
 }
 
-// TraceSpec activates the structured event trace of a run: every batch,
-// routing decision, kill, migration and the final drain summary is
-// recorded with simulated-time stamps and rendered to Path when the run
-// completes. Traces of a seeded scenario are byte-identical across
-// replays, concurrent or sequential.
+// TraceSpec activates the structured event trace of a run: when the run
+// completes, every batch, routing decision, kill, migration and the final
+// drain summary is rendered from the report (WriteTrace) to Path, stamped
+// with simulated time. Traces of a seeded scenario are byte-identical
+// across replays, concurrent or sequential.
 type TraceSpec struct {
 	// Path is the output file. Required when the section is present.
 	Path string `json:"path"`
@@ -616,7 +621,7 @@ func (t *TraceSpec) validate() error {
 		return validate.Errorf("trace.path", "a trace section needs an output path")
 	}
 	switch t.Format {
-	case "", "chrome", "jsonl":
+	case "", traceChrome, traceJSONL:
 	default:
 		return validate.Errorf("trace.format", "unknown trace format %q (want chrome or jsonl)", t.Format)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"bicriteria/internal/cluster"
 	"bicriteria/internal/flight"
 )
 
@@ -80,6 +81,56 @@ func TestFlightConcurrentMatchesSequential(t *testing.T) {
 	}
 	if verdicts == 0 {
 		t.Error("no routed event carries per-shard verdicts")
+	}
+}
+
+// referenceFlight is a test-only copy of the streaming flight path the
+// report-based fill replaced: the recorder is seeded with the stream's
+// submissions before the run, then consumes every decision and batch as
+// the runner streams them.
+func referenceFlight(rec *flight.Recorder, jobs []cluster.Job) Observer {
+	rec.Reset()
+	for i := range jobs {
+		rec.Submitted(jobs[i].Task.ID, jobs[i].Release)
+	}
+	return Observer{Batch: rec.OnBatch, Decision: rec.OnDecision}
+}
+
+// TestFlightMatchesReference holds the recorder a Runner fills from the
+// finished report to the streaming reference it replaced: every job's
+// timeline and the JSONL trace render to the same bytes, on a faulted
+// grid, the 8-shard racing stress grid and a faulted single cluster, each
+// replayed concurrently.
+func TestFlightMatchesReference(t *testing.T) {
+	for _, tc := range referenceScenarios() {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs, err := buildJobs(tc.s.Normalized())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := Compile(tc.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, ref := flight.NewRecorder(), flight.NewRecorder()
+			r.Flight(rec)
+			r.Observe(referenceFlight(ref, jobs))
+			if _, err := r.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			killed := 0
+			for _, ev := range ref.Events() {
+				if ev.Kind == flight.KindKilled {
+					killed++
+				}
+			}
+			if killed == 0 {
+				t.Fatal("the scenario killed no job; the kill path is untested")
+			}
+			if got, want := renderFlights(t, rec), renderFlights(t, ref); got != want {
+				t.Fatalf("flight rendering differs from the streaming reference:\n--- report ---\n%s--- reference ---\n%s", got, want)
+			}
+		})
 	}
 }
 
