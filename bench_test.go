@@ -21,11 +21,8 @@ import (
 	"os"
 	"testing"
 
-	"bicriteria/internal/cluster"
 	"bicriteria/internal/core"
-	"bicriteria/internal/dualapprox"
 	"bicriteria/internal/experiment"
-	"bicriteria/internal/grid"
 	"bicriteria/internal/knapsack"
 	"bicriteria/internal/listsched"
 	"bicriteria/internal/lowerbound"
@@ -230,82 +227,6 @@ func BenchmarkAblationLowerBound(b *testing.B) {
 	})
 }
 
-// BenchmarkClusterReplay measures the event-driven cluster engine replaying
-// a bursty Poisson stream with the full concurrent portfolio, noisy
-// runtimes and a reservation: the end-to-end hot path of the system.
-func BenchmarkClusterReplay(b *testing.B) {
-	m, n := 64, 150
-	if fullScale() {
-		m, n = 200, 400
-	}
-	arrivals, err := workload.GenerateArrivals(workload.ArrivalConfig{
-		Workload:  workload.Config{Kind: workload.Mixed, M: m, N: n, Seed: 42},
-		Rate:      4,
-		BurstSize: 6,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	jobs := cluster.JobsFromArrivals(arrivals)
-	perturb, err := cluster.UniformNoise(0.2, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := cluster.New(cluster.Config{
-		M:         m,
-		Objective: cluster.Objective{Kind: cluster.ObjectiveCombined, Alpha: 0.5},
-		Perturb:   perturb,
-		Reservations: []Reservation{
-			{Name: "maint", Procs: m / 8, Start: 10, End: 30},
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var report *cluster.Report
-	for i := 0; i < b.N; i++ {
-		report, err = eng.RunContext(b.Context(), jobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(report.Metrics.Utilization, "utilization")
-	b.ReportMetric(float64(report.Metrics.Batches), "batches")
-	b.ReportMetric(report.Metrics.MeanStretch, "mean_stretch")
-}
-
-// BenchmarkDEMTSchedule measures the raw DEMT scheduling time at the
-// paper's machine size for a mid-size instance.
-func BenchmarkDEMTSchedule(b *testing.B) {
-	inst, err := workload.Generate(workload.Config{Kind: workload.Cirne, M: 200, N: 100, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.ScheduleContext(b.Context(), inst, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDualApproximation measures the two-shelf dual-approximation
-// construction used to anchor the batches.
-func BenchmarkDualApproximation(b *testing.B) {
-	inst, err := workload.Generate(workload.Config{Kind: workload.Mixed, M: 200, N: 100, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dualapprox.TwoShelf(inst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMinsumLPBound measures the LP-relaxation lower bound (the
 // dominant cost of reproducing the figures with the paper's bound).
 func BenchmarkMinsumLPBound(b *testing.B) {
@@ -348,59 +269,5 @@ func BenchmarkGrahamList(b *testing.B) {
 		if _, err := listsched.Graham(200, items); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkGridReplay measures the grid federation replaying one fixed
-// 500-job burst-heavy stream across 1, 2, 4 and 8 cluster shards: the
-// scale-up of the concurrent meta-scheduler pipeline. Shards replay in
-// goroutine-parallel, so on a machine with at least as many cores as
-// shards the wall clock shrinks as clusters are added while the routed
-// work stays fixed; on fewer cores the benchmark instead measures the
-// pipeline's overhead (the reported batches metric shows how the same
-// stream fissions across shard counts).
-func BenchmarkGridReplay(b *testing.B) {
-	const perCluster = 32
-	arrivals, err := workload.GenerateArrivals(workload.ArrivalConfig{
-		Workload:  workload.Config{Kind: workload.Mixed, M: perCluster, N: 500, Seed: 42},
-		Rate:      100,
-		BurstSize: 125,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	jobs := cluster.JobsFromArrivals(arrivals)
-	for _, clusters := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("clusters=%d", clusters), func(b *testing.B) {
-			specs := make([]grid.ClusterSpec, clusters)
-			for i := range specs {
-				perturb, err := cluster.UniformNoise(0.2, int64(42+i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				specs[i] = grid.ClusterSpec{M: perCluster, Perturb: perturb}
-			}
-			fed, err := grid.New(grid.Config{Clusters: specs, Routing: grid.LeastBacklog()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			var report *grid.Report
-			for i := 0; i < b.N; i++ {
-				report, err = fed.RunContext(b.Context(), jobs)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			batches := 0
-			for _, pc := range report.Metrics.PerCluster {
-				batches += pc.Batches
-			}
-			b.ReportMetric(float64(batches), "batches")
-			b.ReportMetric(report.Metrics.Utilization, "utilization")
-			b.ReportMetric(report.Metrics.MeanStretch, "mean_stretch")
-			b.ReportMetric(report.Metrics.StretchP95, "p95_stretch")
-		})
 	}
 }

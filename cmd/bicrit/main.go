@@ -35,13 +35,6 @@
 //     bicrit gen -topology grid -clusters 64,32,16 -n 300 -rate 6 -o scenario.json
 //     bicrit gen -clusters 64 -trace jobs.swf -batch interval -interval 50 -o swf.json
 //
-//   - bench: run the perf observatory's benchmark suite over every
-//     instrumented hot path and record a versioned BENCH trajectory;
-//     -compare diffs against a previous trajectory and -gate fails the
-//     run on regressions (the CI perf gate).
-//
-//     bicrit bench -compare testdata/BENCH_baseline.json -gate 1.25
-//
 //   - top: live terminal dashboard polling a running service's
 //     GET /metrics.prom — counter rates, queue depths and histogram
 //     quantiles diffed between scrapes.
@@ -70,7 +63,7 @@ func main() {
 
 func dispatch(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: bicrit <run|explain|serve|gen|bench|top> [flags] — see 'bicrit <cmd> -h'")
+		return fmt.Errorf("usage: bicrit <run|explain|serve|gen|top> [flags] — see 'bicrit <cmd> -h'")
 	}
 	switch args[0] {
 	case "run":
@@ -81,23 +74,20 @@ func dispatch(args []string) error {
 		return serveCmd(args[1:], os.Stdout, nil, nil)
 	case "gen":
 		return genCmd(args[1:], os.Stdout)
-	case "bench":
-		return benchCmd(args[1:], os.Stdout)
 	case "top":
 		return topCmd(args[1:], os.Stdout)
 	case "-version", "--version", "version":
 		fmt.Printf("bicrit %s (%s)\n", bicriteria.Version, runtime.Version())
 		return nil
 	case "-h", "-help", "--help", "help":
-		fmt.Println("usage: bicrit <run|explain|serve|gen|bench|top> [flags]")
+		fmt.Println("usage: bicrit <run|explain|serve|gen|top> [flags]")
 		fmt.Println("  run      replay a scenario file offline and print the report")
 		fmt.Println("  explain  print one job's flight-recorder timeline (from a trace or scenario file)")
 		fmt.Println("  serve    run a scenario file as a live scheduler service")
 		fmt.Println("  gen      write a scenario file from flags")
-		fmt.Println("  bench    run the hot-path benchmark suite; -compare/-gate diff and gate trajectories")
 		fmt.Println("  top      live terminal dashboard over a service's /metrics.prom")
 		fmt.Println("flags: -version prints the release and Go version")
 		return nil
 	}
-	return fmt.Errorf("unknown subcommand %q (want run, explain, serve, gen, bench or top)", args[0])
+	return fmt.Errorf("unknown subcommand %q (want run, explain, serve, gen or top)", args[0])
 }

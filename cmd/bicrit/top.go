@@ -4,11 +4,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"bicriteria/internal/obs"
-	"bicriteria/internal/perf"
 )
 
 // topCmd is the live terminal dashboard over a running scheduler
@@ -55,7 +58,7 @@ func topCmd(args []string, out io.Writer) error {
 			fmt.Fprint(out, "\x1b[2J\x1b[H") // clear screen, home cursor
 		}
 		fmt.Fprintf(out, "bicrit top — %s — frame %d — every %s\n\n", *url, i+1, *interval)
-		fmt.Fprint(out, perf.RenderDashboard(prev, fams, elapsed))
+		fmt.Fprint(out, renderDashboard(prev, fams, elapsed))
 		prev, prevAt = fams, now
 	}
 	return nil
@@ -73,4 +76,156 @@ func scrapeProm(client *http.Client, url string) ([]obs.Family, error) {
 		return nil, fmt.Errorf("status %s", resp.Status)
 	}
 	return obs.ParseText(resp.Body)
+}
+
+// renderDashboard turns one parsed /metrics.prom scrape into the bicrit
+// top frame: an ALERTS section when the scrape carries SLO alert gauges
+// (bicrit_slo_alert_firing), gauges with their values, counters with totals and rates
+// over the scrape interval, histograms with counts, rates and
+// nearest-rank quantiles estimated from the cumulative buckets. prev is
+// the previous scrape (nil on the first frame — rates render blank) and
+// elapsed the wall-clock seconds between the two. Output is
+// deterministic for fixed scrapes: families sort by name, series render
+// in scrape order (itself deterministic, the registry sorts series).
+func renderDashboard(prev, cur []obs.Family, elapsed float64) string {
+	prevRows := make(map[string]float64)
+	prevHist := make(map[string]float64)
+	for _, fam := range prev {
+		if fam.Type == obs.TypeHistogram {
+			for _, h := range obs.HistogramRows(fam) {
+				prevHist[fam.Name+"{"+labelKey(h.Labels)+"}"] = h.Count
+			}
+			continue
+		}
+		for _, row := range fam.Rows {
+			prevRows[row.Name+"{"+labelKey(row.Labels)+"}"] = row.Value
+		}
+	}
+
+	fams := append([]obs.Family(nil), cur...)
+	sort.Slice(fams, func(i, j int) bool { return fams[i].Name < fams[j].Name })
+
+	var alerts, gauges, counters, hists strings.Builder
+	for _, fam := range fams {
+		// The SLO engine publishes one 0/1 gauge per alert rule; surface
+		// them as their own dashboard section (they still appear among the
+		// plain gauges below, like every other series).
+		if fam.Name == "bicrit_slo_alert_firing" {
+			for _, row := range fam.Rows {
+				name := fam.Name
+				for _, l := range row.Labels {
+					if l.Name == "alert" {
+						name = l.Value
+					}
+				}
+				state := "resolved"
+				if row.Value > 0 {
+					state = "FIRING"
+				}
+				fmt.Fprintf(&alerts, "  %-52s %14s\n", name, state)
+			}
+		}
+		switch fam.Type {
+		case obs.TypeCounter:
+			for _, row := range fam.Rows {
+				rate := rateCell(prevRows, row.Name+"{"+labelKey(row.Labels)+"}", row.Value, elapsed)
+				fmt.Fprintf(&counters, "  %-52s %14s %12s\n", series(row.Name, row.Labels), num(row.Value), rate)
+			}
+		case obs.TypeHistogram:
+			for _, h := range obs.HistogramRows(fam) {
+				key := fam.Name + "{" + labelKey(h.Labels) + "}"
+				rate := rateCell(prevHist, key, h.Count, elapsed)
+				mean := math.NaN()
+				if h.Count > 0 {
+					mean = h.Sum / h.Count
+				}
+				fmt.Fprintf(&hists, "  %-52s %10s %10s %10s %10s %10s %10s\n",
+					series(fam.Name, h.Labels), num(h.Count), rate,
+					num(h.Quantile(0.5)), num(h.Quantile(0.9)), num(h.Quantile(0.99)), num(mean))
+			}
+		default: // gauges and anything untyped
+			for _, row := range fam.Rows {
+				fmt.Fprintf(&gauges, "  %-52s %14s\n", series(row.Name, row.Labels), num(row.Value))
+			}
+		}
+	}
+
+	var b strings.Builder
+	if alerts.Len() > 0 {
+		fmt.Fprintf(&b, "%-54s %14s\n", "ALERTS", "state")
+		b.WriteString(alerts.String())
+	}
+	if gauges.Len() > 0 {
+		fmt.Fprintf(&b, "%-54s %14s\n", "GAUGES", "value")
+		b.WriteString(gauges.String())
+	}
+	if counters.Len() > 0 {
+		fmt.Fprintf(&b, "%-54s %14s %12s\n", "COUNTERS", "total", "rate/s")
+		b.WriteString(counters.String())
+	}
+	if hists.Len() > 0 {
+		fmt.Fprintf(&b, "%-54s %10s %10s %10s %10s %10s %10s\n",
+			"HISTOGRAMS", "count", "rate/s", "p50", "p90", "p99", "mean")
+		b.WriteString(hists.String())
+	}
+	if b.Len() == 0 {
+		return "(empty scrape)\n"
+	}
+	return b.String()
+}
+
+// series renders a sample name with its labels in the scrape syntax.
+func series(name string, labels []obs.Label) string {
+	if len(labels) == 0 {
+		return name
+	}
+	parts := make([]string, len(labels))
+	for i, l := range labels {
+		parts[i] = l.Name + "=" + strconv.Quote(l.Value)
+	}
+	return name + "{" + strings.Join(parts, ",") + "}"
+}
+
+// labelKey is the diff key of a series between two scrapes.
+func labelKey(labels []obs.Label) string {
+	parts := make([]string, len(labels))
+	for i, l := range labels {
+		parts[i] = l.Name + "=" + l.Value
+	}
+	return strings.Join(parts, ",")
+}
+
+// rateCell renders the per-second growth of a monotone series between
+// scrapes, blank when there is no previous scrape and "reset" when the
+// total went down (a restarted server).
+func rateCell(prev map[string]float64, key string, cur, elapsed float64) string {
+	old, ok := prev[key]
+	if !ok || elapsed <= 0 {
+		return "—"
+	}
+	if cur < old {
+		return "reset"
+	}
+	return num((cur - old) / elapsed)
+}
+
+// num renders a dashboard value compactly: integers without decimals,
+// small magnitudes with sensible precision, NaN and infinities as
+// placeholders.
+func num(v float64) string {
+	switch {
+	case math.IsNaN(v):
+		return "—"
+	case math.IsInf(v, 1):
+		return "+Inf"
+	case math.IsInf(v, -1):
+		return "-Inf"
+	case v == math.Trunc(v) && math.Abs(v) < 1e12:
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	case math.Abs(v) >= 0.001 && math.Abs(v) < 1e7:
+		s := strconv.FormatFloat(v, 'f', 4, 64)
+		return strings.TrimRight(strings.TrimRight(s, "0"), ".")
+	default:
+		return strconv.FormatFloat(v, 'g', 4, 64)
+	}
 }

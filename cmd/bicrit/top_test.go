@@ -5,11 +5,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"bicriteria/internal/grid"
+	"bicriteria/internal/obs"
 	"bicriteria/internal/serve"
 )
 
@@ -169,5 +173,145 @@ func TestTopCmdErrors(t *testing.T) {
 	defer garbage.Close()
 	if err := topCmd([]string{"-url", garbage.URL + "/metrics.prom", "-n", "1"}, &buf); err == nil {
 		t.Error("malformed exposition must fail")
+	}
+}
+
+// scrape renders a registry and parses it back, the exact pipeline
+// bicrit top runs against GET /metrics.prom.
+func scrape(t *testing.T, reg *obs.Registry) []obs.Family {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fams
+}
+
+// topRegistry builds the first-frame registry of the golden test: a
+// slice of what a live serve scrape contains.
+func topRegistry(t *testing.T) (*obs.Registry, *obs.Counter, *obs.Histogram) {
+	reg := obs.NewRegistry()
+	reg.Gauge("bicrit_serve_virtual_now", "Virtual time.").Set(120)
+	reg.Gauge("bicrit_serve_jobs", "Jobs by state.", obs.L("state", "done")).Set(9)
+	reg.Gauge("bicrit_serve_jobs", "Jobs by state.", obs.L("state", "queued")).Set(3)
+	sub := reg.Counter("bicrit_serve_submitted_total", "Admitted jobs.")
+	sub.Add(12)
+	reg.Counter("bicrit_serve_rejected_total", "Refused jobs.", obs.L("reason", "rate-limit")).Add(2)
+	h := reg.Histogram("bicrit_demt_phase_seconds", "DEMT phase time.",
+		obs.LogBuckets(1e-6, 10, 28), obs.L("phase", "knapsack"))
+	for _, v := range []float64{0.001, 0.002, 0.002, 0.004, 0.1} {
+		h.Observe(v)
+	}
+	return reg, sub, h
+}
+
+// TestRenderDashboardGolden pins the two-frame dashboard render: frame
+// one without rates, frame two with counter and histogram rates diffed
+// over a 2-second interval.
+func TestRenderDashboardGolden(t *testing.T) {
+	reg, sub, h := topRegistry(t)
+	first := scrape(t, reg)
+
+	// Two seconds later: 6 more jobs, 4 more knapsack observations.
+	sub.Add(6)
+	for _, v := range []float64{0.001, 0.003, 0.003, 0.008} {
+		h.Observe(v)
+	}
+	second := scrape(t, reg)
+
+	got := renderDashboard(nil, first, 0) + "---\n" + renderDashboard(first, second, 2)
+	golden := filepath.Join("testdata", "top.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("dashboard drifted from %s (regenerate with -update):\n got:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// TestRenderDashboardRates spot-checks the numbers behind the golden
+// bytes: rates over the interval and nearest-rank quantiles from the
+// scraped buckets.
+func TestRenderDashboardRates(t *testing.T) {
+	reg, sub, _ := topRegistry(t)
+	first := scrape(t, reg)
+	sub.Add(6)
+	second := scrape(t, reg)
+
+	frame := renderDashboard(first, second, 2)
+	// 6 new jobs over 2 seconds.
+	if !strings.Contains(frame, "bicrit_serve_submitted_total") || !strings.Contains(frame, "3") {
+		t.Fatalf("submitted rate missing:\n%s", frame)
+	}
+	for _, want := range []string{"GAUGES", "COUNTERS", "HISTOGRAMS", "p50", "p99",
+		`bicrit_serve_jobs{state="done"}`, `bicrit_demt_phase_seconds{phase="knapsack"}`} {
+		if !strings.Contains(frame, want) {
+			t.Errorf("frame lacks %q:\n%s", want, frame)
+		}
+	}
+	// First frame has no baseline: rates render as em dashes.
+	if got := renderDashboard(nil, first, 0); !strings.Contains(got, "—") {
+		t.Errorf("first frame should render blank rates:\n%s", got)
+	}
+	// A counter that went down (restart) renders "reset", never a
+	// negative rate.
+	reg2 := obs.NewRegistry()
+	reg2.Counter("bicrit_serve_submitted_total", "Admitted jobs.").Add(1)
+	if got := renderDashboard(second, scrape(t, reg2), 2); !strings.Contains(got, "reset") {
+		t.Errorf("shrunk counter should render reset:\n%s", got)
+	}
+	if got := renderDashboard(nil, nil, 0); got != "(empty scrape)\n" {
+		t.Errorf("empty scrape render: %q", got)
+	}
+}
+
+// TestRenderDashboardFuzzCorpus renders every input of obs.ParseText's
+// fuzz corpus that the parser accepts, so a scrape the fuzzer found
+// interesting (or a committed crasher) never panics the dashboard either.
+func TestRenderDashboardFuzzCorpus(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "internal", "obs", "testdata", "fuzz", "FuzzParseText", "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no FuzzParseText corpus: %v", err)
+	}
+	accepted := 0
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A corpus file is the header line and one []byte("...") literal.
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		quoted, ok := strings.CutPrefix(lit, "[]byte(")
+		if !ok {
+			t.Fatalf("%s: not a []byte corpus entry", path)
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		fams, err := obs.ParseText(strings.NewReader(data))
+		if err != nil {
+			continue
+		}
+		accepted++
+		if frame := renderDashboard(fams, fams, 1); frame == "" {
+			t.Errorf("%s: empty frame", path)
+		}
+	}
+	if accepted == 0 {
+		t.Error("the parser accepts no corpus input")
 	}
 }

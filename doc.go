@@ -24,8 +24,8 @@
 // and sequential runs; a cutoff factor of 1 (or 0) disables racing and
 // reproduces the non-racing engine exactly. Cut-off members surface as
 // bicrit_portfolio_cancelled_total / cutoff_hits counters, per-batch
-// flight-recorder provenance (bicrit explain), and the PortfolioRace
-// benchmark of the perf suite.
+// flight-recorder provenance (bicrit explain), and the traced benchmark's
+// cluster.race_cancelled_share.
 //
 // On top of the single-cluster engine sits a sharded grid federation
 // (internal/grid, exported as the Grid* identifiers): N independent
@@ -125,24 +125,16 @@
 // admission rejections, snapshot/drain lifecycle and batch summaries to
 // stderr — silent by default, so golden outputs never change.
 //
-// The perf observatory (internal/perf) closes the loop from
-// instrumentation to regression control: a named benchmark suite drives
-// every instrumented hot path — DEMT's knapsack and compaction phases,
-// each portfolio algorithm, batch planning with and without portfolio
-// racing (PortfolioRace vs BatchPlan), the cluster replay, the
-// grid federation at 1/4/8 shards, the serve layer's bulk HTTP ingest
-// and scenario compilation — under the standard testing harness, and
-// records the measurements as versioned BENCH trajectories (commit, Go
-// version, GOMAXPROCS, ns/op + allocs/op + B/op). bicrit bench runs
-// the suite (-list, -run for subsets), bicrit bench -compare old.json
-// -gate 1.25 diffs against a previous trajectory and fails on any
-// benchmark whose ns/op regressed past the threshold or disappeared —
-// the gate CI runs on every push against the previous run's artifact.
-// bicrit top is the live counterpart: it polls a running service's
-// GET /metrics.prom, re-parses each scrape through the validating
-// parser, and renders counter rates and histogram quantiles
-// (estimated from the cumulative buckets) as a dependency-free
-// terminal dashboard.
+// Performance is measured by one harness, benchmark/ (a module of its
+// own, defined by BENCHMARK.json): four workloads from the paper's
+// off-line experiment to a live bicrit serve, end-to-end metrics with a
+// bound each, and per-layer metrics from a traced run. CI runs it on the
+// parent commit and on the change in one job and fails only when the
+// change is worse beyond a metric's bound. bicrit top is the live
+// counterpart: it polls a running service's GET /metrics.prom,
+// re-parses each scrape through the validating parser, and renders
+// counter rates and histogram quantiles (estimated from the cumulative
+// buckets) as a dependency-free terminal dashboard.
 //
 // The replay invariants are enforced statically, not just tested:
 // tools/lint (a separate module, so the root module's dependency graph

@@ -21,7 +21,7 @@
 // traces, flight timelines) answers to every analyzer, while the
 // boundary packages that legitimately touch the wall clock or own the
 // process edge (serve's pacer, obs' wall-clock histograms, logx,
-// the experiment/perf measurement harnesses and the main packages) are
+// the experiment measurement harness and the main packages) are
 // exempt from the clock and context rules — but never from seededrand,
 // maprange or wirefields, which hold everywhere.
 package main
@@ -54,7 +54,7 @@ var analyzers = []*framework.Analyzer{
 // nondeterministic lists the packages of the main module that sit on the
 // process boundary and may read the wall clock or mint root contexts:
 // serve (pacer + HTTP edge), obs (wall-clock histograms), logx
-// (timestamped logs), experiment and perf (measurement harnesses),
+// (timestamped logs), experiment (measurement harness),
 // buildinfo, and every main package under cmd/ and examples/. The
 // deterministic invariant analyzers skip them; the order and wire-format
 // analyzers do not.
@@ -63,7 +63,6 @@ var nondeterministic = []string{
 	"bicriteria/internal/obs",
 	"bicriteria/internal/logx",
 	"bicriteria/internal/experiment",
-	"bicriteria/internal/perf",
 	"bicriteria/internal/buildinfo",
 	"bicriteria/cmd",
 	"bicriteria/examples",
