@@ -10,7 +10,6 @@ import (
 	"bicriteria/internal/buildinfo"
 	"bicriteria/internal/cluster"
 	"bicriteria/internal/core"
-	"bicriteria/internal/dualapprox"
 	"bicriteria/internal/experiment"
 	"bicriteria/internal/faults"
 	"bicriteria/internal/flight"
@@ -18,13 +17,11 @@ import (
 	"bicriteria/internal/logx"
 	"bicriteria/internal/lowerbound"
 	"bicriteria/internal/moldable"
-	"bicriteria/internal/obs"
 	"bicriteria/internal/reservation"
 	"bicriteria/internal/scenario"
 	"bicriteria/internal/schedule"
 	"bicriteria/internal/serve"
 	"bicriteria/internal/sim"
-	"bicriteria/internal/slo"
 	"bicriteria/internal/trace"
 	"bicriteria/internal/workload"
 )
@@ -46,9 +43,7 @@ const Version = buildinfo.Version
 type Scenario = scenario.Scenario
 
 // ScenarioOption mutates a scenario under construction; see NewScenario
-// and the With* constructors in internal/scenario (re-exported below as
-// Scenario method-style helpers is unnecessary: the spec's fields are
-// public and stable).
+// and the ScenarioWith* constructors below.
 type ScenarioOption = scenario.Option
 
 // ScenarioTopology selects the engine a scenario compiles to.
@@ -77,35 +72,23 @@ type (
 
 // ValidationError is the unified configuration error of the library: it
 // names the exact field path that is wrong ("clusters[2].machines",
-// "arrivals.rate"). The eager checks of NewClusterEngine, NewGrid and
-// NewServeServer raise it too, so bad configs fail before any goroutine
-// spawns, with the same error shape at every layer.
+// "arrivals.rate"). Compile, NewServeServer, RunClusterContext and
+// RunGridContext raise it eagerly, so bad configs fail before any
+// goroutine spawns, with the same error shape at every layer.
 type ValidationError = scenario.ValidationError
 
-// NewScenario builds a scenario from functional options and validates it
-// eagerly. The option constructors live in internal/scenario (WithSeed,
-// WithClusters, WithWorkload, ...) and are re-exported here:
+// Option constructors for NewScenario, re-exported from internal/scenario;
+// any other section is set on the Scenario literal.
 var (
 	ScenarioWithName        = scenario.WithName
 	ScenarioWithSeed        = scenario.WithSeed
-	ScenarioWithTopology    = scenario.WithTopology
 	ScenarioWithClusters    = scenario.WithClusters
-	ScenarioWithReservation = scenario.WithReservation
 	ScenarioWithWorkload    = scenario.WithWorkload
 	ScenarioWithArrivals    = scenario.WithArrivals
-	ScenarioWithArrivalLaws = scenario.WithArrivalLaws
-	ScenarioWithArrivalFile = scenario.WithArrivalFile
-	ScenarioWithTraceFile   = scenario.WithTraceFile
 	ScenarioWithBatchPolicy = scenario.WithBatchPolicy
-	ScenarioWithObjective   = scenario.WithObjective
 	ScenarioWithRouting     = scenario.WithRouting
 	ScenarioWithNoise       = scenario.WithNoise
-	ScenarioWithSequential  = scenario.WithSequential
 	ScenarioWithFaults      = scenario.WithFaults
-	ScenarioWithService     = scenario.WithService
-	ScenarioWithTrace       = scenario.WithTrace
-	ScenarioWithSLO         = scenario.WithSLO
-	ScenarioWithRacing      = scenario.WithRacing
 )
 
 // ScenarioTrace is the optional trace section of a scenario: where and
@@ -143,10 +126,6 @@ func ScenarioServeConfig(s Scenario) (ServeConfig, error) { return scenario.Serv
 
 // WriteScenario serializes a scenario as versioned JSON.
 func WriteScenario(w io.Writer, s Scenario) error { return scenario.WriteScenario(w, s) }
-
-// ReadScenario parses and validates a scenario; unknown versions and
-// unknown fields are rejected.
-func ReadScenario(r io.Reader) (Scenario, error) { return scenario.ReadScenario(r) }
 
 // SaveScenario writes a scenario to a file path.
 func SaveScenario(path string, s Scenario) error { return scenario.SaveScenario(path, s) }
@@ -208,30 +187,8 @@ func WriteScenarioTrace(w io.Writer, format string, rep *ScenarioReport) error {
 func WriteServeFinalReport(w io.Writer, rep *ServeFinalReport) { scenario.WriteFinalReport(w, rep) }
 
 // ---------------------------------------------------------------------------
-// Observability: metrics registry, pprof
+// Observability: observers, pprof
 // ---------------------------------------------------------------------------
-
-// MetricsRegistry is the dependency-free metrics registry of the
-// library: counters, gauges and histograms with stable label ordering,
-// rendered in the Prometheus text exposition format by WritePrometheus.
-// Compiled scenario runners expose theirs through Metrics(); the live
-// service serves its own on GET /metrics.prom.
-type MetricsRegistry = obs.Registry
-
-// NewMetricsRegistry builds an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// PromContentType is the Content-Type of the Prometheus text exposition
-// format, as served by GET /metrics.prom.
-const PromContentType = obs.ContentType
-
-// ParsePrometheusText parses and validates Prometheus text-format
-// exposition, returning the metric families. Tests use it to pin the
-// scrape output's validity.
-func ParsePrometheusText(r io.Reader) ([]PromFamily, error) { return obs.ParseText(r) }
-
-// PromFamily is one parsed metric family of a Prometheus exposition.
-type PromFamily = obs.Family
 
 // MergeScenarioObservers chains two observers: each event invokes a's
 // callback then b's. Use it to stack ScenarioLogObserver under your own
@@ -280,43 +237,6 @@ func ReadFlightTrace(r io.Reader) (*FlightRecorder, error) { return flight.ReadJ
 func IsFlightTrace(data []byte) bool { return flight.IsTrace(data) }
 
 // ---------------------------------------------------------------------------
-// SLO engine: deadlines, burn rates, alerts
-// ---------------------------------------------------------------------------
-
-// SLOSpec is the resolved SLO rule set: per-job deadlines as
-// release + factor·pmin, an overall miss budget, a burn-rate window and
-// tail stretch/wait percentile targets.
-type SLOSpec = slo.Spec
-
-// SLOSummary is the outcome of one deterministic SLO evaluation:
-// deadline-miss counts overall and per cluster, tail percentiles, and
-// every alert rule's firing/resolved state.
-type SLOSummary = slo.Summary
-
-// SLOAlert is one evaluated SLO rule with its state, realized value and
-// threshold.
-type SLOAlert = slo.Alert
-
-// SLOJobOutcome is one job's realized outcome, the input of EvaluateSLO.
-type SLOJobOutcome = slo.JobOutcome
-
-// SLOClusterSummary is the per-cluster deadline axis of a summary.
-type SLOClusterSummary = slo.ClusterSummary
-
-// SLO alert states.
-const (
-	SLOStateFiring   = slo.StateFiring
-	SLOStateResolved = slo.StateResolved
-)
-
-// EvaluateSLO runs the rule set over the outcomes, deterministically:
-// outcomes are sorted internally, so concurrent and sequential replays
-// report bit-identical summaries.
-func EvaluateSLO(spec SLOSpec, outcomes []SLOJobOutcome) *SLOSummary {
-	return slo.Evaluate(spec, outcomes)
-}
-
-// ---------------------------------------------------------------------------
 // Structured logging
 // ---------------------------------------------------------------------------
 
@@ -327,9 +247,6 @@ func EvaluateSLO(spec SLOSpec, outcomes []SLOJobOutcome) *SLOSummary {
 func NewLogger(w io.Writer, level string, json bool) (*slog.Logger, error) {
 	return logx.New(w, level, json)
 }
-
-// DiscardLogger returns a logger that drops every record.
-func DiscardLogger() *slog.Logger { return logx.Discard() }
 
 // ScenarioLogObserver returns an observer logging every committed batch,
 // kill and migration of a run as structured records; stack it behind your
@@ -358,11 +275,6 @@ func NewSequentialTask(id int, weight, duration float64) Task {
 	return moldable.Sequential(id, weight, duration)
 }
 
-// NewRigidTask builds a task that must run on exactly procs processors.
-func NewRigidTask(id int, weight float64, procs int, duration float64) Task {
-	return moldable.Rigid(id, weight, procs, duration)
-}
-
 // NewPerfectlyMoldableTask builds a task with linear speedup up to
 // maxProcs.
 func NewPerfectlyMoldableTask(id int, weight, seqTime float64, maxProcs int) Task {
@@ -377,16 +289,6 @@ func NewPerfectlyMoldableTask(id int, weight, seqTime float64, maxProcs int) Tas
 // allocations, explicit processors), with validation, metrics and a Gantt
 // renderer.
 type Schedule = schedule.Schedule
-
-// Assignment is the placement of a single task.
-type Assignment = schedule.Assignment
-
-// ScheduleMetrics bundles makespan, weighted completion, utilization...
-type ScheduleMetrics = schedule.Metrics
-
-// ValidateOptions tunes schedule validation (release dates, partial
-// schedules).
-type ValidateOptions = schedule.ValidateOptions
 
 // ---------------------------------------------------------------------------
 // The DEMT bi-criteria algorithm (the paper's contribution)
@@ -406,20 +308,6 @@ type DEMTResult = core.Result
 func DEMT(ctx context.Context, inst *Instance, opts *DEMTOptions) (*DEMTResult, error) {
 	return core.ScheduleContext(ctx, inst, opts)
 }
-
-// Compaction modes for DEMTOptions.Compaction.
-const (
-	CompactionListShuffle   = core.CompactionListShuffle
-	CompactionList          = core.CompactionList
-	CompactionEarliestStart = core.CompactionEarliestStart
-	CompactionNone          = core.CompactionNone
-)
-
-// Selection modes for DEMTOptions.Selection.
-const (
-	SelectionKnapsack = core.SelectionKnapsack
-	SelectionGreedy   = core.SelectionGreedy
-)
 
 // ---------------------------------------------------------------------------
 // Baseline algorithms of the paper's evaluation
@@ -454,17 +342,8 @@ func ListScheduling(ctx context.Context, inst *Instance, order ListOrder) (*Sche
 }
 
 // ---------------------------------------------------------------------------
-// Dual approximation and lower bounds
+// Lower bounds
 // ---------------------------------------------------------------------------
-
-// DualApproxResult is the outcome of the two-shelf dual-approximation
-// construction (schedule, makespan estimate, certified lower bound,
-// allotment).
-type DualApproxResult = dualapprox.Result
-
-// DualApproximation runs the two-shelf dual-approximation makespan
-// algorithm used to anchor DEMT's batches.
-func DualApproximation(inst *Instance) (*DualApproxResult, error) { return dualapprox.TwoShelf(inst) }
 
 // MakespanLowerBound returns a certified lower bound on the optimal
 // makespan.
@@ -519,9 +398,6 @@ func LoadInstance(path string) (*Instance, error) { return workload.LoadInstance
 // WriteInstance serializes an instance as JSON.
 func WriteInstance(w io.Writer, inst *Instance) error { return workload.WriteInstance(w, inst) }
 
-// ReadInstance parses an instance from JSON.
-func ReadInstance(r io.Reader) (*Instance, error) { return workload.ReadInstance(r) }
-
 // ---------------------------------------------------------------------------
 // Experiment harness (the paper's figures)
 // ---------------------------------------------------------------------------
@@ -532,17 +408,11 @@ type ExperimentConfig = experiment.Config
 // ExperimentResult is a complete figure: one series per algorithm.
 type ExperimentResult = experiment.Result
 
-// ExperimentAlgorithm identifies one algorithm of the comparison.
-type ExperimentAlgorithm = experiment.Algorithm
-
 // RunExperiment executes an experiment (see internal/experiment for the
 // aggregation rules, which follow section 4.2 of the paper).
 func RunExperiment(ctx context.Context, cfg ExperimentConfig) (*ExperimentResult, error) {
 	return experiment.Run(ctx, cfg)
 }
-
-// FormatExperiment renders an experiment result as text tables.
-func FormatExperiment(res *ExperimentResult) string { return experiment.FormatTable(res) }
 
 // ---------------------------------------------------------------------------
 // On-line batch scheduling and cluster simulation
@@ -556,12 +426,6 @@ type OnlineJob = cluster.Job
 // perturbation).
 type ClusterConfig = cluster.Config
 
-// ClusterEngine is a reusable event-driven cluster engine: it batches an
-// on-line job stream under a pluggable policy, schedules every batch with a
-// concurrent algorithm portfolio, places the winning plan around node
-// reservations and executes it on the discrete-event simulator.
-type ClusterEngine = cluster.Engine
-
 // ClusterReport is the outcome of a cluster run (realized schedule, batch
 // reports, aggregate metrics).
 type ClusterReport = cluster.Report
@@ -570,29 +434,11 @@ type ClusterReport = cluster.Report
 // cumulative metrics snapshot streamed to Config.OnBatch.
 type ClusterBatchReport = cluster.BatchReport
 
-// ClusterMetrics aggregates a run: utilization, max flow, mean stretch,
-// portfolio winner counts...
-type ClusterMetrics = cluster.Metrics
-
 // ClusterAlgorithm is one member of the scheduling portfolio.
 type ClusterAlgorithm = cluster.Algorithm
 
-// ClusterCandidate reports one portfolio member's score on a batch.
-type ClusterCandidate = cluster.Candidate
-
-// ClusterRacing configures portfolio racing: a cutoff factor above 1
-// cancels portfolio stragglers as soon as one candidate's score is
-// provably within the factor of the batch lower bound, with an optional
-// seeded bandit biasing the launch order toward recent winners. Racing
-// never changes the committed schedules — concurrent and sequential
-// replays stay byte-identical.
-type ClusterRacing = cluster.Racing
-
 // ClusterObjective selects the criterion the engine minimizes per batch.
 type ClusterObjective = cluster.Objective
-
-// ClusterObjectiveKind enumerates the commit criteria.
-type ClusterObjectiveKind = cluster.ObjectiveKind
 
 // ClusterBatchPolicy decides when the engine fires the next batch.
 type ClusterBatchPolicy = cluster.BatchPolicy
@@ -603,9 +449,6 @@ const (
 	ClusterObjectiveWeightedCompletion = cluster.ObjectiveWeightedCompletion
 	ClusterObjectiveCombined           = cluster.ObjectiveCombined
 )
-
-// NewClusterEngine validates the configuration and builds an engine.
-func NewClusterEngine(cfg ClusterConfig) (*ClusterEngine, error) { return cluster.New(cfg) }
 
 // RunClusterContext builds an engine and replays the job stream through
 // it. The context is checked between batches, so cancelling it aborts the
@@ -634,19 +477,6 @@ func ClusterDEMTAlgorithm(opts *DEMTOptions) ClusterAlgorithm { return cluster.D
 // BatchOnIdle fires a batch as soon as the machine is idle and jobs are
 // pending (the framework of section 2.2 of the paper).
 func BatchOnIdle() ClusterBatchPolicy { return cluster.BatchOnIdle() }
-
-// FixedIntervalPolicy fires batches on multiples of period, like a cron-run
-// batch scheduler.
-func FixedIntervalPolicy(period float64) (ClusterBatchPolicy, error) {
-	return cluster.FixedInterval(period)
-}
-
-// AdaptiveBacklogPolicy fires a batch once the pending jobs carry
-// workTarget processor-time units of minimum work, or once the oldest
-// pending job has waited maxDelay.
-func AdaptiveBacklogPolicy(workTarget, maxDelay float64) (ClusterBatchPolicy, error) {
-	return cluster.AdaptiveBacklog(workTarget, maxDelay)
-}
 
 // UniformRuntimeNoise builds a deterministic runtime perturbation scaling
 // every planned duration by a uniform factor in [1-frac, 1+frac], keyed by
@@ -686,18 +516,9 @@ func ParseArrivalDistribution(s string) (ArrivalDistribution, error) {
 // workload family, submitted at Poisson (or bursty, heavy-tailed) instants.
 func GenerateArrivals(cfg ArrivalConfig) ([]Arrival, error) { return workload.GenerateArrivals(cfg) }
 
-// WriteArrivals serializes an arrival stream as JSON (an SWF-style trace
-// that keeps the moldable time vectors). M records the machine size the
-// stream was generated for.
-func WriteArrivals(w io.Writer, m int, arrivals []Arrival) error {
-	return workload.WriteArrivals(w, m, arrivals)
-}
-
-// ReadArrivals parses and validates a stream written by WriteArrivals,
-// returning the arrivals and the recorded machine size.
-func ReadArrivals(r io.Reader) ([]Arrival, int, error) { return workload.ReadArrivals(r) }
-
-// SaveArrivals writes an arrival stream to a file path.
+// SaveArrivals writes an arrival stream to a file path as JSON (an
+// SWF-style trace that keeps the moldable time vectors); m records the
+// machine size the stream was generated for.
 func SaveArrivals(path string, m int, arrivals []Arrival) error {
 	return workload.SaveArrivals(path, m, arrivals)
 }
@@ -713,10 +534,6 @@ type SimulationOptions = sim.Options
 
 // SimulationResult reports the realized execution of a schedule.
 type SimulationResult = sim.Result
-
-// SimulationBlockedWindow makes a set of processors unavailable during a
-// time window of a simulation (node reservations, maintenance).
-type SimulationBlockedWindow = sim.BlockedWindow
 
 // Simulate executes a schedule on the discrete-event cluster simulator.
 func Simulate(inst *Instance, sched *Schedule, opts *SimulationOptions) (*SimulationResult, error) {
@@ -736,31 +553,15 @@ type GridClusterSpec = grid.ClusterSpec
 // control).
 type GridConfig = grid.Config
 
-// GridFederation runs N independent cluster engines as concurrent shards
-// behind a meta-scheduler routing one arrival stream.
-type GridFederation = grid.Federation
-
 // GridReport is the outcome of a grid run: routing decisions, per-shard
 // cluster reports and the grid-wide aggregate.
 type GridReport = grid.Report
-
-// GridMetrics aggregates a grid run: makespan, weighted completion,
-// utilization, stretch and bounded-slowdown percentiles, per-cluster
-// summaries.
-type GridMetrics = grid.Metrics
-
-// GridClusterSummary is the grid-level digest of one shard's run.
-type GridClusterSummary = grid.ClusterSummary
 
 // GridDecision records one routing decision of the meta-scheduler.
 type GridDecision = grid.Decision
 
 // GridRoutingPolicy decides which cluster receives each job of the stream.
 type GridRoutingPolicy = grid.RoutingPolicy
-
-// NewGrid validates the configuration and builds a federation, including
-// every shard engine.
-func NewGrid(cfg GridConfig) (*GridFederation, error) { return grid.New(cfg) }
 
 // RunGridContext builds a federation and replays the job stream through
 // it. The context threads into every shard engine's batch loop, so cancelling it aborts the whole
@@ -788,10 +589,6 @@ func GridLowerBoundAware() GridRoutingPolicy { return grid.LowerBoundAware() }
 // useful parallelism.
 func GridMoldabilityAware() GridRoutingPolicy { return grid.MoldabilityAware() }
 
-// ParseGridRoutingPolicy converts a string such as "least-backlog" into a
-// routing policy.
-func ParseGridRoutingPolicy(s string) (GridRoutingPolicy, error) { return grid.ParsePolicy(s) }
-
 // ---------------------------------------------------------------------------
 // Live scheduler service: the grid behind a concurrent submission API
 // ---------------------------------------------------------------------------
@@ -809,20 +606,6 @@ type ServeServer = serve.Server
 // ServeCounters are the monotone admission statistics of a service.
 type ServeCounters = serve.Counters
 
-// ServeJobState is the lifecycle position of a submitted job
-// (queued → batched → scheduled → running → done).
-type ServeJobState = serve.JobState
-
-// Serve job lifecycle states.
-const (
-	ServeStateQueued      = serve.StateQueued
-	ServeStateBatched     = serve.StateBatched
-	ServeStateScheduled   = serve.StateScheduled
-	ServeStateRunning     = serve.StateRunning
-	ServeStateResubmitted = serve.StateResubmitted
-	ServeStateDone        = serve.StateDone
-)
-
 // ServeJobStatus is the live view of one submitted job.
 type ServeJobStatus = serve.JobStatus
 
@@ -831,10 +614,6 @@ type ServeJobSpec = serve.JobSpec
 
 // ServeAccepted acknowledges one admitted job with its virtual release.
 type ServeAccepted = serve.Accepted
-
-// ServeRejection is the typed refusal of a submission (rate limit,
-// backlog, full queue or draining) with a back-off hint.
-type ServeRejection = serve.Rejection
 
 // ServeFinalReport is the outcome of a drained service: the grid report
 // of the full deterministic replay of everything the service admitted.
@@ -860,16 +639,6 @@ type FaultsPlan = faults.Plan
 // outages.
 type FaultsConfig = faults.Config
 
-// FaultsNodeOutage is one node of one cluster down during [Start, End).
-type FaultsNodeOutage = faults.NodeOutage
-
-// FaultsShardOutage is a whole grid shard down during [Start, End).
-type FaultsShardOutage = faults.ShardOutage
-
-// FaultWindow is a set of processors of one machine down during
-// [Start, End): what a cluster engine consumes as Outages.
-type FaultWindow = faults.Window
-
 // GenerateFaults builds the deterministic fault plan of the configuration:
 // a pure function of the config, whatever the call order or the machine.
 func GenerateFaults(cfg FaultsConfig) (*FaultsPlan, error) { return faults.Generate(cfg) }
@@ -894,17 +663,11 @@ func GenerateFaultsForJobs(cfg FaultsConfig, jobs []OnlineJob) (*FaultsPlan, err
 // the queue: restart from scratch, or checkpoint-credit the finished work.
 type ClusterReplanPolicy = cluster.ReplanPolicy
 
-// ClusterReplanKind selects the replan model.
-type ClusterReplanKind = cluster.ReplanKind
-
 // Replan models for killed jobs.
 const (
 	ClusterReplanRestart    = cluster.ReplanRestart
 	ClusterReplanCheckpoint = cluster.ReplanCheckpoint
 )
-
-// ClusterKillEvent records one job killed by an outage during a run.
-type ClusterKillEvent = cluster.KillEvent
 
 // ---------------------------------------------------------------------------
 // Node reservations (section 5 of the paper, "on-going works")
@@ -940,25 +703,8 @@ func ValidateReservations(sched *Schedule, reservations []Reservation, blocked [
 // TraceRecord is one job of a (simplified) Standard Workload Format trace.
 type TraceRecord = trace.Record
 
-// TraceMoldableOptions drives the reconstruction of moldable tasks from
-// rigid trace jobs.
-type TraceMoldableOptions = trace.MoldableOptions
-
-// ParseTrace reads an SWF fragment.
-func ParseTrace(r io.Reader) ([]TraceRecord, error) { return trace.Parse(r) }
-
 // WriteTrace emits SWF records.
 func WriteTrace(w io.Writer, records []TraceRecord) error { return trace.Write(w, records) }
-
-// TraceToTasks reconstructs moldable tasks from rigid trace records using a
-// Downey speedup curve calibrated on the recorded allocation and run time.
-func TraceToTasks(records []TraceRecord, m int, opts *TraceMoldableOptions) []Task {
-	return trace.ToTasks(records, m, opts)
-}
-
-// TraceReleases extracts the submission times of the records, keyed by job
-// ID (for use as on-line release dates).
-func TraceReleases(records []TraceRecord) map[int]float64 { return trace.Releases(records) }
 
 // ScheduleToTrace exports a schedule as SWF records (submission times taken
 // from the releases map, 0 when absent).

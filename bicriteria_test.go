@@ -1,17 +1,17 @@
 package bicriteria
 
 import (
-	"bytes"
 	"context"
 	"math"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
 // TestFacadeEndToEnd exercises the public API the way a downstream user
 // would: generate a workload, schedule it with DEMT and every baseline,
 // compare against the lower bounds, simulate the execution and round-trip
-// the instance through JSON.
+// the instance through a JSON file.
 func TestFacadeEndToEnd(t *testing.T) {
 	inst, err := GenerateWorkload(WorkloadConfig{Kind: WorkloadCirne, M: 24, N: 30, Seed: 11})
 	if err != nil {
@@ -78,11 +78,18 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("simulated makespan differs from the plan")
 	}
 
-	var buf bytes.Buffer
-	if err := WriteInstance(&buf, inst); err != nil {
+	path := filepath.Join(t.TempDir(), "w.json")
+	f, err := os.Create(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadInstance(&buf)
+	if err := WriteInstance(f, inst); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadInstance(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,21 +100,23 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeTaskHelpers(t *testing.T) {
 	seqTask := NewSequentialTask(0, 1, 2)
-	rigid := NewRigidTask(1, 2, 3, 4)
-	perfect := NewPerfectlyMoldableTask(2, 1, 12, 4)
-	inst := NewInstance(4, []Task{seqTask, rigid, perfect})
+	perfect := NewPerfectlyMoldableTask(1, 1, 12, 4)
+	inst := NewInstance(4, []Task{seqTask, perfect})
 	if err := inst.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if inst.Tasks[2].Time(4) != 3 {
+	if inst.Tasks[0].Time(1) != 2 {
+		t.Fatalf("sequential task should have p(1)=2")
+	}
+	if inst.Tasks[1].Time(4) != 3 {
 		t.Fatalf("perfectly moldable task should have p(4)=3")
 	}
-	res, err := DualApproximation(inst)
+	res, err := DEMT(t.Context(), inst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Schedule.Validate(inst, nil); err != nil {
-		t.Fatalf("dual approximation schedule invalid: %v", err)
+		t.Fatalf("DEMT schedule of the helpers' tasks invalid: %v", err)
 	}
 }
 
@@ -134,20 +143,25 @@ func TestFacadeOnline(t *testing.T) {
 }
 
 func TestFacadeExperiment(t *testing.T) {
-	res, err := RunExperiment(t.Context(), ExperimentConfig{
+	cfg := ExperimentConfig{
 		Workload:   WorkloadMixed,
 		M:          12,
 		TaskCounts: []int{6, 12},
 		Runs:       2,
 		Seed:       5,
-		Algorithms: []ExperimentAlgorithm{"demt", "saf"},
-	})
+	}
+	cfg.Algorithms = append(cfg.Algorithms, "demt", "saf")
+	res, err := RunExperiment(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := FormatExperiment(res)
-	if !strings.Contains(out, "demt") || !strings.Contains(out, "saf") {
-		t.Fatalf("experiment output missing algorithms:\n%s", out)
+	if len(res.Series) != 2 || res.Series[0].Algorithm != "demt" || res.Series[1].Algorithm != "saf" {
+		t.Fatalf("experiment series %+v, want demt then saf", res.Series)
+	}
+	for _, series := range res.Series {
+		if len(series.Points) != len(cfg.TaskCounts) {
+			t.Fatalf("%s: %d points for %d task counts", series.Algorithm, len(series.Points), len(cfg.TaskCounts))
+		}
 	}
 }
 

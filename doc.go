@@ -13,8 +13,7 @@
 // on-line batch framework (section 2.2): jobs released while a batch runs
 // wait for the next batch, and each batch is scheduled off-line by DEMT.
 //
-// The portfolio can also race (the ClusterRacing config and the "racing"
-// scenario block): members launch under one cancellable context that
+// The portfolio can also race (the "racing" scenario block): members launch under one cancellable context that
 // threads through the DEMT phase loops and the baselines' list loops, and
 // as soon as a candidate is provably within a configurable factor of the
 // batch's certified lower bound, every member launched after it is
@@ -78,9 +77,9 @@
 // ("clusters[2].machines"), raised eagerly — before any goroutine spawns.
 // See examples/scenario.
 //
-// The observability layer (internal/obs, exported as the Metrics* and
-// Prom* identifiers) instruments all of the above without adding a
-// dependency: a Prometheus text-format registry (counters, gauges,
+// The observability layer (internal/obs, reached through a compiled
+// runner's Metrics and the service's endpoints) instruments all of the
+// above without adding a dependency: a Prometheus text-format registry (counters, gauges,
 // histograms sharing internal/stats' log-spaced bucket geometry) that
 // the cluster engine, the grid federation and the serve layer publish
 // wall-clock timings into (per-algorithm portfolio latency, DEMT phase
@@ -110,12 +109,12 @@
 // a scenario file, and the live service serves GET /jobs/{id}/timeline
 // rebuilt after every refresh (final after a drain).
 //
-// The SLO engine (internal/slo, exported as the SLO* identifiers)
-// evaluates a versioned "slo" scenario block over replay outcomes: a
-// per-job deadline anchored to the paper's reference value (release +
+// The SLO engine (internal/slo, configured by ScenarioSLO) evaluates a
+// versioned "slo" scenario block over replay outcomes: a per-job
+// deadline anchored to the paper's reference value (release +
 // deadline_factor times the job's own lower bound pmin), an overall
 // miss budget with an optional trailing burn-rate window, and
-// percentile targets on stretch and wait. EvaluateSLO is a
+// percentile targets on stretch and wait. The evaluation is a
 // deterministic pure function, so concurrent replays report
 // bit-identical summaries; reports gain an slo section, the service
 // answers GET /alerts, the bicrit_slo_* gauges ride the Prometheus
@@ -152,7 +151,8 @@
 // The root package is a thin facade over the internal packages: it exposes
 // the task and schedule model, the DEMT scheduler, the baselines, the lower
 // bounds, the workload generators, the simulator and the scenario system
-// under one import path.
+// under one import path. It exports what the CLIs and examples call, and
+// the types those calls name; a test holds it to that.
 //
 // # Quick start
 //

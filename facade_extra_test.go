@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"bicriteria/internal/cluster"
 )
 
 // TestFacadeReservations exercises the reservation-aware scheduling through
@@ -41,8 +44,8 @@ func TestFacadeReservations(t *testing.T) {
 }
 
 // TestFacadeTraceRoundTrip exercises the SWF interchange through the public
-// API: schedule a workload, export it, re-import it and schedule the
-// reconstructed jobs on-line.
+// API: schedule a workload, export it, and replay the exported file as the
+// arrival trace of a scenario.
 func TestFacadeTraceRoundTrip(t *testing.T) {
 	inst, err := GenerateWorkload(WorkloadConfig{Kind: WorkloadCirne, M: 12, N: 15, Seed: 6})
 	if err != nil {
@@ -64,36 +67,26 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), ";") {
 		t.Fatalf("missing SWF header")
 	}
-	back, err := ParseTrace(&buf)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "jobs.swf")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if len(back) != len(records) {
-		t.Fatalf("round trip lost records")
 	}
 
 	// Reconstruct moldable jobs from the rigid records and replay them
 	// on-line.
-	tasks := TraceToTasks(back, 12, nil)
-	if len(tasks) != len(back) {
-		t.Fatalf("reconstruction lost jobs")
-	}
-	releases := TraceReleases(back)
-	jobs := make([]OnlineJob, len(tasks))
-	for i, task := range tasks {
-		jobs[i] = OnlineJob{Task: task, Release: releases[task.ID]}
-	}
-	onlineRes, err := RunClusterContext(context.Background(), ClusterConfig{
-		M:         12,
-		Portfolio: []ClusterAlgorithm{ClusterDEMTAlgorithm(nil)},
-		Policy:    BatchOnIdle(),
-	}, jobs)
+	runner, err := Compile(Scenario{
+		Clusters: []ScenarioCluster{{Machines: 12}},
+		Arrivals: ScenarioArrivals{Trace: path},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay := NewInstance(12, tasks)
-	if err := onlineRes.Schedule.Validate(replay, &ValidateOptions{ReleaseDates: releases}); err != nil {
-		t.Fatalf("replayed schedule invalid: %v", err)
+	rep, err := runner.Run(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Jobs != inst.N() || rep.Cluster.Metrics.Jobs != inst.N() {
+		t.Fatalf("replayed %d (%d completed) of %d exported jobs", rep.Jobs, rep.Cluster.Metrics.Jobs, inst.N())
 	}
 }
 
@@ -125,32 +118,20 @@ func TestFacadeClusterConfigValidation(t *testing.T) {
 		{"duplicate algorithm names", ClusterConfig{M: 8, Portfolio: []ClusterAlgorithm{demt, demt}}},
 		{"alpha above 1", ClusterConfig{M: 8, Objective: ClusterObjective{Kind: ClusterObjectiveCombined, Alpha: 2}}},
 		{"alpha below 0", ClusterConfig{M: 8, Objective: ClusterObjective{Kind: ClusterObjectiveCombined, Alpha: -0.1}}},
-		{"unknown objective", ClusterConfig{M: 8, Objective: ClusterObjective{Kind: ClusterObjectiveKind(99)}}},
+		{"unknown objective", ClusterConfig{M: 8, Objective: ClusterObjective{Kind: 99}}},
 		{"reservation too wide", ClusterConfig{M: 8, Reservations: []Reservation{{Procs: 9, Start: 0, End: 5}}}},
 		{"reservation blocks machine", ClusterConfig{M: 8, Reservations: []Reservation{{Procs: 8, Start: 0, End: 5}}}},
 		{"reversed reservation window", ClusterConfig{M: 8, Reservations: []Reservation{{Procs: 2, Start: 5, End: 1}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewClusterEngine(tc.cfg); err == nil {
-				t.Fatalf("NewClusterEngine accepted %s", tc.name)
-			}
 			if _, err := RunClusterContext(context.Background(), tc.cfg, nil); err == nil {
 				t.Fatalf("RunClusterContext accepted %s", tc.name)
 			}
 		})
 	}
 
-	// Bad policy and noise constructors.
-	if _, err := FixedIntervalPolicy(0); err == nil {
-		t.Fatal("zero interval accepted")
-	}
-	if _, err := AdaptiveBacklogPolicy(0, 10); err == nil {
-		t.Fatal("zero work target accepted")
-	}
-	if _, err := AdaptiveBacklogPolicy(10, -1); err == nil {
-		t.Fatal("negative max delay accepted")
-	}
+	// Bad noise constructors.
 	if _, err := UniformRuntimeNoise(1.5, 1); err == nil {
 		t.Fatal("noise fraction above 1 accepted")
 	}
@@ -162,14 +143,15 @@ func TestFacadeClusterConfigValidation(t *testing.T) {
 // TestFacadeClusterDeterministicReplay drives the engine end-to-end through
 // the facade under every objective and batching policy, asserting that a
 // parallel replay is bit-identical to a sequential one and that repeated
-// runs agree.
+// runs agree. The facade builds only BatchOnIdle; the other two policies
+// come from internal/cluster, as a scenario's batch section does.
 func TestFacadeClusterDeterministicReplay(t *testing.T) {
 	jobs := facadeStream(t, 24, 60, 21)
-	interval, err := FixedIntervalPolicy(15)
+	interval, err := cluster.FixedInterval(15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := AdaptiveBacklogPolicy(96, 40)
+	adaptive, err := cluster.AdaptiveBacklog(96, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,14 +213,16 @@ func TestFacadeClusterDeterministicReplay(t *testing.T) {
 }
 
 // TestFacadeGrid exercises the Grid* exports: heterogeneous shards, every
-// routing policy by name, determinism through the facade.
+// routing policy, determinism through the facade.
 func TestFacadeGrid(t *testing.T) {
 	jobs := facadeStream(t, 32, 50, 33)
-	for _, name := range []string{"round-robin", "least-backlog", "lower-bound", "moldability"} {
-		policy, err := ParseGridRoutingPolicy(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	policies := map[string]func() GridRoutingPolicy{
+		"round-robin":   GridRoundRobin,
+		"least-backlog": GridLeastBacklog,
+		"lower-bound":   GridLowerBoundAware,
+		"moldability":   GridMoldabilityAware,
+	}
+	for name, policy := range policies {
 		noise, err := UniformRuntimeNoise(0.15, 33)
 		if err != nil {
 			t.Fatal(err)
@@ -249,7 +233,7 @@ func TestFacadeGrid(t *testing.T) {
 				{M: 16},
 				{M: 32, Reservations: []Reservation{{Name: "maint", Procs: 8, Start: 2, End: 10}}},
 			},
-			Routing:      policy,
+			Routing:      policy(),
 			AdmitBacklog: 30,
 		}
 		par, err := RunGridContext(context.Background(), cfg, jobs)
@@ -257,7 +241,7 @@ func TestFacadeGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		seqCfg := cfg
-		seqCfg.Routing, _ = ParseGridRoutingPolicy(name)
+		seqCfg.Routing = policy()
 		seqCfg.Sequential = true
 		seq, err := RunGridContext(context.Background(), seqCfg, jobs)
 		if err != nil {
@@ -270,10 +254,7 @@ func TestFacadeGrid(t *testing.T) {
 			t.Fatalf("%s: unexpected grid metrics %+v", name, par.Metrics)
 		}
 	}
-	if _, err := ParseGridRoutingPolicy("nonsense"); err == nil {
-		t.Fatal("unknown routing policy accepted")
-	}
-	if _, err := NewGrid(GridConfig{}); err == nil {
+	if _, err := RunGridContext(context.Background(), GridConfig{}, jobs); err == nil {
 		t.Fatal("empty grid accepted")
 	}
 }

@@ -383,6 +383,9 @@ func TestAdaptiveBacklogFiresOnWorkOrDelay(t *testing.T) {
 	if _, err := AdaptiveBacklog(0, 10); err == nil {
 		t.Fatal("zero work target accepted")
 	}
+	if _, err := AdaptiveBacklog(10, -1); err == nil {
+		t.Fatal("negative max delay accepted")
+	}
 }
 
 func TestUniformNoiseValidation(t *testing.T) {

@@ -183,36 +183,6 @@ func (p *Plan) ShardWindows(clusterIndex int) []ShardOutage {
 	return out
 }
 
-// Downtime returns the total processor-time lost to the plan's windows
-// clipped to the horizon [0, until): the capacity the faults removed.
-func (p *Plan) Downtime(sizes []int, until float64) float64 {
-	if p == nil {
-		return 0
-	}
-	total := 0.0
-	clip := func(start, end float64) float64 {
-		if end > until {
-			end = until
-		}
-		if start < 0 {
-			start = 0
-		}
-		if end <= start {
-			return 0
-		}
-		return end - start
-	}
-	for _, n := range p.Nodes {
-		total += clip(n.Start, n.End)
-	}
-	for _, s := range p.Shards {
-		if s.Cluster >= 0 && s.Cluster < len(sizes) {
-			total += clip(s.Start, s.End) * float64(sizes[s.Cluster])
-		}
-	}
-	return total
-}
-
 // SuggestHorizon estimates a fault-generation horizon for a job stream
 // from its last submission time and its total minimum work spread over the
 // machine: long enough that failures keep arriving for the whole replay

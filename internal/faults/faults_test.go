@@ -168,25 +168,6 @@ func TestCorrelatedFailuresShareWindows(t *testing.T) {
 	}
 }
 
-func TestDowntime(t *testing.T) {
-	plan := &Plan{
-		Nodes:  []NodeOutage{{Cluster: 0, Proc: 1, Start: 10, End: 20}},
-		Shards: []ShardOutage{{Cluster: 1, Start: 5, End: 15}},
-	}
-	sizes := []int{4, 2}
-	if got := plan.Downtime(sizes, 100); got != 10+2*10 {
-		t.Fatalf("downtime = %g, want 30", got)
-	}
-	// Clipped at the horizon.
-	if got := plan.Downtime(sizes, 15); got != 5+2*10 {
-		t.Fatalf("clipped downtime = %g, want 25", got)
-	}
-	var nilPlan *Plan
-	if nilPlan.Downtime(sizes, 100) != 0 {
-		t.Fatal("nil plan has downtime")
-	}
-}
-
 func TestSuggestHorizon(t *testing.T) {
 	h := SuggestHorizon(50, 320, 16)
 	if h <= 50 {

@@ -209,6 +209,26 @@ func TestRoundRobinCycles(t *testing.T) {
 	}
 }
 
+func TestParsePolicy(t *testing.T) {
+	for name, want := range map[string]string{
+		"round-robin": "round-robin", "rr": "round-robin",
+		"least-backlog": "least-backlog", "backlog": "least-backlog",
+		"lower-bound": "lower-bound", "lb": "lower-bound",
+		"moldability": "moldability", "mold": "moldability",
+	} {
+		p, err := ParsePolicy(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if p.Name() != want {
+			t.Fatalf("%s parsed to %s, want %s", name, p.Name(), want)
+		}
+	}
+	if _, err := ParsePolicy("nonsense"); err == nil {
+		t.Fatal("unknown routing policy accepted")
+	}
+}
+
 func TestRoundRobinSkipsClosedClusters(t *testing.T) {
 	p := RoundRobin()
 	views := []ClusterView{{Index: 0, M: 8}, {Index: 2, M: 8}}

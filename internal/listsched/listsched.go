@@ -11,10 +11,11 @@
 //     which is exactly the algorithm used by the paper's list baselines and
 //     by the DEMT compaction step.
 //
-//   - Insertion: tasks are placed strictly in priority order, each at the
-//     earliest instant at which enough processors are simultaneously idle,
-//     possibly inside holes left by previous placements (conservative
-//     backfilling style). Used for ablation studies of the compaction step.
+//   - InsertionWithReservations: tasks are placed strictly in priority
+//     order, each at the earliest instant at which enough processors are
+//     simultaneously idle, possibly inside holes left by previous
+//     placements or blocked windows (conservative backfilling style). Used
+//     to place plans around node reservations and outages.
 package listsched
 
 import (
@@ -193,17 +194,12 @@ type Busy struct {
 	Start, End float64
 }
 
-// Insertion places the items strictly in list order, each at the earliest
-// feasible start time, filling holes of the partial schedule. The returned
-// schedule carries explicit processor assignments.
-func Insertion(m int, items []Item) (*schedule.Schedule, error) {
-	return InsertionWithReservations(m, nil, items)
-}
-
-// InsertionWithReservations is Insertion on a machine whose processors are
-// partially unavailable: the reservations are blocked out before any item
-// is placed. The returned schedule only contains the items (reservations
-// are not assignments).
+// InsertionWithReservations places the items strictly in list order, each
+// at the earliest feasible start time, filling holes of the partial
+// schedule, on a machine whose processors are partially unavailable: the
+// reservations are blocked out before any item is placed. The returned
+// schedule carries explicit processor assignments and only contains the
+// items (reservations are not assignments).
 func InsertionWithReservations(m int, reservations []Busy, items []Item) (*schedule.Schedule, error) {
 	if err := validateItems(m, items); err != nil {
 		return nil, err

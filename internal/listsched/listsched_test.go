@@ -91,7 +91,7 @@ func TestGrahamEmptyAndErrors(t *testing.T) {
 	if _, err := Graham(2, []Item{{TaskID: 0, NProcs: 1, Duration: 1, Release: -2}}); err == nil {
 		t.Fatalf("negative release must fail")
 	}
-	if _, err := Insertion(2, []Item{{TaskID: 0, NProcs: 3, Duration: 1}}); err == nil {
+	if _, err := InsertionWithReservations(2, nil, []Item{{TaskID: 0, NProcs: 3, Duration: 1}}); err == nil {
 		t.Fatalf("insertion with oversized task must fail")
 	}
 }
@@ -106,7 +106,7 @@ func TestInsertionFillsHoles(t *testing.T) {
 		{TaskID: 2, NProcs: 1, Duration: 3},
 		{TaskID: 3, NProcs: 2, Duration: 1},
 	}
-	s, err := Insertion(2, items)
+	s, err := InsertionWithReservations(2, nil, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestInsertionStrictOrderVsGrahamGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins, err := Insertion(2, items)
+	ins, err := InsertionWithReservations(2, nil, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPropertyInsertionProducesValidSchedules(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		m := 1 + r.Intn(16)
 		items := randomItems(r, m)
-		s, err := Insertion(m, items)
+		s, err := InsertionWithReservations(m, nil, items)
 		if err != nil {
 			return false
 		}

@@ -3,7 +3,6 @@ package moldable
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Instance is a complete scheduling problem: m identical processors and a
@@ -106,15 +105,6 @@ func (in *Instance) TotalMinWork() float64 {
 	return total
 }
 
-// TotalWeight returns the sum of task weights.
-func (in *Instance) TotalWeight() float64 {
-	total := 0.0
-	for i := range in.Tasks {
-		total += in.Tasks[i].Weight
-	}
-	return total
-}
-
 // Clone returns a deep copy of the instance.
 func (in *Instance) Clone() *Instance {
 	cp := &Instance{M: in.M, Tasks: make([]Task, len(in.Tasks))}
@@ -122,15 +112,6 @@ func (in *Instance) Clone() *Instance {
 		cp.Tasks[i] = in.Tasks[i].Clone()
 	}
 	return cp
-}
-
-// SortedByID returns the tasks sorted by increasing ID (a fresh slice; the
-// instance is not modified).
-func (in *Instance) SortedByID() []Task {
-	out := make([]Task, len(in.Tasks))
-	copy(out, in.Tasks)
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
 }
 
 // IsMonotonic reports whether every task of the instance is monotonic.

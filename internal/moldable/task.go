@@ -119,9 +119,6 @@ func (t *Task) MinWorkFitting(d float64) (k int, work float64, ok bool) {
 // Speedup returns the speedup p(1)/p(k) of the task on k processors.
 func (t *Task) Speedup(k int) float64 { return t.SeqTime() / t.Time(k) }
 
-// Efficiency returns the parallel efficiency speedup(k)/k.
-func (t *Task) Efficiency(k int) float64 { return t.Speedup(k) / float64(k) }
-
 // IsMonotonic reports whether the task follows the usual moldable-task
 // monotony assumptions: processing times are non-increasing and work is
 // non-decreasing with the number of processors.

@@ -6,7 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"log/slog"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -164,6 +167,26 @@ func TestCompileRejects(t *testing.T) {
 		var verr *ValidationError
 		if !errors.As(err, &verr) {
 			t.Fatalf("case %d: error is not a *ValidationError: %v", i, err)
+		}
+	}
+}
+
+// TestCompileRejectsNonFiniteTrace pins that an SWF record with a NaN or
+// infinite submit time fails at Compile under arrivals.trace, naming its
+// line, instead of replaying to an infinite makespan or failing at Run.
+func TestCompileRejectsNonFiniteTrace(t *testing.T) {
+	for _, submit := range []string{"Inf", "NaN"} {
+		path := filepath.Join(t.TempDir(), "jobs.swf")
+		swf := "; two jobs\n0 0 0 10 2 -1 -1 2 10 -1 1\n1 " + submit + " 0 10 2 -1 -1 2 10 -1 1\n"
+		if err := os.WriteFile(path, []byte(swf), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := base()
+		s.Arrivals = Arrivals{Trace: path}
+		_, err := Compile(s)
+		var verr *ValidationError
+		if !errors.As(err, &verr) || verr.Field != "arrivals.trace" || !strings.Contains(verr.Msg, "line 3") {
+			t.Fatalf("submit %s: got %v, want a *ValidationError on arrivals.trace naming line 3", submit, err)
 		}
 	}
 }

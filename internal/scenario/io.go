@@ -35,6 +35,13 @@ func ReadScenario(r io.Reader) (Scenario, error) {
 	if s.Version != Version {
 		return Scenario{}, validate.Errorf("version", "unsupported scenario version %d (want %d)", s.Version, Version)
 	}
+	// An empty reservation list is written as an absent one: read both as
+	// nil, so a written scenario reads back deep-equal.
+	for i := range s.Clusters {
+		if len(s.Clusters[i].Reservations) == 0 {
+			s.Clusters[i].Reservations = nil
+		}
+	}
 	s = s.Normalized()
 	if err := s.Validate(); err != nil {
 		return Scenario{}, err

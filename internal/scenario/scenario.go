@@ -456,21 +456,8 @@ func WithArrivals(rate float64, burst int) Option {
 	return func(s *Scenario) { s.Arrivals.Rate, s.Arrivals.Burst = rate, burst }
 }
 
-// WithArrivalLaws selects the inter-arrival and runtime-tail laws.
-func WithArrivalLaws(interarrival string, interarrivalShape float64, runtimeTail string, runtimeTailShape float64) Option {
-	return func(s *Scenario) {
-		s.Arrivals.Interarrival = interarrival
-		s.Arrivals.InterarrivalShape = interarrivalShape
-		s.Arrivals.RuntimeTail = runtimeTail
-		s.Arrivals.RuntimeTailShape = runtimeTailShape
-	}
-}
-
 // WithArrivalFile replays a saved arrival stream instead of generating.
 func WithArrivalFile(path string) Option { return func(s *Scenario) { s.Arrivals.File = path } }
-
-// WithTraceFile replays an SWF trace instead of generating.
-func WithTraceFile(path string) Option { return func(s *Scenario) { s.Arrivals.Trace = path } }
 
 // WithBatchPolicy selects the batching policy and its knobs (pass zeros
 // for the defaults).
@@ -504,16 +491,6 @@ func WithFaults(f Faults) Option { return func(s *Scenario) { s.Faults = &f } }
 
 // WithService attaches a service-pacing section.
 func WithService(svc Service) Option { return func(s *Scenario) { s.Service = &svc } }
-
-// WithTrace renders the run's event stream to path; format is "chrome"
-// (default) or "jsonl".
-func WithTrace(path, format string) Option {
-	return func(s *Scenario) { s.Trace = &TraceSpec{Path: path, Format: format} }
-}
-
-// WithSLO attaches a service-level-objective section: per-job deadlines
-// and tail targets evaluated after every run.
-func WithSLO(spec SLOSpec) Option { return func(s *Scenario) { s.SLO = &spec } }
 
 // Normalized returns a copy with the resolvable defaults filled in: the
 // current version for a zero version and the inferred topology for an

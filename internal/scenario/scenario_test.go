@@ -112,7 +112,10 @@ func TestNewOptions(t *testing.T) {
 		WithReservation(0, 8, 10, 20),
 		WithWorkload("mixed", 50),
 		WithArrivals(3, 2),
-		WithArrivalLaws("lognormal", 1.2, "weibull", 0.7),
+		func(s *Scenario) {
+			s.Arrivals.Interarrival, s.Arrivals.InterarrivalShape = "lognormal", 1.2
+			s.Arrivals.RuntimeTail, s.Arrivals.RuntimeTailShape = "weibull", 0.7
+		},
 		WithBatchPolicy("interval", 40, 0, 0),
 		WithObjective("combined", 0.25),
 		WithRouting("round-robin", 12),

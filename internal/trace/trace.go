@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -103,8 +104,8 @@ func parseRecord(fields []string) (Record, error) {
 	}
 	floatField := func(idx int) (float64, error) {
 		v, err := strconv.ParseFloat(fields[idx], 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad field %d %q", idx, fields[idx])
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Errorf("bad field %d %q: want a finite number", idx, fields[idx])
 		}
 		return v, nil
 	}

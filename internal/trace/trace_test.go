@@ -64,12 +64,16 @@ func TestParseSkipsCommentsAndBlankLines(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"1 2 3",                      // too few fields
-		"x 0 0 10 2 -1 -1 2 10 -1 1", // bad job id
-		"1 y 0 10 2 -1 -1 2 10 -1 1", // bad submit
-		"1 0 0 10 z -1 -1 2 10 -1 1", // bad procs
-		"1 0 0 10 2 -1 -1 q 10 -1 1", // bad reqprocs
-		"1 0 0 10 2 -1 -1 2 10 -1 w", // bad status
+		"1 2 3",                         // too few fields
+		"x 0 0 10 2 -1 -1 2 10 -1 1",    // bad job id
+		"1 y 0 10 2 -1 -1 2 10 -1 1",    // bad submit
+		"1 0 0 10 z -1 -1 2 10 -1 1",    // bad procs
+		"1 0 0 10 2 -1 -1 q 10 -1 1",    // bad reqprocs
+		"1 0 0 10 2 -1 -1 2 10 -1 w",    // bad status
+		"1 NaN 0 10 2 -1 -1 2 10 -1 1",  // non-finite submit
+		"1 0 -Inf 10 2 -1 -1 2 10 -1 1", // non-finite wait
+		"1 0 0 +Inf 2 -1 -1 2 10 -1 1",  // non-finite run
+		"1 0 0 10 2 -1 -1 2 inf -1 1",   // non-finite requested time
 	}
 	for i, c := range cases {
 		if _, err := Parse(strings.NewReader(c)); err == nil {
