@@ -594,8 +594,8 @@ func GridMoldabilityAware() GridRoutingPolicy { return grid.MoldabilityAware() }
 // ---------------------------------------------------------------------------
 
 // ServeConfig drives a live scheduler service: the grid behind it, the
-// wall-clock speedup, rate limiting, admission control, the sharded
-// submission queue, live-state refreshing and snapshots.
+// wall-clock speedup, rate limiting, admission control, live-state
+// refreshing and snapshots.
 type ServeConfig = serve.Config
 
 // ServeServer is a long-running scheduler service: jobs are submitted
@@ -620,8 +620,8 @@ type ServeAccepted = serve.Accepted
 type ServeFinalReport = serve.FinalReport
 
 // NewServeServer validates the configuration, restores a snapshot when
-// one exists, and starts the service (queue collectors, refresher,
-// snapshot writer). Stop it with Drain.
+// one exists, and starts the service (refresher, snapshot writer). Stop
+// it with Drain.
 func NewServeServer(cfg ServeConfig) (*ServeServer, error) { return serve.NewServer(cfg) }
 
 // ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@
 //     bicrit gen -clusters 64 -trace jobs.swf -batch interval -interval 50 -o swf.json
 //
 //   - top: live terminal dashboard polling a running service's
-//     GET /metrics.prom — counter rates, queue depths and histogram
-//     quantiles diffed between scrapes.
+//     GET /metrics.prom — counter rates, gauges and histogram quantiles
+//     diffed between scrapes.
 //
 //     bicrit top -url http://127.0.0.1:8080/metrics.prom
 //

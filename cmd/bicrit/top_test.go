@@ -136,7 +136,6 @@ func TestTopCmdLiveServe(t *testing.T) {
 	for _, want := range []string{
 		"bicrit_serve_submitted_total",
 		"bicrit_serve_jobs",
-		"bicrit_serve_queue_depth",
 		"HISTOGRAMS", "p50", "p99",
 	} {
 		if !strings.Contains(out, want) {

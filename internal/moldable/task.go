@@ -135,13 +135,13 @@ func (t *Task) IsMonotonic() bool {
 }
 
 // Validate checks the structural sanity of the task: a non-empty time
-// vector, strictly positive times and a non-negative weight.
+// vector, strictly positive finite times and a non-negative finite weight.
 func (t *Task) Validate() error {
 	if len(t.Times) == 0 {
 		return fmt.Errorf("moldable: task %d has an empty processing-time vector", t.ID)
 	}
-	if t.Weight < 0 {
-		return fmt.Errorf("moldable: task %d has negative weight %g", t.ID, t.Weight)
+	if math.IsNaN(t.Weight) || math.IsInf(t.Weight, 0) || t.Weight < 0 {
+		return fmt.Errorf("moldable: task %d has invalid weight %g", t.ID, t.Weight)
 	}
 	for k, p := range t.Times {
 		if math.IsNaN(p) || math.IsInf(p, 0) || p <= 0 {

@@ -110,12 +110,14 @@ func TestTaskValidate(t *testing.T) {
 		t.Fatalf("valid task rejected: %v", err)
 	}
 	for name, bad := range map[string]Task{
-		"empty":    {ID: 1, Weight: 1},
-		"negative": {ID: 1, Weight: 1, Times: []float64{-1}},
-		"zero":     {ID: 1, Weight: 1, Times: []float64{0}},
-		"nan":      {ID: 1, Weight: 1, Times: []float64{math.NaN()}},
-		"inf":      {ID: 1, Weight: 1, Times: []float64{math.Inf(1)}},
-		"negw":     {ID: 1, Weight: -2, Times: []float64{1}},
+		"empty":      {ID: 1, Weight: 1},
+		"negative":   {ID: 1, Weight: 1, Times: []float64{-1}},
+		"zero":       {ID: 1, Weight: 1, Times: []float64{0}},
+		"nan":        {ID: 1, Weight: 1, Times: []float64{math.NaN()}},
+		"inf":        {ID: 1, Weight: 1, Times: []float64{math.Inf(1)}},
+		"negw":       {ID: 1, Weight: -2, Times: []float64{1}},
+		"nan weight": {ID: 1, Weight: math.NaN(), Times: []float64{1}},
+		"inf weight": {ID: 1, Weight: math.Inf(1), Times: []float64{1}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("task %q should be invalid", name)

@@ -232,8 +232,6 @@ func ServeConfig(s Scenario) (serve.Config, error) {
 		cfg.SubmitRate = svc.SubmitRate
 		cfg.SubmitBurst = svc.SubmitBurst
 		cfg.AdmitBacklog = svc.AdmitBacklog
-		cfg.QueueShards = svc.QueueShards
-		cfg.QueueDepth = svc.QueueDepth
 		cfg.RefreshInterval = time.Duration(svc.RefreshSeconds * float64(time.Second))
 		cfg.SnapshotPath = svc.SnapshotPath
 		cfg.SnapshotInterval = time.Duration(svc.SnapshotSeconds * float64(time.Second))

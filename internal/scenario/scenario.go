@@ -216,9 +216,13 @@ type Service struct {
 	// AdmitBacklog rejects submissions (429) above this service-wide
 	// virtual per-processor backlog; zero disables the check.
 	AdmitBacklog float64 `json:"admit_backlog,omitempty"`
-	// QueueShards and QueueDepth shape the sharded submission queue.
+	// QueueShards and QueueDepth shaped a submission queue the service
+	// no longer has; negative values are still rejected.
+	//
+	// Deprecated: accepted and ignored.
 	QueueShards int `json:"queue_shards,omitempty"`
-	QueueDepth  int `json:"queue_depth,omitempty"`
+	// Deprecated: accepted and ignored.
+	QueueDepth int `json:"queue_depth,omitempty"`
 	// RefreshSeconds is the live-state refresh period in wall seconds;
 	// zero means the serve default (1s).
 	RefreshSeconds float64 `json:"refresh_seconds,omitempty"`

@@ -59,9 +59,6 @@ type MetricsResponse struct {
 	// JobStates counts the admitted jobs per lifecycle state, as of the
 	// last refresh.
 	JobStates map[string]int `json:"job_states"`
-	// QueueDepths is the instantaneous occupancy of every submission
-	// queue shard.
-	QueueDepths []int `json:"queue_depths"`
 	// Grid is the grid-wide aggregate of the latest stream replay (the
 	// refresher's, or the final one after drain); GridVirtualTime is the
 	// virtual time that replay was evaluated at.
@@ -119,6 +116,18 @@ const (
 	stretchHistLo, stretchHistHi, stretchHistBuckets = 1, 1e4, 40
 	waitHistLo, waitHistHi, waitHistBuckets          = 1e-2, 1e6, 40
 )
+
+// doneHistograms builds the /metrics distributions over the completed
+// jobs: stretch, and wait floored at the histogram's lower bound.
+func (s *Server) doneHistograms() (stretch, wait *stats.Histogram) {
+	stretch, _ = stats.NewHistogram(stretchHistLo, stretchHistHi, stretchHistBuckets)
+	wait, _ = stats.NewHistogram(waitHistLo, waitHistHi, waitHistBuckets)
+	s.reg.eachDone(func(j JobStatus) {
+		stretch.Observe(j.Stretch)
+		wait.Observe(max(j.Wait, waitHistLo))
+	})
+	return stretch, wait
+}
 
 // Handler returns the HTTP API of the service:
 //
@@ -394,17 +403,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	stretchHist, _ := stats.NewHistogram(stretchHistLo, stretchHistHi, stretchHistBuckets)
-	waitHist, _ := stats.NewHistogram(waitHistLo, waitHistHi, waitHistBuckets)
-	s.reg.eachDone(func(j JobStatus) {
-		stretchHist.Observe(j.Stretch)
-		wait := j.Wait
-		if wait < waitHistLo {
-			wait = waitHistLo
-		}
-		waitHist.Observe(wait)
-	})
-
+	stretchHist, waitHist := s.doneHistograms()
 	resp := MetricsResponse{
 		VirtualNow:       s.Now(),
 		Speedup:          s.cfg.Speedup,
@@ -412,12 +411,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		State:            s.state(),
 		Counters:         s.CountersSnapshot(),
 		JobStates:        s.reg.stateCounts(),
-		QueueDepths:      make([]int, len(s.shards)),
 		StretchHistogram: stretchHist.Snapshot(),
 		WaitHistogram:    waitHist.Snapshot(),
-	}
-	for i, ch := range s.shards {
-		resp.QueueDepths[i] = len(ch)
 	}
 	s.liveMu.RLock()
 	resp.Grid = s.live
@@ -482,12 +477,4 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
-}
-
-// ListenAndServe starts the HTTP API on addr and blocks until the server
-// errors, like http.ListenAndServe. Most callers build their own
-// http.Server around Handler instead; this is the convenience entry point.
-func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{Addr: addr, Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	return srv.ListenAndServe()
 }

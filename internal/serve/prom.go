@@ -4,11 +4,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 
 	"bicriteria/internal/buildinfo"
 	"bicriteria/internal/obs"
-	"bicriteria/internal/stats"
 )
 
 // registerServiceMetrics registers the series the background loops feed,
@@ -26,9 +24,9 @@ func (s *Server) registerServiceMetrics() {
 // syncProm mirrors the server's live state into the obs registry right
 // before a scrape. The timing histograms (portfolio, batch planning,
 // routing) are fed directly by the federation; everything the server
-// keeps under its own mutexes — admission counters, job states, queue
-// depths, the stretch/wait distributions recomputed over the done jobs —
-// is pinned here, so a scrape always reflects the same state the JSON
+// keeps under its own mutexes — admission counters, job states, the
+// stretch/wait distributions recomputed over the done jobs — is pinned
+// here, so a scrape always reflects the same state the JSON
 // /metrics endpoint reports.
 func (s *Server) syncProm() {
 	r := s.obs
@@ -58,7 +56,6 @@ func (s *Server) syncProm() {
 	}
 	rej("rate-limit", c.RejectedRate)
 	rej("backlog", c.RejectedBacklog)
-	rej("queue-full", c.RejectedQueue)
 
 	for state, n := range s.reg.stateCounts() {
 		// Each state writes its own gauge and Set calls commute; the obs
@@ -68,21 +65,8 @@ func (s *Server) syncProm() {
 		r.Gauge("bicrit_serve_jobs", "Admitted jobs by lifecycle state.",
 			obs.L("state", state)).Set(float64(n))
 	}
-	for i, ch := range s.shards {
-		r.Gauge("bicrit_serve_queue_depth", "Occupancy of each submission queue shard.",
-			obs.L("shard", strconv.Itoa(i))).Set(float64(len(ch)))
-	}
 
-	stretchHist, _ := stats.NewHistogram(stretchHistLo, stretchHistHi, stretchHistBuckets)
-	waitHist, _ := stats.NewHistogram(waitHistLo, waitHistHi, waitHistBuckets)
-	s.reg.eachDone(func(j JobStatus) {
-		stretchHist.Observe(j.Stretch)
-		wait := j.Wait
-		if wait < waitHistLo {
-			wait = waitHistLo
-		}
-		waitHist.Observe(wait)
-	})
+	stretchHist, waitHist := s.doneHistograms()
 	r.Histogram("bicrit_serve_stretch", "Per-job stretch of the completed jobs.",
 		obs.LogBuckets(stretchHistLo, stretchHistHi, stretchHistBuckets)).
 		SetFrom(stretchHist.Snapshot(), stretchHist.Sum())

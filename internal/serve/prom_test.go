@@ -27,7 +27,6 @@ var promNames = []string{
 	"bicrit_serve_restored_total",
 	"bicrit_serve_rejected_total",
 	"bicrit_serve_jobs",
-	"bicrit_serve_queue_depth",
 	"bicrit_serve_stretch",
 	"bicrit_serve_wait_virtual_seconds",
 	"bicrit_serve_refresh_seconds",

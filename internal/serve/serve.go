@@ -10,11 +10,12 @@
 //     milliseconds). Every accepted submission is stamped with the virtual
 //     time of its arrival — the release date the replay machinery needs.
 //   - Admission control guards the front door: a token-bucket rate limit
-//     (wall-clock jobs per second), a virtual-backlog limit (the same
+//     (wall-clock jobs per second) and a virtual-backlog limit (the same
 //     per-processor backlog clock the grid router uses, measured against
-//     the whole federation), and a sharded, bounded submission queue.
-//     Every rejection says how long to back off, which the HTTP layer
-//     turns into 429 + Retry-After.
+//     the whole federation). Every rejection says how long to back off,
+//     which the HTTP layer turns into 429 + Retry-After. An admitted job
+//     is appended to the accepted stream — the paper's front-end queue —
+//     under the same lock that stamps its release.
 //   - A job registry tracks every admitted job through
 //     queued → batched → scheduled → running → done, with per-job stretch
 //     and bounded slowdown on completion.
@@ -22,7 +23,7 @@
 //     grid.Session. Every later submission carries a later release date,
 //     so batches fired before the current virtual time are final (the
 //     prefix argument of grid.Session and cluster.Session). Each tick
-//     feeds only the jobs collected since the last one, advances the
+//     feeds only the jobs admitted since the last one, advances the
 //     session to the virtual now, folds the newly committed routing
 //     decisions and batches — plus the placements and kills of earlier
 //     batches the clock has now passed — into the registry, and appends
@@ -32,7 +33,7 @@
 //   - Periodic JSON snapshots checkpoint the accepted stream and the
 //     virtual clock; a restarted server restores them and resumes where
 //     the old process stopped.
-//   - Graceful drain stops admissions, flushes the submission queues,
+//   - Graceful drain stops admissions, feeds the rest of the stream,
 //     finishes the trusted session and emits the final grid report — by
 //     construction identical to an offline grid run of the same stream.
 //
@@ -51,7 +52,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -67,10 +67,6 @@ import (
 
 // Defaults of the optional Config knobs.
 const (
-	// DefaultQueueShards is the number of submission queue shards.
-	DefaultQueueShards = 4
-	// DefaultQueueDepth is the per-shard submission queue capacity.
-	DefaultQueueDepth = 256
 	// DefaultRefreshInterval is the period of the live-state refresher.
 	DefaultRefreshInterval = time.Second
 	// DefaultSnapshotInterval is the period of the snapshot writer.
@@ -80,10 +76,10 @@ const (
 // Config drives a scheduler service.
 type Config struct {
 	// Grid configures the federation behind the service exactly like an
-	// offline grid replay: cluster shards, routing policy, dispatch queue
-	// depth, router-level admission steering. OnDecision and OnBatch are
-	// forced to nil: the service feeds its own registry and flight
-	// recorder. A single-cluster service is a grid with one shard.
+	// offline grid replay: cluster shards, routing policy, router-level
+	// admission steering, faults. OnDecision and OnBatch are forced to
+	// nil: the service feeds its own registry and flight recorder. A
+	// single-cluster service is a grid with one shard.
 	Grid grid.Config
 	// Speedup is the number of virtual time units per wall-clock second.
 	// Zero means 1 (real time); tests use large values to compress load.
@@ -99,11 +95,6 @@ type Config struct {
 	// grid router's own AdmitBacklog steers between shards and never
 	// rejects.
 	AdmitBacklog float64
-	// QueueShards and QueueDepth shape the sharded bounded submission
-	// queue. A full shard rejects with Retry-After (backpressure). Zeros
-	// mean the defaults.
-	QueueShards int
-	QueueDepth  int
 	// RefreshInterval is the period of the live-state refresher; zero
 	// means DefaultRefreshInterval, negative disables periodic refreshes
 	// (tests drive refreshes explicitly; drain still finalizes states).
@@ -143,18 +134,16 @@ type Counters struct {
 	Submitted int `json:"submitted"`
 	// Restored counts the subset of Submitted that came from a snapshot.
 	Restored int `json:"restored,omitempty"`
-	// RejectedRate, RejectedBacklog and RejectedQueue count submissions
-	// refused by the token bucket, the virtual-backlog limit and a full
-	// queue shard.
+	// RejectedRate and RejectedBacklog count submissions refused by the
+	// token bucket and the virtual-backlog limit.
 	RejectedRate    int `json:"rejected_rate_limit"`
 	RejectedBacklog int `json:"rejected_backlog"`
-	RejectedQueue   int `json:"rejected_queue_full"`
 }
 
 // Rejection is the typed refusal of a submission: why, and how long the
 // client should back off before retrying.
 type Rejection struct {
-	// Reason is "rate-limit", "backlog", "queue-full" or "draining".
+	// Reason is "rate-limit", "backlog" or "draining".
 	Reason string
 	// RetryAfter is the suggested wall-clock back-off; zero for
 	// "draining", which never clears.
@@ -207,23 +196,15 @@ type Server struct {
 	reg        *registry
 
 	// mu guards the admission state: the token bucket, the virtual
-	// backlog clock, the counters, the draining flag, the accepted stream
-	// and the per-shard queue counts. Admission is a short serialized
-	// section; the expensive work (replays) happens outside it.
+	// backlog clock, the counters, the draining flag and the accepted
+	// stream. Admission is a short serialized section; the expensive work
+	// (replays) happens outside it.
 	mu       sync.Mutex
 	bucket   *tokenBucket
 	ready    float64
 	counters Counters
 	draining bool
 	stream   []cluster.Job
-	// sent[k] counts the jobs Submit put on queue shard k, collected[k]
-	// those its collector has appended to the stream. A shard queue is
-	// FIFO, so once collected[k] reaches a past value of sent[k], every job
-	// sent to shard k before that value was read is in the stream.
-	sent, collected []int
-
-	shards      []chan cluster.Job
-	collectorWG sync.WaitGroup
 
 	// runMu serializes the refresher and the drain, the users of the
 	// trusted session and of everything folded from it below.
@@ -242,7 +223,7 @@ type Server struct {
 	trustedTo   float64
 	refreshErr  error
 	snapshotErr error
-	// flightRec collects the flight events of everything sess has
+	// flightRec holds the flight events of everything sess has
 	// committed, flightTail the provisional events of the latest refresh's
 	// fork; flightAt is the virtual time the prefix is trusted up to (-Inf
 	// before the first refresh, +Inf after the drain). GET
@@ -281,9 +262,9 @@ type Server struct {
 }
 
 // NewServer validates the configuration, builds the federation, restores
-// a snapshot when one exists, and starts the background loops (queue
-// collectors, live-state refresher, snapshot writer). The server is live
-// when NewServer returns; stop it with Drain.
+// a snapshot when one exists, and starts the background loops (live-state
+// refresher, snapshot writer). The server is live when NewServer returns;
+// stop it with Drain.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Speedup < 0 || math.IsNaN(cfg.Speedup) || math.IsInf(cfg.Speedup, 0) {
 		return nil, validate.Errorf("speedup", "speedup must be non-negative and finite, got %g", cfg.Speedup)
@@ -296,18 +277,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.AdmitBacklog < 0 || math.IsNaN(cfg.AdmitBacklog) || math.IsInf(cfg.AdmitBacklog, 0) {
 		return nil, validate.Errorf("admit_backlog", "admission backlog limit must be non-negative and finite, got %g", cfg.AdmitBacklog)
-	}
-	if cfg.QueueShards < 0 {
-		return nil, validate.Errorf("queue_shards", "queue shards must be non-negative, got %d", cfg.QueueShards)
-	}
-	if cfg.QueueDepth < 0 {
-		return nil, validate.Errorf("queue_depth", "queue depth must be non-negative, got %d", cfg.QueueDepth)
-	}
-	if cfg.QueueShards == 0 {
-		cfg.QueueShards = DefaultQueueShards
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = DefaultQueueDepth
 	}
 	if cfg.RefreshInterval == 0 {
 		cfg.RefreshInterval = DefaultRefreshInterval
@@ -377,15 +346,6 @@ func NewServer(cfg Config) (*Server, error) {
 		s.bucket = newTokenBucket(cfg.SubmitRate, burst, s.started)
 	}
 
-	s.shards = make([]chan cluster.Job, cfg.QueueShards)
-	s.sent = make([]int, cfg.QueueShards)
-	s.collected = make([]int, cfg.QueueShards)
-	hook := testHookCollect
-	for i := range s.shards {
-		s.shards[i] = make(chan cluster.Job, cfg.QueueDepth)
-		s.collectorWG.Add(1)
-		go s.collect(i, hook)
-	}
 	if cfg.RefreshInterval > 0 {
 		s.loopWG.Add(1)
 		go s.refreshLoop(cfg.RefreshInterval)
@@ -417,10 +377,10 @@ func minWork(t moldable.Task) float64 {
 }
 
 // Submit admits one job: validation, duplicate check, token bucket,
-// virtual-backlog limit, then the sharded bounded queue, in that order.
-// Refusals are a *Rejection (back-off) or a *DuplicateError; validation
-// failures are plain errors. The returned Accepted carries the virtual
-// release date the pacer stamped.
+// virtual-backlog limit, in that order; an admitted job joins the accepted
+// stream. Refusals are a *Rejection (back-off) or a *DuplicateError;
+// validation failures are plain errors. The returned Accepted carries the
+// virtual release date the pacer stamped.
 func (s *Server) Submit(task moldable.Task) (Accepted, error) {
 	if err := task.Validate(); err != nil {
 		return Accepted{}, err
@@ -430,9 +390,10 @@ func (s *Server) Submit(task moldable.Task) (Accepted, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The clock is read under the admission mutex, so release dates are
-	// non-decreasing in admission order — the property the refresher's
-	// prefix rule builds on.
+	// The clock is read, and the job appended to the stream, under the
+	// admission mutex, so release dates are non-decreasing in stream order
+	// and every job stamped before a capture's clock read is in its copy —
+	// the properties the refresher's prefix rule builds on.
 	now := s.pacer.wall()
 	if s.draining {
 		s.logger.Warn("submission rejected", "job", task.ID, "reason", "draining")
@@ -458,21 +419,7 @@ func (s *Server) Submit(task moldable.Task) (Accepted, error) {
 			return Accepted{}, &Rejection{Reason: "backlog", RetryAfter: retry}
 		}
 	}
-	k := shardOf(task.ID, len(s.shards))
-	select {
-	case s.shards[k] <- cluster.Job{Task: task, Release: vnow}:
-		s.sent[k]++
-	default:
-		s.counters.RejectedQueue++
-		// A full shard clears as fast as the collector drains it, which is
-		// quick; suggest a backlog-scaled wait with a small floor.
-		retry := s.pacer.realDuration(1)
-		if retry < 10*time.Millisecond {
-			retry = 10 * time.Millisecond
-		}
-		s.logger.Warn("submission rejected", "job", task.ID, "reason", "queue-full", "retry_after", retry)
-		return Accepted{}, &Rejection{Reason: "queue-full", RetryAfter: retry}
-	}
+	s.stream = append(s.stream, cluster.Job{Task: task, Release: vnow})
 	if s.ready < vnow {
 		s.ready = vnow
 	}
@@ -480,31 +427,6 @@ func (s *Server) Submit(task moldable.Task) (Accepted, error) {
 	s.counters.Submitted++
 	s.reg.add(task.ID, task.Name, task.Weight, vnow, pmin)
 	return Accepted{ID: task.ID, Release: vnow}, nil
-}
-
-// shardOf spreads job IDs over the queue shards.
-func shardOf(id, shards int) int {
-	h := uint64(id) * 0x9E3779B97F4A7C15
-	return int(h % uint64(shards))
-}
-
-// testHookCollect, when set as NewServer runs, is called by the server's
-// queue collectors between taking a job off shard k and appending it to
-// the stream: tests hold a collector back with it.
-var testHookCollect func(k int)
-
-// collect drains queue shard k into the accepted stream.
-func (s *Server) collect(k int, hook func(int)) {
-	defer s.collectorWG.Done()
-	for j := range s.shards[k] {
-		if hook != nil {
-			hook(k)
-		}
-		s.mu.Lock()
-		s.stream = append(s.stream, j)
-		s.collected[k]++
-		s.mu.Unlock()
-	}
 }
 
 // Status returns the live status of a submitted job.
@@ -553,7 +475,7 @@ func (s *Server) refreshLoop(every time.Duration) {
 }
 
 // refresh brings the live state up to the virtual time vnow of its
-// capture: it feeds the trusted session the jobs collected since the last
+// capture: it feeds the trusted session the jobs admitted since the last
 // refresh and advances it to vnow — every batch that fires is final, by
 // the prefix argument of grid.Session, since every later submission is
 // released at or after vnow — then folds what the session committed into
@@ -591,38 +513,13 @@ func (s *Server) refresh() error {
 }
 
 // capture copies the accepted stream from index from on, together with
-// the virtual time of the capture. The virtual time is read first, under
-// the admission mutex, with every shard's sent count; the copy is then
-// delayed until each shard's collector has caught up with its count, so
-// every job admitted — and stamped — before the read is in the copy and a
-// refresh never advances past a job still sitting in a shard queue. (A
-// total count would not do: a job admitted after the read and collected
-// off another shard can stand in for one still queued.) Collectors only
-// ever hold the mutex to append, so the catch-up wait is microseconds; if
-// it ever exceeds its bound, the capture returns a -Inf virtual time, at
-// which the refresh trusts nothing new.
+// the virtual time of the capture, both under the admission mutex: every
+// job stamped before the clock read is in the copy, and every job admitted
+// after it is released at or after the returned time.
 func (s *Server) capture(from int) ([]cluster.Job, float64) {
 	s.mu.Lock()
-	vnow := s.pacer.now()
-	sent := slices.Clone(s.sent)
-	s.mu.Unlock()
-	for i := 0; ; i++ {
-		s.mu.Lock()
-		caughtUp := true
-		for k, n := range sent {
-			caughtUp = caughtUp && s.collected[k] >= n
-		}
-		if caughtUp || i >= 200 {
-			jobs := append([]cluster.Job(nil), s.stream[from:]...)
-			s.mu.Unlock()
-			if !caughtUp {
-				vnow = math.Inf(-1)
-			}
-			return jobs, vnow
-		}
-		s.mu.Unlock()
-		time.Sleep(100 * time.Microsecond)
-	}
+	defer s.mu.Unlock()
+	return append([]cluster.Job(nil), s.stream[from:]...), s.pacer.now()
 }
 
 // eps is the shared floating-point tolerance of the scheduling library.
@@ -659,8 +556,7 @@ func newFolded(shards int) folded {
 // publish folds a committed report into the live state and serves it:
 // tr is the trusted session's committed report and prov the provisional
 // report of a fork finished from it — or, at the drain, tr is the final
-// report and prov nil, and everything is a fact. A -Inf vnow (a lagging
-// capture) trusts nothing new.
+// report and prov nil, and everything is a fact.
 func (s *Server) publish(tr, prov *grid.Report, vnow float64) {
 	live, at := tr.Metrics, math.Inf(1)
 	var tail *flight.Recorder
@@ -668,10 +564,8 @@ func (s *Server) publish(tr, prov *grid.Report, vnow float64) {
 		live, at, tail = prov.Metrics, vnow, tailRecorder(tr, prov)
 	}
 	s.liveMu.Lock()
-	if !math.IsInf(vnow, -1) {
-		s.fold(tr, prov, vnow)
-		s.liveAt, s.trustedTo = vnow, at
-	}
+	s.fold(tr, prov, vnow)
+	s.liveAt, s.trustedTo = vnow, at
 	s.flightTail, s.flightAt = tail, at
 	s.live = &live
 	s.liveMu.Unlock()
@@ -800,8 +694,7 @@ func (s *Server) stopLoops() {
 
 // Drain gracefully stops the service: admissions close (further submits
 // are rejected with "draining"), the background loops stop, the
-// submission queues flush, the trusted session takes the rest of the
-// stream and finishes, every job is finalized in the registry, a final
+// trusted session takes the rest of the stream and finishes, every job is finalized in the registry, a final
 // snapshot is written when snapshots are configured, and the grid report
 // comes back. Drain is idempotent; later calls return the same report.
 func (s *Server) Drain() (*FinalReport, error) {
@@ -811,18 +704,11 @@ func (s *Server) Drain() (*FinalReport, error) {
 		s.draining = true
 		s.mu.Unlock()
 		s.stopLoops()
-		for _, ch := range s.shards {
-			close(ch)
-		}
-		s.collectorWG.Wait()
 
 		s.runMu.Lock()
 		defer s.runMu.Unlock()
-		vnow := s.pacer.now()
-		s.mu.Lock()
-		rest := append([]cluster.Job(nil), s.stream[s.streamFed:]...)
-		jobs := len(s.stream)
-		s.mu.Unlock()
+		rest, vnow := s.capture(s.streamFed)
+		jobs := s.streamFed + len(rest)
 		err := s.sess.Feed(rest...)
 		var rep *grid.Report
 		if err == nil {

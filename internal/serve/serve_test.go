@@ -394,7 +394,6 @@ func TestNewServerValidatesConfig(t *testing.T) {
 		{Grid: gridConfig(), Speedup: math.NaN()},
 		{Grid: gridConfig(), SubmitRate: -2},
 		{Grid: gridConfig(), AdmitBacklog: math.Inf(1)},
-		{Grid: gridConfig(), QueueShards: -1},
 		{Grid: grid.Config{}}, // no clusters
 	}
 	for i, cfg := range bad {

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -199,11 +198,6 @@ func TestRefreshMatchesFullReplay(t *testing.T) {
 		case 2:
 			clock.advance(2 * time.Second)
 		}
-		// Let the queue collectors catch up without sleeping, so the
-		// capture never has to wait.
-		for s.streamLen() < len(accepted) {
-			runtime.Gosched()
-		}
 		vnow := s.Now()
 		if err := s.refresh(); err != nil {
 			t.Fatal(err)
@@ -245,38 +239,18 @@ func TestRefreshMatchesFullReplay(t *testing.T) {
 	}
 }
 
-// TestRefreshWaitsForEveryQueueShard is the regression test of the
-// capture's catch-up check. A refresh reads the virtual clock while job A
-// is still held by its shard's collector; job B, admitted after the read,
-// is collected off the other shard meanwhile. Counting B in place of A
-// would advance the session past A's release, and every later refresh
-// and the drain would refuse A. The refresh must trust nothing new
-// instead, and the next refresh and the drain must take A.
-func TestRefreshWaitsForEveryQueueShard(t *testing.T) {
-	a, b := 0, 1
-	for shardOf(a, 2) != 0 {
-		a++
-	}
-	for shardOf(b, 2) != 1 {
-		b++
-	}
-	held, release := make(chan struct{}), make(chan struct{})
-	var hold sync.Once
-	testHookCollect = func(k int) {
-		if k == 0 {
-			hold.Do(func() {
-				close(held)
-				<-release
-			})
-		}
-	}
-	defer func() { testHookCollect = nil }() // NewServer took its copy
+// TestAdmissionDuringCaptureJoinsNextRefresh pins the capture's prefix
+// rule. Job A is admitted before a refresh reads the virtual clock; job B
+// is submitted right after the read, while the capture still holds the
+// admission lock. The refresh must take A and not B, which is released at
+// or after the capture's time; the next refresh must take B, and the
+// drain must equal the offline replay of both.
+func TestAdmissionDuringCaptureJoinsNextRefresh(t *testing.T) {
 	// The clock closes read the first time it is read after arming, which
 	// here is the refresh's capture of the virtual now.
 	var armMu sync.Mutex
 	var read chan struct{}
 	s, clock := newTestServer(t, func(c *Config) {
-		c.QueueShards = 2
 		inner := c.Clock
 		c.Clock = func() time.Time {
 			armMu.Lock()
@@ -289,11 +263,10 @@ func TestRefreshWaitsForEveryQueueShard(t *testing.T) {
 		}
 	})
 
-	accA, err := s.Submit(seqTask(a, 3))
+	accA, err := s.Submit(seqTask(0, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-held
 	clock.advance(10 * time.Second)
 	armMu.Lock()
 	read = make(chan struct{})
@@ -302,22 +275,21 @@ func TestRefreshWaitsForEveryQueueShard(t *testing.T) {
 	done := make(chan error)
 	go func() { done <- s.refresh() }()
 	<-captured
-	accB, err := s.Submit(seqTask(b, 3))
+	accB, err := s.Submit(seqTask(1, 3))
 	if err != nil {
 		t.Fatal(err)
-	}
-	for s.streamLen() < 1 {
-		runtime.Gosched()
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	close(release)
-	for s.streamLen() < 2 {
-		runtime.Gosched()
+	if s.streamFed != 1 {
+		t.Fatalf("the refresh took %d jobs, want only the one admitted before its clock read", s.streamFed)
 	}
 	if err := s.refresh(); err != nil {
-		t.Fatalf("the refresh after the held job was collected: %v", err)
+		t.Fatalf("the refresh after the later admission: %v", err)
+	}
+	if s.streamFed != 2 {
+		t.Fatalf("the next refresh left the stream fed to %d jobs, want 2", s.streamFed)
 	}
 	final, err := s.Drain()
 	if err != nil {
@@ -328,8 +300,8 @@ func TestRefreshWaitsForEveryQueueShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := ref.RunContext(context.Background(), []cluster.Job{
-		{Task: seqTask(a, 3), Release: accA.Release},
-		{Task: seqTask(b, 3), Release: accB.Release},
+		{Task: seqTask(0, 3), Release: accA.Release},
+		{Task: seqTask(1, 3), Release: accB.Release},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -44,28 +44,22 @@ const snapshotVersion = 1
 // atomically (write to a temp file in the same directory, then rename).
 func (s *Server) writeSnapshot() error {
 	start := time.Now()
-	// capture waits for the queue collectors to catch up with every
-	// admission, so the checkpoint never misses a job still in flight
-	// between the front door and the stream.
-	jobs, _ := s.capture(0)
+	// The stream, the counters and the clock are read as one, so the
+	// counters and the virtual clock match the checkpointed jobs.
 	s.mu.Lock()
 	snap := snapshotFile{
 		Version:    snapshotVersion,
 		VirtualNow: s.pacer.now(),
 		Counters:   s.counters,
-		Jobs:       make([]snapshotJob, len(jobs)),
+		Jobs:       make([]snapshotJob, len(s.stream)),
 	}
-	s.mu.Unlock()
-	// An admission may land between the capture and the counters read:
-	// pin Submitted to the jobs actually checkpointed, so a restored
-	// server's count matches its stream.
-	snap.Counters.Submitted = len(jobs)
-	for i, j := range jobs {
+	for i, j := range s.stream {
 		snap.Jobs[i] = snapshotJob{
 			ID: j.Task.ID, Name: j.Task.Name, Weight: j.Task.Weight,
 			Times: j.Task.Times, Release: j.Release,
 		}
 	}
+	s.mu.Unlock()
 	s.liveMu.RLock()
 	snap.Drained = s.final != nil
 	s.liveMu.RUnlock()
@@ -95,7 +89,7 @@ func (s *Server) writeSnapshot() error {
 	s.lastSnapshot = s.pacer.wall()
 	s.liveMu.Unlock()
 	s.snapshotSeconds.Observe(time.Since(start).Seconds())
-	s.logger.Debug("snapshot written", "path", s.cfg.SnapshotPath, "jobs", len(jobs))
+	s.logger.Debug("snapshot written", "path", s.cfg.SnapshotPath, "jobs", len(snap.Jobs))
 	return nil
 }
 
