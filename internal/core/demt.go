@@ -239,14 +239,11 @@ func run(ctx context.Context, inst *moldable.Instance, opts Options) (*Result, e
 	if res.K < 0 {
 		res.K = 0
 	}
-	// batchLength(j) = t_j = C*max / 2^(K-j); it doubles with j and keeps
-	// doubling past K for the termination extension.
+	// batchLength(j) = t_j = C*max / 2^(K-j) is both the start of batch j
+	// and its length; it doubles with j and keeps doubling past K for the
+	// termination extension.
 	batchLength := func(j int) float64 {
-		return res.CmaxEstimate * math.Pow(2, float64(j-res.K))
-	}
-	batchStart := func(j int) float64 {
-		// t_j is both the start of batch j and its length.
-		return batchLength(j)
+		return math.Ldexp(res.CmaxEstimate, j-res.K)
 	}
 
 	// Step 3: batch construction.
@@ -265,7 +262,7 @@ func run(ctx context.Context, inst *moldable.Instance, opts Options) (*Result, e
 				return fmt.Errorf("core: batch construction did not terminate after %d batches", j)
 			}
 			length := batchLength(j)
-			batch := buildBatch(inst, remaining, j, batchStart(j), length, opts.Selection)
+			batch := buildBatch(inst, remaining, j, length, length, opts.Selection)
 			if batch == nil {
 				continue
 			}

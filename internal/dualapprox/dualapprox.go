@@ -27,7 +27,6 @@
 package dualapprox
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -448,7 +447,3 @@ func classifyShelves(inst *moldable.Instance, lambda float64, res *Result) {
 	sort.Ints(res.Shelf2)
 	sort.Ints(res.Small)
 }
-
-// ErrInfeasible is returned when an instance cannot be scheduled at all
-// (should not happen for validated instances).
-var ErrInfeasible = fmt.Errorf("dualapprox: no feasible schedule found")

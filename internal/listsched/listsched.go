@@ -9,7 +9,10 @@
 //     processors are started. A task may be overtaken by a lower-priority
 //     task that fits when it does not ("greedy / backfilling" behaviour),
 //     which is exactly the algorithm used by the paper's list baselines and
-//     by the DEMT compaction step.
+//     by the DEMT compaction step. The loop keeps a bitset of idle
+//     processors, a min-heap of running tasks keyed by end time and a
+//     linked list of the unplaced tasks in list order, so an event costs
+//     O(log n) per completion plus the unplaced tasks it scans.
 //
 //   - InsertionWithReservations: tasks are placed strictly in priority
 //     order, each at the earliest instant at which enough processors are
@@ -22,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"bicriteria/internal/moldable"
@@ -52,8 +56,8 @@ func validateItems(m int, items []Item) error {
 		if it.Duration <= 0 || math.IsNaN(it.Duration) || math.IsInf(it.Duration, 0) {
 			return fmt.Errorf("listsched: item %d has invalid duration %g", it.TaskID, it.Duration)
 		}
-		if it.Release < 0 {
-			return fmt.Errorf("listsched: item %d has negative release date %g", it.TaskID, it.Release)
+		if it.Release < 0 || math.IsNaN(it.Release) || math.IsInf(it.Release, 0) {
+			return fmt.Errorf("listsched: item %d has invalid release date %g", it.TaskID, it.Release)
 		}
 	}
 	return nil
@@ -69,24 +73,45 @@ func Graham(m int, items []Item) (*schedule.Schedule, error) {
 // every event time of the list loop, so a racing portfolio can abort a
 // straggling member mid-schedule. A cancellation returns the context's
 // error (errors.Is(err, ctx.Err()) holds).
+//
+// The loop jumps from event to event over three structures: a bitset of
+// the idle processors, handed out lowest index first; a min-heap of the
+// started items keyed by end time, whose top is the next completion; and
+// a linked list of the unplaced items in list order, the only items a
+// placement pass or the release-date scan visits. An event costs O(log n)
+// per completion plus the unplaced items it scans.
 func GrahamContext(ctx context.Context, m int, items []Item) (*schedule.Schedule, error) {
 	if err := validateItems(m, items); err != nil {
 		return nil, err
 	}
 	sched := schedule.New(m)
-	if len(items) == 0 {
+	n := len(items)
+	if n == 0 {
 		return sched, nil
 	}
-	sched.Assignments = make([]schedule.Assignment, 0, len(items))
+	sched.Assignments = make([]schedule.Assignment, 0, n)
 
-	freeAt := make([]float64, m)
-	done := make([]bool, len(items))
-	remaining := len(items)
-	// first is the first unplaced item; idle is the buffer every event's
-	// free-processor list is built in; procs backs every assignment's
-	// processor list, each a capacity-clipped window of it.
-	first := 0
-	idle := make([]int, 0, m)
+	// idle has bit p set while processor p is idle; nIdle counts its bits.
+	idle := make([]uint64, (m+63)/64)
+	for w := range idle {
+		idle[w] = ^uint64(0)
+	}
+	if m%64 != 0 {
+		idle[len(idle)-1] = 1<<(m%64) - 1
+	}
+	nIdle := m
+	// Each started item holds at least one processor until it is popped,
+	// so at most min(m, n) are running at once.
+	running := make(endHeap, 0, min(m, n))
+	// link[i] is the unplaced item after item i in list order, n ends the
+	// list and head is the first unplaced item.
+	link := make([]int32, n)
+	for i := range link {
+		link[i] = int32(i + 1)
+	}
+	head := int32(0)
+	// procs backs every assignment's processor list, each a
+	// capacity-clipped window of it.
 	totalProcs := 0
 	for _, it := range items {
 		totalProcs += it.NProcs
@@ -105,59 +130,72 @@ func GrahamContext(ctx context.Context, m int, items []Item) (*schedule.Schedule
 		}
 	}
 
-	for remaining > 0 {
+	// finish returns to the idle set the processors of every running item
+	// that ends by limit.
+	finish := func(limit float64) {
+		for len(running) > 0 && running[0].end <= limit {
+			a := &sched.Assignments[running.pop().idx]
+			for _, q := range a.Procs {
+				idle[q>>6] |= 1 << (q & 63)
+			}
+			nIdle += a.NProcs
+		}
+	}
+
+	remaining := n
+	for {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("listsched: list loop aborted: %w", err)
 		}
-		// Collect processors free at time t.
-		free := idleAt(idle, freeAt, t)
-		// Start as many tasks as possible, scanning the list in priority
-		// order; an earlier (larger) task can never become startable by a
-		// later placement, so a single pass is enough, and it ends as soon
-		// as no processor is left.
-		for i := first; i < len(items) && len(free) > 0; i++ {
+		// The idle set at t is every processor whose item ended by t+Eps.
+		finish(t + moldable.Eps)
+		// Start as many tasks as possible, scanning the unplaced items in
+		// priority order; an earlier (larger) task can never become
+		// startable by a later placement, so a single pass is enough, and
+		// it ends as soon as no processor is left.
+		for at := &head; *at < int32(n) && nIdle > 0; {
+			i := *at
 			it := items[i]
-			if done[i] || it.Release > t+moldable.Eps {
+			if it.Release > t+moldable.Eps || it.NProcs > nIdle {
+				at = &link[i]
 				continue
 			}
-			if it.NProcs <= len(free) {
-				p := procs[:it.NProcs:it.NProcs]
-				procs = procs[it.NProcs:]
-				copy(p, free)
-				free = free[it.NProcs:]
-				for _, q := range p {
-					freeAt[q] = t + it.Duration
+			p := procs[:it.NProcs:it.NProcs]
+			procs = procs[it.NProcs:]
+			for w, k := 0, 0; k < len(p); w++ {
+				for ; idle[w] != 0 && k < len(p); k++ {
+					p[k] = w<<6 | bits.TrailingZeros64(idle[w])
+					idle[w] &= idle[w] - 1
 				}
-				sched.Add(schedule.Assignment{
-					TaskID:   it.TaskID,
-					Start:    t,
-					NProcs:   it.NProcs,
-					Procs:    p,
-					Duration: it.Duration,
-				})
-				done[i] = true
-				remaining--
 			}
+			nIdle -= it.NProcs
+			running.push(started{end: t + it.Duration, idx: int32(len(sched.Assignments))})
+			sched.Add(schedule.Assignment{
+				TaskID:   it.TaskID,
+				Start:    t,
+				NProcs:   it.NProcs,
+				Procs:    p,
+				Duration: it.Duration,
+			})
+			*at = link[i]
+			remaining--
 		}
 		if remaining == 0 {
-			break
+			return sched, nil
 		}
-		for done[first] {
-			first++
-		}
-		// Advance to the next event: a processor becoming free or a release
-		// date of an unscheduled task.
+		// An item started at t that ends within Eps of it frees its
+		// processors at the next event, not at t.
+		finish(t + moldable.Eps)
+		// Advance to the next event: a completion or a release date of an
+		// unplaced item.
 		next := math.Inf(1)
-		for _, f := range freeAt {
-			if f > t+moldable.Eps && f < next {
-				next = f
-			}
+		if len(running) > 0 {
+			next = running[0].end
 		}
 		if lastRelease > t+moldable.Eps {
-			for i := first; i < len(items); i++ {
-				it := items[i]
-				if !done[i] && it.Release > t+moldable.Eps && it.Release < next {
-					next = it.Release
+			for i := head; i < int32(n); i = link[i] {
+				if r := items[i].Release; r > t+moldable.Eps && r < next {
+					next = r
 				}
 			}
 		}
@@ -166,19 +204,53 @@ func GrahamContext(ctx context.Context, m int, items []Item) (*schedule.Schedule
 		}
 		t = next
 	}
-	return sched, nil
 }
 
-// idleAt appends to dst[:0] the indices of processors idle at time t, in
-// increasing order.
-func idleAt(dst []int, freeAt []float64, t float64) []int {
-	dst = dst[:0]
-	for p, f := range freeAt {
-		if f <= t+moldable.Eps {
-			dst = append(dst, p)
+// started is a running item of the list loop: its end time and its index
+// in the schedule's assignments.
+type started struct {
+	end float64
+	idx int32
+}
+
+// endHeap is a binary min-heap of running items ordered by end time.
+type endHeap []started
+
+func (h *endHeap) push(s started) {
+	*h = append(*h, s)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if q[parent].end <= q[i].end {
+			break
 		}
+		q[parent], q[i] = q[i], q[parent]
+		i = parent
 	}
-	return dst
+}
+
+func (h *endHeap) pop() started {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && q[c+1].end < q[c].end {
+			c++
+		}
+		if q[i].end <= q[c].end {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
 }
 
 // interval is a busy period on a processor.

@@ -1,7 +1,9 @@
 package listsched
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -93,6 +95,21 @@ func TestGrahamEmptyAndErrors(t *testing.T) {
 	}
 	if _, err := InsertionWithReservations(2, nil, []Item{{TaskID: 0, NProcs: 3, Duration: 1}}); err == nil {
 		t.Fatalf("insertion with oversized task must fail")
+	}
+	for _, tc := range []struct {
+		name    string
+		release float64
+	}{
+		{"nan release", math.NaN()},
+		{"inf release", math.Inf(1)},
+	} {
+		items := []Item{{TaskID: 0, NProcs: 1, Duration: 1}, {TaskID: 7, NProcs: 1, Duration: 1, Release: tc.release}}
+		if _, err := Graham(2, items); err == nil || !strings.Contains(err.Error(), "item 7") {
+			t.Errorf("Graham, %s: error %v, want one naming item 7", tc.name, err)
+		}
+		if _, err := InsertionWithReservations(2, nil, items); err == nil || !strings.Contains(err.Error(), "item 7") {
+			t.Errorf("InsertionWithReservations, %s: error %v, want one naming item 7", tc.name, err)
+		}
 	}
 }
 

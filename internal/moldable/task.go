@@ -9,7 +9,6 @@
 package moldable
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -189,7 +188,3 @@ func PerfectlyMoldable(id int, weight, seqTime float64, maxProcs int) Task {
 	}
 	return Task{ID: id, Weight: weight, Times: times}
 }
-
-// ErrNoAllocation is returned when a task cannot fit in a given deadline on
-// any allocation.
-var ErrNoAllocation = errors.New("moldable: no allocation fits the deadline")
