@@ -37,9 +37,10 @@ const Version = buildinfo.Version
 // Scenario is the versioned declarative spec of one experiment: workload
 // and arrival process, topology (single cluster or sharded grid), batch
 // and routing policies, objectives, fault injection, replanning and
-// service pacing — one value that compiles to whichever engine the
-// topology needs. Build it as a literal, through NewScenario's functional
-// options, or load it from JSON (LoadScenario). See internal/scenario.
+// service pacing — one value that compiles to the grid federation (a
+// single cluster is a one-shard grid). Build it as a literal, through
+// NewScenario's functional options, or load it from JSON (LoadScenario).
+// See internal/scenario.
 type Scenario = scenario.Scenario
 
 // ScenarioOption mutates a scenario under construction; see NewScenario

@@ -4,9 +4,9 @@
 //
 // Subcommands:
 //
-//   - run: replay a scenario offline through its compiled engine (the
-//     cluster engine for single topology, the grid federation for grid)
-//     and print the standard report; -json and -csv export a grid run.
+//   - run: replay a scenario offline through the grid federation (a
+//     single topology is a one-shard grid) and print the standard
+//     report; -json and -csv export a grid run.
 //     The report, JSON and CSV bytes are pinned by the goldens under
 //     testdata/.
 //

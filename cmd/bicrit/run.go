@@ -70,11 +70,12 @@ func runCmd(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	info := runner.Info()
 	var observer bicriteria.ScenarioObserver
 	if *verbose {
 		// The verbose stream is batch lines for the single topology and
 		// routing decisions for the grid.
-		if runner.Topology() == bicriteria.TopologySingle {
+		if info.Topology == bicriteria.TopologySingle {
 			observer.Batch = func(_ int, br bicriteria.ClusterBatchReport) {
 				fmt.Fprint(out, bicriteria.FormatScenarioBatchLine(br))
 			}
@@ -93,12 +94,12 @@ func runCmd(args []string, out io.Writer) error {
 		recorder = bicriteria.NewFlightRecorder()
 		runner.Flight(recorder)
 	}
-	logger.Info("run starting", "scenario", fs.Arg(0), "topology", string(runner.Topology()), "jobs", runner.Info().Jobs)
+	logger.Info("run starting", "scenario", fs.Arg(0), "topology", string(info.Topology), "jobs", info.Jobs)
 	rep, err := runner.Run(context.Background())
 	if err != nil {
 		return err
 	}
-	logger.Info("run complete", "jobs", runner.Info().Jobs)
+	logger.Info("run complete", "jobs", info.Jobs)
 	if recorder != nil {
 		if err := writeFile(*flightPath, recorder.WriteJSONL); err != nil {
 			return err
@@ -111,7 +112,7 @@ func runCmd(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	if err := bicriteria.WriteScenarioReport(out, runner.Info(), rep); err != nil {
+	if err := bicriteria.WriteScenarioReport(out, info, rep); err != nil {
 		return err
 	}
 	if *jsonPath != "" {
@@ -123,7 +124,7 @@ func runCmd(args []string, out io.Writer) error {
 	}
 	if *csvPath != "" {
 		if err := writeFile(*csvPath, func(w io.Writer) error {
-			return bicriteria.WriteScenarioReportCSV(w, runner.Info(), rep)
+			return bicriteria.WriteScenarioReportCSV(w, info, rep)
 		}); err != nil {
 			return err
 		}

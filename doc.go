@@ -64,7 +64,8 @@
 // versioned, declarative Scenario spec — workload and arrivals, topology
 // (single cluster or grid), batch and routing policies, objectives,
 // faults, replanning and service pacing — that Compile turns into a
-// Runner for whichever engine the topology needs. Runners accept a
+// Runner over the grid federation, a single cluster being a one-shard
+// grid. Runners accept a
 // context (cancellation threads into every batch loop), stream batch
 // and routing events through an Observer, and return one unified
 // Report — the run's one event log, which the text, JSON and CSV reports,

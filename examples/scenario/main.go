@@ -36,9 +36,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Compile selects the engine from the topology (grid here) and
-	// validates everything eagerly: a bad spec dies now, with the exact
-	// field path, not mid-replay.
+	// Compile builds the grid federation (a single cluster would be a
+	// one-shard grid) and validates everything eagerly: a bad spec dies
+	// now, with the exact field path, not mid-replay.
 	runner, err := bicriteria.Compile(scn)
 	if err != nil {
 		log.Fatal(err)

@@ -1,9 +1,10 @@
-// Package online holds the behaviour tests of the paper's on-line batch
-// rule (section 2.2): jobs released during a batch wait for the next one,
-// and each batch is scheduled off-line. The rule has one implementation,
-// the cluster engine's batch-on-idle loop; these tests drive it through
-// the engine's exported API with a one-member portfolio.
-package online
+package cluster_test
+
+// This file holds the behaviour tests of the paper's on-line batch rule
+// (section 2.2): jobs released during a batch wait for the next one, and
+// each batch is scheduled off-line. The rule has one implementation, the
+// cluster engine's batch-on-idle loop; these tests drive it through the
+// engine's exported API with a one-member portfolio.
 
 import (
 	"context"

@@ -158,3 +158,40 @@ func TestGridFaultedNoJobLostOrDuplicated(t *testing.T) {
 		t.Fatalf("completed %d + lost %d != submitted %d", rep.Metrics.Jobs, rep.Metrics.Lost, len(jobs))
 	}
 }
+
+// TestOneShardGridKeepsJobsAcrossShardOutage pins that a one-shard grid
+// replays exactly like its cluster engine under a shard outage: with no
+// other shard to migrate to, the router neither withholds the jobs the
+// outage would drain nor re-releases them at the outage instant — the
+// engine runs them around the whole-machine down window.
+func TestOneShardGridKeepsJobsAcrossShardOutage(t *testing.T) {
+	const m = 4
+	var jobs []cluster.Job
+	for i := 0; i < 10; i++ {
+		jobs = append(jobs, cluster.Job{Task: moldable.Sequential(i, 1, 3), Release: float64(i % 3)})
+	}
+	plan := &faults.Plan{Shards: []faults.ShardOutage{{Cluster: 0, Start: 2, End: 9}}}
+	fed, err := New(Config{Clusters: []ClusterSpec{{M: m}}, Faults: plan, Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := fed.RunContext(t.Context(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := cluster.New(cluster.Config{M: m, Outages: plan.ClusterWindows(0, m), Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.RunContext(t.Context(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Metrics.Migrated != 0 {
+		t.Fatalf("%d jobs migrated within a one-shard grid", rep.Metrics.Migrated)
+	}
+	if !reflect.DeepEqual(rep.Clusters[0], want) {
+		t.Fatalf("one-shard grid differs from its engine: makespan %g vs %g, %d vs %d kills",
+			rep.Clusters[0].Metrics.Makespan, want.Metrics.Makespan, len(rep.Clusters[0].Kills), len(want.Kills))
+	}
+}

@@ -371,7 +371,9 @@ func (r *router) route(j cluster.Job, migrated bool) (d Decision, stays bool, er
 		v.MaxMinTime = job.MinTime[chosen]
 	}
 	r.ready[chosen] += job.MinWork[chosen] / float64(v.M)
-	if r.inflight != nil {
+	// A one-shard grid has nowhere to migrate to: the job stays, and the
+	// shard's engine runs it around the outage like any down window.
+	if r.inflight != nil && len(r.views) > 1 {
 		if o, ok := r.nextOutage(chosen); ok && r.ready[chosen] > o.Start+eps {
 			r.inflight[chosen] = append(r.inflight[chosen], vjob{job: j, work: job.MinWork[chosen]})
 			return d, false, nil

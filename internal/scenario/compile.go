@@ -31,8 +31,9 @@ type Observer struct {
 	// (0 for the single topology). The batch's KillEvents are the jobs an
 	// outage killed in it.
 	Batch func(cluster int, br cluster.BatchReport)
-	// Decision receives every routing decision of a grid run in stream
-	// order; Migrated marks the ones that moved a job off a dark shard.
+	// Decision receives every routing decision of a grid-topology run in
+	// stream order (none for a single cluster); Migrated marks the ones
+	// that moved a job off a dark shard.
 	Decision func(d grid.Decision)
 }
 
@@ -44,7 +45,7 @@ type Report struct {
 	Topology Topology
 	// Jobs is the number of jobs of the replayed stream.
 	Jobs int
-	// Cluster is the single-cluster engine report (single topology).
+	// Cluster is the report of a one-shard grid's shard (single topology).
 	Cluster *cluster.Report
 	// Grid is the federation report (grid topology).
 	Grid *grid.Report
@@ -119,24 +120,23 @@ type Info struct {
 	// Objective the commit criterion's name.
 	BatchPolicy string
 	Objective   string
-	// Routing is the grid routing policy's name (grid topology).
+	// Routing is the routing policy's name.
 	Routing string
-	// Reservations counts the reservations of the single cluster.
+	// Reservations and Outages count the reservations and fault windows
+	// of a one-shard grid (single topology); Plan is the full fault plan
+	// (nil without a faults section).
 	Reservations int
-	// Outages counts the single cluster's fault windows; Plan is the full
-	// fault plan (nil without a faults section).
-	Outages int
-	Plan    *faults.Plan
+	Outages      int
+	Plan         *faults.Plan
 	// Replan is the replan policy kind's name ("restart"/"checkpoint").
 	Replan string
 }
 
-// Runner is a compiled scenario, ready to replay. Observe (optional)
+// Runner is a compiled scenario, ready to replay through the grid
+// federation (a single cluster is a one-shard grid). Observe (optional)
 // must be called before Run; Run may be called repeatedly — every replay
 // is deterministic and starts from scratch.
 type Runner interface {
-	// Topology reports which engine the scenario compiled to.
-	Topology() Topology
 	// Info returns the compiled facts (policy names, stream size, plan).
 	Info() Info
 	// Observe installs the event callbacks of subsequent Runs.
@@ -160,7 +160,8 @@ type Runner interface {
 // Compile validates the scenario eagerly — every constructor runs before
 // any goroutine spawns, so a bad spec fails with a *ValidationError
 // naming the field path — loads or generates the job stream and the
-// fault plan, and returns the Runner of the scenario's topology.
+// fault plan, and returns the Runner. Both topologies compile to the grid
+// federation: a single cluster is a one-shard grid.
 func Compile(s Scenario) (Runner, error) {
 	s = s.Normalized()
 	if err := s.Validate(); err != nil {
@@ -175,27 +176,15 @@ func Compile(s Scenario) (Runner, error) {
 		return nil, err
 	}
 	reg := obs.NewRegistry()
-	switch s.Topology {
-	case TopologySingle:
-		cfg, err := clusterConfig(s, plan, reg)
-		if err != nil {
-			return nil, err
-		}
-		// Eager validation: surface config errors now, not at Run.
-		if _, err := cluster.New(cfg); err != nil {
-			return nil, validate.Prefix("clusters[0]", err)
-		}
-		return &clusterRunner{scn: s, cfg: cfg, jobs: jobs, plan: plan, reg: reg}, nil
-	default:
-		cfg, err := gridConfig(s, plan, reg)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := grid.New(cfg); err != nil {
-			return nil, err
-		}
-		return &gridRunner{scn: s, cfg: cfg, jobs: jobs, plan: plan, reg: reg}, nil
+	cfg, err := gridConfig(s, plan, reg)
+	if err != nil {
+		return nil, err
 	}
+	// Eager validation: surface config errors now, not at Run.
+	if _, err := grid.New(cfg); err != nil {
+		return nil, err
+	}
+	return &runner{scn: s, cfg: cfg, jobs: jobs, plan: plan, reg: reg}, nil
 }
 
 // ServeConfig compiles the scenario into a live-service configuration:
@@ -512,45 +501,7 @@ func coreOptions(s Scenario, reg *obs.Registry) *core.Options {
 	return o
 }
 
-// clusterConfig assembles the single-topology engine configuration.
-func clusterConfig(s Scenario, plan *faults.Plan, reg *obs.Registry) (cluster.Config, error) {
-	m := s.Clusters[0].Machines
-	policy, err := s.batchPolicy(m)
-	if err != nil {
-		return cluster.Config{}, err
-	}
-	objective, err := s.objective()
-	if err != nil {
-		return cluster.Config{}, err
-	}
-	perturb, err := s.perturb(0)
-	if err != nil {
-		return cluster.Config{}, err
-	}
-	cfg := cluster.Config{
-		M:            m,
-		Portfolio:    cluster.DefaultPortfolio(coreOptions(s, reg)),
-		Objective:    objective,
-		Policy:       policy,
-		Reservations: s.Clusters[0].reservations(),
-		Perturb:      perturb,
-		Racing:       s.racing(),
-		Sequential:   s.Sequential,
-		Metrics:      reg,
-	}
-	if plan != nil {
-		cfg.Outages = plan.ClusterWindows(0, m)
-		replan, err := s.replanPolicy()
-		if err != nil {
-			return cluster.Config{}, err
-		}
-		cfg.Replan = replan
-		cfg.MaxRetries = s.Faults.MaxRetries
-	}
-	return cfg, nil
-}
-
-// gridConfig assembles the grid-topology federation configuration.
+// gridConfig assembles the federation configuration of either topology.
 func gridConfig(s Scenario, plan *faults.Plan, reg *obs.Registry) (grid.Config, error) {
 	objective, err := s.objective()
 	if err != nil {
@@ -716,69 +667,10 @@ func evaluateSLO(s Scenario, jobs []cluster.Job, rep *Report, reg *obs.Registry)
 	rep.SLO = sum
 }
 
-// clusterRunner replays a single-topology scenario.
-type clusterRunner struct {
-	scn    Scenario
-	cfg    cluster.Config
-	jobs   []cluster.Job
-	plan   *faults.Plan
-	reg    *obs.Registry
-	watch  Observer
-	flight *flight.Recorder
-}
-
-func (r *clusterRunner) Topology() Topology { return TopologySingle }
-
-func (r *clusterRunner) Observe(o Observer) { r.watch = o }
-
-func (r *clusterRunner) Flight(rec *flight.Recorder) { r.flight = rec }
-
-func (r *clusterRunner) Metrics() *obs.Registry { return r.reg }
-
-func (r *clusterRunner) Info() Info {
-	return Info{
-		Topology:     TopologySingle,
-		Sizes:        r.scn.Sizes(),
-		Jobs:         len(r.jobs),
-		BatchPolicy:  r.cfg.Policy.Name(),
-		Objective:    r.cfg.Objective.Kind.String(),
-		Reservations: len(r.cfg.Reservations),
-		Outages:      len(r.cfg.Outages),
-		Plan:         r.plan,
-		Replan:       r.cfg.Replan.Kind.String(),
-	}
-}
-
-func (r *clusterRunner) Run(ctx context.Context) (*Report, error) {
-	cfg := r.cfg
-	if batch := r.watch.Batch; batch != nil {
-		cfg.OnBatch = func(br cluster.BatchReport) { batch(0, br) }
-	}
-	eng, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := eng.RunContext(ctx, r.jobs)
-	if err != nil {
-		return nil, err
-	}
-	// Cross-check the realized trace against the reservations after
-	// every run: a safety net under the engine's placement.
-	if len(cfg.Reservations) > 0 {
-		if err := reservation.ValidateAgainstReservations(rep.Schedule, cfg.Reservations, rep.Blocked); err != nil {
-			return nil, fmt.Errorf("realized trace violates a reservation: %w", err)
-		}
-	}
-	report := &Report{Topology: TopologySingle, Jobs: len(r.jobs), Cluster: rep}
-	evaluateSLO(r.scn, r.jobs, report, r.reg)
-	if r.flight != nil {
-		recordFlight(r.flight, r.jobs, report)
-	}
-	return report, nil
-}
-
-// gridRunner replays a grid-topology scenario.
-type gridRunner struct {
+// runner replays a compiled scenario through the grid federation. A
+// single-topology scenario is a one-shard grid: its report carries the
+// shard's cluster report alone, and it streams no routing decisions.
+type runner struct {
 	scn    Scenario
 	cfg    grid.Config
 	jobs   []cluster.Job
@@ -788,30 +680,36 @@ type gridRunner struct {
 	flight *flight.Recorder
 }
 
-func (r *gridRunner) Topology() Topology { return TopologyGrid }
+func (r *runner) Observe(o Observer) { r.watch = o }
 
-func (r *gridRunner) Observe(o Observer) { r.watch = o }
+func (r *runner) Flight(rec *flight.Recorder) { r.flight = rec }
 
-func (r *gridRunner) Flight(rec *flight.Recorder) { r.flight = rec }
+func (r *runner) Metrics() *obs.Registry { return r.reg }
 
-func (r *gridRunner) Metrics() *obs.Registry { return r.reg }
-
-func (r *gridRunner) Info() Info {
-	return Info{
-		Topology:    TopologyGrid,
+func (r *runner) Info() Info {
+	shard := r.cfg.Clusters[0]
+	info := Info{
+		Topology:    r.scn.Topology,
 		Sizes:       r.scn.Sizes(),
 		Jobs:        len(r.jobs),
-		BatchPolicy: r.cfg.Clusters[0].Policy.Name(),
-		Objective:   r.cfg.Clusters[0].Objective.Kind.String(),
+		BatchPolicy: shard.Policy.Name(),
+		Objective:   shard.Objective.Kind.String(),
 		Routing:     r.cfg.Routing.Name(),
 		Plan:        r.plan,
 		Replan:      r.cfg.Replan.Kind.String(),
 	}
+	if r.scn.Topology == TopologySingle {
+		info.Reservations = len(shard.Reservations)
+		info.Outages = len(r.plan.ClusterWindows(0, shard.M))
+	}
+	return info
 }
 
-func (r *gridRunner) Run(ctx context.Context) (*Report, error) {
-	cfg := r.cfg
-	cfg.OnDecision = r.watch.Decision
+func (r *runner) Run(ctx context.Context) (*Report, error) {
+	cfg, single := r.cfg, r.scn.Topology == TopologySingle
+	if !single {
+		cfg.OnDecision = r.watch.Decision
+	}
 	if batch := r.watch.Batch; batch != nil {
 		// Shards report concurrently; serialize the observer.
 		var mu sync.Mutex
@@ -829,10 +727,31 @@ func (r *gridRunner) Run(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	report := &Report{Topology: TopologyGrid, Jobs: len(r.jobs), Grid: rep}
+	if err := checkReservations(cfg.Clusters, rep); err != nil {
+		return nil, err
+	}
+	report := &Report{Topology: r.scn.Topology, Jobs: len(r.jobs), Grid: rep}
+	if single {
+		report.Cluster, report.Grid = rep.Clusters[0], nil
+	}
 	evaluateSLO(r.scn, r.jobs, report, r.reg)
 	if r.flight != nil {
 		recordFlight(r.flight, r.jobs, report)
 	}
 	return report, nil
+}
+
+// checkReservations cross-checks every shard's realized trace against its
+// reservations after a replay: a safety net under the engines' placement.
+func checkReservations(specs []grid.ClusterSpec, rep *grid.Report) error {
+	for c, spec := range specs {
+		if len(spec.Reservations) == 0 {
+			continue
+		}
+		crep := rep.Clusters[c]
+		if err := reservation.ValidateAgainstReservations(crep.Schedule, spec.Reservations, crep.Blocked); err != nil {
+			return fmt.Errorf("cluster %d: realized trace violates a reservation: %w", c, err)
+		}
+	}
+	return nil
 }

@@ -36,10 +36,10 @@ func runCompileRows(t *testing.T, rows []compileRow) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if run.Topology() != s.Topology {
-				t.Fatalf("runner topology %q, want %q", run.Topology(), s.Topology)
-			}
 			info := run.Info()
+			if info.Topology != s.Topology {
+				t.Fatalf("runner topology %q, want %q", info.Topology, s.Topology)
+			}
 			if info.Jobs != 30 {
 				t.Fatalf("info jobs %d, want 30", info.Jobs)
 			}
@@ -76,6 +76,12 @@ var compileGrid = []Cluster{{Machines: 16}, {Machines: 8}}
 // TestCompileMatrix compiles and runs every topology × batch policy ×
 // faults combination and checks the report shape matches the topology.
 func TestCompileMatrix(t *testing.T) {
+	runCompileRows(t, compileMatrixRows())
+}
+
+// compileMatrixRows is the topology × batch policy × faults table of
+// TestCompileMatrix.
+func compileMatrixRows() []compileRow {
 	topologies := []struct {
 		name     string
 		topology Topology
@@ -110,7 +116,7 @@ func TestCompileMatrix(t *testing.T) {
 			}
 		}
 	}
-	runCompileRows(t, rows)
+	return rows
 }
 
 // TestCompileRoutingPolicies compiles and runs a noisy grid stream under

@@ -55,7 +55,7 @@ const RaceSeedSalt int64 = 0x6C62272E07BB0142
 type Topology string
 
 const (
-	// TopologySingle replays the stream through one cluster engine
+	// TopologySingle replays the stream through a one-shard grid
 	// (exactly one entry in Clusters).
 	TopologySingle Topology = "single"
 	// TopologyGrid routes the stream across the clusters through the
