@@ -353,7 +353,7 @@ func MakespanLowerBound(inst *Instance) float64 { return lowerbound.Makespan(ins
 // MinsumLowerBoundOptions tunes the LP lower bound.
 type MinsumLowerBoundOptions = lowerbound.MinsumOptions
 
-// MinsumLowerBound is the result of the LP (or ILP) lower bound.
+// MinsumLowerBound is the result of the LP lower bound.
 type MinsumLowerBound = lowerbound.MinsumBound
 
 // MinsumLowerBoundLP computes the paper's LP-relaxation lower bound on the
@@ -431,8 +431,8 @@ type ClusterConfig = cluster.Config
 // reports, aggregate metrics).
 type ClusterReport = cluster.Report
 
-// ClusterBatchReport describes one committed batch, including the
-// cumulative metrics snapshot streamed to Config.OnBatch.
+// ClusterBatchReport describes one committed batch, including its kills
+// and the running utilization, streamed to Config.OnBatch.
 type ClusterBatchReport = cluster.BatchReport
 
 // ClusterAlgorithm is one member of the scheduling portfolio.

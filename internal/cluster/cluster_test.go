@@ -513,11 +513,9 @@ func TestMetricsPercentilesAndBoundedSlowdown(t *testing.T) {
 	if m.MeanBoundedSlowdown < 1 || m.BoundedSlowdownP50 < 1 {
 		t.Fatalf("bounded slowdown below its floor of 1: mean %g, P50 %g", m.MeanBoundedSlowdown, m.BoundedSlowdownP50)
 	}
-	// The percentile stream must be monotone over batches: the last
-	// snapshot is the final metrics.
-	last := report.Batches[len(report.Batches)-1].Cumulative
-	if last.StretchP99 != m.StretchP99 || last.BoundedSlowdownP99 != m.BoundedSlowdownP99 {
-		t.Fatalf("final batch snapshot differs from the run metrics")
+	// The running utilization after the last batch is the run's.
+	if last := report.Batches[len(report.Batches)-1].Utilization; last != m.Utilization {
+		t.Fatalf("last batch utilization %g differs from the run's %g", last, m.Utilization)
 	}
 }
 
@@ -537,7 +535,7 @@ func TestBoundedSlowdownFormula(t *testing.T) {
 }
 
 // faultPlanWindows generates a node-crash plan for one m-processor cluster.
-func faultPlanWindows(t testing.TB, m int, seed int64, mtbf, repair, horizon float64) []faults.Window {
+func faultPlanWindows(t testing.TB, m int, seed int64, mtbf, repair, horizon float64) []schedule.Window {
 	t.Helper()
 	plan, err := faults.Generate(faults.Config{
 		Seed: seed, Horizon: horizon, Clusters: []int{m}, MTBF: mtbf, RepairMean: repair,
@@ -574,8 +572,10 @@ func TestFaultsEveryKilledJobEventuallyRescheduled(t *testing.T) {
 	}
 	// Every killed-but-not-lost job completed: it was rescheduled.
 	killedJobs := make(map[int]bool)
-	for _, k := range rep.Kills {
-		killedJobs[k.TaskID] = true
+	for _, br := range rep.Batches {
+		for _, k := range br.KillEvents {
+			killedJobs[k.TaskID] = true
+		}
 	}
 	lost := make(map[int]bool)
 	for _, id := range rep.Lost {
@@ -669,7 +669,7 @@ func TestFaultsCheckpointCreditsFinishedWork(t *testing.T) {
 	// One long sequential job, killed once at t=6 of 10: the checkpoint
 	// replan resubmits 40% of the work, the restart replan all of it.
 	job := []Job{{Task: moldable.Task{ID: 1, Weight: 1, Times: []float64{10}}, Release: 0}}
-	outage := []faults.Window{{Procs: []int{0}, Start: 6, End: 7}}
+	outage := []schedule.Window{{Procs: []int{0}, Start: 6, End: 7}}
 	run := func(replan ReplanPolicy) *Report {
 		eng, err := New(Config{M: 1, Outages: outage, Replan: replan})
 		if err != nil {
@@ -707,9 +707,9 @@ func TestFaultsCheckpointCreditsFinishedWork(t *testing.T) {
 func TestFaultsMaxRetriesGivesUp(t *testing.T) {
 	// The single processor dies every 2 units forever (within the
 	// horizon), so a 10-unit restart-replanned job can never finish.
-	var wins []faults.Window
+	var wins []schedule.Window
 	for t0 := 1.0; t0 < 400; t0 += 2 {
-		wins = append(wins, faults.Window{Procs: []int{0}, Start: t0, End: t0 + 0.5})
+		wins = append(wins, schedule.Window{Procs: []int{0}, Start: t0, End: t0 + 0.5})
 	}
 	eng, err := New(Config{M: 1, Outages: wins, MaxRetries: 4})
 	if err != nil {
@@ -731,16 +731,16 @@ func TestFaultsMaxRetriesGivesUp(t *testing.T) {
 }
 
 func TestFaultsConfigValidation(t *testing.T) {
-	if _, err := New(Config{M: 4, Outages: []faults.Window{{Procs: []int{9}, Start: 1, End: 2}}}); err == nil {
+	if _, err := New(Config{M: 4, Outages: []schedule.Window{{Procs: []int{9}, Start: 1, End: 2}}}); err == nil {
 		t.Fatal("outage outside the machine accepted")
 	}
-	if _, err := New(Config{M: 4, Outages: []faults.Window{{Procs: []int{0}, Start: 2, End: 2}}}); err == nil {
+	if _, err := New(Config{M: 4, Outages: []schedule.Window{{Procs: []int{0}, Start: 2, End: 2}}}); err == nil {
 		t.Fatal("empty outage window accepted")
 	}
-	if _, err := New(Config{M: 4, Outages: []faults.Window{{Procs: []int{0}, Start: 2, End: math.NaN()}}}); err == nil {
+	if _, err := New(Config{M: 4, Outages: []schedule.Window{{Procs: []int{0}, Start: 2, End: math.NaN()}}}); err == nil {
 		t.Fatal("NaN outage end accepted")
 	}
-	if _, err := New(Config{M: 4, Outages: []faults.Window{{Procs: []int{0}, Start: math.Inf(-1), End: 2}}}); err == nil {
+	if _, err := New(Config{M: 4, Outages: []schedule.Window{{Procs: []int{0}, Start: math.Inf(-1), End: 2}}}); err == nil {
 		t.Fatal("infinite outage start accepted")
 	}
 	if _, err := New(Config{M: 4, MaxRetries: -1}); err == nil {

@@ -12,8 +12,9 @@
 // reservations and executed on the discrete-event simulator with optionally
 // perturbed runtimes, so the *realized* completion of a batch — not the
 // planned estimate — decides when the next batch fires. Per-batch reports
-// stream out with cumulative metrics (utilization, max flow, mean stretch,
-// portfolio winner counts).
+// stream out with the running utilization; the full metrics (flow,
+// stretch and slowdown tails, portfolio winner counts) come with the final
+// report.
 //
 // Every run is deterministic for a given configuration: the portfolio
 // winner is chosen by score with ties broken in portfolio order, so a
@@ -27,7 +28,6 @@ import (
 	"sort"
 	"time"
 
-	"bicriteria/internal/faults"
 	"bicriteria/internal/listsched"
 	"bicriteria/internal/lowerbound"
 	"bicriteria/internal/moldable"
@@ -66,8 +66,8 @@ type Config struct {
 	// Racing enables the portfolio early cutoff: members launch in a
 	// deterministic order and stragglers are cancelled as soon as one
 	// candidate's score is provably within Racing.Cutoff of the batch
-	// lower bound. The zero value (cutoff 0) disables racing and is
-	// bit-identical to the plain portfolio.
+	// lower bound. The zero value (cutoff 0) disables racing: every member
+	// runs to completion.
 	Racing Racing
 	// Outages lists absolute-time machine down windows (node crash/repair
 	// spans, typically one cluster of a faults plan). A job running when
@@ -76,7 +76,7 @@ type Config struct {
 	// planned around like reservations (the runtime knows a node is dead
 	// *now*, never that it will die later). Empty means no faults and
 	// behaviour bit-identical to an engine without the field.
-	Outages []faults.Window
+	Outages []schedule.Window
 	// Replan selects how killed jobs are resubmitted; the zero value
 	// restarts them from scratch.
 	Replan ReplanPolicy
@@ -119,13 +119,10 @@ type BatchReport struct {
 	RealizedMakespan float64 `json:"RealizedMakespan"`
 	// Delayed counts tasks of this batch that started later than planned.
 	Delayed int `json:"Delayed"`
-	// Killed lists the task IDs killed by outages during this batch's
-	// realized execution, sorted. They rejoin the queue (or are lost).
-	Killed []int `json:"Killed"`
-	// KillEvents carries the full kill records of this batch (absolute
-	// start and kill times), for streaming observers; Killed remains the
-	// wire-format digest, so serialized reports are unchanged.
-	KillEvents []KillEvent `json:"-"`
+	// KillEvents lists the jobs outages killed during this batch's
+	// realized execution, in dispatch order, with their absolute start
+	// and kill times. They rejoin the queue (or are lost).
+	KillEvents []KillEvent `json:"KillEvents"`
 	// LowerBound is the dual-approximation makespan lower bound of the
 	// batch instance (section 3.3 of the paper) — the reference value the
 	// flight recorder and the SLO engine anchor per-job deadlines to.
@@ -135,8 +132,9 @@ type BatchReport struct {
 	// (absolute start/end, chosen allotment) for streaming observers; the
 	// report's Schedule remains the wire-format source.
 	Placements []Placement `json:"-"`
-	// Cumulative is the metrics snapshot after this batch.
-	Cumulative Metrics `json:"Cumulative"`
+	// Utilization is the run's Metrics.Utilization as of the end of this
+	// batch.
+	Utilization float64 `json:"Utilization"`
 }
 
 // Placement is one task's realized execution within a batch: absolute
@@ -161,9 +159,6 @@ type Report struct {
 	// Blocked lists, per reservation (in input order), the concrete
 	// processors blocked for it.
 	Blocked [][]int
-	// Kills lists every kill event of the run in order: which job died
-	// when, during which batch. A job appears once per kill it suffered.
-	Kills []KillEvent
 	// Lost lists the jobs abandoned after MaxRetries kills, sorted by the
 	// time they were given up.
 	Lost []int
@@ -173,8 +168,10 @@ type Report struct {
 type Engine struct {
 	cfg Config
 	// blocked holds the concrete processors assigned to every reservation
-	// (in input order), fixed at construction time.
-	blocked [][]int
+	// (in input order), fixed at construction time; reserved is the same
+	// as down windows in absolute time.
+	blocked  [][]int
+	reserved []schedule.Window
 }
 
 // New validates the configuration eagerly and builds an engine. Bad
@@ -232,7 +229,11 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg, blocked: blocked}, nil
+	reserved := make([]schedule.Window, len(cfg.Reservations))
+	for i, r := range cfg.Reservations {
+		reserved[i] = schedule.Window{Procs: blocked[i], Start: r.Start, End: r.End}
+	}
+	return &Engine{cfg: cfg, blocked: blocked, reserved: reserved}, nil
 }
 
 // jobInfo caches the per-job quantities the metrics need.
@@ -263,7 +264,7 @@ func (e *Engine) RunContext(ctx context.Context, jobs []Job) (*Report, error) {
 // the batch short) and the killed jobs to re-enqueue.
 func (s *Session) runBatch() (BatchReport, float64, []Job, error) {
 	e, ctx, index, now, pending := s.e, s.ctx, s.batchIndex, s.now, s.pending
-	busyAbs, infos, acc, report, fstate := s.busyAbs, s.infos, s.acc, s.report, s.fstate
+	infos, acc, report, fstate := s.infos, s.acc, s.report, s.fstate
 	tasks := make([]moldable.Task, len(pending))
 	ids := make([]int, len(pending))
 	for i := range pending {
@@ -293,12 +294,13 @@ func (s *Session) runBatch() (BatchReport, float64, []Job, error) {
 	// nodes are down and replans around the shrunken machine. Outages that
 	// have not started yet stay invisible to the planner: they hit the
 	// simulated execution as surprises.
-	planBusy := busyAbs
+	reserved := relative(nil, e.reserved, now, false)
+	down := reserved
 	if len(e.cfg.Outages) > 0 {
-		planBusy = append(append([]listsched.Busy(nil), busyAbs...), activeOutageBusy(e.cfg.Outages, now)...)
+		down = relative(clip(reserved), e.cfg.Outages, now, true)
 	}
-	if rel := relativeBusy(planBusy, now); len(rel) > 0 {
-		placed, err := listsched.InsertionWithReservations(e.cfg.M, rel, reservation.PriorityItems(planned))
+	if len(down) > 0 {
+		placed, err := listsched.InsertionWithReservations(e.cfg.M, down, reservation.PriorityItems(planned))
 		if err != nil {
 			return BatchReport{}, 0, nil, fmt.Errorf("cluster: batch %d: placing around reservations: %w", index, err)
 		}
@@ -315,8 +317,8 @@ func (s *Session) runBatch() (BatchReport, float64, []Job, error) {
 
 	simRes, err := sim.Execute(inst, planned, &sim.Options{
 		Perturb:  e.cfg.Perturb,
-		Blocked:  relativeBlocked(busyAbs, now),
-		Failures: relativeFailures(e.cfg.Outages, now),
+		Blocked:  reserved,
+		Failures: relative(nil, e.cfg.Outages, now, false),
 	})
 	if err != nil {
 		return BatchReport{}, 0, nil, fmt.Errorf("cluster: batch %d: %w", index, err)
@@ -351,7 +353,6 @@ func (s *Session) runBatch() (BatchReport, float64, []Job, error) {
 
 	advance := simRes.Makespan
 	var resub []Job
-	var killedIDs []int
 	var killEvents []KillEvent
 	if len(simRes.Killed) > 0 {
 		// The batch's tasks by ID, as scheduled (a resubmitted job may
@@ -364,10 +365,7 @@ func (s *Session) runBatch() (BatchReport, float64, []Job, error) {
 			if k.KilledAt > advance {
 				advance = k.KilledAt
 			}
-			killedIDs = append(killedIDs, k.TaskID)
-			ev := KillEvent{TaskID: k.TaskID, Batch: index, Start: now + k.Start, Time: now + k.KilledAt}
-			report.Kills = append(report.Kills, ev)
-			killEvents = append(killEvents, ev)
+			killEvents = append(killEvents, KillEvent{TaskID: k.TaskID, Batch: index, Start: now + k.Start, Time: now + k.KilledAt})
 			fstate.killedEver[k.TaskID] = true
 			fstate.retries[k.TaskID]++
 			acc.killed++
@@ -386,7 +384,6 @@ func (s *Session) runBatch() (BatchReport, float64, []Job, error) {
 				Release: now + k.KilledAt,
 			})
 		}
-		sort.Ints(killedIDs)
 	}
 
 	return BatchReport{
@@ -399,70 +396,24 @@ func (s *Session) runBatch() (BatchReport, float64, []Job, error) {
 		PlannedMakespan:  planned.Makespan(),
 		RealizedMakespan: simRes.Makespan,
 		Delayed:          simRes.Delayed,
-		Killed:           killedIDs,
 		KillEvents:       killEvents,
 		LowerBound:       cmaxLB,
 		Placements:       placements,
-		Cumulative:       acc.snapshot(),
+		Utilization:      acc.utilization(),
 	}, advance, resub, nil
 }
 
-// relativeBusy shifts the absolute reservation windows into batch-relative
-// time, dropping windows fully in the past.
-func relativeBusy(busyAbs []listsched.Busy, now float64) []listsched.Busy {
-	var rel []listsched.Busy
-	for _, b := range busyAbs {
-		if b.End <= now+moldable.Eps {
+// relative appends to dst the windows still open at now, shifted into
+// batch-relative time with their starts clamped at 0. With begun set it
+// keeps only the windows that have already begun at now.
+func relative(dst, windows []schedule.Window, now float64, begun bool) []schedule.Window {
+	for _, w := range windows {
+		if w.End <= now+moldable.Eps || (begun && w.Start > now+moldable.Eps) {
 			continue
 		}
-		start := b.Start - now
-		if start < 0 {
-			start = 0
-		}
-		rel = append(rel, listsched.Busy{Procs: b.Procs, Start: start, End: b.End - now})
+		dst = append(dst, schedule.Window{Procs: w.Procs, Start: max(w.Start-now, 0), End: w.End - now})
 	}
-	return rel
-}
-
-// activeOutageBusy returns, as planning busy windows, the outages that
-// have already begun at the batch fire time: the runtime knows those nodes
-// are down and plans the batch around the rest of their repair windows.
-func activeOutageBusy(outages []faults.Window, now float64) []listsched.Busy {
-	var busy []listsched.Busy
-	for _, w := range outages {
-		if w.Start <= now+moldable.Eps && w.End > now+moldable.Eps {
-			busy = append(busy, listsched.Busy{Procs: w.Procs, Start: w.Start, End: w.End})
-		}
-	}
-	return busy
-}
-
-// relativeFailures shifts the outage windows into batch-relative time for
-// the simulator, keeping every window that has not fully ended (an active
-// window's relative start may be negative; the simulator only cares about
-// crashes beginning inside a task's run and nodes down at dispatch).
-func relativeFailures(outages []faults.Window, now float64) []sim.FailureWindow {
-	var wins []sim.FailureWindow
-	for _, w := range outages {
-		if w.End <= now+moldable.Eps {
-			continue
-		}
-		wins = append(wins, sim.FailureWindow{Procs: w.Procs, Start: w.Start - now, End: w.End - now})
-	}
-	return wins
-}
-
-// relativeBlocked is relativeBusy converted to the simulator's window type.
-func relativeBlocked(busyAbs []listsched.Busy, now float64) []sim.BlockedWindow {
-	rel := relativeBusy(busyAbs, now)
-	if len(rel) == 0 {
-		return nil
-	}
-	windows := make([]sim.BlockedWindow, len(rel))
-	for i, b := range rel {
-		windows[i] = sim.BlockedWindow{Procs: b.Procs, Start: b.Start, End: b.End}
-	}
-	return windows
+	return dst
 }
 
 // JobsFromArrivals adapts a generated arrival stream to the engine's input.

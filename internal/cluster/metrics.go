@@ -2,9 +2,6 @@ package cluster
 
 import (
 	"maps"
-	"math"
-	"slices"
-	"sort"
 
 	"bicriteria/internal/stats"
 )
@@ -30,8 +27,8 @@ func BoundedSlowdown(flow, pmin float64) float64 {
 }
 
 // Metrics aggregates the realized behaviour of a cluster run. The engine
-// keeps a running accumulator and attaches a snapshot to every batch
-// report, so a long replay can be monitored as it streams.
+// keeps a running accumulator and derives the metrics from it when the
+// session finishes; every batch report carries the running utilization.
 type Metrics struct {
 	// Batches is the number of batches committed so far.
 	Batches int `json:"Batches"`
@@ -88,8 +85,8 @@ type metricsAccumulator struct {
 	makespan    float64
 	weightedC   float64
 	maxFlow     float64
-	stretches   sample
-	bslds       sample
+	stretches   []float64
+	bslds       []float64
 	busy        float64
 	delayed     int
 	killed      int
@@ -97,57 +94,20 @@ type metricsAccumulator struct {
 	lost        int
 	recovered   int
 	wins        map[string]int
-	// scratch is the merge buffer of sample.sort, reused across snapshots.
-	scratch []float64
 }
 
 func newMetricsAccumulator(m int) *metricsAccumulator {
 	return &metricsAccumulator{m: m, wins: make(map[string]int)}
 }
 
-// clone deep-copies the accumulator for a session fork: snapshot sorts the
-// samples in place, so a fork must not share them (nor the scratch buffer).
+// clone copies the accumulator for a session fork. The samples are shared
+// with clipped capacity, so neither side's appends show through to the
+// other, and metrics sorts a copy.
 func (acc *metricsAccumulator) clone() *metricsAccumulator {
 	c := *acc
-	c.stretches.vals = slices.Clone(acc.stretches.vals)
-	c.bslds.vals = slices.Clone(acc.bslds.vals)
+	c.stretches, c.bslds = clip(acc.stretches), clip(acc.bslds)
 	c.wins = maps.Clone(acc.wins)
-	c.scratch = nil
 	return &c
-}
-
-// sample is a list of observations kept in sort.Float64s order (NaNs
-// first) across snapshots: vals[:sorted] is in order, the rest arrived
-// since the last sort.
-type sample struct {
-	vals   []float64
-	sorted int
-}
-
-// sort puts vals in order in O(new·log new + len(vals)): it sorts the
-// values added since the last call and merges them, from the back, into
-// the sorted prefix, with scratch (returned, possibly grown) holding the
-// new values during the merge. Equal values are interchangeable, so the
-// result is the slice sort.Float64s would leave.
-func (s *sample) sort(scratch []float64) []float64 {
-	fresh := s.vals[s.sorted:]
-	sort.Float64s(fresh)
-	scratch = append(scratch[:0], fresh...)
-	i, j := s.sorted-1, len(scratch)-1
-	for k := len(s.vals) - 1; j >= 0; k-- {
-		if i >= 0 && floatLess(scratch[j], s.vals[i]) {
-			s.vals[k], i = s.vals[i], i-1
-		} else {
-			s.vals[k], j = scratch[j], j-1
-		}
-	}
-	s.sorted = len(s.vals)
-	return scratch
-}
-
-// floatLess is the order of sort.Float64s: NaNs first, then by value.
-func floatLess(a, b float64) bool {
-	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
 }
 
 // observeJob folds one realized job completion into the accumulator.
@@ -162,9 +122,9 @@ func (acc *metricsAccumulator) observeJob(release, completion, pmin, weight floa
 		acc.maxFlow = flow
 	}
 	if pmin > 0 {
-		acc.stretches.vals = append(acc.stretches.vals, flow/pmin)
+		acc.stretches = append(acc.stretches, flow/pmin)
 	}
-	acc.bslds.vals = append(acc.bslds.vals, BoundedSlowdown(flow, pmin))
+	acc.bslds = append(acc.bslds, BoundedSlowdown(flow, pmin))
 }
 
 // observeBatch folds one committed batch into the accumulator.
@@ -175,38 +135,39 @@ func (acc *metricsAccumulator) observeBatch(winner string, busyTime float64, del
 	acc.delayed += delayed
 }
 
-// snapshot derives the exported metrics. The winner map is copied so a
-// stored snapshot is not mutated by later batches.
-func (acc *metricsAccumulator) snapshot() Metrics {
-	m := Metrics{
-		Batches:            acc.batches,
-		Jobs:               acc.jobs,
-		Makespan:           acc.makespan,
-		WeightedCompletion: acc.weightedC,
-		MaxFlow:            acc.maxFlow,
-		Delayed:            acc.delayed,
-		Killed:             acc.killed,
-		Resubmitted:        acc.resubmitted,
-		Lost:               acc.lost,
-		Recovered:          acc.recovered,
-		Wins:               make(map[string]int, len(acc.wins)),
-	}
-	for k, v := range acc.wins {
-		m.Wins[k] = v
-	}
-	// snapshot runs once per batch, so it sorts only the batch's new
-	// samples and merges them into the sorted rest in one pass, instead of
-	// sorting the whole sample again.
-	acc.scratch = acc.stretches.sort(acc.scratch)
-	stretch := stats.TailOfSorted(acc.stretches.vals)
-	m.MeanStretch = stretch.Mean
-	m.StretchP50, m.StretchP95, m.StretchP99 = stretch.P50, stretch.P95, stretch.P99
-	acc.scratch = acc.bslds.sort(acc.scratch)
-	bsld := stats.TailOfSorted(acc.bslds.vals)
-	m.MeanBoundedSlowdown = bsld.Mean
-	m.BoundedSlowdownP50, m.BoundedSlowdownP95, m.BoundedSlowdownP99 = bsld.P50, bsld.P95, bsld.P99
+// utilization is the busy share of the processor-time rectangle
+// [0, makespan] x m so far.
+func (acc *metricsAccumulator) utilization() float64 {
 	if acc.makespan > 0 && acc.m > 0 {
-		m.Utilization = acc.busy / (acc.makespan * float64(acc.m))
+		return acc.busy / (acc.makespan * float64(acc.m))
 	}
-	return m
+	return 0
+}
+
+// metrics derives the exported metrics once the last batch is in: the
+// report takes the winner map over.
+func (acc *metricsAccumulator) metrics() Metrics {
+	stretch, bsld := stats.TailSummary(acc.stretches), stats.TailSummary(acc.bslds)
+	return Metrics{
+		Batches:             acc.batches,
+		Jobs:                acc.jobs,
+		Makespan:            acc.makespan,
+		WeightedCompletion:  acc.weightedC,
+		MaxFlow:             acc.maxFlow,
+		MeanStretch:         stretch.Mean,
+		StretchP50:          stretch.P50,
+		StretchP95:          stretch.P95,
+		StretchP99:          stretch.P99,
+		MeanBoundedSlowdown: bsld.Mean,
+		BoundedSlowdownP50:  bsld.P50,
+		BoundedSlowdownP95:  bsld.P95,
+		BoundedSlowdownP99:  bsld.P99,
+		Utilization:         acc.utilization(),
+		Delayed:             acc.delayed,
+		Killed:              acc.killed,
+		Resubmitted:         acc.resubmitted,
+		Lost:                acc.lost,
+		Recovered:           acc.recovered,
+		Wins:                acc.wins,
+	}
 }

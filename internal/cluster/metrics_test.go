@@ -11,30 +11,16 @@ import (
 	"bicriteria/internal/workload"
 )
 
-// checkCumulativeTails recomputes, after every batch of the report, the
-// stretch and bounded-slowdown samples of all jobs completed so far from
-// the batches' placements and the fed jobs, and holds the batch's
-// Cumulative (and the report's final Metrics) to stats.TailSummary of
-// them: the merged samples must equal a from-scratch sort.
-func checkCumulativeTails(t *testing.T, name string, rep *Report, jobs []Job) {
+// checkFinalTails recomputes the stretch and bounded-slowdown samples of
+// every completed job from the batches' placements and the fed jobs, and
+// holds the report's final Metrics to stats.TailSummary of them.
+func checkFinalTails(t *testing.T, name string, rep *Report, jobs []Job) {
 	t.Helper()
 	byID := make(map[int]Job, len(jobs))
 	for _, j := range jobs {
 		byID[j.Task.ID] = j
 	}
 	var stretches, bslds []float64
-	check := func(where string, got Metrics) {
-		t.Helper()
-		st, bs := stats.TailSummary(stretches), stats.TailSummary(bslds)
-		if got.MeanStretch != st.Mean || got.StretchP50 != st.P50 || got.StretchP95 != st.P95 || got.StretchP99 != st.P99 {
-			t.Fatalf("%s, %s: stretch mean/p50/p95/p99 %v %v %v %v, want %+v", name, where,
-				got.MeanStretch, got.StretchP50, got.StretchP95, got.StretchP99, st)
-		}
-		if got.MeanBoundedSlowdown != bs.Mean || got.BoundedSlowdownP50 != bs.P50 || got.BoundedSlowdownP95 != bs.P95 || got.BoundedSlowdownP99 != bs.P99 {
-			t.Fatalf("%s, %s: bounded slowdown mean/p50/p95/p99 %v %v %v %v, want %+v", name, where,
-				got.MeanBoundedSlowdown, got.BoundedSlowdownP50, got.BoundedSlowdownP95, got.BoundedSlowdownP99, bs)
-		}
-	}
 	for _, br := range rep.Batches {
 		for _, pl := range br.Placements {
 			j := byID[pl.TaskID]
@@ -45,16 +31,24 @@ func checkCumulativeTails(t *testing.T, name string, rep *Report, jobs []Job) {
 			}
 			bslds = append(bslds, BoundedSlowdown(flow, pmin))
 		}
-		check(fmt.Sprintf("batch %d", br.Index), br.Cumulative)
 	}
-	check("final metrics", rep.Metrics)
+	got := rep.Metrics
+	st, bs := stats.TailSummary(stretches), stats.TailSummary(bslds)
+	if got.MeanStretch != st.Mean || got.StretchP50 != st.P50 || got.StretchP95 != st.P95 || got.StretchP99 != st.P99 {
+		t.Fatalf("%s: stretch mean/p50/p95/p99 %v %v %v %v, want %+v", name,
+			got.MeanStretch, got.StretchP50, got.StretchP95, got.StretchP99, st)
+	}
+	if got.MeanBoundedSlowdown != bs.Mean || got.BoundedSlowdownP50 != bs.P50 || got.BoundedSlowdownP95 != bs.P95 || got.BoundedSlowdownP99 != bs.P99 {
+		t.Fatalf("%s: bounded slowdown mean/p50/p95/p99 %v %v %v %v, want %+v", name,
+			got.MeanBoundedSlowdown, got.BoundedSlowdownP50, got.BoundedSlowdownP95, got.BoundedSlowdownP99, bs)
+	}
 }
 
-// TestCumulativeMatchesReference holds the incremental metric samples to
-// a from-scratch stats.TailSummary (checkCumulativeTails) on a noisy,
-// faulted stream with a reservation, and on a fork finished after the
-// session it was forked from: finishing the parent merges its samples in
-// place, which must not show through to the fork.
+// TestCumulativeMatchesReference holds the accumulated metric samples to
+// a from-scratch stats.TailSummary (checkFinalTails) on a noisy, faulted
+// stream with a reservation, and on a fork finished after the session it
+// was forked from: the two share their samples up to the fork, and
+// neither side's later batches may show through to the other.
 func TestCumulativeMatchesReference(t *testing.T) {
 	const m, seed = 16, 28
 	eng, err := New(Config{
@@ -84,7 +78,7 @@ func TestCumulativeMatchesReference(t *testing.T) {
 	if full.Metrics.Killed == 0 || len(full.Batches) < 20 {
 		t.Fatalf("the stream is too tame to test anything: %d kills, %d batches", full.Metrics.Killed, len(full.Batches))
 	}
-	checkCumulativeTails(t, "run", full, jobs)
+	checkFinalTails(t, "run", full, jobs)
 
 	for _, cut := range []int{30, 60, 90, 120} {
 		s := eng.NewSession(context.Background())
@@ -99,12 +93,12 @@ func TestCumulativeMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkCumulativeTails(t, fmt.Sprintf("parent cut at job %d", cut), parent, jobs)
+		checkFinalTails(t, fmt.Sprintf("parent cut at job %d", cut), parent, jobs)
 		forked, err := fork.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkCumulativeTails(t, fmt.Sprintf("fork cut at job %d", cut), forked, jobs)
+		checkFinalTails(t, fmt.Sprintf("fork cut at job %d", cut), forked, jobs)
 		if !reflect.DeepEqual(forked, full) {
 			t.Fatalf("cut at job %d: the fork, finished after its parent, differs from the offline replay", cut)
 		}

@@ -318,11 +318,11 @@ type Candidate struct {
 }
 
 // qualifies reports whether the candidate's objective value is provably
-// within race.Cutoff of the batch lower bound. Degenerate bounds never
-// qualify: without a positive bound there is nothing to be provably close
-// to.
+// within race.Cutoff of the batch lower bound. Nothing qualifies with
+// racing off, and degenerate bounds never qualify: without a positive
+// bound there is nothing to be provably close to.
 func (r Racing) qualifies(obj Objective, c *Candidate, lb batchBounds) bool {
-	if c.Err != nil || math.IsNaN(c.Score) {
+	if !r.Enabled() || c.Err != nil || math.IsNaN(c.Score) {
 		return false
 	}
 	switch obj.Kind {
@@ -345,16 +345,16 @@ func (r Racing) qualifies(obj Objective, c *Candidate, lb batchBounds) bool {
 // produced schedules, and the winner index. The winner is the lowest
 // score, ties broken by portfolio order.
 //
-// With racing enabled, members launch in the deterministic launch order
-// (bandit or portfolio order) under per-member cancellable contexts. The
-// cut index is the first launch position whose candidate qualifies under
-// race.qualifies; members launched after it are cancelled and their
-// results discarded even if they finished first, while members launched
-// before it always run to completion. Sequential replays run the same
-// launch order and stop at the same cut index without running the rest, so
-// the committed candidates, schedules and winner are bit-identical whether
-// the members run concurrently or not — racing only affects wall-clock and
-// who gets cancelled.
+// Members launch in the deterministic launch order (bandit or portfolio
+// order) under per-member cancellable contexts. The cut index is the first
+// launch position whose candidate qualifies under race.qualifies; members
+// launched after it are cancelled and their results discarded even if they
+// finished first, while members launched before it always run to
+// completion. Sequential replays run the same launch order and stop at the
+// same cut index without running the rest, so the committed candidates,
+// schedules and winner are bit-identical whether the members run
+// concurrently or not — racing only affects wall-clock and who gets
+// cancelled. With racing off nothing qualifies, so the cut never fires.
 //
 // cmaxLB is the batch's makespan lower bound (lowerbound.Makespan), which
 // the caller computes once for the batch report as well.
@@ -400,86 +400,65 @@ func runPortfolio(ctx context.Context, inst *moldable.Instance, cmaxLB float64, 
 		scheds[i] = s
 	}
 
-	cancelled := 0
-	if racing {
-		order := identityOrder(len(algos))
-		if state != nil {
-			order = state.launchOrder()
-		}
-		// bestQ is the smallest launch position whose candidate qualifies.
-		// It only ever decreases, and cancellation only targets positions
-		// strictly after it, so positions at or before the final bestQ
-		// always run to completion — the commit is timing-independent.
-		bestQ := len(algos)
-		if sequential {
-			for p, i := range order {
-				if p > bestQ {
-					cands[i] = Candidate{Name: algos[i].Name, Cancelled: true}
-					continue
-				}
-				runOne(ctx, i)
-				if race.qualifies(obj, &cands[i], lb) {
-					bestQ = p
-				}
+	order := identityOrder(len(algos))
+	if state != nil {
+		order = state.launchOrder()
+	}
+	// bestQ is the smallest launch position whose candidate qualifies.
+	// It only ever decreases, and cancellation only targets positions
+	// strictly after it, so positions at or before the final bestQ
+	// always run to completion — the commit is timing-independent. With
+	// racing off nothing qualifies and every member runs to completion.
+	bestQ := len(algos)
+	if sequential {
+		for p, i := range order {
+			if p > bestQ {
+				cands[i] = Candidate{Name: algos[i].Name, Cancelled: true}
+				continue
 			}
-		} else {
-			pos := make([]int, len(algos))
-			cancels := make([]context.CancelFunc, len(algos))
-			ctxs := make([]context.Context, len(algos))
-			for p, i := range order {
-				pos[i] = p
-				ctxs[i], cancels[i] = context.WithCancel(ctx)
-			}
-			var mu sync.Mutex
-			var wg sync.WaitGroup
-			wg.Add(len(algos))
-			for _, i := range order {
-				go func(i int) {
-					defer wg.Done()
-					runOne(ctxs[i], i)
-					mu.Lock()
-					defer mu.Unlock()
-					if pos[i] < bestQ && race.qualifies(obj, &cands[i], lb) {
-						bestQ = pos[i]
-						for _, j := range order[bestQ+1:] {
-							cancels[j]()
-						}
-					}
-				}(i)
-			}
-			wg.Wait()
-			for _, c := range cancels {
-				c()
-			}
-			// Discard everything launched after the cut, whether it was
-			// cancelled in flight or happened to finish first: the commit
-			// must not depend on which happened.
-			if bestQ < len(algos) {
-				for _, j := range order[bestQ+1:] {
-					cands[j] = Candidate{Name: algos[j].Name, Cancelled: true}
-					scheds[j] = nil
-				}
-			}
-		}
-		for i := range cands {
-			if cands[i].Cancelled {
-				cancelled++
-			}
-		}
-	} else if sequential {
-		for i := range algos {
 			runOne(ctx, i)
+			if race.qualifies(obj, &cands[i], lb) {
+				bestQ = p
+			}
 		}
 	} else {
+		pos := make([]int, len(algos))
+		cancels := make([]context.CancelFunc, len(algos))
+		ctxs := make([]context.Context, len(algos))
+		for p, i := range order {
+			pos[i] = p
+			ctxs[i], cancels[i] = context.WithCancel(ctx)
+		}
+		var mu sync.Mutex
 		var wg sync.WaitGroup
 		wg.Add(len(algos))
-		for i := range algos {
+		for _, i := range order {
 			go func(i int) {
 				defer wg.Done()
-				runOne(ctx, i)
+				runOne(ctxs[i], i)
+				mu.Lock()
+				defer mu.Unlock()
+				if pos[i] < bestQ && race.qualifies(obj, &cands[i], lb) {
+					bestQ = pos[i]
+					for _, j := range order[bestQ+1:] {
+						cancels[j]()
+					}
+				}
 			}(i)
 		}
 		wg.Wait()
+		for _, c := range cancels {
+			c()
+		}
+		// Discard everything launched after the cut, whether it was
+		// cancelled in flight or happened to finish first: the commit
+		// must not depend on which happened.
+		if bestQ < len(algos) {
+			for _, j := range order[bestQ+1:] {
+				cands[j] = Candidate{Name: algos[j].Name, Cancelled: true}
+				scheds[j] = nil
+			}
+		}
 	}
 
 	// A parent cancellation (serve drain, Ctrl-C) aborts the whole batch:
@@ -514,8 +493,10 @@ func runPortfolio(ctx context.Context, inst *moldable.Instance, cmaxLB float64, 
 		reg.Counter("bicrit_portfolio_wins_total",
 			"Batches won per portfolio algorithm under racing.",
 			obs.L("algorithm", algos[winner].Name)).Inc()
+		cancelled := 0
 		for i := range cands {
 			if cands[i].Cancelled {
+				cancelled++
 				reg.Counter("bicrit_portfolio_cancelled_total",
 					"Portfolio members cut off by the racing early cutoff.",
 					obs.L("algorithm", algos[i].Name)).Inc()

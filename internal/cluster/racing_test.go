@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -70,33 +71,56 @@ func TestRacingDeterministicParallelVsSequential(t *testing.T) {
 
 // TestRacingCutoffOneMatchesNonRacing pins the disabled semantics: a
 // cutoff factor of 1 (or 0) is racing turned off, bit-identical to an
-// engine without the field.
+// engine without the field, under every objective, run concurrently or
+// not. Every member runs to completion: nothing is ever cut off.
 func TestRacingCutoffOneMatchesNonRacing(t *testing.T) {
 	jobs := stream(t, 24, 50, 4, 3)
-	run := func(r Racing) *Report {
-		eng, err := New(Config{
-			M:         24,
-			Objective: Objective{Kind: ObjectiveCombined, Alpha: 0.5},
-			Perturb:   noise(t, 0.15, 4),
-			Racing:    r,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := eng.RunContext(t.Context(), jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	objectives := []Objective{
+		{Kind: ObjectiveMakespan},
+		{Kind: ObjectiveWeightedCompletion},
+		{Kind: ObjectiveCombined, Alpha: 0.5},
 	}
-	plain := run(Racing{})
-	one := run(Racing{Cutoff: 1, Bandit: true, Seed: 3})
-	if !reflect.DeepEqual(plain, one) {
-		t.Fatal("cutoff factor 1 does not reproduce the non-racing replay")
-	}
-	zero := run(Racing{Cutoff: 0})
-	if !reflect.DeepEqual(plain, zero) {
-		t.Fatal("cutoff factor 0 does not reproduce the non-racing replay")
+	for _, obj := range objectives {
+		for _, sequential := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/sequential=%t", obj.Kind, sequential), func(t *testing.T) {
+				run := func(r Racing) *Report {
+					eng, err := New(Config{
+						M:          24,
+						Objective:  obj,
+						Perturb:    noise(t, 0.15, 4),
+						Sequential: sequential,
+						Racing:     r,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep, err := eng.RunContext(t.Context(), jobs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return rep
+				}
+				plain := run(Racing{})
+				for _, br := range plain.Batches {
+					if len(br.CutOff) > 0 {
+						t.Fatalf("batch %d cut off %v with racing off", br.Index, br.CutOff)
+					}
+					for _, c := range br.Candidates {
+						if c.Cancelled || c.Err != nil {
+							t.Fatalf("batch %d: member %q did not run to completion: %+v", br.Index, c.Name, c)
+						}
+					}
+				}
+				one := run(Racing{Cutoff: 1, Bandit: true, Seed: 3})
+				if !reflect.DeepEqual(plain, one) {
+					t.Fatal("cutoff factor 1 does not reproduce the non-racing replay")
+				}
+				zero := run(Racing{Cutoff: 0})
+				if !reflect.DeepEqual(plain, zero) {
+					t.Fatal("cutoff factor 0 does not reproduce the non-racing replay")
+				}
+			})
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 
-	"bicriteria/internal/listsched"
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/obs"
 	"bicriteria/internal/schedule"
@@ -57,12 +56,11 @@ type Session struct {
 	batchIndex int
 	// infos caches every fed job's metric inputs; its keys are the IDs fed
 	// so far.
-	infos   Table[jobInfo]
-	busyAbs []listsched.Busy
-	acc     *metricsAccumulator
-	report  *Report
-	fstate  *faultState
-	race    *raceState
+	infos  Table[jobInfo]
+	acc    *metricsAccumulator
+	report *Report
+	fstate *faultState
+	race   *raceState
 	// err is sticky: a failed step leaves the loop state undefined, so the
 	// session refuses every later call with it.
 	err error
@@ -75,17 +73,12 @@ var errFinished = errors.New("cluster: session already finished")
 // between batches of every AdvanceTo and Finish: a cancellation fails the
 // session with the context's error (wrapped).
 func (e *Engine) NewSession(ctx context.Context) *Session {
-	busyAbs := make([]listsched.Busy, len(e.cfg.Reservations))
-	for i, r := range e.cfg.Reservations {
-		busyAbs[i] = listsched.Busy{Procs: e.blocked[i], Start: r.Start, End: r.End}
-	}
 	s := &Session{
 		e:       e,
 		ctx:     ctx,
 		onBatch: e.cfg.OnBatch,
 		metrics: e.cfg.Metrics,
 		infos:   NewTable[jobInfo](),
-		busyAbs: busyAbs,
 		acc:     newMetricsAccumulator(e.cfg.M),
 		report:  &Report{Schedule: schedule.New(e.cfg.M), Blocked: e.blocked},
 	}
@@ -158,15 +151,15 @@ func (s *Session) Finish() (*Report, error) {
 		s.err = err
 		return nil, err
 	}
-	s.report.Metrics = s.acc.snapshot()
+	s.report.Metrics = s.acc.metrics()
 	s.err = errFinished
 	return s.report, nil
 }
 
 // Fork returns a copy of the session: feeding, advancing or finishing the
-// fork leaves the session untouched. The committed report is shared with
-// clipped capacity, so neither side's appends show through to the other;
-// the loop state, the fault and racing state and the metric samples are
+// fork leaves the session untouched. The committed report and the metric
+// samples are shared with clipped capacity, so neither side's appends show
+// through to the other; the loop state and the fault and racing state are
 // copied. The fork reads the fed jobs' table in place (see Table),
 // so it is for finishing — a grid fork feeds it what it routes on the
 // way — and the session must not be fed again until the fork is done
@@ -189,10 +182,10 @@ func (s *Session) Fork() *Session {
 }
 
 // Committed returns what the session has committed so far: the batches
-// fired, the realized schedule, the kills and the losses. It shares memory
-// with the session — read it, never write it — but later batches never
-// show through. Metrics is left zero; every batch's Cumulative carries the
-// running metrics and Finish computes the final ones.
+// fired (with their kills), the realized schedule and the losses. It
+// shares memory with the session — read it, never write it — but later
+// batches never show through. Metrics is left zero: Finish computes it,
+// and every batch carries the running utilization.
 func (s *Session) Committed() *Report { return s.report.committed() }
 
 // committed is a view of the report whose slices end at their current
@@ -203,7 +196,6 @@ func (r *Report) committed() *Report {
 		Schedule: &schedule.Schedule{M: r.Schedule.M, Assignments: clip(r.Schedule.Assignments)},
 		Batches:  clip(r.Batches),
 		Blocked:  r.Blocked,
-		Kills:    clip(r.Kills),
 		Lost:     clip(r.Lost),
 	}
 }

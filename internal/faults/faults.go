@@ -26,16 +26,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-)
 
-// Window is a set of processors of one machine that is down during
-// [Start, End): the exchange format between a fault plan and the cluster
-// engine or the simulator.
-type Window struct {
-	Procs []int
-	Start float64
-	End   float64
-}
+	"bicriteria/internal/schedule"
+)
 
 // NodeOutage is one node of one cluster crashing at Start and coming back
 // repaired at End.
@@ -140,14 +133,14 @@ func (p *Plan) normalize() {
 // outages, plus its shard outages expanded to the whole machine of m
 // processors — sorted by start time. This is what a cluster engine needs
 // to know: which of its processors are dead when.
-func (p *Plan) ClusterWindows(clusterIndex, m int) []Window {
+func (p *Plan) ClusterWindows(clusterIndex, m int) []schedule.Window {
 	if p == nil {
 		return nil
 	}
-	var out []Window
+	var out []schedule.Window
 	for _, n := range p.Nodes {
 		if n.Cluster == clusterIndex {
-			out = append(out, Window{Procs: []int{n.Proc}, Start: n.Start, End: n.End})
+			out = append(out, schedule.Window{Procs: []int{n.Proc}, Start: n.Start, End: n.End})
 		}
 	}
 	for _, s := range p.Shards {
@@ -156,7 +149,7 @@ func (p *Plan) ClusterWindows(clusterIndex, m int) []Window {
 			for i := range procs {
 				procs[i] = i
 			}
-			out = append(out, Window{Procs: procs, Start: s.Start, End: s.End})
+			out = append(out, schedule.Window{Procs: procs, Start: s.Start, End: s.End})
 		}
 	}
 	sort.SliceStable(out, func(a, b int) bool {

@@ -192,6 +192,6 @@ func TestOneShardGridKeepsJobsAcrossShardOutage(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep.Clusters[0], want) {
 		t.Fatalf("one-shard grid differs from its engine: makespan %g vs %g, %d vs %d kills",
-			rep.Clusters[0].Metrics.Makespan, want.Metrics.Makespan, len(rep.Clusters[0].Kills), len(want.Kills))
+			rep.Clusters[0].Metrics.Makespan, want.Metrics.Makespan, rep.Clusters[0].Metrics.Killed, want.Metrics.Killed)
 	}
 }

@@ -258,21 +258,13 @@ type interval struct {
 	start, end float64
 }
 
-// Busy describes a pre-existing occupation of specific processors, such as
-// an administrative node reservation: the listed processors are unavailable
-// during [Start, End).
-type Busy struct {
-	Procs      []int
-	Start, End float64
-}
-
 // InsertionWithReservations places the items strictly in list order, each
 // at the earliest feasible start time, filling holes of the partial
 // schedule, on a machine whose processors are partially unavailable: the
 // reservations are blocked out before any item is placed. The returned
 // schedule carries explicit processor assignments and only contains the
 // items (reservations are not assignments).
-func InsertionWithReservations(m int, reservations []Busy, items []Item) (*schedule.Schedule, error) {
+func InsertionWithReservations(m int, reservations []schedule.Window, items []Item) (*schedule.Schedule, error) {
 	if err := validateItems(m, items); err != nil {
 		return nil, err
 	}

@@ -6,8 +6,7 @@
 //
 //   - Weighted minsum: the LP relaxation of the interval ILP of section 3.3
 //     (solved with the in-repo simplex), plus a cheap combinatorial
-//     "squashed-area" bound used when the LP is too expensive, and an exact
-//     ILP variant (branch and bound) for tiny instances used in tests.
+//     "squashed-area" bound used when the LP is too expensive.
 package lowerbound
 
 import (
@@ -35,7 +34,7 @@ type MinsumOptions struct {
 	LP *lp.Options
 }
 
-// MinsumBound is the result of the LP (or ILP) lower bound.
+// MinsumBound is the result of the LP lower bound.
 type MinsumBound struct {
 	// Value is the lower bound on sum(w_i C_i): the maximum of the LP
 	// relaxation value and the squashed-area bound.
@@ -50,8 +49,6 @@ type MinsumBound struct {
 	Status lp.Status
 	// Iterations is the number of simplex pivots used.
 	Iterations int
-	// Nodes is the number of branch-and-bound nodes (ILP variant only).
-	Nodes int
 }
 
 // intervalSet builds the geometric interval boundaries of section 3.3:
@@ -192,38 +189,6 @@ func MinsumLP(inst *moldable.Instance, opts *MinsumOptions) (*MinsumBound, error
 		bound.Value = sq
 	}
 	return bound, nil
-}
-
-// MinsumILP solves the integer version of the section 3.3 formulation with
-// branch and bound. It is exponential and intended for tiny instances in
-// tests; the result is still only a lower bound on the true optimum (the
-// formulation ignores processor collisions) but is at least as strong as
-// the LP value.
-func MinsumILP(inst *moldable.Instance, opts *MinsumOptions) (*MinsumBound, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	cmax := 0.0
-	if opts != nil {
-		cmax = opts.CmaxEstimate
-	}
-	if cmax <= 0 {
-		cmax = Makespan(inst)
-	}
-	boundaries := intervalSet(inst, cmax)
-	problem, _ := buildProblem(inst, boundaries)
-	var lpOpts *lp.Options
-	if opts != nil {
-		lpOpts = opts.LP
-	}
-	sol, err := lp.SolveBinary(problem, &lp.BinaryOptions{LP: lpOpts})
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("lowerbound: ILP solve failed with status %v", sol.Status)
-	}
-	return &MinsumBound{Value: sol.Objective, Boundaries: boundaries, Status: sol.Status, Nodes: sol.Nodes}, nil
 }
 
 // MinsumSquashedArea is a fast combinatorial lower bound on sum(w_i C_i):

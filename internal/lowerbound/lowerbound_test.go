@@ -156,41 +156,6 @@ func TestMinsumLPRejectsInvalidInstance(t *testing.T) {
 	if _, err := MinsumLP(&moldable.Instance{M: 0}, nil); err == nil {
 		t.Fatalf("invalid instance must fail")
 	}
-	if _, err := MinsumILP(&moldable.Instance{M: 0}, nil); err == nil {
-		t.Fatalf("invalid instance must fail")
-	}
-}
-
-func TestMinsumILPAtLeastLP(t *testing.T) {
-	inst := moldable.NewInstance(3, []moldable.Task{
-		{ID: 0, Weight: 2, Times: []float64{4, 2.5, 2}},
-		{ID: 1, Weight: 1, Times: []float64{3, 1.8, 1.4}},
-		{ID: 2, Weight: 3, Times: []float64{1.5}},
-	})
-	lpBound, err := MinsumLP(inst, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ilpBound, err := MinsumILP(inst, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ilpBound.Value < lpBound.Value-1e-6 {
-		// The reported LP value includes the squashed-area max; compare to
-		// the raw relaxation instead by rebuilding it.
-		boundaries := intervalSet(inst, Makespan(inst))
-		problem, _ := buildProblem(inst, boundaries)
-		raw, err := lp.Solve(problem, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ilpBound.Value < raw.Objective-1e-6 {
-			t.Fatalf("ILP value %g below LP relaxation %g", ilpBound.Value, raw.Objective)
-		}
-	}
-	if ilpBound.Nodes <= 0 {
-		t.Fatalf("ILP should report explored nodes")
-	}
 }
 
 func TestPropertyLowerBoundsBelowFeasibleSchedules(t *testing.T) {

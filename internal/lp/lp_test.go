@@ -350,76 +350,3 @@ func TestLargeSparseCoveringProblem(t *testing.T) {
 		}
 	}
 }
-
-func TestSolveBinaryKnapsackLike(t *testing.T) {
-	// max 10a + 12b + 7c with 3a + 4b + 2c <= 7  => a,c and b? brute: a+b=22 cost 7.
-	p := NewProblem(3)
-	p.SetObjective(0, -10)
-	p.SetObjective(1, -12)
-	p.SetObjective(2, -7)
-	p.AddConstraint([]float64{3, 4, 2}, LE, 7)
-	sol, err := SolveBinary(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal || !sol.Proven {
-		t.Fatalf("status = %v proven=%v", sol.Status, sol.Proven)
-	}
-	if !approx(sol.Objective, -22, 1e-6) {
-		t.Fatalf("objective = %g, want -22", sol.Objective)
-	}
-	for j, v := range sol.X {
-		if v != 0 && v != 1 {
-			t.Fatalf("x[%d] = %g not binary", j, v)
-		}
-	}
-}
-
-func TestSolveBinaryInfeasible(t *testing.T) {
-	p := NewProblem(2)
-	p.SetObjective(0, 1)
-	p.AddConstraint([]float64{1, 1}, GE, 3) // at most 2 with binaries
-	sol, err := SolveBinary(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Infeasible {
-		t.Fatalf("status = %v, want infeasible", sol.Status)
-	}
-}
-
-func TestSolveBinaryLowerBoundedByLP(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(6)
-		p := NewProblem(n)
-		for j := 0; j < n; j++ {
-			p.SetObjective(j, float64(1+r.Intn(10)))
-		}
-		cover := make([]float64, n)
-		for j := range cover {
-			cover[j] = 1
-		}
-		p.AddConstraint(cover, GE, float64(1+r.Intn(n)))
-		cap := make([]float64, n)
-		for j := range cap {
-			cap[j] = float64(1 + r.Intn(4))
-		}
-		p.AddConstraint(cap, LE, float64(n+2))
-
-		bin, err := SolveBinary(p, nil)
-		if err != nil || bin.Status != Optimal {
-			return err == nil && bin.Status == Infeasible
-		}
-		rel := relaxWithBounds(p, nil)
-		lpSol, err := Solve(rel, nil)
-		if err != nil || lpSol.Status != Optimal {
-			return false
-		}
-		// LP relaxation is a lower bound of the binary optimum.
-		return lpSol.Objective <= bin.Objective+1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

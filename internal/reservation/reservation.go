@@ -100,9 +100,9 @@ func Schedule(ctx context.Context, inst *moldable.Instance, reservations []Reser
 		return nil, err
 	}
 
-	busy := make([]listsched.Busy, len(reservations))
+	busy := make([]schedule.Window, len(reservations))
 	for i, r := range reservations {
-		busy[i] = listsched.Busy{Procs: blocked[i], Start: r.Start, End: r.End}
+		busy[i] = schedule.Window{Procs: blocked[i], Start: r.Start, End: r.End}
 	}
 
 	// Re-place the DEMT schedule around the reservations: keep the batch

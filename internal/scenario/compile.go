@@ -595,7 +595,7 @@ func LogObserver(l *slog.Logger) Observer {
 				"winner", br.Winner,
 				"planned_makespan", br.PlannedMakespan,
 				"realized_makespan", br.RealizedMakespan,
-				"killed", len(br.Killed))
+				"killed", len(br.KillEvents))
 			for _, k := range br.KillEvents {
 				l.Warn("job killed",
 					"cluster", c, "job", k.TaskID, "batch", k.Batch,

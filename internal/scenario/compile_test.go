@@ -280,8 +280,8 @@ func TestObserverStreamsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kills != len(frep.Cluster.Kills) {
-		t.Fatalf("observed %d kills, report has %d", kills, len(frep.Cluster.Kills))
+	if kills != frep.Cluster.Metrics.Killed {
+		t.Fatalf("observed %d kills, report has %d", kills, frep.Cluster.Metrics.Killed)
 	}
 	if kills == 0 {
 		t.Fatal("fault scenario produced no kills; the observer path is untested")
@@ -356,7 +356,7 @@ func TestLogObserver(t *testing.T) {
 	wantBatches, wantKills := 0, 0
 	for _, crep := range rep.Grid.Clusters {
 		wantBatches += len(crep.Batches)
-		wantKills += len(crep.Kills)
+		wantKills += crep.Metrics.Killed
 	}
 	var wantMigrated []grid.Decision
 	for _, d := range rep.Grid.Decisions {

@@ -22,12 +22,12 @@ import (
 // FormatBatchLine renders one committed batch as the verbose line.
 func FormatBatchLine(br cluster.BatchReport) string {
 	killed := ""
-	if len(br.Killed) > 0 {
-		killed = fmt.Sprintf("  killed=%d", len(br.Killed))
+	if len(br.KillEvents) > 0 {
+		killed = fmt.Sprintf("  killed=%d", len(br.KillEvents))
 	}
 	return fmt.Sprintf("batch %3d  t=%9.2f  jobs=%3d  winner=%-9s  planned=%8.2f  realized=%8.2f  util=%5.1f%%%s\n",
 		br.Index, br.FireTime, len(br.Jobs), br.Winner, br.PlannedMakespan, br.RealizedMakespan,
-		100*br.Cumulative.Utilization, killed)
+		100*br.Utilization, killed)
 }
 
 // FormatDecisionLine renders one routing decision as the verbose line.

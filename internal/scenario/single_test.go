@@ -181,7 +181,7 @@ func TestSingleIsOneShardGrid(t *testing.T) {
 			want := engineReport(t, s)
 			if got := oneShardReport(t, s); !reflect.DeepEqual(got, want) {
 				t.Fatalf("one-shard grid differs from the cluster engine: makespan %g vs %g, %d vs %d batches, %d vs %d kills",
-					got.Metrics.Makespan, want.Metrics.Makespan, len(got.Batches), len(want.Batches), len(got.Kills), len(want.Kills))
+					got.Metrics.Makespan, want.Metrics.Makespan, len(got.Batches), len(want.Batches), got.Metrics.Killed, want.Metrics.Killed)
 			}
 			run, err := Compile(s)
 			if err != nil {

@@ -166,7 +166,7 @@ func TestTraceEventsReconcileWithReport(t *testing.T) {
 	}
 	kills := 0
 	for _, crep := range rep.Grid.Clusters {
-		kills += len(crep.Kills)
+		kills += crep.Metrics.Killed
 	}
 	if counts[kindKill] != kills {
 		t.Errorf("trace has %d kill events, report has %d kills", counts[kindKill], kills)

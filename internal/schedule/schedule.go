@@ -44,6 +44,16 @@ type Schedule struct {
 	Assignments []Assignment
 }
 
+// Window is a set of processors that is down during [Start, End): a node
+// reservation, or a crash and repair span of a fault plan. It is the
+// exchange format between a fault plan, the reservation placer, the
+// cluster engine and the simulator.
+type Window struct {
+	Procs []int
+	Start float64
+	End   float64
+}
+
 // New returns an empty schedule for an m-processor machine.
 func New(m int) *Schedule { return &Schedule{M: m} }
 

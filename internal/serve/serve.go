@@ -38,8 +38,8 @@
 //     construction identical to an offline grid run of the same stream.
 //
 // A refresh thus costs O(new arrivals) replay work plus O(in-flight tail)
-// for the fork. What still grows with the whole stream: the fork's copies
-// of the metric samples (memory copies, not replay), snapshot writes, the
+// for the fork. What still grows with the whole stream: the fork's sort
+// of the metric samples when it finishes (not replay), snapshot writes, the
 // SLO evaluation over the completed jobs, the /metrics distribution
 // histograms and the grid aggregate's percentiles.
 //

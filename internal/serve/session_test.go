@@ -62,9 +62,11 @@ func referenceApply(reg *registry, rep *grid.Report, vnow float64, final bool) {
 			}
 		}
 		counts := make(map[int]int)
-		for _, k := range crep.Kills {
-			if final || k.Time < vnow-eps {
-				counts[k.TaskID]++
+		for _, b := range crep.Batches {
+			for _, k := range b.KillEvents {
+				if final || k.Time < vnow-eps {
+					counts[k.TaskID]++
+				}
 			}
 		}
 		for id, n := range counts {
@@ -362,6 +364,25 @@ func TestRestoreRejectsBadVirtualClock(t *testing.T) {
 		}
 		if !errors.As(err, &verr) || verr.Field != "snapshot.virtual_now" {
 			t.Errorf("virtual_now %s: got %v, want a snapshot.virtual_now field error", clock, err)
+		}
+	}
+}
+
+// TestRestoreRejectsNegativeCounters is the regression test of a
+// hand-edited snapshot with a negative rejection counter: GET /metrics
+// would serve it and keep counting up from below zero, while
+// /metrics.prom, whose counters never decrease, would show 0.
+func TestRestoreRejectsNegativeCounters(t *testing.T) {
+	for _, field := range []string{"rejected_rate_limit", "rejected_backlog"} {
+		path := filepath.Join(t.TempDir(), "snapshot.json")
+		body := `{"version": 1, "virtual_now": 5, "counters": {"` + field + `": -3}, "jobs": []}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := NewServer(Config{Grid: gridConfig(), RefreshInterval: -1, SnapshotInterval: -1, SnapshotPath: path})
+		var verr *validate.Error
+		if !errors.As(err, &verr) || verr.Field != "snapshot.counters."+field {
+			t.Errorf("negative %s: got %v, want a snapshot.counters.%s field error", field, err, field)
 		}
 	}
 }

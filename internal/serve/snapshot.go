@@ -118,6 +118,14 @@ func (s *Server) restoreSnapshot(path string) (float64, error) {
 	if snap.VirtualNow < 0 || math.IsNaN(snap.VirtualNow) || math.IsInf(snap.VirtualNow, 0) {
 		return 0, validate.Errorf("snapshot.virtual_now", "%s: virtual clock must be non-negative and finite, got %g", path, snap.VirtualNow)
 	}
+	// The rejection counters resume from the file; /metrics.prom never
+	// lowers a counter, so a negative one would disagree with /metrics.
+	if c := snap.Counters.RejectedRate; c < 0 {
+		return 0, validate.Errorf("snapshot.counters.rejected_rate_limit", "%s: counter must be non-negative, got %d", path, c)
+	}
+	if c := snap.Counters.RejectedBacklog; c < 0 {
+		return 0, validate.Errorf("snapshot.counters.rejected_backlog", "%s: counter must be non-negative, got %d", path, c)
+	}
 	for i, sj := range snap.Jobs {
 		task := moldable.Task{ID: sj.ID, Name: sj.Name, Weight: sj.Weight, Times: sj.Times}
 		if err := task.Validate(); err != nil {

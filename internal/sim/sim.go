@@ -30,7 +30,7 @@ type Options struct {
 	// would overlap a blocked window on one of its processors is delayed
 	// past the window, exactly as the runtime system of the paper's
 	// deployment would hold a job for an advance reservation.
-	Blocked []BlockedWindow
+	Blocked []schedule.Window
 	// Failures lists machine down windows the planner did NOT know about:
 	// node crashes. Unlike Blocked windows, which delay tasks out of the
 	// way, a failure beginning while a task is running kills the task at
@@ -43,20 +43,7 @@ type Options struct {
 	// processors is up at once, so under very dense failures a
 	// whole-machine task can starve (delayed past the last repair) rather
 	// than start and be killed.
-	Failures []FailureWindow
-}
-
-// BlockedWindow makes a set of processors unavailable during [Start, End).
-type BlockedWindow struct {
-	Procs      []int
-	Start, End float64
-}
-
-// FailureWindow is a set of processors crashed during [Start, End): down
-// from Start, repaired and usable again at End.
-type FailureWindow struct {
-	Procs      []int
-	Start, End float64
+	Failures []schedule.Window
 }
 
 // KilledTask records one task killed by a failure: it started at Start and
@@ -132,11 +119,11 @@ func Execute(inst *moldable.Instance, sched *schedule.Schedule, opts *Options) (
 		return ax.TaskID < ay.TaskID
 	})
 
-	blocked, err := blockedByProc(opts.Blocked, inst.M)
+	blocked, err := byProc(opts.Blocked, inst.M, "blocked")
 	if err != nil {
 		return nil, err
 	}
-	failures, err := failuresByProc(opts.Failures, inst.M)
+	failures, err := byProc(opts.Failures, inst.M, "failure")
 	if err != nil {
 		return nil, err
 	}
@@ -230,19 +217,20 @@ func Execute(inst *moldable.Instance, sched *schedule.Schedule, opts *Options) (
 	return res, nil
 }
 
-// blockedByProc indexes the blocked windows by processor, sorted by start.
-func blockedByProc(windows []BlockedWindow, m int) (map[int][]BlockedWindow, error) {
+// byProc indexes the windows by processor, sorted by start; kind names
+// them in errors.
+func byProc(windows []schedule.Window, m int, kind string) (map[int][]schedule.Window, error) {
 	if len(windows) == 0 {
 		return nil, nil
 	}
-	perProc := make(map[int][]BlockedWindow)
+	perProc := make(map[int][]schedule.Window)
 	for _, w := range windows {
 		if w.End <= w.Start {
-			return nil, fmt.Errorf("sim: blocked window has empty or negative span [%g, %g)", w.Start, w.End)
+			return nil, fmt.Errorf("sim: %s window has empty or negative span [%g, %g)", kind, w.Start, w.End)
 		}
 		for _, p := range w.Procs {
 			if p < 0 || p >= m {
-				return nil, fmt.Errorf("sim: blocked window uses processor %d outside the machine", p)
+				return nil, fmt.Errorf("sim: %s window uses processor %d outside the machine", kind, p)
 			}
 			perProc[p] = append(perProc[p], w)
 		}
@@ -256,7 +244,7 @@ func blockedByProc(windows []BlockedWindow, m int) (map[int][]BlockedWindow, err
 // delayPastBlocked pushes the start time until [start, start+duration) is
 // clear of every blocked window on every processor of the task. Pushing past
 // one window can land inside another, so the sweep repeats until stable.
-func delayPastBlocked(blocked map[int][]BlockedWindow, procs []int, start, duration float64) float64 {
+func delayPastBlocked(blocked map[int][]schedule.Window, procs []int, start, duration float64) float64 {
 	if len(blocked) == 0 {
 		return start
 	}
@@ -274,35 +262,12 @@ func delayPastBlocked(blocked map[int][]BlockedWindow, procs []int, start, durat
 	return start
 }
 
-// failuresByProc indexes the failure windows by processor, sorted by start.
-func failuresByProc(windows []FailureWindow, m int) (map[int][]FailureWindow, error) {
-	if len(windows) == 0 {
-		return nil, nil
-	}
-	perProc := make(map[int][]FailureWindow)
-	for _, w := range windows {
-		if w.End <= w.Start {
-			return nil, fmt.Errorf("sim: failure window has empty or negative span [%g, %g)", w.Start, w.End)
-		}
-		for _, p := range w.Procs {
-			if p < 0 || p >= m {
-				return nil, fmt.Errorf("sim: failure window uses processor %d outside the machine", p)
-			}
-			perProc[p] = append(perProc[p], w)
-		}
-	}
-	for p := range perProc {
-		sort.SliceStable(perProc[p], func(a, b int) bool { return perProc[p][a].Start < perProc[p][b].Start })
-	}
-	return perProc, nil
-}
-
 // delayPastDown pushes the start time past every failure window that is
 // active at the start instant on one of the task's processors: the runtime
 // cannot dispatch onto a dead node, but it does not know about crashes
 // that have not happened yet. Pushing past one window can land inside
 // another, so the sweep repeats until stable.
-func delayPastDown(failures map[int][]FailureWindow, procs []int, start float64) float64 {
+func delayPastDown(failures map[int][]schedule.Window, procs []int, start float64) float64 {
 	if len(failures) == 0 {
 		return start
 	}
@@ -323,7 +288,7 @@ func delayPastDown(failures map[int][]FailureWindow, procs []int, start float64)
 // firstFailureDuring returns the earliest failure that begins strictly
 // inside the task's execution (start, end) on one of its processors — the
 // instant the task dies — or false when the task runs to completion.
-func firstFailureDuring(failures map[int][]FailureWindow, procs []int, start, end float64) (float64, bool) {
+func firstFailureDuring(failures map[int][]schedule.Window, procs []int, start, end float64) (float64, bool) {
 	if len(failures) == 0 {
 		return 0, false
 	}

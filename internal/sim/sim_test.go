@@ -166,7 +166,7 @@ func TestExecuteDelaysPastBlockedWindows(t *testing.T) {
 	// 2) would overlap, so it must be pushed past the window, and task 2
 	// (all four processors) must in turn wait for it.
 	res, err := Execute(inst, s, &Options{
-		Blocked: []BlockedWindow{{Procs: []int{2}, Start: 1, End: 6}},
+		Blocked: []schedule.Window{{Procs: []int{2}, Start: 1, End: 6}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestExecuteDelaysPastBlockedWindows(t *testing.T) {
 	// second.
 	s = plannedSchedule()
 	res, err = Execute(inst, s, &Options{
-		Blocked: []BlockedWindow{
+		Blocked: []schedule.Window{
 			{Procs: []int{2}, Start: 1, End: 6},
 			{Procs: []int{2}, Start: 6.5, End: 12},
 		},
@@ -204,10 +204,10 @@ func TestExecuteDelaysPastBlockedWindows(t *testing.T) {
 	}
 
 	// Malformed windows are rejected.
-	if _, err := Execute(inst, plannedSchedule(), &Options{Blocked: []BlockedWindow{{Procs: []int{9}, Start: 0, End: 1}}}); err == nil {
+	if _, err := Execute(inst, plannedSchedule(), &Options{Blocked: []schedule.Window{{Procs: []int{9}, Start: 0, End: 1}}}); err == nil {
 		t.Fatalf("out-of-range blocked processor must fail")
 	}
-	if _, err := Execute(inst, plannedSchedule(), &Options{Blocked: []BlockedWindow{{Procs: []int{0}, Start: 2, End: 2}}}); err == nil {
+	if _, err := Execute(inst, plannedSchedule(), &Options{Blocked: []schedule.Window{{Procs: []int{0}, Start: 2, End: 2}}}); err == nil {
 		t.Fatalf("empty blocked window must fail")
 	}
 }
@@ -217,7 +217,7 @@ func TestExecuteFailureKillsRunningTask(t *testing.T) {
 	s := plannedSchedule()
 	// Processor 1 crashes at t=2, while task 0 (procs 0,1 for [0,5)) runs.
 	res, err := Execute(inst, s, &Options{
-		Failures: []FailureWindow{{Procs: []int{1}, Start: 2, End: 3}},
+		Failures: []schedule.Window{{Procs: []int{1}, Start: 2, End: 3}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestExecuteFailureDelaysDispatchOnDeadNode(t *testing.T) {
 	// The node is already down when the task should be dispatched: the
 	// runtime holds it until the repair instead of killing it.
 	res, err := Execute(inst, s, &Options{
-		Failures: []FailureWindow{{Procs: []int{0}, Start: 0.5, End: 4}},
+		Failures: []schedule.Window{{Procs: []int{0}, Start: 0.5, End: 4}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestExecuteFailureChainsAcrossWindows(t *testing.T) {
 	// Killed at 1; the caller would resubmit. Within one Execute the task
 	// dies once and is simply gone: a second window later must not matter.
 	res, err := Execute(inst, s, &Options{
-		Failures: []FailureWindow{
+		Failures: []schedule.Window{
 			{Procs: []int{0}, Start: 1, End: 2},
 			{Procs: []int{0}, Start: 2.5, End: 2.6},
 		},
@@ -301,12 +301,12 @@ func TestExecuteFailureValidation(t *testing.T) {
 	inst := testInstance()
 	s := plannedSchedule()
 	if _, err := Execute(inst, s, &Options{
-		Failures: []FailureWindow{{Procs: []int{0}, Start: 3, End: 3}},
+		Failures: []schedule.Window{{Procs: []int{0}, Start: 3, End: 3}},
 	}); err == nil {
 		t.Fatal("empty failure window accepted")
 	}
 	if _, err := Execute(inst, s, &Options{
-		Failures: []FailureWindow{{Procs: []int{99}, Start: 1, End: 2}},
+		Failures: []schedule.Window{{Procs: []int{99}, Start: 1, End: 2}},
 	}); err == nil {
 		t.Fatal("failure window outside the machine accepted")
 	}
