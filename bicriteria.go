@@ -134,21 +134,6 @@ func SaveScenario(path string, s Scenario) error { return scenario.SaveScenario(
 // LoadScenario reads a scenario from a file path.
 func LoadScenario(path string) (Scenario, error) { return scenario.LoadScenario(path) }
 
-// ScenarioFaultSeed derives the fault-plan sub-seed of a master seed:
-// seed ^ ScenarioFaultSeedSalt, the documented derivation the scenario
-// compiler (and cmd/bicrit-gen) uses when no explicit fault seed is set.
-func ScenarioFaultSeed(seed int64) int64 { return seed ^ scenario.FaultSeedSalt }
-
-// ScenarioFaultSeedSalt is the fault sub-seed salt; ArrivalSeedSalt and
-// RuntimeSeedSalt (internal/workload) are its siblings for the arrival
-// and runtime-tail streams.
-const (
-	ScenarioFaultSeedSalt = scenario.FaultSeedSalt
-	ScenarioRaceSeedSalt  = scenario.RaceSeedSalt
-	ArrivalSeedSalt       = workload.ArrivalSeedSalt
-	RuntimeSeedSalt       = workload.RuntimeSeedSalt
-)
-
 // FormatScenarioBatchLine renders one committed batch as the standard
 // verbose line of the CLIs.
 func FormatScenarioBatchLine(br ClusterBatchReport) string { return scenario.FormatBatchLine(br) }
@@ -495,11 +480,8 @@ type Arrival = workload.Arrival
 // scaling.
 type ArrivalConfig = workload.ArrivalConfig
 
-// ArrivalDistribution selects a sampling law for inter-arrival gaps and
-// runtime multipliers.
-type ArrivalDistribution = workload.Distribution
-
-// Arrival and runtime distributions.
+// Arrival and runtime distributions: the sampling laws of
+// ArrivalConfig's inter-arrival gaps and runtime multipliers.
 const (
 	DistDefault     = workload.DistDefault
 	DistExponential = workload.DistExponential
@@ -507,25 +489,9 @@ const (
 	DistWeibull     = workload.DistWeibull
 )
 
-// ParseArrivalDistribution converts a string such as "lognormal" into an
-// ArrivalDistribution.
-func ParseArrivalDistribution(s string) (ArrivalDistribution, error) {
-	return workload.ParseDistribution(s)
-}
-
 // GenerateArrivals builds a deterministic on-line job stream: tasks from a
 // workload family, submitted at Poisson (or bursty, heavy-tailed) instants.
 func GenerateArrivals(cfg ArrivalConfig) ([]Arrival, error) { return workload.GenerateArrivals(cfg) }
-
-// SaveArrivals writes an arrival stream to a file path as JSON (an
-// SWF-style trace that keeps the moldable time vectors); m records the
-// machine size the stream was generated for.
-func SaveArrivals(path string, m int, arrivals []Arrival) error {
-	return workload.SaveArrivals(path, m, arrivals)
-}
-
-// LoadArrivals reads an arrival stream from a file path.
-func LoadArrivals(path string) ([]Arrival, int, error) { return workload.LoadArrivals(path) }
 
 // ArrivalJobs adapts an arrival stream to the on-line and cluster inputs.
 func ArrivalJobs(arrivals []Arrival) []OnlineJob { return cluster.JobsFromArrivals(arrivals) }
@@ -648,16 +614,6 @@ func GenerateFaults(cfg FaultsConfig) (*FaultsPlan, error) { return faults.Gener
 // stream from its last submission and total minimum work on the machine.
 func SuggestFaultHorizon(maxRelease, totalMinWork float64, procs int) float64 {
 	return faults.SuggestHorizon(maxRelease, totalMinWork, procs)
-}
-
-// GenerateFaultsForJobs generates the fault plan of a job stream: when
-// cfg.Horizon is zero it is estimated with SuggestFaultHorizon from the
-// stream's last release and total minimum work over the total processors
-// of cfg.Clusters. Compiling a faulted scenario without a horizon makes
-// the same estimate, so a given (seed, stream, cluster sizes) names the
-// same disaster in bicrit-gen's -faults file and in a scenario replay.
-func GenerateFaultsForJobs(cfg FaultsConfig, jobs []OnlineJob) (*FaultsPlan, error) {
-	return scenario.FaultPlan(cfg, jobs)
 }
 
 // ClusterReplanPolicy decides what a killed job looks like when it rejoins

@@ -1,17 +1,3 @@
-// Command bicrit-exp runs the paper's experiments (section 4): for one of
-// the figures 3-7 or for a custom workload/size sweep, it compares DEMT
-// against the baselines, normalizes by the lower bounds and prints the
-// aggregated ratios as text tables (and optionally CSV files ready for
-// re-plotting).
-//
-// Reproducing Figure 6 at the paper's full scale (200 processors, 40 runs
-// per point, LP lower bound):
-//
-//	bicrit-exp -figure 6 -runs 40 -lp -csv figure6.csv
-//
-// A quick smoke run:
-//
-//	bicrit-exp -figure 4 -runs 3 -tasks 25,50,100
 package main
 
 import (
@@ -19,23 +5,19 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 	"strings"
 
 	"bicriteria/internal/experiment"
 	"bicriteria/internal/workload"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "bicrit-exp:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("bicrit-exp", flag.ContinueOnError)
+// expCmd runs the paper's experiments (section 4): for one of the figures
+// 3-7 or for a custom workload/size sweep, it compares DEMT against the
+// baselines, normalizes by the lower bounds and prints the aggregated
+// ratios as text tables (and optionally a CSV file ready for
+// re-plotting). -ablation runs an ablation study instead.
+func expCmd(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("bicrit exp", flag.ContinueOnError)
 	figure := fs.Int("figure", 0, "paper figure to reproduce (3-7); 0 means use -workload")
 	kindFlag := fs.String("workload", "cirne", "workload kind when -figure is 0")
 	m := fs.Int("m", 200, "number of processors")
@@ -49,6 +31,14 @@ func run(args []string, out io.Writer) error {
 	ablationN := fs.Int("ablation-n", 80, "number of tasks used by ablation studies")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// The experiment library replaces a zero count with its default, so
+	// a zero here would be echoed in the header and then not used.
+	if *runs < 1 {
+		return fmt.Errorf("-runs must be at least 1, got %d", *runs)
+	}
+	if *m < 1 {
+		return fmt.Errorf("-m must be at least 1, got %d", *m)
 	}
 
 	ctx := context.Background()
@@ -78,7 +68,7 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg.M = *m
 	if *tasksFlag != "" {
-		counts, err := parseInts(*tasksFlag)
+		counts, err := parseSizes("tasks", *tasksFlag)
 		if err != nil {
 			return err
 		}
@@ -104,15 +94,9 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "total experiment time: %s\n", res.Elapsed.Round(1_000_000))
 
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := experiment.WriteCSV(f, res); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*csvPath, func(w io.Writer) error {
+			return experiment.WriteCSV(w, res)
+		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "wrote %s\n", *csvPath)
@@ -146,26 +130,4 @@ func runAblation(ctx context.Context, out io.Writer, kind string, cfg experiment
 	}
 	fmt.Fprint(out, experiment.FormatAblation(title, cfg, rows))
 	return nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("invalid task count %q", part)
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("task counts must be positive, got %d", v)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no task counts given")
-	}
-	return out, nil
 }

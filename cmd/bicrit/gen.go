@@ -12,11 +12,12 @@ import (
 
 // genCmd writes a scenario file from flags, so a replay or a service can
 // be set up from the command line without hand-writing JSON. The single
-// -seed flag deterministically derives every sub-stream: the task stream uses
-// the seed itself, arrival instants seed^ArrivalSeedSalt, runtime tails
-// seed^RuntimeSeedSalt, and the fault plan seed^ScenarioFaultSeedSalt
-// (left implicit in the file — the compiler derives it — unless
-// -fault-seed pins one explicitly).
+// -seed flag derives every sub-stream (see the package doc's "Seed
+// derivation"); the fault and racing sub-seeds are left implicit in the
+// file — the compiler derives them — unless -fault-seed or -race-seed pins
+// one. With -instance it writes the off-line instance of -kind, -n and
+// -seed on the one -clusters size instead, the input of sched and bounds;
+// the scenario flags then play no part.
 func genCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bicrit gen", flag.ContinueOnError)
 	name := fs.String("name", "", "scenario name (reports, file headers)")
@@ -44,11 +45,11 @@ func genCmd(args []string, out io.Writer) error {
 	noise := fs.Float64("noise", 0, "runtime perturbation fraction in [0, 1)")
 	raceCutoff := fs.Float64("race-cutoff", 0, "racing section: portfolio cutoff factor vs the batch lower bound; >1 enables racing (0 = omit the section)")
 	bandit := fs.Bool("bandit", false, "racing section: bias the launch order toward recent winners")
-	raceSeed := fs.Int64("race-seed", 0, "racing section: explicit bandit seed (0 = derive seed^ScenarioRaceSeedSalt)")
+	raceSeed := fs.Int64("race-seed", 0, "racing section: explicit bandit seed (0 = derive from -seed)")
 	faultMTBF := fs.Float64("fault-mtbf", 0, "fault injection: mean time between failures per node (0 = no faults section)")
 	faultShape := fs.Float64("fault-shape", 0, "Weibull shape of the failure law (0 = default)")
 	faultRepair := fs.Float64("fault-repair", 0, "mean node repair duration (0 = mtbf/10)")
-	faultSeed := fs.Int64("fault-seed", 0, "explicit fault seed (0 = derive seed^ScenarioFaultSeedSalt)")
+	faultSeed := fs.Int64("fault-seed", 0, "explicit fault seed (0 = derive from -seed)")
 	faultCorrMTBF := fs.Float64("fault-corr-mtbf", 0, "mean time between correlated group failures (0 = none)")
 	faultCorrSize := fs.Int("fault-corr-size", 0, "nodes per correlated failure group (0 = quarter of the cluster)")
 	shardMTBF := fs.Float64("shard-mtbf", 0, "mean time between whole-shard outages (0 = none)")
@@ -65,13 +66,17 @@ func genCmd(args []string, out io.Writer) error {
 	submitRate := fs.Float64("submit-rate", 0, "service section: token-bucket rate limit (0 = unlimited)")
 	admitBacklog := fs.Float64("admit-backlog", 0, "service section: front-door backlog limit (0 = unlimited)")
 	snapshot := fs.String("snapshot", "", "service section: snapshot file path")
-	outPath := fs.String("o", "", "output scenario file (default: stdout)")
+	instance := fs.Bool("instance", false, "write the off-line instance of -kind, -n and -seed on the one -clusters size instead of a scenario")
+	outPath := fs.String("o", "", "output file (default: stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sizes, err := parseSizes(*clustersFlag)
+	sizes, err := parseSizes("clusters", *clustersFlag)
 	if err != nil {
 		return err
+	}
+	if *instance {
+		return writeInstance(out, *outPath, *kindFlag, sizes, *n, *seed)
 	}
 
 	clusters := make([]bicriteria.ScenarioCluster, len(sizes))
@@ -176,24 +181,49 @@ func describeSizes(sizes []int) string {
 	return "clusters " + strings.Join(parts, ",")
 }
 
-// parseSizes parses a comma-separated -clusters flag into processor
-// counts.
-func parseSizes(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	sizes := make([]int, 0, len(parts))
-	for _, p := range parts {
+// writeInstance generates the off-line instance of one workload family
+// on the single machine size and writes it as JSON to path (stdout when
+// empty).
+func writeInstance(out io.Writer, path, kindName string, sizes []int, n int, seed int64) error {
+	if len(sizes) != 1 {
+		return fmt.Errorf("-instance needs a single -clusters size, got %d", len(sizes))
+	}
+	kind, err := bicriteria.ParseWorkloadKind(kindName)
+	if err != nil {
+		return err
+	}
+	inst, err := bicriteria.GenerateWorkload(bicriteria.WorkloadConfig{Kind: kind, M: sizes[0], N: n, Seed: seed})
+	if err != nil {
+		return err
+	}
+	if path == "" {
+		return bicriteria.WriteInstance(out, inst)
+	}
+	if err := bicriteria.SaveInstance(path, inst); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "wrote %d tasks on %d processors (%s workload) to %s\n", inst.N(), inst.M, kind, path)
+	return nil
+}
+
+// parseSizes parses a comma-separated list of positive sizes — the
+// processor counts of -clusters, the task counts of exp's -tasks —
+// skipping blank entries. name is the flag the list came from.
+func parseSizes(name, s string) ([]int, error) {
+	var sizes []int
+	for _, p := range strings.Split(s, ",") {
 		p = strings.TrimSpace(p)
 		if p == "" {
 			continue
 		}
-		m, err := strconv.Atoi(p)
-		if err != nil || m < 1 {
-			return nil, fmt.Errorf("bad cluster size %q (want a positive processor count)", p)
+		v, err := strconv.Atoi(p)
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("-%s: bad size %q (want a positive integer)", name, p)
 		}
-		sizes = append(sizes, m)
+		sizes = append(sizes, v)
 	}
 	if len(sizes) == 0 {
-		return nil, fmt.Errorf("-clusters lists no cluster sizes")
+		return nil, fmt.Errorf("-%s lists no sizes", name)
 	}
 	return sizes, nil
 }

@@ -282,14 +282,104 @@ func TestRunSWFTraceReplay(t *testing.T) {
 	}
 }
 
+// TestParseSizes pins the one comma-list parser of gen's -clusters and
+// exp's -tasks.
 func TestParseSizes(t *testing.T) {
-	sizes, err := parseSizes("64, 32,16")
-	if err != nil || fmt.Sprint(sizes) != "[64 32 16]" {
-		t.Fatalf("parseSizes = %v, %v", sizes, err)
+	for in, want := range map[string]string{"64, 32,16": "[64 32 16]", " 25, 50 ,100 ": "[25 50 100]"} {
+		sizes, err := parseSizes("clusters", in)
+		if err != nil || fmt.Sprint(sizes) != want {
+			t.Fatalf("parseSizes(%q) = %v, %v; want %s", in, sizes, err, want)
+		}
 	}
-	for _, bad := range []string{",", "", "16,zero", "-4"} {
-		if _, err := parseSizes(bad); err == nil {
+	for _, bad := range []string{",", " , ", "", "16,zero", "-4", "0"} {
+		if _, err := parseSizes("tasks", bad); err == nil {
 			t.Fatalf("size list %q accepted", bad)
+		} else if !strings.HasPrefix(err.Error(), "-tasks") {
+			t.Fatalf("error %q does not name the flag", err)
+		}
+	}
+}
+
+// TestGenInstanceWritesWorkloadFile pins gen -instance: the file holds
+// exactly the bytes WriteInstance writes for the generated instance, and
+// the same flags without -o print those bytes.
+func TestGenInstanceWritesWorkloadFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.json")
+	flags := []string{"-instance", "-kind", "mixed", "-clusters", "16", "-n", "12", "-seed", "3"}
+	var buf bytes.Buffer
+	if err := genCmd(append(flags, "-o", path), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "wrote 12 tasks on 16 processors (mixed workload) to " + path + "\n"; buf.String() != want {
+		t.Fatalf("gen -instance printed %q, want %q", buf.String(), want)
+	}
+	inst, err := bicriteria.GenerateWorkload(bicriteria.WorkloadConfig{
+		Kind: bicriteria.WorkloadMixed, M: 16, N: 12, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := bicriteria.WriteInstance(&want, inst); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("gen -instance file differs from WriteInstance:\n%s\nvs\n%s", got, want.Bytes())
+	}
+	var stdout bytes.Buffer
+	if err := genCmd(flags, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want.Bytes()) {
+		t.Fatal("gen -instance without -o printed other bytes than the file")
+	}
+}
+
+// TestGenInstanceRejectsBadFlags pins gen -instance's flag errors.
+func TestGenInstanceRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-instance", "-kind", "nonsense"},
+		{"-instance", "-kind", "cirne", "-n", "0"},
+		{"-instance", "-clusters", "16,8"},
+		{"-instance", "-bogus"},
+	} {
+		if err := genCmd(args, &bytes.Buffer{}); err == nil {
+			t.Fatalf("args %v accepted", args)
+		}
+	}
+}
+
+// TestSubcommandTable pins that every entry of the subcommand table
+// dispatches to its own flag set and is listed by help, and that the
+// usage and unknown-subcommand errors name every entry.
+func TestSubcommandTable(t *testing.T) {
+	var help bytes.Buffer
+	if err := dispatch([]string{"help"}, &help); err != nil {
+		t.Fatal(err)
+	}
+	usage := dispatch(nil, io.Discard)
+	unknown := dispatch([]string{"bogus"}, io.Discard)
+	if usage == nil || unknown == nil {
+		t.Fatal("no subcommand or an unknown one accepted")
+	}
+	for _, c := range subcommands {
+		// An undefined flag fails inside the subcommand's own flag set,
+		// which names the subcommand in its usage line.
+		err := dispatch([]string{c.name, "-no-such-flag"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "no-such-flag") {
+			t.Errorf("%s: undefined flag gave %v", c.name, err)
+		}
+		if !strings.Contains(help.String(), "\n  "+c.name+" ") {
+			t.Errorf("help does not list %s:\n%s", c.name, help.String())
+		}
+		for _, err := range []error{usage, unknown} {
+			if !strings.Contains(err.Error(), c.name) {
+				t.Errorf("error %q does not name %s", err, c.name)
+			}
 		}
 	}
 }

@@ -1,12 +1,3 @@
-// Command bicrit-sched schedules a workload file with the DEMT bi-criteria
-// algorithm or one of the paper's baselines and prints the resulting
-// metrics, the comparison with the lower bounds, and optionally a Gantt
-// chart or the full assignment list.
-//
-// Usage:
-//
-//	bicrit-gen -kind mixed -m 32 -n 40 -o w.json
-//	bicrit-sched -i w.json -algo demt -gantt
 package main
 
 import (
@@ -14,20 +5,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"bicriteria"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "bicrit-sched:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("bicrit-sched", flag.ContinueOnError)
+// schedCmd schedules an instance file with the DEMT bi-criteria
+// algorithm or one of the paper's baselines and prints the resulting
+// metrics, the comparison with the lower bounds, and optionally a Gantt
+// chart or the full assignment list.
+func schedCmd(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("bicrit sched", flag.ContinueOnError)
 	input := fs.String("i", "", "input workload file (JSON, required)")
 	algo := fs.String("algo", "demt", "algorithm: demt, gang, sequential, list, lptf or saf")
 	gantt := fs.Bool("gantt", false, "print an ASCII Gantt chart")

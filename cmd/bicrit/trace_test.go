@@ -144,7 +144,11 @@ func TestRunTraceFormatCheckedBeforeReplay(t *testing.T) {
 
 // TestVersionFlag pins `bicrit -version`.
 func TestVersionFlag(t *testing.T) {
-	if err := dispatch([]string{"-version"}); err != nil {
+	var buf bytes.Buffer
+	if err := dispatch([]string{"-version"}, &buf); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.HasPrefix(buf.String(), "bicrit ") {
+		t.Fatalf("-version printed %q", buf.String())
 	}
 }

@@ -259,51 +259,6 @@ func TestFacadeGrid(t *testing.T) {
 	}
 }
 
-// TestGenerateFaultsForJobsMatchesCompile pins the one horizon estimate: a
-// faulted scenario without a horizon compiles to the plan
-// GenerateFaultsForJobs builds for the same stream, seed and cluster sizes.
-func TestGenerateFaultsForJobsMatchesCompile(t *testing.T) {
-	arrivals, err := GenerateArrivals(ArrivalConfig{
-		Workload: WorkloadConfig{Kind: WorkloadMixed, M: 16, N: 60, Seed: 3},
-		Rate:     4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "arrivals.json")
-	if err := SaveArrivals(path, 16, arrivals); err != nil {
-		t.Fatal(err)
-	}
-	const seed = 5
-	runner, err := Compile(Scenario{
-		Seed:     seed,
-		Clusters: []ScenarioCluster{{Machines: 16}, {Machines: 8}},
-		Arrivals: ScenarioArrivals{File: path},
-		Faults:   &ScenarioFaults{MTBF: 30, Repair: 4, ShardMTBF: 90, ShardRepair: 9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := GenerateFaultsForJobs(FaultsConfig{
-		Seed:            ScenarioFaultSeed(seed),
-		Clusters:        []int{16, 8},
-		MTBF:            30,
-		RepairMean:      4,
-		ShardMTBF:       90,
-		ShardRepairMean: 9,
-	}, ArrivalJobs(arrivals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := runner.Info().Plan
-	if len(got.Nodes) == 0 || len(got.Shards) == 0 {
-		t.Fatalf("plan has %d node and %d shard outages; want both kinds", len(got.Nodes), len(got.Shards))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("compiled plan differs from GenerateFaultsForJobs:\n%+v\nvs\n%+v", got, want)
-	}
-}
-
 // TestFacadeEntryPointsHonourCancellation calls every off-line compute
 // entry point with an already-cancelled context: each must return an error
 // that wraps context.Canceled.

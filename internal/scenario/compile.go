@@ -146,6 +146,10 @@ type Runner interface {
 	// submissions, then every decision, batch and kill. Pass nil to
 	// detach.
 	Flight(*flight.Recorder)
+	// Jobs returns the compiled job stream in stream order: generated,
+	// read from arrivals.file or converted from an SWF trace. The slice is
+	// the runner's own; callers must not modify it.
+	Jobs() []cluster.Job
 	// Metrics returns the runner's observability registry: the wall-clock
 	// timing histograms of the compiled engine (portfolio latency per
 	// algorithm, DEMT phases, batch planning, grid routing) accumulate in
@@ -437,7 +441,7 @@ func buildJobs(s Scenario) ([]cluster.Job, error) {
 
 // buildFaults generates the deterministic fault plan of the scenario, or
 // nil without an active faults section. The horizon, when unset, is
-// estimated from the stream (FaultPlan); ServeConfig passes nil jobs and
+// estimated from the stream (faultPlan); ServeConfig passes nil jobs and
 // therefore requires an explicit horizon.
 func buildFaults(s Scenario, jobs []cluster.Job) (*faults.Plan, error) {
 	if !s.Faults.Active() {
@@ -459,17 +463,17 @@ func buildFaults(s Scenario, jobs []cluster.Job) (*faults.Plan, error) {
 	if cfg.Horizon == 0 && jobs == nil {
 		return nil, validate.Errorf("faults.horizon", "a service scenario needs an explicit fault horizon (no finite stream to estimate one from)")
 	}
-	plan, err := FaultPlan(cfg, jobs)
+	plan, err := faultPlan(cfg, jobs)
 	if err != nil {
 		return nil, validate.Prefix("faults", err)
 	}
 	return plan, nil
 }
 
-// FaultPlan generates the fault plan of a job stream. A zero cfg.Horizon
+// faultPlan generates the fault plan of a job stream. A zero cfg.Horizon
 // is estimated with faults.SuggestHorizon from the stream's last release
 // and total minimum work over the total processors of cfg.Clusters.
-func FaultPlan(cfg faults.Config, jobs []cluster.Job) (*faults.Plan, error) {
+func faultPlan(cfg faults.Config, jobs []cluster.Job) (*faults.Plan, error) {
 	if cfg.Horizon == 0 {
 		maxRelease, work := 0.0, 0.0
 		for i := range jobs {
@@ -685,6 +689,8 @@ func (r *runner) Observe(o Observer) { r.watch = o }
 func (r *runner) Flight(rec *flight.Recorder) { r.flight = rec }
 
 func (r *runner) Metrics() *obs.Registry { return r.reg }
+
+func (r *runner) Jobs() []cluster.Job { return r.jobs }
 
 func (r *runner) Info() Info {
 	shard := r.cfg.Clusters[0]

@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"bicriteria/internal/cluster"
+	"bicriteria/internal/faults"
 	"bicriteria/internal/grid"
+	"bicriteria/internal/workload"
 )
 
 // compileRow is one named scenario of a compile-and-run table.
@@ -400,5 +402,55 @@ func TestRunContextCancellation(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("cancelled scenario run never returned")
+	}
+}
+
+// TestFaultPlanMatchesCompile pins the one horizon estimate: a faulted
+// scenario without a horizon compiles to the plan faultPlan builds for
+// the same stream, derived fault seed and cluster sizes. It also pins
+// Runner.Jobs: the compiled stream is the arrival file's, in file order.
+func TestFaultPlanMatchesCompile(t *testing.T) {
+	arrivals, err := workload.GenerateArrivals(workload.ArrivalConfig{
+		Workload: workload.Config{Kind: workload.Mixed, M: 16, N: 60, Seed: 3},
+		Rate:     4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "arrivals.json")
+	if err := workload.SaveArrivals(path, 16, arrivals); err != nil {
+		t.Fatal(err)
+	}
+	const seed = 5
+	runner, err := Compile(Scenario{
+		Seed:     seed,
+		Clusters: []Cluster{{Machines: 16}, {Machines: 8}},
+		Arrivals: Arrivals{File: path},
+		Faults:   &Faults{MTBF: 30, Repair: 4, ShardMTBF: 90, ShardRepair: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := cluster.JobsFromArrivals(arrivals)
+	if !reflect.DeepEqual(runner.Jobs(), jobs) {
+		t.Fatal("Runner.Jobs differs from the arrival file's stream")
+	}
+	want, err := faultPlan(faults.Config{
+		Seed:            seed ^ FaultSeedSalt,
+		Clusters:        []int{16, 8},
+		MTBF:            30,
+		RepairMean:      4,
+		ShardMTBF:       90,
+		ShardRepairMean: 9,
+	}, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runner.Info().Plan
+	if len(got.Nodes) == 0 || len(got.Shards) == 0 {
+		t.Fatalf("plan has %d node and %d shard outages; want both kinds", len(got.Nodes), len(got.Shards))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("compiled plan differs from faultPlan:\n%+v\nvs\n%+v", got, want)
 	}
 }

@@ -40,7 +40,7 @@ const Version = 1
 // FaultSeedSalt derives the fault-plan sub-seed from a scenario's main
 // seed: when Faults.Seed is zero, the plan is generated with
 // Seed ^ FaultSeedSalt, decorrelating the failure streams from the task
-// stream the same way workload.ArrivalSeedSalt decorrelates the arrival
+// stream the same way workload's arrival salt decorrelates the arrival
 // instants. A scenario that wants the raw seed for its fault plan sets
 // Faults.Seed to it explicitly; cmd/bicrit's faulted goldens do.
 const FaultSeedSalt int64 = 0x5851F42D4C957F2D
@@ -347,9 +347,8 @@ type Scenario struct {
 	Name string `json:"name,omitempty"`
 	// Seed is the master seed: it drives the task stream, the DEMT
 	// shuffles and the runtime noise, and deterministically derives the
-	// arrival (Seed ^ workload.ArrivalSeedSalt), runtime-tail
-	// (Seed ^ workload.RuntimeSeedSalt) and fault (Seed ^ FaultSeedSalt)
-	// sub-seeds.
+	// arrival and runtime-tail (Seed ^ internal/workload's salts) and
+	// fault (Seed ^ FaultSeedSalt) sub-seeds.
 	Seed int64 `json:"seed"`
 	// Topology selects the engine; empty infers "single" for one cluster
 	// and "grid" otherwise.

@@ -115,16 +115,12 @@ type ArrivalConfig struct {
 // Seed salts decorrelating the arrival-time and runtime-scaling streams
 // from the task stream while keeping all three a function of the single
 // user-facing seed: the task stream draws from Seed itself, the arrival
-// instants from Seed ^ ArrivalSeedSalt and the runtime-tail factors from
-// Seed ^ RuntimeSeedSalt. The salts are exported so the documented
-// sub-seed derivation (see cmd/bicrit-gen and internal/scenario) names
-// the exact streams one -seed flag controls.
+// instants from Seed ^ arrivalSeedSalt and the runtime-tail factors from
+// Seed ^ runtimeSeedSalt (cmd/bicrit's package doc describes the
+// derivation).
 const (
-	ArrivalSeedSalt = 0x5DEECE66D
-	RuntimeSeedSalt = 0x2545F4914F6CDD1D
-
-	arrivalSeedSalt = ArrivalSeedSalt
-	runtimeSeedSalt = RuntimeSeedSalt
+	arrivalSeedSalt = 0x5DEECE66D
+	runtimeSeedSalt = 0x2545F4914F6CDD1D
 )
 
 // Validate checks the configuration.
