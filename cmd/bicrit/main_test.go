@@ -285,18 +285,30 @@ func TestRunSWFTraceReplay(t *testing.T) {
 // TestParseSizes pins the one comma-list parser of gen's -clusters and
 // exp's -tasks.
 func TestParseSizes(t *testing.T) {
-	for in, want := range map[string]string{"64, 32,16": "[64 32 16]", " 25, 50 ,100 ": "[25 50 100]"} {
-		sizes, err := parseSizes("clusters", in)
-		if err != nil || fmt.Sprint(sizes) != want {
-			t.Fatalf("parseSizes(%q) = %v, %v; want %s", in, sizes, err, want)
-		}
+	sizes, err := parseSizes("clusters", "64, 32,16")
+	if err != nil || fmt.Sprint(sizes) != "[64 32 16]" {
+		t.Fatalf("parseSizes = %v, %v", sizes, err)
 	}
-	for _, bad := range []string{",", " , ", "", "16,zero", "-4", "0"} {
-		if _, err := parseSizes("tasks", bad); err == nil {
+	for _, bad := range []string{",", "", "16,zero", "-4", "0"} {
+		if _, err := parseSizes("clusters", bad); err == nil {
 			t.Fatalf("size list %q accepted", bad)
-		} else if !strings.HasPrefix(err.Error(), "-tasks") {
+		} else if !strings.HasPrefix(err.Error(), "-clusters") {
 			t.Fatalf("error %q does not name the flag", err)
 		}
+	}
+}
+
+// TestExpParseTasks pins exp's -tasks list: blanks around entries are
+// trimmed, and a list of only separators is rejected naming the flag.
+func TestExpParseTasks(t *testing.T) {
+	counts, err := parseSizes("tasks", " 25, 50 ,100 ")
+	if err != nil || fmt.Sprint(counts) != "[25 50 100]" {
+		t.Fatalf("parseSizes = %v, %v", counts, err)
+	}
+	if _, err := parseSizes("tasks", " , "); err == nil {
+		t.Fatalf("empty -tasks list accepted")
+	} else if !strings.HasPrefix(err.Error(), "-tasks") {
+		t.Fatalf("error %q does not name the flag", err)
 	}
 }
 
