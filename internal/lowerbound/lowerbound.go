@@ -5,8 +5,9 @@
 //     lower bound may easily be obtained by dual approximation");
 //
 //   - Weighted minsum: the LP relaxation of the interval ILP of section 3.3
-//     (solved with the in-repo simplex), plus a cheap combinatorial
-//     "squashed-area" bound used when the LP is too expensive.
+//     (solved by this package's dense two-phase simplex, laid out for that
+//     one LP), plus a cheap combinatorial "squashed-area" bound used when
+//     the LP is too expensive.
 package lowerbound
 
 import (
@@ -15,7 +16,6 @@ import (
 	"sort"
 
 	"bicriteria/internal/dualapprox"
-	"bicriteria/internal/lp"
 	"bicriteria/internal/moldable"
 )
 
@@ -28,10 +28,9 @@ func Makespan(inst *moldable.Instance) float64 {
 type MinsumOptions struct {
 	// CmaxEstimate anchors the geometric time intervals (the paper uses the
 	// approximate C*max of the dual approximation). When zero, the makespan
-	// lower bound of the instance is used.
+	// lower bound of the instance is used; it must be finite and
+	// non-negative.
 	CmaxEstimate float64
-	// LP carries options for the simplex solver.
-	LP *lp.Options
 }
 
 // MinsumBound is the result of the LP lower bound.
@@ -46,7 +45,7 @@ type MinsumBound struct {
 	// formulation (b_0 = 0).
 	Boundaries []float64
 	// Status is the LP solver status.
-	Status lp.Status
+	Status Status
 	// Iterations is the number of simplex pivots used.
 	Iterations int
 }
@@ -80,75 +79,6 @@ func intervalSet(inst *moldable.Instance, cmax float64) []float64 {
 	return boundaries
 }
 
-// buildProblem creates the LP of section 3.3 on the given boundaries.
-//
-// Variables: x_{i,r} = task i completes in interval (b_r, b_{r+1}], created
-// only when the task admits an allocation finishing within b_{r+1}. The
-// objective coefficient of x_{i,r} is w_i * b_r (the interval's lower end,
-// an underestimate of the completion time). Constraints:
-//
-//	for every task i:      sum_r x_{i,r} >= 1
-//	for every interval r:  sum_{l<=r} sum_i S_{i,l} x_{i,l} <= m * b_{r+1}
-//
-// where S_{i,l} is the minimal work of task i among allocations finishing
-// within b_{l+1}. The x <= 1 bounds of the paper are omitted: with
-// non-negative costs and these constraint senses they are never active at
-// an optimum, so the bound value is unchanged.
-func buildProblem(inst *moldable.Instance, boundaries []float64) (*lp.Problem, [][]int) {
-	nIntervals := len(boundaries) - 1
-	varIndex := make([][]int, len(inst.Tasks))
-	nVars := 0
-	for i := range inst.Tasks {
-		varIndex[i] = make([]int, nIntervals)
-		for r := 0; r < nIntervals; r++ {
-			varIndex[i][r] = -1
-			if _, _, ok := inst.Tasks[i].MinWorkFitting(boundaries[r+1]); ok {
-				varIndex[i][r] = nVars
-				nVars++
-			}
-		}
-	}
-	p := lp.NewProblem(nVars)
-	for i := range inst.Tasks {
-		t := &inst.Tasks[i]
-		for r := 0; r < nIntervals; r++ {
-			if varIndex[i][r] >= 0 {
-				p.SetObjective(varIndex[i][r], t.Weight*boundaries[r])
-			}
-		}
-	}
-	// Coverage constraints.
-	for i := range inst.Tasks {
-		coeffs := make([]float64, nVars)
-		any := false
-		for r := 0; r < nIntervals; r++ {
-			if varIndex[i][r] >= 0 {
-				coeffs[varIndex[i][r]] = 1
-				any = true
-			}
-		}
-		if any {
-			p.AddConstraint(coeffs, lp.GE, 1)
-		}
-	}
-	// Cumulative area constraints.
-	for r := 0; r < nIntervals; r++ {
-		coeffs := make([]float64, nVars)
-		for i := range inst.Tasks {
-			t := &inst.Tasks[i]
-			for l := 0; l <= r; l++ {
-				if varIndex[i][l] < 0 {
-					continue
-				}
-				_, work, _ := t.MinWorkFitting(boundaries[l+1])
-				coeffs[varIndex[i][l]] = work
-			}
-		}
-		p.AddConstraint(coeffs, lp.LE, float64(inst.M)*boundaries[r+1])
-	}
-	return p, varIndex
-}
-
 // MinsumLP computes the paper's LP-relaxation lower bound on the weighted
 // sum of completion times.
 func MinsumLP(inst *moldable.Instance, opts *MinsumOptions) (*MinsumBound, error) {
@@ -156,26 +86,23 @@ func MinsumLP(inst *moldable.Instance, opts *MinsumOptions) (*MinsumBound, error
 		return nil, err
 	}
 	cmax := 0.0
-	var lpOpts *lp.Options
 	if opts != nil {
 		cmax = opts.CmaxEstimate
-		lpOpts = opts.LP
 	}
-	if cmax <= 0 {
+	if math.IsNaN(cmax) || math.IsInf(cmax, 0) || cmax < 0 {
+		return nil, fmt.Errorf("lowerbound: CmaxEstimate must be finite and non-negative, got %g", cmax)
+	}
+	if cmax == 0 {
 		cmax = Makespan(inst)
 	}
 	boundaries := intervalSet(inst, cmax)
-	problem, _ := buildProblem(inst, boundaries)
-	sol, err := lp.Solve(problem, lpOpts)
-	if err != nil {
-		return nil, err
-	}
-	bound := &MinsumBound{Boundaries: boundaries, Status: sol.Status, Iterations: sol.Iterations}
-	switch sol.Status {
-	case lp.Optimal:
-		bound.Value = sol.Objective
-		bound.LPValue = sol.Objective
-	case lp.Infeasible:
+	status, iters, value := newSimplex(inst, boundaries).solve()
+	bound := &MinsumBound{Boundaries: boundaries, Status: status, Iterations: iters}
+	switch status {
+	case Optimal:
+		bound.Value = value
+		bound.LPValue = value
+	case Infeasible:
 		return nil, fmt.Errorf("lowerbound: LP relaxation infeasible, the interval horizon is too short")
 	default:
 		// Fall back to the combinatorial bound rather than reporting an

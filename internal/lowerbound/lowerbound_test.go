@@ -2,11 +2,11 @@ package lowerbound
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"bicriteria/internal/listsched"
-	"bicriteria/internal/lp"
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/schedule"
 	"bicriteria/internal/workload"
@@ -123,7 +123,7 @@ func TestMinsumLPBasicProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bound.Status != lp.Optimal {
+	if bound.Status != Optimal {
 		t.Fatalf("LP status = %v", bound.Status)
 	}
 	if bound.Value <= 0 {
@@ -190,5 +190,100 @@ func TestPropertyLowerBoundsBelowFeasibleSchedules(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestMinsumLPRejectsBadCmaxEstimate(t *testing.T) {
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		_, err := MinsumLP(smallInstance(), &MinsumOptions{CmaxEstimate: c})
+		if err == nil || !strings.Contains(err.Error(), "CmaxEstimate") {
+			t.Errorf("CmaxEstimate %g: err = %v, want an error naming CmaxEstimate", c, err)
+		}
+	}
+}
+
+func TestStatusStrings(t *testing.T) {
+	for s, want := range map[Status]string{
+		Optimal:        "optimal",
+		Infeasible:     "infeasible",
+		Unbounded:      "unbounded",
+		IterationLimit: "iteration-limit",
+		Status(9):      "Status(9)",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("Status(%d).String() = %q, want %q", int(s), got, want)
+		}
+	}
+}
+
+// TestMinsumLPInfeasibleOnTruncatedBoundaries solves the LP on boundaries
+// that stop short of the horizon: either the area rows cannot hold every
+// task, or some task fits in no interval at all.
+func TestMinsumLPInfeasibleOnTruncatedBoundaries(t *testing.T) {
+	two := moldable.NewInstance(1, []moldable.Task{
+		moldable.Sequential(0, 1, 3),
+		moldable.Sequential(1, 1, 3),
+	})
+	if status, _, _ := newSimplex(two, []float64{0, 4}).solve(); status != Infeasible {
+		t.Errorf("two tasks of length 3 within [0, 4] on one processor: status %v, want infeasible", status)
+	}
+	if status, _, _ := newSimplex(two, []float64{0, 2}).solve(); status != Infeasible {
+		t.Errorf("tasks of length 3 within [0, 2]: status %v, want infeasible", status)
+	}
+	if status, _, _ := newSimplex(two, []float64{0, 3, 6}).solve(); status != Optimal {
+		t.Errorf("two tasks of length 3 within [0, 6]: status %v, want optimal", status)
+	}
+}
+
+func TestMinsumLPIterationLimit(t *testing.T) {
+	inst := smallInstance()
+	s := newSimplex(inst, intervalSet(inst, Makespan(inst)))
+	if want := 50 * (len(s.a) + len(s.obj)); s.maxIter != want {
+		t.Fatalf("default pivot limit %d, want 50*(rows+cols) = %d", s.maxIter, want)
+	}
+	s.maxIter = 2
+	if status, iters, _ := s.solve(); status != IterationLimit || iters != 2 {
+		t.Fatalf("limit 2: status %v after %d pivots, want iteration-limit after 2", status, iters)
+	}
+}
+
+// TestMinsumLPSolutionIsFeasible checks the optimal point itself against
+// an untouched copy of the tableau: x >= 0, every coverage row at least 1,
+// every area row within its capacity, and the reported value its cost.
+func TestMinsumLPSolutionIsFeasible(t *testing.T) {
+	for _, kind := range workload.Kinds() {
+		inst, err := workload.Generate(workload.Config{Kind: kind, M: 16, N: 60, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		boundaries := intervalSet(inst, Makespan(inst))
+		orig, s := newSimplex(inst, boundaries), newSimplex(inst, boundaries)
+		status, _, value := s.solve()
+		if status != Optimal {
+			t.Fatalf("%s: status %v", kind, status)
+		}
+		x := s.primal()
+		cost := 0.0
+		for j, v := range x {
+			if v < 0 {
+				t.Fatalf("%s: x[%d] = %g < 0", kind, j, v)
+			}
+			cost += orig.cost[j] * v
+		}
+		if math.Abs(cost-value) > 1e-9*value {
+			t.Fatalf("%s: value %g, cost of the point %g", kind, value, cost)
+		}
+		for i, row := range orig.a {
+			lhs := 0.0
+			for j, v := range row[:orig.nx] {
+				lhs += v * x[j]
+			}
+			if i < inst.N() && lhs < 1-1e-6 {
+				t.Fatalf("%s: task %d covered %g < 1", kind, i, lhs)
+			}
+			if i >= inst.N() && lhs > orig.b[i]+1e-6*orig.b[i] {
+				t.Fatalf("%s: area row %d holds %g > %g", kind, i-inst.N(), lhs, orig.b[i])
+			}
+		}
 	}
 }

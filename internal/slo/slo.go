@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"bicriteria/internal/obs"
+	"bicriteria/internal/stats"
 	"bicriteria/internal/validate"
 )
 
@@ -278,35 +279,16 @@ func Evaluate(spec Spec, outcomes []JobOutcome) *Summary {
 	}
 
 	if spec.StretchTarget > 0 {
-		sum.Stretch = percentile(stretches, spec.StretchPercentile)
+		sum.Stretch = stats.Percentile(stretches, spec.StretchPercentile)
 		alert(fmt.Sprintf("stretch-p%g", spec.StretchPercentile), sum.Stretch, spec.StretchTarget,
 			fmt.Sprintf("p%g stretch over %d completed jobs", spec.StretchPercentile, len(stretches)))
 	}
 	if spec.WaitTarget > 0 {
-		sum.Wait = percentile(waits, spec.WaitPercentile)
+		sum.Wait = stats.Percentile(waits, spec.WaitPercentile)
 		alert(fmt.Sprintf("wait-p%g", spec.WaitPercentile), sum.Wait, spec.WaitTarget,
 			fmt.Sprintf("p%g wait over %d completed jobs", spec.WaitPercentile, len(waits)))
 	}
 	return sum
-}
-
-// percentile is the nearest-rank percentile of vs (sorted internally);
-// zero for an empty slice.
-func percentile(vs []float64, p float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(vs))
-	copy(sorted, vs)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
 
 // Publish pushes the summary into an obs registry: the deadline-miss

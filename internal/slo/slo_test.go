@@ -106,18 +106,21 @@ func TestEvaluateOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestPercentileNearestRank checks that the tail targets take the
+// nearest-rank percentile: waits 3, 1, 2, 5, 4 give p20 = 1, p50 = 3 and
+// p90 = p100 = 5, and no completed job gives 0.
 func TestPercentileNearestRank(t *testing.T) {
-	vs := []float64{3, 1, 2, 5, 4}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {20, 1}, {50, 3}, {90, 5}, {100, 5},
+	var jobs []JobOutcome
+	for i, wait := range []float64{3, 1, 2, 5, 4} {
+		jobs = append(jobs, JobOutcome{Job: i, Pmin: 1, Start: wait, End: wait + 1, Done: true})
 	}
-	for _, tc := range cases {
-		if got := percentile(vs, tc.p); got != tc.want {
-			t.Errorf("percentile(%g) = %g, want %g", tc.p, got, tc.want)
+	for _, tc := range []struct{ p, want float64 }{{20, 1}, {50, 3}, {90, 5}, {100, 5}} {
+		if got := Evaluate(Spec{WaitTarget: 1, WaitPercentile: tc.p}, jobs).Wait; got != tc.want {
+			t.Errorf("p%g wait = %g, want %g", tc.p, got, tc.want)
 		}
 	}
-	if got := percentile(nil, 99); got != 0 {
-		t.Errorf("percentile(nil) = %g, want 0", got)
+	if got := Evaluate(Spec{WaitTarget: 1}, nil).Wait; got != 0 {
+		t.Errorf("p99 wait of no jobs = %g, want 0", got)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package stats provides the small statistical helpers used by the
-// experiment harness: summaries of samples and the ratio-of-sums
-// aggregation of competitive ratios recommended by Jain ("The art of
-// computer systems performance analysis"), which is how the paper averages
-// its performance ratios (section 4.2).
+// experiment harness: nearest-rank percentiles and tail summaries of
+// samples, and the ratio-of-sums aggregation of competitive ratios
+// recommended by Jain ("The art of computer systems performance
+// analysis"), which is how the paper averages its performance ratios
+// (section 4.2).
 package stats
 
 import (
@@ -10,46 +11,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Summary describes a sample of float64 values.
-type Summary struct {
-	Count  int
-	Min    float64
-	Max    float64
-	Mean   float64
-	StdDev float64
-	Sum    float64
-}
-
-// Summarize computes a Summary. An empty sample yields a zero Summary.
-func Summarize(values []float64) Summary {
-	s := Summary{}
-	if len(values) == 0 {
-		return s
-	}
-	s.Count = len(values)
-	s.Min = math.Inf(1)
-	s.Max = math.Inf(-1)
-	for _, v := range values {
-		s.Sum += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean = s.Sum / float64(s.Count)
-	if s.Count > 1 {
-		varSum := 0.0
-		for _, v := range values {
-			d := v - s.Mean
-			varSum += d * d
-		}
-		s.StdDev = math.Sqrt(varSum / float64(s.Count-1))
-	}
-	return s
-}
 
 // nearestRank returns the p-th percentile of a non-empty sorted sample
 // under the nearest-rank definition: the smallest value v such that at

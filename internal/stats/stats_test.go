@@ -7,30 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestSummarizeBasics(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.Count != 8 || s.Min != 2 || s.Max != 9 || s.Sum != 40 {
-		t.Fatalf("summary wrong: %+v", s)
-	}
-	if math.Abs(s.Mean-5) > 1e-12 {
-		t.Fatalf("mean = %g, want 5", s.Mean)
-	}
-	// Sample standard deviation of this classic data set is ~2.138.
-	if math.Abs(s.StdDev-2.1380899) > 1e-6 {
-		t.Fatalf("stddev = %g", s.StdDev)
-	}
-}
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	if s := Summarize(nil); s.Count != 0 || s.Mean != 0 {
-		t.Fatalf("empty summary should be zero: %+v", s)
-	}
-	s := Summarize([]float64{3})
-	if s.Count != 1 || s.Mean != 3 || s.StdDev != 0 || s.Min != 3 || s.Max != 3 {
-		t.Fatalf("single-value summary wrong: %+v", s)
-	}
-}
-
 func TestRatioAggregator(t *testing.T) {
 	var agg RatioAggregator
 	if err := agg.Add(4, 2); err != nil {
@@ -101,11 +77,15 @@ func TestPropertySummaryInvariants(t *testing.T) {
 			return true
 		}
 		values := make([]float64, len(raw))
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for i, b := range raw {
 			values[i] = float64(b)
+			lo, hi = math.Min(lo, values[i]), math.Max(hi, values[i])
 		}
-		s := Summarize(values)
-		return s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9 && s.Count == len(values) && s.StdDev >= 0
+		s := TailSummary(values)
+		return lo <= s.Mean+1e-9 && s.Mean <= hi+1e-9 &&
+			lo <= s.P50 && s.P50 <= s.P95 && s.P95 <= s.P99 && s.P99 <= hi &&
+			s.P95 == Percentile(values, 95)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"bicriteria/internal/moldable"
-	"bicriteria/internal/stats"
 )
 
 func TestKindStringAndParse(t *testing.T) {
@@ -360,8 +359,17 @@ func TestHeavyTailedArrivalsAreBurstierThanPoisson(t *testing.T) {
 		return out
 	}
 	cv2 := func(values []float64) float64 {
-		s := stats.Summarize(values)
-		return s.StdDev * s.StdDev / (s.Mean * s.Mean)
+		mean := 0.0
+		for _, v := range values {
+			mean += v
+		}
+		mean /= float64(len(values))
+		variance := 0.0
+		for _, v := range values {
+			variance += (v - mean) * (v - mean)
+		}
+		variance /= float64(len(values) - 1)
+		return variance / (mean * mean)
 	}
 	poisson := cv2(gaps(DistExponential))
 	for _, dist := range []Distribution{DistLognormal, DistWeibull} {
