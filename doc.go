@@ -13,15 +13,15 @@
 // on-line batch framework (section 2.2): jobs released while a batch runs
 // wait for the next batch, and each batch is scheduled off-line by DEMT.
 //
-// The portfolio can also race (the "racing" scenario block): members launch under one cancellable context that
-// threads through the DEMT phase loops and the baselines' list loops, and
-// as soon as a candidate is provably within a configurable factor of the
-// batch's certified lower bound, every member launched after it is
-// cancelled mid-flight. A seeded bandit-style selector biases the launch
-// order toward recent winners. The cut is decided by launch position, not
-// finish time, so racing replays stay byte-identical between concurrent
-// and sequential runs; a cutoff factor of 1 (or 0) disables racing and
-// reproduces the non-racing engine exactly. Cut-off members surface as
+// The portfolio can also race (the "racing" scenario block): members run
+// one at a time in launch order, and as soon as a candidate is provably
+// within a configurable factor of the batch's certified lower bound, the
+// batch commits and the members past the cut never start. A seeded
+// bandit-style selector biases the launch order toward recent winners.
+// The cut is decided by launch position, not finish time, so racing
+// replays stay byte-identical between concurrent and sequential runs; a
+// cutoff factor of 1 (or 0) disables racing and reproduces the non-racing
+// engine exactly. Cut-off members surface as
 // bicrit_portfolio_cancelled_total / cutoff_hits counters, per-batch
 // flight-recorder provenance (bicrit explain), and the traced benchmark's
 // cluster.race_cancelled_share.

@@ -6,9 +6,9 @@
 // The engine consumes a stream of job arrivals (SWF traces via
 // internal/trace, or the Poisson/burst generator of internal/workload),
 // accumulates them into batches under a pluggable batching policy, and
-// schedules every batch with a concurrent algorithm portfolio: each member
-// plans the batch in its own goroutine and the engine commits the best plan
-// under a configurable objective. Committed plans are placed around node
+// schedules every batch with an algorithm portfolio: each member plans the
+// batch (in its own goroutine unless the portfolio races) and the engine
+// commits the best plan under a configurable objective. Committed plans are placed around node
 // reservations and executed on the discrete-event simulator with optionally
 // perturbed runtimes, so the *realized* completion of a batch — not the
 // planned estimate — decides when the next batch fires. Per-batch reports
@@ -59,15 +59,17 @@ type Config struct {
 	// function of (taskID, planned) for replays to be deterministic — see
 	// UniformNoise.
 	Perturb func(taskID int, planned float64) float64
-	// Sequential disables the portfolio goroutines (one member at a time).
-	// The committed schedules are identical either way; the switch exists
-	// for debugging and for the determinism tests.
+	// Sequential runs a non-racing portfolio one member at a time in
+	// portfolio order instead of one goroutine per member. A raced batch
+	// always runs its members in launch order, so the switch changes
+	// nothing there. The committed schedules are identical either way; the
+	// switch exists for debugging and for the determinism tests.
 	Sequential bool
-	// Racing enables the portfolio early cutoff: members launch in a
-	// deterministic order and stragglers are cancelled as soon as one
-	// candidate's score is provably within Racing.Cutoff of the batch
-	// lower bound. The zero value (cutoff 0) disables racing: every member
-	// runs to completion.
+	// Racing enables the portfolio early cutoff: members run one at a
+	// time in a deterministic launch order, and the batch commits as soon
+	// as one candidate's score is provably within Racing.Cutoff of the
+	// batch lower bound. Members past the cut never start. The zero value
+	// (cutoff 0) disables racing: every member runs to completion.
 	Racing Racing
 	// Outages lists absolute-time machine down windows (node crash/repair
 	// spans, typically one cluster of a faults plan). A job running when

@@ -21,8 +21,8 @@ import (
 // Algorithm is one member of the portfolio: any off-line scheduler for a
 // moldable instance. Run must be deterministic (seeded internally) for the
 // engine's replay guarantees to hold, and must honor the context so a
-// racing portfolio (or a draining service) can cancel a straggler
-// mid-schedule: on cancellation it returns an error wrapping ctx.Err().
+// draining service can cancel a batch mid-schedule: on cancellation it
+// returns an error wrapping ctx.Err().
 type Algorithm struct {
 	// Name identifies the algorithm in reports and winner counts.
 	Name string
@@ -114,18 +114,18 @@ func (o Objective) Validate() error {
 }
 
 // Racing configures portfolio racing: instead of running every member to
-// completion, the engine cancels stragglers as soon as one candidate's
-// score is provably within Cutoff of the batch lower bound from
-// internal/lowerbound. The committed schedule is byte-identical between
+// completion, the engine runs the members one at a time in launch order
+// and commits as soon as one candidate's score is provably within Cutoff
+// of the batch lower bound from internal/lowerbound; the members past the
+// cut never start. The committed schedule is byte-identical between
 // concurrent and sequential replays: the cut is decided by the
-// deterministic launch order and per-candidate qualification alone, never
-// by goroutine timing.
+// deterministic launch order and per-candidate qualification alone.
 type Racing struct {
 	// Cutoff is the early-cutoff factor: a candidate whose objective value
 	// is within Cutoff times the batch lower bound wins immediately and
-	// the members launched after it are cancelled. 0 or 1 disables racing
-	// (no candidate can beat the bound itself); useful values are small
-	// factors such as 1.5 or 2.
+	// the members after it in launch order never start. 0 or 1 disables
+	// racing (no candidate can beat the bound itself); useful values are
+	// small factors such as 1.5 or 2.
 	Cutoff float64
 	// Bandit biases the launch order toward recent winners with a seeded,
 	// deterministic win-count selector, so the member most likely to hit
@@ -309,9 +309,9 @@ type Candidate struct {
 	// candidate schedule.
 	Makespan           float64 `json:"Makespan"`
 	WeightedCompletion float64 `json:"WeightedCompletion"`
-	// Cancelled marks a member cut off by racing: it was launched after
-	// the first qualifying candidate and its result (if any) was
-	// discarded. Cancelled candidates never carry a score or an error.
+	// Cancelled marks a member cut off by racing: it comes after the
+	// first qualifying candidate in launch order, so it never started.
+	// Cancelled candidates never carry a score or an error.
 	Cancelled bool `json:",omitempty"`
 	// Err carries the algorithm's failure, if any.
 	Err error `json:"Err"`
@@ -339,22 +339,22 @@ func (r Racing) qualifies(obj Objective, c *Candidate, lb batchBounds) bool {
 	return false
 }
 
-// runPortfolio schedules the batch with the portfolio — in parallel
-// goroutines unless sequential is requested — scores the valid candidates
-// under the objective and returns the candidates (in portfolio order), the
-// produced schedules, and the winner index. The winner is the lowest
-// score, ties broken by portfolio order.
+// runPortfolio schedules the batch with the portfolio, scores the valid
+// candidates under the objective and returns the candidates (in portfolio
+// order), the produced schedules, and the winner index. The winner is the
+// lowest score, ties broken by portfolio order.
 //
-// Members launch in the deterministic launch order (bandit or portfolio
-// order) under per-member cancellable contexts. The cut index is the first
-// launch position whose candidate qualifies under race.qualifies; members
-// launched after it are cancelled and their results discarded even if they
-// finished first, while members launched before it always run to
-// completion. Sequential replays run the same launch order and stop at the
-// same cut index without running the rest, so the committed candidates,
-// schedules and winner are bit-identical whether the members run
-// concurrently or not — racing only affects wall-clock and who gets
-// cancelled. With racing off nothing qualifies, so the cut never fires.
+// With racing on, members run one at a time in the deterministic launch
+// order (bandit or portfolio order). The cut is the first launch position
+// whose candidate qualifies under race.qualifies; members past the cut
+// never start and are reported as cancelled. Only the first qualifying
+// position decides the commit, so running the members concurrently could
+// only spend CPU on results the cut then throws away.
+//
+// With racing off nothing qualifies and every member runs to completion:
+// one goroutine per member, or one member at a time in portfolio order
+// when sequential is requested. Either way the committed candidates,
+// schedules and winner are bit-identical.
 //
 // cmaxLB is the batch's makespan lower bound (lowerbound.Makespan), which
 // the caller computes once for the batch report as well.
@@ -376,7 +376,7 @@ func runPortfolio(ctx context.Context, inst *moldable.Instance, cmaxLB float64, 
 		lb.minsum = lowerbound.MinsumSquashedArea(inst)
 	}
 
-	runOne := func(ctx context.Context, i int) {
+	runOne := func(i int) {
 		memberStart := time.Now() //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
 		s, err := algos[i].Run(ctx, inst)
 		if reg != nil {
@@ -400,65 +400,30 @@ func runPortfolio(ctx context.Context, inst *moldable.Instance, cmaxLB float64, 
 		scheds[i] = s
 	}
 
-	order := identityOrder(len(algos))
-	if state != nil {
-		order = state.launchOrder()
-	}
-	// bestQ is the smallest launch position whose candidate qualifies.
-	// It only ever decreases, and cancellation only targets positions
-	// strictly after it, so positions at or before the final bestQ
-	// always run to completion — the commit is timing-independent. With
-	// racing off nothing qualifies and every member runs to completion.
-	bestQ := len(algos)
-	if sequential {
-		for p, i := range order {
-			if p > bestQ {
+	if racing || sequential {
+		order := identityOrder(len(algos))
+		if state != nil {
+			order = state.launchOrder()
+		}
+		cut := false
+		for _, i := range order {
+			if cut {
 				cands[i] = Candidate{Name: algos[i].Name, Cancelled: true}
 				continue
 			}
-			runOne(ctx, i)
-			if race.qualifies(obj, &cands[i], lb) {
-				bestQ = p
-			}
+			runOne(i)
+			cut = race.qualifies(obj, &cands[i], lb)
 		}
 	} else {
-		pos := make([]int, len(algos))
-		cancels := make([]context.CancelFunc, len(algos))
-		ctxs := make([]context.Context, len(algos))
-		for p, i := range order {
-			pos[i] = p
-			ctxs[i], cancels[i] = context.WithCancel(ctx)
-		}
-		var mu sync.Mutex
 		var wg sync.WaitGroup
 		wg.Add(len(algos))
-		for _, i := range order {
-			go func(i int) {
+		for i := range algos {
+			go func() {
 				defer wg.Done()
-				runOne(ctxs[i], i)
-				mu.Lock()
-				defer mu.Unlock()
-				if pos[i] < bestQ && race.qualifies(obj, &cands[i], lb) {
-					bestQ = pos[i]
-					for _, j := range order[bestQ+1:] {
-						cancels[j]()
-					}
-				}
-			}(i)
+				runOne(i)
+			}()
 		}
 		wg.Wait()
-		for _, c := range cancels {
-			c()
-		}
-		// Discard everything launched after the cut, whether it was
-		// cancelled in flight or happened to finish first: the commit
-		// must not depend on which happened.
-		if bestQ < len(algos) {
-			for _, j := range order[bestQ+1:] {
-				cands[j] = Candidate{Name: algos[j].Name, Cancelled: true}
-				scheds[j] = nil
-			}
-		}
 	}
 
 	// A parent cancellation (serve drain, Ctrl-C) aborts the whole batch:

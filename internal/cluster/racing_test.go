@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,18 +130,23 @@ func singleJob() []Job {
 	return []Job{{Task: moldable.Task{ID: 1, Weight: 1, Times: []float64{8, 5}}}}
 }
 
-// TestRacingCancelsStragglers checks the race actually kills a straggler:
-// a fast optimal member qualifies immediately and a member that blocks
-// until cancelled must be cut off instead of stalling the batch forever.
+// TestRacingCancelsStragglers checks the race cuts off a straggler: a
+// fast optimal member launched first qualifies immediately, so a member
+// that would block until cancelled is never launched — even with
+// Sequential false — and is reported as cut off instead of stalling the
+// batch.
 func TestRacingCancelsStragglers(t *testing.T) {
+	var stuckRuns atomic.Int32
 	stuck := Algorithm{Name: "stuck", Run: func(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error) {
+		stuckRuns.Add(1)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}}
 	eng, err := New(Config{
-		M:         2,
-		Portfolio: []Algorithm{DEMTAlgorithm(nil), stuck},
-		Racing:    Racing{Cutoff: 100},
+		M:          2,
+		Portfolio:  []Algorithm{DEMTAlgorithm(nil), stuck},
+		Sequential: false,
+		Racing:     Racing{Cutoff: 100},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +174,9 @@ func TestRacingCancelsStragglers(t *testing.T) {
 	}
 	if !br.Candidates[1].Cancelled {
 		t.Fatalf("straggler not marked cancelled: %+v", br.Candidates[1])
+	}
+	if n := stuckRuns.Load(); n != 0 {
+		t.Fatalf("straggler launched %d times, want 0: members past the cut must never start", n)
 	}
 }
 

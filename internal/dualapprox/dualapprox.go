@@ -98,11 +98,11 @@ func (ft fitTable) feasibleConditions(lambda float64) bool {
 	return totalWork <= float64(ft.inst.M)*lambda+moldable.Eps
 }
 
-// Allotment returns, for every task (in instance order), the canonical
+// allotment returns, for every task (in instance order), the canonical
 // allocation for the deadline: the smallest processor count whose
 // processing time fits within the deadline; tasks that cannot fit fall back
 // to their fastest allocation.
-func Allotment(inst *moldable.Instance, deadline float64) []int {
+func allotment(inst *moldable.Instance, deadline float64) []int {
 	return newFitTable(inst).allotment(deadline)
 }
 

@@ -51,7 +51,7 @@ func TestMakespanLowerBoundSingleBigTask(t *testing.T) {
 
 func TestAllotment(t *testing.T) {
 	inst := smallInstance()
-	allot := Allotment(inst, 3.5)
+	allot := allotment(inst, 3.5)
 	// Task 0: p(3)=3.2 <= 3.5 -> 3; task 1: p(2)=3.5 -> 2; task 2: p(1)=2 -> 1;
 	// task 3: 1 ; task 4: nothing fits 3.5 except p(4)=3.1 -> 4.
 	want := []int{3, 2, 1, 1, 4}
@@ -61,7 +61,7 @@ func TestAllotment(t *testing.T) {
 		}
 	}
 	// Deadline below every processing time of task 4 -> fastest allocation.
-	allot = Allotment(inst, 1.0)
+	allot = allotment(inst, 1.0)
 	if allot[4] != 4 {
 		t.Fatalf("fallback allotment = %d, want 4", allot[4])
 	}

@@ -84,7 +84,7 @@ func (ft fitTable) minWork(i int, d float64) (float64, bool) {
 	return float64(ft.inst.Tasks[i].Work(k)), true
 }
 
-// allotment is Allotment on the table.
+// allotment is the package-level allotment on a prebuilt table.
 func (ft fitTable) allotment(deadline float64) []int {
 	allot := make([]int, len(ft.sorted))
 	for i := range allot {

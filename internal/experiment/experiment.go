@@ -90,7 +90,7 @@ func (c Config) withDefaults() Config {
 		c.M = 200
 	}
 	if len(c.TaskCounts) == 0 {
-		c.TaskCounts = DefaultTaskCounts()
+		c.TaskCounts = defaultTaskCounts()
 	}
 	if c.Runs == 0 {
 		c.Runs = 40
@@ -101,9 +101,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DefaultTaskCounts returns the task-count sweep used by the paper's
+// defaultTaskCounts returns the task-count sweep used by the paper's
 // figures (25 to 400).
-func DefaultTaskCounts() []int {
+func defaultTaskCounts() []int {
 	return []int{25, 50, 100, 150, 200, 250, 300, 350, 400}
 }
 

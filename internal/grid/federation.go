@@ -67,8 +67,10 @@ type Config struct {
 	// grid never drops a job.
 	AdmitBacklog float64
 	// Sequential disables all goroutines: shards run one after the other
-	// and each engine runs its portfolio sequentially. The reports are
-	// identical either way; the switch exists for the determinism tests.
+	// instead of one goroutine each, and each engine runs a non-racing
+	// portfolio one member at a time (a raced portfolio already does). The
+	// reports are identical either way; the switch exists for the
+	// determinism tests.
 	Sequential bool
 	// Faults injects a deterministic fault plan: node outages go to the
 	// matching shard engines (running jobs are killed and replanned),

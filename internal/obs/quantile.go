@@ -12,7 +12,7 @@ type Bucket struct {
 	Cum float64
 }
 
-// BucketQuantile estimates the p-th quantile (p in [0, 1]) of a
+// bucketQuantile estimates the p-th quantile (p in [0, 1]) of a
 // Prometheus-style cumulative bucket distribution using the nearest-rank
 // rule: it returns the upper bound of the bucket holding the rank-th
 // sample. The estimate is deliberately an upper bound, exactly matching
@@ -22,7 +22,7 @@ type Bucket struct {
 // resolve to +Inf; an empty distribution returns 0; p is clamped to
 // [0, 1]. Buckets are sorted by bound if needed; the final bucket's
 // cumulative count is the total.
-func BucketQuantile(p float64, buckets []Bucket) float64 {
+func bucketQuantile(p float64, buckets []Bucket) float64 {
 	if len(buckets) == 0 {
 		return 0
 	}
@@ -110,8 +110,8 @@ type ScrapeHistogram struct {
 }
 
 // Quantile estimates the p-th quantile of the series (see
-// BucketQuantile).
-func (h ScrapeHistogram) Quantile(p float64) float64 { return BucketQuantile(p, h.Buckets) }
+// bucketQuantile).
+func (h ScrapeHistogram) Quantile(p float64) float64 { return bucketQuantile(p, h.Buckets) }
 
 // Label returns the value of the named series label, or "" when absent.
 func (h ScrapeHistogram) Label(name string) string {

@@ -35,19 +35,19 @@ func TestBucketQuantileHandCases(t *testing.T) {
 		{2, math.Inf(1)},
 	}
 	for _, c := range cases {
-		if got := BucketQuantile(c.p, buckets); got != c.want {
-			t.Errorf("BucketQuantile(%g) = %g, want %g", c.p, got, c.want)
+		if got := bucketQuantile(c.p, buckets); got != c.want {
+			t.Errorf("bucketQuantile(%g) = %g, want %g", c.p, got, c.want)
 		}
 	}
-	if got := BucketQuantile(0.5, nil); got != 0 {
+	if got := bucketQuantile(0.5, nil); got != 0 {
 		t.Errorf("empty buckets: got %g, want 0", got)
 	}
-	if got := BucketQuantile(0.5, []Bucket{{Le: 1, Cum: 0}, {Le: math.Inf(1), Cum: 0}}); got != 0 {
+	if got := bucketQuantile(0.5, []Bucket{{Le: 1, Cum: 0}, {Le: math.Inf(1), Cum: 0}}); got != 0 {
 		t.Errorf("zero-count buckets: got %g, want 0", got)
 	}
 	// Unsorted input is sorted, not trusted.
 	shuffled := []Bucket{buckets[2], buckets[0], buckets[3], buckets[1]}
-	if got := BucketQuantile(0.5, shuffled); got != 10 {
+	if got := bucketQuantile(0.5, shuffled); got != 10 {
 		t.Errorf("shuffled buckets: got %g, want 10", got)
 	}
 }
@@ -86,9 +86,9 @@ func TestBucketQuantileBoundaryExactOnLogBuckets(t *testing.T) {
 
 		for p := 0.0; p <= 1.0; p += 1.0 / 64 {
 			want := sh.Quantile(p)
-			got := BucketQuantile(p, buckets)
+			got := bucketQuantile(p, buckets)
 			if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
-				t.Fatalf("seed %d n %d p %g: BucketQuantile = %v, stats.Quantile = %v", seed, n, p, got, want)
+				t.Fatalf("seed %d n %d p %g: bucketQuantile = %v, stats.Quantile = %v", seed, n, p, got, want)
 			}
 		}
 	}

@@ -145,15 +145,15 @@ func AssignProcs(m int, reservations []Reservation) ([][]int, error) {
 		}
 		blocked[i] = procs
 	}
-	if m-PeakReserved(reservations) < 1 {
+	if m-peakReserved(reservations) < 1 {
 		return nil, fmt.Errorf("reservation: reservations block the whole %d-processor machine at their peak", m)
 	}
 	return blocked, nil
 }
 
-// PeakReserved returns the maximum number of simultaneously reserved
+// peakReserved returns the maximum number of simultaneously reserved
 // processors.
-func PeakReserved(reservations []Reservation) int {
+func peakReserved(reservations []Reservation) int {
 	type event struct {
 		t     float64
 		delta int

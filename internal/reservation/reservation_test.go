@@ -167,7 +167,7 @@ func TestValidateAgainstReservationsDetectsViolations(t *testing.T) {
 }
 
 func TestPeakReserved(t *testing.T) {
-	if got := PeakReserved(nil); got != 0 {
+	if got := peakReserved(nil); got != 0 {
 		t.Fatalf("empty peak = %d", got)
 	}
 	rs := []Reservation{
@@ -175,7 +175,7 @@ func TestPeakReserved(t *testing.T) {
 		{Procs: 3, Start: 5, End: 8},
 		{Procs: 1, Start: 20, End: 30},
 	}
-	if got := PeakReserved(rs); got != 5 {
+	if got := peakReserved(rs); got != 5 {
 		t.Fatalf("peak = %d, want 5", got)
 	}
 	// Back-to-back reservations do not stack.
@@ -183,7 +183,7 @@ func TestPeakReserved(t *testing.T) {
 		{Procs: 2, Start: 0, End: 5},
 		{Procs: 2, Start: 5, End: 10},
 	}
-	if got := PeakReserved(adj); got != 2 {
+	if got := peakReserved(adj); got != 2 {
 		t.Fatalf("adjacent peak = %d, want 2", got)
 	}
 }

@@ -305,10 +305,10 @@ func (s *SLOSpec) validate() error {
 	return nil
 }
 
-// RacingSpec configures portfolio racing: the engine cancels portfolio
-// stragglers as soon as one candidate's score is provably within Cutoff of
-// the batch lower bound. Racing only affects wall-clock and which members
-// get cut off — the committed schedules are byte-identical between
+// RacingSpec configures portfolio racing: the engine runs the portfolio
+// members in launch order and stops as soon as one candidate's score is
+// provably within Cutoff of the batch lower bound. Racing only affects
+// wall-clock and which members get cut off — the committed schedules are byte-identical between
 // concurrent and sequential replays, and identical to a non-racing run
 // when the cutoff is 1 (disabled). A nil section disables racing.
 type RacingSpec struct {
