@@ -8,13 +8,13 @@
 // accumulates them into batches under a pluggable batching policy, and
 // schedules every batch with an algorithm portfolio: each member plans the
 // batch (in its own goroutine unless the portfolio races) and the engine
-// commits the best plan under a configurable objective. Committed plans are placed around node
-// reservations and executed on the discrete-event simulator with optionally
-// perturbed runtimes, so the *realized* completion of a batch — not the
-// planned estimate — decides when the next batch fires. Per-batch reports
-// stream out with the running utilization; the full metrics (flow,
-// stretch and slowdown tails, portfolio winner counts) come with the final
-// report.
+// commits the best plan under a configurable objective. Committed plans
+// are placed around node reservations and executed on the discrete-event
+// simulator with optionally perturbed runtimes, so the *realized*
+// completion of a batch — not the planned estimate — decides when the next
+// batch fires. Per-batch reports stream out with the running utilization;
+// the full metrics (flow, stretch and slowdown tails, portfolio winner
+// counts) come with the final report.
 //
 // Every run is deterministic for a given configuration: the portfolio
 // winner is chosen by score with ties broken in portfolio order, so a
