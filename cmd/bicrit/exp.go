@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"bicriteria/internal/experiment"
@@ -26,7 +27,7 @@ func expCmd(args []string, out io.Writer) error {
 	tasksFlag := fs.String("tasks", "", "comma-separated task counts (default: the paper's sweep 25..400)")
 	useLP := fs.Bool("lp", false, "use the LP-relaxation minsum lower bound (the paper's bound; slower)")
 	csvPath := fs.String("csv", "", "also write the aggregated series to this CSV file")
-	algosFlag := fs.String("algorithms", "", "comma-separated algorithms (default: all six)")
+	algosFlag := fs.String("algorithms", "", "comma-separated algorithms to compare, replacing the figure's own list (default: all six; figure 7: demt)")
 	ablation := fs.String("ablation", "", "run an ablation study instead of a figure: selection, compaction or bound")
 	ablationN := fs.Int("ablation-n", 80, "number of tasks used by ablation studies")
 	if err := fs.Parse(args); err != nil {
@@ -43,13 +44,21 @@ func expCmd(args []string, out io.Writer) error {
 
 	ctx := context.Background()
 	if *ablation != "" {
+		if *ablationN < 1 {
+			return fmt.Errorf("-ablation-n must be at least 1, got %d", *ablationN)
+		}
 		kind, err := workload.ParseKind(*kindFlag)
 		if err != nil {
 			return err
 		}
-		return runAblation(ctx, out, *ablation, experiment.AblationConfig{
-			Workload: kind, M: *m, N: *ablationN, Runs: *runs, Seed: *seed,
+		table, err := experiment.RunAblation(ctx, *ablation, experiment.Config{
+			Workload: kind, M: *m, TaskCounts: []int{*ablationN}, Runs: *runs, Seed: *seed,
 		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(out, table)
+		return nil
 	}
 
 	var cfg experiment.Config
@@ -75,10 +84,14 @@ func expCmd(args []string, out io.Writer) error {
 		cfg.TaskCounts = counts
 	}
 	if *algosFlag != "" {
+		cfg.Algorithms = nil
 		for _, name := range strings.Split(*algosFlag, ",") {
 			alg, err := experiment.ParseAlgorithm(strings.TrimSpace(name))
 			if err != nil {
 				return err
+			}
+			if slices.Contains(cfg.Algorithms, alg) {
+				return fmt.Errorf("-algorithms lists %q twice", alg)
 			}
 			cfg.Algorithms = append(cfg.Algorithms, alg)
 		}
@@ -101,33 +114,5 @@ func expCmd(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "wrote %s\n", *csvPath)
 	}
-	return nil
-}
-
-// runAblation dispatches one of the ablation studies of internal/experiment
-// (selection, compaction or bound).
-func runAblation(ctx context.Context, out io.Writer, kind string, cfg experiment.AblationConfig) error {
-	var (
-		rows  []experiment.AblationRow
-		title string
-		err   error
-	)
-	switch kind {
-	case "selection":
-		title = "Ablation A1: knapsack vs greedy batch selection"
-		rows, err = experiment.RunSelectionAblation(ctx, cfg)
-	case "compaction":
-		title = "Ablation A2: compaction modes"
-		rows, err = experiment.RunCompactionAblation(ctx, cfg)
-	case "bound":
-		title = "Ablation A3: minsum lower bounds"
-		rows, err = experiment.RunBoundAblation(ctx, cfg)
-	default:
-		return fmt.Errorf("unknown ablation %q (want selection, compaction or bound)", kind)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(out, experiment.FormatAblation(title, cfg, rows))
 	return nil
 }

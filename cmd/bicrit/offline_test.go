@@ -152,6 +152,20 @@ func TestExpQuickFigure(t *testing.T) {
 	}
 }
 
+// TestExpAlgorithmsReplaceFigureList pins that -algorithms replaces a
+// figure's preset list instead of adding to it: figure 7 presets demt, so
+// appending would print (and compute) a second demt column.
+func TestExpAlgorithmsReplaceFigureList(t *testing.T) {
+	var buf bytes.Buffer
+	if err := expCmd([]string{"-figure", "7", "-m", "10", "-runs", "1", "-tasks", "5", "-algorithms", "demt"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	// One demt column in each of the three tables.
+	if got := strings.Count(buf.String(), "demt"); got != 3 {
+		t.Fatalf("demt appears %d times, want 3:\n%s", got, buf.String())
+	}
+}
+
 func TestExpCustomWorkload(t *testing.T) {
 	var buf bytes.Buffer
 	err := expCmd([]string{"-workload", "mixed", "-m", "10", "-runs", "1", "-tasks", "5", "-algorithms", "demt"}, &buf)
@@ -175,6 +189,8 @@ func TestExpErrors(t *testing.T) {
 		{"-figure", "4", "-runs", "0", "-tasks", "5"},
 		{"-figure", "4", "-m", "0", "-tasks", "5"},
 		{"-ablation", "bound", "-runs", "-1"},
+		{"-ablation", "selection", "-ablation-n", "0"},
+		{"-figure", "4", "-tasks", "5", "-algorithms", "demt,demt"},
 	} {
 		var buf bytes.Buffer
 		if err := expCmd(args, &buf); err == nil {

@@ -10,40 +10,45 @@ import (
 	"bicriteria/internal/dualapprox"
 	"bicriteria/internal/lowerbound"
 	"bicriteria/internal/stats"
-	"bicriteria/internal/workload"
 )
 
-// AblationConfig drives the ablation studies A1-A3 (batch selection,
-// compaction, lower bound): they compare variants of one design choice of
-// the DEMT algorithm on a fixed workload setting.
-type AblationConfig struct {
-	// Workload selects the workload family (default Cirne).
-	Workload workload.Kind
-	// M is the machine size (default 64).
-	M int
-	// N is the number of tasks (default 80).
-	N int
-	// Runs is the number of random instances (default 10).
-	Runs int
-	// Seed makes the study deterministic.
-	Seed int64
+// RunAblation runs one of the ablation studies A1-A3 and returns its
+// table. Each compares variants of one design choice of the DEMT algorithm
+// on cfg's workload, machine size, runs and seed, at cfg's single task
+// count: "selection" (knapsack vs greedy batch selection), "compaction"
+// (the compaction modes) or "bound" (the minsum lower bounds). Zero fields
+// take Run's defaults. The context is passed to every run.
+func RunAblation(ctx context.Context, study string, cfg Config) (string, error) {
+	cfg = cfg.withDefaults()
+	if len(cfg.TaskCounts) != 1 {
+		return "", fmt.Errorf("experiment: an ablation runs at one task count, got %v", cfg.TaskCounts)
+	}
+	var (
+		rows  []ablationRow
+		title string
+		err   error
+	)
+	switch study {
+	case "selection":
+		title = "Ablation A1: knapsack vs greedy batch selection"
+		rows, err = runSelectionAblation(ctx, cfg)
+	case "compaction":
+		title = "Ablation A2: compaction modes"
+		rows, err = runCompactionAblation(ctx, cfg)
+	case "bound":
+		title = "Ablation A3: minsum lower bounds"
+		rows, err = runBoundAblation(ctx, cfg)
+	default:
+		return "", fmt.Errorf("experiment: unknown ablation %q (want selection, compaction or bound)", study)
+	}
+	if err != nil {
+		return "", err
+	}
+	return formatAblation(title, cfg, rows), nil
 }
 
-func (c AblationConfig) withDefaults() AblationConfig {
-	if c.M == 0 {
-		c.M = 64
-	}
-	if c.N == 0 {
-		c.N = 80
-	}
-	if c.Runs == 0 {
-		c.Runs = 10
-	}
-	return c
-}
-
-// AblationRow is the aggregated result of one variant.
-type AblationRow struct {
+// ablationRow is the aggregated result of one variant.
+type ablationRow struct {
 	// Variant names the design-choice variant.
 	Variant string
 	// MinsumRatio and CmaxRatio aggregate the criteria against the
@@ -57,15 +62,13 @@ type AblationRow struct {
 	Value float64
 }
 
-// RunSelectionAblation compares the knapsack batch selection of the paper
-// with the greedy weight-density selection (ablation A1). The context is
-// passed to every DEMT run.
-func RunSelectionAblation(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
-	cfg = cfg.withDefaults()
+// runSelectionAblation compares the knapsack batch selection of the paper
+// with the greedy weight-density selection (ablation A1).
+func runSelectionAblation(ctx context.Context, cfg Config) ([]ablationRow, error) {
 	variants := []core.SelectionMode{core.SelectionKnapsack, core.SelectionGreedy}
-	rows := make([]AblationRow, 0, len(variants))
+	rows := make([]ablationRow, 0, len(variants))
 	for _, mode := range variants {
-		row, err := runDEMTVariant(ctx, cfg, fmt.Sprintf("selection=%s", mode), &core.Options{Selection: mode})
+		row, err := variantRow(ctx, cfg, fmt.Sprintf("selection=%s", mode), core.Options{Selection: mode})
 		if err != nil {
 			return nil, err
 		}
@@ -74,16 +77,14 @@ func RunSelectionAblation(ctx context.Context, cfg AblationConfig) ([]AblationRo
 	return rows, nil
 }
 
-// RunCompactionAblation compares the compaction modes (ablation A2). The
-// context is passed to every DEMT run.
-func RunCompactionAblation(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
-	cfg = cfg.withDefaults()
+// runCompactionAblation compares the compaction modes (ablation A2).
+func runCompactionAblation(ctx context.Context, cfg Config) ([]ablationRow, error) {
 	variants := []core.CompactionMode{
 		core.CompactionNone, core.CompactionEarliestStart, core.CompactionList, core.CompactionListShuffle,
 	}
-	rows := make([]AblationRow, 0, len(variants))
+	rows := make([]ablationRow, 0, len(variants))
 	for _, mode := range variants {
-		row, err := runDEMTVariant(ctx, cfg, fmt.Sprintf("compaction=%s", mode), &core.Options{Compaction: mode})
+		row, err := variantRow(ctx, cfg, fmt.Sprintf("compaction=%s", mode), core.Options{Compaction: mode})
 		if err != nil {
 			return nil, err
 		}
@@ -92,51 +93,39 @@ func RunCompactionAblation(ctx context.Context, cfg AblationConfig) ([]AblationR
 	return rows, nil
 }
 
-// runDEMTVariant evaluates one DEMT configuration across the ablation runs.
-func runDEMTVariant(ctx context.Context, cfg AblationConfig, name string, opts *core.Options) (AblationRow, error) {
-	row := AblationRow{Variant: name}
-	var minsum, cmax stats.RatioAggregator
-	var total time.Duration
-	for run := 0; run < cfg.Runs; run++ {
-		inst, err := workload.Generate(workload.Config{Kind: cfg.Workload, M: cfg.M, N: cfg.N, Seed: instanceSeed(cfg.Seed, cfg.N, run)})
-		if err != nil {
-			return row, err
-		}
-		start := time.Now()
-		res, err := core.ScheduleContext(ctx, inst, opts)
-		if err != nil {
-			return row, err
-		}
-		total += time.Since(start)
-		if err := res.Schedule.Validate(inst, nil); err != nil {
-			return row, fmt.Errorf("experiment: ablation %s produced an invalid schedule: %w", name, err)
-		}
-		if err := minsum.Add(res.Schedule.WeightedCompletion(inst), lowerbound.MinsumSquashedArea(inst)); err != nil {
-			return row, err
-		}
-		if err := cmax.Add(res.Schedule.Makespan(), res.MakespanLowerBound); err != nil {
-			return row, err
-		}
+// variantRow runs the experiment on DEMT alone, with one variant's
+// options and every schedule validated, and reads the row from its single
+// point. The time is Run's scheduler time, which leaves out the dual
+// approximation the runs share.
+func variantRow(ctx context.Context, cfg Config, name string, opts core.Options) (ablationRow, error) {
+	cfg.Algorithms = []Algorithm{AlgDEMT}
+	cfg.DEMT = &opts
+	cfg.ValidateSchedules = true
+	res, err := Run(ctx, cfg)
+	if err != nil {
+		return ablationRow{}, err
 	}
-	row.MinsumRatio = minsum.Result()
-	row.CmaxRatio = cmax.Result()
-	row.AvgTime = total / time.Duration(cfg.Runs)
-	return row, nil
+	p := res.Series[0].Points[0]
+	return ablationRow{Variant: name, MinsumRatio: p.MinsumRatio, CmaxRatio: p.CmaxRatio, AvgTime: p.SchedulerTime}, nil
 }
 
-// RunBoundAblation compares the squashed-area and LP-relaxation minsum
-// lower bounds (ablation A3): average bound value (higher is tighter) and
-// average computation time. The context is checked before every instance.
-func RunBoundAblation(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
-	cfg = cfg.withDefaults()
-	rows := []AblationRow{{Variant: "bound=squashed-area"}, {Variant: "bound=lp-relaxation"}, {Variant: "bound=max(both)"}}
+// runBoundAblation compares the squashed-area and LP-relaxation minsum
+// lower bounds (ablation A3) on Run's instances: average bound value
+// (higher is tighter) and average computation time. The context is checked
+// before every instance.
+func runBoundAblation(ctx context.Context, cfg Config) ([]ablationRow, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
+	n := cfg.TaskCounts[0]
+	rows := []ablationRow{{Variant: "bound=squashed-area"}, {Variant: "bound=lp-relaxation"}, {Variant: "bound=max(both)"}}
 	var squashedSum, lpSum, maxSum float64
 	var squashedTime, lpTime time.Duration
 	for run := 0; run < cfg.Runs; run++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiment: bound ablation aborted: %w", err)
 		}
-		inst, err := workload.Generate(workload.Config{Kind: cfg.Workload, M: cfg.M, N: cfg.N, Seed: instanceSeed(cfg.Seed, cfg.N, run)})
+		inst, err := cfg.instance(n, run)
 		if err != nil {
 			return nil, err
 		}
@@ -169,11 +158,10 @@ func RunBoundAblation(ctx context.Context, cfg AblationConfig) ([]AblationRow, e
 	return rows, nil
 }
 
-// FormatAblation renders ablation rows as a text table.
-func FormatAblation(title string, cfg AblationConfig, rows []AblationRow) string {
-	cfg = cfg.withDefaults()
+// formatAblation renders ablation rows as a text table.
+func formatAblation(title string, cfg Config, rows []ablationRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s (workload %s, m=%d, n=%d, %d runs)\n", title, cfg.Workload, cfg.M, cfg.N, cfg.Runs)
+	fmt.Fprintf(&b, "%s (workload %s, m=%d, n=%d, %d runs)\n", title, cfg.Workload, cfg.M, cfg.TaskCounts[0], cfg.Runs)
 	fmt.Fprintf(&b, "%-28s %14s %14s %14s %14s\n", "variant", "minsum ratio", "cmax ratio", "value", "avg time")
 	for _, row := range rows {
 		minsum, cmax, value := "-", "-", "-"

@@ -7,12 +7,12 @@ import (
 	"bicriteria/internal/workload"
 )
 
-func ablationTestConfig() AblationConfig {
-	return AblationConfig{Workload: workload.Cirne, M: 12, N: 12, Runs: 2, Seed: 3}
+func ablationTestConfig() Config {
+	return Config{Workload: workload.Cirne, M: 12, TaskCounts: []int{12}, Runs: 2, Seed: 3}
 }
 
 func TestRunSelectionAblation(t *testing.T) {
-	rows, err := RunSelectionAblation(t.Context(), ablationTestConfig())
+	rows, err := runSelectionAblation(t.Context(), ablationTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +27,17 @@ func TestRunSelectionAblation(t *testing.T) {
 			t.Fatalf("%s: missing timing", row.Variant)
 		}
 	}
-	out := FormatAblation("A1 selection", ablationTestConfig(), rows)
+	out := formatAblation("A1 selection", ablationTestConfig(), rows)
+	if want := "A1 selection (workload cirne, m=12, n=12, 2 runs)\n"; !strings.HasPrefix(out, want) {
+		t.Fatalf("header drifted, want %q:\n%s", want, out)
+	}
 	if !strings.Contains(out, "selection=knapsack") || !strings.Contains(out, "selection=greedy") {
 		t.Fatalf("table missing variants:\n%s", out)
 	}
 }
 
 func TestRunCompactionAblation(t *testing.T) {
-	rows, err := RunCompactionAblation(t.Context(), ablationTestConfig())
+	rows, err := runCompactionAblation(t.Context(), ablationTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func TestRunCompactionAblation(t *testing.T) {
 }
 
 func TestRunBoundAblation(t *testing.T) {
-	rows, err := RunBoundAblation(t.Context(), ablationTestConfig())
+	rows, err := runBoundAblation(t.Context(), ablationTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +86,29 @@ func TestRunBoundAblation(t *testing.T) {
 	if both < squashed-1e-6 || both < lp-1e-6 {
 		t.Fatalf("max bound (%.2f) below components (%.2f, %.2f)", both, squashed, lp)
 	}
-	out := FormatAblation("A3 bounds", ablationTestConfig(), rows)
+	out := formatAblation("A3 bounds", ablationTestConfig(), rows)
 	if !strings.Contains(out, "bound=max(both)") {
 		t.Fatalf("table missing rows:\n%s", out)
 	}
 }
 
-func TestAblationDefaults(t *testing.T) {
-	cfg := AblationConfig{}.withDefaults()
-	if cfg.M != 64 || cfg.N != 80 || cfg.Runs != 10 {
-		t.Fatalf("unexpected defaults: %+v", cfg)
+// TestAblationRejectsBadConfig holds every study to Run's checks: fewer
+// than one run fails (the bound study, which does not call Run, checks it
+// itself), and so do two task counts and an unknown study.
+func TestAblationRejectsBadConfig(t *testing.T) {
+	for _, study := range []string{"selection", "compaction", "bound"} {
+		cfg := ablationTestConfig()
+		cfg.Runs = -1
+		if _, err := RunAblation(t.Context(), study, cfg); err == nil || !strings.Contains(err.Error(), "Runs must be >= 1") {
+			t.Errorf("%s with Runs -1: err = %v", study, err)
+		}
+		cfg = ablationTestConfig()
+		cfg.TaskCounts = []int{8, 12}
+		if _, err := RunAblation(t.Context(), study, cfg); err == nil {
+			t.Errorf("%s with two task counts accepted", study)
+		}
+	}
+	if _, err := RunAblation(t.Context(), "frobnicate", ablationTestConfig()); err == nil {
+		t.Error("unknown study accepted")
 	}
 }

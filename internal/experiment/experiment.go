@@ -6,12 +6,15 @@
 // average, plus per-run minimum and maximum).
 //
 // Figures 3-6 are the (minsum ratio, makespan ratio) series of the four
-// workload families; Figure 7 is the scheduler execution time.
+// workload families; Figure 7 is the scheduler execution time. The
+// ablation studies (RunAblation) run on the same instances, and their DEMT
+// variants through Run.
 package experiment
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"bicriteria/internal/baselines"
@@ -44,14 +47,14 @@ const (
 	AlgListSAF Algorithm = "saf"
 )
 
-// Algorithms returns the full comparison set in the paper's legend order.
-func Algorithms() []Algorithm {
+// algorithms returns the full comparison set in the paper's legend order.
+func algorithms() []Algorithm {
 	return []Algorithm{AlgDEMT, AlgGang, AlgSequential, AlgListShelf, AlgListWeightedLPT, AlgListSAF}
 }
 
 // ParseAlgorithm converts a CLI string into an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	for _, a := range Algorithms() {
+	for _, a := range algorithms() {
 		if string(a) == s {
 			return a, nil
 		}
@@ -72,7 +75,7 @@ type Config struct {
 	Runs int
 	// Seed makes the experiment deterministic.
 	Seed int64
-	// Algorithms to compare; nil means all of them.
+	// Algorithms to compare, each at most once; nil means all of them.
 	Algorithms []Algorithm
 	// UseLPBound selects the paper's LP-relaxation lower bound for the
 	// minsum criterion; when false the much cheaper squashed-area bound is
@@ -96,9 +99,23 @@ func (c Config) withDefaults() Config {
 		c.Runs = 40
 	}
 	if len(c.Algorithms) == 0 {
-		c.Algorithms = Algorithms()
+		c.Algorithms = algorithms()
 	}
 	return c
+}
+
+// check rejects what withDefaults leaves wrong: fewer than one run, or an
+// algorithm listed twice (its copies would add to one aggregator).
+func (c Config) check() error {
+	if c.Runs < 1 {
+		return fmt.Errorf("experiment: Runs must be >= 1")
+	}
+	for i, alg := range c.Algorithms {
+		if slices.Contains(c.Algorithms[:i], alg) {
+			return fmt.Errorf("experiment: algorithm %q is listed twice", alg)
+		}
+	}
+	return nil
 }
 
 // defaultTaskCounts returns the task-count sweep used by the paper's
@@ -138,8 +155,8 @@ type Result struct {
 // (errors.Is(err, ctx.Err()) holds).
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Runs < 1 {
-		return nil, fmt.Errorf("experiment: Runs must be >= 1")
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	res := &Result{Config: cfg}
@@ -157,12 +174,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 
 		for run := 0; run < cfg.Runs; run++ {
-			inst, err := workload.Generate(workload.Config{
-				Kind: cfg.Workload,
-				M:    cfg.M,
-				N:    n,
-				Seed: instanceSeed(cfg.Seed, n, run),
-			})
+			inst, err := cfg.instance(n, run)
 			if err != nil {
 				return nil, err
 			}
@@ -217,10 +229,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// instanceSeed mixes the base seed with the sweep coordinates so every run
-// gets a distinct but reproducible instance.
-func instanceSeed(base int64, n, run int) int64 {
-	return base*1_000_003 + int64(n)*131 + int64(run)*7 + 1
+// instance generates the random instance of one run at n tasks. Its seed
+// mixes the base seed with the sweep coordinates, so every run gets a
+// distinct but reproducible instance.
+func (c Config) instance(n, run int) (*moldable.Instance, error) {
+	seed := c.Seed*1_000_003 + int64(n)*131 + int64(run)*7 + 1
+	return workload.Generate(workload.Config{Kind: c.Workload, M: c.M, N: n, Seed: seed})
 }
 
 // runAlgorithm dispatches one algorithm on one instance, reusing the shared

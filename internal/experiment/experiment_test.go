@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -25,8 +26,8 @@ func TestRunAllAlgorithmsSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Series) != len(Algorithms()) {
-		t.Fatalf("expected %d series, got %d", len(Algorithms()), len(res.Series))
+	if len(res.Series) != len(algorithms()) {
+		t.Fatalf("expected %d series, got %d", len(algorithms()), len(res.Series))
 	}
 	for _, s := range res.Series {
 		if len(s.Points) != 2 {
@@ -103,8 +104,19 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestRunRejectsRepeatedAlgorithm pins that an algorithm listed twice is
+// an error naming it: its copies would rerun it on every instance and add
+// to one aggregator, doubling the ratio counts and the time average.
+func TestRunRejectsRepeatedAlgorithm(t *testing.T) {
+	cfg := smallConfig(workload.Mixed)
+	cfg.Algorithms = []Algorithm{AlgDEMT, AlgGang, AlgDEMT}
+	if _, err := Run(t.Context(), cfg); err == nil || !strings.Contains(err.Error(), `"demt"`) {
+		t.Fatalf("repeated demt: err = %v, want one naming it", err)
+	}
+}
+
 func TestParseAlgorithm(t *testing.T) {
-	for _, a := range Algorithms() {
+	for _, a := range algorithms() {
 		got, err := ParseAlgorithm(string(a))
 		if err != nil || got != a {
 			t.Fatalf("round trip failed for %s", a)
@@ -177,22 +189,22 @@ func TestSeriesForAndMaxRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SeriesFor(AlgDEMT) == nil {
+	if res.seriesFor(AlgDEMT) == nil {
 		t.Fatalf("missing DEMT series")
 	}
-	if res.SeriesFor(AlgGang) != nil {
+	if res.seriesFor(AlgGang) != nil {
 		t.Fatalf("gang series should be absent")
 	}
-	maxMinsum, err := res.MaxRatio(AlgDEMT, "minsum")
+	maxMinsum, err := res.maxRatio(AlgDEMT, "minsum")
 	if err != nil || maxMinsum < 1 {
-		t.Fatalf("MaxRatio minsum = %g, %v", maxMinsum, err)
+		t.Fatalf("maxRatio minsum = %g, %v", maxMinsum, err)
 	}
-	maxCmax, err := res.MaxRatio(AlgDEMT, "cmax")
+	maxCmax, err := res.maxRatio(AlgDEMT, "cmax")
 	if err != nil || maxCmax < 1 {
-		t.Fatalf("MaxRatio cmax = %g, %v", maxCmax, err)
+		t.Fatalf("maxRatio cmax = %g, %v", maxCmax, err)
 	}
-	if _, err := res.MaxRatio(AlgGang, "cmax"); err == nil {
-		t.Fatalf("MaxRatio on a missing series must fail")
+	if _, err := res.maxRatio(AlgGang, "cmax"); err == nil {
+		t.Fatalf("maxRatio on a missing series must fail")
 	}
 }
 
@@ -220,16 +232,47 @@ func TestQualitativeShapesSmallScale(t *testing.T) {
 
 	// DEMT's makespan ratio stays bounded (paper: "no more than 2"; allow
 	// slack for the scaled-down machine).
-	if worst, _ := weak.MaxRatio(AlgDEMT, "cmax"); worst > 3.0 {
+	if worst, _ := weak.maxRatio(AlgDEMT, "cmax"); worst > 3.0 {
 		t.Fatalf("DEMT makespan ratio too large on weakly parallel: %.2f", worst)
 	}
-	if worst, _ := high.MaxRatio(AlgDEMT, "cmax"); worst > 3.0 {
+	if worst, _ := high.maxRatio(AlgDEMT, "cmax"); worst > 3.0 {
 		t.Fatalf("DEMT makespan ratio too large on highly parallel: %.2f", worst)
 	}
 	// Gang is much worse than DEMT on weakly parallel tasks (Cmax).
-	gangWorst, _ := weak.MaxRatio(AlgGang, "cmax")
-	demtWorst, _ := weak.MaxRatio(AlgDEMT, "cmax")
+	gangWorst, _ := weak.maxRatio(AlgGang, "cmax")
+	demtWorst, _ := weak.maxRatio(AlgDEMT, "cmax")
 	if gangWorst < 2*demtWorst {
 		t.Fatalf("gang should be far worse than DEMT on weakly parallel tasks: gang %.2f vs demt %.2f", gangWorst, demtWorst)
 	}
+}
+
+// seriesFor returns the series of one algorithm, or nil when absent.
+func (r *Result) seriesFor(alg Algorithm) *Series {
+	for i := range r.Series {
+		if r.Series[i].Algorithm == alg {
+			return &r.Series[i]
+		}
+	}
+	return nil
+}
+
+// maxRatio returns the largest mean ratio reached by an algorithm across
+// the sweep, for the given criterion ("minsum" or "cmax"). The shape test
+// compares it against the paper's qualitative claims.
+func (r *Result) maxRatio(alg Algorithm, criterion string) (float64, error) {
+	s := r.seriesFor(alg)
+	if s == nil {
+		return 0, fmt.Errorf("experiment: no series for %q", alg)
+	}
+	worst := 0.0
+	for _, p := range s.Points {
+		v := p.MinsumRatio.Mean
+		if criterion == "cmax" {
+			v = p.CmaxRatio.Mean
+		}
+		if v > worst {
+			worst = v
+		}
+	}
+	return worst, nil
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"bicriteria/internal/core"
@@ -12,14 +11,14 @@ import (
 )
 
 // referenceDEMTVariant is the private instance loop the selection and
-// compaction ablations used before they ran through Run: on each instance
+// compaction ablations ran before they went through Run: on each instance
 // DEMT computes its own dual approximation, the makespan is judged against
 // the bound DEMT reports and the minsum against the squashed area.
 func referenceDEMTVariant(ctx context.Context, cfg Config, opts *core.Options) (minsum, cmax stats.Ratio, err error) {
 	n := cfg.TaskCounts[0]
 	var aggMinsum, aggCmax stats.RatioAggregator
 	for run := 0; run < cfg.Runs; run++ {
-		inst, err := workload.Generate(workload.Config{Kind: cfg.Workload, M: cfg.M, N: n, Seed: instanceSeed(cfg.Seed, n, run)})
+		inst, err := cfg.instance(n, run)
 		if err != nil {
 			return minsum, cmax, err
 		}
@@ -40,37 +39,40 @@ func referenceDEMTVariant(ctx context.Context, cfg Config, opts *core.Options) (
 	return aggMinsum.Result(), aggCmax.Result(), nil
 }
 
-// TestAblationMatchesReference holds every selection and compaction
-// variant's ratios, as Run computes them for a DEMT-only point, equal to
-// the reference loop's on all four workload families.
+// TestAblationMatchesReference holds every selection and compaction row,
+// which the ablations now read from Run, equal to the reference loop's
+// ratios on all four workload families.
 func TestAblationMatchesReference(t *testing.T) {
-	variants := []core.Options{
-		{Selection: core.SelectionKnapsack},
-		{Selection: core.SelectionGreedy},
-		{Compaction: core.CompactionNone},
-		{Compaction: core.CompactionEarliestStart},
-		{Compaction: core.CompactionList},
-		{Compaction: core.CompactionListShuffle},
-	}
 	for _, kind := range []workload.Kind{workload.WeaklyParallel, workload.HighlyParallel, workload.Mixed, workload.Cirne} {
-		for _, opts := range variants {
-			name := fmt.Sprintf("%s/selection=%s/compaction=%s", kind, opts.Selection, opts.Compaction)
-			cfg := Config{
-				Workload: kind, M: 64, TaskCounts: []int{80}, Runs: 6, Seed: 3,
-				Algorithms: []Algorithm{AlgDEMT}, DEMT: &opts, ValidateSchedules: true,
-			}
+		cfg := Config{Workload: kind, M: 64, TaskCounts: []int{80}, Runs: 6, Seed: 3}
+		selection, err := runSelectionAblation(t.Context(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compaction, err := runCompactionAblation(t.Context(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := append(selection, compaction...)
+		variants := []core.Options{
+			{Selection: core.SelectionKnapsack},
+			{Selection: core.SelectionGreedy},
+			{Compaction: core.CompactionNone},
+			{Compaction: core.CompactionEarliestStart},
+			{Compaction: core.CompactionList},
+			{Compaction: core.CompactionListShuffle},
+		}
+		if len(rows) != len(variants) {
+			t.Fatalf("%s: %d rows, want %d", kind, len(rows), len(variants))
+		}
+		for i, opts := range variants {
 			wantMinsum, wantCmax, err := referenceDEMTVariant(t.Context(), cfg, &opts)
 			if err != nil {
-				t.Fatalf("%s: reference: %v", name, err)
+				t.Fatalf("%s/%s: reference: %v", kind, rows[i].Variant, err)
 			}
-			res, err := Run(t.Context(), cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			got := res.Series[0].Points[0]
-			if got.MinsumRatio != wantMinsum || got.CmaxRatio != wantCmax {
-				t.Fatalf("%s: Run gives minsum %+v cmax %+v, reference %+v %+v",
-					name, got.MinsumRatio, got.CmaxRatio, wantMinsum, wantCmax)
+			if rows[i].MinsumRatio != wantMinsum || rows[i].CmaxRatio != wantCmax {
+				t.Fatalf("%s/%s: ablation gives minsum %+v cmax %+v, reference %+v %+v",
+					kind, rows[i].Variant, rows[i].MinsumRatio, rows[i].CmaxRatio, wantMinsum, wantCmax)
 			}
 		}
 	}

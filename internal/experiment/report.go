@@ -119,34 +119,3 @@ func WriteCSV(w io.Writer, res *Result) error {
 }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }
-
-// SeriesFor returns the series of one algorithm, or nil when absent.
-func (r *Result) SeriesFor(alg Algorithm) *Series {
-	for i := range r.Series {
-		if r.Series[i].Algorithm == alg {
-			return &r.Series[i]
-		}
-	}
-	return nil
-}
-
-// MaxRatio returns the largest mean ratio reached by an algorithm across
-// the sweep, for the given criterion ("minsum" or "cmax"). Tests use it to
-// compare against the paper's qualitative claims.
-func (r *Result) MaxRatio(alg Algorithm, criterion string) (float64, error) {
-	s := r.SeriesFor(alg)
-	if s == nil {
-		return 0, fmt.Errorf("experiment: no series for %q", alg)
-	}
-	worst := 0.0
-	for _, p := range s.Points {
-		v := p.MinsumRatio.Mean
-		if criterion == "cmax" {
-			v = p.CmaxRatio.Mean
-		}
-		if v > worst {
-			worst = v
-		}
-	}
-	return worst, nil
-}
