@@ -285,7 +285,7 @@ type Schedule = schedule.Schedule
 type DEMTOptions = core.Options
 
 // DEMTResult is the output of the DEMT algorithm: final schedule, raw batch
-// schedule, batch structure and the makespan estimate/lower bound.
+// schedule, batch structure and the makespan estimate.
 type DEMTResult = core.Result
 
 // DEMT runs the bi-criteria batch algorithm of the paper on the instance.

@@ -117,11 +117,9 @@ func (o ListOrder) String() string {
 
 // ListGrahamContext computes the dual-approximation allotment and runs the
 // Graham list algorithm with the requested order. The context is checked
-// inside the list loop.
+// inside the list loop. An invalid instance fails with the error
+// inst.Validate returns, which TwoShelf checks.
 func ListGrahamContext(ctx context.Context, inst *moldable.Instance, order ListOrder) (*schedule.Schedule, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
 	res, err := dualapprox.TwoShelf(inst)
 	if err != nil {
 		return nil, err
@@ -130,8 +128,9 @@ func ListGrahamContext(ctx context.Context, inst *moldable.Instance, order ListO
 }
 
 // ListGrahamWithAllotmentContext is ListGrahamContext with a pre-computed
-// dual-approximation result (so the three variants can share one
-// allotment computation, as the experiment harness does).
+// dual-approximation result, so the list variants and DEMT can share one
+// allotment computation: the experiment harness shares it per instance,
+// the cluster portfolio per batch.
 func ListGrahamWithAllotmentContext(ctx context.Context, inst *moldable.Instance, res *dualapprox.Result, order ListOrder) (*schedule.Schedule, error) {
 	if len(res.Allotment) != inst.N() {
 		return nil, fmt.Errorf("baselines: allotment has %d entries for %d tasks", len(res.Allotment), inst.N())

@@ -8,13 +8,15 @@
 // accumulates them into batches under a pluggable batching policy, and
 // schedules every batch with an algorithm portfolio: each member plans the
 // batch (in its own goroutine unless the portfolio races) and the engine
-// commits the best plan under a configurable objective. Committed plans
-// are placed around node reservations and executed on the discrete-event
-// simulator with optionally perturbed runtimes, so the *realized*
-// completion of a batch — not the planned estimate — decides when the next
-// batch fires. Per-batch reports stream out with the running utilization;
-// the full metrics (flow, stretch and slowdown tails, portfolio winner
-// counts) come with the final report.
+// commits the best plan under a configurable objective. The batch's
+// makespan lower bound and its two-shelf dual approximation are computed at
+// most once, when first needed, and shared by the engine and the members
+// built by DefaultPortfolio. Committed plans are placed around node
+// reservations and executed on the discrete-event simulator with optionally
+// perturbed runtimes, so the *realized* completion of a batch — not the
+// planned estimate — decides when the next batch fires. Per-batch reports
+// stream out with the running utilization; the full metrics (flow, stretch
+// and slowdown tails, portfolio winner counts) come with the final report.
 //
 // Every run is deterministic for a given configuration: the portfolio
 // winner is chosen by score with ties broken in portfolio order, so a
@@ -29,7 +31,6 @@ import (
 	"time"
 
 	"bicriteria/internal/listsched"
-	"bicriteria/internal/lowerbound"
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/obs"
 	"bicriteria/internal/reservation"
@@ -277,8 +278,14 @@ func (s *Session) runBatch() (BatchReport, float64, []Job, error) {
 	inst := moldable.NewInstance(e.cfg.M, tasks)
 
 	planStart := time.Now() //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
-	cmaxLB := lowerbound.Makespan(inst)
-	cands, scheds, win, err := runPortfolio(ctx, inst, cmaxLB, e.cfg.Portfolio, e.cfg.Objective, e.cfg.Sequential, s.metrics, e.cfg.Racing, s.race)
+	// One facts value per session, reset for every batch: the members of
+	// the last batch are done with it before the next one fires.
+	if s.facts == nil {
+		s.facts = new(batchFacts)
+	}
+	*s.facts = batchFacts{inst: inst}
+	facts := s.facts
+	cands, scheds, win, err := runPortfolio(ctx, facts, e.cfg.Portfolio, e.cfg.Objective, e.cfg.Sequential, s.metrics, e.cfg.Racing, s.race)
 	if err != nil {
 		return BatchReport{}, 0, nil, fmt.Errorf("cluster: batch %d: %w", index, err)
 	}
@@ -399,7 +406,7 @@ func (s *Session) runBatch() (BatchReport, float64, []Job, error) {
 		RealizedMakespan: simRes.Makespan,
 		Delayed:          simRes.Delayed,
 		KillEvents:       killEvents,
-		LowerBound:       cmaxLB,
+		LowerBound:       facts.cmaxLB(),
 		Placements:       placements,
 		Utilization:      acc.utilization(),
 	}, advance, resub, nil

@@ -12,6 +12,7 @@ import (
 
 	"bicriteria/internal/baselines"
 	"bicriteria/internal/core"
+	"bicriteria/internal/dualapprox"
 	"bicriteria/internal/lowerbound"
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/obs"
@@ -28,34 +29,110 @@ type Algorithm struct {
 	Name string
 	// Run schedules the batch instance.
 	Run func(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error)
+
+	// plan, set on the members DEMTAlgorithm and DefaultPortfolio build,
+	// is Run reading the batch's shared dual approximation; the portfolio
+	// calls it instead of Run.
+	plan func(ctx context.Context, f *batchFacts) (*schedule.Schedule, error)
+}
+
+// sharing builds a member from its plan: the portfolio hands plan the
+// batch's shared facts, and Run computes fresh ones for the instance.
+func sharing(name string, plan func(ctx context.Context, f *batchFacts) (*schedule.Schedule, error)) Algorithm {
+	return Algorithm{Name: name, plan: plan, Run: func(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error) {
+		return plan(ctx, &batchFacts{inst: inst})
+	}}
+}
+
+// batchFacts is what the portfolio's members share about one batch: the
+// makespan lower bound and the two-shelf dual approximation, each computed
+// at most once, and only when first asked for, however many members ask
+// and from however many goroutines. The dual approximation starts from
+// the bound, so the bound is computed once either way. The members only
+// read the result.
+type batchFacts struct {
+	inst *moldable.Instance
+
+	lbOnce sync.Once
+	lb     float64
+
+	daOnce sync.Once
+	da     *dualapprox.Result
+	daErr  error
+}
+
+// cmaxLB is lowerbound.Makespan of the batch.
+func (f *batchFacts) cmaxLB() float64 {
+	f.lbOnce.Do(func() { f.lb = lowerbound.Makespan(f.inst) })
+	return f.lb
+}
+
+// twoShelf is dualapprox.TwoShelf of the batch.
+func (f *batchFacts) twoShelf() (*dualapprox.Result, error) {
+	f.daOnce.Do(func() { f.da, f.daErr = dualapprox.TwoShelfWithLowerBound(f.inst, f.cmaxLB()) })
+	return f.da, f.daErr
 }
 
 // DEMTAlgorithm wraps the paper's bi-criteria scheduler as a portfolio
-// member. A nil options pointer gives the paper's defaults.
+// member. A nil options pointer gives the paper's defaults. In a portfolio
+// DEMT takes its C*max estimate (step 1) from the batch's shared dual
+// approximation, unless opts sets CmaxEstimate; the time it spent getting
+// the estimate, computing or waiting, is reported as part of opts.Timing's
+// "dualapprox" phase.
 func DEMTAlgorithm(opts *core.Options) Algorithm {
-	return Algorithm{Name: "demt", Run: func(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error) {
-		res, err := core.ScheduleContext(ctx, inst, opts)
+	return sharing("demt", func(ctx context.Context, f *batchFacts) (*schedule.Schedule, error) {
+		o := opts
+		if o == nil || !(o.CmaxEstimate > 0) {
+			start := time.Now() //lint:allow nowallclock wall-clock feeds the Timing observability hook only, never a scheduling decision
+			da, err := f.twoShelf()
+			if err != nil {
+				return nil, err
+			}
+			var own core.Options
+			if o != nil {
+				own = *o
+			}
+			own.CmaxEstimate = da.Estimate
+			if timing := own.Timing; timing != nil {
+				got := time.Since(start).Seconds() //lint:allow nowallclock wall-clock feeds the Timing observability hook only, never a scheduling decision
+				own.Timing = func(phase string, seconds float64) {
+					if phase == "dualapprox" {
+						seconds += got
+					}
+					timing(phase, seconds)
+				}
+			}
+			o = &own
+		}
+		res, err := core.ScheduleContext(ctx, f.inst, o)
 		if err != nil {
 			return nil, err
 		}
 		return res.Schedule, nil
-	}}
+	})
 }
 
 // DefaultPortfolio returns the paper's full comparison as a portfolio: DEMT
 // plus every baseline of the evaluation section. A nil options pointer
-// gives DEMT the paper's defaults.
+// gives DEMT the paper's defaults. DEMT, list-saf and list-wlpt start from
+// the same two-shelf dual approximation, which the portfolio computes once
+// per batch and hands to all three.
 func DefaultPortfolio(opts *core.Options) []Algorithm {
+	list := func(name string, order baselines.ListOrder) Algorithm {
+		return sharing(name, func(ctx context.Context, f *batchFacts) (*schedule.Schedule, error) {
+			da, err := f.twoShelf()
+			if err != nil {
+				return nil, err
+			}
+			return baselines.ListGrahamWithAllotmentContext(ctx, f.inst, da, order)
+		})
+	}
 	return []Algorithm{
 		DEMTAlgorithm(opts),
 		{Name: "gang", Run: baselines.GangContext},
 		{Name: "seq-lpt", Run: baselines.SequentialContext},
-		{Name: "list-saf", Run: func(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error) {
-			return baselines.ListGrahamContext(ctx, inst, baselines.SmallestAreaFirst)
-		}},
-		{Name: "list-wlpt", Run: func(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error) {
-			return baselines.ListGrahamContext(ctx, inst, baselines.WeightedLPT)
-		}},
+		list("list-saf", baselines.SmallestAreaFirst),
+		list("list-wlpt", baselines.WeightedLPT),
 	}
 }
 
@@ -356,21 +433,27 @@ func (r Racing) qualifies(obj Objective, c *Candidate, lb batchBounds) bool {
 // when sequential is requested. Either way the committed candidates,
 // schedules and winner are bit-identical.
 //
-// cmaxLB is the batch's makespan lower bound (lowerbound.Makespan), which
-// the caller computes once for the batch report as well.
+// f is the batch: its instance plus the facts the members built by
+// DefaultPortfolio share. The makespan lower bound the objective and the
+// cut use is f.cmaxLB, the one the batch report carries. The two-shelf
+// dual approximation is computed by the first member that asks for it, so
+// a raced batch cut before DEMT and the list members never computes it.
+// A member without a plan, such as a caller's own, runs its exported Run
+// on the instance.
 //
 // A non-nil registry receives each member's wall-clock latency under its
 // name, plus the racing win/cancel/cutoff counters and the race latency
 // histogram when racing is enabled.
-func runPortfolio(ctx context.Context, inst *moldable.Instance, cmaxLB float64, algos []Algorithm, obj Objective, sequential bool, reg *obs.Registry, race Racing, state *raceState) ([]Candidate, []*schedule.Schedule, int, error) {
+func runPortfolio(ctx context.Context, f *batchFacts, algos []Algorithm, obj Objective, sequential bool, reg *obs.Registry, race Racing, state *raceState) ([]Candidate, []*schedule.Schedule, int, error) {
 	start := time.Now() //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
+	inst := f.inst
 	cands := make([]Candidate, len(algos))
 	scheds := make([]*schedule.Schedule, len(algos))
 	racing := race.Enabled() && len(algos) > 0
 
 	lb := batchBounds{}
 	if obj.Kind == ObjectiveCombined || (racing && obj.Kind == ObjectiveMakespan) {
-		lb.cmax = cmaxLB
+		lb.cmax = f.cmaxLB()
 	}
 	if obj.Kind == ObjectiveCombined || (racing && obj.Kind == ObjectiveWeightedCompletion) {
 		lb.minsum = lowerbound.MinsumSquashedArea(inst)
@@ -378,7 +461,13 @@ func runPortfolio(ctx context.Context, inst *moldable.Instance, cmaxLB float64, 
 
 	runOne := func(i int) {
 		memberStart := time.Now() //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
-		s, err := algos[i].Run(ctx, inst)
+		var s *schedule.Schedule
+		var err error
+		if algos[i].plan != nil {
+			s, err = algos[i].plan(ctx, f)
+		} else {
+			s, err = algos[i].Run(ctx, inst)
+		}
 		if reg != nil {
 			reg.Histogram("bicrit_portfolio_algorithm_seconds",
 				"Wall-clock latency of one portfolio member scheduling one batch.",

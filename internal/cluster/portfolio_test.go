@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bicriteria/internal/core"
+	"bicriteria/internal/dualapprox"
 	"bicriteria/internal/lowerbound"
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/schedule"
@@ -90,7 +91,7 @@ func TestPortfolioMatchesReference(t *testing.T) {
 								state = states[obj.Kind]
 								order = state.clone().launchOrder()
 							}
-							cands, scheds, win, err := runPortfolio(ctx, inst, lowerbound.Makespan(inst), algos, obj, mode.sequential, nil, mode.race, state)
+							cands, scheds, win, err := runPortfolio(ctx, &batchFacts{inst: inst}, algos, obj, mode.sequential, nil, mode.race, state)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
@@ -161,5 +162,43 @@ func checkAgainstReference(t *testing.T, name string, inst *moldable.Instance, a
 	}
 	if win != best {
 		t.Fatalf("%s: winner %d, want %d", name, win, best)
+	}
+}
+
+// TestRacedCutComputesNoTwoShelf pins the shared dual approximation's
+// laziness: a raced batch whose cut falls on gang, before DEMT and the
+// list members, never computes it, while a batch that runs them holds
+// the result TwoShelf gives.
+func TestRacedCutComputesNoTwoShelf(t *testing.T) {
+	inst, err := workload.Generate(workload.Config{Kind: workload.Mixed, M: 32, N: 20, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultPortfolio(nil)
+	gangFirst := []Algorithm{p[1], p[0], p[2], p[3], p[4]}
+	race := Racing{Cutoff: 1e9}
+
+	f := &batchFacts{inst: inst}
+	cands, _, win, err := runPortfolio(t.Context(), f, gangFirst, Objective{}, false, nil, race, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cands[win].Name != "gang" || !cands[1].Cancelled {
+		t.Fatalf("winner %q, demt cancelled %v; want the cut on gang", cands[win].Name, cands[1].Cancelled)
+	}
+	if f.da != nil {
+		t.Fatal("a batch cut on gang computed the two-shelf dual approximation")
+	}
+
+	f = &batchFacts{inst: inst}
+	if _, _, _, err := runPortfolio(t.Context(), f, p, Objective{}, false, nil, Racing{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want, err := dualapprox.TwoShelf(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(f.da, want) {
+		t.Fatal("the shared dual approximation differs from TwoShelf's")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"bicriteria/internal/lowerbound"
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/schedule"
 )
@@ -265,7 +264,7 @@ func TestWinnerSelectionSkipsFailedCandidates(t *testing.T) {
 		{DEMTAlgorithm(nil), failing},
 	} {
 		inst := moldable.NewInstance(2, []moldable.Task{{ID: 1, Weight: 1, Times: []float64{6, 4}}})
-		cands, _, win, err := runPortfolio(context.Background(), inst, lowerbound.Makespan(inst),
+		cands, _, win, err := runPortfolio(context.Background(), &batchFacts{inst: inst},
 			order, Objective{Kind: ObjectiveCombined, Alpha: 0.5}, true, nil, Racing{}, nil)
 		if err != nil {
 			t.Fatal(err)

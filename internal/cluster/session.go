@@ -61,6 +61,9 @@ type Session struct {
 	report *Report
 	fstate *faultState
 	race   *raceState
+	// facts is the current batch's shared facts (see runBatch); a fork
+	// allocates its own.
+	facts *batchFacts
 	// err is sticky: a failed step leaves the loop state undefined, so the
 	// session refuses every later call with it.
 	err error
@@ -167,7 +170,7 @@ func (s *Session) Finish() (*Report, error) {
 // — only the session it was forked from reports its batches.
 func (s *Session) Fork() *Session {
 	f := *s
-	f.onBatch, f.metrics = nil, nil
+	f.onBatch, f.metrics, f.facts = nil, nil, nil
 	f.pending = slices.Clone(s.pending)
 	f.infos = s.infos.Fork()
 	f.acc = s.acc.clone()

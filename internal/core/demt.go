@@ -116,11 +116,12 @@ type Options struct {
 	// Timing, when set, receives the wall-clock seconds spent in each
 	// internal phase of a successful run, in order: "validate" (the
 	// instance check), "dualapprox" (step 1: the two-shelf dual
-	// approximation, or only the makespan lower bound when CmaxEstimate
-	// is given), "knapsack" (batch construction) and "compact" (the
-	// compaction pass); together they cover the whole run. Wall-clock
-	// timings are observational only — they must never feed back into
-	// scheduling decisions, which would break deterministic replays.
+	// approximation, next to nothing when CmaxEstimate is given because
+	// the caller ran step 1), "knapsack" (batch construction) and
+	// "compact" (the compaction pass); together they cover the whole run.
+	// Wall-clock timings are observational only — they must never feed
+	// back into scheduling decisions, which would break deterministic
+	// replays.
 	Timing func(phase string, seconds float64)
 }
 
@@ -178,8 +179,6 @@ type Result struct {
 	// CmaxEstimate is the approximate optimal makespan used to anchor the
 	// batches.
 	CmaxEstimate float64
-	// MakespanLowerBound is the certified lower bound computed on the way.
-	MakespanLowerBound float64
 	// TMin is the smallest processing time of the instance.
 	TMin float64
 	// K is the batch exponent of the paper (number of "paper" batches is
@@ -214,11 +213,10 @@ func run(ctx context.Context, inst *moldable.Instance, opts Options) (*Result, e
 
 	res := &Result{}
 
-	// Step 1: approximate optimal makespan.
+	// Step 1: approximate optimal makespan, unless the caller holds it.
 	err := opts.phase("dualapprox", func() error {
 		if opts.CmaxEstimate > 0 {
 			res.CmaxEstimate = opts.CmaxEstimate
-			res.MakespanLowerBound = dualapprox.MakespanLowerBound(inst)
 			return nil
 		}
 		da, err := dualapprox.TwoShelf(inst)
@@ -226,7 +224,6 @@ func run(ctx context.Context, inst *moldable.Instance, opts Options) (*Result, e
 			return err
 		}
 		res.CmaxEstimate = da.Estimate
-		res.MakespanLowerBound = da.LowerBound
 		return nil
 	})
 	if err != nil {

@@ -42,8 +42,8 @@ func TestScheduleBasicProperties(t *testing.T) {
 	if res.K < 0 {
 		t.Fatalf("negative K")
 	}
-	if res.Schedule.Makespan() < res.MakespanLowerBound-1e-6 {
-		t.Fatalf("makespan %g below the lower bound %g", res.Schedule.Makespan(), res.MakespanLowerBound)
+	if lb := lowerbound.Makespan(inst); res.Schedule.Makespan() < lb-1e-6 {
+		t.Fatalf("makespan %g below the lower bound %g", res.Schedule.Makespan(), lb)
 	}
 	// Compaction must not hurt: final makespan no worse than the raw batch
 	// schedule's.
@@ -320,7 +320,8 @@ func TestPropertyValidSchedulesAndReasonableRatios(t *testing.T) {
 		// should stay within a loose factor of its bound on these benign
 		// workloads (the paper observes <= ~2).
 		cmax := res.Schedule.Makespan()
-		if cmax < res.MakespanLowerBound-1e-6 || cmax > 4*res.MakespanLowerBound+1e-6 {
+		cmaxLB := lowerbound.Makespan(inst)
+		if cmax < cmaxLB-1e-6 || cmax > 4*cmaxLB+1e-6 {
 			return false
 		}
 		minsumLB := lowerbound.MinsumSquashedArea(inst)

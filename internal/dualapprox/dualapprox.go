@@ -137,7 +137,22 @@ func TwoShelf(inst *moldable.Instance) (*Result, error) {
 		return nil, err
 	}
 	ft := newFitTable(inst)
-	lb := ft.lowerBound()
+	return twoShelf(ft, ft.lowerBound())
+}
+
+// TwoShelfWithLowerBound is TwoShelf for a caller that already holds
+// MakespanLowerBound(inst): the bisection starts from lb instead of
+// computing the bound again. Handed exactly that bound, it returns what
+// TwoShelf returns, bit for bit.
+func TwoShelfWithLowerBound(inst *moldable.Instance, lb float64) (*Result, error) {
+	if err := inst.Validate(); err != nil {
+		return nil, err
+	}
+	return twoShelf(newFitTable(inst), lb)
+}
+
+func twoShelf(ft fitTable, lb float64) (*Result, error) {
+	inst := ft.inst
 	lo, hi := lb, upperBound(inst)
 
 	sv := newShelfSolver(ft)

@@ -137,7 +137,7 @@ func TestTwoShelfEstimateAboveLowerBound(t *testing.T) {
 // The list fallback builds the stacked schedule at the upper bound.
 func TestTwoShelfListFallback(t *testing.T) {
 	inst := moldable.NewInstance(8, []moldable.Task{
-		moldable.Rigid(0, 1, 8, 1), moldable.Rigid(1, 1, 8, 1), moldable.Rigid(2, 1, 8, 1),
+		rigid(0, 1, 8, 1), rigid(1, 1, 8, 1), rigid(2, 1, 8, 1),
 	})
 	sv := newShelfSolver(newFitTable(inst))
 	if hi := upperBound(inst); sv.feasible(hi) {

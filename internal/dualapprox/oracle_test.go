@@ -52,9 +52,24 @@ func randomFitTask(r *rand.Rand, id, m int) moldable.Task {
 			times[c] = 0.1 + seq*r.Float64()
 		}
 	default:
-		return moldable.Rigid(id, 1, k, seq)
+		return rigid(id, 1, k, seq)
 	}
 	return moldable.Task{ID: id, Weight: 1, Times: times}
+}
+
+// rigid builds a task that must run on exactly procs processors: any
+// smaller allocation gets an untouchable, very large processing time so
+// that schedulers never pick it, and larger allocations are not offered.
+func rigid(id int, weight float64, procs int, duration float64) moldable.Task {
+	if procs < 1 {
+		procs = 1
+	}
+	times := make([]float64, procs)
+	for k := 0; k < procs-1; k++ {
+		times[k] = duration * float64(procs) * 1e6
+	}
+	times[procs-1] = duration
+	return moldable.Task{ID: id, Weight: weight, Times: times}
 }
 
 // TestFitTableMatchesTaskScan checks the fit table's two queries against
@@ -157,8 +172,12 @@ func TestTwoShelfMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: results differ\ngot  %+v\nwant %+v", c.name, got, want)
 		}
-		if lb := MakespanLowerBound(c.inst); lb != referenceLowerBound(c.inst) {
+		lb := MakespanLowerBound(c.inst)
+		if lb != referenceLowerBound(c.inst) {
 			t.Fatalf("%s: lower bound %v, reference %v", c.name, lb, referenceLowerBound(c.inst))
+		}
+		if got, err := TwoShelfWithLowerBound(c.inst, lb); !reflect.DeepEqual(got, want) || (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s: TwoShelfWithLowerBound differs from the reference (error %v)", c.name, err)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // referenceDEMTVariant is the private instance loop the selection and
 // compaction ablations ran before they went through Run: on each instance
 // DEMT computes its own dual approximation, the makespan is judged against
-// the bound DEMT reports and the minsum against the squashed area.
+// lowerbound.Makespan and the minsum against the squashed area.
 func referenceDEMTVariant(ctx context.Context, cfg Config, opts *core.Options) (minsum, cmax stats.Ratio, err error) {
 	n := cfg.TaskCounts[0]
 	var aggMinsum, aggCmax stats.RatioAggregator
@@ -32,7 +32,7 @@ func referenceDEMTVariant(ctx context.Context, cfg Config, opts *core.Options) (
 		if err := aggMinsum.Add(res.Schedule.WeightedCompletion(inst), lowerbound.MinsumSquashedArea(inst)); err != nil {
 			return minsum, cmax, err
 		}
-		if err := aggCmax.Add(res.Schedule.Makespan(), res.MakespanLowerBound); err != nil {
+		if err := aggCmax.Add(res.Schedule.Makespan(), lowerbound.Makespan(inst)); err != nil {
 			return minsum, cmax, err
 		}
 	}

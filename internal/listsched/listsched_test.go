@@ -3,6 +3,7 @@ package listsched
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,13 +13,14 @@ import (
 )
 
 // validate converts the list-scheduler output into a full schedule check by
-// building a matching rigid instance.
+// building a matching instance whose every allocation takes the item's
+// duration.
 func validate(t *testing.T, m int, items []Item, s *schedule.Schedule) {
 	t.Helper()
 	tasks := make([]moldable.Task, len(items))
 	rel := make(map[int]float64)
 	for i, it := range items {
-		tasks[i] = moldable.Rigid(it.TaskID, 1, it.NProcs, it.Duration)
+		tasks[i] = moldable.Task{ID: it.TaskID, Weight: 1, Times: slices.Repeat([]float64{it.Duration}, it.NProcs)}
 		rel[it.TaskID] = it.Release
 	}
 	inst := moldable.NewInstance(m, tasks)

@@ -162,21 +162,6 @@ func Sequential(id int, weight, duration float64) Task {
 	return Task{ID: id, Weight: weight, Times: []float64{duration}}
 }
 
-// Rigid builds a task that must run on exactly procs processors: any smaller
-// allocation is modelled with an untouchable, very large processing time so
-// that schedulers never pick it, and larger allocations are not offered.
-func Rigid(id int, weight float64, procs int, duration float64) Task {
-	if procs < 1 {
-		procs = 1
-	}
-	times := make([]float64, procs)
-	for k := 0; k < procs-1; k++ {
-		times[k] = duration * float64(procs) * 1e6
-	}
-	times[procs-1] = duration
-	return Task{ID: id, Weight: weight, Times: times}
-}
-
 // PerfectlyMoldable builds a task with linear speedup up to maxProcs: the
 // work seqTime is evenly divided among the allotted processors. Such tasks
 // are the extreme case discussed in §3.1 of the paper (optimal minsum

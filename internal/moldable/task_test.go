@@ -134,8 +134,23 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// rigid builds a task that must run on exactly procs processors: any
+// smaller allocation gets an untouchable, very large processing time so
+// that schedulers never pick it, and larger allocations are not offered.
+func rigid(id int, weight float64, procs int, duration float64) Task {
+	if procs < 1 {
+		procs = 1
+	}
+	times := make([]float64, procs)
+	for k := 0; k < procs-1; k++ {
+		times[k] = duration * float64(procs) * 1e6
+	}
+	times[procs-1] = duration
+	return Task{ID: id, Weight: weight, Times: times}
+}
+
 func TestRigidAndSequentialHelpers(t *testing.T) {
-	r := Rigid(7, 2, 4, 3)
+	r := rigid(7, 2, 4, 3)
 	if got, _ := r.MinTime(); got != 3 {
 		t.Fatalf("rigid MinTime = %g, want 3", got)
 	}
