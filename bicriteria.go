@@ -302,13 +302,13 @@ func DEMT(ctx context.Context, inst *Instance, opts *DEMTOptions) (*DEMTResult, 
 // Gang schedules every task on all the processors it can use, sorted by
 // decreasing weight over execution time.
 func Gang(ctx context.Context, inst *Instance) (*Schedule, error) {
-	return baselines.GangContext(ctx, inst)
+	return baselines.GangContext(ctx, moldable.NewTable(inst))
 }
 
 // SequentialLPT schedules every task on a single processor with the
 // largest-processing-time-first list algorithm.
 func SequentialLPT(ctx context.Context, inst *Instance) (*Schedule, error) {
-	return baselines.SequentialContext(ctx, inst)
+	return baselines.SequentialContext(ctx, moldable.NewTable(inst))
 }
 
 // ListOrder selects the priority order of the list-scheduling baseline.

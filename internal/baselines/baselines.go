@@ -24,16 +24,20 @@ import (
 	"bicriteria/internal/schedule"
 )
 
-// GangContext schedules every task on all the processors it can use (its
-// full allocation), one task after the other, sorted by decreasing ratio
-// of weight over execution time (Smith's rule on the gang execution
-// times). The context is checked at every task placement so a racing
-// portfolio can abort a straggling member; a cancellation returns the
-// context's error (errors.Is(err, ctx.Err()) holds).
-func GangContext(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
+// GangContext schedules every task of tab.Inst on all the processors it
+// can use (its full allocation), one task after the other, sorted by
+// decreasing ratio of weight over execution time (Smith's rule on the gang
+// execution times). tab is moldable.NewTable of the instance, so a caller
+// sharing it with the other schedulers validates the instance once; an
+// invalid instance fails with tab.Err. The context is checked at every
+// task placement so a racing portfolio can abort a straggling member; a
+// cancellation returns the context's error (errors.Is(err, ctx.Err())
+// holds).
+func GangContext(ctx context.Context, tab *moldable.Table) (*schedule.Schedule, error) {
+	if tab.Err != nil {
+		return nil, tab.Err
 	}
+	inst := tab.Inst
 	type entry struct {
 		idx   int
 		procs int
@@ -69,13 +73,16 @@ func GangContext(ctx context.Context, inst *moldable.Instance) (*schedule.Schedu
 	return sched, nil
 }
 
-// SequentialContext schedules every task on a single processor with the
-// classical largest-processing-time-first list algorithm. The context is
-// checked inside the list loop.
-func SequentialContext(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
+// SequentialContext schedules every task of tab.Inst on a single
+// processor with the classical largest-processing-time-first list
+// algorithm. As for GangContext, tab is moldable.NewTable of the instance
+// and an invalid instance fails with tab.Err. The context is checked
+// inside the list loop.
+func SequentialContext(ctx context.Context, tab *moldable.Table) (*schedule.Schedule, error) {
+	if tab.Err != nil {
+		return nil, tab.Err
 	}
+	inst := tab.Inst
 	items := make([]listsched.Item, inst.N())
 	for i := range inst.Tasks {
 		items[i] = listsched.Item{TaskID: inst.Tasks[i].ID, NProcs: 1, Duration: inst.Tasks[i].SeqTime()}
@@ -117,8 +124,8 @@ func (o ListOrder) String() string {
 
 // ListGrahamContext computes the dual-approximation allotment and runs the
 // Graham list algorithm with the requested order. The context is checked
-// inside the list loop. An invalid instance fails with the error
-// inst.Validate returns, which TwoShelf checks.
+// inside the list loop. TwoShelf builds the instance's table, so an
+// invalid instance fails with the error inst.Validate returns.
 func ListGrahamContext(ctx context.Context, inst *moldable.Instance, order ListOrder) (*schedule.Schedule, error) {
 	res, err := dualapprox.TwoShelf(inst)
 	if err != nil {

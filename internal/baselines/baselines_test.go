@@ -22,7 +22,7 @@ func testInstance() *moldable.Instance {
 
 func TestGangStructure(t *testing.T) {
 	inst := testInstance()
-	s, err := GangContext(t.Context(), inst)
+	s, err := GangContext(t.Context(), moldable.NewTable(inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestGangOptimalForPerfectlyMoldable(t *testing.T) {
 		tasks[i] = moldable.PerfectlyMoldable(i, 1, float64(4+2*i), 8)
 	}
 	inst := moldable.NewInstance(8, tasks)
-	g, err := GangContext(t.Context(), inst)
+	g, err := GangContext(t.Context(), moldable.NewTable(inst))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := SequentialContext(t.Context(), inst)
+	seq, err := SequentialContext(t.Context(), moldable.NewTable(inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestGangOptimalForPerfectlyMoldable(t *testing.T) {
 
 func TestSequentialStructure(t *testing.T) {
 	inst := testInstance()
-	s, err := SequentialContext(t.Context(), inst)
+	s, err := SequentialContext(t.Context(), moldable.NewTable(inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +155,10 @@ func TestListGrahamUnknownOrder(t *testing.T) {
 
 func TestBaselinesRejectInvalidInstances(t *testing.T) {
 	bad := &moldable.Instance{M: 0}
-	if _, err := GangContext(t.Context(), bad); err == nil {
+	if _, err := GangContext(t.Context(), moldable.NewTable(bad)); err == nil {
 		t.Fatalf("Gang must validate the instance")
 	}
-	if _, err := SequentialContext(t.Context(), bad); err == nil {
+	if _, err := SequentialContext(t.Context(), moldable.NewTable(bad)); err == nil {
 		t.Fatalf("Sequential must validate the instance")
 	}
 	if _, err := ListGrahamContext(t.Context(), bad, ShelfOrder); err == nil {
@@ -183,11 +183,11 @@ func TestPropertyAllBaselinesProduceValidSchedules(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g, err := GangContext(t.Context(), inst)
+		g, err := GangContext(t.Context(), moldable.NewTable(inst))
 		if err != nil || g.Validate(inst, nil) != nil {
 			return false
 		}
-		seq, err := SequentialContext(t.Context(), inst)
+		seq, err := SequentialContext(t.Context(), moldable.NewTable(inst))
 		if err != nil || seq.Validate(inst, nil) != nil {
 			return false
 		}

@@ -269,7 +269,10 @@ func TestBatchOnIdleMatchesOnlineFramework(t *testing.T) {
 		{Task: moldable.Sequential(0, 1, 1), Release: 0},
 		{Task: moldable.Sequential(1, 1, 1), Release: 100},
 	}
-	for _, alg := range []Algorithm{DEMTAlgorithm(nil), {Name: "seq-lpt", Run: baselines.SequentialContext}} {
+	seqLPT := Algorithm{Name: "seq-lpt", Run: func(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error) {
+		return baselines.SequentialContext(ctx, moldable.NewTable(inst))
+	}}
+	for _, alg := range []Algorithm{DEMTAlgorithm(nil), seqLPT} {
 		checkBatchOnIdle(t, 24, stream(t, 24, 60, 3, 1), alg)
 
 		report := checkBatchOnIdle(t, 4, midBatch, alg)

@@ -8,13 +8,14 @@
 // accumulates them into batches under a pluggable batching policy, and
 // schedules every batch with an algorithm portfolio: each member plans the
 // batch (in its own goroutine unless the portfolio races) and the engine
-// commits the best plan under a configurable objective. The batch's
-// makespan lower bound and its two-shelf dual approximation are computed at
-// most once, when first needed, and shared by the engine and the members
-// built by DefaultPortfolio. Committed plans are placed around node
-// reservations and executed on the discrete-event simulator with optionally
-// perturbed runtimes, so the *realized* completion of a batch — not the
-// planned estimate — decides when the next batch fires. Per-batch reports
+// commits the best plan under a configurable objective. The batch's task
+// table (its one validation), makespan lower bound and two-shelf dual
+// approximation are computed at most once, when first needed, and shared
+// by the engine and the members built by DefaultPortfolio. Committed plans
+// are placed around node reservations and executed on the discrete-event
+// simulator with optionally perturbed runtimes, so the *realized*
+// completion of a batch — not the planned estimate — decides when the next
+// batch fires. Per-batch reports
 // stream out with the running utilization; the full metrics (flow, stretch
 // and slowdown tails, portfolio winner counts) come with the final report.
 //

@@ -20,7 +20,9 @@ import (
 
 var (
 	demt     = cluster.DEMTAlgorithm(&core.Options{Shuffles: 2})
-	baseline = cluster.Algorithm{Name: "seq-lpt", Run: baselines.SequentialContext}
+	baseline = cluster.Algorithm{Name: "seq-lpt", Run: func(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error) {
+		return baselines.SequentialContext(ctx, moldable.NewTable(inst))
+	}}
 )
 
 // scheduleOnline runs jobs on an m-processor batch-on-idle engine whose only

@@ -45,13 +45,18 @@ func sharing(name string, plan func(ctx context.Context, f *batchFacts) (*schedu
 }
 
 // batchFacts is what the portfolio's members share about one batch: the
-// makespan lower bound and the two-shelf dual approximation, each computed
-// at most once, and only when first asked for, however many members ask
-// and from however many goroutines. The dual approximation starts from
-// the bound, so the bound is computed once either way. The members only
-// read the result.
+// instance's moldable.Table, the makespan lower bound and the two-shelf
+// dual approximation, each computed at most once, and only when first
+// asked for, however many members ask and from however many goroutines.
+// The table is the batch's one validation, and the bound, the dual
+// approximation, DEMT, gang and seq-lpt all read it; the dual
+// approximation starts from the bound, so the bound is computed once
+// either way. The members only read the results.
 type batchFacts struct {
 	inst *moldable.Instance
+
+	tabOnce sync.Once
+	tab     *moldable.Table
 
 	lbOnce sync.Once
 	lb     float64
@@ -61,24 +66,30 @@ type batchFacts struct {
 	daErr  error
 }
 
+// table is moldable.NewTable of the batch.
+func (f *batchFacts) table() *moldable.Table {
+	f.tabOnce.Do(func() { f.tab = moldable.NewTable(f.inst) })
+	return f.tab
+}
+
 // cmaxLB is lowerbound.Makespan of the batch.
 func (f *batchFacts) cmaxLB() float64 {
-	f.lbOnce.Do(func() { f.lb = lowerbound.Makespan(f.inst) })
+	f.lbOnce.Do(func() { f.lb = dualapprox.MakespanLowerBound(f.table()) })
 	return f.lb
 }
 
 // twoShelf is dualapprox.TwoShelf of the batch.
 func (f *batchFacts) twoShelf() (*dualapprox.Result, error) {
-	f.daOnce.Do(func() { f.da, f.daErr = dualapprox.TwoShelfWithLowerBound(f.inst, f.cmaxLB()) })
+	f.daOnce.Do(func() { f.da, f.daErr = dualapprox.TwoShelfTable(f.table(), f.cmaxLB()) })
 	return f.da, f.daErr
 }
 
 // DEMTAlgorithm wraps the paper's bi-criteria scheduler as a portfolio
 // member. A nil options pointer gives the paper's defaults. In a portfolio
-// DEMT takes its C*max estimate (step 1) from the batch's shared dual
-// approximation, unless opts sets CmaxEstimate; the time it spent getting
-// the estimate, computing or waiting, is reported as part of opts.Timing's
-// "dualapprox" phase.
+// DEMT reads the batch's shared task table and takes its C*max estimate
+// (step 1) from the batch's shared dual approximation, unless opts sets
+// CmaxEstimate; the time it spent getting the estimate, computing or
+// waiting, is reported as part of opts.Timing's "dualapprox" phase.
 func DEMTAlgorithm(opts *core.Options) Algorithm {
 	return sharing("demt", func(ctx context.Context, f *batchFacts) (*schedule.Schedule, error) {
 		o := opts
@@ -104,7 +115,7 @@ func DEMTAlgorithm(opts *core.Options) Algorithm {
 			}
 			o = &own
 		}
-		res, err := core.ScheduleContext(ctx, f.inst, o)
+		res, err := core.ScheduleTable(ctx, f.table(), o)
 		if err != nil {
 			return nil, err
 		}
@@ -114,9 +125,10 @@ func DEMTAlgorithm(opts *core.Options) Algorithm {
 
 // DefaultPortfolio returns the paper's full comparison as a portfolio: DEMT
 // plus every baseline of the evaluation section. A nil options pointer
-// gives DEMT the paper's defaults. DEMT, list-saf and list-wlpt start from
-// the same two-shelf dual approximation, which the portfolio computes once
-// per batch and hands to all three.
+// gives DEMT the paper's defaults. Every member reads the batch's one task
+// table, so the batch is validated once. DEMT, list-saf and list-wlpt
+// start from the same two-shelf dual approximation, which the portfolio
+// computes once per batch and hands to all three.
 func DefaultPortfolio(opts *core.Options) []Algorithm {
 	list := func(name string, order baselines.ListOrder) Algorithm {
 		return sharing(name, func(ctx context.Context, f *batchFacts) (*schedule.Schedule, error) {
@@ -129,8 +141,12 @@ func DefaultPortfolio(opts *core.Options) []Algorithm {
 	}
 	return []Algorithm{
 		DEMTAlgorithm(opts),
-		{Name: "gang", Run: baselines.GangContext},
-		{Name: "seq-lpt", Run: baselines.SequentialContext},
+		sharing("gang", func(ctx context.Context, f *batchFacts) (*schedule.Schedule, error) {
+			return baselines.GangContext(ctx, f.table())
+		}),
+		sharing("seq-lpt", func(ctx context.Context, f *batchFacts) (*schedule.Schedule, error) {
+			return baselines.SequentialContext(ctx, f.table())
+		}),
 		list("list-saf", baselines.SmallestAreaFirst),
 		list("list-wlpt", baselines.WeightedLPT),
 	}

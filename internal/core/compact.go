@@ -23,7 +23,7 @@ func compact(ctx context.Context, inst *moldable.Instance, res *Result, opts Opt
 	case CompactionEarliestStart:
 		return earliestStartCompaction(res.Raw), 0, nil
 	case CompactionList:
-		items := batchOrderItems(inst, res.Batches, nil)
+		items := batchOrderItems(batchSegments(inst, res.Batches), nil)
 		s, err := listsched.GrahamContext(ctx, inst.M, items)
 		return s, 0, err
 	case CompactionListShuffle:
@@ -63,30 +63,43 @@ func earliestStartCompaction(raw *schedule.Schedule) *schedule.Schedule {
 	return out
 }
 
-// batchOrderItems flattens the batches into list-scheduler items. The batch
-// order is given by batchOrder (identity when nil); inside a batch, tasks
-// are ordered longest first unless a per-batch permutation is provided by
-// the caller through the shuffling helpers.
-func batchOrderItems(inst *moldable.Instance, batches []Batch, batchOrder []int) []listsched.Item {
-	if batchOrder == nil {
-		batchOrder = make([]int, len(batches))
-		for i := range batchOrder {
-			batchOrder[i] = i
-		}
-	}
-	items := make([]listsched.Item, 0, len(inst.Tasks))
-	for _, b := range batchOrder {
-		start := len(items)
+// batchSegments returns every batch's tasks as list-scheduler items,
+// longest first; the sort is stable, so equal durations keep the
+// selection order.
+func batchSegments(inst *moldable.Instance, batches []Batch) [][]listsched.Item {
+	segments := make([][]listsched.Item, len(batches))
+	for b := range batches {
+		var seg []listsched.Item
 		for _, it := range batches[b].selection {
 			for k, idx := range it.taskIdxs {
-				items = append(items, listsched.Item{
+				seg = append(seg, listsched.Item{
 					TaskID:   inst.Tasks[idx].ID,
 					NProcs:   it.alloc,
 					Duration: it.durations[k],
 				})
 			}
 		}
-		slices.SortStableFunc(items[start:], func(a, b listsched.Item) int { return cmp.Compare(b.Duration, a.Duration) })
+		slices.SortStableFunc(seg, func(a, b listsched.Item) int { return cmp.Compare(b.Duration, a.Duration) })
+		segments[b] = seg
+	}
+	return segments
+}
+
+// batchOrderItems flattens the batch segments into one list, the batches
+// in batchOrder (identity when nil). The list is a fresh copy, so the
+// shuffling helpers can permute it in place.
+func batchOrderItems(segments [][]listsched.Item, batchOrder []int) []listsched.Item {
+	n := 0
+	for _, seg := range segments {
+		n += len(seg)
+	}
+	items := make([]listsched.Item, 0, n)
+	for i := range segments {
+		b := i
+		if batchOrder != nil {
+			b = batchOrder[i]
+		}
+		items = append(items, segments[b]...)
 	}
 	return items
 }
@@ -101,15 +114,30 @@ func shuffleCompaction(ctx context.Context, inst *moldable.Instance, res *Result
 		minsum float64
 		cmax   float64
 	}
+	// A candidate's minsum is Schedule.WeightedCompletion: the same sum in
+	// assignment order, with the weight lookup built once for every
+	// candidate instead of once per call. The run validated the instance,
+	// so every ID is unique.
+	weight := make(map[int]float64, len(inst.Tasks))
+	for i := range inst.Tasks {
+		weight[inst.Tasks[i].ID] = inst.Tasks[i].Weight
+	}
 	evaluate := func(items []listsched.Item) (*candidate, error) {
 		s, err := listsched.GrahamContext(ctx, inst.M, items)
 		if err != nil {
 			return nil, err
 		}
-		return &candidate{sched: s, minsum: s.WeightedCompletion(inst), cmax: s.Makespan()}, nil
+		minsum := 0.0
+		for i := range s.Assignments {
+			a := &s.Assignments[i]
+			minsum += weight[a.TaskID] * a.End()
+		}
+		return &candidate{sched: s, minsum: minsum, cmax: s.Makespan()}, nil
 	}
 
-	best, err := evaluate(batchOrderItems(inst, res.Batches, nil))
+	// Every candidate lists the same sorted batches, only reordered.
+	segments := batchSegments(inst, res.Batches)
+	best, err := evaluate(batchOrderItems(segments, nil))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -121,8 +149,8 @@ func shuffleCompaction(ctx context.Context, inst *moldable.Instance, res *Result
 			return nil, tried, fmt.Errorf("core: compaction aborted: %w", err)
 		}
 		order := shuffledBatchOrder(rng, len(res.Batches))
-		items := batchOrderItems(inst, res.Batches, order)
-		shuffleWithinBatches(rng, items, res.Batches, order)
+		items := batchOrderItems(segments, order)
+		shuffleWithinBatches(rng, items, segments, order)
 		cand, err := evaluate(items)
 		if err != nil {
 			return nil, tried, err
@@ -157,17 +185,13 @@ func shuffledBatchOrder(rng *rand.Rand, n int) []int {
 
 // shuffleWithinBatches randomly permutes the items belonging to the same
 // batch, leaving the relative order of the batches intact. items was built
-// by batchOrderItems with the same batchOrder, so the batch segments are
-// contiguous.
-func shuffleWithinBatches(rng *rand.Rand, items []listsched.Item, batches []Batch, order []int) {
+// by batchOrderItems from the same segments and order, so the batch
+// segments are contiguous.
+func shuffleWithinBatches(rng *rand.Rand, items []listsched.Item, segments [][]listsched.Item, order []int) {
 	pos := 0
 	for _, b := range order {
-		count := 0
-		for _, it := range batches[b].selection {
-			count += len(it.taskIdxs)
-		}
-		segment := items[pos : pos+count]
+		segment := items[pos : pos+len(segments[b])]
 		rng.Shuffle(len(segment), func(i, j int) { segment[i], segment[j] = segment[j], segment[i] })
-		pos += count
+		pos += len(segment)
 	}
 }

@@ -114,11 +114,13 @@ type Options struct {
 	// dual-approximation algorithm.
 	CmaxEstimate float64
 	// Timing, when set, receives the wall-clock seconds spent in each
-	// internal phase of a successful run, in order: "validate" (the
-	// instance check), "dualapprox" (step 1: the two-shelf dual
-	// approximation, next to nothing when CmaxEstimate is given because
-	// the caller ran step 1), "knapsack" (batch construction) and
-	// "compact" (the compaction pass); together they cover the whole run.
+	// internal phase of a successful run, in order: "validate" (building
+	// the instance's moldable.Table, which validates it and which every
+	// later step reads; next to nothing under ScheduleTable, whose caller
+	// built it), "dualapprox" (step 1: the two-shelf dual approximation,
+	// next to nothing when CmaxEstimate is given because the caller ran
+	// step 1), "knapsack" (batch construction) and "compact" (the
+	// compaction pass); together they cover the whole run.
 	// Wall-clock timings are observational only — they must never feed
 	// back into scheduling decisions, which would break deterministic
 	// replays.
@@ -198,7 +200,15 @@ type Result struct {
 // the run promptly and returns the context's error (errors.Is(err,
 // ctx.Err()) holds).
 func ScheduleContext(ctx context.Context, inst *moldable.Instance, opts *Options) (*Result, error) {
-	return run(ctx, inst, opts.withDefaults())
+	return run(ctx, inst, nil, opts.withDefaults())
+}
+
+// ScheduleTable is ScheduleContext for a caller that already holds
+// moldable.NewTable of the instance: the run reads that table instead of
+// building its own, so it neither scans nor validates the instance again.
+// An invalid instance fails with tab.Err.
+func ScheduleTable(ctx context.Context, tab *moldable.Table, opts *Options) (*Result, error) {
+	return run(ctx, tab.Inst, tab, opts.withDefaults())
 }
 
 // maxExtraBatches bounds the number of batches added beyond the paper's
@@ -206,20 +216,28 @@ func ScheduleContext(ctx context.Context, inst *moldable.Instance, opts *Options
 // extra batches suffice).
 const maxExtraBatches = 4096
 
-func run(ctx context.Context, inst *moldable.Instance, opts Options) (*Result, error) {
-	if err := opts.phase("validate", inst.Validate); err != nil {
+// run schedules inst, reading tab when the caller holds it and building
+// it in the "validate" phase otherwise.
+func run(ctx context.Context, inst *moldable.Instance, tab *moldable.Table, opts Options) (*Result, error) {
+	err := opts.phase("validate", func() error {
+		if tab == nil {
+			tab = moldable.NewTable(inst)
+		}
+		return tab.Err
+	})
+	if err != nil {
 		return nil, err
 	}
 
 	res := &Result{}
 
 	// Step 1: approximate optimal makespan, unless the caller holds it.
-	err := opts.phase("dualapprox", func() error {
+	err = opts.phase("dualapprox", func() error {
 		if opts.CmaxEstimate > 0 {
 			res.CmaxEstimate = opts.CmaxEstimate
 			return nil
 		}
-		da, err := dualapprox.TwoShelf(inst)
+		da, err := dualapprox.TwoShelfTable(tab, dualapprox.MakespanLowerBound(tab))
 		if err != nil {
 			return err
 		}
@@ -231,7 +249,7 @@ func run(ctx context.Context, inst *moldable.Instance, opts Options) (*Result, e
 	}
 
 	// Step 2: batch geometry.
-	res.TMin = inst.MinProcessingTime()
+	res.TMin = tab.TMin
 	res.K = int(math.Floor(math.Log2(res.CmaxEstimate / res.TMin)))
 	if res.K < 0 {
 		res.K = 0
@@ -259,7 +277,7 @@ func run(ctx context.Context, inst *moldable.Instance, opts Options) (*Result, e
 				return fmt.Errorf("core: batch construction did not terminate after %d batches", j)
 			}
 			length := batchLength(j)
-			batch := buildBatch(inst, remaining, j, length, length, opts.Selection)
+			batch := buildBatch(tab, remaining, j, length, length, opts.Selection)
 			if batch == nil {
 				continue
 			}
@@ -317,7 +335,8 @@ type batchItem struct {
 
 // buildBatch selects the content of batch j. It returns nil when no
 // remaining task fits in the batch length.
-func buildBatch(inst *moldable.Instance, remaining []bool, j int, start, length float64, selection SelectionMode) *Batch {
+func buildBatch(tab *moldable.Table, remaining []bool, j int, start, length float64, selection SelectionMode) *Batch {
+	inst := tab.Inst
 	var smallSeq []int // indices of tasks mergeable on one processor
 	var items []batchItem
 
@@ -326,7 +345,7 @@ func buildBatch(inst *moldable.Instance, remaining []bool, j int, start, length 
 			continue
 		}
 		t := &inst.Tasks[i]
-		alloc, ok := t.MinAllocFitting(length)
+		alloc, ok := tab.MinAlloc(i, length)
 		if !ok {
 			continue
 		}

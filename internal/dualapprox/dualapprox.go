@@ -16,14 +16,17 @@
 //     used to produce the approximate optimal makespan C*max that anchors
 //     the DEMT batch sizes.
 //
-// Cost. Each call first builds a fit table in O(nm): a task whose times
+// Cost. The instance's per-task facts come from a moldable.Table, built in
+// one validating O(nm) walk: TwoShelf builds one, while TwoShelfTable and
+// MakespanLowerBound read the caller's, so a caller holding the table
+// scans and validates the instance no more. The table answers "smallest
+// allocation meeting a deadline" by binary search for a task whose times
 // never increase with k and whose work k*p(k) never drops more than Eps
-// below an earlier allocation's answers "smallest allocation meeting a
-// deadline" by binary search, any other task by the O(m) scan. A step of either bisection then costs O(n log m) for
-// such tasks. TwoShelf runs its O(nm) knapsack only at a step whose per-task
-// (small?, c1, c2) signature differs from those of the last feasible and
-// the last infeasible step, and builds the schedule once, at the final
-// deadline.
+// below an earlier allocation's, and by the O(m) scan for any other task,
+// so a step of either bisection costs O(n log m) for such tasks. TwoShelf
+// runs its O(nm) knapsack only at a step whose per-task (small?, c1, c2)
+// signature differs from those of the last feasible and the last
+// infeasible step, and builds the schedule once, at the final deadline.
 package dualapprox
 
 import (
@@ -38,44 +41,35 @@ import (
 )
 
 // MakespanLowerBound returns a valid lower bound on the optimal makespan of
-// the instance. It is the smallest lambda satisfying the two classical
-// necessary conditions for feasibility of a deadline lambda:
+// the table's instance. It is the smallest lambda satisfying the two
+// classical necessary conditions for feasibility of a deadline lambda:
 //
 //  1. every task admits an allocation with p_i(k) <= lambda, and
 //  2. the total minimal work of tasks under deadline lambda fits in the
 //     area m*lambda.
 //
 // Because the minimal work W_i(lambda) is non-increasing in lambda, both
-// conditions are monotone and the bound is found by bisection.
-func MakespanLowerBound(inst *moldable.Instance) float64 {
-	return newFitTable(inst).lowerBound()
-}
-
-func (ft fitTable) lowerBound() float64 {
-	inst := ft.inst
+// conditions are monotone and the bound is found by bisection. The bound
+// does not look at tab.Err: an invalid instance gets a value too.
+func MakespanLowerBound(tab *moldable.Table) float64 {
 	// Any feasible deadline is at least the longest fully-parallel task and
 	// at least the total minimal work divided by the machine size, so the
 	// bisection can start from the larger of the two.
-	lo := inst.MaxMinTime()
-	if area := inst.TotalMinWork() / float64(inst.M); area > lo {
+	lo := tab.MaxMinTime
+	if area := tab.TotalMinWork / float64(tab.Inst.M); area > lo {
 		lo = area
 	}
-	// Upper bound: run every task with its minimal-work allocation one
-	// after the other.
-	hi := 0.0
-	for i := range inst.Tasks {
-		p, _ := inst.Tasks[i].MinTime()
-		hi += p
-	}
+	// Upper bound: run every task at its fastest, one after the other.
+	hi := tab.SumMinTime
 	if hi < lo {
 		hi = lo
 	}
-	if ft.feasibleConditions(lo) {
+	if feasibleConditions(tab, lo) {
 		return lo
 	}
 	for iter := 0; iter < 100 && hi-lo > 1e-9*(1+hi); iter++ {
 		mid := (lo + hi) / 2
-		if ft.feasibleConditions(mid) {
+		if feasibleConditions(tab, mid) {
 			hi = mid
 		} else {
 			lo = mid
@@ -86,24 +80,34 @@ func (ft fitTable) lowerBound() float64 {
 
 // feasibleConditions checks the two necessary conditions for deadline
 // lambda.
-func (ft fitTable) feasibleConditions(lambda float64) bool {
+func feasibleConditions(tab *moldable.Table, lambda float64) bool {
 	totalWork := 0.0
-	for i := range ft.sorted {
-		w, ok := ft.minWork(i, lambda)
+	for i := range tab.Inst.Tasks {
+		w, ok := tab.MinWork(i, lambda)
 		if !ok {
 			return false
 		}
 		totalWork += w
 	}
-	return totalWork <= float64(ft.inst.M)*lambda+moldable.Eps
+	return totalWork <= float64(tab.Inst.M)*lambda+moldable.Eps
 }
 
 // allotment returns, for every task (in instance order), the canonical
 // allocation for the deadline: the smallest processor count whose
 // processing time fits within the deadline; tasks that cannot fit fall back
 // to their fastest allocation.
-func allotment(inst *moldable.Instance, deadline float64) []int {
-	return newFitTable(inst).allotment(deadline)
+func allotment(tab *moldable.Table, deadline float64) []int {
+	tasks := tab.Inst.Tasks
+	allot := make([]int, len(tasks))
+	for i := range allot {
+		if k, ok := tab.MinAlloc(i, deadline); ok {
+			allot[i] = k
+		} else {
+			_, k := tasks[i].MinTime()
+			allot[i] = k
+		}
+	}
+	return allot
 }
 
 // Result is the outcome of the two-shelf dual approximation.
@@ -131,31 +135,34 @@ type Result struct {
 // structure (plus the small-task filler) yields a feasible schedule, and
 // returns that schedule together with the certified lower bound. The
 // bisection only decides feasibility; the schedule is built once, at the
-// final lambda.
+// final lambda. An invalid instance fails with the error inst.Validate
+// returns.
 func TwoShelf(inst *moldable.Instance) (*Result, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
+	tab := moldable.NewTable(inst)
+	if tab.Err != nil {
+		return nil, tab.Err
 	}
-	ft := newFitTable(inst)
-	return twoShelf(ft, ft.lowerBound())
+	return twoShelf(tab, MakespanLowerBound(tab))
 }
 
-// TwoShelfWithLowerBound is TwoShelf for a caller that already holds
-// MakespanLowerBound(inst): the bisection starts from lb instead of
-// computing the bound again. Handed exactly that bound, it returns what
-// TwoShelf returns, bit for bit.
-func TwoShelfWithLowerBound(inst *moldable.Instance, lb float64) (*Result, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
+// TwoShelfTable is TwoShelf for a caller that already holds the instance's
+// table and lb = MakespanLowerBound(tab): the bisection starts from lb
+// instead of computing the bound again, and nothing scans or validates the
+// instance again. Handed exactly that bound, it returns what TwoShelf
+// returns, bit for bit, and tab.Err when the instance is invalid.
+func TwoShelfTable(tab *moldable.Table, lb float64) (*Result, error) {
+	if tab.Err != nil {
+		return nil, tab.Err
 	}
-	return twoShelf(newFitTable(inst), lb)
+	return twoShelf(tab, lb)
 }
 
-func twoShelf(ft fitTable, lb float64) (*Result, error) {
-	inst := ft.inst
-	lo, hi := lb, upperBound(inst)
+func twoShelf(tab *moldable.Table, lb float64) (*Result, error) {
+	inst := tab.Inst
+	// The upper bound stacks every task at its fastest allocation.
+	lo, hi := lb, tab.SumMinTime
 
-	sv := newShelfSolver(ft)
+	sv := newShelfSolver(tab)
 	var best *schedule.Schedule
 	found, bestLambda := sv.feasible(hi), hi
 	if !found {
@@ -165,7 +172,7 @@ func twoShelf(ft fitTable, lb float64) (*Result, error) {
 		// machine fit at no deadline. The list scheduler then builds the
 		// schedule with the allotment at hi.
 		var err error
-		best, err = listFallback(ft, hi)
+		best, err = listFallback(tab, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -188,27 +195,17 @@ func twoShelf(ft fitTable, lb float64) (*Result, error) {
 		LowerBound: lb,
 		Schedule:   best,
 		Estimate:   best.Makespan(),
-		Allotment:  ft.allotment(bestLambda),
+		Allotment:  allotment(tab, bestLambda),
 	}
 	classifyShelves(inst, bestLambda, res)
 	return res, nil
 }
 
-// upperBound stacks every task sequentially with its fastest allocation.
-func upperBound(inst *moldable.Instance) float64 {
-	total := 0.0
-	for i := range inst.Tasks {
-		p, _ := inst.Tasks[i].MinTime()
-		total += p
-	}
-	return total
-}
-
 // listFallback schedules every task with its deadline allotment through the
 // Graham list scheduler (largest processing time first).
-func listFallback(ft fitTable, deadline float64) (*schedule.Schedule, error) {
-	inst := ft.inst
-	allot := ft.allotment(deadline)
+func listFallback(tab *moldable.Table, deadline float64) (*schedule.Schedule, error) {
+	inst := tab.Inst
+	allot := allotment(tab, deadline)
 	items := make([]listsched.Item, len(inst.Tasks))
 	for i := range inst.Tasks {
 		items[i] = listsched.Item{
@@ -231,7 +228,7 @@ func listFallback(ft fitTable, deadline float64) (*schedule.Schedule, error) {
 // the last infeasible deadline solved reuses the verdict without running
 // the knapsack.
 type shelfSolver struct {
-	ft fitTable
+	tab *moldable.Table
 	// sig is the signature at the deadline being decided, one entry per
 	// task: 0 for a small sequential task, c1*(m+1)+c2 for a shelf task
 	// (c2 = 0 when no allocation meets lambda/2).
@@ -247,8 +244,8 @@ type shelfSolver struct {
 	work1, work2 []float64
 }
 
-func newShelfSolver(ft fitTable) *shelfSolver {
-	return &shelfSolver{ft: ft, sig: make([]int, len(ft.sorted))}
+func newShelfSolver(tab *moldable.Table) *shelfSolver {
+	return &shelfSolver{tab: tab, sig: make([]int, len(tab.Inst.Tasks))}
 }
 
 // feasible reports whether the construction succeeds at deadline lambda.
@@ -274,17 +271,17 @@ func (s *shelfSolver) feasible(lambda float64) bool {
 // signature fills s.sig for deadline lambda. It returns false when some
 // shelf task has no allocation meeting lambda.
 func (s *shelfSolver) signature(lambda float64) bool {
-	tasks, stride := s.ft.inst.Tasks, s.ft.inst.M+1
+	tasks, stride := s.tab.Inst.Tasks, s.tab.Inst.M+1
 	for i := range tasks {
 		if tasks[i].SeqTime() <= lambda/2+moldable.Eps {
 			s.sig[i] = 0
 			continue
 		}
-		c1, ok := s.ft.minAlloc(i, lambda)
+		c1, ok := s.tab.MinAlloc(i, lambda)
 		if !ok {
 			return false
 		}
-		c2, _ := s.ft.minAlloc(i, lambda/2)
+		c2, _ := s.tab.MinAlloc(i, lambda/2)
 		s.sig[i] = c1*stride + c2
 	}
 	return true
@@ -293,7 +290,7 @@ func (s *shelfSolver) signature(lambda float64) bool {
 // solve runs the knapsack partition and the repair pass on s.sig and
 // returns the partition, or nil when the structure is infeasible.
 func (s *shelfSolver) solve() []bool {
-	inst := s.ft.inst
+	inst := s.tab.Inst
 	m, stride := inst.M, inst.M+1
 	s.cost1, s.cost2, s.work1, s.work2 = s.cost1[:0], s.cost2[:0], s.work1[:0], s.work2[:0]
 	for i, sg := range s.sig {
@@ -352,7 +349,7 @@ func (s *shelfSolver) solve() []bool {
 // feasible returned true for: feasible replaces yes and part only when it
 // returns true, so they still hold that deadline's signature and partition.
 func (s *shelfSolver) build(lambda float64) *schedule.Schedule {
-	inst := s.ft.inst
+	inst := s.tab.Inst
 	m, stride := inst.M, inst.M+1
 	sched := schedule.New(m)
 	var smallSeq []int // indices of tasks with p(1) <= lambda/2

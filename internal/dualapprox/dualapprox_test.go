@@ -21,19 +21,20 @@ func smallInstance() *moldable.Instance {
 
 func TestMakespanLowerBoundBasicProperties(t *testing.T) {
 	inst := smallInstance()
-	lb := MakespanLowerBound(inst)
-	if lb < inst.MaxMinTime()-1e-9 {
-		t.Fatalf("lower bound %g below the longest fully parallel task %g", lb, inst.MaxMinTime())
+	tab := moldable.NewTable(inst)
+	lb := MakespanLowerBound(tab)
+	if lb < tab.MaxMinTime-1e-9 {
+		t.Fatalf("lower bound %g below the longest fully parallel task %g", lb, tab.MaxMinTime)
 	}
-	if lb < inst.TotalMinWork()/float64(inst.M)-1e-9 {
-		t.Fatalf("lower bound %g below the area bound %g", lb, inst.TotalMinWork()/float64(inst.M))
+	if lb < tab.TotalMinWork/float64(inst.M)-1e-9 {
+		t.Fatalf("lower bound %g below the area bound %g", lb, tab.TotalMinWork/float64(inst.M))
 	}
 	// The two necessary conditions must hold at the bound.
-	if !newFitTable(inst).feasibleConditions(lb + 1e-9) {
+	if !feasibleConditions(tab, lb+1e-9) {
 		t.Fatalf("conditions must hold at the bound")
 	}
 	// ... and fail just below it when the bound is not degenerate.
-	if lb > inst.MaxMinTime()+1e-6 && newFitTable(inst).feasibleConditions(lb*0.999) {
+	if lb > tab.MaxMinTime+1e-6 && feasibleConditions(tab, lb*0.999) {
 		t.Fatalf("conditions should fail just below the bound")
 	}
 }
@@ -42,7 +43,7 @@ func TestMakespanLowerBoundSingleBigTask(t *testing.T) {
 	inst := moldable.NewInstance(8, []moldable.Task{
 		moldable.PerfectlyMoldable(0, 1, 64, 8),
 	})
-	lb := MakespanLowerBound(inst)
+	lb := MakespanLowerBound(moldable.NewTable(inst))
 	// Perfect speedup on 8 processors: 64/8 = 8 is both area and min-time.
 	if math.Abs(lb-8) > 1e-6 {
 		t.Fatalf("lb = %g, want 8", lb)
@@ -51,7 +52,7 @@ func TestMakespanLowerBoundSingleBigTask(t *testing.T) {
 
 func TestAllotment(t *testing.T) {
 	inst := smallInstance()
-	allot := allotment(inst, 3.5)
+	allot := allotment(moldable.NewTable(inst), 3.5)
 	// Task 0: p(3)=3.2 <= 3.5 -> 3; task 1: p(2)=3.5 -> 2; task 2: p(1)=2 -> 1;
 	// task 3: 1 ; task 4: nothing fits 3.5 except p(4)=3.1 -> 4.
 	want := []int{3, 2, 1, 1, 4}
@@ -61,7 +62,7 @@ func TestAllotment(t *testing.T) {
 		}
 	}
 	// Deadline below every processing time of task 4 -> fastest allocation.
-	allot = allotment(inst, 1.0)
+	allot = allotment(moldable.NewTable(inst), 1.0)
 	if allot[4] != 4 {
 		t.Fatalf("fallback allotment = %d, want 4", allot[4])
 	}
@@ -139,8 +140,9 @@ func TestTwoShelfListFallback(t *testing.T) {
 	inst := moldable.NewInstance(8, []moldable.Task{
 		rigid(0, 1, 8, 1), rigid(1, 1, 8, 1), rigid(2, 1, 8, 1),
 	})
-	sv := newShelfSolver(newFitTable(inst))
-	if hi := upperBound(inst); sv.feasible(hi) {
+	tab := moldable.NewTable(inst)
+	sv := newShelfSolver(tab)
+	if hi := tab.SumMinTime; sv.feasible(hi) {
 		t.Fatalf("two-shelf construction feasible at the upper bound %g", hi)
 	}
 	res, err := TwoShelf(inst)

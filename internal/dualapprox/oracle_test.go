@@ -72,48 +72,6 @@ func rigid(id int, weight float64, procs int, duration float64) moldable.Task {
 	return moldable.Task{ID: id, Weight: weight, Times: times}
 }
 
-// TestFitTableMatchesTaskScan checks the fit table's two queries against
-// Task.MinAllocFitting and Task.MinWorkFitting on deadlines at, around and
-// between every task's processing times.
-func TestFitTableMatchesTaskScan(t *testing.T) {
-	r := rand.New(rand.NewSource(26))
-	qualified, scanned := 0, 0
-	for trial := 0; trial < 300; trial++ {
-		m := []int{1, 2, 5, 16, 200}[trial%5]
-		tasks := make([]moldable.Task, 1+r.Intn(12))
-		for i := range tasks {
-			tasks[i] = randomFitTask(r, i, m)
-		}
-		inst := moldable.NewInstance(m, tasks)
-		ft := newFitTable(inst)
-		for i := range inst.Tasks {
-			task := &inst.Tasks[i]
-			if ft.sorted[i] {
-				qualified++
-			} else {
-				scanned++
-			}
-			deadlines := []float64{0, 1e-12, math.Inf(1), 1e9}
-			for _, p := range task.Times {
-				deadlines = append(deadlines, p, p-moldable.Eps, p-2*moldable.Eps, p+moldable.Eps/2, p*(1+1e-3), p*(1-1e-3))
-			}
-			for _, d := range deadlines {
-				wantK, wantOK := task.MinAllocFitting(d)
-				if k, ok := ft.minAlloc(i, d); k != wantK || ok != wantOK {
-					t.Fatalf("task %v, d=%v: minAlloc = %d,%v, scan %d,%v", task.Times, d, k, ok, wantK, wantOK)
-				}
-				_, wantW, wantOK := task.MinWorkFitting(d)
-				if w, ok := ft.minWork(i, d); w != wantW || ok != wantOK {
-					t.Fatalf("task %v, d=%v: minWork = %v,%v, scan %v,%v", task.Times, d, w, ok, wantW, wantOK)
-				}
-			}
-		}
-	}
-	if qualified == 0 || scanned == 0 {
-		t.Fatalf("the draw must exercise both paths: %d qualified, %d scanned", qualified, scanned)
-	}
-}
-
 // TestTwoShelfMatchesReference runs TwoShelf and the bisection as it stood
 // before the fit table, the signature memo and the single final build, and
 // requires deep-equal results on every workload family, a mix with rigid
@@ -172,12 +130,13 @@ func TestTwoShelfMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: results differ\ngot  %+v\nwant %+v", c.name, got, want)
 		}
-		lb := MakespanLowerBound(c.inst)
+		tab := moldable.NewTable(c.inst)
+		lb := MakespanLowerBound(tab)
 		if lb != referenceLowerBound(c.inst) {
 			t.Fatalf("%s: lower bound %v, reference %v", c.name, lb, referenceLowerBound(c.inst))
 		}
-		if got, err := TwoShelfWithLowerBound(c.inst, lb); !reflect.DeepEqual(got, want) || (err != nil) != (wantErr != nil) {
-			t.Fatalf("%s: TwoShelfWithLowerBound differs from the reference (error %v)", c.name, err)
+		if got, err := TwoShelfTable(tab, lb); !reflect.DeepEqual(got, want) || (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s: TwoShelfTable differs from the reference (error %v)", c.name, err)
 		}
 	}
 }
@@ -186,8 +145,15 @@ func TestTwoShelfMatchesReference(t *testing.T) {
 // every feasible step of the bisection builds its schedule.
 
 func referenceLowerBound(inst *moldable.Instance) float64 {
-	lo := inst.MaxMinTime()
-	if area := inst.TotalMinWork() / float64(inst.M); area > lo {
+	lo, totalMinWork := 0.0, 0.0
+	for i := range inst.Tasks {
+		if p, _ := inst.Tasks[i].MinTime(); p > lo {
+			lo = p
+		}
+		w, _ := inst.Tasks[i].MinWork()
+		totalMinWork += w
+	}
+	if area := totalMinWork / float64(inst.M); area > lo {
 		lo = area
 	}
 	hi := 0.0
@@ -241,7 +207,12 @@ func referenceTwoShelf(inst *moldable.Instance) (*Result, error) {
 		return nil, err
 	}
 	lb := referenceLowerBound(inst)
-	lo, hi := lb, upperBound(inst)
+	hi := 0.0
+	for i := range inst.Tasks {
+		p, _ := inst.Tasks[i].MinTime()
+		hi += p
+	}
+	lo := lb
 	best, bestLambda := referenceBuild(inst, hi), hi
 	if best == nil {
 		allot := referenceAllotment(inst, hi)

@@ -148,14 +148,14 @@ func TestHeuristicsNeverBeatOptimum(t *testing.T) {
 			t.Fatalf("seed %d: DEMT minsum beats the proven optimum", seed)
 		}
 
-		gang, err := baselines.GangContext(t.Context(), inst)
+		gang, err := baselines.GangContext(t.Context(), moldable.NewTable(inst))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gang.Makespan() < optCmax.Value-1e-6 {
 			t.Fatalf("seed %d: Gang makespan beats the proven optimum", seed)
 		}
-		seq, err := baselines.SequentialContext(t.Context(), inst)
+		seq, err := baselines.SequentialContext(t.Context(), moldable.NewTable(inst))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -179,9 +179,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				return nil, err
 			}
 
-			// Shared pre-computations: the dual-approximation result (used
-			// by the list baselines and by the lower bounds).
-			da, err := dualapprox.TwoShelf(inst)
+			// Shared pre-computations: the instance's table (read by DEMT,
+			// gang, seq-lpt and the dual approximation) and the
+			// dual-approximation result (used by DEMT, the list baselines
+			// and the lower bounds).
+			tab := moldable.NewTable(inst)
+			da, err := dualapprox.TwoShelfTable(tab, dualapprox.MakespanLowerBound(tab))
 			if err != nil {
 				return nil, err
 			}
@@ -196,7 +199,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 
 			for _, alg := range cfg.Algorithms {
-				sched, elapsed, err := runAlgorithm(ctx, alg, inst, da, cfg.DEMT)
+				sched, elapsed, err := runAlgorithm(ctx, alg, tab, da, cfg.DEMT)
 				if err != nil {
 					return nil, fmt.Errorf("experiment: %s on %s n=%d run=%d: %w", alg, cfg.Workload, n, run, err)
 				}
@@ -237,10 +240,11 @@ func (c Config) instance(n, run int) (*moldable.Instance, error) {
 	return workload.Generate(workload.Config{Kind: c.Workload, M: c.M, N: n, Seed: seed})
 }
 
-// runAlgorithm dispatches one algorithm on one instance, reusing the shared
-// dual-approximation result for the list baselines, and reports its
+// runAlgorithm dispatches one algorithm on the table's instance, reusing
+// the shared table and dual-approximation result, and reports its
 // wall-clock time.
-func runAlgorithm(ctx context.Context, alg Algorithm, inst *moldable.Instance, da *dualapprox.Result, demtOpts *core.Options) (*schedule.Schedule, time.Duration, error) {
+func runAlgorithm(ctx context.Context, alg Algorithm, tab *moldable.Table, da *dualapprox.Result, demtOpts *core.Options) (*schedule.Schedule, time.Duration, error) {
+	inst := tab.Inst
 	start := time.Now()
 	var (
 		sched *schedule.Schedule
@@ -256,14 +260,14 @@ func runAlgorithm(ctx context.Context, alg Algorithm, inst *moldable.Instance, d
 			opts = *demtOpts
 		}
 		opts.CmaxEstimate = da.Estimate
-		res, err = core.ScheduleContext(ctx, inst, &opts)
+		res, err = core.ScheduleTable(ctx, tab, &opts)
 		if err == nil {
 			sched = res.Schedule
 		}
 	case AlgGang:
-		sched, err = baselines.GangContext(ctx, inst)
+		sched, err = baselines.GangContext(ctx, tab)
 	case AlgSequential:
-		sched, err = baselines.SequentialContext(ctx, inst)
+		sched, err = baselines.SequentialContext(ctx, tab)
 	case AlgListShelf:
 		sched, err = baselines.ListGrahamWithAllotmentContext(ctx, inst, da, baselines.ShelfOrder)
 	case AlgListWeightedLPT:

@@ -21,7 +21,7 @@ import (
 
 // Makespan returns a valid lower bound on the optimal makespan.
 func Makespan(inst *moldable.Instance) float64 {
-	return dualapprox.MakespanLowerBound(inst)
+	return dualapprox.MakespanLowerBound(moldable.NewTable(inst))
 }
 
 // MinsumOptions tunes the LP lower bound.
@@ -55,8 +55,8 @@ type MinsumBound struct {
 // doublings until the horizon (the stacked sequential schedule) is covered,
 // so that every completion time of some optimal schedule falls in an
 // interval and the relaxation stays a valid bound.
-func intervalSet(inst *moldable.Instance, cmax float64) []float64 {
-	tmin := inst.MinProcessingTime()
+func intervalSet(tab *moldable.Table, cmax float64) []float64 {
+	tmin := tab.TMin
 	if cmax < tmin {
 		cmax = tmin
 	}
@@ -64,11 +64,7 @@ func intervalSet(inst *moldable.Instance, cmax float64) []float64 {
 	if k < 0 {
 		k = 0
 	}
-	horizon := 0.0
-	for i := range inst.Tasks {
-		p, _ := inst.Tasks[i].MinTime()
-		horizon += p
-	}
+	horizon := tab.SumMinTime
 	boundaries := []float64{0}
 	for j := 0; j <= k+1; j++ {
 		boundaries = append(boundaries, cmax/math.Pow(2, float64(k-j)))
@@ -82,8 +78,9 @@ func intervalSet(inst *moldable.Instance, cmax float64) []float64 {
 // MinsumLP computes the paper's LP-relaxation lower bound on the weighted
 // sum of completion times.
 func MinsumLP(inst *moldable.Instance, opts *MinsumOptions) (*MinsumBound, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
+	tab := moldable.NewTable(inst)
+	if tab.Err != nil {
+		return nil, tab.Err
 	}
 	cmax := 0.0
 	if opts != nil {
@@ -93,9 +90,9 @@ func MinsumLP(inst *moldable.Instance, opts *MinsumOptions) (*MinsumBound, error
 		return nil, fmt.Errorf("lowerbound: CmaxEstimate must be finite and non-negative, got %g", cmax)
 	}
 	if cmax == 0 {
-		cmax = Makespan(inst)
+		cmax = dualapprox.MakespanLowerBound(tab)
 	}
-	boundaries := intervalSet(inst, cmax)
+	boundaries := intervalSet(tab, cmax)
 	status, iters, value := newSimplex(inst, boundaries).solve()
 	bound := &MinsumBound{Boundaries: boundaries, Status: status, Iterations: iters}
 	switch status {

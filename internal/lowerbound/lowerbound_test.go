@@ -55,7 +55,7 @@ func TestMakespanBoundBelowFeasibleSchedules(t *testing.T) {
 func TestIntervalSetCoversHorizonAndDoubles(t *testing.T) {
 	inst := smallInstance()
 	cmax := Makespan(inst)
-	bounds := intervalSet(inst, cmax)
+	bounds := intervalSet(moldable.NewTable(inst), cmax)
 	if bounds[0] != 0 {
 		t.Fatalf("first boundary must be 0, got %g", bounds[0])
 	}
@@ -74,7 +74,11 @@ func TestIntervalSetCoversHorizonAndDoubles(t *testing.T) {
 		}
 	}
 	// tmin must fall inside the first non-degenerate interval.
-	tmin := inst.MinProcessingTime()
+	tmin := math.Inf(1)
+	for i := range inst.Tasks {
+		p, _ := inst.Tasks[i].MinTime()
+		tmin = math.Min(tmin, p)
+	}
 	if bounds[1] < tmin-1e-9 || bounds[1] > 2*tmin+1e-9 {
 		t.Fatalf("first positive boundary %g should be within [tmin, 2*tmin] = [%g, %g]", bounds[1], tmin, 2*tmin)
 	}
@@ -237,7 +241,7 @@ func TestMinsumLPInfeasibleOnTruncatedBoundaries(t *testing.T) {
 
 func TestMinsumLPIterationLimit(t *testing.T) {
 	inst := smallInstance()
-	s := newSimplex(inst, intervalSet(inst, Makespan(inst)))
+	s := newSimplex(inst, intervalSet(moldable.NewTable(inst), Makespan(inst)))
 	if want := 50 * (len(s.a) + len(s.obj)); s.maxIter != want {
 		t.Fatalf("default pivot limit %d, want 50*(rows+cols) = %d", s.maxIter, want)
 	}
@@ -256,7 +260,7 @@ func TestMinsumLPSolutionIsFeasible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		boundaries := intervalSet(inst, Makespan(inst))
+		boundaries := intervalSet(moldable.NewTable(inst), Makespan(inst))
 		orig, s := newSimplex(inst, boundaries), newSimplex(inst, boundaries)
 		status, _, value := s.solve()
 		if status != Optimal {

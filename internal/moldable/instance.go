@@ -1,9 +1,6 @@
 package moldable
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Instance is a complete scheduling problem: m identical processors and a
 // set of independent moldable tasks, all available at time 0 (the off-line
@@ -70,41 +67,6 @@ func (in *Instance) Validate() error {
 	return nil
 }
 
-// MinProcessingTime returns tmin = min over tasks and allocations of p_i(k),
-// the quantity used by the DEMT algorithm to size its first batch.
-func (in *Instance) MinProcessingTime() float64 {
-	best := math.Inf(1)
-	for i := range in.Tasks {
-		if p, _ := in.Tasks[i].MinTime(); p < best {
-			best = p
-		}
-	}
-	return best
-}
-
-// MaxMinTime returns max_i min_k p_i(k): the longest task even when fully
-// parallelized, a classical makespan lower bound.
-func (in *Instance) MaxMinTime() float64 {
-	worst := 0.0
-	for i := range in.Tasks {
-		if p, _ := in.Tasks[i].MinTime(); p > worst {
-			worst = p
-		}
-	}
-	return worst
-}
-
-// TotalMinWork returns the sum over tasks of their minimal work; divided by
-// M it is the classical area lower bound on the makespan.
-func (in *Instance) TotalMinWork() float64 {
-	total := 0.0
-	for i := range in.Tasks {
-		w, _ := in.Tasks[i].MinWork()
-		total += w
-	}
-	return total
-}
-
 // Clone returns a deep copy of the instance.
 func (in *Instance) Clone() *Instance {
 	cp := &Instance{M: in.M, Tasks: make([]Task, len(in.Tasks))}
@@ -117,7 +79,7 @@ func (in *Instance) Clone() *Instance {
 // IsMonotonic reports whether every task of the instance is monotonic.
 func (in *Instance) IsMonotonic() bool {
 	for i := range in.Tasks {
-		if !in.Tasks[i].IsMonotonic() {
+		if !in.Tasks[i].isMonotonic() {
 			return false
 		}
 	}

@@ -115,13 +115,10 @@ func (t *Task) MinWorkFitting(d float64) (k int, work float64, ok bool) {
 	return k, work, ok
 }
 
-// Speedup returns the speedup p(1)/p(k) of the task on k processors.
-func (t *Task) Speedup(k int) float64 { return t.SeqTime() / t.Time(k) }
-
-// IsMonotonic reports whether the task follows the usual moldable-task
+// isMonotonic reports whether the task follows the usual moldable-task
 // monotony assumptions: processing times are non-increasing and work is
 // non-decreasing with the number of processors.
-func (t *Task) IsMonotonic() bool {
+func (t *Task) isMonotonic() bool {
 	for k := 2; k <= len(t.Times); k++ {
 		if t.Times[k-1] > t.Times[k-2]+Eps {
 			return false

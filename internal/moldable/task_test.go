@@ -88,18 +88,18 @@ func TestMinWorkFitting(t *testing.T) {
 
 func TestSpeedupEfficiencyMonotonic(t *testing.T) {
 	task := PerfectlyMoldable(1, 1, 12, 4)
-	if got := task.Speedup(4); !almostEqual(got, 4) {
-		t.Fatalf("Speedup(4) = %g, want 4", got)
+	if got := task.SeqTime() / task.Time(4); !almostEqual(got, 4) {
+		t.Fatalf("speedup on 4 processors = %g, want 4", got)
 	}
-	if !task.IsMonotonic() {
+	if !task.isMonotonic() {
 		t.Fatalf("perfectly moldable task must be monotonic")
 	}
 	bad := Task{ID: 2, Weight: 1, Times: []float64{5, 7}}
-	if bad.IsMonotonic() {
+	if bad.isMonotonic() {
 		t.Fatalf("increasing processing times must not be monotonic")
 	}
 	badWork := Task{ID: 3, Weight: 1, Times: []float64{6, 2}}
-	if badWork.IsMonotonic() {
+	if badWork.isMonotonic() {
 		t.Fatalf("decreasing work must not be monotonic")
 	}
 }
@@ -180,14 +180,18 @@ func TestInstanceBasics(t *testing.T) {
 	if inst.Tasks[1].MaxProcs() != 3 {
 		t.Fatalf("time vector not truncated to M: MaxProcs=%d", inst.Tasks[1].MaxProcs())
 	}
-	if got := inst.MinProcessingTime(); got != 1 {
-		t.Fatalf("MinProcessingTime = %g, want 1", got)
+	tab := NewTable(inst)
+	if tab.Err != nil {
+		t.Fatalf("table: %v", tab.Err)
 	}
-	if got := inst.MaxMinTime(); got != 4 {
-		t.Fatalf("MaxMinTime = %g, want 4", got)
+	if tab.TMin != 1 {
+		t.Fatalf("TMin = %g, want 1", tab.TMin)
 	}
-	if got := inst.TotalMinWork(); !almostEqual(got, 4+10+1) {
-		t.Fatalf("TotalMinWork = %g, want 15", got)
+	if tab.MaxMinTime != 4 {
+		t.Fatalf("MaxMinTime = %g, want 4", tab.MaxMinTime)
+	}
+	if !almostEqual(tab.TotalMinWork, 4+10+1) {
+		t.Fatalf("TotalMinWork = %g, want 15", tab.TotalMinWork)
 	}
 	if inst.Task(1) == nil || inst.Task(99) != nil {
 		t.Fatalf("Task lookup broken")
@@ -243,7 +247,7 @@ func TestPropertyRecurrenceTasksAreMonotonic(t *testing.T) {
 		if err := task.Validate(); err != nil {
 			return false
 		}
-		return task.IsMonotonic()
+		return task.isMonotonic()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

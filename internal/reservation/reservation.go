@@ -76,10 +76,12 @@ type Result struct {
 
 // Schedule plans the instance around the reservations. The returned
 // schedule never uses a reserved processor during its reserved window. The
-// context is passed to the DEMT run (core.ScheduleContext).
+// context is passed to the DEMT run (core.ScheduleTable, which reads the
+// instance's table built here).
 func Schedule(ctx context.Context, inst *moldable.Instance, reservations []Reservation, opts *Options) (*Result, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
+	tab := moldable.NewTable(inst)
+	if tab.Err != nil {
+		return nil, tab.Err
 	}
 	for _, r := range reservations {
 		if err := r.Validate(inst.M); err != nil {
@@ -95,7 +97,7 @@ func Schedule(ctx context.Context, inst *moldable.Instance, reservations []Reser
 	if opts != nil {
 		demtOpts = opts.DEMT
 	}
-	demtRes, err := core.ScheduleContext(ctx, inst, demtOpts)
+	demtRes, err := core.ScheduleTable(ctx, tab, demtOpts)
 	if err != nil {
 		return nil, err
 	}

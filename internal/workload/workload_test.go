@@ -126,7 +126,7 @@ func TestParallelismDegreeDiffersBetweenKinds(t *testing.T) {
 	avgSpeedup := func(inst *moldable.Instance) float64 {
 		total := 0.0
 		for i := range inst.Tasks {
-			total += inst.Tasks[i].Speedup(inst.M)
+			total += inst.Tasks[i].SeqTime() / inst.Tasks[i].Time(inst.M)
 		}
 		return total / float64(inst.N())
 	}
@@ -403,7 +403,7 @@ func TestRuntimeTailScalesTasksAndPreservesValidity(t *testing.T) {
 			if err := tailed[i].Task.Validate(); err != nil {
 				t.Fatalf("%v: scaled task invalid: %v", dist, err)
 			}
-			if !tailed[i].Task.IsMonotonic() {
+			if one := (moldable.Instance{Tasks: []moldable.Task{tailed[i].Task}}); !one.IsMonotonic() {
 				t.Fatalf("%v: scaling broke monotony of task %d", dist, i)
 			}
 			// Submission instants are untouched by runtime scaling.
