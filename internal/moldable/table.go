@@ -51,10 +51,7 @@ func NewTable(inst *Instance) *Table {
 	} else if len(inst.Tasks) == 0 {
 		tb.Err = fmt.Errorf("moldable: instance has no tasks")
 	}
-	// IDs are checked for duplicates without a map while they increase,
-	// which is how the generators and the cluster's batches number tasks;
-	// the first decrease switches to a set of the IDs seen so far.
-	var seen map[int]bool
+	seen := make(map[int]bool, len(inst.Tasks))
 	for i := range inst.Tasks {
 		t := &inst.Tasks[i]
 		minTime, minWork, badTime, ok := walkTimes(t.Times)
@@ -78,11 +75,12 @@ func NewTable(inst *Instance) *Table {
 			tb.Err = fmt.Errorf("moldable: task %d has invalid weight %g", t.ID, t.Weight)
 		case badTime >= 0:
 			tb.Err = fmt.Errorf("moldable: task %d has invalid processing time p(%d)=%g", t.ID, badTime+1, t.Times[badTime])
-		case repeatsID(inst.Tasks, i, &seen):
+		case seen[t.ID]:
 			tb.Err = fmt.Errorf("moldable: duplicate task ID %d", t.ID)
 		case len(t.Times) > inst.M:
 			tb.Err = fmt.Errorf("moldable: task %d offers %d allocations but the machine has only %d processors", t.ID, len(t.Times), inst.M)
 		}
+		seen[t.ID] = true
 	}
 	return tb
 }
@@ -121,26 +119,6 @@ func walkTimes(times []float64) (minTime, minWork float64, badTime int, searchab
 		}
 	}
 	return minTime, minWork, badTime, searchable
-}
-
-// repeatsID reports whether tasks[i] repeats the ID of an earlier task.
-// *seen stays nil while the IDs increase.
-func repeatsID(tasks []Task, i int, seen *map[int]bool) bool {
-	id := tasks[i].ID
-	if *seen == nil {
-		if i == 0 || id > tasks[i-1].ID {
-			return false
-		}
-		*seen = make(map[int]bool, len(tasks))
-		for j := range i {
-			(*seen)[tasks[j].ID] = true
-		}
-	}
-	if (*seen)[id] {
-		return true
-	}
-	(*seen)[id] = true
-	return false
 }
 
 // MinAlloc is Task.MinAllocFitting(d) of task i.

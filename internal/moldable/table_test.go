@@ -134,10 +134,26 @@ func randomTableInstance(r *rand.Rand) *Instance {
 }
 
 // randomTimes draws a time vector of n entries: monotone, flat, with
-// sub-Eps wiggles, with increases, with bad values, or any mix.
+// sub-Eps wiggles, with increases, with bad values, or any mix; or a
+// perfectly moldable one whose work dips at one allocation by just under
+// or just over Eps, the edge of the binary search's work test.
 func randomTimes(r *rand.Rand, n int) []float64 {
 	times := make([]float64, n)
 	p := 1 + 100*r.Float64()
+	if r.Intn(5) == 0 {
+		for k := range times {
+			times[k] = p / float64(k+1)
+		}
+		if n > 1 {
+			k := 1 + r.Intn(n-1)
+			dip := Eps * (0.2 + 0.6*r.Float64())
+			if r.Intn(2) == 0 {
+				dip = Eps * (1.5 + 10*r.Float64())
+			}
+			times[k] = (p - dip) / float64(k+1)
+		}
+		return times
+	}
 	for k := range times {
 		switch r.Intn(10) {
 		case 0: // flat run
