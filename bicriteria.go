@@ -548,8 +548,9 @@ func GridRoundRobin() GridRoutingPolicy { return grid.RoundRobin() }
 // estimated per-processor backlog.
 func GridLeastBacklog() GridRoutingPolicy { return grid.LeastBacklog() }
 
-// GridLowerBoundAware routes each job to the cluster whose DEMT makespan
-// lower bound grows least by admitting it.
+// GridLowerBoundAware routes each job to the cluster whose squashed-area
+// makespan lower bound, on the drained backlog clock, ends earliest once
+// the job is admitted.
 func GridLowerBoundAware() GridRoutingPolicy { return grid.LowerBoundAware() }
 
 // GridMoldabilityAware routes each job to the smallest cluster fitting its

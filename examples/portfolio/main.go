@@ -2,7 +2,7 @@
 // stream of mixed moldable jobs. The example replays the stream through the
 // event-driven cluster engine three times — committing every batch to DEMT
 // alone, to the best list baseline alone, and to the winner of the full
-// concurrent portfolio — and shows how the portfolio tracks or beats the
+// portfolio — and shows how the portfolio tracks or beats the
 // best single algorithm on every metric. A maintenance reservation and
 // noisy runtimes make the replay realistic; reservations are validated
 // against the realized trace.

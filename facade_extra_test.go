@@ -141,9 +141,8 @@ func TestFacadeClusterConfigValidation(t *testing.T) {
 }
 
 // TestFacadeClusterDeterministicReplay drives the engine end-to-end through
-// the facade under every objective and batching policy, asserting that a
-// parallel replay is bit-identical to a sequential one and that repeated
-// runs agree. The facade builds only BatchOnIdle; the other two policies
+// the facade under every objective and batching policy, asserting that
+// repeated runs agree bit for bit. The facade builds only BatchOnIdle; the other two policies
 // come from internal/cluster, as a scenario's batch section does.
 func TestFacadeClusterDeterministicReplay(t *testing.T) {
 	jobs := facadeStream(t, 24, 60, 21)
@@ -178,18 +177,9 @@ func TestFacadeClusterDeterministicReplay(t *testing.T) {
 				Reservations: []Reservation{{Name: "maint", Procs: 6, Start: 4, End: 14}},
 				Perturb:      noise,
 			}
-			seqCfg := base
-			seqCfg.Sequential = true
-			seq, err := RunClusterContext(context.Background(), seqCfg, jobs)
-			if err != nil {
-				t.Fatal(err)
-			}
 			par, err := RunClusterContext(context.Background(), base, jobs)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatal("parallel facade replay differs from sequential replay")
 			}
 			again, err := RunClusterContext(context.Background(), base, jobs)
 			if err != nil {

@@ -82,6 +82,9 @@ func TestArrivalsDeterministicAndSorted(t *testing.T) {
 	}
 }
 
+// TestPortfolioReplayDeterministicParallelVsSequential pins that a
+// portfolio replay on one processor (GOMAXPROCS 1) is bit-identical to
+// replays on every CPU, and those to each other.
 func TestPortfolioReplayDeterministicParallelVsSequential(t *testing.T) {
 	jobs := stream(t, 32, 80, 9, 5)
 	base := Config{
@@ -93,12 +96,10 @@ func TestPortfolioReplayDeterministicParallelVsSequential(t *testing.T) {
 		},
 	}
 
-	run := func(sequential bool, procs int) *Report {
+	run := func(procs int) *Report {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		cfg := base
-		cfg.Sequential = sequential
-		eng, err := New(cfg)
+		eng, err := New(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,14 +110,14 @@ func TestPortfolioReplayDeterministicParallelVsSequential(t *testing.T) {
 		return rep
 	}
 
-	seq := run(true, 1)
-	par := run(false, runtime.NumCPU())
+	seq := run(1)
+	par := run(runtime.NumCPU())
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("parallel portfolio replay differs from sequential replay under the same seed")
+		t.Fatal("portfolio replay on every CPU differs from the one-processor replay under the same seed")
 	}
-	par2 := run(false, runtime.NumCPU())
+	par2 := run(runtime.NumCPU())
 	if !reflect.DeepEqual(par, par2) {
-		t.Fatal("two parallel replays under the same seed differ")
+		t.Fatal("two portfolio replays under the same seed differ")
 	}
 	if seq.Metrics.Batches == 0 || seq.Metrics.Jobs != len(jobs) {
 		t.Fatalf("unexpected metrics: %+v", seq.Metrics)
@@ -634,6 +635,8 @@ func TestFaultsZeroPlanBitIdentical(t *testing.T) {
 	}
 }
 
+// TestFaultsParallelVsSequentialBitIdentical pins that a faulty replay on
+// one processor (GOMAXPROCS 1) is bit-identical to one on every CPU.
 func TestFaultsParallelVsSequentialBitIdentical(t *testing.T) {
 	jobs := stream(t, 16, 80, 5, 4)
 	base := Config{
@@ -645,10 +648,9 @@ func TestFaultsParallelVsSequentialBitIdentical(t *testing.T) {
 			{Name: "maint", Procs: 4, Start: 10, End: 25},
 		},
 	}
-	run := func(sequential bool) *Report {
-		cfg := base
-		cfg.Sequential = sequential
-		eng, err := New(cfg)
+	run := func(procs int) *Report {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		eng, err := New(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -658,10 +660,10 @@ func TestFaultsParallelVsSequentialBitIdentical(t *testing.T) {
 		}
 		return rep
 	}
-	seq := run(true)
-	par := run(false)
+	seq := run(1)
+	par := run(runtime.NumCPU())
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("faulty parallel replay differs from sequential replay")
+		t.Fatal("faulty replay on every CPU differs from the one-processor replay")
 	}
 	if seq.Metrics.Killed == 0 {
 		t.Fatal("fault plan killed nothing; determinism check is vacuous")

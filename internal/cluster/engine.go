@@ -6,12 +6,12 @@
 // The engine consumes a stream of job arrivals (SWF traces via
 // internal/trace, or the Poisson/burst generator of internal/workload),
 // accumulates them into batches under a pluggable batching policy, and
-// schedules every batch with an algorithm portfolio: each member plans the
-// batch (in its own goroutine unless the portfolio races) and the engine
-// commits the best plan under a configurable objective. The batch's task
-// table (its one validation), makespan lower bound and two-shelf dual
-// approximation are computed at most once, when first needed, and shared
-// by the engine and the members built by DefaultPortfolio. Committed plans
+// schedules every batch with an algorithm portfolio: the members plan the
+// batch one after the other and the engine commits the best plan under a
+// configurable objective. The batch's task table (its one validation),
+// makespan lower bound and two-shelf dual approximation are computed at
+// most once, when first needed, and shared by the engine and the members
+// built by DefaultPortfolio. Committed plans
 // are placed around node reservations and executed on the discrete-event
 // simulator with optionally perturbed runtimes, so the *realized*
 // completion of a batch — not the planned estimate — decides when the next
@@ -19,9 +19,9 @@
 // stream out with the running utilization; the full metrics (flow, stretch
 // and slowdown tails, portfolio winner counts) come with the final report.
 //
-// Every run is deterministic for a given configuration: the portfolio
-// winner is chosen by score with ties broken in portfolio order, so a
-// parallel replay is bit-identical to a sequential one.
+// Every run is deterministic for a given configuration: the members run in
+// a fixed launch order and the portfolio winner is chosen by score with
+// ties broken in portfolio order, so two replays are bit-identical.
 package cluster
 
 import (
@@ -61,12 +61,6 @@ type Config struct {
 	// function of (taskID, planned) for replays to be deterministic — see
 	// UniformNoise.
 	Perturb func(taskID int, planned float64) float64
-	// Sequential runs a non-racing portfolio one member at a time in
-	// portfolio order instead of one goroutine per member. A raced batch
-	// always runs its members in launch order, so the switch changes
-	// nothing there. The committed schedules are identical either way; the
-	// switch exists for debugging and for the determinism tests.
-	Sequential bool
 	// Racing enables the portfolio early cutoff: members run one at a
 	// time in a deterministic launch order, and the batch commits as soon
 	// as one candidate's score is provably within Racing.Cutoff of the
@@ -179,8 +173,8 @@ type Engine struct {
 }
 
 // New validates the configuration eagerly and builds an engine. Bad
-// configurations fail here — before any portfolio goroutine spawns — with
-// a validate.Error naming the offending field path.
+// configurations fail here — before the first batch fires — with a
+// validate.Error naming the offending field path.
 func New(cfg Config) (*Engine, error) {
 	if cfg.M < 1 {
 		return nil, validate.Errorf("m", "machine needs at least one processor, got %d", cfg.M)
@@ -286,7 +280,7 @@ func (s *Session) runBatch() (BatchReport, float64, []Job, error) {
 	}
 	*s.facts = batchFacts{inst: inst}
 	facts := s.facts
-	cands, scheds, win, err := runPortfolio(ctx, facts, e.cfg.Portfolio, e.cfg.Objective, e.cfg.Sequential, s.metrics, e.cfg.Racing, s.race)
+	cands, scheds, win, err := runPortfolio(ctx, facts, e.cfg.Portfolio, e.cfg.Objective, s.metrics, e.cfg.Racing, s.race)
 	if err != nil {
 		return BatchReport{}, 0, nil, fmt.Errorf("cluster: batch %d: %w", index, err)
 	}

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"bicriteria/internal/baselines"
@@ -47,40 +46,46 @@ func sharing(name string, plan func(ctx context.Context, f *batchFacts) (*schedu
 // batchFacts is what the portfolio's members share about one batch: the
 // instance's moldable.Table, the makespan lower bound and the two-shelf
 // dual approximation, each computed at most once, and only when first
-// asked for, however many members ask and from however many goroutines.
-// The table is the batch's one validation, and the bound, the dual
-// approximation, DEMT, gang and seq-lpt all read it; the dual
-// approximation starts from the bound, so the bound is computed once
-// either way. The members only read the results.
+// asked for, however many members ask. The members run one at a time, so
+// plain memo fields suffice. The table is the batch's one validation, and
+// the bound, the dual approximation, DEMT, gang and seq-lpt all read it;
+// the dual approximation starts from the bound, so the bound is computed
+// once either way. The members only read the results.
 type batchFacts struct {
 	inst *moldable.Instance
 
-	tabOnce sync.Once
-	tab     *moldable.Table
+	tab *moldable.Table
 
-	lbOnce sync.Once
+	lbDone bool
 	lb     float64
 
-	daOnce sync.Once
+	daDone bool
 	da     *dualapprox.Result
 	daErr  error
 }
 
 // table is moldable.NewTable of the batch.
 func (f *batchFacts) table() *moldable.Table {
-	f.tabOnce.Do(func() { f.tab = moldable.NewTable(f.inst) })
+	if f.tab == nil {
+		f.tab = moldable.NewTable(f.inst)
+	}
 	return f.tab
 }
 
 // cmaxLB is lowerbound.Makespan of the batch.
 func (f *batchFacts) cmaxLB() float64 {
-	f.lbOnce.Do(func() { f.lb = dualapprox.MakespanLowerBound(f.table()) })
+	if !f.lbDone {
+		f.lb, f.lbDone = dualapprox.MakespanLowerBound(f.table()), true
+	}
 	return f.lb
 }
 
 // twoShelf is dualapprox.TwoShelf of the batch.
 func (f *batchFacts) twoShelf() (*dualapprox.Result, error) {
-	f.daOnce.Do(func() { f.da, f.daErr = dualapprox.TwoShelfTable(f.table(), f.cmaxLB()) })
+	if !f.daDone {
+		f.da, f.daErr = dualapprox.TwoShelfTable(f.table(), f.cmaxLB())
+		f.daDone = true
+	}
 	return f.da, f.daErr
 }
 
@@ -89,8 +94,9 @@ func (f *batchFacts) twoShelf() (*dualapprox.Result, error) {
 // DEMT reads the batch's shared task table and takes its C*max estimate
 // (step 1) from the batch's shared dual approximation, unless opts sets
 // CmaxEstimate. The time it spent getting the table, building it or
-// waiting for it, is reported as part of opts.Timing's "validate" phase,
-// and the time it spent getting the estimate as part of "dualapprox".
+// reading the one an earlier member built, is reported as part of
+// opts.Timing's "validate" phase, and the time it spent getting the
+// estimate as part of "dualapprox".
 func DEMTAlgorithm(opts *core.Options) Algorithm {
 	return sharing("demt", func(ctx context.Context, f *batchFacts) (*schedule.Schedule, error) {
 		var own core.Options
@@ -219,12 +225,11 @@ func (o Objective) Validate() error {
 }
 
 // Racing configures portfolio racing: instead of running every member to
-// completion, the engine runs the members one at a time in launch order
-// and commits as soon as one candidate's score is provably within Cutoff
-// of the batch lower bound from internal/lowerbound; the members past the
-// cut never start. The committed schedule is byte-identical between
-// concurrent and sequential replays: the cut is decided by the
-// deterministic launch order and per-candidate qualification alone.
+// completion, the engine commits as soon as one candidate's score, in
+// launch order, is provably within Cutoff of the batch lower bound from
+// internal/lowerbound; the members past the cut never start. The cut is
+// decided by the deterministic launch order and per-candidate
+// qualification alone, so replays stay byte-identical.
 type Racing struct {
 	// Cutoff is the early-cutoff factor: a candidate whose objective value
 	// is within Cutoff times the batch lower bound wins immediately and
@@ -269,7 +274,7 @@ const (
 // raceState carries the bandit selector across the batches of one replay:
 // decayed per-member win counts plus the seeded exploration source. All
 // draws happen once per batch in the engine's single batch loop, so the
-// stream is identical between concurrent and sequential replays.
+// stream is identical from replay to replay.
 type raceState struct {
 	wins   []float64
 	rng    *rand.Rand
@@ -449,17 +454,12 @@ func (r Racing) qualifies(obj Objective, c *Candidate, lb batchBounds) bool {
 // order), the produced schedules, and the winner index. The winner is the
 // lowest score, ties broken by portfolio order.
 //
-// With racing on, members run one at a time in the deterministic launch
-// order (bandit or portfolio order). The cut is the first launch position
-// whose candidate qualifies under race.qualifies; members past the cut
-// never start and are reported as cancelled. Only the first qualifying
-// position decides the commit, so running the members concurrently could
-// only spend CPU on results the cut then throws away.
-//
-// With racing off nothing qualifies and every member runs to completion:
-// one goroutine per member, or one member at a time in portfolio order
-// when sequential is requested. Either way the committed candidates,
-// schedules and winner are bit-identical.
+// The members run one at a time in launch order: the bandit's order when
+// racing with it, portfolio order otherwise. With racing on, the cut is
+// the first launch position whose candidate qualifies under
+// race.qualifies; members past the cut never start and are reported as
+// cancelled. With racing off nothing qualifies and every member runs to
+// completion. Parallelism lives one level up, across a grid's shards.
 //
 // f is the batch: its instance plus the facts the members built by
 // DefaultPortfolio share. The makespan lower bound the objective and the
@@ -472,7 +472,7 @@ func (r Racing) qualifies(obj Objective, c *Candidate, lb batchBounds) bool {
 // A non-nil registry receives each member's wall-clock latency under its
 // name, plus the racing win/cancel/cutoff counters and the race latency
 // histogram when racing is enabled.
-func runPortfolio(ctx context.Context, f *batchFacts, algos []Algorithm, obj Objective, sequential bool, reg *obs.Registry, race Racing, state *raceState) ([]Candidate, []*schedule.Schedule, int, error) {
+func runPortfolio(ctx context.Context, f *batchFacts, algos []Algorithm, obj Objective, reg *obs.Registry, race Racing, state *raceState) ([]Candidate, []*schedule.Schedule, int, error) {
 	start := time.Now() //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
 	inst := f.inst
 	cands := make([]Candidate, len(algos))
@@ -487,7 +487,16 @@ func runPortfolio(ctx context.Context, f *batchFacts, algos []Algorithm, obj Obj
 		lb.minsum = lowerbound.MinsumSquashedArea(inst)
 	}
 
-	runOne := func(i int) {
+	order := identityOrder(len(algos))
+	if state != nil {
+		order = state.launchOrder()
+	}
+	cut := false
+	for _, i := range order {
+		if cut {
+			cands[i] = Candidate{Name: algos[i].Name, Cancelled: true}
+			continue
+		}
 		memberStart := time.Now() //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
 		var s *schedule.Schedule
 		var err error
@@ -506,7 +515,7 @@ func runPortfolio(ctx context.Context, f *batchFacts, algos []Algorithm, obj Obj
 		}
 		if err != nil {
 			cands[i] = Candidate{Name: algos[i].Name, Score: math.NaN(), Err: fmt.Errorf("cluster: algorithm %s: %w", algos[i].Name, err)}
-			return
+			continue
 		}
 		cands[i] = Candidate{
 			Name:               algos[i].Name,
@@ -515,32 +524,7 @@ func runPortfolio(ctx context.Context, f *batchFacts, algos []Algorithm, obj Obj
 			WeightedCompletion: s.WeightedCompletion(inst),
 		}
 		scheds[i] = s
-	}
-
-	if racing || sequential {
-		order := identityOrder(len(algos))
-		if state != nil {
-			order = state.launchOrder()
-		}
-		cut := false
-		for _, i := range order {
-			if cut {
-				cands[i] = Candidate{Name: algos[i].Name, Cancelled: true}
-				continue
-			}
-			runOne(i)
-			cut = race.qualifies(obj, &cands[i], lb)
-		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(algos))
-		for i := range algos {
-			go func() {
-				defer wg.Done()
-				runOne(i)
-			}()
-		}
-		wg.Wait()
+		cut = race.qualifies(obj, &cands[i], lb)
 	}
 
 	// A parent cancellation (serve drain, Ctrl-C) aborts the whole batch:

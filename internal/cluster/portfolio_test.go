@@ -1,10 +1,15 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"bicriteria/internal/core"
 	"bicriteria/internal/dualapprox"
@@ -21,7 +26,7 @@ import (
 // raced batch stops at the first launch position whose reference
 // candidate qualifies. It covers the four workload families, two machine
 // sizes, batches of 1 to 40 jobs and the three objectives, with racing
-// off (concurrent and sequential) and on (cutoff 2.5 with the bandit).
+// off and on (cutoff 2.5 with the bandit).
 // One portfolio hands DEMT the caller's own CmaxEstimate, which must win
 // over anything the portfolio computes for the batch.
 func TestPortfolioMatchesReference(t *testing.T) {
@@ -31,13 +36,11 @@ func TestPortfolioMatchesReference(t *testing.T) {
 		{Kind: ObjectiveCombined, Alpha: 0.5},
 	}
 	modes := []struct {
-		name       string
-		sequential bool
-		race       Racing
+		name string
+		race Racing
 	}{
-		{"concurrent", false, Racing{}},
-		{"sequential", true, Racing{}},
-		{"raced", false, Racing{Cutoff: 2.5, Bandit: true, Seed: 5}},
+		{"unraced", Racing{}},
+		{"raced", Racing{Cutoff: 2.5, Bandit: true, Seed: 5}},
 	}
 
 	ctx := t.Context()
@@ -91,7 +94,7 @@ func TestPortfolioMatchesReference(t *testing.T) {
 								state = states[obj.Kind]
 								order = state.clone().launchOrder()
 							}
-							cands, scheds, win, err := runPortfolio(ctx, &batchFacts{inst: inst}, algos, obj, mode.sequential, nil, mode.race, state)
+							cands, scheds, win, err := runPortfolio(ctx, &batchFacts{inst: inst}, algos, obj, nil, mode.race, state)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
@@ -179,7 +182,7 @@ func TestRacedCutComputesNoTwoShelf(t *testing.T) {
 	race := Racing{Cutoff: 1e9}
 
 	f := &batchFacts{inst: inst}
-	cands, _, win, err := runPortfolio(t.Context(), f, gangFirst, Objective{}, false, nil, race, nil)
+	cands, _, win, err := runPortfolio(t.Context(), f, gangFirst, Objective{}, nil, race, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +194,7 @@ func TestRacedCutComputesNoTwoShelf(t *testing.T) {
 	}
 
 	f = &batchFacts{inst: inst}
-	if _, _, _, err := runPortfolio(t.Context(), f, p, Objective{}, false, nil, Racing{}, nil); err != nil {
+	if _, _, _, err := runPortfolio(t.Context(), f, p, Objective{}, nil, Racing{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	want, err := dualapprox.TwoShelf(inst)
@@ -200,5 +203,50 @@ func TestRacedCutComputesNoTwoShelf(t *testing.T) {
 	}
 	if !reflect.DeepEqual(f.da, want) {
 		t.Fatal("the shared dual approximation differs from TwoShelf's")
+	}
+}
+
+// TestPortfolioRunsMembersInOrder pins how an unraced batch runs its
+// portfolio: the members are called one at a time, in portfolio order.
+// Each recording member sleeps a few milliseconds while it counts itself
+// in flight, so two members running at once cannot go unseen.
+func TestPortfolioRunsMembersInOrder(t *testing.T) {
+	var inFlight, overlaps atomic.Int32
+	var mu sync.Mutex
+	var calls []string
+	var portfolio []Algorithm
+	for _, a := range DefaultPortfolio(nil) {
+		portfolio = append(portfolio, Algorithm{Name: a.Name, Run: func(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error) {
+			if inFlight.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			defer inFlight.Add(-1)
+			mu.Lock()
+			calls = append(calls, a.Name)
+			mu.Unlock()
+			time.Sleep(3 * time.Millisecond)
+			return a.Run(ctx, inst)
+		}})
+	}
+	eng, err := New(Config{M: 16, Portfolio: portfolio})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := stream(t, 16, 12, 3, 4)
+	rep, err := eng.RunContext(t.Context(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d member calls started while another member was running", n)
+	}
+	var want []string
+	for range rep.Batches {
+		for _, a := range portfolio {
+			want = append(want, a.Name)
+		}
+	}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("members called in order %v, want portfolio order over %d batches: %v", calls, len(rep.Batches), want)
 	}
 }

@@ -18,9 +18,9 @@ import (
 
 // TestRacingDeterministicParallelVsSequential pins the tentpole invariant:
 // with racing (and the bandit) enabled, the committed schedules, reports
-// and winner sequence are byte-identical between the concurrent replay and
-// the goroutine-free one — racing only decides who gets cancelled, never
-// who wins.
+// and winner sequence are byte-identical between a replay on one
+// processor (GOMAXPROCS 1) and replays on every CPU — racing only decides
+// who gets cancelled, never who wins.
 func TestRacingDeterministicParallelVsSequential(t *testing.T) {
 	jobs := stream(t, 32, 80, 9, 5)
 	base := Config{
@@ -30,12 +30,10 @@ func TestRacingDeterministicParallelVsSequential(t *testing.T) {
 		Racing:    Racing{Cutoff: 2, Bandit: true, Seed: 7},
 	}
 
-	run := func(sequential bool, procs int) *Report {
+	run := func(procs int) *Report {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		cfg := base
-		cfg.Sequential = sequential
-		eng, err := New(cfg)
+		eng, err := New(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,14 +44,14 @@ func TestRacingDeterministicParallelVsSequential(t *testing.T) {
 		return rep
 	}
 
-	seq := run(true, 1)
-	par := run(false, runtime.NumCPU())
+	seq := run(1)
+	par := run(runtime.NumCPU())
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("racing parallel replay differs from sequential replay under the same seed")
+		t.Fatal("racing replay on every CPU differs from the one-processor replay under the same seed")
 	}
-	par2 := run(false, runtime.NumCPU())
+	par2 := run(runtime.NumCPU())
 	if !reflect.DeepEqual(par, par2) {
-		t.Fatal("two racing parallel replays under the same seed differ")
+		t.Fatal("two racing replays under the same seed differ")
 	}
 	cut := 0
 	for _, br := range seq.Batches {
@@ -71,8 +69,9 @@ func TestRacingDeterministicParallelVsSequential(t *testing.T) {
 
 // TestRacingCutoffOneMatchesNonRacing pins the disabled semantics: a
 // cutoff factor of 1 (or 0) is racing turned off, bit-identical to an
-// engine without the field, under every objective, run concurrently or
-// not. Every member runs to completion: nothing is ever cut off.
+// engine without the field, under every objective, replayed on one
+// processor (sequential=true: GOMAXPROCS 1) or on every CPU. Every member
+// runs to completion: nothing is ever cut off.
 func TestRacingCutoffOneMatchesNonRacing(t *testing.T) {
 	jobs := stream(t, 24, 50, 4, 3)
 	objectives := []Objective{
@@ -83,13 +82,15 @@ func TestRacingCutoffOneMatchesNonRacing(t *testing.T) {
 	for _, obj := range objectives {
 		for _, sequential := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/sequential=%t", obj.Kind, sequential), func(t *testing.T) {
+				if sequential {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				}
 				run := func(r Racing) *Report {
 					eng, err := New(Config{
-						M:          24,
-						Objective:  obj,
-						Perturb:    noise(t, 0.15, 4),
-						Sequential: sequential,
-						Racing:     r,
+						M:         24,
+						Objective: obj,
+						Perturb:   noise(t, 0.15, 4),
+						Racing:    r,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -131,9 +132,8 @@ func singleJob() []Job {
 
 // TestRacingCancelsStragglers checks the race cuts off a straggler: a
 // fast optimal member launched first qualifies immediately, so a member
-// that would block until cancelled is never launched — even with
-// Sequential false — and is reported as cut off instead of stalling the
-// batch.
+// that would block until cancelled is never launched, and is reported as
+// cut off instead of stalling the batch.
 func TestRacingCancelsStragglers(t *testing.T) {
 	var stuckRuns atomic.Int32
 	stuck := Algorithm{Name: "stuck", Run: func(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error) {
@@ -142,10 +142,9 @@ func TestRacingCancelsStragglers(t *testing.T) {
 		return nil, ctx.Err()
 	}}
 	eng, err := New(Config{
-		M:          2,
-		Portfolio:  []Algorithm{DEMTAlgorithm(nil), stuck},
-		Sequential: false,
-		Racing:     Racing{Cutoff: 100},
+		M:         2,
+		Portfolio: []Algorithm{DEMTAlgorithm(nil), stuck},
+		Racing:    Racing{Cutoff: 100},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +264,7 @@ func TestWinnerSelectionSkipsFailedCandidates(t *testing.T) {
 	} {
 		inst := moldable.NewInstance(2, []moldable.Task{{ID: 1, Weight: 1, Times: []float64{6, 4}}})
 		cands, _, win, err := runPortfolio(context.Background(), &batchFacts{inst: inst},
-			order, Objective{Kind: ObjectiveCombined, Alpha: 0.5}, true, nil, Racing{}, nil)
+			order, Objective{Kind: ObjectiveCombined, Alpha: 0.5}, nil, Racing{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -179,7 +179,7 @@ func TestOneShardGridKeepsJobsAcrossShardOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := cluster.New(cluster.Config{M: m, Outages: plan.ClusterWindows(0, m), Sequential: true})
+	eng, err := cluster.New(cluster.Config{M: m, Outages: plan.ClusterWindows(0, m)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,10 @@
 // seeds — as concurrent shards. The meta-scheduler consumes a single
 // arrival stream in deterministic order (release date, then task ID) and
 // routes every job to one cluster under a pluggable routing policy:
-// round-robin, least-backlog, lower-bound-aware (the cluster whose DEMT
-// makespan lower bound grows least) or moldability-aware (jobs go to the
-// smallest cluster fitting their useful parallelism). Admission control
+// round-robin, least-backlog, lower-bound-aware (the cluster whose
+// squashed-area bound on the drained backlog clock ends earliest) or
+// moldability-aware (jobs go to the smallest cluster fitting their useful
+// parallelism). Admission control
 // closes a cluster while its estimated backlog exceeds a limit. Routing is
 // one sequential pass that hands every shard session its jobs directly;
 // the shards then replay their sub-streams through their engines in
@@ -67,10 +68,9 @@ type Config struct {
 	// grid never drops a job.
 	AdmitBacklog float64
 	// Sequential disables all goroutines: shards run one after the other
-	// instead of one goroutine each, and each engine runs a non-racing
-	// portfolio one member at a time (a raced portfolio already does). The
-	// reports are identical either way; the switch exists for the
-	// determinism tests.
+	// instead of one goroutine each (every engine already runs its
+	// portfolio one member at a time). The reports are identical either
+	// way; the switch exists for the determinism tests.
 	Sequential bool
 	// Faults injects a deterministic fault plan: node outages go to the
 	// matching shard engines (running jobs are killed and replanned),
@@ -153,7 +153,6 @@ func New(cfg Config) (*Federation, error) {
 			Reservations: spec.Reservations,
 			Perturb:      spec.Perturb,
 			Racing:       spec.Racing,
-			Sequential:   cfg.Sequential,
 			Outages:      cfg.Faults.ClusterWindows(i, spec.M),
 			Replan:       cfg.Replan,
 			MaxRetries:   cfg.MaxRetries,
@@ -174,7 +173,8 @@ func New(cfg Config) (*Federation, error) {
 }
 
 // RunContext routes the job stream across the shards and replays every
-// shard through its engine — concurrently unless Config.Sequential — then
+// shard through its engine — the shards concurrently unless
+// Config.Sequential, each engine's portfolio members one at a time — then
 // aggregates the grid metrics. The report is bit-identical between the
 // sequential and the concurrent path. The context is threaded into every
 // shard engine's replay loop, so cancelling it aborts the whole grid run

@@ -263,22 +263,66 @@ func TestLeastBacklogPicksSmallestQueue(t *testing.T) {
 
 func TestLowerBoundAwareMinimizesGrowth(t *testing.T) {
 	p := LowerBoundAware()
-	// Cluster 0 already has a long critical path: adding a short job there
-	// grows its bound by nothing; cluster 1 is empty and would jump to the
-	// job's own time.
+	// Equal machines: the job goes where the drained backlog is shorter.
 	views := []ClusterView{
-		{Index: 0, M: 8, MaxMinTime: 10, TotalMinWork: 20},
-		{Index: 1, M: 8},
+		{Index: 0, M: 8, Backlog: 2},
+		{Index: 1, M: 8, Backlog: 1},
 	}
-	job := JobView{ID: 1, MinTime: []float64{4, 4}, MinWork: []float64{4, 4}}
-	if got := p.Route(job, views); got != 0 {
-		t.Fatalf("short job routed to cluster %d, want 0 (zero growth)", got)
+	job := JobView{ID: 1, MinWork: []float64{4, 4}}
+	if got := p.Route(job, views); got != 1 {
+		t.Fatalf("job routed to cluster %d, want 1 (shorter backlog)", got)
 	}
-	// A job longer than anything yet grows both bounds by the same amount
-	// minus what is already there: the loaded cluster grows less.
-	job = JobView{ID: 2, MinTime: []float64{30, 30}, MinWork: []float64{30, 30}}
+	// A large machine absorbs the job at a longer backlog: 2 + 32/64 ends
+	// before 1 + 32/8.
+	views = []ClusterView{
+		{Index: 0, M: 64, Backlog: 2},
+		{Index: 1, M: 8, Backlog: 1},
+	}
+	job = JobView{ID: 2, MinWork: []float64{32, 32}}
 	if got := p.Route(job, views); got != 0 {
-		t.Fatalf("long job routed to cluster %d, want 0 (smaller growth)", got)
+		t.Fatalf("job routed to cluster %d, want 0 (less work per processor)", got)
+	}
+	// Ties go to the lowest index: 3.5 + 32/64 and 0 + 32/8 both end at 4.
+	views[0].Backlog, views[1].Backlog = 3.5, 0
+	if got := p.Route(job, views); got != 0 {
+		t.Fatalf("tie broke to cluster %d, want 0", got)
+	}
+}
+
+// TestLowerBoundAwareSpreadsLoad is the regression test for routing on a
+// bound that never drained: measured against the cumulative work ever
+// routed, the largest shard always grew least, and a mixed stream on a
+// 64/32/32/16/16/8/8/8 grid sent every one of its 2,000 jobs there. On the
+// drained backlog clock, at least half the shards must receive jobs.
+func TestLowerBoundAwareSpreadsLoad(t *testing.T) {
+	arrivals, err := workload.GenerateArrivals(workload.ArrivalConfig{
+		Workload:  workload.Config{Kind: workload.Mixed, M: 64, N: 2000, Seed: 1},
+		Rate:      8,
+		BurstSize: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []ClusterSpec
+	for _, m := range []int{64, 32, 32, 16, 16, 8, 8, 8} {
+		specs = append(specs, ClusterSpec{M: m})
+	}
+	r := newRouter(specs, LowerBoundAware(), 0, nil)
+	for _, j := range cluster.JobsFromArrivals(arrivals) {
+		if _, _, err := r.route(j, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perShard := make([]int, len(specs))
+	used := 0
+	for c, v := range r.views {
+		perShard[c] = v.Jobs
+		if v.Jobs > 0 {
+			used++
+		}
+	}
+	if used < len(specs)/2 {
+		t.Fatalf("lower-bound routing used %d of %d shards: %v jobs per shard", used, len(specs), perShard)
 	}
 }
 
@@ -312,18 +356,24 @@ func TestMoldabilityAwareMatchesWidthToClusterSize(t *testing.T) {
 	}
 }
 
+// firstCandidate routes every job to the first cluster it is offered.
+type firstCandidate struct{}
+
+func (firstCandidate) Name() string { return "first" }
+
+func (firstCandidate) Route(_ JobView, candidates []ClusterView) int { return candidates[0].Index }
+
 func TestGridAdmissionControlStillRoutesEveryJob(t *testing.T) {
-	// Sixteen identical sequential jobs at t=0: the lower-bound policy
-	// would pile them all on cluster 0 (its bound stops growing once the
-	// critical path dominates), so any job on cluster 1 proves the
-	// admission limit steered the stream.
+	// Sixteen identical sequential jobs at t=0: a policy taking the first
+	// open cluster piles them all on cluster 0, so any job on cluster 1
+	// proves the admission limit steered the stream.
 	var jobs []cluster.Job
 	for i := 0; i < 16; i++ {
 		jobs = append(jobs, cluster.Job{Task: moldable.Sequential(i, 1, 10), Release: 0})
 	}
 	specs := []ClusterSpec{{M: 8}, {M: 8}}
 
-	unlimited, err := New(Config{Clusters: specs, Routing: LowerBoundAware()})
+	unlimited, err := New(Config{Clusters: specs, Routing: firstCandidate{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +387,7 @@ func TestGridAdmissionControlStillRoutesEveryJob(t *testing.T) {
 		}
 	}
 
-	limited, err := New(Config{Clusters: specs, Routing: LowerBoundAware(), AdmitBacklog: 2})
+	limited, err := New(Config{Clusters: specs, Routing: firstCandidate{}, AdmitBacklog: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

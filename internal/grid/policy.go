@@ -20,18 +20,6 @@ type ClusterView struct {
 	// minwork/M on every admission and drained by real time between
 	// arrivals.
 	Backlog float64
-	// TotalMinWork is the cumulative minimum work routed to the cluster.
-	TotalMinWork float64
-	// MaxMinTime is the largest fastest-possible execution time among the
-	// jobs routed to the cluster (the critical-path part of the DEMT
-	// makespan lower bound).
-	MaxMinTime float64
-}
-
-// LowerBound is the DEMT makespan lower bound of everything routed to the
-// cluster so far: the maximum of the critical path and the squashed area.
-func (v ClusterView) LowerBound() float64 {
-	return math.Max(v.MaxMinTime, v.TotalMinWork/float64(v.M))
 }
 
 // JobView is the router's view of the job being routed: its identity plus
@@ -43,10 +31,8 @@ type JobView struct {
 	Release float64
 	// Weight is the job's priority.
 	Weight float64
-	// MinTime[c] is the fastest execution time of the job on cluster c
-	// (over the allocations the cluster can actually offer).
-	MinTime []float64
-	// MinWork[c] is the least work of the job on cluster c.
+	// MinWork[c] is the least work of the job on cluster c (over the
+	// allocations the cluster can actually offer).
 	MinWork []float64
 	// PrefProcs is the knee of the job's speedup curve: the smallest
 	// allocation bringing it within 50% of its fastest execution time
@@ -155,29 +141,27 @@ func (leastBacklog) Route(job JobView, candidates []ClusterView) int {
 	return best.Index
 }
 
-// lowerBoundAware routes to the candidate whose DEMT makespan lower bound
-// grows least when the job is added.
+// lowerBoundAware routes to the candidate whose squashed-area bound, on
+// the drained backlog clock, ends earliest once the job is added.
 type lowerBoundAware struct{}
 
 // LowerBoundAware returns the policy routing each job to the cluster whose
-// DEMT makespan lower bound — max(critical path, squashed area) of the jobs
-// routed so far — grows least by admitting it. Ties are broken by cluster
-// index, so large clusters absorb wide jobs and the grid-wide bound stays
-// flat as long as possible.
+// squashed-area makespan lower bound ends earliest once the job is
+// admitted: the cluster's drained per-processor backlog plus the job's
+// least work there spread over its processors. Both terms count from the
+// job's release, so the grid-wide bound grows least; unlike least-backlog,
+// a large cluster absorbs a job at a higher backlog, because the job adds
+// less per processor there. Ties are broken by cluster index.
 func LowerBoundAware() RoutingPolicy { return lowerBoundAware{} }
 
 func (lowerBoundAware) Name() string { return "lower-bound" }
 
 func (lowerBoundAware) Route(job JobView, candidates []ClusterView) int {
 	best := candidates[0].Index
-	bestGrowth := math.Inf(1)
+	bestEnd := math.Inf(1)
 	for _, c := range candidates {
-		after := math.Max(
-			math.Max(c.MaxMinTime, job.MinTime[c.Index]),
-			(c.TotalMinWork+job.MinWork[c.Index])/float64(c.M),
-		)
-		if growth := after - c.LowerBound(); growth < bestGrowth-eps {
-			bestGrowth = growth
+		if end := c.Backlog + job.MinWork[c.Index]/float64(c.M); end < bestEnd-eps {
+			bestEnd = end
 			best = c.Index
 		}
 	}

@@ -69,8 +69,8 @@ type ShardVerdict struct {
 
 // router is the sequential decision core of the meta-scheduler: it walks
 // the arrival stream in deterministic order and asks the routing policy for
-// a cluster per job, maintaining the per-cluster views (virtual backlog
-// clocks and lower-bound state) and enforcing admission control. Both the
+// a cluster per job, maintaining the per-cluster views (job counts and
+// virtual backlog clocks) and enforcing admission control. Both the
 // sequential and the concurrent grid paths drive the same router, which is
 // why their decision streams are bit-identical. A session owns one router
 // and a fork clones it.
@@ -104,15 +104,8 @@ type router struct {
 	byCluster [][]int
 	nextEvent []int
 	downWins  [][]faults.ShardOutage
-	inflight  [][]vjob
+	inflight  [][]cluster.Job
 	migrated  []int
-}
-
-// vjob is one job a shard's next outage will drain, with the minimum work
-// it charged to the shard's view (rolled back when it is drained away).
-type vjob struct {
-	job  cluster.Job
-	work float64
 }
 
 func newRouter(specs []ClusterSpec, policy RoutingPolicy, admitBacklog float64, plan *faults.Plan) *router {
@@ -138,7 +131,7 @@ func newRouter(specs []ClusterSpec, policy RoutingPolicy, admitBacklog float64, 
 			return r.events[a].Cluster < r.events[b].Cluster
 		})
 		r.downWins = make([][]faults.ShardOutage, len(specs))
-		r.inflight = make([][]vjob, len(specs))
+		r.inflight = make([][]cluster.Job, len(specs))
 		r.byCluster = make([][]int, len(specs))
 		r.nextEvent = make([]int, len(specs))
 		for c := range specs {
@@ -164,7 +157,7 @@ func (r *router) clone() *router {
 	c.candidates = make([]ClusterView, 0, len(r.views))
 	c.nextEvent = slices.Clone(r.nextEvent)
 	if r.inflight != nil {
-		c.inflight = make([][]vjob, len(r.inflight))
+		c.inflight = make([][]cluster.Job, len(r.inflight))
 		for i, v := range r.inflight {
 			c.inflight[i] = slices.Clone(v)
 		}
@@ -197,13 +190,11 @@ func (r *router) downAt(c int, t float64) bool {
 // popEventBefore processes the earliest unprocessed shard outage starting
 // at or before t: every job the shard had virtually queued or running at
 // the outage instant is drained for policy-aware resubmission (returned
-// with its release reset to the outage start) and its charge is rolled
-// back from the shard's view, and the dead shard's virtual clock is set
-// to the repair time — jobs that virtually finished before the outage are
-// gone, drained ones moved, so the shard comes back empty exactly at
-// o.End. (MaxMinTime intentionally stays: it is a high-water mark of what
-// the shard was asked to run, not a backlog quantity.) Returns false when
-// no event is due.
+// with its release reset to the outage start) and no longer counted in the
+// shard's view, and the dead shard's virtual clock is set to the repair
+// time — jobs that virtually finished before the outage are gone, drained
+// ones moved, so the shard comes back empty exactly at o.End. Returns
+// false when no event is due.
 func (r *router) popEventBefore(t float64) (faults.ShardOutage, []cluster.Job, bool) {
 	if r.eventIdx >= len(r.events) || r.events[r.eventIdx].Start > t {
 		return faults.ShardOutage{}, nil, false
@@ -214,15 +205,10 @@ func (r *router) popEventBefore(t float64) (faults.ShardOutage, []cluster.Job, b
 	r.nextEvent[c]++
 	r.ready[c] = o.End
 	var drained []cluster.Job
-	for _, v := range r.inflight[c] {
-		j := v.job
+	for _, j := range r.inflight[c] {
 		j.Release = o.Start
 		drained = append(drained, j)
 		r.views[c].Jobs--
-		r.views[c].TotalMinWork -= v.work
-	}
-	if r.views[c].TotalMinWork < 0 {
-		r.views[c].TotalMinWork = 0 // float drift guard
 	}
 	r.inflight[c] = r.inflight[c][:0]
 	r.migrated[c] += len(drained)
@@ -237,7 +223,6 @@ func (r *router) jobView(j cluster.Job) JobView {
 		ID:      j.Task.ID,
 		Release: j.Release,
 		Weight:  j.Task.Weight,
-		MinTime: make([]float64, len(r.views)),
 		MinWork: make([]float64, len(r.views)),
 	}
 	// The preferred width is the knee of the speedup curve, not the exact
@@ -256,17 +241,12 @@ func (r *router) jobView(j cluster.Job) JobView {
 		if r.views[c].M < kMax {
 			kMax = r.views[c].M
 		}
-		minT, minW := j.Task.Times[0], j.Task.Times[0]
+		minW := j.Task.Times[0]
 		for k := 2; k <= kMax; k++ {
-			t := j.Task.Times[k-1]
-			if t < minT {
-				minT = t
-			}
-			if w := float64(k) * t; w < minW {
+			if w := float64(k) * j.Task.Times[k-1]; w < minW {
 				minW = w
 			}
 		}
-		v.MinTime[c] = minT
 		v.MinWork[c] = minW
 	}
 	return v
@@ -366,16 +346,12 @@ func (r *router) route(j cluster.Job, migrated bool) (d Decision, stays bool, er
 	d = Decision{JobID: job.ID, Release: j.Release, Cluster: chosen, Backlog: r.views[chosen].Backlog, Migrated: migrated, Verdicts: verdicts}
 	v := &r.views[chosen]
 	v.Jobs++
-	v.TotalMinWork += job.MinWork[chosen]
-	if job.MinTime[chosen] > v.MaxMinTime {
-		v.MaxMinTime = job.MinTime[chosen]
-	}
 	r.ready[chosen] += job.MinWork[chosen] / float64(v.M)
 	// A one-shard grid has nowhere to migrate to: the job stays, and the
 	// shard's engine runs it around the outage like any down window.
 	if r.inflight != nil && len(r.views) > 1 {
 		if o, ok := r.nextOutage(chosen); ok && r.ready[chosen] > o.Start+eps {
-			r.inflight[chosen] = append(r.inflight[chosen], vjob{job: j, work: job.MinWork[chosen]})
+			r.inflight[chosen] = append(r.inflight[chosen], j)
 			return d, false, nil
 		}
 	}

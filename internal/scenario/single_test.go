@@ -131,7 +131,6 @@ func engineReport(t *testing.T, s Scenario) *cluster.Report {
 		Reservations: spec.Reservations,
 		Perturb:      spec.Perturb,
 		Racing:       spec.Racing,
-		Sequential:   gcfg.Sequential,
 		Outages:      plan.ClusterWindows(0, spec.M),
 		Replan:       gcfg.Replan,
 		MaxRetries:   gcfg.MaxRetries,

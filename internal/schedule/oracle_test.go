@@ -321,8 +321,8 @@ func contains(ps []int, p int) bool {
 // implementation it replaced: the same verdict and the same error text on
 // random feasible schedules and on single mutations of them, with and
 // without release dates and AllowMissingTasks. It also checks
-// WeightedCompletion and MaxStretch, which find tasks through the same
-// index, against lookups by Instance.Task.
+// WeightedCompletion, which finds tasks through the same index, against
+// lookups by Instance.Task.
 func TestValidateMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(28))
 	rejected := map[string]int{}
@@ -358,18 +358,11 @@ func TestValidateMatchesReference(t *testing.T) {
 
 func checkIndexedCriteria(t *testing.T, trial int, inst *moldable.Instance, s *Schedule) {
 	t.Helper()
-	wc, stretch := 0.0, 0.0
+	wc := 0.0
 	for _, a := range s.Assignments {
-		task := inst.Task(a.TaskID)
-		wc += task.Weight * a.End()
-		if pmin, _ := task.MinTime(); pmin > 0 {
-			stretch = max(stretch, a.End()/pmin)
-		}
+		wc += inst.Task(a.TaskID).Weight * a.End()
 	}
 	if got := s.WeightedCompletion(inst); got != wc {
 		t.Fatalf("trial %d: WeightedCompletion = %v, want %v", trial, got, wc)
-	}
-	if got := s.MaxStretch(inst); got != stretch {
-		t.Fatalf("trial %d: MaxStretch = %v, want %v", trial, got, stretch)
 	}
 }

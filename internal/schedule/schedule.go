@@ -106,28 +106,6 @@ func (s *Schedule) SumCompletion() float64 {
 	return total
 }
 
-// MaxStretch returns the maximum over tasks of C_i / p_i(min): how much a
-// task is slowed down compared to running alone fully parallel.
-func (s *Schedule) MaxStretch(inst *moldable.Instance) float64 {
-	idx := indexTasks(inst)
-	worst := 0.0
-	for i := range s.Assignments {
-		a := &s.Assignments[i]
-		pos := idx.find(a.TaskID)
-		if pos < 0 {
-			continue
-		}
-		pmin, _ := inst.Tasks[pos].MinTime()
-		if pmin <= 0 {
-			continue
-		}
-		if st := a.End() / pmin; st > worst {
-			worst = st
-		}
-	}
-	return worst
-}
-
 // taskIndex finds an instance's tasks by ID: every task's ID and position
 // in inst.Tasks, sorted by ID, then position.
 type taskIndex []taskPos
