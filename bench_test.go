@@ -54,7 +54,7 @@ func BenchmarkGrahamList(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := listsched.Graham(200, items); err != nil {
+		if _, err := listsched.GrahamContext(b.Context(), 200, items); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,13 +11,15 @@
 // configurable objective. The batch's task table (its one validation),
 // makespan lower bound and two-shelf dual approximation are computed at
 // most once, when first needed, and shared by the engine and the members
-// built by DefaultPortfolio. Committed plans
-// are placed around node reservations and executed on the discrete-event
-// simulator with optionally perturbed runtimes, so the *realized*
-// completion of a batch — not the planned estimate — decides when the next
-// batch fires. Per-batch reports
-// stream out with the running utilization; the full metrics (flow, stretch
-// and slowdown tails, portfolio winner counts) come with the final report.
+// built by DefaultPortfolio. The committed plan is checked with
+// Schedule.Validate; losing plans are scored but not checked, except under
+// racing, where each launched plan is checked before it may cut the race.
+// Committed plans are placed around node reservations and executed on the
+// discrete-event simulator with optionally perturbed runtimes, so the
+// *realized* completion of a batch — not the planned estimate — decides
+// when the next batch fires. Per-batch reports stream out with the running
+// utilization; the full metrics (flow, stretch and slowdown tails,
+// portfolio winner counts) come with the final report.
 //
 // Every run is deterministic for a given configuration: the members run in
 // a fixed launch order and the portfolio winner is chosen by score with

@@ -423,7 +423,11 @@ type Candidate struct {
 	// first qualifying candidate in launch order, so it never started.
 	// Cancelled candidates never carry a score or an error.
 	Cancelled bool `json:",omitempty"`
-	// Err carries the algorithm's failure, if any.
+	// Err carries the algorithm's failure, if any: its error, or why its
+	// plan failed Schedule.Validate. Only plans that could win are
+	// validated: the committed one, any that scored better and failed, and
+	// under racing every launched one. A losing plan is scored but not
+	// checked, so it carries no validation error.
 	Err error `json:"Err"`
 }
 
@@ -449,17 +453,23 @@ func (r Racing) qualifies(obj Objective, c *Candidate, lb batchBounds) bool {
 	return false
 }
 
-// runPortfolio schedules the batch with the portfolio, scores the valid
+// runPortfolio schedules the batch with the portfolio, scores the
 // candidates under the objective and returns the candidates (in portfolio
 // order), the produced schedules, and the winner index. The winner is the
-// lowest score, ties broken by portfolio order.
+// valid candidate with the lowest score, ties broken by portfolio order.
+// Only the committed plan needs checking: the candidates are validated
+// (Schedule.Validate) in that order until the first valid one, so a plan
+// that scores worse than the winner is scored but never checked, and one
+// that scores better but fails is reported as failed.
 //
 // The members run one at a time in launch order: the bandit's order when
 // racing with it, portfolio order otherwise. With racing on, the cut is
 // the first launch position whose candidate qualifies under
 // race.qualifies; members past the cut never start and are reported as
-// cancelled. With racing off nothing qualifies and every member runs to
-// completion. Parallelism lives one level up, across a grid's shards.
+// cancelled. Under racing each launched plan is validated before it may
+// cut, so a cut never rests on an invalid plan. With racing off nothing
+// qualifies and every member runs to completion. Parallelism lives one
+// level up, across a grid's shards.
 //
 // f is the batch: its instance plus the facts the members built by
 // DefaultPortfolio share. The makespan lower bound the objective and the
@@ -510,11 +520,12 @@ func runPortfolio(ctx context.Context, f *batchFacts, algos []Algorithm, obj Obj
 				"Wall-clock latency of one portfolio member scheduling one batch.",
 				obs.TimeBuckets(), obs.L("algorithm", algos[i].Name)).Observe(time.Since(memberStart).Seconds()) //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
 		}
-		if err == nil {
+		if err == nil && racing {
+			// A cut must never rest on an invalid plan.
 			err = s.Validate(inst, nil)
 		}
 		if err != nil {
-			cands[i] = Candidate{Name: algos[i].Name, Score: math.NaN(), Err: fmt.Errorf("cluster: algorithm %s: %w", algos[i].Name, err)}
+			cands[i] = failed(algos[i].Name, err)
 			continue
 		}
 		cands[i] = Candidate{
@@ -534,14 +545,17 @@ func runPortfolio(ctx context.Context, f *batchFacts, algos []Algorithm, obj Obj
 		return cands, scheds, -1, fmt.Errorf("cluster: portfolio aborted: %w", err)
 	}
 
-	winner := -1
-	for i := range cands {
-		if scheds[i] == nil || math.IsNaN(cands[i].Score) {
-			continue
+	// Validate in score order until the first valid plan: the best of
+	// the valid plans, as if every plan had been checked. Racing checked
+	// every launched plan already.
+	winner := best(cands, scheds)
+	for !racing && winner >= 0 {
+		err := scheds[winner].Validate(inst, nil)
+		if err == nil {
+			break
 		}
-		if winner < 0 || cands[i].Score < cands[winner].Score {
-			winner = i
-		}
+		cands[winner], scheds[winner] = failed(algos[winner].Name, err), nil
+		winner = best(cands, scheds)
 	}
 	if winner < 0 {
 		err := fmt.Errorf("cluster: every portfolio algorithm failed on the batch")
@@ -577,4 +591,25 @@ func runPortfolio(ctx context.Context, f *batchFacts, algos []Algorithm, obj Obj
 			obs.TimeBuckets()).Observe(time.Since(start).Seconds()) //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
 	}
 	return cands, scheds, winner, nil
+}
+
+// failed is the candidate of a member that returned an error or an
+// invalid plan.
+func failed(name string, err error) Candidate {
+	return Candidate{Name: name, Score: math.NaN(), Err: fmt.Errorf("cluster: algorithm %s: %w", name, err)}
+}
+
+// best returns the candidate with a plan and the lowest score, ties broken
+// by portfolio order, or -1 when none has a plan and a score.
+func best(cands []Candidate, scheds []*schedule.Schedule) int {
+	winner := -1
+	for i := range cands {
+		if scheds[i] == nil || math.IsNaN(cands[i].Score) {
+			continue
+		}
+		if winner < 0 || cands[i].Score < cands[winner].Score {
+			winner = i
+		}
+	}
+	return winner
 }

@@ -107,7 +107,8 @@ func batchOrderItems(segments [][]listsched.Item, batchOrder []int) []listsched.
 // shuffleCompaction implements the paper's final optimization: compact with
 // the list algorithm in batch order, then try a few shuffled orders and
 // keep the best resulting schedule (lowest weighted completion time, ties
-// broken by makespan).
+// broken by makespan). The shuffles draw what rand.NewSource(opts.Seed)
+// would, read from the process's memo of that seed's stream.
 func shuffleCompaction(ctx context.Context, inst *moldable.Instance, res *Result, opts Options) (*schedule.Schedule, int, error) {
 	type candidate struct {
 		sched  *schedule.Schedule
@@ -143,7 +144,7 @@ func shuffleCompaction(ctx context.Context, inst *moldable.Instance, res *Result
 	}
 	tried := 1
 
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := seededRand(opts.Seed)
 	for s := 0; s < opts.Shuffles; s++ {
 		if err := ctx.Err(); err != nil {
 			return nil, tried, fmt.Errorf("core: compaction aborted: %w", err)

@@ -26,15 +26,17 @@
 // so a step of either bisection costs O(n log m) for such tasks. TwoShelf
 // runs its O(nm) knapsack only at a step whose per-task (small?, c1, c2)
 // signature differs from those of the last feasible and the last
-// infeasible step, and builds the schedule once, at the final deadline.
+// infeasible step, into tables allocated once per bisection, and builds
+// the schedule once, at the final deadline.
 package dualapprox
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
 
-	"bicriteria/internal/knapsack"
 	"bicriteria/internal/listsched"
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/schedule"
@@ -215,7 +217,7 @@ func listFallback(tab *moldable.Table, deadline float64) (*schedule.Schedule, er
 		}
 	}
 	sort.SliceStable(items, func(a, b int) bool { return items[a].Duration > items[b].Duration })
-	return listsched.Graham(inst.M, items)
+	return listsched.GrahamContext(context.Background(), inst.M, items) //lint:allow ctxflow TwoShelf's list fallback has no context to pass; TwoShelf runs to completion by design
 }
 
 // shelfSolver decides the two-shelf construction at the deadlines of one
@@ -242,6 +244,11 @@ type shelfSolver struct {
 	// The knapsack's inputs, reused from solve to solve.
 	cost1, cost2 []int
 	work1, work2 []float64
+	// The knapsack's tables, reused from solve to solve: two dynamic
+	// program rows, the flat decision table and the partition it returns.
+	dp, next []float64
+	choice   []bool
+	shelf1   []bool
 }
 
 func newShelfSolver(tab *moldable.Table) *shelfSolver {
@@ -259,12 +266,12 @@ func (s *shelfSolver) feasible(lambda float64) bool {
 	if s.no != nil && slices.Equal(s.sig, s.no) {
 		return false
 	}
-	part := s.solve()
-	if part == nil {
+	part, ok := s.solve()
+	if !ok {
 		s.no = append(s.no[:0], s.sig...)
 		return false
 	}
-	s.yes, s.part = append(s.yes[:0], s.sig...), part
+	s.yes, s.part = append(s.yes[:0], s.sig...), append(s.part[:0], part...)
 	return true
 }
 
@@ -288,8 +295,9 @@ func (s *shelfSolver) signature(lambda float64) bool {
 }
 
 // solve runs the knapsack partition and the repair pass on s.sig and
-// returns the partition, or nil when the structure is infeasible.
-func (s *shelfSolver) solve() []bool {
+// returns the partition, or false when the structure is infeasible. The
+// partition is the solver's buffer, overwritten by the next solve.
+func (s *shelfSolver) solve() ([]bool, bool) {
 	inst := s.tab.Inst
 	m, stride := inst.M, inst.M+1
 	s.cost1, s.cost2, s.work1, s.work2 = s.cost1[:0], s.cost2[:0], s.work1[:0], s.work2[:0]
@@ -308,9 +316,9 @@ func (s *shelfSolver) solve() []bool {
 	}
 
 	// Knapsack partition: minimize total work, shelf-1 processor budget m.
-	onShelf1, _, err := knapsack.MinCostPartition(s.cost1, s.work1, s.work2, m)
+	onShelf1, _, err := s.minCostPartition(s.cost1, s.work1, s.work2, m)
 	if err != nil {
-		return nil
+		return nil, false
 	}
 
 	// Repair pass: the short shelf also has only m processors. Move the
@@ -336,13 +344,89 @@ func (s *shelfSolver) solve() []bool {
 			}
 		}
 		if bestJ < 0 {
-			return nil
+			return nil, false
 		}
 		onShelf1[bestJ] = true
 		shelf1Procs += s.cost1[bestJ]
 		shelf2Procs -= s.cost2[bestJ]
 	}
-	return onShelf1
+	return onShelf1, true
+}
+
+// minCostPartition solves the two-shelf assignment problem of the
+// construction: each item goes either to shelf 1 (using cost1[i]
+// processors of the shelf-1 budget, incurring work1[i]) or to shelf 2
+// (incurring work2[i], no shelf-1 processors). Items with work2[i] = +Inf
+// are forced to shelf 1. It minimizes the total work under the shelf-1
+// processor budget and returns, for each item, whether it is placed on
+// shelf 1, plus the total work. It returns an error when the forced items
+// alone exceed the budget or an item cannot be placed anywhere.
+//
+// The dynamic program runs in O(n * (budget+1)) time. Its two value rows
+// and its flat n * (budget+1) decision table belong to the solver and grow
+// to the largest problem solved, so a bisection allocates them once: each
+// solve zeroes the first row and the used prefix of the decision table.
+// The returned slice is the solver's too, overwritten by the next solve.
+func (s *shelfSolver) minCostPartition(cost1 []int, work1, work2 []float64, budget int) (shelf1 []bool, totalWork float64, err error) {
+	n := len(cost1)
+	if len(work1) != n || len(work2) != n {
+		return nil, 0, fmt.Errorf("dualapprox: inconsistent slice lengths %d/%d/%d", len(cost1), len(work1), len(work2))
+	}
+	if budget < 0 {
+		return nil, 0, fmt.Errorf("dualapprox: negative budget %d", budget)
+	}
+	const inf = math.MaxFloat64 / 4
+	// dp[j] = minimal total work using at most j shelf-1 processors; next is
+	// the row being filled, swapped in after every item.
+	width := budget + 1
+	s.dp, s.next = grow(s.dp, width), grow(s.next, width)
+	s.choice = grow(s.choice, n*width) // choice[i*width+j]: item i on shelf 1 when budget j
+	dp, next, choice := s.dp, s.next, s.choice
+	clear(dp)
+	clear(choice)
+	for i := 0; i < n; i++ {
+		c, w1, w2 := cost1[i], work1[i], work2[i]
+		row := choice[i*width : (i+1)*width]
+		shelf2 := !math.IsInf(w2, 1)
+		for j := range next {
+			bestVal := inf
+			// Option shelf 2 (only when finite work2).
+			if shelf2 {
+				bestVal = dp[j] + w2
+			}
+			// Option shelf 1.
+			if c <= j {
+				if cand := dp[j-c] + w1; cand < bestVal {
+					bestVal = cand
+					row[j] = true
+				}
+			}
+			next[j] = bestVal
+		}
+		dp, next = next, dp
+	}
+	if dp[budget] >= inf {
+		return nil, 0, fmt.Errorf("dualapprox: no feasible two-shelf partition within budget %d", budget)
+	}
+	s.shelf1 = grow(s.shelf1, n)
+	shelf1 = s.shelf1
+	j := budget
+	for i := n - 1; i >= 0; i-- {
+		shelf1[i] = choice[i*width+j]
+		if shelf1[i] {
+			j -= cost1[i]
+		}
+	}
+	return shelf1, dp[budget], nil
+}
+
+// grow returns buf resliced to n entries, reallocated only when its
+// capacity is short. The entries keep whatever the last use left there.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // build lays out the schedule at lambda, which must be the last deadline

@@ -1,6 +1,7 @@
 package dualapprox
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"bicriteria/internal/knapsack"
 	"bicriteria/internal/listsched"
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/schedule"
@@ -222,7 +222,7 @@ func referenceTwoShelf(inst *moldable.Instance) (*Result, error) {
 		}
 		sort.SliceStable(items, func(a, b int) bool { return items[a].Duration > items[b].Duration })
 		var err error
-		if best, err = listsched.Graham(inst.M, items); err != nil {
+		if best, err = listsched.GrahamContext(context.Background(), inst.M, items); err != nil {
 			return nil, err
 		}
 	}
@@ -293,7 +293,7 @@ func referenceBuild(inst *moldable.Instance, lambda float64) *schedule.Schedule 
 			work2[j] = task.Work(e.c2)
 		}
 	}
-	onShelf1, _, err := knapsack.MinCostPartition(cost1, work1, work2, m)
+	onShelf1, _, err := new(shelfSolver).minCostPartition(cost1, work1, work2, m)
 	if err != nil {
 		return nil
 	}

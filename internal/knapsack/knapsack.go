@@ -1,12 +1,12 @@
 // Package knapsack provides the 0/1 knapsack dynamic program used by the
-// DEMT algorithm to select the tasks of each batch (maximize the total
-// weight of the selected tasks under the m-processor budget) and by the
-// dual-approximation two-shelf construction (minimize the work moved to the
-// second shelf under the first-shelf processor budget).
+// DEMT algorithm to select the tasks of each batch: maximize the total
+// weight of the selected tasks under the m-processor budget. The
+// dual-approximation's two-shelf partition, a min-cost variant, lives with
+// its one caller in internal/dualapprox.
 //
-// Both dynamic programs run in O(n * capacity) time. Each call allocates
+// The dynamic program runs in O(n * capacity) time. Each call allocates
 // one flat n * (capacity+1) table of decisions for the reconstruction and
-// one or two value rows of capacity+1 entries, whatever n is.
+// one value row of capacity+1 entries.
 package knapsack
 
 import (
@@ -86,64 +86,4 @@ func MaxValue(items []Item, capacity int) (*Result, error) {
 		res.Selected[a], res.Selected[b] = res.Selected[b], res.Selected[a]
 	}
 	return res, nil
-}
-
-// MinCostPartition solves the two-shelf assignment problem used by the
-// dual-approximation algorithm: each item must go either to shelf 1 (using
-// cost1[i] processors of the shelf-1 budget, incurring work1[i]) or to
-// shelf 2 (incurring work2[i], no shelf-1 processors). Items with
-// work2[i] = +Inf are forced to shelf 1. The function minimizes the total
-// work subject to the shelf-1 processor budget and returns, for each item,
-// whether it is placed on shelf 1.
-//
-// It returns an error when the forced items alone exceed the budget or an
-// item cannot be placed anywhere.
-func MinCostPartition(cost1 []int, work1, work2 []float64, budget int) (shelf1 []bool, totalWork float64, err error) {
-	n := len(cost1)
-	if len(work1) != n || len(work2) != n {
-		return nil, 0, fmt.Errorf("knapsack: inconsistent slice lengths %d/%d/%d", len(cost1), len(work1), len(work2))
-	}
-	if budget < 0 {
-		return nil, 0, fmt.Errorf("knapsack: negative budget %d", budget)
-	}
-	const inf = math.MaxFloat64 / 4
-	// dp[j] = minimal total work using at most j shelf-1 processors; next is
-	// the row being filled, swapped in after every item.
-	width := budget + 1
-	dp := make([]float64, width)
-	next := make([]float64, width)
-	choice := make([]bool, n*width) // choice[i*width+j]: item i on shelf 1 when budget j
-	for i := 0; i < n; i++ {
-		c, w1, w2 := cost1[i], work1[i], work2[i]
-		row := choice[i*width : (i+1)*width]
-		shelf2 := !math.IsInf(w2, 1)
-		for j := range next {
-			bestVal := inf
-			// Option shelf 2 (only when finite work2).
-			if shelf2 {
-				bestVal = dp[j] + w2
-			}
-			// Option shelf 1.
-			if c <= j {
-				if cand := dp[j-c] + w1; cand < bestVal {
-					bestVal = cand
-					row[j] = true
-				}
-			}
-			next[j] = bestVal
-		}
-		dp, next = next, dp
-	}
-	if dp[budget] >= inf {
-		return nil, 0, fmt.Errorf("knapsack: no feasible two-shelf partition within budget %d", budget)
-	}
-	shelf1 = make([]bool, n)
-	j := budget
-	for i := n - 1; i >= 0; i-- {
-		shelf1[i] = choice[i*width+j]
-		if shelf1[i] {
-			j -= cost1[i]
-		}
-	}
-	return shelf1, dp[budget], nil
 }

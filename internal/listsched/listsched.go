@@ -4,15 +4,16 @@
 //
 // Two engines are provided:
 //
-//   - Graham: the classical event-driven list algorithm (Garey & Graham). At
-//     every event time, the highest-priority tasks that fit in the free
-//     processors are started. A task may be overtaken by a lower-priority
-//     task that fits when it does not ("greedy / backfilling" behaviour),
-//     which is exactly the algorithm used by the paper's list baselines and
-//     by the DEMT compaction step. The loop keeps a bitset of idle
-//     processors, a min-heap of running tasks keyed by end time and a
-//     linked list of the unplaced tasks in list order, so an event costs
-//     O(log n) per completion plus the unplaced tasks it scans.
+//   - GrahamContext: the classical event-driven list algorithm (Garey &
+//     Graham). At every event time, the highest-priority tasks that fit in
+//     the free processors are started. A task may be overtaken by a
+//     lower-priority task that fits when it does not ("greedy /
+//     backfilling" behaviour), which is exactly the algorithm used by the
+//     paper's list baselines and by the DEMT compaction step. The loop
+//     keeps a bitset of idle processors, a min-heap of running tasks keyed
+//     by end time and a linked list of the unplaced tasks in list order,
+//     so an event costs O(log n) per completion plus the unplaced tasks it
+//     scans.
 //
 //   - InsertionWithReservations: tasks are placed strictly in priority
 //     order, each at the earliest instant at which enough processors are
@@ -63,16 +64,11 @@ func validateItems(m int, items []Item) error {
 	return nil
 }
 
-// Graham runs the event-driven list algorithm on m processors and returns a
-// schedule with explicit processor assignments.
-func Graham(m int, items []Item) (*schedule.Schedule, error) {
-	return GrahamContext(context.Background(), m, items) //lint:allow ctxflow dualapprox.TwoShelf's list fallback has no context to pass; TwoShelf runs to completion by design
-}
-
-// GrahamContext is Graham with cancellation: the context is checked at
-// every event time of the list loop, so a racing portfolio can abort a
-// straggling member mid-schedule. A cancellation returns the context's
-// error (errors.Is(err, ctx.Err()) holds).
+// GrahamContext runs the event-driven list algorithm on m processors and
+// returns a schedule with explicit processor assignments. The context is
+// checked at every event time of the list loop, so a racing portfolio can
+// abort a straggling member mid-schedule. A cancellation returns the
+// context's error (errors.Is(err, ctx.Err()) holds).
 //
 // The loop jumps from event to event over three structures: a bitset of
 // the idle processors, handed out lowest index first; a min-heap of the

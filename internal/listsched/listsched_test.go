@@ -36,7 +36,7 @@ func TestGrahamSimple(t *testing.T) {
 		{TaskID: 2, NProcs: 4, Duration: 2},
 		{TaskID: 3, NProcs: 1, Duration: 1},
 	}
-	s, err := Graham(4, items)
+	s, err := GrahamContext(t.Context(), 4, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestGrahamRespectsReleaseDates(t *testing.T) {
 		{TaskID: 0, NProcs: 1, Duration: 2, Release: 5},
 		{TaskID: 1, NProcs: 1, Duration: 2, Release: 0},
 	}
-	s, err := Graham(2, items)
+	s, err := GrahamContext(t.Context(), 2, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,20 +79,20 @@ func TestGrahamRespectsReleaseDates(t *testing.T) {
 }
 
 func TestGrahamEmptyAndErrors(t *testing.T) {
-	s, err := Graham(3, nil)
+	s, err := GrahamContext(t.Context(), 3, nil)
 	if err != nil || len(s.Assignments) != 0 {
 		t.Fatalf("empty input should give an empty schedule, got %v, %v", s, err)
 	}
-	if _, err := Graham(0, []Item{{TaskID: 0, NProcs: 1, Duration: 1}}); err == nil {
+	if _, err := GrahamContext(t.Context(), 0, []Item{{TaskID: 0, NProcs: 1, Duration: 1}}); err == nil {
 		t.Fatalf("zero processors must fail")
 	}
-	if _, err := Graham(2, []Item{{TaskID: 0, NProcs: 3, Duration: 1}}); err == nil {
+	if _, err := GrahamContext(t.Context(), 2, []Item{{TaskID: 0, NProcs: 3, Duration: 1}}); err == nil {
 		t.Fatalf("oversized task must fail")
 	}
-	if _, err := Graham(2, []Item{{TaskID: 0, NProcs: 1, Duration: -1}}); err == nil {
+	if _, err := GrahamContext(t.Context(), 2, []Item{{TaskID: 0, NProcs: 1, Duration: -1}}); err == nil {
 		t.Fatalf("negative duration must fail")
 	}
-	if _, err := Graham(2, []Item{{TaskID: 0, NProcs: 1, Duration: 1, Release: -2}}); err == nil {
+	if _, err := GrahamContext(t.Context(), 2, []Item{{TaskID: 0, NProcs: 1, Duration: 1, Release: -2}}); err == nil {
 		t.Fatalf("negative release must fail")
 	}
 	if _, err := InsertionWithReservations(2, nil, []Item{{TaskID: 0, NProcs: 3, Duration: 1}}); err == nil {
@@ -106,7 +106,7 @@ func TestGrahamEmptyAndErrors(t *testing.T) {
 		{"inf release", math.Inf(1)},
 	} {
 		items := []Item{{TaskID: 0, NProcs: 1, Duration: 1}, {TaskID: 7, NProcs: 1, Duration: 1, Release: tc.release}}
-		if _, err := Graham(2, items); err == nil || !strings.Contains(err.Error(), "item 7") {
+		if _, err := GrahamContext(t.Context(), 2, items); err == nil || !strings.Contains(err.Error(), "item 7") {
 			t.Errorf("Graham, %s: error %v, want one naming item 7", tc.name, err)
 		}
 		if _, err := InsertionWithReservations(2, nil, items); err == nil || !strings.Contains(err.Error(), "item 7") {
@@ -149,7 +149,7 @@ func TestInsertionStrictOrderVsGrahamGreedy(t *testing.T) {
 		{TaskID: 1, NProcs: 2, Duration: 2},
 		{TaskID: 2, NProcs: 1, Duration: 9},
 	}
-	g, err := Graham(2, items)
+	g, err := GrahamContext(t.Context(), 2, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestPropertyGrahamProducesValidSchedules(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		m := 1 + r.Intn(16)
 		items := randomItems(r, m)
-		s, err := Graham(m, items)
+		s, err := GrahamContext(t.Context(), m, items)
 		if err != nil {
 			return false
 		}
@@ -235,7 +235,7 @@ func TestPropertyGrahamTwoApproxBound(t *testing.T) {
 		for i := range items {
 			items[i].Release = 0
 		}
-		s, err := Graham(m, items)
+		s, err := GrahamContext(t.Context(), m, items)
 		if err != nil {
 			return false
 		}

@@ -30,7 +30,7 @@ func anyFeasibleSchedule(t *testing.T, inst *moldable.Instance) *schedule.Schedu
 	for i := range inst.Tasks {
 		items[i] = listsched.Item{TaskID: inst.Tasks[i].ID, NProcs: 1, Duration: inst.Tasks[i].SeqTime()}
 	}
-	s, err := listsched.Graham(inst.M, items)
+	s, err := listsched.GrahamContext(t.Context(), inst.M, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestPropertyLowerBoundsBelowFeasibleSchedules(t *testing.T) {
 		for i := range inst.Tasks {
 			items[i] = listsched.Item{TaskID: inst.Tasks[i].ID, NProcs: 1, Duration: inst.Tasks[i].SeqTime()}
 		}
-		s, err := listsched.Graham(inst.M, items)
+		s, err := listsched.GrahamContext(t.Context(), inst.M, items)
 		if err != nil {
 			return false
 		}
