@@ -245,7 +245,7 @@ func ScenarioLogObserver(l *slog.Logger) ScenarioObserver { return scenario.LogO
 
 // Task is a moldable job: a weight (priority) and one processing time per
 // possible processor allocation. See internal/moldable for the full method
-// set (Time, Work, MinAllocFitting, ...).
+// set (Time, Work, MinWorkFitting, ...).
 type Task = moldable.Task
 
 // Instance is a scheduling problem: m identical processors and a set of

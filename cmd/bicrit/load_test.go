@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -65,7 +67,7 @@ func TestLoadAgainstLiveServer(t *testing.T) {
 	}
 
 	// A generated stream, bulk posts, then drain through the generator.
-	serverB, tsB := newLoadTarget(t, 100_000, 16, 8)
+	_, tsB := newLoadTarget(t, 100_000, 16, 8)
 	generated := writeScenario(t, bicriteria.Scenario{
 		Seed:     5,
 		Clusters: []bicriteria.ScenarioCluster{{Machines: 16}, {Machines: 8}},
@@ -84,8 +86,19 @@ func TestLoadAgainstLiveServer(t *testing.T) {
 	if !strings.Contains(got, "drained 24 jobs") {
 		t.Fatalf("drain summary missing or wrong: %s", got)
 	}
-	if !serverB.Drained() {
-		t.Fatal("server not drained after -drain replay")
+	resp, err := http.Get(tsB.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health struct {
+		Status string `json:"status"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Status != "drained" {
+		t.Fatalf("/healthz status %q after -drain replay, want drained", health.Status)
 	}
 }
 

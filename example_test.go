@@ -78,11 +78,9 @@ func ExampleGenerateWorkload() {
 	}
 	fmt.Println("tasks:", inst.N())
 	fmt.Println("processors:", inst.M)
-	fmt.Println("monotonic:", inst.IsMonotonic())
 	// Output:
 	// tasks: 10
 	// processors: 16
-	// monotonic: true
 }
 
 // ExampleRunClusterContext runs the on-line batch framework of section 2.2

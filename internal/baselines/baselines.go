@@ -54,6 +54,13 @@ func GangContext(ctx context.Context, tab *moldable.Table) (*schedule.Schedule, 
 		// Decreasing weight / execution time.
 		return ta.Weight*entries[b].dur > tb.Weight*entries[a].dur
 	})
+	// Every task runs on a prefix [0, procs) of the machine, so the
+	// assignments share one processor list, each capacity-clipped to its
+	// own length.
+	all := make([]int, inst.M)
+	for p := range all {
+		all[p] = p
+	}
 	sched := schedule.New(inst.M)
 	now := 0.0
 	for _, e := range entries {
@@ -65,7 +72,7 @@ func GangContext(ctx context.Context, tab *moldable.Table) (*schedule.Schedule, 
 			TaskID:   t.ID,
 			Start:    now,
 			NProcs:   e.procs,
-			Procs:    procRange(0, e.procs),
+			Procs:    all[:e.procs:e.procs],
 			Duration: e.dur,
 		})
 		now += e.dur
@@ -197,12 +204,4 @@ func taskWeights(inst *moldable.Instance) map[int]float64 {
 		w[inst.Tasks[i].ID] = inst.Tasks[i].Weight
 	}
 	return w
-}
-
-func procRange(from, count int) []int {
-	out := make([]int, count)
-	for i := range out {
-		out[i] = from + i
-	}
-	return out
 }

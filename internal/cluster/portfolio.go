@@ -246,8 +246,8 @@ type Racing struct {
 	Seed int64
 }
 
-// Enabled reports whether racing is active: a cutoff factor above 1.
-func (r Racing) Enabled() bool { return r.Cutoff > 1 }
+// enabled reports whether racing is active: a cutoff factor above 1.
+func (r Racing) enabled() bool { return r.Cutoff > 1 }
 
 // Validate checks the racing configuration.
 func (r Racing) Validate() error {
@@ -436,7 +436,7 @@ type Candidate struct {
 // racing off, and degenerate bounds never qualify: without a positive
 // bound there is nothing to be provably close to.
 func (r Racing) qualifies(obj Objective, c *Candidate, lb batchBounds) bool {
-	if !r.Enabled() || c.Err != nil || math.IsNaN(c.Score) {
+	if !r.enabled() || c.Err != nil || math.IsNaN(c.Score) {
 		return false
 	}
 	switch obj.Kind {
@@ -487,7 +487,7 @@ func runPortfolio(ctx context.Context, f *batchFacts, algos []Algorithm, obj Obj
 	inst := f.inst
 	cands := make([]Candidate, len(algos))
 	scheds := make([]*schedule.Schedule, len(algos))
-	racing := race.Enabled() && len(algos) > 0
+	racing := race.enabled() && len(algos) > 0
 
 	lb := batchBounds{}
 	if obj.Kind == ObjectiveCombined || (racing && obj.Kind == ObjectiveMakespan) {

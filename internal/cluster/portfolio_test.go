@@ -87,7 +87,7 @@ func TestPortfolioMatchesReference(t *testing.T) {
 							name := fmt.Sprintf("%v/m=%d/n=%d/seed=%d/%v/%s", kind, m, n, seed, obj.Kind, mode.name)
 							var state *raceState
 							order := identityOrder(len(algos))
-							if mode.race.Enabled() {
+							if mode.race.enabled() {
 								if states[obj.Kind] == nil {
 									states[obj.Kind] = newRaceState(len(algos), mode.race)
 								}
@@ -99,7 +99,7 @@ func TestPortfolioMatchesReference(t *testing.T) {
 								t.Fatalf("%s: %v", name, err)
 							}
 							checkAgainstReference(t, name, inst, algos, refs, obj, mode.race, lb, order, cands, scheds, win)
-							if mode.race.Enabled() {
+							if mode.race.enabled() {
 								if cands[order[len(order)-1]].Cancelled {
 									cutShort++
 								} else {

@@ -85,7 +85,7 @@ func (e *Engine) NewSession(ctx context.Context) *Session {
 		acc:     newMetricsAccumulator(e.cfg.M),
 		report:  &Report{Schedule: schedule.New(e.cfg.M), Blocked: e.blocked},
 	}
-	if e.cfg.Racing.Enabled() {
+	if e.cfg.Racing.enabled() {
 		s.race = newRaceState(len(e.cfg.Portfolio), e.cfg.Racing)
 		if s.metrics != nil {
 			// Touch the racing counters so scrapers see them at zero from

@@ -125,8 +125,9 @@ func TestRacedInvalidPlanDoesNotCut(t *testing.T) {
 
 // TestPortfolioBatchAllocs pins the allocations of one DefaultPortfolio
 // batch: a 14-job mixed instance on 64 processors under the combined
-// objective. Checking every candidate's plan or reallocating the
-// two-shelf knapsack's tables per solve each push the count past the pin.
+// objective. Checking every candidate's plan, reallocating the two-shelf
+// knapsack's tables per solve, or a processor list per gang task each
+// push the count past the pin.
 func TestPortfolioBatchAllocs(t *testing.T) {
 	inst, err := workload.Generate(workload.Config{Kind: workload.Mixed, M: 64, N: 14, Seed: 2})
 	if err != nil {
@@ -140,7 +141,7 @@ func TestPortfolioBatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const pinned = 402
+	const pinned = 389
 	if allocs > pinned {
 		t.Fatalf("one portfolio batch allocates %v times, want at most %d", allocs, pinned)
 	}

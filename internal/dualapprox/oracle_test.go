@@ -189,10 +189,21 @@ func referenceLowerBound(inst *moldable.Instance) float64 {
 	return hi
 }
 
+// minAllocFitting is the oracle's own scan for the smallest allocation
+// whose processing time fits within d (within moldable.Eps).
+func minAllocFitting(t *moldable.Task, d float64) (int, bool) {
+	for k := 1; k <= t.MaxProcs(); k++ {
+		if t.Time(k) <= d+moldable.Eps {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
 func referenceAllotment(inst *moldable.Instance, deadline float64) []int {
 	allot := make([]int, len(inst.Tasks))
 	for i := range inst.Tasks {
-		if k, ok := inst.Tasks[i].MinAllocFitting(deadline); ok {
+		if k, ok := minAllocFitting(&inst.Tasks[i], deadline); ok {
 			allot[i] = k
 		} else {
 			_, k := inst.Tasks[i].MinTime()
@@ -271,11 +282,11 @@ func referenceBuild(inst *moldable.Instance, lambda float64) *schedule.Schedule 
 			smallSeq = append(smallSeq, i)
 			continue
 		}
-		c1, ok := task.MinAllocFitting(lambda)
+		c1, ok := minAllocFitting(task, lambda)
 		if !ok {
 			return nil
 		}
-		c2, ok2 := task.MinAllocFitting(lambda / 2)
+		c2, ok2 := minAllocFitting(task, lambda/2)
 		if !ok2 {
 			c2 = 0
 		}

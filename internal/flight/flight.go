@@ -5,13 +5,15 @@
 // planned → started → killed/resubmitted → done — answering *why* every
 // scheduling decision fell the way it did.
 //
-// The recorder inherits the repo's crown-jewel guarantee: events are kept
-// under a total order (time, then job, then a fixed kind rank, then the
-// remaining fields), so the rendered timeline of a concurrent replay is
-// byte-identical to a sequential one. Timelines synthesize the
-// resubmitted/lost stage deterministically: a kill followed by a later
-// batch containing the job is a resubmission, a kill never followed by
-// one is the job's loss.
+// A recorder is filled from a finished report, never from a replay in
+// progress: by the scenario runner after its run, and by the serve layer
+// from its trusted session's committed report. Events are kept under a
+// total order (time, then job, then a fixed kind rank, then the remaining
+// fields), so a rendered timeline does not depend on the order they were
+// recorded in, and a concurrent replay renders byte-identically to a
+// sequential one. Timelines synthesize the resubmitted/lost stage
+// deterministically: a kill followed by a later batch containing the job
+// is a resubmission, a kill never followed by one is the job's loss.
 package flight
 
 import (
@@ -185,9 +187,8 @@ func compareFloat(a, b float64) int {
 }
 
 // Recorder accumulates flight events. It is safe for concurrent use: the
-// shard goroutines of a concurrent grid replay may record into one
-// recorder, and the total-order sort in Events/Timeline restores the
-// deterministic order.
+// serve layer's timeline reads share one recorder under a read lock, and
+// the first Timeline builds the per-job index they all use.
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
@@ -310,16 +311,8 @@ func (r *Recorder) Jobs() []int {
 // by a later batched event is a resubmission at the kill instant, the
 // last kill of a job that never re-batches is its loss. Returns nil for
 // a job the recorder never saw.
-func (r *Recorder) Timeline(job int) []Event { return r.TimelineWith(job, nil) }
-
-// TimelineWith is Timeline over the events of r and tail together (a nil
-// tail adds none): the serve layer records the final events of its
-// trusted replay once and the provisional tail of each refresh apart.
-func (r *Recorder) TimelineWith(job int, tail *Recorder) []Event {
-	evs := r.appendJob(nil, job)
-	if tail != nil {
-		evs = tail.appendJob(evs, job)
-	}
+func (r *Recorder) Timeline(job int) []Event {
+	evs := r.jobEvents(job)
 	if evs == nil {
 		return nil
 	}
@@ -346,8 +339,8 @@ func (r *Recorder) TimelineWith(job int, tail *Recorder) []Event {
 	return out
 }
 
-// appendJob appends the job's events, in recording order, to evs.
-func (r *Recorder) appendJob(evs []Event, job int) []Event {
+// jobEvents returns a copy of the job's events, in recording order.
+func (r *Recorder) jobEvents(job int) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.byJob == nil {
@@ -356,6 +349,7 @@ func (r *Recorder) appendJob(evs []Event, job int) []Event {
 			r.byJob[r.events[i].Job] = append(r.byJob[r.events[i].Job], i)
 		}
 	}
+	var evs []Event
 	for _, i := range r.byJob[job] {
 		evs = append(evs, r.events[i])
 	}

@@ -189,3 +189,86 @@ func TestSessionNeverFeedsADrainedJob(t *testing.T) {
 		t.Fatal("the session finishes unlike the offline replay")
 	}
 }
+
+// TestForkAddsNothingBeforeTheCut pins the prefix property the live
+// service's timelines rest on: on a faulted, racing stream fed whole and
+// advanced to each cut t, a finished fork extends the session's committed
+// report, and nothing it adds (routing decision, batch, placement, kill)
+// is dated before t − moldable.Eps.
+func TestForkAddsNothingBeforeTheCut(t *testing.T) {
+	sizes := []int{8, 16, 12, 32}
+	specs := make([]ClusterSpec, len(sizes))
+	for i, m := range sizes {
+		specs[i] = ClusterSpec{M: m, Racing: cluster.Racing{Cutoff: 2, Bandit: true, Seed: 9}}
+	}
+	plan, err := faults.Generate(faults.Config{
+		Seed: 9, Horizon: 60, Clusters: sizes,
+		MTBF: 10, RepairMean: 3, ShardMTBF: 6, ShardRepairMean: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(Config{Clusters: specs, Routing: LeastBacklog(), AdmitBacklog: 3, Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := stream(t, 80, 9)
+	s := f.NewSession(t.Context())
+	if err := s.Feed(jobs...); err != nil {
+		t.Fatal(err)
+	}
+	added := map[string]int{}
+	for _, cut := range randomCuts(rand.New(rand.NewSource(9)), jobs, 6) {
+		if err := s.AdvanceTo(cut); err != nil {
+			t.Fatal(err)
+		}
+		committed := s.Committed()
+		fork, err := s.Fork().Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		early := func(what string, id int, at float64) {
+			t.Helper()
+			added[what]++
+			if at < cut-moldable.Eps {
+				t.Fatalf("cut %g: the fork adds a %s of job %d at %g", cut, what, id, at)
+			}
+		}
+		n := len(committed.Decisions)
+		if !hasPrefix(fork.Decisions, committed.Decisions) {
+			t.Fatalf("cut %g: the fork's decisions do not extend the committed ones", cut)
+		}
+		for _, d := range fork.Decisions[n:] {
+			early("decision", d.JobID, d.Release)
+		}
+		for c, crep := range fork.Clusters {
+			done := committed.Clusters[c]
+			nb, na := len(done.Batches), len(done.Schedule.Assignments)
+			if !hasPrefix(crep.Batches, done.Batches) || !hasPrefix(crep.Schedule.Assignments, done.Schedule.Assignments) {
+				t.Fatalf("cut %g: shard %d's fork does not extend its committed report", cut, c)
+			}
+			for _, b := range crep.Batches[nb:] {
+				early("batch", b.Jobs[0], b.FireTime)
+				for _, p := range b.Placements {
+					early("placement", p.TaskID, p.Start)
+				}
+				for _, k := range b.KillEvents {
+					early("kill", k.TaskID, k.Time)
+				}
+			}
+			for _, a := range crep.Schedule.Assignments[na:] {
+				early("assignment", a.TaskID, a.Start)
+			}
+		}
+	}
+	for _, what := range []string{"decision", "batch", "placement", "kill", "assignment"} {
+		if added[what] == 0 {
+			t.Errorf("no fork added a %s; the check is vacuous", what)
+		}
+	}
+}
+
+// hasPrefix reports whether long starts with the elements of short.
+func hasPrefix[T any](long, short []T) bool {
+	return len(long) >= len(short) && (len(short) == 0 || reflect.DeepEqual(long[:len(short)], short))
+}

@@ -75,13 +75,3 @@ func (in *Instance) Clone() *Instance {
 	}
 	return cp
 }
-
-// IsMonotonic reports whether every task of the instance is monotonic.
-func (in *Instance) IsMonotonic() bool {
-	for i := range in.Tasks {
-		if !in.Tasks[i].isMonotonic() {
-			return false
-		}
-	}
-	return true
-}

@@ -121,11 +121,11 @@ func walkTimes(times []float64) (minTime, minWork float64, badTime int, searchab
 	return minTime, minWork, badTime, searchable
 }
 
-// MinAlloc is Task.MinAllocFitting(d) of task i.
+// MinAlloc is Task.minAllocFitting(d) of task i.
 func (tb *Table) MinAlloc(i int, d float64) (int, bool) {
 	t := &tb.Inst.Tasks[i]
 	if !tb.searchable[i] {
-		return t.MinAllocFitting(d)
+		return t.minAllocFitting(d)
 	}
 	limit := d + Eps
 	lo, hi := 0, len(t.Times)

@@ -10,7 +10,7 @@ import (
 // TestTableMatchesTaskScan checks NewTable against the task-level scans it
 // replaces: its error against Instance.Validate's, its aggregates against
 // sums of Task.MinTime and Task.MinWork in instance order, bit for bit, and
-// MinAlloc and MinWork against Task.MinAllocFitting and
+// MinAlloc and MinWork against Task.minAllocFitting and
 // Task.MinWorkFitting on deadlines at, around and between every task's
 // processing times. The draws include non-monotone vectors, flat runs,
 // sub-Eps steps, single entries, NaN, ±Inf, zero and negative times,
@@ -88,7 +88,7 @@ func checkTable(t *testing.T, inst *Instance) *Table {
 			deadlines = append(deadlines, p, p-Eps, p-2*Eps, p+Eps/2, p-Eps/2, p*(1+1e-3), p*(1-1e-3))
 		}
 		for _, d := range deadlines {
-			wantK, wantOK := task.MinAllocFitting(d)
+			wantK, wantOK := task.minAllocFitting(d)
 			if k, ok := tab.MinAlloc(i, d); k != wantK || ok != wantOK {
 				t.Fatalf("task %v (searchable %v), d=%v: MinAlloc = %d,%v, scan %d,%v", task.Times, tab.searchable[i], d, k, ok, wantK, wantOK)
 			}

@@ -82,13 +82,13 @@ func (t *Task) MinWork() (float64, int) {
 	return best, bestK
 }
 
-// MinAllocFitting returns the smallest number of processors k such that the
+// minAllocFitting returns the smallest number of processors k such that the
 // task completes within the deadline d, i.e. p(k) <= d (within Eps). The
 // boolean is false when no allocation fits.
 //
 // For monotonic tasks the smallest fitting allocation is also the one with
 // the least work among fitting allocations.
-func (t *Task) MinAllocFitting(d float64) (int, bool) {
+func (t *Task) minAllocFitting(d float64) (int, bool) {
 	for k := 1; k <= len(t.Times); k++ {
 		if t.Times[k-1] <= d+Eps {
 			return k, true
@@ -100,7 +100,7 @@ func (t *Task) MinAllocFitting(d float64) (int, bool) {
 // MinWorkFitting returns, among the allocations whose processing time fits
 // within the deadline d, the one of minimal work. It returns the allocation,
 // the corresponding work, and false when no allocation fits. Unlike
-// MinAllocFitting it does not assume monotony.
+// minAllocFitting it does not assume monotony.
 func (t *Task) MinWorkFitting(d float64) (k int, work float64, ok bool) {
 	work = math.Inf(1)
 	for c := 1; c <= len(t.Times); c++ {
@@ -113,21 +113,6 @@ func (t *Task) MinWorkFitting(d float64) (k int, work float64, ok bool) {
 		}
 	}
 	return k, work, ok
-}
-
-// isMonotonic reports whether the task follows the usual moldable-task
-// monotony assumptions: processing times are non-increasing and work is
-// non-decreasing with the number of processors.
-func (t *Task) isMonotonic() bool {
-	for k := 2; k <= len(t.Times); k++ {
-		if t.Times[k-1] > t.Times[k-2]+Eps {
-			return false
-		}
-		if t.Work(k) < t.Work(k-1)-Eps {
-			return false
-		}
-	}
-	return true
 }
 
 // Validate checks the structural sanity of the task: a non-empty time

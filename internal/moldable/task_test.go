@@ -66,9 +66,9 @@ func TestMinAllocFitting(t *testing.T) {
 		{3.9, 0, false},
 	}
 	for _, c := range cases {
-		k, ok := task.MinAllocFitting(c.d)
+		k, ok := task.minAllocFitting(c.d)
 		if ok != c.fits || k != c.k {
-			t.Errorf("MinAllocFitting(%g) = (%d,%v), want (%d,%v)", c.d, k, ok, c.k, c.fits)
+			t.Errorf("minAllocFitting(%g) = (%d,%v), want (%d,%v)", c.d, k, ok, c.k, c.fits)
 		}
 	}
 }
@@ -154,8 +154,8 @@ func TestRigidAndSequentialHelpers(t *testing.T) {
 	if got, _ := r.MinTime(); got != 3 {
 		t.Fatalf("rigid MinTime = %g, want 3", got)
 	}
-	if k, ok := r.MinAllocFitting(3); !ok || k != 4 {
-		t.Fatalf("rigid MinAllocFitting(3) = (%d,%v), want (4,true)", k, ok)
+	if k, ok := r.minAllocFitting(3); !ok || k != 4 {
+		t.Fatalf("rigid minAllocFitting(3) = (%d,%v), want (4,true)", k, ok)
 	}
 	s := Sequential(8, 1, 2.5)
 	if s.MaxProcs() != 1 || s.SeqTime() != 2.5 {
@@ -196,8 +196,10 @@ func TestInstanceBasics(t *testing.T) {
 	if inst.Task(1) == nil || inst.Task(99) != nil {
 		t.Fatalf("Task lookup broken")
 	}
-	if !inst.IsMonotonic() {
-		t.Fatalf("instance should be monotonic")
+	for i := range inst.Tasks {
+		if !inst.Tasks[i].isMonotonic() {
+			t.Fatalf("task %d should be monotonic", i)
+		}
 	}
 }
 
@@ -259,7 +261,7 @@ func TestPropertyMinAllocFittingIsMinimal(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		task := randomMonotonicTask(r, 0, 2+r.Intn(15))
 		d := 0.5 + float64(dseed)/16.0
-		k, ok := task.MinAllocFitting(d)
+		k, ok := task.minAllocFitting(d)
 		if !ok {
 			// No allocation fits: every processing time must exceed d.
 			for c := 1; c <= task.MaxProcs(); c++ {
@@ -289,7 +291,7 @@ func TestPropertyMinWorkFittingNeverWorseThanMinAlloc(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		task := randomMonotonicTask(r, 0, 2+r.Intn(15))
 		d := 0.5 + float64(dseed)/16.0
-		ka, oka := task.MinAllocFitting(d)
+		ka, oka := task.minAllocFitting(d)
 		kw, w, okw := task.MinWorkFitting(d)
 		if oka != okw {
 			return false
@@ -305,4 +307,19 @@ func TestPropertyMinWorkFittingNeverWorseThanMinAlloc(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// isMonotonic reports whether the task follows the usual moldable-task
+// monotony assumptions: processing times are non-increasing and work is
+// non-decreasing with the number of processors.
+func (t *Task) isMonotonic() bool {
+	for k := 2; k <= len(t.Times); k++ {
+		if t.Times[k-1] > t.Times[k-2]+Eps {
+			return false
+		}
+		if t.Work(k) < t.Work(k-1)-Eps {
+			return false
+		}
+	}
+	return true
 }

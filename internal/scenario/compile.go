@@ -201,7 +201,7 @@ func ServeConfig(s Scenario) (serve.Config, error) {
 	}
 	// The service ingests live submissions: a replayed stream would fight
 	// the front door for job IDs.
-	if !s.Arrivals.Generated() {
+	if !s.Arrivals.generated() {
 		return serve.Config{}, validate.Errorf("arrivals", "a service scenario cannot replay a file or trace; submissions arrive over HTTP")
 	}
 	plan, err := buildFaults(s, nil)
@@ -392,7 +392,7 @@ func buildJobs(s Scenario) ([]cluster.Job, error) {
 		if err != nil {
 			return nil, validate.Errorf("arrivals.trace", "%v", err)
 		}
-		tasks := trace.ToTasks(records, s.MaxMachines(), nil)
+		tasks := trace.ToTasks(records, s.maxMachines(), nil)
 		releases := trace.Releases(records)
 		jobs := make([]cluster.Job, len(tasks))
 		for i, t := range tasks {
@@ -421,7 +421,7 @@ func buildJobs(s Scenario) ([]cluster.Job, error) {
 		arrivals, err := workload.GenerateArrivals(workload.ArrivalConfig{
 			Workload: workload.Config{
 				Kind: kind,
-				M:    s.MaxMachines(),
+				M:    s.maxMachines(),
 				N:    s.Workload.Jobs,
 				Seed: s.workloadSeed(),
 			},
@@ -444,7 +444,7 @@ func buildJobs(s Scenario) ([]cluster.Job, error) {
 // estimated from the stream (faultPlan); ServeConfig passes nil jobs and
 // therefore requires an explicit horizon.
 func buildFaults(s Scenario, jobs []cluster.Job) (*faults.Plan, error) {
-	if !s.Faults.Active() {
+	if !s.Faults.active() {
 		return nil, nil
 	}
 	cfg := faults.Config{

@@ -16,7 +16,7 @@ import (
 // go test -run '^$' -fuzz '^FuzzReadScenario$' -fuzztime 10s ./internal/scenario
 func FuzzReadScenario(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ReadScenario(bytes.NewReader(data))
+		s, err := readScenario(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -27,7 +27,7 @@ func FuzzReadScenario(f *testing.F) {
 		if err := WriteScenario(&buf, s); err != nil {
 			t.Fatalf("writing an accepted scenario: %v", err)
 		}
-		back, err := ReadScenario(bytes.NewReader(buf.Bytes()))
+		back, err := readScenario(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("reading a written scenario: %v\n%s", err, buf.Bytes())
 		}

@@ -21,11 +21,11 @@ func WriteScenario(w io.Writer, s Scenario) error {
 	return enc.Encode(s)
 }
 
-// ReadScenario parses a scenario previously written by WriteScenario and
+// readScenario parses a scenario previously written by WriteScenario and
 // validates it eagerly. Like the arrivals format, the version is checked
 // — and unknown fields are rejected outright, so a typoed knob fails
 // loudly instead of silently running the default.
-func ReadScenario(r io.Reader) (Scenario, error) {
+func readScenario(r io.Reader) (Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Scenario
@@ -69,5 +69,5 @@ func LoadScenario(path string) (Scenario, error) {
 		return Scenario{}, err
 	}
 	defer f.Close()
-	return ReadScenario(f)
+	return readScenario(f)
 }

@@ -36,7 +36,7 @@ func TestScenarioRoundTrip(t *testing.T) {
 	if err := WriteScenario(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadScenario(&buf)
+	got, err := readScenario(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestSaveLoadScenario(t *testing.T) {
 
 // TestReadRejectsUnknownVersion pins the version check.
 func TestReadRejectsUnknownVersion(t *testing.T) {
-	_, err := ReadScenario(strings.NewReader(`{
+	_, err := readScenario(strings.NewReader(`{
 		"version": 2,
 		"topology": "single",
 		"clusters": [{"machines": 8}],
@@ -74,7 +74,7 @@ func TestReadRejectsUnknownVersion(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version accepted (err: %v)", err)
 	}
-	if _, err := ReadScenario(strings.NewReader(`{
+	if _, err := readScenario(strings.NewReader(`{
 		"topology": "single",
 		"clusters": [{"machines": 8}],
 		"workload": {"jobs": 1},
@@ -92,7 +92,7 @@ func TestReadRejectsUnknownFields(t *testing.T) {
 		`{"version": 1, "topology": "grid", "clusters": [{"machines": 8, "reserved": 2}], "workload": {"jobs": 1}, "arrivals": {"rate": 1}}`,
 		`{"version": 1, "topology": "grid", "clusters": [{"machines": 8}], "workload": {"jobs": 1}, "arrivals": {"rate": 1, "ratee": 2}}`,
 	} {
-		if _, err := ReadScenario(strings.NewReader(doc)); err == nil {
+		if _, err := readScenario(strings.NewReader(doc)); err == nil {
 			t.Fatalf("unknown field accepted in %s", doc)
 		}
 	}

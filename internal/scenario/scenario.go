@@ -118,7 +118,7 @@ type Arrivals struct {
 	RuntimeTail string `json:"runtime_tail,omitempty"`
 	// RuntimeTailShape tunes the runtime law like InterarrivalShape.
 	RuntimeTailShape float64 `json:"runtime_tail_shape,omitempty"`
-	// File replays a saved arrival stream (workload.WriteArrivals JSON)
+	// File replays a saved arrival stream (workload.SaveArrivals JSON)
 	// instead of generating one. Mutually exclusive with Trace.
 	File string `json:"file,omitempty"`
 	// Trace replays an SWF trace fragment, reconstructing moldable tasks
@@ -126,9 +126,9 @@ type Arrivals struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// Generated reports whether the arrival stream is generated (as opposed
+// generated reports whether the arrival stream is generated (as opposed
 // to replayed from File or Trace).
-func (a Arrivals) Generated() bool { return a.File == "" && a.Trace == "" }
+func (a Arrivals) generated() bool { return a.File == "" && a.Trace == "" }
 
 // Batch selects the per-cluster batching policy.
 type Batch struct {
@@ -198,8 +198,8 @@ type Faults struct {
 	MaxRetries int `json:"max_retries,omitempty"`
 }
 
-// Active reports whether the section generates any fault events.
-func (f *Faults) Active() bool {
+// active reports whether the section generates any fault events.
+func (f *Faults) active() bool {
 	return f != nil && (f.MTBF > 0 || f.CorrelatedMTBF > 0 || f.ShardMTBF > 0)
 }
 
@@ -523,9 +523,9 @@ func (s Scenario) Sizes() []int {
 	return sizes
 }
 
-// MaxMachines returns the largest cluster size: the machine size the
+// maxMachines returns the largest cluster size: the machine size the
 // workload generator targets, so wide jobs can exploit the biggest shard.
-func (s Scenario) MaxMachines() int {
+func (s Scenario) maxMachines() int {
 	max := 0
 	for _, c := range s.Clusters {
 		if c.Machines > max {
@@ -615,7 +615,7 @@ func (s Scenario) validateStream() error {
 	if _, err := parseWorkloadKind(s.Workload.Kind); err != nil {
 		return validate.Errorf("workload.kind", "%v", err)
 	}
-	if s.Arrivals.Generated() {
+	if s.Arrivals.generated() {
 		if s.Workload.Jobs < 1 {
 			return validate.Errorf("workload.jobs", "a generated stream needs at least one job, got %d", s.Workload.Jobs)
 		}

@@ -134,8 +134,8 @@ func (idx taskIndex) find(id int) int {
 	return idx[j].pos
 }
 
-// TotalWork returns the sum over assignments of NProcs * Duration.
-func (s *Schedule) TotalWork() float64 {
+// totalWork returns the sum over assignments of NProcs * Duration.
+func (s *Schedule) totalWork() float64 {
 	total := 0.0
 	for i := range s.Assignments {
 		a := &s.Assignments[i]
@@ -151,12 +151,12 @@ func (s *Schedule) Utilization() float64 {
 	if cmax <= 0 || s.M == 0 {
 		return 0
 	}
-	return s.TotalWork() / (cmax * float64(s.M))
+	return s.totalWork() / (cmax * float64(s.M))
 }
 
 // IdleTime returns the total processor idle time before the makespan.
 func (s *Schedule) IdleTime() float64 {
-	return s.Makespan()*float64(s.M) - s.TotalWork()
+	return s.Makespan()*float64(s.M) - s.totalWork()
 }
 
 // Clone returns a deep copy of the schedule.
@@ -376,7 +376,7 @@ func (s *Schedule) ComputeMetrics(inst *moldable.Instance) Metrics {
 		Makespan:           s.Makespan(),
 		WeightedCompletion: s.WeightedCompletion(inst),
 		SumCompletion:      s.SumCompletion(),
-		TotalWork:          s.TotalWork(),
+		TotalWork:          s.totalWork(),
 		Utilization:        s.Utilization(),
 		IdleTime:           s.IdleTime(),
 	}

@@ -40,8 +40,8 @@ func TestMetrics(t *testing.T) {
 	if got := s.SumCompletion(); got != 16 {
 		t.Fatalf("SumCompletion = %g, want 16", got)
 	}
-	if got := s.TotalWork(); got != 2*5+4+4*2 {
-		t.Fatalf("TotalWork = %g, want 22", got)
+	if got := s.totalWork(); got != 2*5+4+4*2 {
+		t.Fatalf("totalWork = %g, want 22", got)
 	}
 	wantUtil := 22.0 / (7 * 4)
 	if math.Abs(s.Utilization()-wantUtil) > 1e-9 {

@@ -120,7 +120,7 @@ func TestEndToEndServiceMatchesOfflineReplay(t *testing.T) {
 					chunk = append(chunk, spec)
 					continue
 				}
-				var resp SubmitResponse
+				var resp submitResponse
 				code, _ := postJSON(t, client, ts.URL+"/jobs", spec, &resp)
 				if code != http.StatusAccepted || len(resp.Accepted) != 1 {
 					t.Errorf("single submit of job %d: code %d, resp %+v", task.ID, code, resp)
@@ -131,7 +131,7 @@ func TestEndToEndServiceMatchesOfflineReplay(t *testing.T) {
 				mu.Unlock()
 			}
 			if len(chunk) > 0 {
-				var resp SubmitResponse
+				var resp submitResponse
 				code, _ := postJSON(t, client, ts.URL+"/jobs", map[string]any{"jobs": chunk}, &resp)
 				if code != http.StatusAccepted || len(resp.Accepted) != len(chunk) {
 					t.Errorf("bulk submit of %d jobs: code %d, resp %+v", len(chunk), code, resp)
@@ -154,7 +154,7 @@ func TestEndToEndServiceMatchesOfflineReplay(t *testing.T) {
 	}
 
 	// Live observability answers while the server runs.
-	var health HealthResponse
+	var health healthResponse
 	if code := getJSON(t, client, ts.URL+"/healthz", &health); code != http.StatusOK {
 		t.Fatalf("healthz returned %d", code)
 	}
@@ -212,7 +212,7 @@ func TestEndToEndServiceMatchesOfflineReplay(t *testing.T) {
 
 	// After the drain: /metrics shows a drained service whose histograms
 	// cover every completed job, and the front door answers 503.
-	var met MetricsResponse
+	var met metricsResponse
 	if code := getJSON(t, client, ts.URL+"/metrics", &met); code != http.StatusOK {
 		t.Fatalf("metrics returned %d", code)
 	}
@@ -226,7 +226,7 @@ func TestEndToEndServiceMatchesOfflineReplay(t *testing.T) {
 		t.Fatalf("histograms cover %d / %d jobs, want %d each",
 			met.StretchHistogram.Count, met.WaitHistogram.Count, len(inst.Tasks))
 	}
-	var resp SubmitResponse
+	var resp submitResponse
 	code, _ := postJSON(t, client, ts.URL+"/jobs", JobSpec{ID: 424242, Times: []float64{1}}, &resp)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("submit after drain returned %d, want 503", code)
@@ -250,7 +250,7 @@ func TestHTTPRateLimitReturns429(t *testing.T) {
 	defer ts.Close()
 	client := ts.Client()
 
-	var resp SubmitResponse
+	var resp submitResponse
 	code, _ := postJSON(t, client, ts.URL+"/jobs", JobSpec{ID: 1, Times: []float64{5}}, &resp)
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit returned %d", code)
@@ -301,7 +301,7 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 
 	// A duplicate against the registry is a conflict, not a bad request.
-	var resp SubmitResponse
+	var resp submitResponse
 	if code, _ := postJSON(t, client, ts.URL+"/jobs", JobSpec{ID: 9, Times: []float64{5}}, &resp); code != http.StatusAccepted {
 		t.Fatalf("setup submit returned %d", code)
 	}

@@ -79,7 +79,7 @@ func TestServeMetricsFaultsBlock(t *testing.T) {
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	s.Handler().ServeHTTP(rec, req)
-	var resp MetricsResponse
+	var resp metricsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestServeFaultFreeMetricsOmitFaultsBlock(t *testing.T) {
 	if strings.Contains(rec.Body.String(), `"faults"`) {
 		t.Fatal("fault-free /metrics body mentions faults")
 	}
-	var resp MetricsResponse
+	var resp metricsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

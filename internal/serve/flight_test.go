@@ -49,7 +49,7 @@ func TestTimelineEndpointContract(t *testing.T) {
 
 	// Admitted but never replayed: the timeline reports the submission
 	// itself and nothing more — the not-yet-batched contract.
-	var provisional TimelineResponse
+	var provisional timelineResponse
 	getStatusJSON(t, ts, "/jobs/1/timeline", http.StatusOK, &provisional)
 	if provisional.Final {
 		t.Error("timeline final before any drain")
@@ -64,7 +64,7 @@ func TestTimelineEndpointContract(t *testing.T) {
 	clock.advance(time.Second) // 100 virtual units: the job is long done
 	s.refresh()
 
-	var refreshed TimelineResponse
+	var refreshed timelineResponse
 	getStatusJSON(t, ts, "/jobs/1/timeline", http.StatusOK, &refreshed)
 	if refreshed.Final {
 		t.Error("timeline final after a refresh (only drain finalizes)")
@@ -76,7 +76,7 @@ func TestTimelineEndpointContract(t *testing.T) {
 	if _, err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	var final TimelineResponse
+	var final timelineResponse
 	getStatusJSON(t, ts, "/jobs/1/timeline", http.StatusOK, &final)
 	if !final.Final {
 		t.Error("timeline not final after drain")
@@ -118,7 +118,7 @@ func TestAlertsEndpoint(t *testing.T) {
 	defer noSLO.Drain()
 	ts0 := httptest.NewServer(noSLO.Handler())
 	defer ts0.Close()
-	var disabled AlertsResponse
+	var disabled alertsResponse
 	getStatusJSON(t, ts0, "/alerts", http.StatusOK, &disabled)
 	if disabled.Enabled || len(disabled.Firing) != 0 || len(disabled.Resolved) != 0 {
 		t.Fatalf("no-SLO /alerts = %+v, want enabled=false with empty lists", disabled)
@@ -139,7 +139,7 @@ func TestAlertsEndpoint(t *testing.T) {
 	clock.advance(time.Second) // 1000 virtual units
 	s.refresh()
 
-	var alerts AlertsResponse
+	var alerts alertsResponse
 	getStatusJSON(t, ts, "/alerts", http.StatusOK, &alerts)
 	if !alerts.Enabled {
 		t.Fatal("SLO-configured server reports enabled=false")

@@ -35,9 +35,9 @@ func (js JobSpec) task() moldable.Task {
 	return moldable.Task{ID: js.ID, Name: js.Name, Weight: w, Times: js.Times}
 }
 
-// SubmitResponse is the body of POST /jobs: the jobs admitted (with their
+// submitResponse is the body of POST /jobs: the jobs admitted (with their
 // virtual release stamps) and, when the request stopped early, why.
-type SubmitResponse struct {
+type submitResponse struct {
 	Accepted []Accepted `json:"accepted"`
 	// Error explains the first refusal, which halts a bulk submission;
 	// jobs listed in Accepted were admitted before it.
@@ -46,8 +46,8 @@ type SubmitResponse struct {
 	RetryAfterSeconds float64 `json:"retry_after_seconds,omitempty"`
 }
 
-// MetricsResponse is the body of GET /metrics.
-type MetricsResponse struct {
+// metricsResponse is the body of GET /metrics.
+type metricsResponse struct {
 	// VirtualNow is the pacer's current simulated time, Speedup its
 	// virtual-seconds-per-wall-second factor and UptimeSeconds the
 	// wall-clock age of the process.
@@ -73,11 +73,11 @@ type MetricsResponse struct {
 	// under a fault plan: the plan's size and the recovery counters of the
 	// latest replay. Absent on a fault-free service, keeping its /metrics
 	// body byte-identical to one without the subsystem.
-	Faults *FaultsStatus `json:"faults,omitempty"`
+	Faults *faultsStatus `json:"faults,omitempty"`
 }
 
-// FaultsStatus is the fault block of GET /metrics.
-type FaultsStatus struct {
+// faultsStatus is the fault block of GET /metrics.
+type faultsStatus struct {
 	// PlanNodeOutages and PlanShardOutages count the windows of the
 	// injected plan.
 	PlanNodeOutages  int `json:"plan_node_outages"`
@@ -91,8 +91,8 @@ type FaultsStatus struct {
 	Migrated    int `json:"migrated"`
 }
 
-// HealthResponse is the body of GET /healthz.
-type HealthResponse struct {
+// healthResponse is the body of GET /healthz.
+type healthResponse struct {
 	// Status is "ok", "draining" or "drained".
 	Status     string  `json:"status"`
 	VirtualNow float64 `json:"virtual_now"`
@@ -232,16 +232,16 @@ func decodeSpecs(body []byte) ([]JobSpec, error) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, submitResponse{Error: err.Error()})
 		return
 	}
 	specs, err := decodeSpecs(body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, submitResponse{Error: err.Error()})
 		return
 	}
 	if len(specs) == 0 {
-		writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: "no jobs in request"})
+		writeJSON(w, http.StatusBadRequest, submitResponse{Error: "no jobs in request"})
 		return
 	}
 	// Validate everything up front so a bulk request is never admitted
@@ -250,17 +250,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	for i, spec := range specs {
 		task := spec.task()
 		if err := task.Validate(); err != nil {
-			writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: fmt.Sprintf("job %d of request: %v", i, err)})
+			writeJSON(w, http.StatusBadRequest, submitResponse{Error: fmt.Sprintf("job %d of request: %v", i, err)})
 			return
 		}
 		if seen[spec.ID] {
-			writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: fmt.Sprintf("duplicate job ID %d in request", spec.ID)})
+			writeJSON(w, http.StatusBadRequest, submitResponse{Error: fmt.Sprintf("duplicate job ID %d in request", spec.ID)})
 			return
 		}
 		seen[spec.ID] = true
 	}
 
-	resp := SubmitResponse{Accepted: make([]Accepted, 0, len(specs))}
+	resp := submitResponse{Accepted: make([]Accepted, 0, len(specs))}
 	for _, spec := range specs {
 		acc, err := s.Submit(spec.task())
 		if err == nil {
@@ -311,13 +311,13 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, status)
 }
 
-// TimelineResponse is the body of GET /jobs/{id}/timeline: the job's
+// timelineResponse is the body of GET /jobs/{id}/timeline: the job's
 // flight-recorder events in total order, trusted up to the virtual time of
 // the last replay. Final is true after a drain (the timeline can no longer
 // change); while false, TrustedTo carries the prefix boundary. A job that
 // has been admitted but not yet reached by a trusted replay shows its
 // submitted event only.
-type TimelineResponse struct {
+type timelineResponse struct {
 	Job       int            `json:"job"`
 	Final     bool           `json:"final"`
 	TrustedTo *float64       `json:"trusted_to,omitempty"`
@@ -335,13 +335,13 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown job %d", id)})
 		return
 	}
-	// The recorders and their boundary are read as one: a refresh appends
-	// to the trusted recorder under the same lock.
+	// The recorder, its boundary and the fork's batched jobs are read as
+	// one: a refresh writes all three under the same lock.
 	s.liveMu.RLock()
-	at := s.flightAt
-	timeline := s.flightRec.TimelineWith(id, s.flightTail)
+	at, rebatched := s.flightAt, s.rebatched[id]
+	timeline := s.flightRec.Timeline(id)
 	s.liveMu.RUnlock()
-	resp := TimelineResponse{Job: id, Events: []flight.Event{}}
+	resp := timelineResponse{Job: id, Events: []flight.Event{}}
 	if math.IsInf(at, 1) {
 		resp.Final = true
 	} else if !math.IsInf(at, -1) {
@@ -352,6 +352,10 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		// The registry's prefix rule: an event at the margin of the capture
 		// time could still change and stays provisional.
 		if resp.Final || ev.Time < at-eps {
+			if ev.Kind == flight.KindLost && rebatched {
+				// The job's next batch is one only the fork has fired.
+				ev.Kind = flight.KindResubmitted
+			}
 			resp.Events = append(resp.Events, ev)
 		}
 	}
@@ -366,10 +370,10 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// AlertsResponse is the body of GET /alerts. Enabled reports whether an
+// alertsResponse is the body of GET /alerts. Enabled reports whether an
 // SLO spec is configured; with none, both alert lists are empty. Jobs and
 // Misses summarize the deadline axis of the last evaluation.
-type AlertsResponse struct {
+type alertsResponse struct {
 	Enabled  bool        `json:"enabled"`
 	Jobs     int         `json:"jobs"`
 	Misses   int         `json:"misses"`
@@ -379,7 +383,7 @@ type AlertsResponse struct {
 }
 
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	resp := AlertsResponse{
+	resp := alertsResponse{
 		Enabled:  s.cfg.SLO != nil,
 		Firing:   []slo.Alert{},
 		Resolved: []slo.Alert{},
@@ -404,7 +408,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	stretchHist, waitHist := s.doneHistograms()
-	resp := MetricsResponse{
+	resp := metricsResponse{
 		VirtualNow:       s.Now(),
 		Speedup:          s.cfg.Speedup,
 		UptimeSeconds:    s.pacer.wall().Sub(s.started).Seconds(),
@@ -419,7 +423,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp.GridVirtualTime = s.liveAt
 	s.liveMu.RUnlock()
 	if plan := s.cfg.Grid.Faults; !plan.Empty() {
-		fs := &FaultsStatus{PlanNodeOutages: len(plan.Nodes), PlanShardOutages: len(plan.Shards)}
+		fs := &faultsStatus{PlanNodeOutages: len(plan.Nodes), PlanShardOutages: len(plan.Shards)}
 		if resp.Grid != nil {
 			fs.Killed = resp.Grid.Killed
 			fs.Resubmitted = resp.Grid.Resubmitted
@@ -434,10 +438,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // state derives the health-status word.
 func (s *Server) state() string {
-	if s.Drained() {
+	s.liveMu.RLock()
+	drained := s.final != nil
+	s.liveMu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case drained:
 		return "drained"
-	}
-	if s.Draining() {
+	case s.draining:
 		return "draining"
 	}
 	return "ok"
@@ -445,7 +454,7 @@ func (s *Server) state() string {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	now := s.pacer.wall()
-	resp := HealthResponse{
+	resp := healthResponse{
 		Status:        s.state(),
 		VirtualNow:    s.Now(),
 		Jobs:          s.Jobs(),

@@ -84,15 +84,15 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.obs.WritePrometheus(w)
 }
 
-// VersionResponse is the body of GET /version.
-type VersionResponse struct {
+// versionResponse is the body of GET /version.
+type versionResponse struct {
 	Version string `json:"version"`
 	Go      string `json:"go"`
 }
 
 // handleVersion serves GET /version.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, VersionResponse{Version: buildinfo.Version, Go: buildinfo.GoVersion()})
+	writeJSON(w, http.StatusOK, versionResponse{Version: buildinfo.Version, Go: buildinfo.GoVersion()})
 }
 
 // DebugHandler returns the net/http/pprof endpoints on their standard

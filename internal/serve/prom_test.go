@@ -149,7 +149,7 @@ func TestVersionEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /version = %d, want 200", rec.Code)
 	}
-	var v VersionResponse
+	var v versionResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +165,13 @@ func TestVersionEndpoint(t *testing.T) {
 // uptime tracks the fake clock, and the snapshot age appears only when
 // snapshotting is configured.
 func TestHealthzUptimeAndSnapshotAge(t *testing.T) {
-	health := func(s *Server) HealthResponse {
+	health := func(s *Server) healthResponse {
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("GET /healthz = %d, want 200", rec.Code)
 		}
-		var h HealthResponse
+		var h healthResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 			t.Fatal(err)
 		}

@@ -28,8 +28,10 @@
 //     decisions and batches — plus the placements and kills of earlier
 //     batches the clock has now passed — into the registry, and appends
 //     their events to the flight recorder; a fork of the session, run to
-//     completion, yields the provisional tail: the /metrics grid block and
-//     the timelines' not-yet-final events.
+//     completion, yields the provisional rest: the /metrics grid block
+//     and whether a killed job is batched again. Every event the fork
+//     adds falls at or after the virtual now, so the timelines serve the
+//     flight recorder's events alone.
 //   - Periodic JSON snapshots checkpoint the accepted stream and the
 //     virtual clock; a restarted server restores them and resumes where
 //     the old process stopped.
@@ -224,15 +226,17 @@ type Server struct {
 	refreshErr  error
 	snapshotErr error
 	// flightRec holds the flight events of everything sess has
-	// committed, flightTail the provisional events of the latest refresh's
-	// fork; flightAt is the virtual time the prefix is trusted up to (-Inf
-	// before the first refresh, +Inf after the drain). GET
-	// /jobs/{id}/timeline serves the events of both before flightAt's
-	// margin. flightRec is written under liveMu too, so a timeline never
-	// sees an event its boundary does not cover yet.
-	flightRec  *flight.Recorder
-	flightTail *flight.Recorder
-	flightAt   float64
+	// committed; flightAt is the virtual time the prefix is trusted up to
+	// (-Inf before the first refresh, +Inf after the drain). GET
+	// /jobs/{id}/timeline serves its events before flightAt's margin.
+	// rebatched holds the jobs the latest refresh's fork batches beyond
+	// the committed report (nil after the drain): a served kill of one of
+	// them is a resubmission, not a loss. flightRec is written under
+	// liveMu too, so a timeline never sees an event its boundary does not
+	// cover yet.
+	flightRec *flight.Recorder
+	flightAt  float64
+	rebatched map[int]bool
 	// sloSum is the latest SLO evaluation (nil while no SLO is configured
 	// or no refresh has run); GET /alerts serves it.
 	sloSum *slo.Summary
@@ -449,13 +453,6 @@ func (s *Server) CountersSnapshot() Counters {
 // GET /metrics.prom, shared with the federation's timing histograms.
 func (s *Server) Metrics() *obs.Registry { return s.obs }
 
-// Draining reports whether admissions are closed.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // refreshLoop periodically refreshes the live job states.
 func (s *Server) refreshLoop(every time.Duration) {
 	defer s.loopWG.Done()
@@ -480,8 +477,8 @@ func (s *Server) refreshLoop(every time.Duration) {
 // the prefix argument of grid.Session, since every later submission is
 // released at or after vnow — then folds what the session committed into
 // the registry and the flight recorder. A fork of the session, finished,
-// supplies the provisional rest: the /metrics grid block and the
-// timelines' tail. States beyond vnow (a scheduled start in the future)
+// supplies the provisional rest: the /metrics grid block and the jobs it
+// batches again. States beyond vnow (a scheduled start in the future)
 // are provisional and never downgraded.
 func (s *Server) refresh() error {
 	start := time.Now()
@@ -559,14 +556,14 @@ func newFolded(shards int) folded {
 // report and prov nil, and everything is a fact.
 func (s *Server) publish(tr, prov *grid.Report, vnow float64) {
 	live, at := tr.Metrics, math.Inf(1)
-	var tail *flight.Recorder
+	var rebatched map[int]bool
 	if prov != nil {
-		live, at, tail = prov.Metrics, vnow, tailRecorder(tr, prov)
+		live, at, rebatched = prov.Metrics, vnow, forkBatched(tr, prov)
 	}
 	s.liveMu.Lock()
 	s.fold(tr, prov, vnow)
 	s.liveAt, s.trustedTo = vnow, at
-	s.flightTail, s.flightAt = tail, at
+	s.flightAt, s.rebatched = at, rebatched
 	s.live = &live
 	s.liveMu.Unlock()
 	if s.cfg.SLO != nil {
@@ -670,19 +667,20 @@ func (s *Server) mark(p placement, vnow float64, final bool) bool {
 	return false
 }
 
-// tailRecorder records the provisional events of a fork's report: its
-// decisions and batches beyond the trusted session's committed report.
-func tailRecorder(tr, prov *grid.Report) *flight.Recorder {
-	rec := flight.NewRecorder()
-	for _, d := range prov.Decisions[len(tr.Decisions):] {
-		rec.RecordDecision(d)
-	}
+// forkBatched returns the jobs of the batches a fork fired beyond the
+// trusted session's committed report. Those batches fall at or after the
+// fork's start, past the timelines' margin, so none of their events is
+// served; they only tell a trusted kill's resubmission from a loss.
+func forkBatched(tr, prov *grid.Report) map[int]bool {
+	ids := map[int]bool{}
 	for c, crep := range prov.Clusters {
 		for _, b := range crep.Batches[len(tr.Clusters[c].Batches):] {
-			rec.OnBatch(c, b)
+			for _, id := range b.Jobs {
+				ids[id] = true
+			}
 		}
 	}
-	return rec
+	return ids
 }
 
 // stopLoops stops the refresher and the snapshot writer, waiting for an
@@ -741,11 +739,4 @@ func (s *Server) Drain() (*FinalReport, error) {
 		s.logger.Info("drain complete", "jobs", jobs, "virtual_now", vnow)
 	})
 	return s.final, s.drainErr
-}
-
-// Drained reports whether the service has finished draining.
-func (s *Server) Drained() bool {
-	s.liveMu.RLock()
-	defer s.liveMu.RUnlock()
-	return s.final != nil
 }

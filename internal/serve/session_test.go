@@ -79,7 +79,7 @@ func referenceApply(reg *registry, rep *grid.Report, vnow float64, final bool) {
 // full-replay refresher served: the flight recorder rebuilt from the
 // replay report (rec), cut at the capture time's margin.
 func referenceTimeline(rec *flight.Recorder, at float64, id int, release float64) []byte {
-	resp := TimelineResponse{Job: id, Events: []flight.Event{}}
+	resp := timelineResponse{Job: id, Events: []flight.Event{}}
 	if math.IsInf(at, 1) {
 		resp.Final = true
 	} else {

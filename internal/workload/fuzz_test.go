@@ -8,7 +8,7 @@ import (
 
 // FuzzReadArrivals holds the arrival-stream reader to its contract: every
 // input yields an error or a stream, never a panic, and an accepted stream
-// round-trips — writing it with WriteArrivals and reading that back gives
+// round-trips — writing it with writeArrivals and reading that back gives
 // a deep-equal stream and machine size. The seed corpus in
 // testdata/fuzz/FuzzReadArrivals holds a generated stream, an empty one,
 // a newer version, a truncated file, a negative and an out-of-order
@@ -16,15 +16,15 @@ import (
 // go test -run '^$' -fuzz '^FuzzReadArrivals$' -fuzztime 10s ./internal/workload
 func FuzzReadArrivals(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		arrivals, m, err := ReadArrivals(bytes.NewReader(data))
+		arrivals, m, err := readArrivals(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteArrivals(&buf, m, arrivals); err != nil {
+		if err := writeArrivals(&buf, m, arrivals); err != nil {
 			t.Fatalf("writing an accepted stream: %v", err)
 		}
-		back, backM, err := ReadArrivals(bytes.NewReader(buf.Bytes()))
+		back, backM, err := readArrivals(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("reading a written stream: %v\n%s", err, buf.Bytes())
 		}

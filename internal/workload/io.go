@@ -39,9 +39,9 @@ func WriteInstance(w io.Writer, inst *moldable.Instance) error {
 	return enc.Encode(ff)
 }
 
-// ReadInstance parses an instance previously written by WriteInstance and
+// readInstance parses an instance previously written by WriteInstance and
 // validates it.
-func ReadInstance(r io.Reader) (*moldable.Instance, error) {
+func readInstance(r io.Reader) (*moldable.Instance, error) {
 	var ff fileFormat
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&ff); err != nil {
@@ -82,9 +82,9 @@ type fileArrival struct {
 
 const arrivalsVersion = 1
 
-// WriteArrivals serializes an arrival stream as JSON. M records the
+// writeArrivals serializes an arrival stream as JSON. M records the
 // machine size the stream was generated for.
-func WriteArrivals(w io.Writer, m int, arrivals []Arrival) error {
+func writeArrivals(w io.Writer, m int, arrivals []Arrival) error {
 	ff := arrivalsFormat{Version: arrivalsVersion, M: m, Arrivals: make([]fileArrival, len(arrivals))}
 	for i, a := range arrivals {
 		t := a.Task
@@ -98,11 +98,11 @@ func WriteArrivals(w io.Writer, m int, arrivals []Arrival) error {
 	return enc.Encode(ff)
 }
 
-// ReadArrivals parses a stream previously written by WriteArrivals and
+// readArrivals parses a stream previously written by writeArrivals and
 // validates it: every task must be well-formed and the submission times
 // non-negative and non-decreasing. It returns the stream and the recorded
 // machine size.
-func ReadArrivals(r io.Reader) ([]Arrival, int, error) {
+func readArrivals(r io.Reader) ([]Arrival, int, error) {
 	var ff arrivalsFormat
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&ff); err != nil {
@@ -137,7 +137,7 @@ func SaveArrivals(path string, m int, arrivals []Arrival) error {
 		return err
 	}
 	defer f.Close()
-	if err := WriteArrivals(f, m, arrivals); err != nil {
+	if err := writeArrivals(f, m, arrivals); err != nil {
 		return err
 	}
 	return f.Close()
@@ -150,7 +150,7 @@ func LoadArrivals(path string) ([]Arrival, int, error) {
 		return nil, 0, err
 	}
 	defer f.Close()
-	return ReadArrivals(f)
+	return readArrivals(f)
 }
 
 // SaveInstance writes an instance to a file path.
@@ -173,5 +173,5 @@ func LoadInstance(path string) (*moldable.Instance, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadInstance(f)
+	return readInstance(f)
 }

@@ -59,7 +59,7 @@ func TestGenerateAllKinds(t *testing.T) {
 		if inst.N() != 50 || inst.M != 32 {
 			t.Fatalf("%v: wrong shape %d tasks / %d procs", kind, inst.N(), inst.M)
 		}
-		if !inst.IsMonotonic() {
+		if !monotonic(inst.Tasks) {
 			t.Fatalf("%v: generated tasks must be monotonic", kind)
 		}
 		for i := range inst.Tasks {
@@ -214,7 +214,7 @@ func TestPropertyGeneratedTasksMonotonicAndPositive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !inst.IsMonotonic() {
+		if !monotonic(inst.Tasks) {
 			return false
 		}
 		for i := range inst.Tasks {
@@ -241,7 +241,7 @@ func TestInstanceJSONRoundTrip(t *testing.T) {
 	if err := WriteInstance(&buf, inst); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadInstance(&buf)
+	back, err := readInstance(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,13 +264,13 @@ func TestInstanceJSONRoundTrip(t *testing.T) {
 }
 
 func TestReadInstanceRejectsGarbage(t *testing.T) {
-	if _, err := ReadInstance(bytes.NewBufferString("not json")); err == nil {
+	if _, err := readInstance(bytes.NewBufferString("not json")); err == nil {
 		t.Fatalf("garbage must fail")
 	}
-	if _, err := ReadInstance(bytes.NewBufferString(`{"version":99,"processors":2,"tasks":[]}`)); err == nil {
+	if _, err := readInstance(bytes.NewBufferString(`{"version":99,"processors":2,"tasks":[]}`)); err == nil {
 		t.Fatalf("wrong version must fail")
 	}
-	if _, err := ReadInstance(bytes.NewBufferString(`{"version":1,"processors":2,"tasks":[]}`)); err == nil {
+	if _, err := readInstance(bytes.NewBufferString(`{"version":1,"processors":2,"tasks":[]}`)); err == nil {
 		t.Fatalf("empty instance must fail validation")
 	}
 }
@@ -403,7 +403,7 @@ func TestRuntimeTailScalesTasksAndPreservesValidity(t *testing.T) {
 			if err := tailed[i].Task.Validate(); err != nil {
 				t.Fatalf("%v: scaled task invalid: %v", dist, err)
 			}
-			if one := (moldable.Instance{Tasks: []moldable.Task{tailed[i].Task}}); !one.IsMonotonic() {
+			if !monotonic([]moldable.Task{tailed[i].Task}) {
 				t.Fatalf("%v: scaling broke monotony of task %d", dist, i)
 			}
 			// Submission instants are untouched by runtime scaling.
@@ -486,8 +486,23 @@ func TestReadArrivalsRejectsBadStreams(t *testing.T) {
 		"invalid task":    `{"version": 1, "arrivals": [{"submit": 0, "id": 1, "weight": 1, "times": []}]}`,
 	}
 	for name, body := range cases {
-		if _, _, err := ReadArrivals(strings.NewReader(body)); err == nil {
+		if _, _, err := readArrivals(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
+}
+
+// monotonic reports whether every task's processing time is
+// non-increasing and its work non-decreasing in the allocation, within
+// moldable.Eps: the monotony the paper's workloads assume.
+func monotonic(tasks []moldable.Task) bool {
+	for i := range tasks {
+		t := &tasks[i]
+		for k := 2; k <= t.MaxProcs(); k++ {
+			if t.Time(k) > t.Time(k-1)+moldable.Eps || t.Work(k) < t.Work(k-1)-moldable.Eps {
+				return false
+			}
+		}
+	}
+	return true
 }
