@@ -73,9 +73,9 @@ type (
 
 // ValidationError is the unified configuration error of the library: it
 // names the exact field path that is wrong ("clusters[2].machines",
-// "arrivals.rate"). Compile, NewServeServer, RunClusterContext and
-// RunGridContext raise it eagerly, so bad configs fail before any
-// goroutine spawns, with the same error shape at every layer.
+// "arrivals.rate"). Compile, NewServeServer and RunGridContext raise it
+// eagerly, so bad configs fail before any goroutine spawns, with the same
+// error shape at every layer.
 type ValidationError = scenario.ValidationError
 
 // Option constructors for NewScenario, re-exported from internal/scenario;
@@ -407,17 +407,8 @@ func RunExperiment(ctx context.Context, cfg ExperimentConfig) (*ExperimentResult
 // OnlineJob is a moldable task with a release date.
 type OnlineJob = cluster.Job
 
-// ClusterConfig drives the event-driven cluster engine (machine size,
-// algorithm portfolio, objective, batching policy, reservations,
-// perturbation).
-type ClusterConfig = cluster.Config
-
-// ClusterReport is the outcome of a cluster run (realized schedule, batch
-// reports, aggregate metrics).
-type ClusterReport = cluster.Report
-
 // ClusterBatchReport describes one committed batch, including its kills
-// and the running utilization, streamed to Config.OnBatch.
+// and the running utilization, streamed to GridConfig.OnBatch.
 type ClusterBatchReport = cluster.BatchReport
 
 // ClusterAlgorithm is one member of the scheduling portfolio.
@@ -435,22 +426,6 @@ const (
 	ClusterObjectiveWeightedCompletion = cluster.ObjectiveWeightedCompletion
 	ClusterObjectiveCombined           = cluster.ObjectiveCombined
 )
-
-// RunClusterContext builds an engine and replays the job stream through
-// it. The context is checked between batches, so cancelling it aborts the
-// replay promptly (errors.Is(err, ctx.Err()) holds on the returned error).
-//
-// With Config{M: m, Portfolio: []ClusterAlgorithm{ClusterDEMTAlgorithm(opts)},
-// Policy: BatchOnIdle()} and no Perturb, this is the on-line batch
-// framework of section 2.2 of the paper: jobs released while a batch runs
-// wait for the next batch, and each batch is scheduled off-line by DEMT.
-func RunClusterContext(ctx context.Context, cfg ClusterConfig, jobs []OnlineJob) (*ClusterReport, error) {
-	eng, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return eng.RunContext(ctx, jobs)
-}
 
 // ClusterPortfolio returns the paper's full comparison as a portfolio:
 // DEMT (with the given options, nil for the paper's defaults) plus every

@@ -126,14 +126,15 @@ func TestFacadeOnline(t *testing.T) {
 		{Task: NewPerfectlyMoldableTask(1, 2, 8, 4), Release: 1},
 		{Task: NewSequentialTask(2, 3, 1), Release: 5},
 	}
-	res, err := RunClusterContext(context.Background(), ClusterConfig{
+	rep, err := RunGridContext(context.Background(), GridConfig{Clusters: []GridClusterSpec{{
 		M:         4,
 		Portfolio: []ClusterAlgorithm{ClusterDEMTAlgorithm(nil)},
 		Policy:    BatchOnIdle(),
-	}, jobs)
+	}}}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rep.Clusters[0]
 	if len(res.Batches) < 2 {
 		t.Fatalf("expected at least 2 batches")
 	}

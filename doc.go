@@ -8,10 +8,11 @@
 // generators, an experiment harness reproducing the paper's figures, a
 // discrete-event cluster simulator and an event-driven cluster engine that
 // batches an arrival stream under pluggable policies and schedules every
-// batch with a concurrent algorithm portfolio. RunClusterContext with the
-// BatchOnIdle policy and DEMT as the only portfolio member is the paper's
-// on-line batch framework (section 2.2): jobs released while a batch runs
-// wait for the next batch, and each batch is scheduled off-line by DEMT.
+// batch with an algorithm portfolio whose members run one after the other.
+// RunGridContext on one shard, with the BatchOnIdle policy and DEMT as the
+// only portfolio member, is the paper's on-line batch framework (section
+// 2.2): jobs released while a batch runs wait for the next batch, and each
+// batch is scheduled off-line by DEMT.
 //
 // The portfolio can also race (the "racing" scenario block): members run
 // one at a time in launch order, and as soon as a candidate is provably

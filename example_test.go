@@ -83,24 +83,27 @@ func ExampleGenerateWorkload() {
 	// processors: 16
 }
 
-// ExampleRunClusterContext runs the on-line batch framework of section 2.2
-// of the paper (a batch-on-idle cluster engine whose only portfolio member
-// is DEMT) on two jobs whose second submission arrives while the first
-// batch is running.
-func ExampleRunClusterContext() {
+// ExampleRunGridContext runs the on-line batch framework of section 2.2 of
+// the paper (a one-shard grid whose batch-on-idle cluster has DEMT as its
+// only portfolio member) on two jobs whose second submission arrives while
+// the first batch is running.
+func ExampleRunGridContext() {
 	jobs := []bicriteria.OnlineJob{
 		{Task: bicriteria.NewSequentialTask(0, 1, 4), Release: 0},
 		{Task: bicriteria.NewSequentialTask(1, 1, 2), Release: 1},
 	}
-	res, err := bicriteria.RunClusterContext(context.Background(), bicriteria.ClusterConfig{
-		M:         2,
-		Portfolio: []bicriteria.ClusterAlgorithm{bicriteria.ClusterDEMTAlgorithm(nil)},
-		Policy:    bicriteria.BatchOnIdle(),
+	rep, err := bicriteria.RunGridContext(context.Background(), bicriteria.GridConfig{
+		Clusters: []bicriteria.GridClusterSpec{{
+			M:         2,
+			Portfolio: []bicriteria.ClusterAlgorithm{bicriteria.ClusterDEMTAlgorithm(nil)},
+			Policy:    bicriteria.BatchOnIdle(),
+		}},
 	}, jobs)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
+	res := rep.Clusters[0]
 	fmt.Println("batches:", len(res.Batches))
 	fmt.Printf("second batch starts at %.0f\n", res.Batches[1].FireTime)
 	fmt.Printf("makespan %.0f\n", res.Metrics.Makespan)

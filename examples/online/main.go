@@ -48,17 +48,21 @@ func main() {
 		jobs[i] = bicriteria.OnlineJob{Task: inst.Tasks[i], Release: release}
 	}
 
-	// A batch-on-idle cluster engine whose only portfolio member is DEMT,
-	// with exact execution, is the batch framework of section 2.2.
+	// A one-shard grid whose cluster fires a batch whenever it is idle,
+	// with DEMT as the only portfolio member and exact execution, is the
+	// batch framework of section 2.2.
 	ctx := context.Background()
-	res, err := bicriteria.RunClusterContext(ctx, bicriteria.ClusterConfig{
-		M:         processors,
-		Portfolio: []bicriteria.ClusterAlgorithm{bicriteria.ClusterDEMTAlgorithm(nil)},
-		Policy:    bicriteria.BatchOnIdle(),
+	rep, err := bicriteria.RunGridContext(ctx, bicriteria.GridConfig{
+		Clusters: []bicriteria.GridClusterSpec{{
+			M:         processors,
+			Portfolio: []bicriteria.ClusterAlgorithm{bicriteria.ClusterDEMTAlgorithm(nil)},
+			Policy:    bicriteria.BatchOnIdle(),
+		}},
 	}, jobs)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := rep.Clusters[0]
 
 	fmt.Printf("On-line batch scheduling of %d jobs on %d CPUs with DEMT per batch\n\n", jobCount, processors)
 	for _, b := range res.Batches {

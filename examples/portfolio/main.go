@@ -1,9 +1,9 @@
 // Portfolio scenario: a 64-processor cluster receives a bursty Poisson
-// stream of mixed moldable jobs. The example replays the stream through the
-// event-driven cluster engine three times — committing every batch to DEMT
-// alone, to the best list baseline alone, and to the winner of the full
-// portfolio — and shows how the portfolio tracks or beats the
-// best single algorithm on every metric. A maintenance reservation and
+// stream of mixed moldable jobs. The example replays the stream three times
+// on a one-shard grid — committing every batch to DEMT alone, to the best
+// list baseline alone, and to the winner of the full portfolio — and shows
+// how the portfolio tracks or beats the best single algorithm on every
+// metric. A maintenance reservation and
 // noisy runtimes make the replay realistic; reservations are validated
 // against the realized trace.
 //
@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := bicriteria.ClusterConfig{
+	base := bicriteria.GridClusterSpec{
 		M:            processors,
 		Objective:    bicriteria.ClusterObjective{Kind: bicriteria.ClusterObjectiveCombined, Alpha: 0.5},
 		Reservations: reservations,
@@ -69,15 +69,16 @@ func main() {
 
 	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "commit rule\tbatches\tmakespan\tsum wC\tmax flow\tmean stretch\tutilization")
-	var full *bicriteria.ClusterReport
+	var full *bicriteria.GridReport
 	for _, r := range runs {
-		cfg := base
-		cfg.Portfolio = r.portfolio
-		report, err := bicriteria.RunClusterContext(context.Background(), cfg, stream)
+		spec := base
+		spec.Portfolio = r.portfolio
+		report, err := bicriteria.RunGridContext(context.Background(),
+			bicriteria.GridConfig{Clusters: []bicriteria.GridClusterSpec{spec}}, stream)
 		if err != nil {
 			log.Fatalf("%s: %v", r.name, err)
 		}
-		met := report.Metrics
+		met := report.Clusters[0].Metrics
 		fmt.Fprintf(w, "%s\t%d\t%.2f\t%.0f\t%.2f\t%.2f\t%.0f%%\n",
 			r.name, met.Batches, met.Makespan, met.WeightedCompletion, met.MaxFlow, met.MeanStretch, 100*met.Utilization)
 		if r.name == "full portfolio" {
@@ -87,19 +88,20 @@ func main() {
 	w.Flush()
 
 	// The realized trace must never touch the reserved processors.
-	if err := bicriteria.ValidateReservations(full.Schedule, reservations, full.Blocked); err != nil {
+	shard := full.Clusters[0]
+	if err := bicriteria.ValidateReservations(shard.Schedule, reservations, shard.Blocked); err != nil {
 		log.Fatalf("reservation violated: %v", err)
 	}
 	fmt.Printf("\nmaintenance window respected by the realized trace (%d processors blocked)\n",
 		reservations[0].Procs)
 
-	names := make([]string, 0, len(full.Metrics.Wins))
-	for name := range full.Metrics.Wins {
+	names := make([]string, 0, len(shard.Metrics.Wins))
+	for name := range shard.Metrics.Wins {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	fmt.Println("full-portfolio winner counts:")
 	for _, name := range names {
-		fmt.Printf("  %-10s %d\n", name, full.Metrics.Wins[name])
+		fmt.Printf("  %-10s %d\n", name, shard.Metrics.Wins[name])
 	}
 }

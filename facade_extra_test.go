@@ -104,29 +104,31 @@ func facadeStream(t *testing.T, m, n int, seed int64) []OnlineJob {
 	return ArrivalJobs(arrivals)
 }
 
-// TestFacadeClusterConfigValidation exercises every rejection path of the
-// Cluster* wrappers through the public API.
+// TestFacadeClusterConfigValidation exercises every rejection path of a
+// shard's cluster configuration through the public API, on a one-shard
+// grid.
 func TestFacadeClusterConfigValidation(t *testing.T) {
 	demt := ClusterDEMTAlgorithm(nil)
 	cases := []struct {
 		name string
-		cfg  ClusterConfig
+		spec GridClusterSpec
 	}{
-		{"zero processors", ClusterConfig{M: 0}},
-		{"nameless algorithm", ClusterConfig{M: 8, Portfolio: []ClusterAlgorithm{{Run: demt.Run}}}},
-		{"algorithm without Run", ClusterConfig{M: 8, Portfolio: []ClusterAlgorithm{{Name: "x"}}}},
-		{"duplicate algorithm names", ClusterConfig{M: 8, Portfolio: []ClusterAlgorithm{demt, demt}}},
-		{"alpha above 1", ClusterConfig{M: 8, Objective: ClusterObjective{Kind: ClusterObjectiveCombined, Alpha: 2}}},
-		{"alpha below 0", ClusterConfig{M: 8, Objective: ClusterObjective{Kind: ClusterObjectiveCombined, Alpha: -0.1}}},
-		{"unknown objective", ClusterConfig{M: 8, Objective: ClusterObjective{Kind: 99}}},
-		{"reservation too wide", ClusterConfig{M: 8, Reservations: []Reservation{{Procs: 9, Start: 0, End: 5}}}},
-		{"reservation blocks machine", ClusterConfig{M: 8, Reservations: []Reservation{{Procs: 8, Start: 0, End: 5}}}},
-		{"reversed reservation window", ClusterConfig{M: 8, Reservations: []Reservation{{Procs: 2, Start: 5, End: 1}}}},
+		{"zero processors", GridClusterSpec{M: 0}},
+		{"nameless algorithm", GridClusterSpec{M: 8, Portfolio: []ClusterAlgorithm{{Run: demt.Run}}}},
+		{"algorithm without Run", GridClusterSpec{M: 8, Portfolio: []ClusterAlgorithm{{Name: "x"}}}},
+		{"duplicate algorithm names", GridClusterSpec{M: 8, Portfolio: []ClusterAlgorithm{demt, demt}}},
+		{"alpha above 1", GridClusterSpec{M: 8, Objective: ClusterObjective{Kind: ClusterObjectiveCombined, Alpha: 2}}},
+		{"alpha below 0", GridClusterSpec{M: 8, Objective: ClusterObjective{Kind: ClusterObjectiveCombined, Alpha: -0.1}}},
+		{"unknown objective", GridClusterSpec{M: 8, Objective: ClusterObjective{Kind: 99}}},
+		{"reservation too wide", GridClusterSpec{M: 8, Reservations: []Reservation{{Procs: 9, Start: 0, End: 5}}}},
+		{"reservation blocks machine", GridClusterSpec{M: 8, Reservations: []Reservation{{Procs: 8, Start: 0, End: 5}}}},
+		{"reversed reservation window", GridClusterSpec{M: 8, Reservations: []Reservation{{Procs: 2, Start: 5, End: 1}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := RunClusterContext(context.Background(), tc.cfg, nil); err == nil {
-				t.Fatalf("RunClusterContext accepted %s", tc.name)
+			cfg := GridConfig{Clusters: []GridClusterSpec{tc.spec}}
+			if _, err := RunGridContext(context.Background(), cfg, nil); err == nil {
+				t.Fatalf("RunGridContext accepted %s", tc.name)
 			}
 		})
 	}
@@ -140,9 +142,9 @@ func TestFacadeClusterConfigValidation(t *testing.T) {
 	}
 }
 
-// TestFacadeClusterDeterministicReplay drives the engine end-to-end through
-// the facade under every objective and batching policy, asserting that
-// repeated runs agree bit for bit. The facade builds only BatchOnIdle; the other two policies
+// TestFacadeClusterDeterministicReplay drives a one-shard grid end-to-end
+// through the facade under every objective and batching policy, asserting
+// that repeated runs agree bit for bit. The facade builds only BatchOnIdle; the other two policies
 // come from internal/cluster, as a scenario's batch section does.
 func TestFacadeClusterDeterministicReplay(t *testing.T) {
 	jobs := facadeStream(t, 24, 60, 21)
@@ -169,7 +171,7 @@ func TestFacadeClusterDeterministicReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := ClusterConfig{
+			base := GridClusterSpec{
 				M:            24,
 				Portfolio:    ClusterPortfolio(&DEMTOptions{Seed: 21}),
 				Objective:    tc.objective,
@@ -177,17 +179,19 @@ func TestFacadeClusterDeterministicReplay(t *testing.T) {
 				Reservations: []Reservation{{Name: "maint", Procs: 6, Start: 4, End: 14}},
 				Perturb:      noise,
 			}
-			par, err := RunClusterContext(context.Background(), base, jobs)
+			cfg := GridConfig{Clusters: []GridClusterSpec{base}}
+			rep, err := RunGridContext(context.Background(), cfg, jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, err := RunClusterContext(context.Background(), base, jobs)
+			again, err := RunGridContext(context.Background(), cfg, jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(par, again) {
+			if !reflect.DeepEqual(rep, again) {
 				t.Fatal("two facade replays differ")
 			}
+			par := rep.Clusters[0]
 			if par.Metrics.Jobs != len(jobs) {
 				t.Fatalf("replay completed %d of %d jobs", par.Metrics.Jobs, len(jobs))
 			}

@@ -103,7 +103,7 @@ func TestPortfolioReplayDeterministicParallelVsSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := eng.RunContext(t.Context(), jobs)
+		rep, err := replay(t.Context(), eng, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func checkBatchOnIdle(t *testing.T, m int, jobs []Job, alg Algorithm) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := eng.RunContext(context.Background(), jobs)
+	report, err := replay(context.Background(), eng, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestReservationsNeverViolatedDuringReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := eng.RunContext(t.Context(), jobs)
+	report, err := replay(t.Context(), eng, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestFixedIntervalFiresOnTicks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := eng.RunContext(t.Context(), jobs)
+	report, err := replay(t.Context(), eng, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,16 +431,16 @@ func TestEngineInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.RunContext(t.Context(), []Job{
+	if _, err := replay(t.Context(), eng, []Job{
 		{Task: moldable.Sequential(1, 1, 1), Release: 0},
 		{Task: moldable.Sequential(1, 1, 2), Release: 1},
 	}); err == nil {
 		t.Fatal("duplicate job IDs accepted")
 	}
-	if _, err := eng.RunContext(t.Context(), []Job{{Task: moldable.Sequential(1, 1, 1), Release: -1}}); err == nil {
+	if _, err := replay(t.Context(), eng, []Job{{Task: moldable.Sequential(1, 1, 1), Release: -1}}); err == nil {
 		t.Fatal("negative release accepted")
 	}
-	if _, err := eng.RunContext(t.Context(), []Job{{Task: moldable.Task{ID: 1, Weight: 1}, Release: 0}}); err == nil {
+	if _, err := replay(t.Context(), eng, []Job{{Task: moldable.Task{ID: 1, Weight: 1}, Release: 0}}); err == nil {
 		t.Fatal("task without processing times accepted")
 	}
 	failing, err := New(Config{M: 8, Portfolio: []Algorithm{{Name: "failing", Run: func(context.Context, *moldable.Instance) (*schedule.Schedule, error) {
@@ -449,10 +449,10 @@ func TestEngineInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := failing.RunContext(t.Context(), []Job{{Task: moldable.Sequential(1, 1, 1), Release: 0}}); err == nil {
+	if _, err := replay(t.Context(), failing, []Job{{Task: moldable.Sequential(1, 1, 1), Release: 0}}); err == nil {
 		t.Fatal("a portfolio whose only member fails produced a report")
 	}
-	report, err := eng.RunContext(t.Context(), nil)
+	report, err := replay(t.Context(), eng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestObjectiveSelectsWinner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		report, err := eng.RunContext(t.Context(), jobs)
+		report, err := replay(t.Context(), eng, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -499,7 +499,7 @@ func TestMetricsPercentilesAndBoundedSlowdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := eng.RunContext(t.Context(), jobs)
+	report, err := replay(t.Context(), eng, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +560,7 @@ func TestFaultsEveryKilledJobEventuallyRescheduled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.RunContext(t.Context(), jobs)
+	rep, err := replay(t.Context(), eng, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +614,7 @@ func TestFaultsZeroPlanBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repPlain, err := plain.RunContext(t.Context(), jobs)
+	repPlain, err := replay(t.Context(), plain, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +626,7 @@ func TestFaultsZeroPlanBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repEmpty, err := eng.RunContext(t.Context(), jobs)
+	repEmpty, err := replay(t.Context(), eng, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,7 +654,7 @@ func TestFaultsParallelVsSequentialBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := eng.RunContext(t.Context(), jobs)
+		rep, err := replay(t.Context(), eng, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -680,7 +680,7 @@ func TestFaultsCheckpointCreditsFinishedWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := eng.RunContext(t.Context(), job)
+		rep, err := replay(t.Context(), eng, job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -720,7 +720,7 @@ func TestFaultsMaxRetriesGivesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.RunContext(t.Context(), []Job{{Task: moldable.Task{ID: 9, Weight: 1, Times: []float64{10}}, Release: 0}})
+	rep, err := replay(t.Context(), eng, []Job{{Task: moldable.Task{ID: 9, Weight: 1, Times: []float64{10}}, Release: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

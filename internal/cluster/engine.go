@@ -27,7 +27,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -241,20 +240,6 @@ type jobInfo struct {
 	release float64
 	pmin    float64
 	weight  float64
-}
-
-// RunContext replays the job stream through the engine, checking the
-// context between batches: a cancellation aborts the replay before the
-// next batch fires and returns the context's error (wrapped, so
-// errors.Is(err, context.Canceled) holds). The partial report is
-// discarded — replays are cheap and deterministic, rerun to completion
-// instead. It is a Session fed the whole stream at once.
-func (e *Engine) RunContext(ctx context.Context, jobs []Job) (*Report, error) {
-	s := e.NewSession(ctx)
-	if err := s.Feed(jobs...); err != nil {
-		return nil, err
-	}
-	return s.Finish()
 }
 
 // runBatch schedules, places and executes one batch of the pending jobs

@@ -71,7 +71,7 @@ func TestCumulativeMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := JobsFromArrivals(arrivals)
-	full, err := eng.RunContext(t.Context(), jobs)
+	full, err := replay(t.Context(), eng, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

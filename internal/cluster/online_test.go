@@ -32,7 +32,11 @@ func scheduleOnline(m int, jobs []cluster.Job, alg cluster.Algorithm) (*cluster.
 	if err != nil {
 		return nil, err
 	}
-	return eng.RunContext(context.Background(), jobs)
+	s := eng.NewSession(context.Background())
+	if err := s.Feed(jobs...); err != nil {
+		return nil, err
+	}
+	return s.Finish()
 }
 
 func testJobs() []cluster.Job {

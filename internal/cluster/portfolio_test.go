@@ -233,7 +233,7 @@ func TestPortfolioRunsMembersInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := stream(t, 16, 12, 3, 4)
-	rep, err := eng.RunContext(t.Context(), jobs)
+	rep, err := replay(t.Context(), eng, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

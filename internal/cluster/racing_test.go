@@ -37,7 +37,7 @@ func TestRacingDeterministicParallelVsSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := eng.RunContext(t.Context(), jobs)
+		rep, err := replay(t.Context(), eng, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestRacingCutoffOneMatchesNonRacing(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rep, err := eng.RunContext(t.Context(), jobs)
+					rep, err := replay(t.Context(), eng, jobs)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -153,7 +153,7 @@ func TestRacingCancelsStragglers(t *testing.T) {
 	var rep *Report
 	go func() {
 		defer close(done)
-		rep, err = eng.RunContext(t.Context(), singleJob())
+		rep, err = replay(t.Context(), eng, singleJob())
 	}()
 	select {
 	case <-done:
@@ -179,7 +179,7 @@ func TestRacingCancelsStragglers(t *testing.T) {
 }
 
 // TestRunContextCancelMidBatch is the regression test for the
-// uncancellable-portfolio bug: RunContext used to check the context only
+// uncancellable-portfolio bug: a replay used to check the context only
 // between batches, so a cancellation during a batch still ran every
 // member to completion. Now a mid-batch cancel must return promptly with
 // the context's error.
@@ -203,7 +203,7 @@ func TestRunContextCancelMidBatch(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := eng.RunContext(ctx, singleJob())
+		_, err := replay(ctx, eng, singleJob())
 		done <- err
 	}()
 	select {

@@ -30,9 +30,9 @@ import (
 // Feed enforces the other half of the argument: a job released before the
 // session's boundary (the last AdvanceTo) is rejected.
 //
-// RunContext is NewSession, Feed of the whole stream, Finish. A session fed
-// a stream in pieces, with AdvanceTo calls between them, therefore finishes
-// with a report identical to RunContext's over the concatenated stream.
+// A full replay is NewSession, Feed of the whole stream, Finish. A session
+// fed a stream in pieces, with AdvanceTo calls between them, therefore
+// finishes with the report a full replay of the concatenated stream gives.
 //
 // A Session is not safe for concurrent use; Fork makes a copy to finish.
 type Session struct {

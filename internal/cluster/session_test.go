@@ -14,6 +14,16 @@ import (
 	"bicriteria/internal/reservation"
 )
 
+// replay is a full replay of the stream through the engine: a Session fed
+// the whole stream at once, then finished.
+func replay(ctx context.Context, e *Engine, jobs []Job) (*Report, error) {
+	s := e.NewSession(ctx)
+	if err := s.Feed(jobs...); err != nil {
+		return nil, err
+	}
+	return s.Finish()
+}
+
 // randomCuts draws k increasing cut times inside the stream's release span,
 // some of them exactly on a release date (the tie the prefix rule is
 // about).
@@ -49,8 +59,8 @@ func piecesBefore(rng *rand.Rand, jobs []Job, cuts []float64) [][]Job {
 // TestSessionOracle is the property the live service rests on: for random
 // streams and cut points, under every batch policy, with and without node
 // faults and racing, a session fed piece by piece and advanced to each cut
-// finishes with exactly RunContext's report of the whole stream — and a
-// fork taken at any cut finishes with exactly RunContext's report of the
+// finishes with exactly replay's report of the whole stream — and a
+// fork taken at any cut finishes with exactly replay's report of the
 // jobs fed so far, leaving the original untouched.
 func TestSessionOracle(t *testing.T) {
 	fixed, err := FixedInterval(7)
@@ -101,7 +111,7 @@ func checkPieces(t *testing.T, eng *Engine, jobs []Job, cuts []float64, rng *ran
 	t.Helper()
 	ctx := context.Background()
 	offline := func(jobs []Job) *Report {
-		rep, err := eng.RunContext(ctx, jobs)
+		rep, err := replay(ctx, eng, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +225,7 @@ func TestSessionStopsAtEveryUndecidedStep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := eng.RunContext(t.Context(), append(append([]Job(nil), tc.before...), tc.after...))
+			want, err := replay(t.Context(), eng, append(append([]Job(nil), tc.before...), tc.after...))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +283,7 @@ func TestSessionFeedContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.RunContext(t.Context(), jobs)
+	want, err := replay(t.Context(), eng, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

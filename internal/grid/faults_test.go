@@ -183,7 +183,11 @@ func TestOneShardGridKeepsJobsAcrossShardOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.RunContext(t.Context(), jobs)
+	session := eng.NewSession(t.Context())
+	if err := session.Feed(jobs...); err != nil {
+		t.Fatal(err)
+	}
+	want, err := session.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,8 @@ import (
 )
 
 // ClusterSpec configures one shard of the federation. The zero values of
-// the optional fields mean what they mean for a standalone cluster engine
-// (default portfolio, makespan objective, batch-on-idle policy, exact
-// runtimes).
+// the optional fields mean what they mean in cluster.Config (default
+// portfolio, makespan objective, batch-on-idle policy, exact runtimes).
 type ClusterSpec struct {
 	// M is the shard's processor count.
 	M int

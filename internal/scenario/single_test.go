@@ -138,7 +138,11 @@ func engineReport(t *testing.T, s Scenario) *cluster.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.RunContext(context.Background(), jobs)
+	session := eng.NewSession(context.Background())
+	if err := session.Feed(jobs...); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := session.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,11 @@ func TestEndToEndTraceDrivenScheduling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.RunContext(context.Background(), jobs)
+	session := eng.NewSession(context.Background())
+	if err := session.Feed(jobs...); err != nil {
+		t.Fatal(err)
+	}
+	res, err := session.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
