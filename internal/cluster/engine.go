@@ -193,10 +193,10 @@ func New(cfg Config) (*Engine, error) {
 		}
 		names[a.Name] = true
 	}
-	if err := cfg.Objective.Validate(); err != nil {
+	if err := cfg.Objective.validate(); err != nil {
 		return nil, validate.Prefix("objective", err)
 	}
-	if err := cfg.Racing.Validate(); err != nil {
+	if err := cfg.Racing.validate(); err != nil {
 		return nil, validate.Prefix("racing", err)
 	}
 	if cfg.Policy == nil {
@@ -207,7 +207,7 @@ func New(cfg Config) (*Engine, error) {
 			return nil, validate.Prefix(validate.Index("reservations", i), err)
 		}
 	}
-	if err := cfg.Replan.Validate(); err != nil {
+	if err := cfg.Replan.validate(); err != nil {
 		return nil, validate.Prefix("replan", err)
 	}
 	if cfg.MaxRetries < 0 {

@@ -70,8 +70,8 @@ type ReplanPolicy struct {
 	Credit float64
 }
 
-// Validate checks the policy.
-func (p ReplanPolicy) Validate() error {
+// validate checks the policy.
+func (p ReplanPolicy) validate() error {
 	switch p.Kind {
 	case ReplanRestart, ReplanCheckpoint:
 	default:

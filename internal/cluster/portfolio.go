@@ -210,8 +210,8 @@ type Objective struct {
 	Alpha float64
 }
 
-// Validate checks the objective.
-func (o Objective) Validate() error {
+// validate checks the objective.
+func (o Objective) validate() error {
 	switch o.Kind {
 	case ObjectiveMakespan, ObjectiveWeightedCompletion:
 		return nil
@@ -249,8 +249,8 @@ type Racing struct {
 // enabled reports whether racing is active: a cutoff factor above 1.
 func (r Racing) enabled() bool { return r.Cutoff > 1 }
 
-// Validate checks the racing configuration.
-func (r Racing) Validate() error {
+// validate checks the racing configuration.
+func (r Racing) validate() error {
 	if math.IsNaN(r.Cutoff) || math.IsInf(r.Cutoff, 0) || r.Cutoff < 0 {
 		return fmt.Errorf("cluster: racing cutoff must be a finite non-negative factor, got %g", r.Cutoff)
 	}

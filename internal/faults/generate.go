@@ -67,8 +67,8 @@ type Config struct {
 	ShardRepairMean float64
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
+// validate checks the configuration.
+func (c Config) validate() error {
 	if len(c.Clusters) == 0 {
 		return fmt.Errorf("faults: config lists no clusters")
 	}
@@ -108,7 +108,7 @@ func (c Config) Validate() error {
 // the plan is a pure function of the config: same config, same plan,
 // whatever the call order or the machine.
 func Generate(cfg Config) (*Plan, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	plan := &Plan{}

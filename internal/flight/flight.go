@@ -210,8 +210,8 @@ func (r *Recorder) Reset() {
 	r.byJob = nil
 }
 
-// Add records one event verbatim.
-func (r *Recorder) Add(ev Event) {
+// record records one event verbatim.
+func (r *Recorder) record(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.add(ev)
@@ -228,7 +228,7 @@ func (r *Recorder) add(ev Event) {
 // Submitted records a job's submission (its release date). Cluster -1:
 // no placement decision has been made yet.
 func (r *Recorder) Submitted(job int, release float64) {
-	r.Add(Event{Kind: KindSubmitted, Job: job, Time: release, Cluster: -1, Batch: -1})
+	r.record(Event{Kind: KindSubmitted, Job: job, Time: release, Cluster: -1, Batch: -1})
 }
 
 // OnDecision records one routing decision — a routed event, or a
@@ -243,7 +243,7 @@ func (r *Recorder) OnDecision(d grid.Decision) {
 	for i, v := range d.Verdicts {
 		verdicts[i] = Verdict{Cluster: v.Cluster, Backlog: v.Backlog, State: v.State}
 	}
-	r.Add(Event{Kind: kind, Job: d.JobID, Time: d.Release, Cluster: d.Cluster, Batch: -1, Backlog: d.Backlog, Verdicts: verdicts})
+	r.record(Event{Kind: kind, Job: d.JobID, Time: d.Release, Cluster: d.Cluster, Batch: -1, Backlog: d.Backlog, Verdicts: verdicts})
 }
 
 // OnBatch records one committed batch: a batched event per member job

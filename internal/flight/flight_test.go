@@ -41,7 +41,7 @@ func fixture() []Event {
 func record(events []Event) *Recorder {
 	r := NewRecorder()
 	for _, ev := range events {
-		r.Add(ev)
+		r.record(ev)
 	}
 	return r
 }

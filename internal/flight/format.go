@@ -142,7 +142,7 @@ func ReadJSONL(rd io.Reader) (*Recorder, error) {
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			return nil, fmt.Errorf("flight: line %d: %w", line, err)
 		}
-		r.Add(ev)
+		r.record(ev)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -66,12 +66,3 @@ func (in *Instance) Validate() error {
 	}
 	return nil
 }
-
-// Clone returns a deep copy of the instance.
-func (in *Instance) Clone() *Instance {
-	cp := &Instance{M: in.M, Tasks: make([]Task, len(in.Tasks))}
-	for i := range in.Tasks {
-		cp.Tasks[i] = in.Tasks[i].Clone()
-	}
-	return cp
-}

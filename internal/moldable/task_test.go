@@ -220,15 +220,6 @@ func TestInstanceValidateErrors(t *testing.T) {
 	}
 }
 
-func TestInstanceClone(t *testing.T) {
-	inst := NewInstance(2, []Task{Sequential(3, 1, 1), Sequential(1, 1, 2)})
-	cp := inst.Clone()
-	cp.Tasks[0].Times[0] = 42
-	if inst.Tasks[0].Times[0] == 42 {
-		t.Fatalf("Clone shares task storage")
-	}
-}
-
 // randomMonotonicTask builds a random monotonic task for property tests.
 func randomMonotonicTask(r *rand.Rand, id, m int) Task {
 	seq := 1 + 9*r.Float64()

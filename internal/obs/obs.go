@@ -199,8 +199,8 @@ func (c *Counter) Sync(total float64) {
 	c.mu.Unlock()
 }
 
-// Value returns the current total.
-func (c *Counter) Value() float64 {
+// value returns the current total.
+func (c *Counter) value() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.v
@@ -222,15 +222,8 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// Add shifts the gauge value.
-func (g *Gauge) Add(delta float64) {
-	g.mu.Lock()
-	g.v += delta
-	g.mu.Unlock()
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
+// value returns the current value.
+func (g *Gauge) value() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.v
@@ -287,20 +280,6 @@ func (h *Histogram) SetFrom(snap stats.HistogramSnapshot, sum float64) {
 	h.counts[len(h.counts)-1] += uint64(snap.Over)
 	h.n = uint64(snap.Count)
 	h.sum = sum
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // snapshot returns cumulative bucket counts (one per bound, then +Inf),

@@ -16,12 +16,12 @@ func TestCounterGauge(t *testing.T) {
 	c.Inc()
 	c.Add(2.5)
 	c.Add(-4) // ignored: counters never go down
-	if got := c.Value(); got != 3.5 {
+	if got := c.value(); got != 3.5 {
 		t.Fatalf("counter = %g, want 3.5", got)
 	}
 	c.Sync(10)
 	c.Sync(5) // ignored: below current total
-	if got := c.Value(); got != 10 {
+	if got := c.value(); got != 10 {
 		t.Fatalf("after Sync, counter = %g, want 10", got)
 	}
 	if again := r.Counter("bicrit_test_total", "help", L("kind", "a")); again != c {
@@ -30,8 +30,8 @@ func TestCounterGauge(t *testing.T) {
 
 	g := r.Gauge("bicrit_test_gauge", "help")
 	g.Set(4)
-	g.Add(-1.5)
-	if got := g.Value(); got != 2.5 {
+	g.Set(2.5)
+	if got := g.value(); got != 2.5 {
 		t.Fatalf("gauge = %g, want 2.5", got)
 	}
 }
@@ -107,13 +107,13 @@ func TestHistogramSetFrom(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("bicrit_test_mirror", "help", LogBuckets(lo, hi, n))
 	h.SetFrom(sh.Snapshot(), sum)
-	if h.Count() != uint64(len(samples)) {
-		t.Fatalf("count = %d, want %d", h.Count(), len(samples))
+	cum, gotSum, count := h.snapshot()
+	if count != uint64(len(samples)) {
+		t.Fatalf("count = %d, want %d", count, len(samples))
 	}
-	if h.Sum() != sum {
-		t.Fatalf("sum = %g, want %g", h.Sum(), sum)
+	if gotSum != sum {
+		t.Fatalf("sum = %g, want %g", gotSum, sum)
 	}
-	cum, _, _ := h.snapshot()
 	// Underflow (0.5) lands in the first bucket; overflow (2e6) only in +Inf.
 	if cum[0] != 1 {
 		t.Fatalf("first bucket cumulative = %d, want 1", cum[0])
@@ -236,10 +236,11 @@ func TestPhaseTimer(t *testing.T) {
 	timer("compact", 0.001)
 	timer("knapsack", 0.004)
 	h := r.Histogram("bicrit_demt_phase_seconds", "help", TimeBuckets(), L("phase", "knapsack"))
-	if h.Count() != 2 {
-		t.Fatalf("knapsack observations = %d, want 2", h.Count())
+	_, sum, count := h.snapshot()
+	if count != 2 {
+		t.Fatalf("knapsack observations = %d, want 2", count)
 	}
-	if got, want := h.Sum(), 0.006; math.Abs(got-want) > 1e-12 {
+	if got, want := sum, 0.006; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("knapsack sum = %g, want %g", got, want)
 	}
 }
@@ -263,7 +264,7 @@ func TestRegistryConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("bicrit_conc_total", "h").Value(); got != 800 {
+	if got := r.Counter("bicrit_conc_total", "h").value(); got != 800 {
 		t.Fatalf("counter = %g, want 800", got)
 	}
 }

@@ -50,9 +50,9 @@ func (f *family) write(w *bufio.Writer) error {
 	for _, key := range keys {
 		switch m := f.series[key].(type) {
 		case *Counter:
-			writeSample(w, f.name, m.labels(), nil, m.Value())
+			writeSample(w, f.name, m.labels(), nil, m.value())
 		case *Gauge:
-			writeSample(w, f.name, m.labels(), nil, m.Value())
+			writeSample(w, f.name, m.labels(), nil, m.value())
 		case *Histogram:
 			cum, sum, n := m.snapshot()
 			lbl := m.labels()
@@ -149,8 +149,8 @@ type Sample struct {
 	Value float64
 }
 
-// Label returns the value of the named label, or "" when absent.
-func (s Sample) Label(name string) string {
+// label returns the value of the named label, or "" when absent.
+func (s Sample) label(name string) string {
 	for _, l := range s.Labels {
 		if l.Name == name {
 			return l.Value

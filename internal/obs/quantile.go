@@ -78,7 +78,7 @@ func HistogramRows(fam Family) []ScrapeHistogram {
 		key := seriesKey(labels)
 		switch row.Name {
 		case fam.Name + "_bucket":
-			le, err := parseFloat(row.Label("le"))
+			le, err := parseFloat(row.label("le"))
 			if err != nil {
 				continue // ParseText validated the scrape; be lenient here
 			}
@@ -112,13 +112,3 @@ type ScrapeHistogram struct {
 // Quantile estimates the p-th quantile of the series (see
 // bucketQuantile).
 func (h ScrapeHistogram) Quantile(p float64) float64 { return bucketQuantile(p, h.Buckets) }
-
-// Label returns the value of the named series label, or "" when absent.
-func (h ScrapeHistogram) Label(name string) string {
-	for _, l := range h.Labels {
-		if l.Name == name {
-			return l.Value
-		}
-	}
-	return ""
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -33,7 +34,7 @@ func randomRegistry(r *rand.Rand) (*Registry, map[string]float64) {
 			case 0:
 				c := reg.Counter(name, help, labels...)
 				c.Add(math.Trunc(r.Float64()*1e6) / 16)
-				want[key(name, labels)] = c.Value()
+				want[key(name, labels)] = c.value()
 			case 1:
 				g := reg.Gauge(name, help, labels...)
 				v := r.NormFloat64() * 1e4
@@ -47,8 +48,9 @@ func randomRegistry(r *rand.Rand) (*Registry, map[string]float64) {
 				for i := 0; i < r.Intn(40); i++ {
 					h.Observe(math.Exp(r.NormFloat64() * 4))
 				}
-				want[key(name+"_count", labels)] = float64(h.Count())
-				want[key(name+"_sum", labels)] = h.Sum()
+				_, sum, count := h.snapshot()
+				want[key(name+"_count", labels)] = float64(count)
+				want[key(name+"_sum", labels)] = sum
 			}
 		}
 	}
@@ -155,7 +157,7 @@ func TestParseTextRowsCarryHistogramInternals(t *testing.T) {
 	if hs.Buckets[len(hs.Buckets)-1].Cum != 5 {
 		t.Fatalf("+Inf cum = %g, want 5", hs.Buckets[len(hs.Buckets)-1].Cum)
 	}
-	if got := hs.Label("phase"); got != "knap" {
-		t.Fatalf("phase label = %q, want knap", got)
+	if want := []Label{{Name: "phase", Value: "knap"}}; !reflect.DeepEqual(hs.Labels, want) {
+		t.Fatalf("series labels = %v, want %v (le excluded)", hs.Labels, want)
 	}
 }

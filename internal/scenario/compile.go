@@ -150,11 +150,6 @@ type Runner interface {
 	// read from arrivals.file or converted from an SWF trace. The slice is
 	// the runner's own; callers must not modify it.
 	Jobs() []cluster.Job
-	// Metrics returns the runner's observability registry: the wall-clock
-	// timing histograms of the compiled engine (portfolio latency per
-	// algorithm, DEMT phases, batch planning, grid routing) accumulate in
-	// it across Runs, renderable with WritePrometheus.
-	Metrics() *obs.Registry
 	// Run replays the stream through the compiled engine. Cancelling the
 	// context aborts the replay between batches without deadlock;
 	// errors.Is(err, ctx.Err()) holds on the returned error.
@@ -168,7 +163,7 @@ type Runner interface {
 // federation: a single cluster is a one-shard grid.
 func Compile(s Scenario) (Runner, error) {
 	s = s.Normalized()
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	jobs, err := buildJobs(s)
@@ -196,7 +191,7 @@ func Compile(s Scenario) (Runner, error) {
 // grid with one shard), plus the pacing of the optional service section.
 func ServeConfig(s Scenario) (serve.Config, error) {
 	s = s.Normalized()
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return serve.Config{}, err
 	}
 	// The service ingests live submissions: a replayed stream would fight
@@ -450,7 +445,7 @@ func buildFaults(s Scenario, jobs []cluster.Job) (*faults.Plan, error) {
 	cfg := faults.Config{
 		Seed:            s.faultSeed(),
 		Horizon:         s.Faults.Horizon,
-		Clusters:        s.Sizes(),
+		Clusters:        s.sizes(),
 		MTBF:            s.Faults.MTBF,
 		Shape:           s.Faults.Shape,
 		RepairMean:      s.Faults.Repair,
@@ -688,15 +683,13 @@ func (r *runner) Observe(o Observer) { r.watch = o }
 
 func (r *runner) Flight(rec *flight.Recorder) { r.flight = rec }
 
-func (r *runner) Metrics() *obs.Registry { return r.reg }
-
 func (r *runner) Jobs() []cluster.Job { return r.jobs }
 
 func (r *runner) Info() Info {
 	shard := r.cfg.Clusters[0]
 	info := Info{
 		Topology:    r.scn.Topology,
-		Sizes:       r.scn.Sizes(),
+		Sizes:       r.scn.sizes(),
 		Jobs:        len(r.jobs),
 		BatchPolicy: shard.Policy.Name(),
 		Objective:   shard.Objective.Kind.String(),

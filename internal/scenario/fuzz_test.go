@@ -20,7 +20,7 @@ func FuzzReadScenario(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := s.Validate(); err != nil {
+		if err := s.validate(); err != nil {
 			t.Fatalf("accepted a scenario that does not validate: %v", err)
 		}
 		var buf bytes.Buffer

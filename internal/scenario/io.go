@@ -13,7 +13,7 @@ import (
 // current format version when the spec carries none.
 func WriteScenario(w io.Writer, s Scenario) error {
 	s = s.Normalized()
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return err
 	}
 	enc := json.NewEncoder(w)
@@ -43,7 +43,7 @@ func readScenario(r io.Reader) (Scenario, error) {
 		}
 	}
 	s = s.Normalized()
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return Scenario{}, err
 	}
 	return s, nil

@@ -395,7 +395,7 @@ func New(opts ...Option) (Scenario, error) {
 		opt(&s)
 	}
 	s = s.Normalized()
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return Scenario{}, err
 	}
 	return s, nil
@@ -514,8 +514,8 @@ func (s Scenario) Normalized() Scenario {
 	return s
 }
 
-// Sizes returns the processor counts of the clusters in order.
-func (s Scenario) Sizes() []int {
+// sizes returns the processor counts of the clusters in order.
+func (s Scenario) sizes() []int {
 	sizes := make([]int, len(s.Clusters))
 	for i, c := range s.Clusters {
 		sizes[i] = c.Machines
@@ -540,9 +540,9 @@ func finiteNonNegative(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 }
 
-// Validate checks the whole spec eagerly; every failure is a
+// validate checks the whole spec eagerly; every failure is a
 // *ValidationError naming the offending field path.
-func (s Scenario) Validate() error {
+func (s Scenario) validate() error {
 	if s.Version != Version {
 		return validate.Errorf("version", "unsupported scenario version %d (want %d)", s.Version, Version)
 	}

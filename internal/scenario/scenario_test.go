@@ -61,7 +61,7 @@ func TestValidateFieldPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := base()
 			tc.mutate(&s)
-			err := s.Validate()
+			err := s.validate()
 			if err == nil {
 				t.Fatal("bad scenario validated")
 			}
@@ -96,7 +96,7 @@ func TestValidateAccepts(t *testing.T) {
 		},
 	}
 	for i, s := range good {
-		if err := s.Validate(); err != nil {
+		if err := s.validate(); err != nil {
 			t.Fatalf("scenario %d rejected: %v", i, err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestSubSeedDerivation(t *testing.T) {
 func TestValidationErrorRendering(t *testing.T) {
 	s := base()
 	s.Clusters[1].Machines = -3
-	err := s.Validate()
+	err := s.validate()
 	if err == nil {
 		t.Fatal("no error")
 	}

@@ -452,7 +452,7 @@ func TestRunnerMetricsPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := r.Metrics().WritePrometheus(&buf); err != nil {
+	if err := r.(*runner).reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	families, err := obs.ParseText(bytes.NewReader(buf.Bytes()))

@@ -51,7 +51,7 @@ func (s *Schedule) Gantt(width int) string {
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "Gantt chart: %d processors, makespan %.3f, utilization %.1f%%\n", s.M, cmax, 100*s.Utilization())
+	fmt.Fprintf(&b, "Gantt chart: %d processors, makespan %.3f, utilization %.1f%%\n", s.M, cmax, 100*s.utilization())
 	for p := 0; p < s.M; p++ {
 		fmt.Fprintf(&b, "P%03d |%s|\n", p, grid[p])
 	}

@@ -97,8 +97,8 @@ func (s *Schedule) WeightedCompletion(inst *moldable.Instance) float64 {
 	return total
 }
 
-// SumCompletion returns the unweighted sum of completion times.
-func (s *Schedule) SumCompletion() float64 {
+// sumCompletion returns the unweighted sum of completion times.
+func (s *Schedule) sumCompletion() float64 {
 	total := 0.0
 	for i := range s.Assignments {
 		total += s.Assignments[i].End()
@@ -144,9 +144,9 @@ func (s *Schedule) totalWork() float64 {
 	return total
 }
 
-// Utilization returns the fraction of the processor-time rectangle
+// utilization returns the fraction of the processor-time rectangle
 // [0, Cmax] x M actually used by tasks. It is 0 for an empty schedule.
-func (s *Schedule) Utilization() float64 {
+func (s *Schedule) utilization() float64 {
 	cmax := s.Makespan()
 	if cmax <= 0 || s.M == 0 {
 		return 0
@@ -154,8 +154,8 @@ func (s *Schedule) Utilization() float64 {
 	return s.totalWork() / (cmax * float64(s.M))
 }
 
-// IdleTime returns the total processor idle time before the makespan.
-func (s *Schedule) IdleTime() float64 {
+// idleTime returns the total processor idle time before the makespan.
+func (s *Schedule) idleTime() float64 {
 	return s.Makespan()*float64(s.M) - s.totalWork()
 }
 
@@ -375,9 +375,9 @@ func (s *Schedule) ComputeMetrics(inst *moldable.Instance) Metrics {
 	return Metrics{
 		Makespan:           s.Makespan(),
 		WeightedCompletion: s.WeightedCompletion(inst),
-		SumCompletion:      s.SumCompletion(),
+		SumCompletion:      s.sumCompletion(),
 		TotalWork:          s.totalWork(),
-		Utilization:        s.Utilization(),
-		IdleTime:           s.IdleTime(),
+		Utilization:        s.utilization(),
+		IdleTime:           s.idleTime(),
 	}
 }

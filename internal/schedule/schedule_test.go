@@ -37,18 +37,18 @@ func TestMetrics(t *testing.T) {
 	if got := s.WeightedCompletion(inst); got != 2*5+1*4+3*7 {
 		t.Fatalf("WeightedCompletion = %g, want 35", got)
 	}
-	if got := s.SumCompletion(); got != 16 {
-		t.Fatalf("SumCompletion = %g, want 16", got)
+	if got := s.sumCompletion(); got != 16 {
+		t.Fatalf("sumCompletion = %g, want 16", got)
 	}
 	if got := s.totalWork(); got != 2*5+4+4*2 {
 		t.Fatalf("totalWork = %g, want 22", got)
 	}
 	wantUtil := 22.0 / (7 * 4)
-	if math.Abs(s.Utilization()-wantUtil) > 1e-9 {
-		t.Fatalf("Utilization = %g, want %g", s.Utilization(), wantUtil)
+	if math.Abs(s.utilization()-wantUtil) > 1e-9 {
+		t.Fatalf("Utilization = %g, want %g", s.utilization(), wantUtil)
 	}
-	if math.Abs(s.IdleTime()-(28-22)) > 1e-9 {
-		t.Fatalf("IdleTime = %g, want 6", s.IdleTime())
+	if math.Abs(s.idleTime()-(28-22)) > 1e-9 {
+		t.Fatalf("idleTime = %g, want 6", s.idleTime())
 	}
 	m := s.ComputeMetrics(inst)
 	if m.Makespan != 7 || m.WeightedCompletion != 35 {
@@ -220,7 +220,7 @@ func TestGanttAndString(t *testing.T) {
 
 func TestEmptyScheduleMetrics(t *testing.T) {
 	s := New(3)
-	if s.Makespan() != 0 || s.Utilization() != 0 || s.IdleTime() != 0 {
+	if s.Makespan() != 0 || s.utilization() != 0 || s.idleTime() != 0 {
 		t.Fatalf("empty schedule metrics should all be zero")
 	}
 }

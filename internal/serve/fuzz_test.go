@@ -90,8 +90,8 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if !reflect.DeepEqual(a.stream, b.stream) {
 			t.Fatalf("the stream does not round-trip:\n%+v\n%+v", a.stream, b.stream)
 		}
-		if a.Now() != b.Now() {
-			t.Fatalf("the virtual clock does not round-trip: %g, then %g", a.Now(), b.Now())
+		if a.now() != b.now() {
+			t.Fatalf("the virtual clock does not round-trip: %g, then %g", a.now(), b.now())
 		}
 		if a.counters != b.counters {
 			t.Fatalf("the counters do not round-trip: %+v, then %+v", a.counters, b.counters)

@@ -409,7 +409,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	stretchHist, waitHist := s.doneHistograms()
 	resp := metricsResponse{
-		VirtualNow:       s.Now(),
+		VirtualNow:       s.now(),
 		Speedup:          s.cfg.Speedup,
 		UptimeSeconds:    s.pacer.wall().Sub(s.started).Seconds(),
 		State:            s.state(),
@@ -456,7 +456,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	now := s.pacer.wall()
 	resp := healthResponse{
 		Status:        s.state(),
-		VirtualNow:    s.Now(),
+		VirtualNow:    s.now(),
 		Jobs:          s.Jobs(),
 		UptimeSeconds: now.Sub(s.started).Seconds(),
 	}

@@ -34,7 +34,7 @@ func (s *Server) syncProm() {
 		"Build information; the value is always 1, the labels carry the versions.",
 		obs.L("version", buildinfo.Version), obs.L("go", buildinfo.GoVersion())).Set(1)
 
-	r.Gauge("bicrit_serve_virtual_now", "Current virtual time of the pacer.").Set(s.Now())
+	r.Gauge("bicrit_serve_virtual_now", "Current virtual time of the pacer.").Set(s.now())
 	r.Gauge("bicrit_serve_speedup", "Virtual time units per wall-clock second.").Set(s.cfg.Speedup)
 	r.Gauge("bicrit_serve_uptime_seconds", "Wall-clock age of the process.").
 		Set(s.pacer.wall().Sub(s.started).Seconds())
@@ -43,7 +43,7 @@ func (s *Server) syncProm() {
 	s.liveMu.RUnlock()
 	r.Gauge("bicrit_serve_refresh_lag_seconds",
 		"Virtual time between the pacer's now and the trusted boundary of the live state (0 once drained).").
-		Set(math.Max(0, s.Now()-trustedTo))
+		Set(math.Max(0, s.now()-trustedTo))
 
 	c := s.CountersSnapshot()
 	r.Counter("bicrit_serve_submitted_total", "Jobs admitted, snapshot-restored jobs included.").

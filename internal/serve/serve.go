@@ -439,8 +439,8 @@ func (s *Server) Status(id int) (JobStatus, bool) { return s.reg.get(id) }
 // Jobs returns the number of admitted jobs.
 func (s *Server) Jobs() int { return s.reg.len() }
 
-// Now returns the current virtual time.
-func (s *Server) Now() float64 { return s.pacer.now() }
+// now returns the current virtual time.
+func (s *Server) now() float64 { return s.pacer.now() }
 
 // CountersSnapshot returns the current admission counters.
 func (s *Server) CountersSnapshot() Counters {
@@ -448,10 +448,6 @@ func (s *Server) CountersSnapshot() Counters {
 	defer s.mu.Unlock()
 	return s.counters
 }
-
-// Metrics returns the server's observability registry — the one behind
-// GET /metrics.prom, shared with the federation's timing histograms.
-func (s *Server) Metrics() *obs.Registry { return s.obs }
 
 // refreshLoop periodically refreshes the live job states.
 func (s *Server) refreshLoop(every time.Duration) {

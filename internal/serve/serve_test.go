@@ -341,7 +341,7 @@ func TestSnapshotRestoreResumesService(t *testing.T) {
 		jobs = append(jobs, cluster.Job{Task: task, Release: acc.Release})
 		clockA.advance(200 * time.Millisecond)
 	}
-	vnowA := a.Now()
+	vnowA := a.now()
 	if err := a.writeSnapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestSnapshotRestoreResumesService(t *testing.T) {
 	if got := b.CountersSnapshot(); got.Submitted != 10 || got.Restored != 10 {
 		t.Fatalf("restored counters %+v, want 10 submitted / 10 restored", got)
 	}
-	if now := b.Now(); math.Abs(now-vnowA) > 1e-9 {
+	if now := b.now(); math.Abs(now-vnowA) > 1e-9 {
 		t.Fatalf("restored virtual clock %g, want to resume from %g", now, vnowA)
 	}
 	// New submissions continue after the restored history.

@@ -180,7 +180,7 @@ func TestRefreshMatchesFullReplay(t *testing.T) {
 	const perTick = 100
 	for tick := 0; len(accepted) < len(arrivals); tick++ {
 		for _, a := range arrivals[len(accepted):min(len(accepted)+perTick, len(arrivals))] {
-			if gap := a.Submit - s.Now(); gap > 0 {
+			if gap := a.Submit - s.now(); gap > 0 {
 				clock.advance(time.Duration(gap / speedup * float64(time.Second)))
 			}
 			acc, err := s.Submit(a.Task)
@@ -200,7 +200,7 @@ func TestRefreshMatchesFullReplay(t *testing.T) {
 		case 2:
 			clock.advance(2 * time.Second)
 		}
-		vnow := s.Now()
+		vnow := s.now()
 		if err := s.refresh(); err != nil {
 			t.Fatal(err)
 		}
@@ -233,10 +233,10 @@ func TestRefreshMatchesFullReplay(t *testing.T) {
 	for _, crep := range rep.Clusters {
 		batches += len(crep.Batches)
 	}
-	if wins := counterSum(t, s.Metrics(), "bicrit_portfolio_wins_total"); wins != float64(batches) {
+	if wins := counterSum(t, s.obs, "bicrit_portfolio_wins_total"); wins != float64(batches) {
 		t.Fatalf("bicrit_portfolio_wins_total sums to %g, the report has %d batches", wins, batches)
 	}
-	if fed := counterSum(t, s.Metrics(), "bicrit_serve_refresh_fed_jobs_total"); fed != float64(len(accepted)) {
+	if fed := counterSum(t, s.obs, "bicrit_serve_refresh_fed_jobs_total"); fed != float64(len(accepted)) {
 		t.Fatalf("refreshes fed %g jobs, %d were accepted", fed, len(accepted))
 	}
 }

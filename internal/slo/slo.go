@@ -184,17 +184,6 @@ type Summary struct {
 	Alerts []Alert `json:"alerts"`
 }
 
-// Firing returns the subset of alerts that are firing.
-func (s *Summary) Firing() []Alert {
-	var out []Alert
-	for _, a := range s.Alerts {
-		if a.Firing() {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Evaluate runs the rule set over the outcomes. It is deterministic:
 // outcomes are sorted by job ID internally, so callers may pass them in
 // any order.

@@ -86,7 +86,13 @@ func TestEvaluateDeadlinesAndAlerts(t *testing.T) {
 	if !reflect.DeepEqual(states, want) {
 		t.Fatalf("alert states = %v, want %v", states, want)
 	}
-	if got := len(sum.Firing()); got != 3 {
+	firing := 0
+	for _, a := range sum.Alerts {
+		if a.Firing() {
+			firing++
+		}
+	}
+	if got := firing; got != 3 {
 		t.Fatalf("firing = %d, want 3", got)
 	}
 }

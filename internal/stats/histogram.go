@@ -102,10 +102,6 @@ func (h *Histogram) bound(i int) float64 {
 	return h.lo * math.Pow(h.ratio, float64(i))
 }
 
-// Count returns the total number of observations, including under- and
-// overflow.
-func (h *Histogram) Count() int { return h.total }
-
 // Sum returns the sum of all observed values, under- and overflow
 // included, matching the Prometheus histogram _sum convention.
 func (h *Histogram) Sum() float64 { return h.sum }

@@ -63,8 +63,8 @@ func TestHistogramObserve(t *testing.T) {
 		h.Observe(v)
 	}
 	s := h.Snapshot()
-	if h.Count() != 10 || s.Count != 10 {
-		t.Fatalf("count = %d / %d, want 10 (NaN ignored)", h.Count(), s.Count)
+	if h.total != 10 || s.Count != 10 {
+		t.Fatalf("count = %d / %d, want 10 (NaN ignored)", h.total, s.Count)
 	}
 	if s.Under != 1 {
 		t.Fatalf("under = %d, want 1 (the 0.5 sample)", s.Under)

@@ -116,9 +116,6 @@ func (r *RatioAggregator) Add(value, reference float64) error {
 	return nil
 }
 
-// Count returns the number of recorded observations.
-func (r *RatioAggregator) Count() int { return len(r.ratios) }
-
 // Ratio is the aggregated view of a RatioAggregator.
 type Ratio struct {
 	// Mean is the ratio of sums (sum of values / sum of references).

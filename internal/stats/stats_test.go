@@ -15,8 +15,8 @@ func TestRatioAggregator(t *testing.T) {
 	if err := agg.Add(9, 3); err != nil {
 		t.Fatal(err)
 	}
-	if agg.Count() != 2 {
-		t.Fatalf("count = %d", agg.Count())
+	if len(agg.ratios) != 2 {
+		t.Fatalf("count = %d", len(agg.ratios))
 	}
 	r := agg.Result()
 	// Ratio of sums: 13/5 = 2.6; per-run ratios 2 and 3.
@@ -42,7 +42,7 @@ func TestRatioAggregatorRejectsInvalid(t *testing.T) {
 	if err := agg.Add(-1, 1); err == nil {
 		t.Fatalf("negative value must fail")
 	}
-	if agg.Count() != 0 {
+	if len(agg.ratios) != 0 {
 		t.Fatalf("rejected observations must not be recorded")
 	}
 	if r := agg.Result(); r.Count != 0 || r.Mean != 0 {

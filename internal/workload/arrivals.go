@@ -123,9 +123,9 @@ const (
 	runtimeSeedSalt = 0x2545F4914F6CDD1D
 )
 
-// Validate checks the configuration.
-func (c ArrivalConfig) Validate() error {
-	if err := c.Workload.Validate(); err != nil {
+// validate checks the configuration.
+func (c ArrivalConfig) validate() error {
+	if err := c.Workload.validate(); err != nil {
 		return err
 	}
 	if c.Rate <= 0 {
@@ -200,7 +200,7 @@ func sampler(dist Distribution, shape float64) func(r *rand.Rand) float64 {
 // (Poisson or heavy-tailed). Arrivals are returned in non-decreasing
 // submission order.
 func GenerateArrivals(cfg ArrivalConfig) ([]Arrival, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	inst, err := Generate(cfg.Workload)

@@ -115,8 +115,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
+// validate checks the configuration.
+func (c Config) validate() error {
 	c = c.withDefaults()
 	if c.M < 1 {
 		return fmt.Errorf("workload: M must be >= 1, got %d", c.M)
@@ -144,7 +144,7 @@ func (c Config) Validate() error {
 // Generate builds a random instance according to the configuration.
 func Generate(cfg Config) (*moldable.Instance, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))

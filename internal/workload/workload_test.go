@@ -29,7 +29,7 @@ func TestKindStringAndParse(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	good := Config{Kind: HighlyParallel, M: 10, N: 5}
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	bad := []Config{
@@ -41,7 +41,7 @@ func TestConfigValidate(t *testing.T) {
 		{Kind: Mixed, M: 10, N: 5, MinWeight: 5, MaxWeight: 1},
 	}
 	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("config %d should be invalid: %+v", i, cfg)
 		}
 	}
