@@ -338,7 +338,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	// The recorder, its boundary and the fork's batched jobs are read as
 	// one: a refresh writes all three under the same lock.
 	s.liveMu.RLock()
-	at, rebatched := s.flightAt, s.rebatched[id]
+	at, rebatched := s.trustedTo, s.rebatched[id]
 	timeline := s.flightRec.Timeline(id)
 	s.liveMu.RUnlock()
 	resp := timelineResponse{Job: id, Events: []flight.Event{}}

@@ -38,8 +38,10 @@ func (s *Server) syncProm() {
 	r.Gauge("bicrit_serve_speedup", "Virtual time units per wall-clock second.").Set(s.cfg.Speedup)
 	r.Gauge("bicrit_serve_uptime_seconds", "Wall-clock age of the process.").
 		Set(s.pacer.wall().Sub(s.started).Seconds())
+	// Before the first refresh the boundary is -Inf and the lag counts
+	// from virtual time 0.
 	s.liveMu.RLock()
-	trustedTo := s.trustedTo
+	trustedTo := math.Max(0, s.trustedTo)
 	s.liveMu.RUnlock()
 	r.Gauge("bicrit_serve_refresh_lag_seconds",
 		"Virtual time between the pacer's now and the trusted boundary of the live state (0 once drained).").
@@ -57,13 +59,10 @@ func (s *Server) syncProm() {
 	rej("rate-limit", c.RejectedRate)
 	rej("backlog", c.RejectedBacklog)
 
-	for state, n := range s.reg.stateCounts() {
-		// Each state writes its own gauge and Set calls commute; the obs
-		// registry renders families and series sorted, so scrape bytes do
-		// not depend on this loop's order.
-		//lint:allow maprange one gauge per state; Set commutes and the registry sorts output
+	counts := s.reg.stateCounts()
+	for st := StateQueued; st <= StateDone; st++ {
 		r.Gauge("bicrit_serve_jobs", "Admitted jobs by lifecycle state.",
-			obs.L("state", state)).Set(float64(n))
+			obs.L("state", st.String())).Set(float64(counts[st.String()]))
 	}
 
 	stretchHist, waitHist := s.doneHistograms()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -141,6 +142,40 @@ func TestPromMetricsDeterministicBytes(t *testing.T) {
 }
 
 // TestVersionEndpoint pins GET /version.
+// TestRefreshLagGauge pins bicrit_serve_refresh_lag_seconds at its three
+// phases: before the first refresh it reads the virtual now, after a
+// refresh the virtual time since that refresh, and 0 once drained.
+func TestRefreshLagGauge(t *testing.T) {
+	s, clock := newTestServer(t, func(c *Config) { c.Speedup = 100 })
+	lag := func() float64 {
+		t.Helper()
+		s.syncProm()
+		return counterSum(t, s.obs, "bicrit_serve_refresh_lag_seconds")
+	}
+	if _, err := s.Submit(seqTask(0, 5)); err != nil {
+		t.Fatal(err)
+	}
+	clock.advance(50 * time.Millisecond)
+	if got, want := lag(), s.now(); got != want || want <= 0 {
+		t.Fatalf("lag before the first refresh = %g, want the virtual now %g", got, want)
+	}
+	if err := s.refresh(); err != nil {
+		t.Fatal(err)
+	}
+	refreshedAt := s.now()
+	clock.advance(30 * time.Millisecond)
+	if got, want := lag(), s.now()-refreshedAt; math.Abs(got-want) > 1e-9 || want <= 0 {
+		t.Fatalf("lag after a refresh = %g, want %g", got, want)
+	}
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	clock.advance(30 * time.Millisecond)
+	if got := lag(); got != 0 {
+		t.Fatalf("lag after the drain = %g, want 0", got)
+	}
+}
+
 func TestVersionEndpoint(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	defer s.Drain()

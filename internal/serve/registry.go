@@ -282,23 +282,16 @@ func (r *registry) eachDone(fn func(JobStatus)) {
 	}
 }
 
-// sloOutcomes builds the SLO engine's input from the completed jobs
-// (order unspecified — Evaluate sorts internally). Unfinished jobs are
-// left out: a live service should not count a job still in flight as a
-// deadline miss.
+// sloOutcomes builds the SLO engine's input from the completed jobs, in
+// ascending job ID. Unfinished jobs are left out: a live service should
+// not count a job still in flight as a deadline miss.
 func (r *registry) sloOutcomes() []slo.JobOutcome {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]slo.JobOutcome, 0, len(r.jobs))
-	for id, j := range r.jobs {
-		if j.State != StateDone {
-			continue
-		}
-		//lint:allow maprange slo.Evaluate sorts outcomes internally; order-independence is pinned by its tests
+	var out []slo.JobOutcome
+	r.eachDone(func(j JobStatus) {
 		out = append(out, slo.JobOutcome{
-			Job: id, Cluster: j.Cluster, Release: j.Release, Pmin: r.pmin[id],
+			Job: j.ID, Cluster: j.Cluster, Release: j.Release, Pmin: r.pmin[j.ID],
 			Start: j.Start, End: j.End, Done: true,
 		})
-	}
+	})
 	return out
 }

@@ -222,20 +222,19 @@ type Server struct {
 	liveMu      sync.RWMutex
 	live        *grid.Metrics
 	liveAt      float64
-	trustedTo   float64
 	refreshErr  error
 	snapshotErr error
-	// flightRec holds the flight events of everything sess has
-	// committed; flightAt is the virtual time the prefix is trusted up to
-	// (-Inf before the first refresh, +Inf after the drain). GET
-	// /jobs/{id}/timeline serves its events before flightAt's margin.
-	// rebatched holds the jobs the latest refresh's fork batches beyond
-	// the committed report (nil after the drain): a served kill of one of
-	// them is a resubmission, not a loss. flightRec is written under
-	// liveMu too, so a timeline never sees an event its boundary does not
-	// cover yet.
+	// trustedTo is the virtual time the live state is trusted up to: -Inf
+	// before the first refresh, the virtual now of the latest refresh,
+	// +Inf after the drain. flightRec holds the flight events of
+	// everything sess has committed; GET /jobs/{id}/timeline serves its
+	// events before trustedTo's margin. rebatched holds the jobs the
+	// latest refresh's fork batches beyond the committed report (nil
+	// after the drain): a served kill of one of them is a resubmission,
+	// not a loss. flightRec is written under liveMu too, so a timeline
+	// never sees an event its boundary does not cover yet.
 	flightRec *flight.Recorder
-	flightAt  float64
+	trustedTo float64
 	rebatched map[int]bool
 	// sloSum is the latest SLO evaluation (nil while no SLO is configured
 	// or no refresh has run); GET /alerts serves it.
@@ -326,7 +325,7 @@ func NewServer(cfg Config) (*Server, error) {
 		sess:      fed.NewSession(context.Background()),
 		folded:    newFolded(len(cfg.Grid.Clusters)),
 		flightRec: flight.NewRecorder(),
-		flightAt:  math.Inf(-1),
+		trustedTo: math.Inf(-1),
 		obs:       cfg.Metrics,
 		logger:    cfg.Logger,
 		stopCh:    make(chan struct{}),
@@ -558,8 +557,7 @@ func (s *Server) publish(tr, prov *grid.Report, vnow float64) {
 	}
 	s.liveMu.Lock()
 	s.fold(tr, prov, vnow)
-	s.liveAt, s.trustedTo = vnow, at
-	s.flightAt, s.rebatched = at, rebatched
+	s.liveAt, s.trustedTo, s.rebatched = vnow, at, rebatched
 	s.live = &live
 	s.liveMu.Unlock()
 	if s.cfg.SLO != nil {
