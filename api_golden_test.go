@@ -19,10 +19,11 @@ import (
 	"unicode"
 )
 
-// updateAPI regenerates the public-API golden:
+// updateAPI regenerates the root package's goldens: the public-API golden
+// and, with -run TestExamplesMatchGolden, the example goldens:
 //
 //	go test -run TestPublicAPIGolden -update-api .
-var updateAPI = flag.Bool("update-api", false, "rewrite testdata/api.golden with the current go doc output")
+var updateAPI = flag.Bool("update-api", false, "rewrite testdata/api.golden (go doc output) and testdata/examples/*.golden (example stdout)")
 
 // TestPublicAPIGolden pins the facade's public surface: the `go doc
 // bicriteria` listing (package comment plus every exported declaration)

@@ -2,17 +2,11 @@ package bicriteria_test
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
 )
-
-// updateExamples regenerates the example goldens:
-//
-//	go test -run TestExamplesMatchGolden -update-examples .
-var updateExamples = flag.Bool("update-examples", false, "rewrite testdata/examples/*.golden with the examples' current output")
 
 // goldenExamples are the examples whose output is a pure function of their
 // code. examples/scenario is left out because its shard callbacks print in
@@ -25,7 +19,10 @@ var goldenExamples = []string{
 // TestExamplesMatchGolden runs every deterministic example and diffs its
 // standard output against testdata/examples/<name>.golden, so a change to
 // the facade path an example takes cannot move one byte of what it
-// prints unnoticed.
+// prints unnoticed. -update-api regenerates the goldens with the rest of
+// the root package's:
+//
+//	go test -run TestExamplesMatchGolden -update-api .
 func TestExamplesMatchGolden(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -41,7 +38,7 @@ func TestExamplesMatchGolden(t *testing.T) {
 				t.Fatalf("go run ./examples/%s: %v\n%s", name, err, stderr.Bytes())
 			}
 			path := filepath.Join("testdata", "examples", name+".golden")
-			if *updateExamples {
+			if *updateAPI {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -52,11 +49,11 @@ func TestExamplesMatchGolden(t *testing.T) {
 			}
 			want, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("missing example golden (regenerate with: go test -run TestExamplesMatchGolden -update-examples .): %v", err)
+				t.Fatalf("missing example golden (regenerate with: go test -run TestExamplesMatchGolden -update-api .): %v", err)
 			}
 			if !bytes.Equal(out, want) {
 				t.Fatalf("examples/%s drifted from %s\n"+
-					"if the change is intentional, regenerate with: go test -run TestExamplesMatchGolden -update-examples .\n"+
+					"if the change is intentional, regenerate with: go test -run TestExamplesMatchGolden -update-api .\n"+
 					"--- got ---\n%s\n--- want ---\n%s", name, path, out, want)
 			}
 		})

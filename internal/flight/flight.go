@@ -210,7 +210,7 @@ func (r *Recorder) Reset() {
 	r.byJob = nil
 }
 
-// record records one event verbatim.
+// record takes mu and records one event verbatim.
 func (r *Recorder) record(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -141,7 +141,6 @@ func TestPromMetricsDeterministicBytes(t *testing.T) {
 	}
 }
 
-// TestVersionEndpoint pins GET /version.
 // TestRefreshLagGauge pins bicrit_serve_refresh_lag_seconds at its three
 // phases: before the first refresh it reads the virtual now, after a
 // refresh the virtual time since that refresh, and 0 once drained.
@@ -176,6 +175,7 @@ func TestRefreshLagGauge(t *testing.T) {
 	}
 }
 
+// TestVersionEndpoint pins GET /version.
 func TestVersionEndpoint(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	defer s.Drain()
