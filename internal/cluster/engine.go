@@ -171,6 +171,10 @@ type Engine struct {
 	// as down windows in absolute time.
 	blocked  [][]int
 	reserved []schedule.Window
+	// ownMembers is set when every portfolio member was built by this
+	// package (DEMTAlgorithm, DefaultPortfolio), all of which only read
+	// the batch instance.
+	ownMembers bool
 }
 
 // New validates the configuration eagerly and builds an engine. Bad
@@ -232,7 +236,11 @@ func New(cfg Config) (*Engine, error) {
 	for i, r := range cfg.Reservations {
 		reserved[i] = schedule.Window{Procs: blocked[i], Start: r.Start, End: r.End}
 	}
-	return &Engine{cfg: cfg, blocked: blocked, reserved: reserved}, nil
+	ownMembers := true
+	for _, a := range cfg.Portfolio {
+		ownMembers = ownMembers && a.plan != nil
+	}
+	return &Engine{cfg: cfg, blocked: blocked, reserved: reserved, ownMembers: ownMembers}, nil
 }
 
 // jobInfo caches the per-job quantities the metrics need.
@@ -250,14 +258,25 @@ type jobInfo struct {
 func (s *Session) runBatch() (BatchReport, float64, []Job, error) {
 	e, ctx, index, now, pending := s.e, s.ctx, s.batchIndex, s.now, s.pending
 	infos, acc, report, fstate := s.infos, s.acc, s.report, s.fstate
+	// The batch instance shares the pending jobs' time vectors, cut to the
+	// machine and capacity-clipped, instead of cloning them: this package's
+	// members, placement and sim.Execute only read them, and an append by
+	// one would copy rather than overwrite. A portfolio with a member from
+	// elsewhere gets a copy, which that member's Run may write.
 	tasks := make([]moldable.Task, len(pending))
 	ids := make([]int, len(pending))
 	for i := range pending {
-		tasks[i] = pending[i].Task
-		ids[i] = pending[i].Task.ID
+		t := pending[i].Task
+		k := min(len(t.Times), e.cfg.M)
+		t.Times = t.Times[:k:k]
+		tasks[i] = t
+		ids[i] = t.ID
 	}
 	sort.Ints(ids)
-	inst := moldable.NewInstance(e.cfg.M, tasks)
+	inst := &moldable.Instance{M: e.cfg.M, Tasks: tasks}
+	if !e.ownMembers {
+		inst = moldable.NewInstance(e.cfg.M, tasks)
+	}
 
 	planStart := time.Now() //lint:allow nowallclock wall-clock feeds the obs metrics only, never a scheduling decision
 	// One facts value per session, reset for every batch: the members of
@@ -348,9 +367,9 @@ func (s *Session) runBatch() (BatchReport, float64, []Job, error) {
 	if len(simRes.Killed) > 0 {
 		// The batch's tasks by ID, as scheduled (a resubmitted job may
 		// already carry checkpoint-scaled times).
-		byID := make(map[int]moldable.Task, len(tasks))
-		for _, t := range tasks {
-			byID[t.ID] = t
+		byID := make(map[int]moldable.Task, len(pending))
+		for _, j := range pending {
+			byID[j.Task.ID] = j.Task
 		}
 		for _, k := range simRes.Killed {
 			if k.KilledAt > advance {

@@ -22,7 +22,9 @@ import (
 // moldable instance. Run must be deterministic (seeded internally) for the
 // engine's replay guarantees to hold, and must honor the context so a
 // draining service can cancel a batch mid-schedule: on cancellation it
-// returns an error wrapping ctx.Err().
+// returns an error wrapping ctx.Err(). The engine hands a portfolio with
+// a member built outside this package a fresh copy of every batch's time
+// vectors, so what Run writes there never reaches the submitted jobs.
 type Algorithm struct {
 	// Name identifies the algorithm in reports and winner counts.
 	Name string

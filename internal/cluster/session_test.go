@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -12,6 +13,7 @@ import (
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/obs"
 	"bicriteria/internal/reservation"
+	"bicriteria/internal/schedule"
 )
 
 // replay is a full replay of the stream through the engine: a Session fed
@@ -340,5 +342,98 @@ func TestSessionForkRecordsNothing(t *testing.T) {
 	}
 	if int(wins) != len(rep.Batches) {
 		t.Fatalf("wins_total sums to %g over %d batches", wins, len(rep.Batches))
+	}
+}
+
+// TestReplayLeavesJobTimesUntouched: the batch instances share the
+// submitted jobs' time vectors, so a replay must leave every one of them
+// bit for bit as it was, here with vectors longer than the machine, node
+// faults with checkpointed resubmission, runtime noise, reservations and
+// the racing portfolio.
+func TestReplayLeavesJobTimesUntouched(t *testing.T) {
+	for _, racing := range []bool{false, true} {
+		cfg := Config{
+			M:            16,
+			Objective:    Objective{Kind: ObjectiveCombined, Alpha: 0.5},
+			Perturb:      noise(t, 0.2, 5),
+			Reservations: []reservation.Reservation{{Name: "maint", Procs: 4, Start: 6, End: 14}},
+			Outages:      faultPlanWindows(t, 16, 5, 12, 3, 200),
+			Replan:       ReplanPolicy{Kind: ReplanCheckpoint},
+		}
+		if racing {
+			cfg.Racing = Racing{Cutoff: 2, Bandit: true, Seed: 5}
+		}
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := stream(t, 32, 80, 5, 3)
+		before := make([][]uint64, len(jobs))
+		for i, j := range jobs {
+			for _, p := range j.Task.Times {
+				before[i] = append(before[i], math.Float64bits(p))
+			}
+		}
+		rep, err := replay(t.Context(), eng, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Metrics.Resubmitted == 0 {
+			t.Fatalf("racing=%v: no job was resubmitted, so the fault path went untested", racing)
+		}
+		for i, j := range jobs {
+			if len(j.Task.Times) != len(before[i]) {
+				t.Fatalf("racing=%v: job %d has %d times after the replay, %d before", racing, j.Task.ID, len(j.Task.Times), len(before[i]))
+			}
+			for k, p := range j.Task.Times {
+				if math.Float64bits(p) != before[i][k] {
+					t.Fatalf("racing=%v: job %d's p(%d) changed from %v to %v", racing, j.Task.ID, k+1, math.Float64frombits(before[i][k]), p)
+				}
+			}
+		}
+	}
+}
+
+// TestForeignMemberWritesStayInItsBatch: a portfolio member built outside
+// this package may write its batch instance's time vectors. The engine
+// hands such a portfolio a copy, so the writes (here: every time doubled
+// before gang schedules the batch) reach neither the submitted jobs nor
+// the next batch, which again sees the jobs' own times.
+func TestForeignMemberWritesStayInItsBatch(t *testing.T) {
+	jobs := stream(t, 32, 60, 7, 3)
+	own := make(map[int][]float64, len(jobs))
+	for _, j := range jobs {
+		own[j.Task.ID] = append([]float64(nil), j.Task.Times...)
+	}
+	gang := DefaultPortfolio(nil)[1]
+	batches := 0
+	doubling := Algorithm{Name: "doubling-gang", Run: func(ctx context.Context, inst *moldable.Instance) (*schedule.Schedule, error) {
+		batches++
+		for i := range inst.Tasks {
+			task := &inst.Tasks[i]
+			if want := own[task.ID][:min(len(own[task.ID]), inst.M)]; !reflect.DeepEqual(task.Times, want) {
+				t.Fatalf("batch %d: job %d arrives with times %v, want its own %v", batches, task.ID, task.Times, want)
+			}
+			for k := range task.Times {
+				task.Times[k] *= 2
+			}
+		}
+		return gang.Run(ctx, inst)
+	}}
+	eng, err := New(Config{M: 16, Portfolio: []Algorithm{doubling}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := replay(t.Context(), eng, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batches < 2 || len(rep.Batches) != batches {
+		t.Fatalf("the member ran %d times over %d batches, want one run per batch and at least two", batches, len(rep.Batches))
+	}
+	for _, j := range jobs {
+		if !reflect.DeepEqual(j.Task.Times, own[j.Task.ID]) {
+			t.Fatalf("job %d's times changed from %v to %v", j.Task.ID, own[j.Task.ID], j.Task.Times)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -9,113 +8,151 @@ import (
 	"bicriteria/internal/moldable"
 )
 
-// fileFormat is the on-disk JSON representation of an instance. It is kept
-// separate from the in-memory types so that the public model can evolve
-// without breaking stored workloads.
-type fileFormat struct {
-	// Version of the format, currently 1.
-	Version int        `json:"version"`
-	M       int        `json:"processors"`
-	Tasks   []fileTask `json:"tasks"`
-}
+// Two file formats share one codec written for their schema:
+//
+//	instance: {"version": 1, "processors": m, "tasks": [task, ...]}
+//	arrivals: {"version": 1, "processors": m, "arrivals": [arrival, ...]}
+//	task:     {"id": int, "name": string, "weight": float, "times": [float, ...]}
+//	arrival:  a task with a leading "submit": float
+//
+// An arrival stream is an SWF-style trace (every job carries its
+// submission time) kept moldable: the full processing-time vector
+// survives, which plain SWF records cannot express. Generated streams
+// round-trip through it, so one stream feeds the replay CLIs and the live
+// load generator alike. Its "processors" records the machine size the
+// stream was generated for (informational: smaller clusters truncate the
+// time vectors further).
+//
+// The writer emits exactly the bytes of encoding/json's Encoder with
+// SetIndent("", "  ") over the equivalent structs: members in the order
+// above, "name" left out when empty, floats spelled as encoding/json
+// spells them, strings with its HTML-safe escapes, and a trailing newline.
+//
+// The reader accepts exactly what encoding/json's Decoder accepts when it
+// decodes one value into those structs, and yields the same values bit
+// for bit:
+//   - one JSON value (RFC 8259 grammar, nesting at most 10,000 deep) after
+//     optional white space; the bytes after it are ignored;
+//   - member names match after unescaping, exactly or by bytes.EqualFold;
+//     unknown members are skipped, though their values must be valid;
+//   - a null leaves a field as it was, except that a null array becomes
+//     nil; a top-level null leaves every field zero;
+//   - a repeated member decodes into the value already there: a second
+//     array overwrites the first element by element, keeping the elements
+//     a null skips, and an empty array resets it;
+//   - int fields take only integer literals ("1.5" and "1e2" are errors);
+//     a float is strconv.ParseFloat's value of the number's bytes, and
+//     one out of float64 range is an error.
+//
+// Malformed input fails with "cannot decode"; the text after that prefix
+// is the codec's own (codec.go). The version, task and order checks that
+// follow a decode keep their texts. oracle_test.go keeps the encoding/json
+// implementation, and FuzzReadArrivals holds the codec to it.
 
-type fileTask struct {
-	ID     int       `json:"id"`
-	Name   string    `json:"name,omitempty"`
-	Weight float64   `json:"weight"`
-	Times  []float64 `json:"times"`
-}
-
-const formatVersion = 1
+const (
+	formatVersion   = 1
+	arrivalsVersion = 1
+)
 
 // WriteInstance serializes an instance as JSON.
 func WriteInstance(w io.Writer, inst *moldable.Instance) error {
-	ff := fileFormat{Version: formatVersion, M: inst.M, Tasks: make([]fileTask, len(inst.Tasks))}
-	for i, t := range inst.Tasks {
-		ff.Tasks[i] = fileTask{ID: t.ID, Name: t.Name, Weight: t.Weight, Times: t.Times}
+	for i := range inst.Tasks {
+		if err := checkFinite(nil, &inst.Tasks[i]); err != nil {
+			return err
+		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ff)
+	e := encoder{w: w}
+	e.open(formatVersion, inst.M, "tasks")
+	for i := range inst.Tasks {
+		e.task(i, nil, &inst.Tasks[i])
+	}
+	return e.close(len(inst.Tasks))
 }
 
 // readInstance parses an instance previously written by WriteInstance and
-// validates it.
-func readInstance(r io.Reader) (*moldable.Instance, error) {
-	var ff fileFormat
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&ff); err != nil {
+// validates it. Time vectors longer than the machine are truncated to it,
+// as moldable.NewInstance does.
+func readInstance(data []byte) (*moldable.Instance, error) {
+	var version, m int
+	var tasks, scratch []moldable.Task
+	d := decoder{data: data}
+	err := d.document(func(key []byte) (bool, error) {
+		switch matchKey(key, instanceKeys) {
+		case 0:
+			return true, d.int(&version)
+		case 1:
+			return true, d.int(&m)
+		case 2:
+			return true, decodeArray(&d, &tasks, &scratch, func(t *moldable.Task) error { return d.task(t, nil) })
+		}
+		return false, nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("workload: cannot decode instance: %w", err)
 	}
-	if ff.Version != formatVersion {
-		return nil, fmt.Errorf("workload: unsupported format version %d (want %d)", ff.Version, formatVersion)
+	if version != formatVersion {
+		return nil, fmt.Errorf("workload: unsupported format version %d (want %d)", version, formatVersion)
 	}
-	tasks := make([]moldable.Task, len(ff.Tasks))
-	for i, t := range ff.Tasks {
-		tasks[i] = moldable.Task{ID: t.ID, Name: t.Name, Weight: t.Weight, Times: t.Times}
+	tasks = tasks[:len(tasks):len(tasks)]
+	if m >= 1 {
+		for i := range tasks {
+			if len(tasks[i].Times) > m {
+				tasks[i].Times = tasks[i].Times[:m]
+			}
+		}
 	}
-	inst := moldable.NewInstance(ff.M, tasks)
+	inst := &moldable.Instance{M: m, Tasks: tasks}
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
 	return inst, nil
 }
 
-// arrivalsFormat is the on-disk JSON representation of an on-line job
-// stream: an SWF-style trace (every job carries its submission time) kept
-// moldable (the full processing-time vector survives, which plain SWF
-// records cannot express). Generated streams round-trip through it so one
-// stream can feed the replay CLIs and the live load generator alike.
-type arrivalsFormat struct {
-	// Version of the format, currently 1.
-	Version int `json:"version"`
-	// M is the machine size the tasks were generated for (informational:
-	// time vectors may be truncated further by smaller clusters).
-	M        int           `json:"processors"`
-	Arrivals []fileArrival `json:"arrivals"`
-}
-
-type fileArrival struct {
-	Submit float64 `json:"submit"`
-	fileTask
-}
-
-const arrivalsVersion = 1
-
 // writeArrivals serializes an arrival stream as JSON. M records the
 // machine size the stream was generated for.
 func writeArrivals(w io.Writer, m int, arrivals []Arrival) error {
-	ff := arrivalsFormat{Version: arrivalsVersion, M: m, Arrivals: make([]fileArrival, len(arrivals))}
-	for i, a := range arrivals {
-		t := a.Task
-		ff.Arrivals[i] = fileArrival{
-			Submit:   a.Submit,
-			fileTask: fileTask{ID: t.ID, Name: t.Name, Weight: t.Weight, Times: t.Times},
+	for i := range arrivals {
+		if err := checkFinite(&arrivals[i].Submit, &arrivals[i].Task); err != nil {
+			return err
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ff)
+	e := encoder{w: w}
+	e.open(arrivalsVersion, m, "arrivals")
+	for i := range arrivals {
+		e.task(i, &arrivals[i].Submit, &arrivals[i].Task)
+	}
+	return e.close(len(arrivals))
 }
 
 // readArrivals parses a stream previously written by writeArrivals and
 // validates it: every task must be well-formed and the submission times
 // non-negative and non-decreasing. It returns the stream and the recorded
 // machine size.
-func readArrivals(r io.Reader) ([]Arrival, int, error) {
-	var ff arrivalsFormat
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&ff); err != nil {
+func readArrivals(data []byte) ([]Arrival, int, error) {
+	var version, m int
+	var arrivals, scratch []Arrival
+	d := decoder{data: data}
+	err := d.document(func(key []byte) (bool, error) {
+		switch matchKey(key, arrivalsKeys) {
+		case 0:
+			return true, d.int(&version)
+		case 1:
+			return true, d.int(&m)
+		case 2:
+			return true, decodeArray(&d, &arrivals, &scratch, func(a *Arrival) error { return d.task(&a.Task, &a.Submit) })
+		}
+		return false, nil
+	})
+	if err != nil {
 		return nil, 0, fmt.Errorf("workload: cannot decode arrivals: %w", err)
 	}
-	if ff.Version != arrivalsVersion {
-		return nil, 0, fmt.Errorf("workload: unsupported arrivals format version %d (want %d)", ff.Version, arrivalsVersion)
+	if version != arrivalsVersion {
+		return nil, 0, fmt.Errorf("workload: unsupported arrivals format version %d (want %d)", version, arrivalsVersion)
 	}
-	arrivals := make([]Arrival, len(ff.Arrivals))
 	last := 0.0
-	for i, a := range ff.Arrivals {
-		task := moldable.Task{ID: a.ID, Name: a.Name, Weight: a.Weight, Times: a.Times}
-		if err := task.Validate(); err != nil {
+	for i := range arrivals {
+		a := &arrivals[i]
+		if err := a.Task.Validate(); err != nil {
 			return nil, 0, fmt.Errorf("workload: arrival %d: %w", i, err)
 		}
 		if a.Submit < 0 {
@@ -125,9 +162,11 @@ func readArrivals(r io.Reader) ([]Arrival, int, error) {
 			return nil, 0, fmt.Errorf("workload: arrival %d breaks submission order (%g after %g)", i, a.Submit, last)
 		}
 		last = a.Submit
-		arrivals[i] = Arrival{Task: task, Submit: a.Submit}
 	}
-	return arrivals, ff.M, nil
+	if arrivals == nil {
+		arrivals = []Arrival{}
+	}
+	return arrivals[:len(arrivals):len(arrivals)], m, nil
 }
 
 // SaveArrivals writes an arrival stream to a file path.
@@ -145,12 +184,11 @@ func SaveArrivals(path string, m int, arrivals []Arrival) error {
 
 // LoadArrivals reads an arrival stream from a file path.
 func LoadArrivals(path string) ([]Arrival, int, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer f.Close()
-	return readArrivals(f)
+	return readArrivals(data)
 }
 
 // SaveInstance writes an instance to a file path.
@@ -168,10 +206,9 @@ func SaveInstance(path string, inst *moldable.Instance) error {
 
 // LoadInstance reads an instance from a file path.
 func LoadInstance(path string) (*moldable.Instance, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return readInstance(f)
+	return readInstance(data)
 }

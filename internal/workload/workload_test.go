@@ -5,7 +5,6 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -241,7 +240,7 @@ func TestInstanceJSONRoundTrip(t *testing.T) {
 	if err := WriteInstance(&buf, inst); err != nil {
 		t.Fatal(err)
 	}
-	back, err := readInstance(&buf)
+	back, err := readInstance(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,13 +263,13 @@ func TestInstanceJSONRoundTrip(t *testing.T) {
 }
 
 func TestReadInstanceRejectsGarbage(t *testing.T) {
-	if _, err := readInstance(bytes.NewBufferString("not json")); err == nil {
+	if _, err := readInstance([]byte("not json")); err == nil {
 		t.Fatalf("garbage must fail")
 	}
-	if _, err := readInstance(bytes.NewBufferString(`{"version":99,"processors":2,"tasks":[]}`)); err == nil {
+	if _, err := readInstance([]byte(`{"version":99,"processors":2,"tasks":[]}`)); err == nil {
 		t.Fatalf("wrong version must fail")
 	}
-	if _, err := readInstance(bytes.NewBufferString(`{"version":1,"processors":2,"tasks":[]}`)); err == nil {
+	if _, err := readInstance([]byte(`{"version":1,"processors":2,"tasks":[]}`)); err == nil {
 		t.Fatalf("empty instance must fail validation")
 	}
 }
@@ -486,7 +485,7 @@ func TestReadArrivalsRejectsBadStreams(t *testing.T) {
 		"invalid task":    `{"version": 1, "arrivals": [{"submit": 0, "id": 1, "weight": 1, "times": []}]}`,
 	}
 	for name, body := range cases {
-		if _, _, err := readArrivals(strings.NewReader(body)); err == nil {
+		if _, _, err := readArrivals([]byte(body)); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
