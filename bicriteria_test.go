@@ -2,6 +2,7 @@ package bicriteria
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -117,6 +118,18 @@ func TestFacadeTaskHelpers(t *testing.T) {
 	}
 	if err := res.Schedule.Validate(inst, nil); err != nil {
 		t.Fatalf("DEMT schedule of the helpers' tasks invalid: %v", err)
+	}
+}
+
+// TestFacadeNewInstanceNonPositiveM: a machine without processors is an
+// error of Validate, not a panic of NewInstance.
+func TestFacadeNewInstanceNonPositiveM(t *testing.T) {
+	for _, m := range []int{-1, 0} {
+		inst := NewInstance(m, []Task{NewSequentialTask(0, 1, 2)})
+		want := fmt.Sprintf("moldable: instance needs at least one processor, got %d", m)
+		if err := inst.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("m = %d: Validate gives %v, want %q", m, err, want)
+		}
 	}
 }
 

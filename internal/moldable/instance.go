@@ -15,12 +15,12 @@ type Instance struct {
 
 // NewInstance builds an instance and truncates every task's processing-time
 // vector to at most m entries (a task never uses more processors than the
-// machine offers).
+// machine offers). A negative m truncates nothing; Validate rejects it.
 func NewInstance(m int, tasks []Task) *Instance {
 	inst := &Instance{M: m, Tasks: make([]Task, len(tasks))}
 	for i, t := range tasks {
 		ct := t.Clone()
-		if len(ct.Times) > m {
+		if m >= 0 && len(ct.Times) > m {
 			ct.Times = ct.Times[:m]
 		}
 		inst.Tasks[i] = ct

@@ -11,8 +11,8 @@ import (
 // accepted scenario round-trips — writing it and reading that back gives
 // a deep-equal value. The seed corpus in testdata/fuzz/FuzzReadScenario
 // holds a grid and a single-cluster file written by `bicrit gen`, an
-// empty reservation list, an unknown field, a newer version and a
-// truncated file. Smoke it with:
+// empty reservation list, an unknown field, a newer version, a
+// truncated file and a written file followed by more bytes. Smoke it with:
 // go test -run '^$' -fuzz '^FuzzReadScenario$' -fuzztime 10s ./internal/scenario
 func FuzzReadScenario(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

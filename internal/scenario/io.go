@@ -23,14 +23,19 @@ func WriteScenario(w io.Writer, s Scenario) error {
 
 // readScenario parses a scenario previously written by WriteScenario and
 // validates it eagerly. Like the arrivals format, the version is checked
-// — and unknown fields are rejected outright, so a typoed knob fails
-// loudly instead of silently running the default.
+// — and unknown fields and bytes after the document are rejected
+// outright, so a typoed knob fails loudly instead of silently running the
+// default.
 func readScenario(r io.Reader) (Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Scenario
 	if err := dec.Decode(&s); err != nil {
 		return Scenario{}, fmt.Errorf("scenario: cannot decode scenario: %w", err)
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return Scenario{}, fmt.Errorf("scenario: cannot decode scenario: data after the document, which ends at offset %d", end)
 	}
 	if s.Version != Version {
 		return Scenario{}, validate.Errorf("version", "unsupported scenario version %d (want %d)", s.Version, Version)

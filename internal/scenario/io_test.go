@@ -98,6 +98,24 @@ func TestReadRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestReadRejectsTrailingBytes: a second document or garbage after the
+// scenario fails to decode instead of being ignored.
+func TestReadRejectsTrailingBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteScenario(&buf, base()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readScenario(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("a written scenario fails to read: %v", err)
+	}
+	for _, tail := range []string{`{"seed": 99} trailing garbage`, "x", "{"} {
+		_, err := readScenario(strings.NewReader(buf.String() + tail))
+		if err == nil || !strings.HasPrefix(err.Error(), "scenario: cannot decode scenario: ") {
+			t.Fatalf("trailing %q: error %v, want a decode failure", tail, err)
+		}
+	}
+}
+
 // TestWriteValidates pins that a bad spec cannot be serialized at all.
 func TestWriteValidates(t *testing.T) {
 	s := base()

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -14,8 +13,8 @@ import (
 )
 
 // The codec behind io.go's two file formats: an encoder that writes
-// encoding/json's indented bytes, and a decoder that reads what
-// encoding/json's Decoder reads into the formats' structs (see io.go).
+// encoding/json's indented bytes, and a strict decoder that reads only the
+// grammar io.go states, into the values encoding/json would read.
 
 // checkFinite rejects what JSON cannot spell, with encoding/json's error,
 // in the order the writer meets the values.
@@ -192,31 +191,13 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// The member names of each object, in the order matchKey reports them.
+// The member names of each object, in the order object hands their
+// indexes to field.
 var (
 	instanceKeys = []string{"version", "processors", "tasks"}
 	arrivalsKeys = []string{"version", "processors", "arrivals"}
 	taskKeys     = []string{"id", "name", "weight", "times", "submit"}
 )
-
-// matchKey returns the index in names of the unescaped member name key,
-// matched exactly or else by bytes.EqualFold, or -1.
-func matchKey(key []byte, names []string) int {
-	for i, name := range names {
-		if string(key) == name {
-			return i
-		}
-	}
-	for i, name := range names {
-		if bytes.EqualFold(key, []byte(name)) {
-			return i
-		}
-	}
-	return -1
-}
-
-// maxDepth is encoding/json's nesting limit.
-const maxDepth = 10000
 
 // decoder reads one JSON document from data. Its errors are the reason
 // the decode failed, without the caller's "cannot decode" prefix.
@@ -226,8 +207,6 @@ type decoder struct {
 	// times gathers the current time vector (see decodeArray), reused
 	// from task to task.
 	times []float64
-	// stack holds the open containers of a skipped value.
-	stack []byte
 }
 
 var errEOF = errors.New("unexpected end of JSON input")
@@ -240,6 +219,9 @@ func (d *decoder) syntaxError() error {
 }
 
 func (d *decoder) typeError(want string) error {
+	if d.off >= len(d.data) {
+		return errEOF
+	}
 	return fmt.Errorf("cannot read the value at offset %d as %s", d.off, want)
 }
 
@@ -256,48 +238,57 @@ func (d *decoder) ws() byte {
 	return 0
 }
 
-// document reads the top-level value: an object whose members go to
-// field (see object), or null, which sets nothing.
-func (d *decoder) document(field func(key []byte) (bool, error)) error {
-	switch d.ws() {
-	case '{':
-		return d.object(1, field)
-	case 'n':
-		return d.literal("null")
+// document reads the top-level object (see object), after which only
+// white space may follow.
+func (d *decoder) document(names []string, field func(i int) error) error {
+	if d.ws() != '{' {
+		return d.typeError("an object")
 	}
-	if err := d.skip(0); err != nil {
+	if err := d.object(names, field); err != nil {
 		return err
 	}
-	return d.typeError("an object")
+	if d.ws(); d.off < len(d.data) {
+		return fmt.Errorf("invalid character %q after the document at offset %d", d.data[d.off], d.off)
+	}
+	return nil
 }
 
-// object reads the object at d.off, nested depth deep. For each member
-// field reads the value when it knows the unescaped key and returns
-// false otherwise, and the value is then skipped.
-func (d *decoder) object(depth int, field func(key []byte) (bool, error)) error {
+// object reads the object at d.off. Each member name must be one of names,
+// spelled without escapes (an escaped name matches none of them), and
+// appear at most once; field reads the value of names[i] at d.off. An
+// error in a value is prefixed with its member's name, so that it reads
+// as a path.
+func (d *decoder) object(names []string, field func(i int) error) error {
 	d.off++
 	if d.ws() == '}' {
 		d.off++
 		return nil
 	}
+	var seen uint
 	for {
-		key, err := d.key()
+		at := d.off
+		key, _, err := d.str()
 		if err != nil {
 			return err
 		}
+		i := 0
+		for i < len(names) && names[i] != string(key) {
+			i++
+		}
+		switch {
+		case i == len(names):
+			return fmt.Errorf("unknown member %q at offset %d", key, at)
+		case seen&(1<<i) != 0:
+			return fmt.Errorf("repeated member %q at offset %d", key, at)
+		}
+		seen |= 1 << i
 		if d.ws() != ':' {
 			return d.syntaxError()
 		}
 		d.off++
 		d.ws()
-		known, err := field(key)
-		if err != nil {
-			return err
-		}
-		if !known {
-			if err := d.skip(depth); err != nil {
-				return err
-			}
+		if err := field(i); err != nil {
+			return fmt.Errorf("%s: %w", names[i], err)
 		}
 		switch d.ws() {
 		case ',':
@@ -312,103 +303,71 @@ func (d *decoder) object(depth int, field func(key []byte) (bool, error)) error 
 	}
 }
 
-// key reads a member name and returns it unescaped.
-func (d *decoder) key() ([]byte, error) {
-	raw, escaped, err := d.str()
-	if err != nil || !escaped {
-		return raw, err
-	}
-	return unquote(raw), nil
-}
-
 // task reads one list element into t, and into submit when it is
-// non-nil; without it a "submit" member is unknown. A null element leaves
-// both as they are.
+// non-nil; without it a "submit" member is unknown. Only "times" may be
+// null, the writer's spelling of a nil vector, which leaves t.Times nil.
 func (d *decoder) task(t *moldable.Task, submit *float64) error {
-	switch d.ws() {
-	case 'n':
-		return d.literal("null")
-	case '{':
-	default:
+	if d.ws() != '{' {
 		return d.typeError("a task object")
 	}
-	return d.object(3, func(key []byte) (bool, error) {
-		switch matchKey(key, taskKeys) {
+	names := taskKeys
+	if submit == nil {
+		names = names[:4]
+	}
+	return d.object(names, func(i int) (err error) {
+		switch i {
 		case 0:
-			return true, d.int(&t.ID)
+			return d.int(&t.ID)
 		case 1:
-			return true, d.string(&t.Name)
+			return d.string(&t.Name)
 		case 2:
-			return true, d.float(&t.Weight)
+			return d.float(&t.Weight)
 		case 3:
-			return true, decodeArray(d, &t.Times, &d.times, d.float)
-		case 4:
-			if submit != nil {
-				return true, d.float(submit)
+			if d.ws() == 'n' {
+				return d.literal("null")
 			}
+			t.Times, err = decodeArray(d, &d.times, d.float)
+			return err
 		}
-		return false, nil
+		return d.float(submit)
 	})
 }
 
-// decodeArray reads an array into *p element by element, as encoding/json
-// decodes into a slice: elements already there (up to the capacity) are
-// decoded into, the slice is cut to the array's length, an empty array
-// leaves a fresh empty slice and null leaves nil. The elements are
-// gathered in *scratch, kept from call to call, so that a slice that has
-// to grow is allocated once, at the array's length.
-func decodeArray[T any](d *decoder, p *[]T, scratch *[]T, elem func(*T) error) error {
-	switch d.ws() {
-	case 'n':
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*p = nil
-		return nil
-	case '[':
-	default:
-		return d.typeError("an array")
+// decodeArray reads an array into a new slice of its length; an empty
+// array gives an empty slice, not nil. The elements are gathered in
+// *scratch, kept from call to call, so that the slice is allocated once.
+func decodeArray[T any](d *decoder, scratch *[]T, elem func(*T) error) ([]T, error) {
+	if d.ws() != '[' {
+		return nil, d.typeError("an array")
 	}
 	d.off++
 	if d.ws() == ']' {
 		d.off++
-		*p = []T{}
-		return nil
+		return []T{}, nil
 	}
-	s := *p
-	buf := append((*scratch)[:0], s[:cap(s)]...) // what a null element keeps
-	for i := 0; ; i++ {
-		if i == len(buf) {
-			var zero T
-			buf = append(buf, zero)
-		}
-		if err := elem(&buf[i]); err != nil {
-			return err
+	buf := (*scratch)[:0]
+	for {
+		var zero T
+		buf = append(buf, zero)
+		if err := elem(&buf[len(buf)-1]); err != nil {
+			return nil, err
 		}
 		switch d.ws() {
 		case ',':
 			d.off++
+			d.ws()
 		case ']':
 			d.off++
-			if n := i + 1; n <= cap(s) {
-				s = s[:n]
-			} else {
-				s = make([]T, n)
-			}
-			copy(s, buf)
-			*p, *scratch = s, buf
-			return nil
+			*scratch = buf
+			return append(make([]T, 0, len(buf)), buf...), nil
 		default:
-			return d.syntaxError()
+			return nil, d.syntaxError()
 		}
 	}
 }
 
-// int reads an integer literal into *p; null leaves it.
+// int reads an integer literal into *p.
 func (d *decoder) int(p *int) error {
-	if d.ws() == 'n' {
-		return d.literal("null")
-	}
 	num, err := d.number()
 	if err != nil {
 		return err
@@ -421,11 +380,8 @@ func (d *decoder) int(p *int) error {
 	return nil
 }
 
-// float reads a number into *p; null leaves it.
+// float reads a number into *p.
 func (d *decoder) float(p *float64) error {
-	if d.ws() == 'n' {
-		return d.literal("null")
-	}
 	num, err := d.number()
 	if err != nil {
 		return err
@@ -438,13 +394,9 @@ func (d *decoder) float(p *float64) error {
 	return nil
 }
 
-// string reads a string into *p; null leaves it.
+// string reads a string into *p.
 func (d *decoder) string(p *string) error {
-	switch d.ws() {
-	case 'n':
-		return d.literal("null")
-	case '"':
-	default:
+	if d.ws() != '"' {
 		return d.typeError("a string")
 	}
 	raw, escaped, err := d.str()
@@ -452,10 +404,9 @@ func (d *decoder) string(p *string) error {
 		return err
 	}
 	if escaped {
-		*p = string(unquote(raw))
-	} else {
-		*p = string(raw)
+		raw = unquote(raw)
 	}
+	*p = string(raw)
 	return nil
 }
 
@@ -507,7 +458,7 @@ func digits(data []byte, i int) int {
 	return i
 }
 
-// literal consumes the keyword lit (true, false or null).
+// literal consumes the keyword lit.
 func (d *decoder) literal(lit string) error {
 	for i := 0; i < len(lit); i++ {
 		if d.off >= len(d.data) || d.data[d.off] != lit[i] {
@@ -518,8 +469,8 @@ func (d *decoder) literal(lit string) error {
 	return nil
 }
 
-// str consumes a string at d.off and returns the bytes between its quotes
-// and whether they hold an escape or invalid UTF-8, either of which needs
+// str consumes a string at d.off and returns the bytes between its quotes,
+// which must be valid UTF-8, and whether they hold an escape, which needs
 // unquote.
 func (d *decoder) str() ([]byte, bool, error) {
 	data := d.data
@@ -534,7 +485,10 @@ func (d *decoder) str() ([]byte, bool, error) {
 		case c == '"':
 			d.off = i + 1
 			raw := data[start:i]
-			return raw, escaped || !utf8.Valid(raw), nil
+			if !utf8.Valid(raw) {
+				return nil, false, fmt.Errorf("invalid UTF-8 in the string at offset %d", start-1)
+			}
+			return raw, escaped, nil
 		case c == '\\':
 			escaped = true
 			if i+1 >= len(data) {
@@ -575,147 +529,46 @@ func isHex(c byte) bool {
 	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
 }
 
-// skip consumes one valid value of any kind at d.off, nested inside
-// depth containers.
-func (d *decoder) skip(depth int) error {
-	stack := d.stack[:0]
-	defer func() { d.stack = stack }()
-	for {
-		// One value; a container's opening leaves it on the stack.
-		switch c := d.ws(); c {
-		case '{', '[':
-			d.off++
-			if depth+len(stack)+1 > maxDepth {
-				return errors.New("exceeded max depth")
-			}
-			closer := byte('}')
-			if c == '[' {
-				closer = ']'
-			}
-			if d.ws() == closer {
-				d.off++
-				break
-			}
-			stack = append(stack, c)
-			if c == '{' {
-				if err := d.memberName(); err != nil {
-					return err
-				}
-			}
-			continue
-		case '"':
-			if _, _, err := d.str(); err != nil {
-				return err
-			}
-		case 't':
-			if err := d.literal("true"); err != nil {
-				return err
-			}
-		case 'f':
-			if err := d.literal("false"); err != nil {
-				return err
-			}
-		case 'n':
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-		default:
-			if c != '-' && (c < '0' || c > '9') {
-				return d.syntaxError()
-			}
-			if _, err := d.number(); err != nil {
-				return err
-			}
-		}
-		// After a value: close what ends here, or go on to the next one.
-	closing:
-		for {
-			if len(stack) == 0 {
-				return nil
-			}
-			open := stack[len(stack)-1]
-			switch c := d.ws(); {
-			case c == ',':
-				d.off++
-				if open == '{' {
-					if err := d.memberName(); err != nil {
-						return err
-					}
-				}
-				break closing
-			case open == '{' && c == '}', open == '[' && c == ']':
-				d.off++
-				stack = stack[:len(stack)-1]
-			default:
-				return d.syntaxError()
-			}
-		}
-	}
-}
-
-// memberName consumes a skipped object's member name and its colon.
-func (d *decoder) memberName() error {
-	d.ws()
-	if _, _, err := d.str(); err != nil {
-		return err
-	}
-	if d.ws() != ':' {
-		return d.syntaxError()
-	}
-	d.off++
-	return nil
-}
-
 // unquote decodes a string's escapes as encoding/json does: a \u escape
-// outside a valid surrogate pair, and every byte of invalid UTF-8, become
-// U+FFFD.
+// outside a valid surrogate pair becomes U+FFFD.
 func unquote(raw []byte) []byte {
-	b := make([]byte, 0, len(raw)+2*utf8.UTFMax)
+	b := make([]byte, 0, len(raw)) // an escape never grows
 	for r := 0; r < len(raw); {
-		switch c := raw[r]; {
-		case c == '\\':
-			switch e := raw[r+1]; e {
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				rr := hex4(raw[r+2:])
-				r += 6
-				if utf16.IsSurrogate(rr) {
-					if r+6 <= len(raw) && raw[r] == '\\' && raw[r+1] == 'u' {
-						if dec := utf16.DecodeRune(rr, hex4(raw[r+2:])); dec != utf8.RuneError {
-							b = utf8.AppendRune(b, dec)
-							r += 6
-							continue
-						}
-					}
-					rr = utf8.RuneError
-				}
-				b = utf8.AppendRune(b, rr)
-				continue
-			default: // '"', '\\' and '/'
-				b = append(b, e)
-			}
-			r += 2
-		case c < utf8.RuneSelf:
-			b = append(b, c)
+		if raw[r] != '\\' {
+			b = append(b, raw[r])
 			r++
-		default:
-			rr, size := utf8.DecodeRune(raw[r:])
-			if rr == utf8.RuneError && size == 1 {
-				b = utf8.AppendRune(b, utf8.RuneError)
-			} else {
-				b = append(b, raw[r:r+size]...)
-			}
-			r += size
+			continue
 		}
+		switch e := raw[r+1]; e {
+		case 'b':
+			b = append(b, '\b')
+		case 'f':
+			b = append(b, '\f')
+		case 'n':
+			b = append(b, '\n')
+		case 'r':
+			b = append(b, '\r')
+		case 't':
+			b = append(b, '\t')
+		case 'u':
+			rr := hex4(raw[r+2:])
+			r += 6
+			if utf16.IsSurrogate(rr) {
+				if r+6 <= len(raw) && raw[r] == '\\' && raw[r+1] == 'u' {
+					if dec := utf16.DecodeRune(rr, hex4(raw[r+2:])); dec != utf8.RuneError {
+						b = utf8.AppendRune(b, dec)
+						r += 6
+						continue
+					}
+				}
+				rr = utf8.RuneError
+			}
+			b = utf8.AppendRune(b, rr)
+			continue
+		default: // '"', '\\' and '/'
+			b = append(b, e)
+		}
+		r += 2
 	}
 	return b
 }

@@ -6,31 +6,32 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"bicriteria/internal/moldable"
 )
 
-// FuzzReadArrivals holds the arrival-stream codec to its encoding/json
-// oracle (oracle_test.go) and to its contract:
+// FuzzReadArrivals holds the arrival-stream codec to its contract and,
+// one way, to its encoding/json oracle (oracle_test.go):
 //   - every input yields an error or a stream, never a panic;
-//   - readArrivals fails exactly when the oracle fails, with the same
-//     text, except that on malformed input only the "cannot decode" prefix
-//     must agree; otherwise both return the same machine size and stream,
-//     bit for bit;
+//   - a failure without the "cannot decode" prefix carries the oracle's
+//     exact text; with it, the codec refuses what the oracle may forgive
+//     (see io.go);
+//   - whatever readArrivals accepts, the oracle reads to the same machine
+//     size and stream, bit for bit;
 //   - writeArrivals writes the oracle's bytes for every accepted stream,
 //     and reading them back gives a deep-equal stream and machine size.
 //
 // The seed corpus in testdata/fuzz/FuzzReadArrivals holds a generated
 // stream, an empty one, a newer version, a truncated file, a negative and
-// an out-of-order submission and a task without times, plus one input
-// per decoding quirk the codec shares with the oracle: unknown members
-// (valid and not), case-folded and escaped member names, nulls, repeated
-// members, bytes after the value, number grammar and nesting depth. Smoke
-// it with:
+// an out-of-order submission and a task without times, the number grammar,
+// and one input per leniency of encoding/json that the codec refuses
+// (lenientInputs). Smoke it with:
 // go test -run '^$' -fuzz '^FuzzReadArrivals$' -fuzztime 10s ./internal/workload
 func FuzzReadArrivals(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		arrivals, m, err := readArrivals(data)
 		want, wantM, wantErr := oracleReadArrivals(bytes.NewReader(data))
-		if msg := sameOutcome(err, wantErr, "workload: cannot decode arrivals: "); msg != "" {
+		if msg := agreesOneWay(err, wantErr, decodeArrivals); msg != "" {
 			t.Fatal(msg)
 		}
 		if err != nil {
@@ -59,22 +60,56 @@ func FuzzReadArrivals(f *testing.F) {
 	})
 }
 
-// sameOutcome describes how err departs from the oracle's want, or
-// returns "". Both must fail or both succeed. A failure must carry the
-// oracle's text, except that when the oracle could not decode the input
-// the codec need only fail with the same prefix.
-func sameOutcome(err, want error, decodePrefix string) string {
-	switch {
-	case err == nil && want == nil:
-		return ""
-	case err == nil || want == nil:
-		return "codec error: " + errText(err) + "\noracle error: " + errText(want)
-	case strings.HasPrefix(want.Error(), decodePrefix):
-		if !strings.HasPrefix(err.Error(), decodePrefix) {
-			return "codec error: " + err.Error() + "\nwant the prefix of the oracle's: " + want.Error()
+// FuzzReadInstance holds the instance reader to the same contract against
+// oracleReadInstance. Its seed corpus in testdata/fuzz/FuzzReadInstance
+// holds a file `bicrit gen -instance` wrote and the instance spelling of
+// each lenientInputs entry. Smoke it with:
+// go test -run '^$' -fuzz '^FuzzReadInstance$' -fuzztime 10s ./internal/workload
+func FuzzReadInstance(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inst, err := readInstance(data)
+		want, wantErr := oracleReadInstance(bytes.NewReader(data))
+		if msg := agreesOneWay(err, wantErr, decodeInstance); msg != "" {
+			t.Fatal(msg)
 		}
-	case err.Error() != want.Error():
-		return "codec error: " + err.Error() + "\noracle error: " + want.Error()
+		if err != nil {
+			return
+		}
+		if inst.M != want.M || !sameTasks(inst.Tasks, want.Tasks) {
+			t.Fatalf("the codec and the oracle read different instances:\n%+v\n%+v", inst, want)
+		}
+		var buf, oracle bytes.Buffer
+		if err := WriteInstance(&buf, inst); err != nil {
+			t.Fatalf("writing an accepted instance: %v", err)
+		}
+		if err := oracleWriteInstance(&oracle, inst); err != nil {
+			t.Fatalf("the oracle writing an accepted instance: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), oracle.Bytes()) {
+			t.Fatalf("the codec's bytes differ from the oracle's:\n%s\nvs\n%s", buf.Bytes(), oracle.Bytes())
+		}
+		back, err := readInstance(buf.Bytes())
+		if err != nil {
+			t.Fatalf("reading a written instance: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(inst, back) {
+			t.Fatalf("the instance does not round-trip:\n%+v\n%+v\n%s", inst, back, buf.Bytes())
+		}
+	})
+}
+
+// agreesOneWay describes how the codec's err departs from the oracle's
+// want, or returns "". The codec may fail with decodePrefix wherever it
+// likes; any other failure must be the oracle's, text for text, and
+// success must be the oracle's success.
+func agreesOneWay(err, want error, decodePrefix string) string {
+	switch {
+	case err == nil && want != nil:
+		return "the codec accepts what the oracle refuses: " + want.Error()
+	case err == nil || strings.HasPrefix(err.Error(), decodePrefix):
+		return ""
+	case want == nil || err.Error() != want.Error():
+		return "codec error: " + err.Error() + "\noracle error: " + errText(want)
 	}
 	return ""
 }
@@ -93,13 +128,28 @@ func sameArrivals(a, b []Arrival) bool {
 		return false
 	}
 	for i := range a {
-		x, y := &a[i], &b[i]
-		if !sameBits(x.Submit, y.Submit) || x.Task.ID != y.Task.ID || x.Task.Name != y.Task.Name ||
-			!sameBits(x.Task.Weight, y.Task.Weight) || !sameTimes(x.Task.Times, y.Task.Times) {
+		if !sameBits(a[i].Submit, b[i].Submit) || !sameTask(&a[i].Task, &b[i].Task) {
 			return false
 		}
 	}
 	return true
+}
+
+// sameTasks compares two task lists bit for bit, as sameArrivals does.
+func sameTasks(a, b []moldable.Task) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameTask(&a[i], &b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameTask(x, y *moldable.Task) bool {
+	return x.ID == y.ID && x.Name == y.Name && sameBits(x.Weight, y.Weight) && sameTimes(x.Times, y.Times)
 }
 
 func sameTimes(a, b []float64) bool {

@@ -28,26 +28,20 @@ import (
 // above, "name" left out when empty, floats spelled as encoding/json
 // spells them, strings with its HTML-safe escapes, and a trailing newline.
 //
-// The reader accepts exactly what encoding/json's Decoder accepts when it
-// decodes one value into those structs, and yields the same values bit
-// for bit:
-//   - one JSON value (RFC 8259 grammar, nesting at most 10,000 deep) after
-//     optional white space; the bytes after it are ignored;
-//   - member names match after unescaping, exactly or by bytes.EqualFold;
-//     unknown members are skipped, though their values must be valid;
-//   - a null leaves a field as it was, except that a null array becomes
-//     nil; a top-level null leaves every field zero;
-//   - a repeated member decodes into the value already there: a second
-//     array overwrites the first element by element, keeping the elements
-//     a null skips, and an empty array resets it;
-//   - int fields take only integer literals ("1.5" and "1e2" are errors);
-//     a float is strconv.ParseFloat's value of the number's bytes, and
-//     one out of float64 range is an error.
+// The reader accepts only that grammar, in any member order, with any
+// member left out, with JSON white space, number and string spellings,
+// and reads it into the values encoding/json would, bit for bit. It
+// refuses unknown, escaped, case-folded and repeated member names,
+// invalid UTF-8, null anywhere but a task's "times" (the writer's nil
+// vector), and anything but white space after the document. Int fields
+// take only integer literals; a float is strconv.ParseFloat's value of
+// the number's bytes, in float64 range.
 //
-// Malformed input fails with "cannot decode"; the text after that prefix
-// is the codec's own (codec.go). The version, task and order checks that
-// follow a decode keep their texts. oracle_test.go keeps the encoding/json
-// implementation, and FuzzReadArrivals holds the codec to it.
+// Malformed input fails with "cannot decode", the member path and the
+// byte offset (codec.go). The version, task and order checks that follow
+// a decode keep their texts. oracle_test.go keeps the encoding/json
+// implementation; the fuzz targets hold the writer to its bytes and the
+// reader to its values wherever the reader accepts.
 
 const (
 	formatVersion   = 1
@@ -76,16 +70,15 @@ func readInstance(data []byte) (*moldable.Instance, error) {
 	var version, m int
 	var tasks, scratch []moldable.Task
 	d := decoder{data: data}
-	err := d.document(func(key []byte) (bool, error) {
-		switch matchKey(key, instanceKeys) {
+	err := d.document(instanceKeys, func(i int) (err error) {
+		switch i {
 		case 0:
-			return true, d.int(&version)
+			return d.int(&version)
 		case 1:
-			return true, d.int(&m)
-		case 2:
-			return true, decodeArray(&d, &tasks, &scratch, func(t *moldable.Task) error { return d.task(t, nil) })
+			return d.int(&m)
 		}
-		return false, nil
+		tasks, err = decodeArray(&d, &scratch, func(t *moldable.Task) error { return d.task(t, nil) })
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("workload: cannot decode instance: %w", err)
@@ -93,7 +86,6 @@ func readInstance(data []byte) (*moldable.Instance, error) {
 	if version != formatVersion {
 		return nil, fmt.Errorf("workload: unsupported format version %d (want %d)", version, formatVersion)
 	}
-	tasks = tasks[:len(tasks):len(tasks)]
 	if m >= 1 {
 		for i := range tasks {
 			if len(tasks[i].Times) > m {
@@ -132,16 +124,15 @@ func readArrivals(data []byte) ([]Arrival, int, error) {
 	var version, m int
 	var arrivals, scratch []Arrival
 	d := decoder{data: data}
-	err := d.document(func(key []byte) (bool, error) {
-		switch matchKey(key, arrivalsKeys) {
+	err := d.document(arrivalsKeys, func(i int) (err error) {
+		switch i {
 		case 0:
-			return true, d.int(&version)
+			return d.int(&version)
 		case 1:
-			return true, d.int(&m)
-		case 2:
-			return true, decodeArray(&d, &arrivals, &scratch, func(a *Arrival) error { return d.task(&a.Task, &a.Submit) })
+			return d.int(&m)
 		}
-		return false, nil
+		arrivals, err = decodeArray(&d, &scratch, func(a *Arrival) error { return d.task(&a.Task, &a.Submit) })
+		return err
 	})
 	if err != nil {
 		return nil, 0, fmt.Errorf("workload: cannot decode arrivals: %w", err)
@@ -166,7 +157,7 @@ func readArrivals(data []byte) ([]Arrival, int, error) {
 	if arrivals == nil {
 		arrivals = []Arrival{}
 	}
-	return arrivals[:len(arrivals):len(arrivals)], m, nil
+	return arrivals, m, nil
 }
 
 // SaveArrivals writes an arrival stream to a file path.

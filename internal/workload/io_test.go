@@ -3,8 +3,10 @@ package workload
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,7 +16,7 @@ import (
 // TestWriterMatchesOracleSpelling holds the writers to the oracle's bytes
 // where encoding/json's spelling has edges: the float format switches
 // and exponent clean-up, and the string escapes. The reader must then
-// read those bytes as the oracle does.
+// read those bytes as the oracle does, never refusing them as malformed.
 func TestWriterMatchesOracleSpelling(t *testing.T) {
 	floats := []float64{0, math.Copysign(0, -1), 1e-7, 1e-6, 1e20, 1e21, 5e-324, math.MaxFloat64, 1.0 / 3}
 	names := []string{"", "plain", "<&>", "line\u2028para\u2029", "bad\xffutf8\xed\xa0\x80", `quote " and \ backslash`, "ctl\b\f\n\r\t\x00\x1f\x7f", "é😀"}
@@ -41,8 +43,11 @@ func TestWriterMatchesOracleSpelling(t *testing.T) {
 		}
 		back, m, err := readArrivals(got.Bytes())
 		oracle, oracleM, oracleErr := oracleReadArrivals(bytes.NewReader(got.Bytes()))
-		if msg := sameOutcome(err, oracleErr, "workload: cannot decode arrivals: "); msg != "" {
+		if msg := agreesOneWay(err, oracleErr, decodeArrivals); msg != "" {
 			t.Fatal(msg)
+		}
+		if err != nil && strings.HasPrefix(err.Error(), decodeArrivals) {
+			t.Fatalf("the reader refuses the writer's bytes: %v", err)
 		}
 		if m != oracleM || !sameArrivals(back, oracle) {
 			t.Fatalf("the codec and the oracle read different streams:\n%+v\n%+v", back, oracle)
@@ -104,8 +109,9 @@ func TestWriterRejectsNonFinite(t *testing.T) {
 }
 
 // TestReadInstanceMatchesOracle reads instance files with the codec and
-// with the oracle: same instance, or the same error (any text after the
-// "cannot decode" prefix for malformed input).
+// with the oracle: what the codec accepts, the oracle reads to the same
+// instance; what it refuses, it refuses with the oracle's error or as
+// malformed.
 func TestReadInstanceMatchesOracle(t *testing.T) {
 	gen, err := Generate(Config{Kind: Mixed, M: 16, N: 12, Seed: 3})
 	if err != nil {
@@ -125,11 +131,10 @@ func TestReadInstanceMatchesOracle(t *testing.T) {
 		`{"version":1,"processors":2,"tasks":[]}`,
 		`{"version":1,"processors":2,"tasks":null}`,
 		`{"version":1,"processors":0,"tasks":[{"id":1,"weight":1,"times":[2]}]}`,
+		`{"version":1,"processors":-1,"tasks":[{"id":1,"weight":1,"times":[2]}]}`,
 		`{"version":1,"processors":2,"tasks":[{"id":1,"weight":1,"times":[4,3,2,1]}]}`,
 		`{"version":1,"processors":2,"tasks":[{"id":1,"weight":1,"times":[2]},{"id":1,"weight":1,"times":[2]}]}`,
 		`{"version":1,"processors":2,"tasks":[{"id":1,"weight":-1,"times":[2]}]}`,
-		`{"VERSION":1,"Processors":2,"TASKS":[{"ID":1,"Weight":1,"Times":[2],"submit":"ignored"}]}`,
-		`{"version":1,"processors":2,"tasks":[{"id":1,"weight":1,"times":[2]}],"arrivals":[1,2]} trailing`,
 		`{"version":1,"processors":2,"tasks":[{"id":1.0,"weight":1,"times":[2]}]}`,
 		`{"version":1,"processors":2,"tasks":[{"id":1,"weight":1,"times":["2"]}]}`,
 		`{"version":1,"processors":2,"tasks":[{"id":1,"weight":1,"times":[2]}`,
@@ -137,19 +142,74 @@ func TestReadInstanceMatchesOracle(t *testing.T) {
 	for _, in := range inputs {
 		got, err := readInstance([]byte(in))
 		want, wantErr := oracleReadInstance(strings.NewReader(in))
-		if msg := sameOutcome(err, wantErr, "workload: cannot decode instance: "); msg != "" {
+		if msg := agreesOneWay(err, wantErr, decodeInstance); msg != "" {
 			t.Fatalf("%.60q: %s", in, msg)
 		}
 		if err == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("%.60q: the codec read %+v, the oracle %+v", in, got, want)
 		}
 	}
-	// A negative processor count panics in the oracle (moldable.NewInstance
-	// slices to it); the codec reports the instance's own error.
-	_, err = readInstance([]byte(`{"version":1,"processors":-1,"tasks":[{"id":1,"weight":1,"times":[2]}]}`))
-	if want := "moldable: instance needs at least one processor, got -1"; err == nil || err.Error() != want {
-		t.Fatalf("negative processor count: error %v, want %q", err, want)
+}
+
+const (
+	decodeArrivals = "workload: cannot decode arrivals: "
+	decodeInstance = "workload: cannot decode instance: "
+)
+
+// lenientInputs names the seed corpus entries of FuzzReadArrivals and
+// FuzzReadInstance that each hold one leniency of encoding/json: a value
+// under an unknown member nested deep, escaped, case-folded, unknown and
+// repeated member names, nulls, invalid UTF-8 and bytes after the
+// document.
+var lenientInputs = []string{
+	"deep-ok", "escaped-keys", "escaped-name", "fold-keys",
+	"null-element", "null-times", "null-top", "nulls",
+	"repeated-hidden", "repeated-keys", "repeated-reset", "repeated-times",
+	"trailing-bytes", "unknown-keys",
+}
+
+// TestReadRejectsLenientInput: both readers refuse each leniency as
+// malformed, naming where.
+func TestReadRejectsLenientInput(t *testing.T) {
+	type input struct {
+		name string
+		data []byte
+		read func([]byte) error
 	}
+	readA := func(data []byte) error { _, _, err := readArrivals(data); return err }
+	readI := func(data []byte) error { _, err := readInstance(data); return err }
+	inputs := []input{
+		{"case-folded instance", []byte(`{"VERSION":1,"Processors":2,"TASKS":[{"ID":1,"Weight":1,"Times":[2],"submit":"ignored"}]}`), readI},
+		{"instance with an unknown member and trailing bytes", []byte(`{"version":1,"processors":2,"tasks":[{"id":1,"weight":1,"times":[2]}],"arrivals":[1,2]} trailing`), readI},
+	}
+	for _, name := range lenientInputs {
+		inputs = append(inputs,
+			input{"FuzzReadArrivals/" + name, corpusEntry(t, "FuzzReadArrivals", name), readA},
+			input{"FuzzReadInstance/" + name, corpusEntry(t, "FuzzReadInstance", name), readI})
+	}
+	for _, in := range inputs {
+		err := in.read(in.data)
+		if err == nil || !strings.HasPrefix(err.Error(), "workload: cannot decode ") {
+			t.Errorf("%s: error %v, want a decode failure", in.name, err)
+		} else if !strings.Contains(err.Error(), " at offset ") {
+			t.Errorf("%s: error %v names no offset", in.name, err)
+		}
+	}
+}
+
+// corpusEntry reads the bytes of a one-value []byte seed corpus file.
+func corpusEntry(t *testing.T, target, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
+	data, err := strconv.Unquote(strings.TrimSuffix(body, ")"))
+	if !ok || err != nil {
+		t.Fatalf("%s/%s is not a []byte corpus entry: %v", target, name, err)
+	}
+	return []byte(data)
 }
 
 // TestReadArrivalsAllocs pins the allocations of loading a 200-job

@@ -9,8 +9,9 @@ import (
 )
 
 // The encoding/json implementation of both file formats, kept as the
-// oracle of io.go's codec: the codec must write the same bytes and read
-// the same values, or fail where this fails.
+// oracle of io.go's codec: the codec must write the same bytes, and
+// whatever it reads this must read to the same values. It reads more:
+// encoding/json forgives what the codec refuses (see io.go).
 
 type oracleInstance struct {
 	Version int          `json:"version"`
@@ -46,8 +47,6 @@ func oracleWriteInstance(w io.Writer, inst *moldable.Instance) error {
 	return enc.Encode(ff)
 }
 
-// oracleReadInstance panics, through moldable.NewInstance, on a negative
-// processor count with a non-empty time vector; readInstance rejects it.
 func oracleReadInstance(r io.Reader) (*moldable.Instance, error) {
 	var ff oracleInstance
 	if err := json.NewDecoder(r).Decode(&ff); err != nil {
