@@ -114,6 +114,16 @@ func agreesOneWay(err, want error, decodePrefix string) string {
 	return ""
 }
 
+// sameOutcome is agreesOneWay held both ways, for input inside the
+// strict grammar: the codec refuses such input as malformed only where
+// the oracle does too.
+func sameOutcome(err, want error, decodePrefix string) string {
+	if err != nil && strings.HasPrefix(err.Error(), decodePrefix) && (want == nil || !strings.HasPrefix(want.Error(), decodePrefix)) {
+		return "the codec refuses as malformed what the oracle reads: " + err.Error() + "\noracle error: " + errText(want)
+	}
+	return agreesOneWay(err, want, decodePrefix)
+}
+
 func errText(err error) string {
 	if err == nil {
 		return "<nil>"
