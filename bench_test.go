@@ -1,15 +1,16 @@
 package bicriteria
 
-// Micro-benchmarks of the three kernels nothing else measures on their
-// own: the LP-relaxation minsum bound, the batch knapsack and the Graham
-// list loop. The paper's figures and the ablation studies run through the
-// CLI instead: `bicrit exp -figure N` (3-7; paper scale with -runs 40 -lp)
-// and `bicrit exp -ablation selection|compaction|bound`.
+// Micro-benchmarks of the kernels nothing else measures on their own: the
+// LP-relaxation minsum bound, the Graham list loop and the shuffle
+// compaction's scoring. The batch knapsack's benchmark lives with the
+// knapsack in internal/core. The paper's figures and the ablation studies
+// run through the CLI instead: `bicrit exp -figure N` (3-7; paper scale
+// with -runs 40 -lp) and `bicrit exp -ablation selection|compaction|bound`.
 
 import (
+	"math/rand"
 	"testing"
 
-	"bicriteria/internal/knapsack"
 	"bicriteria/internal/listsched"
 	"bicriteria/internal/lowerbound"
 	"bicriteria/internal/workload"
@@ -30,21 +31,6 @@ func BenchmarkMinsumLPBound(b *testing.B) {
 	}
 }
 
-// BenchmarkKnapsackSelection measures the O(mn) knapsack used by each batch
-// at the paper's scale (m=200, n=400).
-func BenchmarkKnapsackSelection(b *testing.B) {
-	items := make([]knapsack.Item, 400)
-	for i := range items {
-		items[i] = knapsack.Item{Cost: 1 + i%32, Value: float64(1 + i%10)}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := knapsack.MaxValue(items, 200); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkGrahamList measures the event-driven list scheduler on a large
 // rigid instance (the compaction workhorse).
 func BenchmarkGrahamList(b *testing.B) {
@@ -57,5 +43,48 @@ func BenchmarkGrahamList(b *testing.B) {
 		if _, err := listsched.GrahamContext(b.Context(), 200, items); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkShuffleCompaction measures the DEMT compaction's kernel on the
+// same list as BenchmarkGrahamList: the list and 8 shuffles of it are each
+// scored from the loop's start times alone, and only the best order's
+// processors are swept.
+func BenchmarkShuffleCompaction(b *testing.B) {
+	base := make([]listsched.Item, 400)
+	weights := make([]float64, len(base))
+	for i := range base {
+		base[i] = listsched.Item{TaskID: i, NProcs: 1 + i%32, Duration: 1 + float64(i%17)}
+		weights[i] = float64(1 + i%10)
+	}
+	r := rand.New(rand.NewSource(1))
+	orders := make([][]listsched.Item, 9)
+	for k := range orders {
+		orders[k] = append([]listsched.Item(nil), base...)
+		if k > 0 {
+			r.Shuffle(len(base), func(i, j int) { orders[k][i], orders[k][j] = orders[k][j], orders[k][i] })
+		}
+	}
+	// Every order lists the same weights: item i's weight is weights[TaskID].
+	w := make([]float64, len(base))
+	var loop listsched.Loop
+	var placed, best []listsched.Placement
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bestMinsum, bestOrder := 0.0, 0
+		for k, items := range orders {
+			for j, it := range items {
+				w[j] = weights[it.TaskID]
+			}
+			var err error
+			if placed, err = loop.Place(b.Context(), 200, items, placed); err != nil {
+				b.Fatal(err)
+			}
+			if minsum, _ := listsched.Score(items, placed, w); k == 0 || minsum < bestMinsum {
+				bestMinsum, bestOrder = minsum, k
+				placed, best = best, placed
+			}
+		}
+		loop.Sweep(200, orders[bestOrder], best)
 	}
 }

@@ -133,6 +133,18 @@ func TestFacadeNewInstanceNonPositiveM(t *testing.T) {
 	}
 }
 
+// TestFacadePerfectlyMoldableNonPositiveProcs: a task without any
+// allocation is an error of Validate, not a panic of its constructor.
+func TestFacadePerfectlyMoldableNonPositiveProcs(t *testing.T) {
+	for _, maxProcs := range []int{-1, 0} {
+		inst := NewInstance(4, []Task{NewPerfectlyMoldableTask(3, 1, 8, maxProcs)})
+		want := "moldable: task 3 has an empty processing-time vector"
+		if err := inst.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("maxProcs = %d: Validate gives %v, want %q", maxProcs, err, want)
+		}
+	}
+}
+
 func TestFacadeOnline(t *testing.T) {
 	jobs := []OnlineJob{
 		{Task: NewSequentialTask(0, 1, 2), Release: 0},

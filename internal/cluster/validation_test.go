@@ -126,8 +126,9 @@ func TestRacedInvalidPlanDoesNotCut(t *testing.T) {
 // TestPortfolioBatchAllocs pins the allocations of one DefaultPortfolio
 // batch: a 14-job mixed instance on 64 processors under the combined
 // objective. Checking every candidate's plan, reallocating the two-shelf
-// knapsack's tables per solve, or a processor list per gang task each
-// push the count past the pin.
+// knapsack's tables per solve, a processor list per gang task, or building
+// every shuffled order's schedule in DEMT's compaction each push the count
+// past the pin.
 func TestPortfolioBatchAllocs(t *testing.T) {
 	inst, err := workload.Generate(workload.Config{Kind: workload.Mixed, M: 64, N: 14, Seed: 2})
 	if err != nil {
@@ -141,7 +142,7 @@ func TestPortfolioBatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const pinned = 389
+	const pinned = 184
 	if allocs > pinned {
 		t.Fatalf("one portfolio batch allocates %v times, want at most %d", allocs, pinned)
 	}

@@ -23,8 +23,7 @@ func compact(ctx context.Context, inst *moldable.Instance, res *Result, opts Opt
 	case CompactionEarliestStart:
 		return earliestStartCompaction(res.Raw), 0, nil
 	case CompactionList:
-		items := batchOrderItems(batchSegments(inst, res.Batches), nil)
-		s, err := listsched.GrahamContext(ctx, inst.M, items)
+		s, err := listsched.GrahamContext(ctx, inst.M, newBatchList(inst, res.Batches).items)
 		return s, 0, err
 	case CompactionListShuffle:
 		return shuffleCompaction(ctx, inst, res, opts)
@@ -63,45 +62,58 @@ func earliestStartCompaction(raw *schedule.Schedule) *schedule.Schedule {
 	return out
 }
 
-// batchSegments returns every batch's tasks as list-scheduler items,
-// longest first; the sort is stable, so equal durations keep the
-// selection order.
-func batchSegments(inst *moldable.Instance, batches []Batch) [][]listsched.Item {
-	segments := make([][]listsched.Item, len(batches))
-	for b := range batches {
-		var seg []listsched.Item
-		for _, it := range batches[b].selection {
-			for k, idx := range it.taskIdxs {
-				seg = append(seg, listsched.Item{
-					TaskID:   inst.Tasks[idx].ID,
-					NProcs:   it.alloc,
-					Duration: it.durations[k],
-				})
-			}
-		}
-		slices.SortStableFunc(seg, func(a, b listsched.Item) int { return cmp.Compare(b.Duration, a.Duration) })
-		segments[b] = seg
-	}
-	return segments
+// batchList is the compaction's list: every batch's tasks as
+// list-scheduler items, the batches in order and each batch's tasks
+// longest first (the sort is stable, so equal durations keep the
+// selection order). Batch b holds items[bounds[b]:bounds[b+1]], and
+// weights[i] is the weight of item i's task.
+type batchList struct {
+	items   []listsched.Item
+	weights []float64
+	bounds  []int
 }
 
-// batchOrderItems flattens the batch segments into one list, the batches
-// in batchOrder (identity when nil). The list is a fresh copy, so the
-// shuffling helpers can permute it in place.
-func batchOrderItems(segments [][]listsched.Item, batchOrder []int) []listsched.Item {
+func newBatchList(inst *moldable.Instance, batches []Batch) *batchList {
 	n := 0
-	for _, seg := range segments {
-		n += len(seg)
-	}
-	items := make([]listsched.Item, 0, n)
-	for i := range segments {
-		b := i
-		if batchOrder != nil {
-			b = batchOrder[i]
+	for b := range batches {
+		for _, it := range batches[b].selection {
+			n += len(it.taskIdxs)
 		}
-		items = append(items, segments[b]...)
 	}
-	return items
+	l := &batchList{
+		items:   make([]listsched.Item, 0, n),
+		weights: make([]float64, n),
+		bounds:  make([]int, 1, len(batches)+1),
+	}
+	// The items carry their task's index while they are sorted; it then
+	// gives way to the task's ID and fills in the weight.
+	for b := range batches {
+		for _, it := range batches[b].selection {
+			for k, idx := range it.taskIdxs {
+				l.items = append(l.items, listsched.Item{TaskID: idx, NProcs: it.alloc, Duration: it.durations[k]})
+			}
+		}
+		seg := l.items[l.bounds[b]:]
+		slices.SortStableFunc(seg, func(a, b listsched.Item) int { return cmp.Compare(b.Duration, a.Duration) })
+		l.bounds = append(l.bounds, len(l.items))
+	}
+	for i := range l.items {
+		t := &inst.Tasks[l.items[i].TaskID]
+		l.items[i].TaskID, l.weights[i] = t.ID, t.Weight
+	}
+	return l
+}
+
+// arrange copies the list into items and weights with the batches in
+// order, a permutation of the batch indices.
+func (l *batchList) arrange(order []int, items []listsched.Item, weights []float64) {
+	pos := 0
+	for _, b := range order {
+		lo, hi := l.bounds[b], l.bounds[b+1]
+		copy(items[pos:], l.items[lo:hi])
+		copy(weights[pos:], l.weights[lo:hi])
+		pos += hi - lo
+	}
 }
 
 // shuffleCompaction implements the paper's final optimization: compact with
@@ -109,90 +121,81 @@ func batchOrderItems(segments [][]listsched.Item, batchOrder []int) []listsched.
 // keep the best resulting schedule (lowest weighted completion time, ties
 // broken by makespan). The shuffles draw what rand.NewSource(opts.Seed)
 // would, read from the process's memo of that seed's stream.
+//
+// An order is scored from the start times the list loop yields
+// (listsched.Score), without building its schedule: the candidate being
+// scored and the best so far live in buffers the compaction owns, a
+// better candidate swaps places with the best, and only the best order's
+// processors are swept at the end.
 func shuffleCompaction(ctx context.Context, inst *moldable.Instance, res *Result, opts Options) (*schedule.Schedule, int, error) {
-	type candidate struct {
-		sched  *schedule.Schedule
-		minsum float64
-		cmax   float64
-	}
-	// A candidate's minsum is Schedule.WeightedCompletion: the same sum in
-	// assignment order, with the weight lookup built once for every
-	// candidate instead of once per call. The run validated the instance,
-	// so every ID is unique.
-	weight := make(map[int]float64, len(inst.Tasks))
-	for i := range inst.Tasks {
-		weight[inst.Tasks[i].ID] = inst.Tasks[i].Weight
-	}
-	evaluate := func(items []listsched.Item) (*candidate, error) {
-		s, err := listsched.GrahamContext(ctx, inst.M, items)
-		if err != nil {
-			return nil, err
-		}
-		minsum := 0.0
-		for i := range s.Assignments {
-			a := &s.Assignments[i]
-			minsum += weight[a.TaskID] * a.End()
-		}
-		return &candidate{sched: s, minsum: minsum, cmax: s.Makespan()}, nil
-	}
-
-	// Every candidate lists the same sorted batches, only reordered.
-	segments := batchSegments(inst, res.Batches)
-	best, err := evaluate(batchOrderItems(segments, nil))
-	if err != nil {
-		return nil, 0, err
-	}
-	tried := 1
-
+	list := newBatchList(inst, res.Batches)
+	n := len(list.items)
+	items, bestItems := make([]listsched.Item, n), make([]listsched.Item, n)
+	weights := make([]float64, n)
+	var placed, best []listsched.Placement
+	var loop listsched.Loop
+	var bestMinsum, bestCmax float64
+	order := make([]int, len(res.Batches))
 	rng := seededRand(opts.Seed)
-	for s := 0; s < opts.Shuffles; s++ {
-		if err := ctx.Err(); err != nil {
-			return nil, tried, fmt.Errorf("core: compaction aborted: %w", err)
+	tried := 0
+	for s := 0; s <= opts.Shuffles; s++ {
+		for i := range order {
+			order[i] = i
 		}
-		order := shuffledBatchOrder(rng, len(res.Batches))
-		items := batchOrderItems(segments, order)
-		shuffleWithinBatches(rng, items, segments, order)
-		cand, err := evaluate(items)
-		if err != nil {
+		if s > 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, tried, fmt.Errorf("core: compaction aborted: %w", err)
+			}
+			shuffleBatchOrder(rng, order)
+		}
+		list.arrange(order, items, weights)
+		if s > 0 {
+			shuffleWithinBatches(rng, list, order, items, weights)
+		}
+		var err error
+		if placed, err = loop.Place(ctx, inst.M, items, placed); err != nil {
 			return nil, tried, err
 		}
 		tried++
-		if cand.minsum < best.minsum-moldable.Eps ||
-			(cand.minsum < best.minsum+moldable.Eps && cand.cmax < best.cmax-moldable.Eps) {
-			best = cand
+		minsum, cmax := listsched.Score(items, placed, weights)
+		if s == 0 || minsum < bestMinsum-moldable.Eps ||
+			(minsum < bestMinsum+moldable.Eps && cmax < bestCmax-moldable.Eps) {
+			bestMinsum, bestCmax = minsum, cmax
+			items, bestItems = bestItems, items
+			placed, best = best, placed
 		}
 	}
-	return best.sched, tried, nil
+	return loop.Sweep(inst.M, bestItems, best), tried, nil
 }
 
-// shuffledBatchOrder perturbs the identity order with a few random adjacent
+// shuffleBatchOrder perturbs the identity order with a few random adjacent
 // transpositions, preserving the overall small-to-large structure that the
 // minsum criterion relies on.
-func shuffledBatchOrder(rng *rand.Rand, n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
+func shuffleBatchOrder(rng *rand.Rand, order []int) {
+	n := len(order)
 	if n < 2 {
-		return order
+		return
 	}
 	swaps := 1 + rng.Intn(n)
 	for s := 0; s < swaps; s++ {
 		i := rng.Intn(n - 1)
 		order[i], order[i+1] = order[i+1], order[i]
 	}
-	return order
 }
 
 // shuffleWithinBatches randomly permutes the items belonging to the same
-// batch, leaving the relative order of the batches intact. items was built
-// by batchOrderItems from the same segments and order, so the batch
-// segments are contiguous.
-func shuffleWithinBatches(rng *rand.Rand, items []listsched.Item, segments [][]listsched.Item, order []int) {
+// batch, and their weights with them, leaving the relative order of the
+// batches intact. items and weights were arranged from the list in the
+// same order, so the batch segments are contiguous.
+func shuffleWithinBatches(rng *rand.Rand, l *batchList, order []int, items []listsched.Item, weights []float64) {
 	pos := 0
 	for _, b := range order {
-		segment := items[pos : pos+len(segments[b])]
-		rng.Shuffle(len(segment), func(i, j int) { segment[i], segment[j] = segment[j], segment[i] })
-		pos += len(segment)
+		size := l.bounds[b+1] - l.bounds[b]
+		seg, w := items[pos:pos+size], weights[pos:pos+size]
+		rng.Shuffle(size, func(i, j int) {
+			seg[i], seg[j] = seg[j], seg[i]
+			w[i], w[j] = w[j], w[i]
+		})
+		pos += size
 	}
 }

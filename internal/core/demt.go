@@ -12,10 +12,14 @@
 //  3. for each batch, gathers the tasks that can complete within the batch
 //     length, merges the small sequential ones by decreasing weight, and
 //     selects the subset of maximal total weight that fits on the m
-//     processors with a knapsack dynamic program;
+//     processors with a knapsack dynamic program (knapsack.go), whose
+//     tables the batches of one run share;
 //  4. compacts the resulting shelf schedule with a list algorithm driven by
 //     the batch order, optionally trying a few shuffled orders and keeping
-//     the best schedule found.
+//     the best schedule found. Every order is scored, minsum first, from
+//     the start times of the list loop alone (listsched.Loop.Place and
+//     listsched.Score); only the best order gets processors
+//     (listsched.Loop.Sweep), so the losing orders build no schedule.
 //
 // Termination note: the paper's pseudo-code stops after batch K. When the
 // m-processor budget, rather than the batch length, keeps some tasks out of
@@ -26,14 +30,15 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"bicriteria/internal/dualapprox"
-	"bicriteria/internal/knapsack"
 	"bicriteria/internal/moldable"
 	"bicriteria/internal/schedule"
 )
@@ -269,6 +274,8 @@ func run(ctx context.Context, inst *moldable.Instance, tab *moldable.Table, opts
 		}
 		left := len(remaining)
 		raw := schedule.New(inst.M)
+		raw.Assignments = make([]schedule.Assignment, 0, left)
+		sc := newBatchScratch(left, inst.M)
 		for j := 0; left > 0; j++ {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("core: batch construction aborted: %w", err)
@@ -277,8 +284,8 @@ func run(ctx context.Context, inst *moldable.Instance, tab *moldable.Table, opts
 				return fmt.Errorf("core: batch construction did not terminate after %d batches", j)
 			}
 			length := batchLength(j)
-			batch := buildBatch(tab, remaining, j, length, length, opts.Selection)
-			if batch == nil {
+			batch, ok := buildBatch(tab, remaining, j, length, length, opts.Selection, sc)
+			if !ok {
 				continue
 			}
 			for _, it := range batch.selection {
@@ -287,8 +294,8 @@ func run(ctx context.Context, inst *moldable.Instance, tab *moldable.Table, opts
 					left--
 				}
 			}
-			appendBatchAssignments(inst, raw, batch)
-			res.Batches = append(res.Batches, *batch)
+			appendBatchAssignments(inst, raw, &batch)
+			res.Batches = append(res.Batches, batch)
 		}
 		res.Raw = raw
 		return nil
@@ -333,12 +340,38 @@ type batchItem struct {
 	durations []float64
 }
 
-// buildBatch selects the content of batch j. It returns nil when no
+// batchScratch is the batch construction's working space, reused from
+// batch to batch of one run: the candidates of the batch being built, the
+// tasks mergeable on one processor, and the task indices and durations
+// that back every candidate's taskIdxs and durations.
+type batchScratch struct {
+	items    []batchItem
+	smallSeq []int
+	idxs     []int
+	durs     []float64
+	knap     knapsack
+}
+
+// newBatchScratch returns the working space of a run over n tasks on m
+// processors, sized for the largest batch up front. Every task lands in
+// at most one candidate of a batch, so no buffer outgrows n candidates or
+// tasks, and the candidates' windows of idxs and durs stay valid.
+func newBatchScratch(n, m int) *batchScratch {
+	return &batchScratch{
+		items:    make([]batchItem, 0, n),
+		smallSeq: make([]int, 0, n),
+		idxs:     make([]int, 0, n),
+		durs:     make([]float64, 0, n),
+		knap:     knapsack{best: make([]float64, m+1), take: make([]bool, n*(m+1))},
+	}
+}
+
+// buildBatch selects the content of batch j. It returns false when no
 // remaining task fits in the batch length.
-func buildBatch(tab *moldable.Table, remaining []bool, j int, start, length float64, selection SelectionMode) *Batch {
+func buildBatch(tab *moldable.Table, remaining []bool, j int, start, length float64, selection SelectionMode, sc *batchScratch) (Batch, bool) {
 	inst := tab.Inst
-	var smallSeq []int // indices of tasks mergeable on one processor
-	var items []batchItem
+	items, smallSeq := sc.items[:0], sc.smallSeq[:0]
+	idxs, durs := sc.idxs[:0], sc.durs[:0]
 
 	for i, left := range remaining {
 		if !left {
@@ -353,107 +386,87 @@ func buildBatch(tab *moldable.Table, remaining []bool, j int, start, length floa
 			smallSeq = append(smallSeq, i)
 			continue
 		}
+		k := len(idxs)
+		idxs, durs = append(idxs, i), append(durs, t.Time(alloc))
 		items = append(items, batchItem{
-			taskIdxs:  []int{i},
+			taskIdxs:  idxs[k : k+1 : k+1],
 			alloc:     alloc,
 			weight:    t.Weight,
-			durations: []float64{t.Time(alloc)},
+			durations: durs[k : k+1 : k+1],
 		})
 	}
 
 	// Merge the small sequential tasks by decreasing weight: stack them on a
-	// single processor while the stack still fits in the batch.
-	sort.SliceStable(smallSeq, func(a, b int) bool {
-		return inst.Tasks[smallSeq[a]].Weight > inst.Tasks[smallSeq[b]].Weight
+	// single processor while the stack still fits in the batch. The stack
+	// being filled is idxs[lo:].
+	slices.SortStableFunc(smallSeq, func(a, b int) int {
+		return cmp.Compare(inst.Tasks[b].Weight, inst.Tasks[a].Weight)
 	})
-	var mergedGroups [][]int
-	var current batchItem
-	currentLen := 0.0
+	lo, stackWeight, stackLen := len(idxs), 0.0, 0.0
 	flush := func() {
-		if len(current.taskIdxs) > 0 {
-			current.alloc = 1
-			items = append(items, current)
-			if len(current.taskIdxs) > 1 {
-				ids := make([]int, len(current.taskIdxs))
-				for k, idx := range current.taskIdxs {
-					ids[k] = inst.Tasks[idx].ID
-				}
-				mergedGroups = append(mergedGroups, ids)
-			}
-			current = batchItem{}
-			currentLen = 0
+		if hi := len(idxs); hi > lo {
+			items = append(items, batchItem{taskIdxs: idxs[lo:hi:hi], alloc: 1, weight: stackWeight, durations: durs[lo:hi:hi]})
+			lo, stackWeight, stackLen = hi, 0, 0
 		}
 	}
 	for _, i := range smallSeq {
 		t := &inst.Tasks[i]
-		if currentLen+t.SeqTime() > length+moldable.Eps {
+		if stackLen+t.SeqTime() > length+moldable.Eps {
 			flush()
 		}
-		current.taskIdxs = append(current.taskIdxs, i)
-		current.durations = append(current.durations, t.SeqTime())
-		current.weight += t.Weight
-		currentLen += t.SeqTime()
+		idxs, durs = append(idxs, i), append(durs, t.SeqTime())
+		stackWeight += t.Weight
+		stackLen += t.SeqTime()
 	}
 	flush()
 
 	if len(items) == 0 {
-		return nil
+		return Batch{}, false
 	}
-
-	selected := selectItems(items, inst.M, selection)
+	selected := selectItems(&sc.knap, items, inst.M, selection)
 	if len(selected) == 0 {
-		return nil
+		return Batch{}, false
 	}
 
-	batch := &Batch{Index: j, Start: start, End: start + length, Length: length, MergedGroups: mergedGroups}
-	usedMerged := make(map[int]bool)
-	for _, g := range mergedGroups {
-		for _, id := range g {
-			usedMerged[id] = false
-		}
-	}
-	totalWeight := 0.0
-	usedProcs := 0
+	// The selected candidates move out of the scratch space: their task
+	// indices and durations into two arrays of the batch's own.
+	nTasks := 0
 	for _, sel := range selected {
+		nTasks += len(items[sel].taskIdxs)
+	}
+	ownIdxs, ownDurs := make([]int, 0, nTasks), make([]float64, 0, nTasks)
+	batch := Batch{
+		Index:     j,
+		Start:     start,
+		End:       start + length,
+		Length:    length,
+		TaskIDs:   make([]int, 0, nTasks),
+		selection: make([]batchItem, len(selected)),
+	}
+	for k, sel := range selected {
 		it := items[sel]
-		usedProcs += it.alloc
-		totalWeight += it.weight
+		batch.UsedProcessors += it.alloc
+		batch.SelectedWeight += it.weight
+		lo, hi := len(ownIdxs), len(ownIdxs)+len(it.taskIdxs)
+		ownIdxs, ownDurs = append(ownIdxs, it.taskIdxs...), append(ownDurs, it.durations...)
+		it.taskIdxs, it.durations = ownIdxs[lo:hi:hi], ownDurs[lo:hi:hi]
+		batch.selection[k] = it
 		for _, idx := range it.taskIdxs {
 			batch.TaskIDs = append(batch.TaskIDs, inst.Tasks[idx].ID)
-			if _, ok := usedMerged[inst.Tasks[idx].ID]; ok {
-				usedMerged[inst.Tasks[idx].ID] = true
-			}
+		}
+		// A candidate of several tasks is a merged stack.
+		if len(it.taskIdxs) > 1 {
+			batch.MergedGroups = append(batch.MergedGroups, slices.Clone(batch.TaskIDs[len(batch.TaskIDs)-len(it.taskIdxs):]))
 		}
 	}
-	// Keep only merged groups whose tasks were actually selected.
-	var keptGroups [][]int
-	for _, g := range mergedGroups {
-		kept := true
-		for _, id := range g {
-			if !usedMerged[id] {
-				kept = false
-				break
-			}
-		}
-		if kept {
-			keptGroups = append(keptGroups, g)
-		}
-	}
-	batch.MergedGroups = keptGroups
-	batch.UsedProcessors = usedProcs
-	batch.SelectedWeight = totalWeight
 	sort.Ints(batch.TaskIDs)
-
-	// Remember the selected items for assignment construction.
-	batch.selection = make([]batchItem, len(selected))
-	for k, sel := range selected {
-		batch.selection[k] = items[sel]
-	}
-	return batch
+	return batch, true
 }
 
-// selectItems returns the indices of the chosen items.
-func selectItems(items []batchItem, capacity int, mode SelectionMode) []int {
+// selectItems returns the indices of the chosen items, in increasing
+// order. The knapsack's result is its own buffer, valid until its next
+// solve.
+func selectItems(knap *knapsack, items []batchItem, capacity int, mode SelectionMode) []int {
 	switch mode {
 	case SelectionGreedy:
 		order := make([]int, len(items))
@@ -476,41 +489,44 @@ func selectItems(items []batchItem, capacity int, mode SelectionMode) []int {
 		sort.Ints(chosen)
 		return chosen
 	default: // SelectionKnapsack
-		kItems := make([]knapsack.Item, len(items))
-		for i, it := range items {
-			kItems[i] = knapsack.Item{Cost: it.alloc, Value: it.weight}
-		}
-		res, err := knapsack.MaxValue(kItems, capacity)
+		selected, _, err := knap.maxValue(items, capacity)
 		if err != nil {
 			return nil
 		}
-		return res.Selected
+		return selected
 	}
 }
 
 // appendBatchAssignments materializes the selected items of a batch into
 // the raw schedule: every item starts at the batch boundary, merged tasks
 // are stacked sequentially on their processor, and processors are packed
-// from index 0.
+// from index 0. One array backs the processor lists of the whole batch,
+// each a capacity-clipped window of it.
 func appendBatchAssignments(inst *moldable.Instance, raw *schedule.Schedule, batch *Batch) {
+	total := 0
+	for _, it := range batch.selection {
+		total += it.alloc * len(it.taskIdxs)
+	}
+	procs := make([]int, total)
 	nextProc := 0
 	for _, it := range batch.selection {
-		procs := make([]int, it.alloc)
-		for p := range procs {
-			procs[p] = nextProc + p
-		}
-		nextProc += it.alloc
 		offset := 0.0
 		for k, idx := range it.taskIdxs {
+			p := procs[:it.alloc:it.alloc]
+			procs = procs[it.alloc:]
+			for q := range p {
+				p[q] = nextProc + q
+			}
 			t := &inst.Tasks[idx]
 			raw.Add(schedule.Assignment{
 				TaskID:   t.ID,
 				Start:    batch.Start + offset,
 				NProcs:   it.alloc,
-				Procs:    append([]int(nil), procs...),
+				Procs:    p,
 				Duration: it.durations[k],
 			})
 			offset += it.durations[k]
 		}
+		nextProc += it.alloc
 	}
 }

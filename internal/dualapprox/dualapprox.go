@@ -26,8 +26,11 @@
 // so a step of either bisection costs O(n log m) for such tasks. TwoShelf
 // runs its O(nm) knapsack only at a step whose per-task (small?, c1, c2)
 // signature differs from those of the last feasible and the last
-// infeasible step, into tables allocated once per bisection, and builds
-// the schedule once, at the final deadline.
+// infeasible step, into tables allocated once per bisection: the
+// decision table, a []bool of one entry per task and budget unit, is
+// sized from the instance's task count at the first solve, however few
+// shelf tasks that solve has. It builds the schedule once, at the final
+// deadline.
 package dualapprox
 
 import (
@@ -316,6 +319,12 @@ func (s *shelfSolver) solve() ([]bool, bool) {
 	}
 
 	// Knapsack partition: minimize total work, shelf-1 processor budget m.
+	// The decision table is sized for every task of the instance at the
+	// first solve, so it is not regrown as later deadlines turn small
+	// tasks into shelf tasks.
+	if s.choice == nil {
+		s.choice = make([]bool, len(inst.Tasks)*stride)
+	}
 	onShelf1, _, err := s.minCostPartition(s.cost1, s.work1, s.work2, m)
 	if err != nil {
 		return nil, false
@@ -364,8 +373,9 @@ func (s *shelfSolver) solve() ([]bool, bool) {
 //
 // The dynamic program runs in O(n * (budget+1)) time. Its two value rows
 // and its flat n * (budget+1) decision table belong to the solver and grow
-// to the largest problem solved, so a bisection allocates them once: each
-// solve zeroes the first row and the used prefix of the decision table.
+// to the largest problem solved (solve sizes the table for the whole
+// instance up front), so a bisection allocates them once: each solve
+// zeroes the first row and the used prefix of the decision table.
 // The returned slice is the solver's too, overwritten by the next solve.
 func (s *shelfSolver) minCostPartition(cost1 []int, work1, work2 []float64, budget int) (shelf1 []bool, totalWork float64, err error) {
 	n := len(cost1)
@@ -436,7 +446,34 @@ func (s *shelfSolver) build(lambda float64) *schedule.Schedule {
 	inst := s.tab.Inst
 	m, stride := inst.M, inst.M+1
 	sched := schedule.New(m)
+	sched.Assignments = make([]schedule.Assignment, 0, len(inst.Tasks))
 	var smallSeq []int // indices of tasks with p(1) <= lambda/2
+
+	// procs backs every assignment's processor list: a shelf task holds its
+	// c1 or c2 processors, a small task one. take hands out the next
+	// capacity-clipped window, numbered from the given processor on.
+	total, j := 0, 0
+	for _, sg := range s.yes {
+		switch {
+		case sg == 0:
+			total++
+			continue
+		case s.part[j]:
+			total += sg / stride
+		default:
+			total += sg % stride
+		}
+		j++
+	}
+	procs := make([]int, total)
+	take := func(from, count int) []int {
+		p := procs[:count:count]
+		procs = procs[count:]
+		for q := range p {
+			p[q] = from + q
+		}
+		return p
+	}
 
 	// Long shelf at time 0, short shelf at time lambda. end1 and end2
 	// track, per processor, the busy prefix [0, end1) and the second busy
@@ -447,7 +484,7 @@ func (s *shelfSolver) build(lambda float64) *schedule.Schedule {
 	for p := range end2 {
 		end2[p] = lambda
 	}
-	j := 0
+	j = 0
 	for i, sg := range s.yes {
 		if sg == 0 {
 			smallSeq = append(smallSeq, i)
@@ -456,7 +493,7 @@ func (s *shelfSolver) build(lambda float64) *schedule.Schedule {
 		t := &inst.Tasks[i]
 		if s.part[j] {
 			c1 := sg / stride
-			procs := procRange(nextProcShelf1, c1)
+			procs := take(nextProcShelf1, c1)
 			nextProcShelf1 += c1
 			d := t.Time(c1)
 			for _, p := range procs {
@@ -465,7 +502,7 @@ func (s *shelfSolver) build(lambda float64) *schedule.Schedule {
 			sched.Add(schedule.Assignment{TaskID: t.ID, Start: 0, NProcs: c1, Procs: procs, Duration: d})
 		} else {
 			c2 := sg % stride
-			procs := procRange(nextProcShelf2, c2)
+			procs := take(nextProcShelf2, c2)
 			nextProcShelf2 += c2
 			d := t.Time(c2)
 			for _, p := range procs {
@@ -494,7 +531,7 @@ func (s *shelfSolver) build(lambda float64) *schedule.Schedule {
 			}
 		}
 		if bestProc >= 0 {
-			sched.Add(schedule.Assignment{TaskID: t.ID, Start: end1[bestProc], NProcs: 1, Procs: []int{bestProc}, Duration: d})
+			sched.Add(schedule.Assignment{TaskID: t.ID, Start: end1[bestProc], NProcs: 1, Procs: take(bestProc, 1), Duration: d})
 			end1[bestProc] += d
 			continue
 		}
@@ -505,19 +542,10 @@ func (s *shelfSolver) build(lambda float64) *schedule.Schedule {
 				bestProc = p
 			}
 		}
-		sched.Add(schedule.Assignment{TaskID: t.ID, Start: end2[bestProc], NProcs: 1, Procs: []int{bestProc}, Duration: d})
+		sched.Add(schedule.Assignment{TaskID: t.ID, Start: end2[bestProc], NProcs: 1, Procs: take(bestProc, 1), Duration: d})
 		end2[bestProc] += d
 	}
 	return sched
-}
-
-// procRange returns processor indices [from, from+count).
-func procRange(from, count int) []int {
-	out := make([]int, count)
-	for i := range out {
-		out[i] = from + i
-	}
-	return out
 }
 
 // classifyShelves fills the Shelf1/Shelf2/Small fields of the result from

@@ -388,3 +388,12 @@ func referenceBuild(inst *moldable.Instance, lambda float64) *schedule.Schedule 
 	}
 	return sched
 }
+
+// procRange returns processor indices [from, from+count).
+func procRange(from, count int) []int {
+	out := make([]int, count)
+	for i := range out {
+		out[i] = from + i
+	}
+	return out
+}

@@ -9,11 +9,17 @@
 //     the free processors are started. A task may be overtaken by a
 //     lower-priority task that fits when it does not ("greedy /
 //     backfilling" behaviour), which is exactly the algorithm used by the
-//     paper's list baselines and by the DEMT compaction step. The loop
-//     keeps a bitset of idle processors, a min-heap of running tasks keyed
-//     by end time and a linked list of the unplaced tasks in list order,
-//     so an event costs O(log n) per completion plus the unplaced tasks it
-//     scans.
+//     paper's list baselines and by the DEMT compaction step. It runs in
+//     two parts. Loop.Place is the one event loop: it counts the idle
+//     processors, keeps a min-heap of running tasks keyed by end time and
+//     a linked list of the unplaced tasks in list order, and yields every
+//     task's start time in placement order; an event costs O(log n) per
+//     completion plus the unplaced tasks it scans. Loop.Sweep replays
+//     those placements over a bitset of idle processors and hands each
+//     task the lowest-index ones. Score reads the weighted completion
+//     time and the makespan off the placements alone, so a caller that
+//     compares several orders (the DEMT shuffle compaction) sweeps only
+//     the one it keeps.
 //
 //   - InsertionWithReservations: tasks are placed strictly in priority
 //     order, each at the earliest instant at which enough processors are
@@ -65,54 +71,77 @@ func validateItems(m int, items []Item) error {
 }
 
 // GrahamContext runs the event-driven list algorithm on m processors and
-// returns a schedule with explicit processor assignments. The context is
-// checked at every event time of the list loop, so a racing portfolio can
-// abort a straggling member mid-schedule. A cancellation returns the
-// context's error (errors.Is(err, ctx.Err()) holds).
+// returns a schedule with explicit processor assignments: Place's event
+// loop followed by Sweep's processor hand-out. The context is checked at
+// every event time of the list loop, so a racing portfolio can abort a
+// straggling member mid-schedule. A cancellation returns the context's
+// error (errors.Is(err, ctx.Err()) holds).
+func GrahamContext(ctx context.Context, m int, items []Item) (*schedule.Schedule, error) {
+	var l Loop
+	placed, err := l.Place(ctx, m, items, nil)
+	if err != nil {
+		return nil, err
+	}
+	return l.Sweep(m, items, placed), nil
+}
+
+// Placement is one start decided by the list loop: the item's index in
+// the list and its start time.
+type Placement struct {
+	Item  int
+	Start float64
+}
+
+// Loop holds the list loop's buffers, so a caller that lists many orders
+// of the same tasks reuses them from call to call. The zero value is
+// ready to use.
+type Loop struct {
+	running endHeap
+	link    []int32
+}
+
+// Place runs the list loop on m processors and appends to dst[:0] every
+// item's start, in placement order: at every event time, the unplaced
+// items are scanned in list order and each one released and narrow
+// enough for the idle processors starts. Which processors it gets does
+// not change which items fit, so the loop counts the idle processors and
+// leaves naming them to Sweep. The context is checked at every event.
 //
-// The loop jumps from event to event over three structures: a bitset of
-// the idle processors, handed out lowest index first; a min-heap of the
-// started items keyed by end time, whose top is the next completion; and
-// a linked list of the unplaced items in list order, the only items a
+// The loop jumps from event to event over two structures: a min-heap of
+// the started items keyed by end time, whose top is the next completion,
+// and a linked list of the unplaced items in list order, the only items a
 // placement pass or the release-date scan visits. An event costs O(log n)
 // per completion plus the unplaced items it scans.
-func GrahamContext(ctx context.Context, m int, items []Item) (*schedule.Schedule, error) {
+func (l *Loop) Place(ctx context.Context, m int, items []Item, dst []Placement) ([]Placement, error) {
 	if err := validateItems(m, items); err != nil {
 		return nil, err
 	}
-	sched := schedule.New(m)
 	n := len(items)
+	if cap(dst) < n {
+		dst = make([]Placement, 0, n)
+	}
+	dst = dst[:0]
 	if n == 0 {
-		return sched, nil
-	}
-	sched.Assignments = make([]schedule.Assignment, 0, n)
-
-	// idle has bit p set while processor p is idle; nIdle counts its bits.
-	idle := make([]uint64, (m+63)/64)
-	for w := range idle {
-		idle[w] = ^uint64(0)
-	}
-	if m%64 != 0 {
-		idle[len(idle)-1] = 1<<(m%64) - 1
+		return dst, nil
 	}
 	nIdle := m
 	// Each started item holds at least one processor until it is popped,
 	// so at most min(m, n) are running at once.
-	running := make(endHeap, 0, min(m, n))
+	if cap(l.running) < min(m, n) {
+		l.running = make(endHeap, 0, min(m, n))
+	}
+	running := &l.running
+	*running = (*running)[:0]
 	// link[i] is the unplaced item after item i in list order, n ends the
 	// list and head is the first unplaced item.
-	link := make([]int32, n)
+	if cap(l.link) < n {
+		l.link = make([]int32, n)
+	}
+	link := l.link[:n]
 	for i := range link {
 		link[i] = int32(i + 1)
 	}
 	head := int32(0)
-	// procs backs every assignment's processor list, each a
-	// capacity-clipped window of it.
-	totalProcs := 0
-	for _, it := range items {
-		totalProcs += it.NProcs
-	}
-	procs := make([]int, totalProcs)
 
 	// Start at the earliest release date; past the last one, no item can
 	// be waiting for its release.
@@ -126,15 +155,11 @@ func GrahamContext(ctx context.Context, m int, items []Item) (*schedule.Schedule
 		}
 	}
 
-	// finish returns to the idle set the processors of every running item
-	// that ends by limit.
+	// finish returns to the idle count the processors of every running
+	// item that ends by limit.
 	finish := func(limit float64) {
-		for len(running) > 0 && running[0].end <= limit {
-			a := &sched.Assignments[running.pop().idx]
-			for _, q := range a.Procs {
-				idle[q>>6] |= 1 << (q & 63)
-			}
-			nIdle += a.NProcs
+		for len(*running) > 0 && (*running)[0].end <= limit {
+			nIdle += items[running.pop().idx].NProcs
 		}
 	}
 
@@ -156,28 +181,14 @@ func GrahamContext(ctx context.Context, m int, items []Item) (*schedule.Schedule
 				at = &link[i]
 				continue
 			}
-			p := procs[:it.NProcs:it.NProcs]
-			procs = procs[it.NProcs:]
-			for w, k := 0, 0; k < len(p); w++ {
-				for ; idle[w] != 0 && k < len(p); k++ {
-					p[k] = w<<6 | bits.TrailingZeros64(idle[w])
-					idle[w] &= idle[w] - 1
-				}
-			}
 			nIdle -= it.NProcs
-			running.push(started{end: t + it.Duration, idx: int32(len(sched.Assignments))})
-			sched.Add(schedule.Assignment{
-				TaskID:   it.TaskID,
-				Start:    t,
-				NProcs:   it.NProcs,
-				Procs:    p,
-				Duration: it.Duration,
-			})
+			running.push(started{end: t + it.Duration, idx: i})
+			dst = append(dst, Placement{Item: int(i), Start: t})
 			*at = link[i]
 			remaining--
 		}
 		if remaining == 0 {
-			return sched, nil
+			return dst, nil
 		}
 		// An item started at t that ends within Eps of it frees its
 		// processors at the next event, not at t.
@@ -185,8 +196,8 @@ func GrahamContext(ctx context.Context, m int, items []Item) (*schedule.Schedule
 		// Advance to the next event: a completion or a release date of an
 		// unplaced item.
 		next := math.Inf(1)
-		if len(running) > 0 {
-			next = running[0].end
+		if len(*running) > 0 {
+			next = (*running)[0].end
 		}
 		if lastRelease > t+moldable.Eps {
 			for i := head; i < int32(n); i = link[i] {
@@ -202,8 +213,85 @@ func GrahamContext(ctx context.Context, m int, items []Item) (*schedule.Schedule
 	}
 }
 
+// Sweep builds the schedule of placements that Place returned for the
+// same m and items. It replays them in order and hands each item the
+// lowest-index idle processors, from a bitset of the idle processors.
+// Before the first placement of a new start time t, it returns to the
+// idle set the processors of every running item that ends by t+Eps: the
+// loop's own rule, so an item that ends within Eps of its start keeps its
+// processors through the placements of that instant.
+func (l *Loop) Sweep(m int, items []Item, placed []Placement) *schedule.Schedule {
+	sched := schedule.New(m)
+	if len(placed) == 0 {
+		return sched
+	}
+	sched.Assignments = make([]schedule.Assignment, 0, len(placed))
+	// idle has bit p set while processor p is idle.
+	idle := make([]uint64, (m+63)/64)
+	for w := range idle {
+		idle[w] = ^uint64(0)
+	}
+	if m%64 != 0 {
+		idle[len(idle)-1] = 1<<(m%64) - 1
+	}
+	// procs backs every assignment's processor list, each a
+	// capacity-clipped window of it.
+	totalProcs := 0
+	for _, pl := range placed {
+		totalProcs += items[pl.Item].NProcs
+	}
+	procs := make([]int, totalProcs)
+	running := &l.running
+	*running = (*running)[:0]
+	t := placed[0].Start
+	for _, pl := range placed {
+		if pl.Start != t {
+			t = pl.Start
+			for len(*running) > 0 && (*running)[0].end <= t+moldable.Eps {
+				for _, q := range sched.Assignments[running.pop().idx].Procs {
+					idle[q>>6] |= 1 << (q & 63)
+				}
+			}
+		}
+		it := items[pl.Item]
+		p := procs[:it.NProcs:it.NProcs]
+		procs = procs[it.NProcs:]
+		for w, k := 0, 0; k < len(p); w++ {
+			for ; idle[w] != 0 && k < len(p); k++ {
+				p[k] = w<<6 | bits.TrailingZeros64(idle[w])
+				idle[w] &= idle[w] - 1
+			}
+		}
+		running.push(started{end: t + it.Duration, idx: int32(len(sched.Assignments))})
+		sched.Add(schedule.Assignment{
+			TaskID:   it.TaskID,
+			Start:    t,
+			NProcs:   it.NProcs,
+			Procs:    p,
+			Duration: it.Duration,
+		})
+	}
+	return sched
+}
+
+// Score returns the weighted completion time and the makespan of the
+// schedule Sweep builds from placed, without building it: weight[i] is
+// item i's weight, the sum runs in placement order and the ends are
+// start + duration, so both equal the schedule's WeightedCompletion and
+// Makespan bit for bit.
+func Score(items []Item, placed []Placement, weight []float64) (minsum, cmax float64) {
+	for _, pl := range placed {
+		end := pl.Start + items[pl.Item].Duration
+		minsum += weight[pl.Item] * end
+		if end > cmax {
+			cmax = end
+		}
+	}
+	return minsum, cmax
+}
+
 // started is a running item of the list loop: its end time and its index
-// in the schedule's assignments.
+// in the list (Place) or in the schedule's assignments (Sweep).
 type started struct {
 	end float64
 	idx int32

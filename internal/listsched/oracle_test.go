@@ -77,9 +77,13 @@ func referenceGraham(m int, items []Item) (*schedule.Schedule, error) {
 	return sched, nil
 }
 
-// matchReference requires GrahamContext to return the reference loop's
-// schedule, or to fail with the reference's error.
-func matchReference(t *testing.T, m int, items []Item) {
+// matchReference requires GrahamContext, the event loop followed by the
+// processor sweep, to return the reference loop's schedule, or to fail
+// with the reference's error. When it succeeds, the (minsum, cmax) that
+// Score reads off the loop's start times must equal the built schedule's
+// WeightedCompletion and Makespan bit for bit, item i weighing
+// weight(i).
+func matchReference(t *testing.T, m int, items []Item, weight func(i int) float64) {
 	t.Helper()
 	want, wantErr := referenceGraham(m, items)
 	got, err := GrahamContext(context.Background(), m, items)
@@ -88,6 +92,73 @@ func matchReference(t *testing.T, m int, items []Item) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("m=%d, n=%d: schedules differ\ngot  %v\nwant %v", m, len(items), got.Assignments, want.Assignments)
+	}
+	if err != nil {
+		return
+	}
+	var l Loop
+	placed, err := l.Place(context.Background(), m, items, nil)
+	if err != nil {
+		t.Fatalf("m=%d, n=%d: Place fails where GrahamContext does not: %v", m, len(items), err)
+	}
+	weights := make([]float64, len(items))
+	tasks := make([]moldable.Task, len(items))
+	for i, it := range items {
+		weights[i] = weight(i)
+		tasks[i] = moldable.Task{ID: it.TaskID, Weight: weights[i], Times: []float64{it.Duration}}
+	}
+	minsum, cmax := Score(items, placed, weights)
+	wantMinsum, wantCmax := got.WeightedCompletion(moldable.NewInstance(m, tasks)), got.Makespan()
+	if math.Float64bits(minsum) != math.Float64bits(wantMinsum) || math.Float64bits(cmax) != math.Float64bits(wantCmax) {
+		t.Fatalf("m=%d, n=%d: Score gives (%v, %v), the schedule (%v, %v)", m, len(items), minsum, cmax, wantMinsum, wantCmax)
+	}
+}
+
+// TestSubEpsStallMatchesReference pins the list loop's known stall: when
+// every item running at an event ends within Eps of it and the next item
+// needs their processors, the loop and the reference both fail with "no
+// progress possible" on an idle machine.
+func TestSubEpsStallMatchesReference(t *testing.T) {
+	items := []Item{
+		{TaskID: 0, NProcs: 1, Duration: moldable.Eps / 4},
+		{TaskID: 1, NProcs: 1, Duration: moldable.Eps / 4},
+		{TaskID: 2, NProcs: 2, Duration: 1},
+	}
+	want := "listsched: no progress possible at time 0 (1 items left)"
+	if _, err := GrahamContext(t.Context(), 2, items); err == nil || err.Error() != want {
+		t.Fatalf("GrahamContext gives %v, want %q", err, want)
+	}
+	matchReference(t, 2, items, func(int) float64 { return 1 })
+}
+
+// TestPlaceReuseMatchesReference lists random orders of shrinking and
+// growing lists on one Loop, with the placement buffers of the last call
+// handed back, as the shuffle compaction does: every schedule swept from
+// the reused buffers must be the reference's.
+func TestPlaceReuseMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(52))
+	var l Loop
+	var placed []Placement
+	for trial := 0; trial < 200; trial++ {
+		m := 1 + r.Intn(80)
+		items := make([]Item, r.Intn(120))
+		for i := range items {
+			items[i] = Item{TaskID: i, NProcs: 1 + r.Intn(m), Duration: 0.1 + 10*r.Float64()}
+			if r.Intn(3) == 0 {
+				items[i].Release = float64(r.Intn(5))
+			}
+		}
+		want, wantErr := referenceGraham(m, items)
+		var err error
+		if placed, err = l.Place(t.Context(), m, items, placed); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("trial %d: error %v, reference %v", trial, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if got := l.Sweep(m, items, placed); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: schedules differ\ngot  %v\nwant %v", trial, got.Assignments, want.Assignments)
+		}
 	}
 }
 
@@ -117,7 +188,7 @@ func TestGrahamMatchesReference(t *testing.T) {
 			}
 			items[i] = it
 		}
-		matchReference(t, m, items)
+		matchReference(t, m, items, func(i int) float64 { return float64(i%7) / 3 })
 	}
 	for _, m := range []int{63, 64, 65, 128, 200} {
 		for shape := 0; shape < 4; shape++ {
@@ -143,7 +214,7 @@ func TestGrahamMatchesReference(t *testing.T) {
 					}
 					items[i] = it
 				}
-				matchReference(t, m, items)
+				matchReference(t, m, items, func(i int) float64 { return 0.1 + float64(i%11) })
 			}
 		}
 	}
@@ -151,10 +222,13 @@ func TestGrahamMatchesReference(t *testing.T) {
 
 // FuzzGraham decodes the input into a machine of up to 256 processors and
 // a list of items, and requires GrahamContext to return the reference
-// loop's schedule, or the reference's error. The first byte is m-1; every
-// following 3 bytes are an item: its width (255 is the whole machine), its
-// duration in sixteenths (0 is a sub-Eps duration) and its release date:
-// the byte halved, in sixteenths, plus Eps/2 when the byte is odd.
+// loop's schedule, or the reference's error, and Score to read that
+// schedule's weighted completion time and makespan off the start times
+// bit for bit. The first byte is m-1; every following 3 bytes are an
+// item: its width (255 is the whole machine), its duration in sixteenths
+// (0 is a sub-Eps duration) and its release date: the byte halved, in
+// sixteenths, plus Eps/2 when the byte is odd. Item i weighs its three
+// bytes' sum in tenths.
 func FuzzGraham(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -175,6 +249,8 @@ func FuzzGraham(f *testing.F) {
 			it.Release = float64(r>>1)/16 + float64(r&1)*moldable.Eps/2
 			items[i] = it
 		}
-		matchReference(t, m, items)
+		matchReference(t, m, items, func(i int) float64 {
+			return float64(int(data[3*i])+int(data[3*i+1])+int(data[3*i+2])) / 10
+		})
 	})
 }

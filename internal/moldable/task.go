@@ -147,8 +147,13 @@ func Sequential(id int, weight, duration float64) Task {
 // PerfectlyMoldable builds a task with linear speedup up to maxProcs: the
 // work seqTime is evenly divided among the allotted processors. Such tasks
 // are the extreme case discussed in §3.1 of the paper (optimal minsum
-// schedules run them on all processors by increasing area).
+// schedules run them on all processors by increasing area). With
+// maxProcs < 1 the task has no allocation at all: its time vector is
+// empty, which Validate rejects.
 func PerfectlyMoldable(id int, weight, seqTime float64, maxProcs int) Task {
+	if maxProcs < 1 {
+		return Task{ID: id, Weight: weight}
+	}
 	times := make([]float64, maxProcs)
 	for k := 1; k <= maxProcs; k++ {
 		times[k-1] = seqTime / float64(k)
