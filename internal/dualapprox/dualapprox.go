@@ -318,10 +318,8 @@ func (s *shelfSolver) solve() ([]bool, bool) {
 		s.work1, s.work2 = append(s.work1, t.Work(c1)), append(s.work2, w2)
 	}
 
-	// Knapsack partition: minimize total work, shelf-1 processor budget m.
-	// The decision table is sized for every task of the instance at the
-	// first solve, so it is not regrown as later deadlines turn small
-	// tasks into shelf tasks.
+	// Knapsack partition: minimize total work, shelf-1 processor budget m,
+	// into a decision table sized for every task (see the package doc).
 	if s.choice == nil {
 		s.choice = make([]bool, len(inst.Tasks)*stride)
 	}
