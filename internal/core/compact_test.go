@@ -126,7 +126,7 @@ func TestScheduleAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const pinned = 192
+	const pinned = 163
 	if allocs > pinned {
 		t.Fatalf("one schedule allocates %v times, want at most %d", allocs, pinned)
 	}

@@ -5,7 +5,10 @@
 // The algorithm:
 //
 //  1. computes an approximation C*max of the optimal makespan with the
-//     dual-approximation algorithm (package dualapprox);
+//     dual-approximation algorithm (package dualapprox). It reads only the
+//     estimate, so it calls dualapprox.Estimate: TwoShelf's bisection and
+//     shelf layout, tracking the layout's latest end without building the
+//     schedule, its shelf lists or its allotment;
 //  2. builds geometric batch lengths t_j = C*max / 2^(K-j) with
 //     K = floor(log2(C*max / tmin)), so that the batch lengths double and
 //     the last "paper" batch has length C*max;
@@ -13,7 +16,8 @@
 //     length, merges the small sequential ones by decreasing weight, and
 //     selects the subset of maximal total weight that fits on the m
 //     processors with a knapsack dynamic program (knapsack.go), whose
-//     tables the batches of one run share;
+//     tables the batches of one run share and whose rows stop at the
+//     running allocation sum of the items so far;
 //  4. compacts the resulting shelf schedule with a list algorithm driven by
 //     the batch order, optionally trying a few shuffled orders and keeping
 //     the best schedule found. Every order is scored, minsum first, from
@@ -242,12 +246,9 @@ func run(ctx context.Context, inst *moldable.Instance, tab *moldable.Table, opts
 			res.CmaxEstimate = opts.CmaxEstimate
 			return nil
 		}
-		da, err := dualapprox.TwoShelfTable(tab, dualapprox.MakespanLowerBound(tab))
-		if err != nil {
-			return err
-		}
-		res.CmaxEstimate = da.Estimate
-		return nil
+		var err error
+		res.CmaxEstimate, err = dualapprox.Estimate(tab, dualapprox.MakespanLowerBound(tab))
+		return err
 	})
 	if err != nil {
 		return nil, err

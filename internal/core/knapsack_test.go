@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -115,5 +117,94 @@ func TestPropertyMaxValueMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceMaxValue is maxValue as it stood before its rows stopped at
+// their running allocation sum: every item that fits updates the whole
+// row, in fresh tables.
+func referenceMaxValue(items []batchItem, capacity int) ([]int, float64, error) {
+	if capacity < 0 {
+		return nil, 0, fmt.Errorf("core: negative knapsack capacity %d", capacity)
+	}
+	for i, it := range items {
+		if it.alloc <= 0 {
+			return nil, 0, fmt.Errorf("core: knapsack item %d has non-positive cost %d", i, it.alloc)
+		}
+		if math.IsNaN(it.weight) || math.IsInf(it.weight, 0) || it.weight < 0 {
+			return nil, 0, fmt.Errorf("core: knapsack item %d has invalid value %g", i, it.weight)
+		}
+	}
+	n := len(items)
+	width := capacity + 1
+	best, take := make([]float64, width), make([]bool, n*width)
+	for i, it := range items {
+		if it.alloc > capacity {
+			continue
+		}
+		row := take[i*width : (i+1)*width]
+		for j := capacity; j >= it.alloc; j-- {
+			if cand := best[j-it.alloc] + it.weight; cand > best[j]+1e-12 {
+				best[j] = cand
+				row[j] = true
+			}
+		}
+	}
+	var sel []int
+	j := capacity
+	for i := n - 1; i >= 0; i-- {
+		if take[i*width+j] {
+			sel = append(sel, i)
+			j -= items[i].alloc
+		}
+	}
+	slices.Reverse(sel)
+	return sel, best[capacity], nil
+}
+
+// randomKnapsackProblem draws a batch knapsack with quarter-integer
+// weights, so that many selections tie, allocations up to 12 against
+// capacities from 0 to well above the total allocation, so that some items
+// fit no capacity and some problems never fill it, and now and then an
+// invalid item.
+func randomKnapsackProblem(r *rand.Rand) ([]batchItem, int) {
+	n := r.Intn(14)
+	capacity := r.Intn(20)
+	switch r.Intn(5) {
+	case 0:
+		capacity = 0
+	case 1:
+		capacity = 60 + r.Intn(100)
+	}
+	items := make([]batchItem, n)
+	for i := range items {
+		items[i] = batchItem{alloc: 1 + r.Intn(12), weight: float64(r.Intn(40)) / 4}
+	}
+	if n > 0 && r.Intn(40) == 0 {
+		items[r.Intn(n)].alloc = 0
+	}
+	if r.Intn(60) == 0 {
+		capacity = -1
+	}
+	return items, capacity
+}
+
+// TestMaxValueMatchesReference holds the prefix-bounded knapsack to the
+// full-width one it replaced (referenceMaxValue), bit for bit: the same
+// selection, the same total and the same failure, on one knapsack reused
+// from problem to problem as the batches of a run reuse it.
+func TestMaxValueMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var k knapsack
+	for p := 0; p < 3000; p++ {
+		items, capacity := randomKnapsackProblem(r)
+		want, wantTotal, wantErr := referenceMaxValue(items, capacity)
+		got, total, err := k.maxValue(items, capacity)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("problem %d (%v, capacity %d): err %v, reference err %v", p, items, capacity, err, wantErr)
+		}
+		if !slices.Equal(got, want) || math.Float64bits(total) != math.Float64bits(wantTotal) {
+			t.Fatalf("problem %d (%v, capacity %d): %v (total %v), reference %v (total %v)", p, items, capacity, got, total, want, wantTotal)
+		}
 	}
 }

@@ -29,8 +29,12 @@
 // infeasible step, into tables allocated once per bisection: the
 // decision table, a []bool of one entry per task and budget unit, is
 // sized from the instance's task count at the first solve, however few
-// shelf tasks that solve has. It builds the schedule once, at the final
-// deadline.
+// shelf tasks that solve has. The knapsack fills the row of shelf task i
+// only up to the total c1 of tasks 0..i, S_i: by induction from the
+// all-zero first row, an entry past S_i is computed from the same operands
+// as entry S_i, so it is read from there. TwoShelf builds the schedule
+// once, at the final deadline; Estimate, which DEMT's step 1 calls, builds
+// none and only tracks the latest end of the same layout.
 package dualapprox
 
 import (
@@ -163,47 +167,72 @@ func TwoShelfTable(tab *moldable.Table, lb float64) (*Result, error) {
 }
 
 func twoShelf(tab *moldable.Table, lb float64) (*Result, error) {
-	inst := tab.Inst
-	// The upper bound stacks every task at its fastest allocation.
-	lo, hi := lb, tab.SumMinTime
-
 	sv := newShelfSolver(tab)
+	lambda, found := sv.bisect(lb)
 	var best *schedule.Schedule
-	found, bestLambda := sv.feasible(hi), hi
-	if !found {
-		// The construction can fail even at the stacked upper bound: every
-		// task that is not small and sequential must sit on one of two
-		// m-processor shelves, so three rigid tasks that each need the whole
-		// machine fit at no deadline. The list scheduler then builds the
-		// schedule with the allotment at hi.
+	if found {
+		best = schedule.New(tab.Inst.M)
+		sv.build(lambda, best)
+	} else {
 		var err error
-		best, err = listFallback(tab, hi)
-		if err != nil {
+		if best, err = listFallback(tab, lambda); err != nil {
 			return nil, err
 		}
 	}
+	res := &Result{
+		Lambda:     lambda,
+		LowerBound: lb,
+		Schedule:   best,
+		Estimate:   best.Makespan(),
+		Allotment:  allotment(tab, lambda),
+	}
+	classifyShelves(tab.Inst, lambda, res)
+	return res, nil
+}
+
+// Estimate is TwoShelfTable(tab, lb).Estimate, bit for bit, for a caller
+// that reads nothing else: it runs the same bisection and lays out the
+// two-shelf schedule only to take its latest end, building no schedule,
+// shelf lists or allotment. An invalid instance fails with tab.Err.
+func Estimate(tab *moldable.Table, lb float64) (float64, error) {
+	if tab.Err != nil {
+		return 0, tab.Err
+	}
+	sv := newShelfSolver(tab)
+	lambda, found := sv.bisect(lb)
+	if found {
+		return sv.build(lambda, nil), nil
+	}
+	fallback, err := listFallback(tab, lambda)
+	if err != nil {
+		return 0, err
+	}
+	return fallback.Makespan(), nil
+}
+
+// bisect searches the deadline between lb and the stacked upper bound for
+// the smallest one at which the construction succeeds, and returns it. It
+// returns the upper bound and false when no deadline it tried succeeded.
+//
+// The construction can fail even at the upper bound: every task that is not
+// small and sequential must sit on one of two m-processor shelves, so three
+// rigid tasks that each need the whole machine fit at no deadline. The list
+// scheduler then builds the schedule with the allotment at the upper bound
+// (listFallback).
+func (s *shelfSolver) bisect(lb float64) (float64, bool) {
+	// The upper bound stacks every task at its fastest allocation.
+	lo, hi := lb, s.tab.SumMinTime
+	found, best := s.feasible(hi), hi
 	for iter := 0; iter < 60 && hi-lo > 1e-6*(1+hi); iter++ {
 		mid := (lo + hi) / 2
-		if sv.feasible(mid) {
-			found, bestLambda = true, mid
+		if s.feasible(mid) {
+			found, best = true, mid
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	if found {
-		best = sv.build(bestLambda)
-	}
-
-	res := &Result{
-		Lambda:     bestLambda,
-		LowerBound: lb,
-		Schedule:   best,
-		Estimate:   best.Makespan(),
-		Allotment:  allotment(tab, bestLambda),
-	}
-	classifyShelves(inst, bestLambda, res)
-	return res, nil
+	return best, found
 }
 
 // listFallback schedules every task with its deadline allotment through the
@@ -369,12 +398,17 @@ func (s *shelfSolver) solve() ([]bool, bool) {
 // shelf 1, plus the total work. It returns an error when the forced items
 // alone exceed the budget or an item cannot be placed anywhere.
 //
-// The dynamic program runs in O(n * (budget+1)) time. Its two value rows
-// and its flat n * (budget+1) decision table belong to the solver and grow
-// to the largest problem solved (solve sizes the table for the whole
-// instance up front), so a bisection allocates them once: each solve
-// zeroes the first row and the used prefix of the decision table.
-// The returned slice is the solver's too, overwritten by the next solve.
+// The dynamic program fills row i only up to min(budget, S_i), where S_i
+// is the total cost of items 0..i: by induction from the all-zero row
+// before item 0, an entry j >= S_i is computed from the same operands as
+// entry S_i (both read the previous row at S_{i-1}), so it holds the same
+// bits and makes the same choice, and it is read as entry min(j, S_i). It
+// runs in O(n * (budget+1)) time at worst. Its two value rows and its flat
+// n * (budget+1) decision table belong to the solver and grow to the
+// largest problem solved (solve sizes the table for the whole instance up
+// front), so a bisection allocates them once; every entry a solve reads it
+// writes first. The returned slice is the solver's too, overwritten by the
+// next solve.
 func (s *shelfSolver) minCostPartition(cost1 []int, work1, work2 []float64, budget int) (shelf1 []bool, totalWork float64, err error) {
 	n := len(cost1)
 	if len(work1) != n || len(work2) != n {
@@ -384,48 +418,78 @@ func (s *shelfSolver) minCostPartition(cost1 []int, work1, work2 []float64, budg
 		return nil, 0, fmt.Errorf("dualapprox: negative budget %d", budget)
 	}
 	const inf = math.MaxFloat64 / 4
-	// dp[j] = minimal total work using at most j shelf-1 processors; next is
-	// the row being filled, swapped in after every item.
+	// dp[j] = minimal total work using at most j shelf-1 processors, held
+	// on [0, top] with top = min(budget, S_{i-1}); next is the row being
+	// filled, swapped in after every item.
 	width := budget + 1
 	s.dp, s.next = grow(s.dp, width), grow(s.next, width)
 	s.choice = grow(s.choice, n*width) // choice[i*width+j]: item i on shelf 1 when budget j
 	dp, next, choice := s.dp, s.next, s.choice
-	clear(dp)
-	clear(choice)
+	dp[0] = 0
+	top, sum := 0, 0
 	for i := 0; i < n; i++ {
 		c, w1, w2 := cost1[i], work1[i], work2[i]
-		row := choice[i*width : (i+1)*width]
+		sum += c
+		hi := min(budget, sum)
+		// dp past top reads as dp[top]: write it out to hi.
+		for j := top + 1; j <= hi; j++ {
+			dp[j] = dp[top]
+		}
+		row, nx := choice[i*width:i*width+hi+1], next[:hi+1]
 		shelf2 := !math.IsInf(w2, 1)
-		for j := range next {
-			bestVal := inf
-			// Option shelf 2 (only when finite work2).
+		// Below c, shelf 2 is the only option (when work2 is finite).
+		below := min(c, hi+1)
+		clear(row[:below])
+		for j := range nx[:below] {
+			nx[j] = inf
 			if shelf2 {
-				bestVal = dp[j] + w2
+				nx[j] = dp[j] + w2
 			}
-			// Option shelf 1.
-			if c <= j {
-				if cand := dp[j-c] + w1; cand < bestVal {
-					bestVal = cand
-					row[j] = true
+		}
+		// From c on, shelf 1 when it is cheaper: entry j reads dp[j-c],
+		// held since j-c <= S_{i-1}. The two loops differ in shelf 2 only.
+		if c <= hi {
+			from := dp[:hi+1-c]
+			span := len(from) // resliced to span, the loops check no bounds
+			same, to, took := dp[c:][:span], nx[c:][:span], row[c:][:span]
+			if shelf2 {
+				for j, v := range from {
+					best, cand := same[j]+w2, v+w1
+					take := cand < best
+					if take {
+						best = cand
+					}
+					to[j], took[j] = best, take
+				}
+			} else {
+				for j, v := range from {
+					best, cand := inf, v+w1
+					take := cand < best
+					if take {
+						best = cand
+					}
+					to[j], took[j] = best, take
 				}
 			}
-			next[j] = bestVal
 		}
 		dp, next = next, dp
+		top = hi
 	}
-	if dp[budget] >= inf {
+	if dp[top] >= inf {
 		return nil, 0, fmt.Errorf("dualapprox: no feasible two-shelf partition within budget %d", budget)
 	}
 	s.shelf1 = grow(s.shelf1, n)
 	shelf1 = s.shelf1
+	// Walk back from budget, reading row i at min(j, S_i).
 	j := budget
 	for i := n - 1; i >= 0; i-- {
-		shelf1[i] = choice[i*width+j]
+		shelf1[i] = choice[i*width+min(j, sum)]
 		if shelf1[i] {
 			j -= cost1[i]
 		}
+		sum -= cost1[i]
 	}
-	return shelf1, dp[budget], nil
+	return shelf1, dp[top], nil
 }
 
 // grow returns buf resliced to n entries, reallocated only when its
@@ -437,40 +501,53 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// build lays out the schedule at lambda, which must be the last deadline
-// feasible returned true for: feasible replaces yes and part only when it
-// returns true, so they still hold that deadline's signature and partition.
-func (s *shelfSolver) build(lambda float64) *schedule.Schedule {
+// build lays out the two-shelf schedule at lambda into sched and returns
+// its makespan, the latest Start + Duration, taken as Schedule.Makespan
+// takes it. A nil sched lays out nothing: build then only tracks the
+// latest end. lambda must be the last deadline feasible returned true for:
+// feasible replaces yes and part only when it returns true, so they still
+// hold that deadline's signature and partition.
+func (s *shelfSolver) build(lambda float64, sched *schedule.Schedule) float64 {
 	inst := s.tab.Inst
 	m, stride := inst.M, inst.M+1
-	sched := schedule.New(m)
-	sched.Assignments = make([]schedule.Assignment, 0, len(inst.Tasks))
 	var smallSeq []int // indices of tasks with p(1) <= lambda/2
+	cmax := 0.0
 
 	// procs backs every assignment's processor list: a shelf task holds its
-	// c1 or c2 processors, a small task one. take hands out the next
-	// capacity-clipped window, numbered from the given processor on.
-	total, j := 0, 0
-	for _, sg := range s.yes {
-		switch {
-		case sg == 0:
-			total++
-			continue
-		case s.part[j]:
-			total += sg / stride
-		default:
-			total += sg % stride
+	// c1 or c2 processors, a small task one. add places task t on count
+	// processors numbered from the given one on, handing it the next
+	// capacity-clipped window of procs.
+	var procs []int
+	if sched != nil {
+		total, j := 0, 0
+		for _, sg := range s.yes {
+			switch {
+			case sg == 0:
+				total++
+				continue
+			case s.part[j]:
+				total += sg / stride
+			default:
+				total += sg % stride
+			}
+			j++
 		}
-		j++
+		procs = make([]int, total)
+		sched.Assignments = make([]schedule.Assignment, 0, len(inst.Tasks))
 	}
-	procs := make([]int, total)
-	take := func(from, count int) []int {
+	add := func(t *moldable.Task, start float64, from, count int, d float64) {
+		if e := start + d; e > cmax {
+			cmax = e
+		}
+		if sched == nil {
+			return
+		}
 		p := procs[:count:count]
 		procs = procs[count:]
 		for q := range p {
 			p[q] = from + q
 		}
-		return p
+		sched.Add(schedule.Assignment{TaskID: t.ID, Start: start, NProcs: count, Procs: p, Duration: d})
 	}
 
 	// Long shelf at time 0, short shelf at time lambda. end1 and end2
@@ -482,7 +559,7 @@ func (s *shelfSolver) build(lambda float64) *schedule.Schedule {
 	for p := range end2 {
 		end2[p] = lambda
 	}
-	j = 0
+	j := 0
 	for i, sg := range s.yes {
 		if sg == 0 {
 			smallSeq = append(smallSeq, i)
@@ -491,22 +568,20 @@ func (s *shelfSolver) build(lambda float64) *schedule.Schedule {
 		t := &inst.Tasks[i]
 		if s.part[j] {
 			c1 := sg / stride
-			procs := take(nextProcShelf1, c1)
-			nextProcShelf1 += c1
 			d := t.Time(c1)
-			for _, p := range procs {
+			for p := nextProcShelf1; p < nextProcShelf1+c1; p++ {
 				end1[p] = d
 			}
-			sched.Add(schedule.Assignment{TaskID: t.ID, Start: 0, NProcs: c1, Procs: procs, Duration: d})
+			add(t, 0, nextProcShelf1, c1, d)
+			nextProcShelf1 += c1
 		} else {
 			c2 := sg % stride
-			procs := take(nextProcShelf2, c2)
-			nextProcShelf2 += c2
 			d := t.Time(c2)
-			for _, p := range procs {
+			for p := nextProcShelf2; p < nextProcShelf2+c2; p++ {
 				end2[p] = lambda + d
 			}
-			sched.Add(schedule.Assignment{TaskID: t.ID, Start: lambda, NProcs: c2, Procs: procs, Duration: d})
+			add(t, lambda, nextProcShelf2, c2, d)
+			nextProcShelf2 += c2
 		}
 		j++
 	}
@@ -529,7 +604,7 @@ func (s *shelfSolver) build(lambda float64) *schedule.Schedule {
 			}
 		}
 		if bestProc >= 0 {
-			sched.Add(schedule.Assignment{TaskID: t.ID, Start: end1[bestProc], NProcs: 1, Procs: take(bestProc, 1), Duration: d})
+			add(t, end1[bestProc], bestProc, 1, d)
 			end1[bestProc] += d
 			continue
 		}
@@ -540,10 +615,10 @@ func (s *shelfSolver) build(lambda float64) *schedule.Schedule {
 				bestProc = p
 			}
 		}
-		sched.Add(schedule.Assignment{TaskID: t.ID, Start: end2[bestProc], NProcs: 1, Procs: take(bestProc, 1), Duration: d})
+		add(t, end2[bestProc], bestProc, 1, d)
 		end2[bestProc] += d
 	}
-	return sched
+	return cmax
 }
 
 // classifyShelves fills the Shelf1/Shelf2/Small fields of the result from

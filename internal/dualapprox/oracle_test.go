@@ -72,32 +72,33 @@ func rigid(id int, weight float64, procs int, duration float64) moldable.Task {
 	return moldable.Task{ID: id, Weight: weight, Times: times}
 }
 
-// TestTwoShelfMatchesReference runs TwoShelf and the bisection as it stood
-// before the fit table, the signature memo and the single final build, and
-// requires deep-equal results on every workload family, a mix with rigid
-// and non-monotone tasks, and machine sizes from 1 to 200.
-func TestTwoShelfMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	type named struct {
-		name string
-		inst *moldable.Instance
-	}
-	var cases []named
-	for _, m := range []int{1, 3, 32, 200} {
+// namedInstance is one instance of the oracle tests.
+type namedInstance struct {
+	name string
+	inst *moldable.Instance
+}
+
+// oracleInstances returns, for every machine size of ms, every workload
+// family at 1, 7 and 40 tasks, a mix of the shapes randomFitTask draws
+// (rigid and non-monotone tasks among them) and, from m = 2 on, a crowded
+// instance on which the knapsack fails over a range of signatures.
+func oracleInstances(t *testing.T, r *rand.Rand, ms []int) []namedInstance {
+	var cases []namedInstance
+	for _, m := range ms {
 		for _, kind := range workload.Kinds() {
 			for _, n := range []int{1, 7, 40} {
 				inst, err := workload.Generate(workload.Config{Kind: kind, M: m, N: n, Seed: int64(31*m + n)})
 				if err != nil {
 					t.Fatal(err)
 				}
-				cases = append(cases, named{fmt.Sprintf("%v/m=%d/n=%d", kind, m, n), inst})
+				cases = append(cases, namedInstance{fmt.Sprintf("%v/m=%d/n=%d", kind, m, n), inst})
 			}
 		}
 		tasks := make([]moldable.Task, 25)
 		for i := range tasks {
 			tasks[i] = randomFitTask(r, 3*i+1, m)
 		}
-		cases = append(cases, named{fmt.Sprintf("shapes/m=%d", m), moldable.NewInstance(m, tasks)})
+		cases = append(cases, namedInstance{fmt.Sprintf("shapes/m=%d", m), moldable.NewInstance(m, tasks)})
 		if m == 1 {
 			continue
 		}
@@ -119,8 +120,18 @@ func TestTwoShelfMatchesReference(t *testing.T) {
 			}
 			tasks[i] = moldable.Task{ID: i, Weight: 1, Times: times}
 		}
-		cases = append(cases, named{fmt.Sprintf("crowded/m=%d", m), moldable.NewInstance(m, tasks)})
+		cases = append(cases, namedInstance{fmt.Sprintf("crowded/m=%d", m), moldable.NewInstance(m, tasks)})
 	}
+	return cases
+}
+
+// TestTwoShelfMatchesReference runs TwoShelf and the bisection as it stood
+// before the fit table, the signature memo, the single final build and the
+// prefix-bounded knapsack rows, and requires deep-equal results on every
+// workload family, a mix with rigid and non-monotone tasks, and machine
+// sizes from 1 to 200.
+func TestTwoShelfMatchesReference(t *testing.T) {
+	cases := oracleInstances(t, rand.New(rand.NewSource(7)), []int{1, 3, 32, 200})
 	for _, c := range cases {
 		want, wantErr := referenceTwoShelf(c.inst)
 		got, err := TwoShelf(c.inst)
@@ -137,6 +148,33 @@ func TestTwoShelfMatchesReference(t *testing.T) {
 		}
 		if got, err := TwoShelfTable(tab, lb); !reflect.DeepEqual(got, want) || (err != nil) != (wantErr != nil) {
 			t.Fatalf("%s: TwoShelfTable differs from the reference (error %v)", c.name, err)
+		}
+	}
+}
+
+// TestEstimateMatchesReference holds Estimate, which builds no schedule,
+// to TwoShelfTable(...).Estimate bit for bit, and to its failure, on every
+// workload family at m = 1, 16 and 200, the rigid and non-monotone mixes,
+// the list fallback's three machine-wide rigid tasks and an invalid
+// instance.
+func TestEstimateMatchesReference(t *testing.T) {
+	cases := oracleInstances(t, rand.New(rand.NewSource(11)), []int{1, 16, 200})
+	cases = append(cases,
+		namedInstance{"list-fallback", moldable.NewInstance(8, []moldable.Task{
+			rigid(0, 1, 8, 1), rigid(1, 1, 8, 1), rigid(2, 1, 8, 1),
+		})},
+		namedInstance{"invalid", &moldable.Instance{M: 0}},
+	)
+	for _, c := range cases {
+		tab := moldable.NewTable(c.inst)
+		lb := MakespanLowerBound(tab)
+		want, wantErr := TwoShelfTable(tab, lb)
+		got, err := Estimate(tab, lb)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: error %v, TwoShelfTable's %v", c.name, err, wantErr)
+		}
+		if wantErr == nil && math.Float64bits(got) != math.Float64bits(want.Estimate) {
+			t.Fatalf("%s: estimate %v, TwoShelfTable's %v", c.name, got, want.Estimate)
 		}
 	}
 }
@@ -304,7 +342,7 @@ func referenceBuild(inst *moldable.Instance, lambda float64) *schedule.Schedule 
 			work2[j] = task.Work(e.c2)
 		}
 	}
-	onShelf1, _, err := new(shelfSolver).minCostPartition(cost1, work1, work2, m)
+	onShelf1, _, err := referenceMinCostPartition(cost1, work1, work2, m)
 	if err != nil {
 		return nil
 	}
@@ -387,6 +425,54 @@ func referenceBuild(inst *moldable.Instance, lambda float64) *schedule.Schedule 
 		end2[bestProc] += d
 	}
 	return sched
+}
+
+// referenceMinCostPartition is minCostPartition as it stood before its rows
+// stopped at their running cost sum: every row spans the whole budget, in
+// fresh tables.
+func referenceMinCostPartition(cost1 []int, work1, work2 []float64, budget int) ([]bool, float64, error) {
+	n := len(cost1)
+	if len(work1) != n || len(work2) != n {
+		return nil, 0, fmt.Errorf("dualapprox: inconsistent slice lengths %d/%d/%d", len(cost1), len(work1), len(work2))
+	}
+	if budget < 0 {
+		return nil, 0, fmt.Errorf("dualapprox: negative budget %d", budget)
+	}
+	const inf = math.MaxFloat64 / 4
+	width := budget + 1
+	dp, next := make([]float64, width), make([]float64, width)
+	choice := make([]bool, n*width)
+	for i := 0; i < n; i++ {
+		c, w1, w2 := cost1[i], work1[i], work2[i]
+		row := choice[i*width : (i+1)*width]
+		shelf2 := !math.IsInf(w2, 1)
+		for j := range next {
+			bestVal := inf
+			if shelf2 {
+				bestVal = dp[j] + w2
+			}
+			if c <= j {
+				if cand := dp[j-c] + w1; cand < bestVal {
+					bestVal = cand
+					row[j] = true
+				}
+			}
+			next[j] = bestVal
+		}
+		dp, next = next, dp
+	}
+	if dp[budget] >= inf {
+		return nil, 0, fmt.Errorf("dualapprox: no feasible two-shelf partition within budget %d", budget)
+	}
+	shelf1 := make([]bool, n)
+	j := budget
+	for i := n - 1; i >= 0; i-- {
+		shelf1[i] = choice[i*width+j]
+		if shelf1[i] {
+			j -= cost1[i]
+		}
+	}
+	return shelf1, dp[budget], nil
 }
 
 // procRange returns processor indices [from, from+count).

@@ -1,6 +1,7 @@
 package dualapprox
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -125,11 +126,67 @@ func TestPropertyMinCostPartitionMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// randomPartitionProblem draws a partition problem with quarter-integer
+// works, so that many partitions tie, some +Inf work2 (items forced onto
+// shelf 1), costs up to 8 against budgets from 0 to well above the total
+// cost, so that some items cost more than the whole budget and some
+// problems never fill it.
+func randomPartitionProblem(r *rand.Rand) (cost1 []int, work1, work2 []float64, budget int) {
+	n := r.Intn(13)
+	switch r.Intn(4) {
+	case 0:
+		budget = 0
+	case 1:
+		budget = 40 + r.Intn(80)
+	default:
+		budget = r.Intn(17)
+	}
+	cost1 = make([]int, n)
+	work1 = make([]float64, n)
+	work2 = make([]float64, n)
+	for i := range cost1 {
+		cost1[i] = 1 + r.Intn(8)
+		work1[i] = float64(1+r.Intn(40)) / 4
+		work2[i] = float64(1+r.Intn(40)) / 4
+		if r.Intn(4) == 0 {
+			work2[i] = math.Inf(1)
+		}
+	}
+	return cost1, work1, work2, budget
+}
+
+// samePartition fails t unless two answers to one problem agree bit for
+// bit: the partition, the total work, and the failure, to its text.
+func samePartition(t *testing.T, what string, got []bool, gotWork float64, gotErr error, want []bool, wantWork float64, wantErr error) {
+	t.Helper()
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: err %v, reference err %v", what, gotErr, wantErr)
+	}
+	if !slices.Equal(got, want) || math.Float64bits(gotWork) != math.Float64bits(wantWork) {
+		t.Fatalf("%s: %v (work %v), reference %v (work %v)", what, got, gotWork, want, wantWork)
+	}
+}
+
+// TestMinCostPartitionMatchesReference holds the prefix-bounded dynamic
+// program to the full-width one it replaced (referenceMinCostPartition),
+// on one solver reused from problem to problem as a bisection reuses it.
+func TestMinCostPartitionMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	reused := new(shelfSolver)
+	for p := 0; p < 3000; p++ {
+		cost1, work1, work2, budget := randomPartitionProblem(r)
+		want, wantWork, wantErr := referenceMinCostPartition(cost1, work1, work2, budget)
+		got, gotWork, gotErr := reused.minCostPartition(cost1, work1, work2, budget)
+		samePartition(t, fmt.Sprintf("problem %d (costs %v, budget %d)", p, cost1, budget), got, gotWork, gotErr, want, wantWork, wantErr)
+	}
+}
+
 // FuzzPartitionReuse runs a seeded sequence of partition problems through
 // one solver, whose tables carry over from problem to problem as they do
-// across a bisection, and checks every result against a fresh solver's,
-// bit for bit: the partition, the total work, and failure vs success. A
-// table left stale by an earlier, larger or costlier problem shows up as a
+// across a bisection, and checks every result against a fresh solver's and
+// against the full-width reference's, bit for bit: the partition, the total
+// work, and the failure. A table left stale by an earlier, larger or
+// costlier problem, or a row read past what was written, shows up as a
 // different answer.
 func FuzzPartitionReuse(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
@@ -139,27 +196,13 @@ func FuzzPartitionReuse(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		reused := new(shelfSolver)
 		for p := 0; p < int(problems%32); p++ {
-			n, budget := r.Intn(13), r.Intn(17)
-			cost1 := make([]int, n)
-			work1 := make([]float64, n)
-			work2 := make([]float64, n)
-			for i := range cost1 {
-				cost1[i] = 1 + r.Intn(8)
-				work1[i] = float64(1+r.Intn(40)) / 4
-				work2[i] = float64(1+r.Intn(40)) / 4
-				if r.Intn(4) == 0 {
-					work2[i] = math.Inf(1)
-				}
-			}
+			cost1, work1, work2, budget := randomPartitionProblem(r)
+			what := fmt.Sprintf("problem %d (n=%d, budget=%d)", p, len(cost1), budget)
+			want, wantWork, wantErr := referenceMinCostPartition(cost1, work1, work2, budget)
 			got, gotWork, gotErr := reused.minCostPartition(cost1, work1, work2, budget)
-			want, wantWork, wantErr := partition(cost1, work1, work2, budget)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("problem %d (n=%d, budget=%d): reused solver err %v, fresh solver err %v", p, n, budget, gotErr, wantErr)
-			}
-			if !slices.Equal(got, want) || math.Float64bits(gotWork) != math.Float64bits(wantWork) {
-				t.Fatalf("problem %d (n=%d, budget=%d): reused solver %v (work %v), fresh solver %v (work %v)",
-					p, n, budget, got, gotWork, want, wantWork)
-			}
+			samePartition(t, what+", reused solver", got, gotWork, gotErr, want, wantWork, wantErr)
+			got, gotWork, gotErr = partition(cost1, work1, work2, budget)
+			samePartition(t, what+", fresh solver", got, gotWork, gotErr, want, wantWork, wantErr)
 		}
 	})
 }
