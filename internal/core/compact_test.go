@@ -113,8 +113,9 @@ func TestShuffleCompactionMatchesReference(t *testing.T) {
 // TestScheduleAllocs pins the allocations of one default ScheduleContext
 // on a mixed instance of 400 tasks on 200 processors. Building every
 // shuffled order's schedule instead of the winner's alone, a knapsack
-// table per batch, or two one-element slices per candidate task each push
-// the count far past the pin.
+// table per batch, two one-element slices per candidate task, or a
+// two-shelf schedule in step 1, which reads only its makespan, each push
+// the count past the pin.
 func TestScheduleAllocs(t *testing.T) {
 	inst, err := workload.Generate(workload.Config{Kind: workload.Mixed, M: 200, N: 400, Seed: 7})
 	if err != nil {

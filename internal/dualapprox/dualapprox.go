@@ -447,7 +447,9 @@ func (s *shelfSolver) minCostPartition(cost1 []int, work1, work2 []float64, budg
 			}
 		}
 		// From c on, shelf 1 when it is cheaper: entry j reads dp[j-c],
-		// held since j-c <= S_{i-1}. The two loops differ in shelf 2 only.
+		// held since j-c <= S_{i-1}. The two loops differ in shelf 2 only:
+		// one loop testing shelf2 at every entry ran about a third slower
+		// in BenchmarkMinCostPartition.
 		if c <= hi {
 			from := dp[:hi+1-c]
 			span := len(from) // resliced to span, the loops check no bounds
